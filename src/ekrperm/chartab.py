@@ -94,9 +94,13 @@ def n_cycle_character(shape: Partition) -> int:
     """Character value on the single-n-cycle class: +-1 on hooks, 0 otherwise."""
     n = sum(shape)
     value = character_value(shape, (n,))
-    assert value in (-1, 0, 1)
+    if value not in (-1, 0, 1):
+        raise AssertionError(f"n-cycle character of {shape} is {value}, not in -1..1")
     is_hook = len(shape) == 1 or shape[1] == 1
-    assert (value != 0) == is_hook
+    if (value != 0) != is_hook:
+        raise AssertionError(
+            f"n-cycle character of {shape} must be nonzero exactly on hooks"
+        )
     return value
 
 
@@ -135,7 +139,10 @@ def character_table(n: int) -> CharacterTable:
     )
     table = CharacterTable(n, parts, values)
     for shape in parts:
-        assert table.dimension(shape) == dimension(shape)
+        if table.dimension(shape) != dimension(shape):
+            raise AssertionError(
+                f"identity column disagrees with the hook formula at {shape}"
+            )
     return table
 
 

@@ -40,7 +40,6 @@ from .scheme import (
 MAX_INCIDENCE_DEGREE = 7
 
 rank = linalg.bareiss_rank
-kernel_basis = linalg.kernel_basis
 
 
 @dataclass(frozen=True)
@@ -248,10 +247,10 @@ def bordered_kernel_check(n: int):
     gram = linalg.gram_matrix(cols)
     basis = linalg.kernel_basis(gram)
     for vec in basis:
-        if any(sum(Fraction(a) * v for a, v in zip(row, vec)) != 0 for row in bordered):
+        if any(sum(a * v for a, v in zip(row, vec)) != 0 for row in bordered):
             raise AssertionError("Gram kernel vector is not in the matrix kernel")
     width = (n - 1) * (n - 2)
-    expected = [Fraction(1)] * width + [Fraction(-(n - 2))]
+    expected = [1] * width + [-(n - 2)]
     ok = len(basis) == 1 and _proportional(basis[0], expected)
     return basis, ok
 
@@ -278,7 +277,7 @@ def kernel_membership_check(n: int, trials: int = 20, seed: int = 987) -> bool:
     if len(basis) != (n - 1) ** 2 - (n - 1) * (n - 2):
         raise AssertionError("unexpected kernel dimension for the derangement rows")
     for vec in basis:
-        if any(sum(Fraction(a) * v for a, v in zip(row, vec)) != 0 for row in dec.N):
+        if any(sum(a * v for a, v in zip(row, vec)) != 0 for row in dec.N):
             raise AssertionError("Gram kernel vector is not in ker(N)")
     w_cols = linalg.transpose(dec.W)
     w_gram = linalg.gram_matrix(w_cols)
@@ -548,7 +547,8 @@ def depth_conjecture_dims(n: int, t: int = 1) -> DepthReport:
     rows = []
     for pairs in constraint_sets:
         fam = family(pairs, n)
-        assert fam.size == size
+        if fam.size != size:
+            raise AssertionError(f"family {pairs} has {fam.size} members, not {size}")
         supports = module_support(fam.members, n, shift=shift)
         union.update(support_set(supports))
         indicator = [0] * order

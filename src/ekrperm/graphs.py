@@ -181,7 +181,8 @@ def odd_n_latin_clique(n: int) -> CliqueCertificate:
         )
     first = tuple(range(1, n + 1))
     second = (2, 1, n) + tuple(range(3, n - 1 + 1))
-    assert sorted(second) == list(first)
+    if sorted(second) != list(first):
+        raise AssertionError("the prescribed second row is not a permutation")
     square = _complete_latin_square([first, second], n)
     members = [Permutation(row) for row in square]
     return _certify(members, n, 0, "odd-latin")
@@ -474,8 +475,10 @@ def equitable_quotient(n: int) -> EquitableQuotient:
     matrix = ((0, d), (q, d - q))
     # Eigenvalues of [[0, d], [q, d-q]] are d and -q, by trace and determinant.
     eigenvalues = (d, -q)
-    assert d + (-q) == matrix[0][0] + matrix[1][1]
-    assert d * (-q) == matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
+    if d + (-q) != matrix[0][0] + matrix[1][1]:
+        raise AssertionError("quotient eigenvalues disagree with its trace")
+    if d * (-q) != matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]:
+        raise AssertionError("quotient eigenvalues disagree with its determinant")
     matches_closed_form = q * (n - 1) == d
     return EquitableQuotient(
         n=n,

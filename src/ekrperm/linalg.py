@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of equal-length rows with int or Fraction entries.  Ranks
-come from fraction-free (Bareiss) elimination on an integer copy; reduced row
-echelon form, kernels and solving use Fraction arithmetic.  A fast modular
-elimination (exact integer arithmetic mod a prime) provides certified rank
-lower bounds for large integer matrices.
+Matrices are lists of equal-length rows with int or Fraction entries.  One
+fraction-free Gauss-Jordan elimination (Bareiss's integer-preserving scheme,
+carried above the pivots as well as below) serves rank, kernel and solve: it
+scales each row to integers, keeps every entry an integer throughout, and
+returns the reduced row echelon form as an integer matrix over one common
+denominator.  A Fraction appears only when solve hands back its answer.  A
+fast modular elimination (exact integer arithmetic mod a prime) provides
+certified rank lower bounds for large integer matrices.
 """
 
 from __future__ import annotations
@@ -17,94 +20,83 @@ Rational = int | Fraction
 _RANK_PRIMES = (2147483647, 2147483629)  # < 2**31, so modular products fit int64
 
 
-def _as_integer_rows(rows) -> list[list[int]]:
-    """Scale each row by its common denominator; rank and kernel are unchanged."""
-    out = []
-    for row in rows:
-        denom = 1
-        for v in row:
-            if isinstance(v, Fraction):
-                denom = lcm(denom, v.denominator)
-        out.append([int(v * denom) for v in row])
-    return out
+def scaled_integers(values) -> tuple[list[int], int]:
+    """(nums, denom) with values[k] == nums[k] / denom and denom the least such."""
+    denom = 1
+    for v in values:
+        if isinstance(v, Fraction):
+            denom = lcm(denom, v.denominator)
+    return [int(v * denom) for v in values], denom
 
 
-def bareiss_rank(rows) -> int:
-    """Rank over the rationals via fraction-free elimination."""
-    if not rows:
-        return 0
-    m = _as_integer_rows(rows)
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(n_cols):
-        pivot_row = next((i for i in range(rank, n_rows) if m[i][col]), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for i in range(rank + 1, n_rows):
-            factor = m[i][col]
-            row_i = m[i]
-            row_r = m[rank]
-            for j in range(col, n_cols):
-                row_i[j] = (pivot * row_i[j] - factor * row_r[j]) // prev
-        prev = pivot
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+def rref(rows) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free reduced row echelon form: (m, pivots, d) with RREF == m / d.
 
-
-def gaussian_rank(rows) -> int:
-    """Rank via plain Fraction elimination; an independent route to bareiss_rank."""
-    _, pivots = rref(rows)
-    return len(pivots)
-
-
-def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and pivot columns, over Fraction."""
-    m = [[Fraction(v) for v in row] for row in rows]
+    Each row is first scaled to integers, which changes neither the row space
+    nor the RREF.  Every step replaces each other row by
+    (pivot * row - factor * pivot_row) / previous pivot, a division that is
+    always exact, so all pivot entries end equal to d and the pivot columns
+    are zero elsewhere.  The pivot of each column is its first nonzero row at
+    or below the current one.
+    """
+    m = [scaled_integers(row)[0] for row in rows]
+    pivots: list[int] = []
     if not m:
-        return [], []
+        return m, pivots, 1
     n_rows, n_cols = len(m), len(m[0])
-    pivots = []
+    prev = 1
     r = 0
     for col in range(n_cols):
         pivot_row = next((i for i in range(r, n_rows) if m[i][col]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [v * inv for v in m[r]]
+        row_r = m[r]
+        pivot = row_r[col]
         for i in range(n_rows):
-            if i != r and m[i][col]:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+            if i == r:
+                continue
+            row_i = m[i]
+            factor = row_i[col]
+            if factor:
+                m[i] = [(pivot * a - factor * b) // prev for a, b in zip(row_i, row_r)]
+            elif pivot != prev:
+                m[i] = [pivot * a // prev for a in row_i]
         pivots.append(col)
+        prev = pivot
         r += 1
         if r == n_rows:
             break
-    return m, pivots
+    return m, pivots, prev
 
 
-def kernel_basis(rows) -> list[list[Fraction]]:
-    """Basis of the right kernel; each vector is verified against the matrix."""
+def bareiss_rank(rows) -> int:
+    """Rank over the rationals via fraction-free elimination."""
+    return len(rref(rows)[1])
+
+
+def kernel_basis(rows) -> list[list[int]]:
+    """Integer basis of the right kernel; each vector is verified against the matrix.
+
+    The vector for a free column holds d there and -m[r][free] at the pivot
+    column of row r, which is the RREF kernel vector scaled by d.
+    """
     if not rows:
         return []
     n_cols = len(rows[0])
-    reduced, pivots = rref(rows)
+    m, pivots, d = rref(rows)
     free_cols = [c for c in range(n_cols) if c not in pivots]
     basis = []
     for free in free_cols:
-        vec = [Fraction(0)] * n_cols
-        vec[free] = Fraction(1)
+        vec = [0] * n_cols
+        vec[free] = d
         for r, col in enumerate(pivots):
-            vec[col] = -reduced[r][free]
+            vec[col] = -m[r][free]
         basis.append(vec)
+    int_rows = [scaled_integers(row)[0] for row in rows]
     for vec in basis:
-        for row in rows:
-            if sum(Fraction(a) * b for a, b in zip(row, vec)) != 0:
+        for row in int_rows:
+            if sum(a * b for a, b in zip(row, vec)) != 0:
                 raise AssertionError("kernel vector fails the defining equations")
     return basis
 
@@ -113,17 +105,13 @@ def solve(rows, rhs) -> list[Fraction] | None:
     """One exact solution of rows * x = rhs, or None when inconsistent."""
     augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
     n_cols = len(rows[0])
-    reduced, pivots = rref(augmented)
+    m, pivots, d = rref(augmented)
     if n_cols in pivots:
         return None
     x = [Fraction(0)] * n_cols
     for r, col in enumerate(pivots):
-        x[col] = reduced[r][n_cols]
+        x[col] = Fraction(m[r][n_cols], d)
     return x
-
-
-def matvec(rows, vec) -> list[Fraction]:
-    return [sum(Fraction(a) * b for a, b in zip(row, vec)) for row in rows]
 
 
 def transpose(rows) -> list[list]:
@@ -198,29 +186,6 @@ def certified_rank(int_rows: list[list[int]], upper_bound: int | None = None):
         if best == upper_bound:
             return best, "modular-certificate"
     exact = bareiss_rank(int_rows)
-    assert exact >= best
+    if exact < best:
+        raise AssertionError(f"exact rank {exact} is below the modular rank {best}")
     return exact, "fraction-free-elimination"
-
-
-def format_matrix(rows) -> str:
-    """Plain-text exact format: 'R C' header, then rows of int or p/q entries."""
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    lines = [f"{n_rows} {n_cols}"]
-    for row in rows:
-        lines.append(" ".join(str(Fraction(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def parse_matrix(text: str) -> list[list[Fraction]]:
-    lines = [line for line in text.splitlines() if line.strip()]
-    n_rows, n_cols = (int(tok) for tok in lines[0].split())
-    rows = []
-    for line in lines[1 : n_rows + 1]:
-        row = [Fraction(tok) for tok in line.split()]
-        if len(row) != n_cols:
-            raise ValueError("row width disagrees with the header")
-        rows.append(row)
-    if len(rows) != n_rows:
-        raise ValueError("row count disagrees with the header")
-    return rows

@@ -265,8 +265,7 @@ def derangement_count(n: int) -> int:
     """Number of fixed-point-free permutations of 1..n."""
     if n < 1:
         raise DegreeRangeError("degree must be at least 1")
-    if n == 1:
-        return 0
-    if n == 2:
-        return 1
-    return (n - 1) * (derangement_count(n - 1) + derangement_count(n - 2))
+    previous, current = 1, 0  # D(0), D(1)
+    for k in range(2, n + 1):
+        previous, current = current, (k - 1) * (current + previous)
+    return current

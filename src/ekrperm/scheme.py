@@ -16,10 +16,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 
 from .chartab import character_value, dimension
 from .errors import DegreeRangeError, FamilyValidationError
+from .linalg import scaled_integers
 from .permgroup import (
     ClassInfo,
     Partition,
@@ -146,8 +147,10 @@ def union_spectrum(n: int, t: int = 0) -> SchemeSpectrum:
     for shape in parts:
         eigenvalues.append(sum(class_eigenvalue(shape, cls) for cls in selected))
         multiplicities.append(dimension(shape) ** 2)
-    assert sum(multiplicities) == factorial(n)
-    assert eigenvalues[0] == valency  # trivial eigenspace carries the valency
+    if sum(multiplicities) != factorial(n):
+        raise AssertionError("eigenspace dimensions do not add up to n!")
+    if eigenvalues[0] != valency:  # trivial eigenspace carries the valency
+        raise AssertionError("trivial eigenvalue differs from the valency")
     return SchemeSpectrum(
         n, t, parts, tuple(eigenvalues), tuple(multiplicities), valency
     )
@@ -164,14 +167,6 @@ def ratio_bound(n: int, t: int = 0) -> Fraction:
     if tau >= 0:
         raise AssertionError("least eigenvalue should be negative")
     return Fraction(factorial(n)) / (1 - Fraction(spectrum.valency, tau))
-
-
-def _scaled_integer_vector(x) -> tuple[list[int], int]:
-    denom = 1
-    for v in x:
-        if isinstance(v, Fraction):
-            denom = lcm(denom, v.denominator)
-    return [int(v * denom) for v in x], denom
 
 
 @dataclass(frozen=True)
@@ -204,7 +199,7 @@ def project(shape: Partition, x, n: int) -> ProjectionResult:
     gd = group_data(n)
     if len(x) != gd.order:
         raise ValueError(f"vector length {len(x)} != {gd.order}")
-    nums, denom = _scaled_integer_vector(x)
+    nums, denom = scaled_integers(x)
     support = [j for j, v in enumerate(nums) if v]
     chi = gd.characters_by_class(shape)
     dim = dimension(shape)
@@ -259,7 +254,7 @@ def class_quadratic_forms(x, n: int) -> list[Fraction]:
     gd = group_data(n)
     if len(x) != gd.order:
         raise ValueError(f"vector length {len(x)} != {gd.order}")
-    nums, denom = _scaled_integer_vector(x)
+    nums, denom = scaled_integers(x)
     support = [j for j, v in enumerate(nums) if v]
     acc = [0] * len(gd.classes)
     if gd.n <= MAX_DENSE_DEGREE:

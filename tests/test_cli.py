@@ -52,6 +52,14 @@ class TestCommands:
         _, report, _ = run_json(capsys, "derangements", "2")
         assert report["result"]["count"] == "1"
 
+    def test_derangements_at_large_degree(self, capsys):
+        code, report, _ = run_json(capsys, "derangements", "900")
+        assert code == 0
+        count = 1  # D(0); D(n) = n D(n-1) + (-1)^n
+        for n in range(1, 901):
+            count = n * count + (-1) ** n
+        assert report["result"]["count"] == str(count)
+
     def test_spectrum_entries(self, capsys):
         _, report, _ = run_json(capsys, "spectrum", "5")
         by_partition = {
@@ -203,3 +211,20 @@ class TestVerifyAll:
         assert report["pass"] is True
         sections = {c["name"].split("[")[0] for c in report["checks"]}
         assert {"derangements", "chartab", "spectrum", "lemmas"} <= sections
+
+    def test_checks_survive_optimized_interpreter(self, capsys):
+        # Internal invariants raise explicitly, so -O must not change the checks.
+        _, plain, _ = run_json(capsys, "verify-all", "--max-n", "5")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "ekrperm", "verify-all", "--max-n", "5"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        optimized = json.loads(proc.stdout)
+
+        def outcomes(report):
+            return [(c["name"], c["pass"]) for c in report["checks"]]
+
+        assert outcomes(optimized) == outcomes(plain)
+        assert optimized["pass"] is plain["pass"] is True

@@ -213,7 +213,7 @@ class TestKernels:
         vec = basis[0]
         scale = vec[0]
         assert scale != 0
-        assert [v / scale for v in vec] == [1, 1, 1, 1, 1, 1, -2]
+        assert [Fraction(v, scale) for v in vec] == [1, 1, 1, 1, 1, 1, -2]
 
     def test_bordered_kernel_through_degree_six(self):
         for n in (4, 5, 6):

@@ -1,29 +1,32 @@
-"""Exact rank, kernel, and solve routines, cross-checked two ways."""
+"""Exact rank, kernel, and solve routines, cross-checked against the oracle."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ekrperm.linalg import (
     bareiss_rank,
     certified_rank,
     complete_graph_matrix,
-    format_matrix,
-    gaussian_rank,
     gram_matrix,
     identity_matrix,
     kernel_basis,
     kron,
-    matvec,
-    parse_matrix,
     rank_mod_p,
     rref,
+    scaled_integers,
     solve,
     transpose,
 )
 
 import oracles
+
+
+def _matvec(rows, vec):
+    return [sum(a * b for a, b in zip(row, vec)) for row in rows]
 
 
 class TestRanks:
@@ -45,14 +48,14 @@ class TestRanks:
             rows = rng.randrange(1, 7)
             cols = rng.randrange(1, 7)
             m = [[rng.randrange(-5, 6) for _ in range(cols)] for _ in range(rows)]
-            assert bareiss_rank(m) == gaussian_rank(m)
+            assert bareiss_rank(m) == oracles.gaussian_rank(m)
 
     def test_rank_handles_fractions(self):
         # singular: the second row is three times the first
         m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]]
-        assert bareiss_rank(m) == gaussian_rank(m) == 1
+        assert bareiss_rank(m) == oracles.gaussian_rank(m) == 1
         m2 = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(2, 1)]]
-        assert bareiss_rank(m2) == gaussian_rank(m2) == 2
+        assert bareiss_rank(m2) == oracles.gaussian_rank(m2) == 2
 
     def test_matches_external_elimination(self):
         rng = random.Random(7)
@@ -108,6 +111,13 @@ class TestKernelAndSolve:
         for vec in basis:
             assert sum(c * v for c, v in zip([1, 2, 3], vec)) == 0
 
+    def test_kernel_vectors_are_integers_scaled_by_the_denominator(self):
+        # RREF of [2 1] is [1 1/2] with d = 2, so the kernel vector is (-1, 2)
+        assert kernel_basis([[2, 1]]) == [[-1, 2]]
+        assert kernel_basis([[Fraction(1, 2), Fraction(1, 3)]]) == [[-2, 3]]
+        for vec in kernel_basis([[1, 2, 3]]):
+            assert all(type(v) is int for v in vec)
+
     def test_full_rank_kernel_is_trivial(self):
         assert kernel_basis(identity_matrix(3)) == []
 
@@ -118,12 +128,23 @@ class TestKernelAndSolve:
             basis = kernel_basis(m)
             assert len(basis) == 6 - bareiss_rank(m)
             for vec in basis:
-                assert all(v == 0 for v in matvec(m, vec))
+                assert all(v == 0 for v in _matvec(m, vec))
 
     def test_rref_pivots(self):
-        reduced, pivots = rref([[0, 1, 2], [0, 2, 4], [1, 0, 0]])
+        m, pivots, d = rref([[0, 1, 2], [0, 2, 4], [1, 0, 0]])
         assert pivots == [0, 1]
-        assert reduced[0][:2] == [Fraction(1), Fraction(0)]
+        assert all(type(v) is int for row in m for v in row)
+        assert [[Fraction(v, d) for v in row] for row in m] == [
+            [1, 0, 0],
+            [0, 1, 2],
+            [0, 0, 0],
+        ]
+
+    def test_rref_common_denominator(self):
+        m, pivots, d = rref([[2, 1], [4, 3]])
+        assert pivots == [0, 1]
+        assert m == [[d, 0], [0, d]]
+        assert rref([]) == ([], [], 1)
 
     def test_solve_consistent_system(self):
         m = [[1, 1], [1, -1]]
@@ -138,10 +159,22 @@ class TestKernelAndSolve:
         for _ in range(10):
             m = [[rng.randrange(-5, 6) for _ in range(4)] for _ in range(6)]
             target = [rng.randrange(-3, 4) for _ in range(4)]
-            rhs = matvec(m, target)
+            rhs = _matvec(m, target)
             x = solve(m, rhs)
             assert x is not None
-            assert matvec(m, x) == [Fraction(v) for v in rhs]
+            assert _matvec(m, x) == rhs
+
+    def test_solve_returns_fractions(self):
+        x = solve([[2, 0], [0, 3]], [1, 1])
+        assert x == [Fraction(1, 2), Fraction(1, 3)]
+        assert all(type(v) is Fraction for v in x)
+
+
+class TestScaledIntegers:
+    def test_least_common_denominator(self):
+        assert scaled_integers([Fraction(1, 2), Fraction(-1, 3), 4]) == ([3, -2, 24], 6)
+        assert scaled_integers([1, -2]) == ([1, -2], 1)
+        assert scaled_integers([]) == ([], 1)
 
 
 class TestStructuredMatrices:
@@ -177,14 +210,58 @@ class TestStructuredMatrices:
         assert bareiss_rank(kron(a, b)) == bareiss_rank(a) * bareiss_rank(b)
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        m = [[Fraction(1, 2), 3], [-4, Fraction(7, 5)]]
-        text = format_matrix(m)
-        assert text.splitlines()[0] == "2 2"
-        back = parse_matrix(text)
-        assert back == [[Fraction(1, 2), Fraction(3)], [Fraction(-4), Fraction(7, 5)]]
+_ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
 
-    def test_parse_rejects_bad_width(self):
-        with pytest.raises(ValueError):
-            parse_matrix("2 2\n1 2\n3\n")
+
+@st.composite
+def _matrix_and_vectors(draw):
+    """A small int/Fraction matrix, a column vector x0 and a right-hand side b."""
+    n_rows = draw(st.integers(1, 5))
+    n_cols = draw(st.integers(1, 5))
+    row = st.lists(_ENTRIES, min_size=n_cols, max_size=n_cols)
+    matrix = draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    x0 = draw(st.lists(_ENTRIES, min_size=n_cols, max_size=n_cols))
+    b = draw(st.lists(_ENTRIES, min_size=n_rows, max_size=n_rows))
+    return matrix, x0, b
+
+
+class TestEliminationProperties:
+    @settings(deadline=None)
+    @given(_matrix_and_vectors())
+    def test_rank_matches_oracle(self, case):
+        matrix, _, _ = case
+        assert bareiss_rank(matrix) == oracles.gaussian_rank(matrix)
+
+    @settings(deadline=None)
+    @given(_matrix_and_vectors())
+    def test_kernel_dimension_and_annihilation(self, case):
+        matrix, _, _ = case
+        basis = kernel_basis(matrix)
+        assert len(basis) == len(matrix[0]) - oracles.gaussian_rank(matrix)
+        for vec in basis:
+            assert any(vec)
+            assert all(v == 0 for v in _matvec(matrix, vec))
+
+    @settings(deadline=None)
+    @given(_matrix_and_vectors())
+    def test_solve_consistent_right_hand_side(self, case):
+        matrix, x0, _ = case
+        rhs = _matvec(matrix, x0)
+        x = solve(matrix, rhs)
+        assert x is not None
+        assert _matvec(matrix, x) == rhs
+
+    @settings(deadline=None)
+    @given(_matrix_and_vectors())
+    def test_solve_none_exactly_when_inconsistent(self, case):
+        matrix, _, b = case
+        augmented = [list(row) + [v] for row, v in zip(matrix, b)]
+        inconsistent = oracles.gaussian_rank(augmented) > oracles.gaussian_rank(matrix)
+        x = solve(matrix, b)
+        assert (x is None) == inconsistent
+        if x is not None:
+            assert _matvec(matrix, x) == b
