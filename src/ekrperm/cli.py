@@ -3,8 +3,9 @@
 Every subcommand prints one JSON report (or a plain-text rendering with
 --text) and exits 0 only when all of its checks pass.  Exit codes: 1 a check
 failed or a supplied family was invalid, 2 usage error, 3 degree out of the
-supported range, 4 construction unavailable at that degree.  Reports are
-byte-identical across runs except for the wall_time_s field.
+supported range, 4 construction unavailable at that degree, 5 an internal
+invariant failed (a bug, reported in one line without a traceback).  Reports
+are byte-identical across runs except for the wall_time_s field.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DEGREE = 3
 EXIT_UNSUPPORTED = 4
+EXIT_INTERNAL = 5
 
 
 def exact(value):
@@ -218,8 +220,9 @@ def run_clique(n: int, method: str):
     return result, checks
 
 
-def run_search(n: int, t: int, workers: int):
-    found = graphs.max_independent_sets(n, t, workers=workers)
+def run_search(n: int, t: int, workers: int, found=None):
+    if found is None:
+        found = graphs.max_independent_sets(n, t, workers=workers)
     distinct_families = {
         frozenset(p.images for p in fam.members)
         for fam in graphs.all_point_families(n).values()
@@ -256,8 +259,8 @@ def run_search(n: int, t: int, workers: int):
     return result, checks
 
 
-def run_classify(n: int):
-    report = ekrverify.classify_maximum_sets(n)
+def run_classify(n: int, search_result=None):
+    report = ekrverify.classify_maximum_sets(n, search_result=search_result)
     sets = []
     for record in report.records:
         sets.append(
@@ -531,10 +534,12 @@ def run_verify_all(max_n: int, workers: int):
     for q in (3, 4, 5):
         if q <= max_n:
             add("bounds", {"n": q, "t": 1}, run_bounds, q, 1)
+    searched = {}
     for n in range(3, min(6, max_n) + 1):
-        add("search", {"n": n, "t": 0}, run_search, n, 0, workers)
+        searched[n] = graphs.max_independent_sets(n, 0, workers=workers)
+        add("search", {"n": n, "t": 0}, run_search, n, 0, workers, searched[n])
     for n in range(3, min(6, max_n) + 1):
-        add("classify", {"n": n}, run_classify, n)
+        add("classify", {"n": n}, run_classify, n, searched[n])
     for n in (4, 5):
         if n <= max_n:
             add(
@@ -717,6 +722,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     elapsed = round(time.perf_counter() - started, 3)
     all_pass = all(c["pass"] for c in checks)
     report = {

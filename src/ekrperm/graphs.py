@@ -32,6 +32,9 @@ from .permgroup import (
 )
 from .scheme import MAX_DENSE_DEGREE, group_data
 
+# equitable_quotient walks all n! permutations; 11! is already 40 million.
+MAX_QUOTIENT_DEGREE = 10
+
 
 @dataclass(frozen=True)
 class PermutationGraph:
@@ -59,20 +62,9 @@ class PermutationGraph:
 @lru_cache(maxsize=None)
 def _adjacency_masks(n: int, t: int) -> list[int]:
     gd = group_data(n)
-    fixed_by_class = [cls.fixed_points for cls in gd.classes]
-    identity_class = gd.class_index[(1,) * n]
-    connection = [
-        j
-        for j in range(gd.order)
-        if gd.type_of[j] != identity_class and fixed_by_class[gd.type_of[j]] <= t
-    ]
-    masks = []
-    for row in gd.mult:
-        mask = 0
-        for g in connection:
-            mask |= 1 << row[g]
-        masks.append(mask)
-    return masks
+    neighbours = gd.compose_ranks(range(gd.order), gd.connection(t))
+    # neighbour ranks in a row are distinct, so the sum of their bits is the OR
+    return [sum(map((1).__lshift__, row)) for row in neighbours.tolist()]
 
 
 def build_graph(n: int, t: int = 0) -> PermutationGraph:
@@ -453,8 +445,10 @@ def equitable_quotient(n: int) -> EquitableQuotient:
     every vertex's count into the first cell.  Equitability is confirmed by
     those counts being constant on each cell.
     """
-    if n < 2:
-        raise DegreeRangeError("need degree at least 2")
+    if not 2 <= n <= MAX_QUOTIENT_DEGREE:
+        raise DegreeRangeError(
+            f"the quotient is supported for 2 <= n <= {MAX_QUOTIENT_DEGREE}, got {n}"
+        )
     counts = [0] * (n + 1)  # counts[w] = derangements sending n to w
     total = 0
     for images in itertools.permutations(range(1, n + 1)):
@@ -493,16 +487,15 @@ def equitable_quotient(n: int) -> EquitableQuotient:
 def latin_coset_cover(n: int) -> list[tuple[int, ...]]:
     """Right cosets of the cyclic Latin clique: a partition into n!/n cliques."""
     gd = group_data(n)
-    clique_ranks = [
-        gd.index[p.images] for p in latin_clique(n).members
-    ]
+    clique_ranks = [gd.index[p.images] for p in latin_clique(n).members]
+    # row v of the transpose lists the ranks of r * v over the clique members r
+    columns = gd.compose_ranks(clique_ranks, range(gd.order)).T.tolist()
     assigned = [False] * gd.order
-    mult = gd.mult
     cosets = []
-    for v in range(gd.order):
+    for v, column in enumerate(columns):
         if assigned[v]:
             continue
-        coset = tuple(sorted(mult[r][v] for r in clique_ranks))
+        coset = tuple(sorted(column))
         for w in coset:
             if assigned[w]:
                 raise AssertionError("cosets overlap")

@@ -15,10 +15,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
+from operator import mul
 
-from .chartab import character_value, dimension
+from .chartab import character_table, character_value, dimension
 from .errors import DegreeRangeError, FamilyValidationError
 from .linalg import scaled_integers
 from .permgroup import (
@@ -36,6 +37,8 @@ from .permgroup import (
 # Dense per-group tables (multiplication by rank) stop being cheap past 6!.
 MAX_DENSE_DEGREE = 6
 MAX_GROUP_DEGREE = 8
+# Pairs of permutations composed per block by the group-algebra kernel.
+BLOCK_PAIRS = 1 << 15
 
 
 class GroupData:
@@ -43,8 +46,12 @@ class GroupData:
 
     perms[r] is the one-line tuple of the rank-r permutation, inv[r] the rank
     of its inverse and type_of[r] the index of its conjugacy class in the
-    shared partition order.  The full multiplication table is built lazily and
-    only for degrees up to MAX_DENSE_DEGREE.
+    shared partition order.
+
+    compose_ranks and quotient_classes are the one place where permutations
+    are multiplied; everything else in the scheme (projections, quadratic
+    forms, adjacency, the multiplication table) reads products from them.
+    NumPy is imported by the first call and only ever computes indices.
     """
 
     def __init__(self, n: int):
@@ -69,6 +76,53 @@ class GroupData:
         ]
         self._mult: list[list[int]] | None = None
 
+    @cached_property
+    def _arrays(self):
+        """0-based images, inverse ranks and class indices as numpy arrays."""
+        import numpy as np
+
+        return (
+            np.array(self.perms, dtype=np.int8) - 1,
+            np.array(self.inv, dtype=np.intp),
+            np.array(self.type_of, dtype=np.int8),
+        )
+
+    def compose_ranks(self, a, b):
+        """Array r with r[i][j] = rank of perm(a[i]) composed with perm(b[j]).
+
+        Products are formed on images and ranked by their Lehmer codes, a
+        block of rows at a time so temporaries stay near BLOCK_PAIRS * n.
+        """
+        import numpy as np
+
+        images = self._arrays[0]
+        a = np.asarray(a, dtype=np.intp)
+        right = images[np.asarray(b, dtype=np.intp)].astype(np.intp)
+        out = np.zeros((len(a), len(right)), dtype=np.int32)
+        step = max(1, BLOCK_PAIRS // max(1, len(right)))
+        for start in range(0, len(a), step):
+            # composed[i, j, k] = perm(a[i])(perm(b[j])(k)), 0-based
+            composed = images[a[start : start + step]][:, right]
+            for k in range(self.n - 1):
+                smaller = (composed[..., k + 1 :] < composed[..., k, None]).sum(-1)
+                out[start : start + step] += smaller * factorial(self.n - 1 - k)
+        return out
+
+    def quotient_classes(self, a, b):
+        """Array c with c[i][j] = class index of perm(a[i])^-1 perm(b[j])."""
+        _, inv, type_of = self._arrays
+        return type_of[self.compose_ranks(inv[list(a)], b)]
+
+    def connection(self, t: int) -> list[int]:
+        """Ranks of the connection set of the agreement-at-most-t graph.
+
+        These are the non-identity permutations fixing at most t points: p and
+        q are adjacent exactly when p^-1 q is one of them.
+        """
+        few = classes_with_few_fixed_points(self.n, t)
+        chosen = [cls in few for cls in self.classes]
+        return [r for r, k in enumerate(self.type_of) if chosen[k]]
+
     @property
     def mult(self) -> list[list[int]]:
         """mult[a][b] = rank of (perm a composed with perm b)."""
@@ -77,11 +131,11 @@ class GroupData:
                 raise DegreeRangeError(
                     f"dense multiplication tables stop at degree {MAX_DENSE_DEGREE}"
                 )
-            index = self.index
-            table = []
-            for pa in self.perms:
-                table.append([index[tuple(pa[v - 1] for v in pb)] for pb in self.perms])
-            self._mult = table
+            shared = list(range(self.order))  # one int object per rank
+            self._mult = [
+                list(map(shared.__getitem__, row.tolist()))
+                for row in self.compose_ranks(shared, shared)
+            ]
         return self._mult
 
     def permutation(self, rank: int) -> Permutation:
@@ -89,9 +143,6 @@ class GroupData:
 
     def rank_of(self, p: Permutation) -> int:
         return self.index[p.images]
-
-    def characters_by_class(self, shape: Partition) -> list[int]:
-        return [character_value(shape, cls.cycle_type) for cls in self.classes]
 
 
 @lru_cache(maxsize=None)
@@ -182,55 +233,46 @@ class ProjectionResult:
         return [Fraction(v, self.denom) for v in self.nums]
 
     @property
-    def norm_sq(self) -> Fraction:
-        return Fraction(sum(v * v for v in self.nums), self.denom**2)
-
-    @property
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.nums)
+
+
+def _character_row(shape: Partition, n: int) -> tuple[int, ...]:
+    """Character values of shape on every class, in class order."""
+    table = character_table(n)
+    return table.values[table.row_index(shape)]
+
+
+def _class_sums(gd: GroupData, rows, nums: list[int]) -> list[list[int]]:
+    """sums[i][c] = sum of nums[j] over j with perm(rows[i])^-1 perm(j) in class c."""
+    if len(nums) != gd.order:
+        raise ValueError(f"vector length {len(nums)} != {gd.order}")
+    support = [j for j, v in enumerate(nums) if v]
+    values = [nums[j] for j in support]
+    sums = []
+    step = max(1, BLOCK_PAIRS // max(1, len(support)))
+    for start in range(0, len(rows), step):
+        for classes in gd.quotient_classes(rows[start : start + step], support):
+            acc = [0] * len(gd.classes)
+            for c, v in zip(classes.tolist(), values):
+                acc[c] += v
+            sums.append(acc)
+    return sums
 
 
 def project(shape: Partition, x, n: int) -> ProjectionResult:
     """Apply the idempotent of shape to x by character convolution.
 
-    Cost is n! * support(x) with O(1) class lookups at the dense degrees, so
-    keep the degree at most MAX_DENSE_DEGREE for vectors with full support.
+    Cost is n! * support(x) pairs, so keep the degree at most
+    MAX_DENSE_DEGREE for vectors with full support.
     """
     gd = group_data(n)
-    if len(x) != gd.order:
-        raise ValueError(f"vector length {len(x)} != {gd.order}")
+    chi = _character_row(shape, n)
     nums, denom = scaled_integers(x)
-    support = [j for j, v in enumerate(nums) if v]
-    chi = gd.characters_by_class(shape)
     dim = dimension(shape)
-    out = [0] * gd.order
-    if gd.n <= MAX_DENSE_DEGREE:
-        mult = gd.mult
-        type_of = gd.type_of
-        inv = gd.inv
-        for i in range(gd.order):
-            row = mult[inv[i]]
-            total = 0
-            for j in support:
-                total += chi[type_of[row[j]]] * nums[j]
-            out[i] = total
-    else:
-        perms = gd.perms
-        class_index = gd.class_index
-        for i in range(gd.order):
-            pi = perms[i]
-            inv_images = [0] * gd.n
-            for pos, v in enumerate(pi, start=1):
-                inv_images[v - 1] = pos
-            total = 0
-            for j in support:
-                pj = perms[j]
-                composed = tuple(inv_images[v - 1] for v in pj)
-                total += chi[class_index[cycle_type_of_images(composed)]] * nums[j]
-            out[i] = total
-    return ProjectionResult(
-        tuple(shape), tuple(dim * v for v in out), gd.order * denom
-    )
+    sums = _class_sums(gd, range(gd.order), nums)
+    out = tuple(dim * sum(map(mul, chi, row)) for row in sums)
+    return ProjectionResult(tuple(shape), out, gd.order * denom)
 
 
 def adjacency_apply(nums: list[int], n: int, t: int = 0) -> list[int]:
@@ -238,46 +280,18 @@ def adjacency_apply(nums: list[int], n: int, t: int = 0) -> list[int]:
     gd = group_data(n)
     if gd.n > MAX_DENSE_DEGREE:
         raise DegreeRangeError("adjacency application needs the dense tables")
-    fixed_by_class = [cls.fixed_points for cls in gd.classes]
-    identity_class = gd.class_index[(1,) * n]
-    connection = [
-        j
-        for j in range(gd.order)
-        if gd.type_of[j] != identity_class and fixed_by_class[gd.type_of[j]] <= t
-    ]
-    mult = gd.mult
-    return [sum(nums[row[g]] for g in connection) for row in mult]
+    neighbours = gd.compose_ranks(range(gd.order), gd.connection(t))
+    return [sum(map(nums.__getitem__, row)) for row in neighbours.tolist()]
 
 
 def class_quadratic_forms(x, n: int) -> list[Fraction]:
     """x^T A_C x for every class C, via pairs in the support of x."""
     gd = group_data(n)
-    if len(x) != gd.order:
-        raise ValueError(f"vector length {len(x)} != {gd.order}")
     nums, denom = scaled_integers(x)
     support = [j for j, v in enumerate(nums) if v]
     acc = [0] * len(gd.classes)
-    if gd.n <= MAX_DENSE_DEGREE:
-        mult = gd.mult
-        type_of = gd.type_of
-        inv = gd.inv
-        for a in support:
-            row = mult[inv[a]]
-            na = nums[a]
-            for b in support:
-                acc[type_of[row[b]]] += na * nums[b]
-    else:
-        perms = gd.perms
-        class_index = gd.class_index
-        for a in support:
-            pa = perms[a]
-            inv_images = [0] * gd.n
-            for pos, v in enumerate(pa, start=1):
-                inv_images[v - 1] = pos
-            na = nums[a]
-            for b in support:
-                composed = tuple(inv_images[v - 1] for v in perms[b])
-                acc[class_index[cycle_type_of_images(composed)]] += na * nums[b]
+    for a, row in zip(support, _class_sums(gd, support, nums)):
+        acc = [total + nums[a] * v for total, v in zip(acc, row)]
     d2 = denom * denom
     return [Fraction(v, d2) for v in acc]
 
@@ -287,7 +301,7 @@ def module_quadratic_form(
 ) -> Fraction:
     """x^T E x from the class quadratic forms; equals |E x|^2 since E is idempotent."""
     gd = group_data(n)
-    chi = gd.characters_by_class(shape)
+    chi = _character_row(shape, n)
     total = sum(c * q for c, q in zip(chi, qforms))
     value = Fraction(dimension(shape), gd.order) * total
     if value < 0:
@@ -413,19 +427,3 @@ def clique_coclique_check(
 def partitions_top(n: int) -> Partition:
     """The one-row partition, labelling the trivial eigenspace."""
     return (n,)
-
-
-def explicit_idempotent(shape: Partition, n: int) -> list[list[Fraction]]:
-    """Dense idempotent matrix, for desk-checking at very small degrees."""
-    if n > 5:
-        raise DegreeRangeError("dense idempotents are for degree at most 5")
-    gd = group_data(n)
-    chi = gd.characters_by_class(shape)
-    dim = dimension(shape)
-    mult = gd.mult
-    inv = gd.inv
-    type_of = gd.type_of
-    return [
-        [Fraction(dim * chi[type_of[mult[inv[i]][j]]], gd.order) for j in range(gd.order)]
-        for i in range(gd.order)
-    ]

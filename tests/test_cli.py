@@ -149,6 +149,22 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "search", "7")
         assert code == 3
 
+    def test_quotient_degree_cap(self, capsys):
+        code, out, err = run_cli(capsys, "quotient", "11")
+        assert code == 3
+        assert out == ""
+        assert "error:" in err
+
+    def test_internal_check_failure(self, capsys, monkeypatch):
+        def broken(n):
+            raise AssertionError("cosets overlap")
+
+        monkeypatch.setattr(cli, "run_derangements", broken)
+        code, out, err = run_cli(capsys, "derangements", "4")
+        assert code == cli.EXIT_INTERNAL == 5
+        assert out == ""
+        assert err == "error: internal check failed: cosets overlap\n"
+
     def test_usage_error_from_bad_depth(self, capsys):
         code, _, err = run_cli(capsys, "conjecture", "5", "--t", "1", "--depth", "3")
         assert code == 2
@@ -204,7 +220,38 @@ class TestOutputModes:
         assert report["result"]["count"] == "2"
 
 
+class TestImports:
+    def test_spectrum_leaves_numpy_unimported(self):
+        script = (
+            "import sys, ekrperm\n"
+            "assert 'numpy' not in sys.modules, 'import ekrperm loaded numpy'\n"
+            "from ekrperm import cli\n"
+            "assert cli.main(['spectrum', '9']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'spectrum 9 loaded numpy'\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestVerifyAll:
+    def test_search_runs_once_per_degree(self, capsys, monkeypatch):
+        from ekrperm import ekrverify, graphs
+
+        calls = []
+        search = graphs.max_independent_sets
+
+        def counted(n, *args, **kwargs):
+            calls.append(n)
+            return search(n, *args, **kwargs)
+
+        monkeypatch.setattr(graphs, "max_independent_sets", counted)
+        monkeypatch.setattr(ekrverify, "max_independent_sets", counted)
+        code, _, _ = run_cli(capsys, "verify-all", "--max-n", "5")
+        assert code == 0
+        assert calls == [3, 4, 5]
+
     def test_capped_run_passes(self, capsys):
         code, report, _ = run_json(capsys, "verify-all", "--max-n", "4")
         assert code == 0

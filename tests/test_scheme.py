@@ -1,20 +1,29 @@
 """Conjugacy-class association scheme: spectra, projections, bound machinery."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ekrperm.chartab import character_table, character_value, dimension
 from ekrperm.errors import DegreeRangeError, FamilyValidationError
 from ekrperm.graphs import affine_clique, family, latin_clique
 from ekrperm.permgroup import (
-    all_permutations,
+    compose,
     conjugacy_classes,
+    cycle_type,
     derangement_count,
+    fixed_points,
     identity,
+    inverse,
     parse_one_line,
     partitions_of,
+    rank_permutation,
+    unrank_permutation,
 )
 from ekrperm.scheme import (
     MAX_GROUP_DEGREE,
@@ -23,7 +32,6 @@ from ekrperm.scheme import (
     class_eigenvalue,
     class_quadratic_forms,
     clique_coclique_check,
-    explicit_idempotent,
     fundamental_identity_check,
     group_data,
     least_eigenvalue,
@@ -305,6 +313,19 @@ class TestCliqueCoclique:
             )
 
 
+def explicit_idempotent(shape, n):
+    """Dense idempotent matrix: E[i][j] = dim * chi(class of p_i^-1 p_j) / n!."""
+    gd = group_data(n)
+    table = character_table(n)
+    chi = table.values[table.row_index(shape)]
+    dim = dimension(shape)
+    ranks = range(gd.order)
+    return [
+        [Fraction(dim * chi[c], gd.order) for c in row]
+        for row in gd.quotient_classes(ranks, ranks).tolist()
+    ]
+
+
 class TestIdempotentMatrices:
     def test_idempotent_algebra_degree_three(self):
         shapes = partitions_of(3)
@@ -341,6 +362,84 @@ class TestIdempotentMatrices:
         for i in range(size):
             for j in range(size):
                 assert total[i][j] == (1 if i == j else 0)
+
+
+@st.composite
+def _rank_pairs(draw):
+    n = draw(st.integers(1, MAX_GROUP_DEGREE))
+    ranks = st.lists(st.integers(0, math.factorial(n) - 1), min_size=1, max_size=6)
+    return n, draw(ranks), draw(ranks)
+
+
+def _oracle_quotient_type(p, q):
+    """Cycle type of p^-1 q, composed by hand and typed by the oracle."""
+    inv = [0] * len(p)
+    for pos, v in enumerate(p, start=1):
+        inv[v - 1] = pos
+    return oracles.cycle_type_of(tuple(inv[v - 1] for v in q))
+
+
+class TestCompositionKernel:
+    @settings(deadline=None, max_examples=60)
+    @given(_rank_pairs())
+    def test_kernel_agrees_with_permgroup(self, case):
+        n, a, b = case
+        gd = group_data(n)
+        ranks = gd.compose_ranks(a, b).tolist()
+        classes = gd.quotient_classes(a, b).tolist()
+        for i, ra in enumerate(a):
+            p = unrank_permutation(ra, n)
+            for j, rb in enumerate(b):
+                q = unrank_permutation(rb, n)
+                assert ranks[i][j] == rank_permutation(compose(p, q))
+                quotient = cycle_type(compose(inverse(p), q))
+                assert gd.classes[classes[i][j]].cycle_type == quotient
+
+    def test_multiplication_table_spans_many_blocks(self):
+        # 720 x 720 pairs go through the kernel in more than one block
+        gd = group_data(6)
+        rng = random.Random(6)
+        for _ in range(300):
+            a, b = rng.randrange(720), rng.randrange(720)
+            expected = compose(unrank_permutation(a, 6), unrank_permutation(b, 6))
+            assert gd.mult[a][b] == rank_permutation(expected)
+
+    def test_connection_set(self):
+        gd = group_data(5)
+        for t in range(4):
+            expected = [
+                r
+                for r in range(120)
+                if 0 < 5 - fixed_points(unrank_permutation(r, 5))
+                and fixed_points(unrank_permutation(r, 5)) <= t
+            ]
+            assert gd.connection(t) == expected
+
+    def test_degree_seven_sparse_vector_matches_brute_force(self):
+        n, order = 7, 5040
+        perms = list(itertools.permutations(range(1, n + 1)))  # rank order
+        rng = random.Random(77)
+        x = [0] * order
+        for r in rng.sample(range(order), 4):
+            x[r] = rng.choice([-3, -1, 2, 5])
+        support = [j for j in range(order) if x[j]]
+        expected: dict[tuple[int, ...], int] = {}
+        for a in support:
+            for b in support:
+                ct = _oracle_quotient_type(perms[a], perms[b])
+                expected[ct] = expected.get(ct, 0) + x[a] * x[b]
+        forms = class_quadratic_forms(x, n)
+        for cls, value in zip(conjugacy_classes(n), forms):
+            assert value == expected.get(cls.cycle_type, 0)
+        shape = (5, 1, 1)
+        res = project(shape, x, n)
+        dim = dimension(shape)
+        for i in range(order):
+            total = sum(
+                character_value(shape, _oracle_quotient_type(perms[i], perms[j])) * x[j]
+                for j in support
+            )
+            assert res.vector[i] == Fraction(dim * total, order)
 
 
 def test_group_data_degree_cap():
