@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 from . import linalg
-from .chartab import dimension
+from .chartab import character_table, dimension
 from .errors import DegreeRangeError
 from .graphs import Family, all_point_families, family, max_independent_sets
 from .permgroup import (
@@ -30,12 +31,7 @@ from .permgroup import (
     partitions_of,
     rank_permutation,
 )
-from .scheme import (
-    MAX_DENSE_DEGREE,
-    class_quadratic_forms,
-    group_data,
-    module_quadratic_form,
-)
+from .scheme import MAX_DENSE_DEGREE, group_data
 
 MAX_INCIDENCE_DEGREE = 7
 
@@ -44,11 +40,15 @@ rank = linalg.bareiss_rank
 
 @dataclass(frozen=True)
 class IncidenceH:
-    """Position-value incidence matrix over 1..n-1, rows in permutation-rank order."""
+    """Position-value incidence matrix over 1..n-1, rows in permutation-rank order.
+
+    ones[r] lists the columns where row r is 1; there are at most n-1.
+    """
 
     n: int
     columns: tuple[tuple[int, int], ...]
     rows: tuple[tuple[int, ...], ...]
+    ones: tuple[tuple[int, ...], ...]
 
     def column(self, i: int, j: int) -> list[int]:
         idx = self.columns.index((i, j))
@@ -63,15 +63,17 @@ def build_H(n: int) -> IncidenceH:
         )
     columns = tuple((i, j) for i in range(1, n) for j in range(1, n))
     width = (n - 1) ** 2
+    ones = tuple(
+        tuple((i - 1) * (n - 1) + j - 1 for i, j in enumerate(images[:-1], 1) if j < n)
+        for images in itertools.permutations(range(1, n + 1))
+    )
     rows = []
-    for images in itertools.permutations(range(1, n + 1)):
+    for positions in ones:
         row = [0] * width
-        for i in range(1, n):
-            j = images[i - 1]
-            if j <= n - 1:
-                row[(i - 1) * (n - 1) + (j - 1)] = 1
+        for idx in positions:
+            row[idx] = 1
         rows.append(tuple(row))
-    return IncidenceH(n=n, columns=columns, rows=tuple(rows))
+    return IncidenceH(n=n, columns=columns, rows=tuple(rows), ones=ones)
 
 
 def expected_gram(n: int) -> list[list[int]]:
@@ -88,16 +90,20 @@ def expected_gram(n: int) -> list[list[int]]:
     ]
 
 
+def _incidence_gram(ones_rows, width: int) -> list[list[int]]:
+    """G[a][b] = number of 0/1 rows, given by their one-positions, with 1s at a and b."""
+    gram = [[0] * width for _ in range(width)]
+    for ones in ones_rows:
+        for a in ones:
+            row = gram[a]
+            for b in ones:
+                row[b] += 1
+    return gram
+
+
 def gram_check(n: int) -> tuple[bool, list[list[int]]]:
     """Compare H^T H, accumulated row by row, against the closed form."""
-    h = build_H(n)
-    width = (n - 1) ** 2
-    gram = [[0] * width for _ in range(width)]
-    for row in h.rows:
-        ones = [idx for idx, v in enumerate(row) if v]
-        for a in ones:
-            for b in ones:
-                gram[a][b] += 1
+    gram = _incidence_gram(build_H(n).ones, (n - 1) ** 2)
     return gram == expected_gram(n), gram
 
 
@@ -268,74 +274,113 @@ def kernel_membership_check(n: int, trials: int = 20, seed: int = 987) -> bool:
 
     ker(N) is found through N^T N (same kernel over the rationals), each basis
     vector re-verified against N itself; membership of H y in the column span
-    of W is a rank comparison of bordered Gram matrices.
+    of W is a rank comparison of bordered Gram matrices.  Every product with
+    H or N reads the at most n-1 one-positions of each row, and W's Gram
+    matrix is formed once, so a trial only adds its border W^T H y, |H y|^2.
     """
     h = build_H(n)
     dec = blocks(n)
-    gram = linalg.gram_matrix(linalg.transpose(dec.N))
-    basis = linalg.kernel_basis(gram)
-    if len(basis) != (n - 1) ** 2 - (n - 1) * (n - 2):
+    width = (n - 1) ** 2
+    n_ones = [h.ones[r] for r in dec.derangement_ranks]
+    basis = linalg.kernel_basis(_incidence_gram(n_ones, width))
+    if len(basis) != width - (n - 1) * (n - 2):
         raise AssertionError("unexpected kernel dimension for the derangement rows")
     for vec in basis:
-        if any(sum(a * v for a, v in zip(row, vec)) != 0 for row in dec.N):
+        if any(sum(map(vec.__getitem__, ones)) for ones in n_ones):
             raise AssertionError("Gram kernel vector is not in ker(N)")
-    w_cols = linalg.transpose(dec.W)
-    w_gram = linalg.gram_matrix(w_cols)
+    w_ones = [[d for d, v in enumerate(row) if v] for row in dec.W]
+    w_gram = _incidence_gram(w_ones, n - 1)
     w_rank = linalg.bareiss_rank(w_gram)
+    w_support = [[r for r, ones in enumerate(w_ones) if d in ones] for d in range(n - 1)]
     rng = random.Random(seed)
-    h_rows = [list(row) for row in h.rows]
     for _ in range(trials):
         coeffs = [rng.randint(-9, 9) for _ in basis]
         y = [
             sum(c * vec[k] for c, vec in zip(coeffs, basis))
             for k in range(len(basis[0]))
         ]
-        hy = [sum(a * b for a, b in zip(row, y)) for row in h_rows]
-        bordered = w_cols + [hy]
-        bordered_rank = linalg.bareiss_rank(linalg.gram_matrix(bordered))
-        if bordered_rank != w_rank:
+        hy = [sum(map(y.__getitem__, ones)) for ones in h.ones]
+        # Gram matrix of W's columns bordered by H y: only the border is new
+        border = [sum(map(hy.__getitem__, support)) for support in w_support]
+        bordered = [row + [v] for row, v in zip(w_gram, border)]
+        bordered.append(border + [sum(v * v for v in hy)])
+        if linalg.bareiss_rank(bordered) != w_rank:
             return False
     return True
 
 
-def module_support(members, n: int, shift: Fraction | None = None) -> dict[Partition, Fraction]:
-    """Exact squared norm of each eigenspace component of the shifted indicator.
+def module_supports(
+    families, n: int, shift: Fraction | None = None
+) -> list[dict[Partition, Fraction]]:
+    """Exact squared norm of each eigenspace component, for every family at once.
 
-    The vector is the 0/1 indicator of the member set minus shift * ones
-    (default shift 1/n).  Because the idempotents are symmetric, each
-    component's squared norm equals the quadratic form x^T E x, which only
-    needs the pair counts of the member set; nothing of size n! is built.
+    Each vector is the 0/1 indicator of one family minus shift * ones (default
+    shift 1/n).  The idempotents are symmetric, so a component's squared norm
+    is x^T E x = dim/n! * sum_C chi(C) adjusted_C, with adjusted_C = x^T A_C x
+    for the shifted vector.  For the indicator itself, q_C = x^T A_C x counts
+    the ordered member pairs (p, q) with p^-1 q in C; the families of one size
+    m go through the composition kernel in one call, as an (F, m, 1) by
+    (F, 1, m) pair of rank arrays.  With shift = a/b the scaled forms
+    b^2 adjusted_C = b^2 q_C - 2ab|C|m + a^2|C|n! are integers, so a Fraction
+    is built only for each returned value.  A repeated member raises
+    ValueError; a negative value, or norms that do not add up to the vector's
+    squared norm, raise AssertionError.
     """
     if n > MAX_DENSE_DEGREE:
         raise DegreeRangeError(f"module support needs degree at most {MAX_DENSE_DEGREE}")
-    if shift is None:
-        shift = Fraction(1, n)
+    import numpy as np
+
+    shift = Fraction(1, n) if shift is None else Fraction(shift)
+    a, b = shift.numerator, shift.denominator
     gd = group_data(n)
-    members = list(members)
-    size = len(members)
-    vec = [0] * gd.order
-    for p in members:
-        r = gd.rank_of(p)
-        if vec[r]:
-            raise ValueError(f"repeated member {p}")
-        vec[r] = 1
-    qforms = class_quadratic_forms(vec, n)
     order = gd.order
-    adjusted = [
-        q - 2 * shift * cls.size * size + shift * shift * cls.size * order
-        for q, cls in zip(qforms, gd.classes)
-    ]
-    out: dict[Partition, Fraction] = {}
-    total = Fraction(0)
-    for cls in gd.classes:
-        shape = cls.cycle_type
-        value = module_quadratic_form(shape, adjusted, n)
-        out[shape] = value
-        total += value
-    expected_norm = size - 2 * shift * size + shift * shift * order
-    if total != expected_norm:
-        raise AssertionError("eigenspace norms do not add up to the vector norm")
+    table = character_table(n)
+    shapes = [cls.cycle_type for cls in gd.classes]
+    chi = [table.values[table.row_index(shape)] for shape in shapes]
+    dims = [dimension(shape) for shape in shapes]
+    rank_lists = []
+    for members in families:
+        seen: set[int] = set()
+        for p in members:
+            r = gd.rank_of(p)
+            if r in seen:
+                raise ValueError(f"repeated member {p}")
+            seen.add(r)
+        rank_lists.append(list(seen))
+    by_size: dict[int, list[int]] = {}
+    for f, ranks in enumerate(rank_lists):
+        by_size.setdefault(len(ranks), []).append(f)
+    out: list[dict[Partition, Fraction]] = [{} for _ in rank_lists]
+    k = len(shapes)
+    for m, batch in by_size.items():
+        ranks = np.array([rank_lists[f] for f in batch], dtype=np.intp)
+        classes = gd.quotient_classes(ranks[:, :, None], ranks[:, None, :])
+        labels = classes + k * np.arange(len(batch))[:, None, None]
+        counts = np.bincount(labels.ravel(), minlength=k * len(batch))
+        offset = a * (a * order - 2 * b * m)
+        # n! b^2 (m - 2 shift m + shift^2 n!), the squared norm of the vector
+        scaled_norm = order * (b * b * m - 2 * a * b * m + a * a * order)
+        for f, q in zip(batch, counts.reshape(-1, k).tolist()):
+            scaled = [b * b * qc + cls.size * offset for qc, cls in zip(q, gd.classes)]
+            totals = [d * sum(map(mul, row, scaled)) for d, row in zip(dims, chi)]
+            if min(totals) < 0:
+                raise AssertionError("idempotent quadratic form must be nonnegative")
+            if sum(totals) != scaled_norm:
+                raise AssertionError("eigenspace norms do not add up to the vector norm")
+            out[f] = {
+                shape: Fraction(t, order * b * b) for shape, t in zip(shapes, totals)
+            }
     return out
+
+
+def module_support(members, n: int, shift: Fraction | None = None) -> dict[Partition, Fraction]:
+    """Exact squared norm of each eigenspace component of one shifted indicator.
+
+    The one-family call of module_supports: the vector is the 0/1 indicator
+    of the member set minus shift * ones (default shift 1/n), and nothing of
+    size n! is built.
+    """
+    return module_supports([members], n, shift)[0]
 
 
 def support_set(supports: dict[Partition, Fraction]) -> tuple[Partition, ...]:
@@ -371,18 +416,17 @@ def basis_check(n: int) -> BasisCheckReport:
         raise DegreeRangeError(f"basis check needs degree at most {MAX_DENSE_DEGREE}")
     gd = group_data(n)
     standard = (n - 1, 1)
-    supports_ok = True
+    families = [family([(i, j)], n).members for i in range(1, n) for j in range(1, n)]
+    supports_ok = all(
+        support_set(supports) == (standard,)
+        for supports in module_supports(families, n)
+    )
     vectors = []
-    for i in range(1, n):
-        for j in range(1, n):
-            fam = family([(i, j)], n)
-            supports = module_support(fam.members, n)
-            if support_set(supports) != (standard,):
-                supports_ok = False
-            indicator = [0] * gd.order
-            for p in fam.members:
-                indicator[gd.rank_of(p)] = 1
-            vectors.append([n * v - 1 for v in indicator])  # scaled shift by ones/n
+    for members in families:
+        indicator = [0] * gd.order
+        for p in members:
+            indicator[gd.rank_of(p)] = 1
+        vectors.append([n * v - 1 for v in indicator])  # scaled shift by ones/n
     rank_shifted = linalg.bareiss_rank(vectors)
     with_ones = vectors + [[1] * gd.order]
     rank_with_ones = linalg.bareiss_rank(with_ones)
@@ -531,6 +575,13 @@ def depth_conjecture_dims(n: int, t: int = 1) -> DepthReport:
     shifted by its density so the trivial component vanishes.  Both depth
     readings (<= t and <= t+1) are reported, along with the exact rank of the
     span with and without the all-ones vector adjoined.
+
+    The supports of all families come from one module_supports call.  The
+    shifted rows and the ones row form one int64 matrix, and one modular rank
+    profile of it certifies both ranks: its leading rows against the
+    dimension of the observed support union, the whole matrix against that
+    plus one.  A bound the profile does not meet is settled by fraction-free
+    elimination instead.
     """
     if not 1 <= t <= 2:
         raise ValueError(f"need t in {{1, 2}}, got {t}")
@@ -538,23 +589,26 @@ def depth_conjecture_dims(n: int, t: int = 1) -> DepthReport:
         raise DegreeRangeError(f"degree at most {MAX_DENSE_DEGREE} supported")
     if t + 1 >= n:
         raise ValueError("constraint sets must leave at least one free point")
+    import numpy as np
+
     gd = group_data(n)
     order = gd.order
     constraint_sets = enumerate_constraint_sets(n, t + 1)
     size = factorial(n - (t + 1))
-    shift = Fraction(size, order)
-    union: set[Partition] = set()
-    rows = []
-    for pairs in constraint_sets:
+    # Rows are the indicators shifted by their density and scaled by n!,
+    # followed by the all-ones vector.
+    rows = np.full((len(constraint_sets) + 1, order), -size, dtype=np.int64)
+    rows[-1] = 1
+    families = []
+    for f, pairs in enumerate(constraint_sets):
         fam = family(pairs, n)
         if fam.size != size:
             raise AssertionError(f"family {pairs} has {fam.size} members, not {size}")
-        supports = module_support(fam.members, n, shift=shift)
+        families.append(fam.members)
+        rows[f, [gd.rank_of(p) for p in fam.members]] = order - size
+    union: set[Partition] = set()
+    for supports in module_supports(families, n, shift=Fraction(size, order)):
         union.update(support_set(supports))
-        indicator = [0] * order
-        for p in fam.members:
-            indicator[gd.rank_of(p)] = 1
-        rows.append([order * v - size for v in indicator])  # scaled by n!
     module_dim_sums = {}
     for depth in (t, t + 1):
         module_dim_sums[depth] = sum(
@@ -569,10 +623,11 @@ def depth_conjecture_dims(n: int, t: int = 1) -> DepthReport:
     # The observed supports prove the span lies inside those eigenspaces, so
     # their total dimension is a certified cap for the modular rank bound.
     union_dim = sum(dimension(shape) ** 2 for shape in union)
-    span_rank_shifted, method = linalg.certified_rank(rows, upper_bound=union_dim)
-    with_ones = rows + [[1] * order]
-    span_rank_with_ones, method_ones = linalg.certified_rank(
-        with_ones, upper_bound=union_dim + 1
+    (span_rank_shifted, method), (span_rank_with_ones, method_ones) = (
+        linalg.certified_ranks(
+            rows,
+            [(len(constraint_sets), union_dim), (len(constraint_sets) + 1, union_dim + 1)],
+        )
     )
     agreement = {}
     for depth in (t, t + 1):

@@ -62,7 +62,7 @@ class PermutationGraph:
 @lru_cache(maxsize=None)
 def _adjacency_masks(n: int, t: int) -> list[int]:
     gd = group_data(n)
-    neighbours = gd.compose_ranks(range(gd.order), gd.connection(t))
+    neighbours = gd.compose_ranks([[r] for r in range(gd.order)], gd.connection(t))
     # neighbour ranks in a row are distinct, so the sum of their bits is the OR
     return [sum(map((1).__lshift__, row)) for row in neighbours.tolist()]
 
@@ -488,8 +488,8 @@ def latin_coset_cover(n: int) -> list[tuple[int, ...]]:
     """Right cosets of the cyclic Latin clique: a partition into n!/n cliques."""
     gd = group_data(n)
     clique_ranks = [gd.index[p.images] for p in latin_clique(n).members]
-    # row v of the transpose lists the ranks of r * v over the clique members r
-    columns = gd.compose_ranks(clique_ranks, range(gd.order)).T.tolist()
+    # row v lists the ranks of r * v over the clique members r
+    columns = gd.compose_ranks(clique_ranks, [[v] for v in range(gd.order)]).tolist()
     assigned = [False] * gd.order
     cosets = []
     for v, column in enumerate(columns):

@@ -7,11 +7,13 @@ scales each row to integers, keeps every entry an integer throughout, and
 returns the reduced row echelon form as an integer matrix over one common
 denominator.  A Fraction appears only when solve hands back its answer.  A
 fast modular elimination (exact integer arithmetic mod a prime) provides
-certified rank lower bounds for large integer matrices.
+certified rank lower bounds for every leading block of rows of a large
+integer matrix at once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 
@@ -140,52 +142,96 @@ def complete_graph_matrix(n: int) -> list[list[int]]:
     return [[0 if i == j else 1 for j in range(n)] for i in range(n)]
 
 
-def rank_mod_p(int_rows: list[list[int]], p: int) -> int:
-    """Rank over the field of p elements; always a lower bound for rational rank."""
+def rank_profile_mod_p(int_rows, p: int) -> list[int]:
+    """Indices of the rows that are independent of the rows before them, mod p.
+
+    The transpose is eliminated column by column; its pivot columns are the
+    row rank profile whichever row each pivot is taken from, so the pivots
+    among the first k rows number exactly the rank of those k rows over the
+    field of p elements, and the length of the list is the rank of the whole
+    matrix.  Entries are int64 residues; p < 2**31 keeps every product exact.
+    """
     import numpy as np
 
-    if not int_rows:
-        return 0
-    a = np.array(int_rows, dtype=np.int64) % p
-    n_rows, n_cols = a.shape
-    r = 0
-    for col in range(n_cols):
-        nz = np.nonzero(a[r:, col])[0]
-        if nz.size == 0:
+    if not len(int_rows):
+        return []
+    a = np.remainder(np.asarray(int_rows, dtype=np.int64).T, p, order="C")
+    free = np.ones(len(a), dtype=bool)
+    pivots: list[int] = []
+    for col in range(a.shape[1]):
+        live = np.flatnonzero(free & (a[:, col] != 0))
+        if live.size == 0:
             continue
-        pivot_row = r + int(nz[0])
-        if pivot_row != r:
-            a[[r, pivot_row]] = a[[pivot_row, r]]
-        inv = pow(int(a[r, col]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        below = a[r + 1 :]
-        column = below[:, col].copy()
-        mask = column != 0
-        if mask.any():
-            below[mask] = (below[mask] - np.outer(column[mask], a[r])) % p
-        r += 1
-        if r == n_rows:
+        # Any live row may pivot.  The last one keeps fill-in low on indicator
+        # matrices: about 7x fewer cell updates than the first at n = 6, t = 2.
+        r, rest = live[-1], live[:-1]
+        free[r] = False
+        # free rows are zero left of col, so only columns col.. change
+        lead = a[r, col:]
+        lead *= pow(int(lead[0]), p - 2, p)
+        lead %= p
+        if rest.size:
+            rows = a[rest, col:]
+            rows -= np.multiply.outer(rows[:, 0], lead)
+            rows %= p
+            a[rest, col:] = rows
+        pivots.append(col)
+        if len(pivots) == len(a):
             break
-    return r
+    return pivots
 
 
-def certified_rank(int_rows: list[list[int]], upper_bound: int | None = None):
+def rank_mod_p(int_rows, p: int) -> int:
+    """Rank over the field of p elements; always a lower bound for rational rank."""
+    return len(rank_profile_mod_p(int_rows, p))
+
+
+def certified_ranks(int_rows, bounds) -> list[tuple[int, str]]:
+    """Exact ranks of leading row blocks, certified by one modular rank profile.
+
+    bounds holds (k, upper_bound) pairs: the rank of the first k rows is
+    wanted, and upper_bound (or None) is a proven cap on it.  A nonzero r x r
+    minor mod p proves rank >= r over the rationals, so a modular rank that
+    meets its cap is the exact rank.  The primes are tried in turn, each
+    giving every block's modular rank from one profile, until every cap is
+    met.  A modular rank above its cap raises; a cap still unmet falls back
+    to fraction-free elimination of that block.  Returns one (rank, method)
+    per pair.
+    """
+    best = [0] * len(bounds)
+    for p in _RANK_PRIMES:
+        profile = rank_profile_mod_p(int_rows, p)
+        for i, (k, upper_bound) in enumerate(bounds):
+            modular = bisect_left(profile, k)
+            if upper_bound is not None and modular > upper_bound:
+                raise AssertionError(
+                    f"modular rank {modular} exceeds the proven upper bound {upper_bound}"
+                )
+            best[i] = max(best[i], modular)
+        if all(r == upper_bound for r, (_, upper_bound) in zip(best, bounds)):
+            break
+    out = []
+    for r, (k, upper_bound) in zip(best, bounds):
+        if r == upper_bound:
+            out.append((r, "modular-certificate"))
+            continue
+        exact = bareiss_rank(int_rows[:k])
+        if exact < r:
+            raise AssertionError(f"exact rank {exact} is below the modular rank {r}")
+        if upper_bound is not None and exact > upper_bound:
+            raise AssertionError(
+                f"exact rank {exact} exceeds the proven upper bound {upper_bound}"
+            )
+        out.append((exact, "fraction-free-elimination"))
+    return out
+
+
+def certified_rank(int_rows, upper_bound: int | None = None) -> tuple[int, str]:
     """Exact rank of an integer matrix, with a cheap certificate when possible.
 
-    A nonzero r x r minor mod p proves rank >= r over the rationals.  When the
-    caller supplies a proven upper bound that the modular rank meets, the rank
-    is certified without big-integer work; otherwise fall back to fraction-free
-    elimination.  Returns (rank, method).
+    When the caller supplies a proven upper bound that the modular rank
+    meets, the rank is certified without big-integer work; otherwise it comes
+    from fraction-free elimination.  A rank above the bound raises either
+    way.  Returns (rank, method).
     """
-    best = max(rank_mod_p(int_rows, p) for p in _RANK_PRIMES)
-    if upper_bound is not None:
-        if best > upper_bound:
-            raise AssertionError(
-                f"modular rank {best} exceeds the proven upper bound {upper_bound}"
-            )
-        if best == upper_bound:
-            return best, "modular-certificate"
-    exact = bareiss_rank(int_rows)
-    if exact < best:
-        raise AssertionError(f"exact rank {exact} is below the modular rank {best}")
-    return exact, "fraction-free-elimination"
+    return certified_ranks(int_rows, [(len(int_rows), upper_bound)])[0]

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial
+from math import factorial, prod
 from operator import mul
 
 from .chartab import character_table, character_value, dimension
@@ -78,40 +78,54 @@ class GroupData:
 
     @cached_property
     def _arrays(self):
-        """0-based images, inverse ranks and class indices as numpy arrays."""
+        """0-based images (by rank and by position), inverse ranks and class indices."""
         import numpy as np
 
+        images = np.array(self.perms, dtype=np.int8) - 1
         return (
-            np.array(self.perms, dtype=np.int8) - 1,
+            images,
+            np.ascontiguousarray(images.T, dtype=np.intp),
             np.array(self.inv, dtype=np.intp),
             np.array(self.type_of, dtype=np.int8),
         )
 
     def compose_ranks(self, a, b):
-        """Array r with r[i][j] = rank of perm(a[i]) composed with perm(b[j]).
+        """Ranks of perm(a) composed with perm(b), for rank arrays that broadcast.
 
-        Products are formed on images and ranked by their Lehmer codes, a
-        block of rows at a time so temporaries stay near BLOCK_PAIRS * n.
+        The result has the broadcast shape of a and b, so a column against a
+        row, [[r] for r in a] with b, gives every pair.  Products are formed on
+        images, one contiguous plane per position, and ranked by their Lehmer
+        codes, a block of the leading axis at a time so temporaries stay near
+        BLOCK_PAIRS * n.
         """
         import numpy as np
 
-        images = self._arrays[0]
-        a = np.asarray(a, dtype=np.intp)
-        right = images[np.asarray(b, dtype=np.intp)].astype(np.intp)
-        out = np.zeros((len(a), len(right)), dtype=np.int32)
-        step = max(1, BLOCK_PAIRS // max(1, len(right)))
-        for start in range(0, len(a), step):
-            # composed[i, j, k] = perm(a[i])(perm(b[j])(k)), 0-based
-            composed = images[a[start : start + step]][:, right]
+        images, by_position, _, _ = self._arrays
+        a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        a = a.reshape((1,) * (len(shape) - a.ndim) + a.shape)
+        b = b.reshape((1,) * (len(shape) - b.ndim) + b.shape)
+        out = np.zeros(shape, dtype=np.int32)
+        step = max(1, BLOCK_PAIRS // max(1, prod(shape[1:])))
+        for start in range(0, len(out), step):
+            block = slice(start, start + step)
+            left, right = (x if len(x) == 1 else x[block] for x in (a, b))
+            offsets = left * self.n
+            # composed[k] = perm(a)(perm(b)(k)) over the block, 0-based
+            composed = np.empty((self.n,) + out[block].shape, dtype=np.int8)
+            for k in range(self.n):
+                np.take(images.ravel(), by_position[k][right] + offsets, out=composed[k])
             for k in range(self.n - 1):
-                smaller = (composed[..., k + 1 :] < composed[..., k, None]).sum(-1)
-                out[start : start + step] += smaller * factorial(self.n - 1 - k)
+                smaller = (composed[k + 1 :] < composed[k]).sum(0)
+                out[block] += smaller * factorial(self.n - 1 - k)
         return out
 
     def quotient_classes(self, a, b):
-        """Array c with c[i][j] = class index of perm(a[i])^-1 perm(b[j])."""
-        _, inv, type_of = self._arrays
-        return type_of[self.compose_ranks(inv[list(a)], b)]
+        """Class index of perm(a)^-1 perm(b), for rank arrays that broadcast."""
+        import numpy as np
+
+        _, _, inv, type_of = self._arrays
+        return type_of[self.compose_ranks(inv[np.asarray(a, dtype=np.intp)], b)]
 
     def connection(self, t: int) -> list[int]:
         """Ranks of the connection set of the agreement-at-most-t graph.
@@ -134,7 +148,7 @@ class GroupData:
             shared = list(range(self.order))  # one int object per rank
             self._mult = [
                 list(map(shared.__getitem__, row.tolist()))
-                for row in self.compose_ranks(shared, shared)
+                for row in self.compose_ranks([[r] for r in shared], shared)
             ]
         return self._mult
 
@@ -252,7 +266,8 @@ def _class_sums(gd: GroupData, rows, nums: list[int]) -> list[list[int]]:
     sums = []
     step = max(1, BLOCK_PAIRS // max(1, len(support)))
     for start in range(0, len(rows), step):
-        for classes in gd.quotient_classes(rows[start : start + step], support):
+        block = [[r] for r in rows[start : start + step]]
+        for classes in gd.quotient_classes(block, support):
             acc = [0] * len(gd.classes)
             for c, v in zip(classes.tolist(), values):
                 acc[c] += v
@@ -280,7 +295,7 @@ def adjacency_apply(nums: list[int], n: int, t: int = 0) -> list[int]:
     gd = group_data(n)
     if gd.n > MAX_DENSE_DEGREE:
         raise DegreeRangeError("adjacency application needs the dense tables")
-    neighbours = gd.compose_ranks(range(gd.order), gd.connection(t))
+    neighbours = gd.compose_ranks([[r] for r in range(gd.order)], gd.connection(t))
     return [sum(map(nums.__getitem__, row)) for row in neighbours.tolist()]
 
 

@@ -1,10 +1,14 @@
 """Incidence matrix of position-value pairs: Gram identity, ranks, kernels,
 module supports, and the classification of maximum intersecting families."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from ekrperm import linalg, scheme
 from ekrperm.ekrverify import (
     MAX_INCIDENCE_DEGREE,
     basis_check,
@@ -18,6 +22,7 @@ from ekrperm.ekrverify import (
     gram_check,
     kernel_membership_check,
     module_support,
+    module_supports,
     pi_ab,
     pi_ab_submatrix,
     rank_H_check,
@@ -35,6 +40,12 @@ from ekrperm.permgroup import (
     parse_cycles,
     parse_one_line,
     rank_permutation,
+    unrank_permutation,
+)
+from ekrperm.scheme import (
+    class_quadratic_forms,
+    group_data,
+    module_quadratic_form,
 )
 
 # Row pattern of the six reordered derangement rows at degree 4, columns
@@ -256,6 +267,57 @@ class TestModuleSupport:
             module_support([identity(7)], 7)
 
 
+def _supports_by_class_forms(members, n, shift):
+    """The per-family route: class quadratic forms of the indicator, then E."""
+    gd = group_data(n)
+    vec = [0] * gd.order
+    for p in members:
+        vec[rank_permutation(p)] = 1
+    m = len(members)
+    adjusted = [
+        q - 2 * shift * cls.size * m + shift * shift * cls.size * gd.order
+        for q, cls in zip(class_quadratic_forms(vec, n), gd.classes)
+    ]
+    return {
+        cls.cycle_type: module_quadratic_form(cls.cycle_type, adjusted, n)
+        for cls in gd.classes
+    }
+
+
+@st.composite
+def _family_batches(draw):
+    """A degree, a shift and a few families of distinct random permutations."""
+    n = draw(st.integers(3, 5))
+    ranks = st.sets(st.integers(0, math.factorial(n) - 1), max_size=8)
+    batch = draw(st.lists(ranks, min_size=1, max_size=5))
+    shift = draw(st.fractions(-2, 2, max_denominator=30))
+    families = [[unrank_permutation(r, n) for r in sorted(fam)] for fam in batch]
+    return n, families, shift
+
+
+class TestBatchedSupports:
+    @given(_family_batches())
+    def test_batch_matches_class_form_route(self, case):
+        n, families, shift = case
+        batched = module_supports(families, n, shift)
+        assert len(batched) == len(families)
+        for members, supports in zip(families, batched):
+            assert supports == _supports_by_class_forms(members, n, shift)
+
+    def test_repeated_member_anywhere_in_batch(self):
+        families = [fam.members for fam in all_point_families(4).values()]
+        families[5] = families[5] + (families[5][1],)
+        with pytest.raises(ValueError, match="repeated member"):
+            module_supports(families, 4)
+
+    def test_many_kernel_blocks(self, monkeypatch):
+        families = [fam.members for fam in all_point_families(5).values()]
+        families += [family([(1, 2), (3, 3)], 5).members, [identity(5)]]
+        expected = [module_support(members, 5) for members in families]
+        monkeypatch.setattr(scheme, "BLOCK_PAIRS", 7)
+        assert module_supports(families, 5) == expected
+
+
 class TestBasisCheck:
     def test_degree_four(self):
         report = basis_check(4)
@@ -350,6 +412,33 @@ class TestDepthSpans:
             (2, 2, 1),
             (2, 1, 1, 1),
         )
+
+    def test_degree_six_depth_two_frozen(self):
+        report = depth_conjecture_dims(6, 2)
+        assert report.family_count == 2400
+        assert report.module_dim_sums == {2: 207, 3: 588}
+        assert report.span_rank_shifted == 587
+        assert report.span_rank_with_ones == 588
+        assert report.rank_method == "modular-certificate/modular-certificate"
+        assert report.support_union == (
+            (5, 1),
+            (4, 2),
+            (4, 1, 1),
+            (3, 3),
+            (3, 2, 1),
+            (3, 1, 1, 1),
+        )
+
+    def test_undershooting_profile_falls_back_to_elimination(self, monkeypatch):
+        real = linalg.rank_profile_mod_p
+        # every prime misses the first pivot, so neither bound is met
+        monkeypatch.setattr(
+            linalg, "rank_profile_mod_p", lambda rows, p: real(rows, p)[1:]
+        )
+        report = depth_conjecture_dims(4, 1)
+        assert report.span_rank_shifted == 22
+        assert report.span_rank_with_ones == 23
+        assert report.rank_method == "fraction-free-elimination/fraction-free-elimination"
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
