@@ -1,9 +1,12 @@
 """Command-line verification reports.
 
 Every subcommand prints one JSON report (or a plain-text rendering with
---text) and exits 0 only when all of its checks pass.  Exit codes: 1 a check
-failed or a supplied family was invalid, 2 usage error, 3 degree out of the
-supported range, 4 construction unavailable at that degree, 5 an internal
+--text) and exits 0 only when all of its checks pass.  COMMANDS holds each
+subcommand's help, extra arguments and closed degree range; a degree outside
+that range is rejected before any work.  Exit codes: 1 a check failed or a
+supplied family was invalid, 2 usage error (including a --trials or --workers
+below 1), 3 degree outside the range in COMMANDS or outside a library
+function's own range, 4 construction unavailable at that degree, 5 an internal
 invariant failed (a bug, reported in one line without a traceback).  Reports
 are byte-identical across runs except for the wall_time_s field.
 """
@@ -17,6 +20,7 @@ import sys
 import time
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from . import chartab, ekrverify, graphs, linalg, permgroup, scheme
 from .errors import (
@@ -59,7 +63,7 @@ def check(name: str, ok: bool, **detail):
 
 
 # --- subcommand handlers -------------------------------------------------
-# Each returns (result, checks).
+# Each returns (result, checks) and takes its parsed arguments as keywords.
 
 
 def run_derangements(n: int):
@@ -298,10 +302,6 @@ def run_classify(n: int, search_result=None):
 
 
 def run_lemmas(n: int):
-    if not 3 <= n <= ekrverify.MAX_INCIDENCE_DEGREE:
-        raise DegreeRangeError(
-            f"lemma checks are supported for 3 <= n <= {ekrverify.MAX_INCIDENCE_DEGREE}"
-        )
     checks = []
     gram_ok, _ = ekrverify.gram_check(n)
     checks.append(check("gram-identity", gram_ok))
@@ -344,7 +344,7 @@ def run_lemmas(n: int):
     return result, checks
 
 
-def run_conjecture(n: int, t: int, depth: int | None):
+def run_conjecture(n: int, t: int, depth: int | None = None):
     if depth is None:
         depth = t + 1
     if depth not in (t, t + 1):
@@ -377,11 +377,6 @@ def run_conjecture(n: int, t: int, depth: int | None):
 
 
 def run_identity_check(n: int, trials: int, seed: int, t: int):
-    if n > scheme.MAX_DENSE_DEGREE:
-        raise DegreeRangeError(
-            f"identity checks on full-support vectors stop at degree"
-            f" {scheme.MAX_DENSE_DEGREE}"
-        )
     rng = random.Random(seed)
     order = factorial(n)
     all_equal = True
@@ -430,8 +425,8 @@ def run_quotient(n: int):
     return result, checks
 
 
-def run_validate(n: int, path: str, t: int):
-    members = graphs.read_family(path, n)
+def run_validate(n: int, family: str, t: int):
+    members = graphs.read_family(family, n)
     ok, witness = graphs.validate_family(members, t)
     checks = [check("family-is-independent", ok, threshold=t)]
     result = {
@@ -443,125 +438,189 @@ def run_validate(n: int, path: str, t: int):
     return result, checks
 
 
-def _clique_character_sums(certificate):
-    """Character sums over a clique, keyed by partition."""
-    table = chartab.character_table(certificate.n)
-    sums = {}
-    for shape in table.partitions:
-        sums[shape] = sum(
-            table.value(shape, permgroup.cycle_type(p)) for p in certificate.members
+def run_least_eigenvalue(n: int):
+    spectrum = scheme.union_spectrum(n, 0)
+    least, _ = spectrum.least()
+    d = permgroup.derangement_count(n)
+    checks = [
+        check(
+            "equals--d/(n-1)",
+            Fraction(least) == Fraction(-d, n - 1),
+            value=exact(least),
         )
-    return sums
+    ]
+    return {"n": n, "least": exact(least)}, checks
+
+
+def run_clique_characters(n: int):
+    """Every non-standard character sums to nonzero over some clique at degree n.
+
+    The cliques are the Hamilton-cycle one (every n but 4 and 6) and, for odd
+    n >= 5, the odd-Latin one; over each of them the standard character
+    (n-1, 1) must sum to zero.
+    """
+    cliques = []
+    if n not in (4, 6):
+        cliques.append(graphs.cycle_decomposition_clique(n))
+    if n % 2 == 1 and n >= 5:
+        cliques.append(graphs.odd_n_latin_clique(n))
+    table = chartab.character_table(n)
+    sums = [
+        {
+            shape: sum(
+                table.value(shape, permgroup.cycle_type(p)) for p in clique.members
+            )
+            for shape in table.partitions
+        }
+        for clique in cliques
+    ]
+    standard = (n - 1, 1)
+    covered = all(
+        any(s[shape] != 0 for s in sums)
+        for shape in table.partitions
+        if shape != standard
+    )
+    checks = [
+        check("nonzero-off-standard", covered),
+        check("zero-on-standard", all(s[standard] == 0 for s in sums)),
+    ]
+    return {"n": n, "cliques": [c.construction for c in cliques]}, checks
 
 
 def run_verify_all(max_n: int, workers: int):
     sections = []
     checks = []
 
-    def add(section: str, params: dict, handler, *args):
-        result, section_checks = handler(*args)
-        ok = all(c["pass"] for c in section_checks)
-        sections.append({"section": section, "parameters": params, "pass": ok})
-        for c in section_checks:
-            prefixed = dict(c)
-            prefixed["name"] = f"{section}[{_params_label(params)}]:{c['name']}"
-            checks.append(prefixed)
-        return result
+    def add(section: str, degrees, handler, t=None, **extra):
+        """One section per degree up to max_n; its checks prefixed by its label."""
+        for n in degrees:
+            if n > max_n:
+                continue
+            params = {"n": n} if t is None else {"n": n, "t": t}
+            _, section_checks = handler(**params, **extra)
+            ok = all(c["pass"] for c in section_checks)
+            sections.append({"section": section, "parameters": params, "pass": ok})
+            for c in section_checks:
+                prefixed = dict(c)
+                prefixed["name"] = f"{section}[{_params_label(params)}]:{c['name']}"
+                checks.append(prefixed)
 
-    for n in range(1, min(9, max_n) + 1):
-        add("derangements", {"n": n}, run_derangements, n)
-    for n in range(2, min(8, max_n) + 1):
-        add("chartab", {"n": n}, run_chartab, n)
-    for n in range(2, min(9, max_n) + 1):
-        add("spectrum", {"n": n, "t": 0}, run_spectrum, n, 0)
-    for n in range(2, min(8, max_n) + 1):
-        spectrum = scheme.union_spectrum(n, 0)
-        least, _ = spectrum.least()
-        d = permgroup.derangement_count(n)
-        expected = Fraction(-d, n - 1)
-        sections.append(
-            {
-                "section": "least-eigenvalue",
-                "parameters": {"n": n},
-                "pass": Fraction(least) == expected,
-            }
-        )
-        checks.append(
-            check(
-                f"least-eigenvalue[n={n}]:equals--d/(n-1)",
-                Fraction(least) == expected,
-                value=exact(least),
-            )
-        )
-    for n in range(2, min(8, max_n) + 1):
-        add("quotient", {"n": n}, run_quotient, n)
-    for n in range(2, min(8, max_n) + 1):
-        add("clique-latin", {"n": n}, run_clique, n, "latin")
-    for n in (5, 7, 9):
-        if n <= max_n:
-            add("clique-odd-latin", {"n": n}, run_clique, n, "odd-latin")
-    for n in (3, 5, 7, 8):
-        if n <= max_n:
-            add("clique-cycles", {"n": n}, run_clique, n, "cycles")
-    for n in (7, 8, 9):
-        if n > max_n:
-            continue
-        cliques = []
-        if n not in (4, 6):
-            cliques.append(graphs.cycle_decomposition_clique(n))
-        if n % 2 == 1 and n >= 5:
-            cliques.append(graphs.odd_n_latin_clique(n))
-        sums = [_clique_character_sums(c) for c in cliques]
-        table = chartab.character_table(n)
-        covered = all(
-            any(s[shape] != 0 for s in sums)
-            for shape in table.partitions
-            if shape != (n - 1, 1)
-        )
-        standard_zero = all(s[(n - 1, 1)] == 0 for s in sums)
-        ok = covered and standard_zero
-        sections.append(
-            {"section": "clique-characters", "parameters": {"n": n}, "pass": ok}
-        )
-        checks.append(
-            check(f"clique-characters[n={n}]:nonzero-off-standard", covered)
-        )
-        checks.append(
-            check(f"clique-characters[n={n}]:zero-on-standard", standard_zero)
-        )
-    for n in range(2, min(6, max_n) + 1):
-        add("bounds", {"n": n, "t": 0}, run_bounds, n, 0)
-    for q in (3, 4, 5):
-        if q <= max_n:
-            add("bounds", {"n": q, "t": 1}, run_bounds, q, 1)
+    add("derangements", range(1, 10), run_derangements)
+    add("chartab", range(2, 9), run_chartab)
+    add("spectrum", range(2, 10), run_spectrum, t=0)
+    add("least-eigenvalue", range(2, 9), run_least_eigenvalue)
+    add("quotient", range(2, 9), run_quotient)
+    add("clique-latin", range(2, 9), run_clique, method="latin")
+    add("clique-odd-latin", (5, 7, 9), run_clique, method="odd-latin")
+    add("clique-cycles", (3, 5, 7, 8), run_clique, method="cycles")
+    add("clique-characters", (7, 8, 9), run_clique_characters)
+    add("bounds", range(2, 7), run_bounds, t=0)
+    add("bounds", (3, 4, 5), run_bounds, t=1)
     searched = {}
     for n in range(3, min(6, max_n) + 1):
         searched[n] = graphs.max_independent_sets(n, 0, workers=workers)
-        add("search", {"n": n, "t": 0}, run_search, n, 0, workers, searched[n])
-    for n in range(3, min(6, max_n) + 1):
-        add("classify", {"n": n}, run_classify, n, searched[n])
-    for n in (4, 5):
-        if n <= max_n:
-            add(
-                "identity-check",
-                {"n": n, "t": 0},
-                run_identity_check,
-                n,
-                20,
-                2024,
-                0,
-            )
-    for n in range(3, min(7, max_n) + 1):
-        add("lemmas", {"n": n}, run_lemmas, n)
-    for n in (4, 5, 6):
-        if n <= max_n:
-            add("conjecture", {"n": n, "t": 1}, run_conjecture, n, 1, None)
-    result = {"max_n": max_n, "sections": sections}
-    return result, checks
+        add("search", (n,), run_search, t=0, workers=workers, found=searched[n])
+    for n, found in searched.items():
+        add("classify", (n,), run_classify, search_result=found)
+    add("identity-check", (4, 5), run_identity_check, t=0, trials=20, seed=2024)
+    add("lemmas", range(3, 8), run_lemmas)
+    add("conjecture", (4, 5, 6), run_conjecture, t=1)
+    return {"max_n": max_n, "sections": sections}, checks
 
 
 def _params_label(params: dict) -> str:
     return ",".join(f"{k}={v}" for k, v in params.items())
+
+
+# --- the command table ----------------------------------------------------
+
+
+class Command(NamedTuple):
+    """One subcommand: its help, closed degree range and extra arguments.
+
+    The handler is run_<name with - as _>, looked up when the command runs so
+    that a replaced module attribute takes effect.  The degree argument is the
+    positional n, or an option (defaulting to hi) when degree names one.
+    """
+
+    help: str
+    lo: int
+    hi: int
+    arguments: tuple = ()
+    degree: str = "n"
+
+    @property
+    def span(self) -> str:
+        return f"{self.degree} from {self.lo} to {self.hi}"
+
+
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {text!r}"
+        )
+    return value
+
+
+_T = ("--t", {"type": int, "default": 0})
+_WORKERS = ("--workers", {"type": _at_least_one, "default": 1})
+# Times below are single runs on a 2-core x86-64 VM.  Explicit cliques and
+# family files take about a second at most up to here (cycles at 127: 0.3 s,
+# odd-latin at 101: 1.2 s).
+_EXPLICIT_MAX_DEGREE = 128
+_DENSE = scheme.MAX_DENSE_DEGREE
+
+COMMANDS = {
+    # D(1700) has more digits than Python turns into a string by default.
+    "derangements": Command("fixed-point-free permutation counts", 1, 1000),
+    "chartab": Command(
+        "exact character table", 1, chartab.MAX_TABLE_DEGREE,
+        (("--csv", {"action": "store_true", "help": "emit CSV instead of JSON"}),),
+    ),
+    # 24 s at n = 24 (t = 0); n = 28 takes more than two minutes.
+    "spectrum": Command("eigenvalues of the agreement-at-most-t graph", 1, 24, (_T,)),
+    # 23 s at n = 8; n = 9 takes more than 30 s.
+    "bounds": Command("clique-coclique product and ratio bound", 2, 8, (_T,)),
+    "clique": Command(
+        "build and validate an explicit clique", 2, _EXPLICIT_MAX_DEGREE,
+        (("--method", {"required": True, "choices": sorted(_CLIQUE_METHODS)}),),
+    ),
+    "search": Command("exhaustive maximum independent sets", 2, _DENSE, (_T, _WORKERS)),
+    "classify": Command(
+        "match every maximum independent set to a point family", 2, _DENSE
+    ),
+    "lemmas": Command(
+        "incidence-matrix rank, kernel and basis checks",
+        3, ekrverify.MAX_INCIDENCE_DEGREE,
+    ),
+    "conjecture": Command(
+        "depth-bounded eigenspace dimension comparison", 3, _DENSE,
+        (("--t", {"type": int, "default": 1}), ("--depth", {"type": int})),
+    ),
+    "identity-check": Command(
+        "class/eigenspace quadratic-form identity", 1, _DENSE,
+        (
+            ("--trials", {"type": _at_least_one, "default": 20}),
+            ("--seed", {"type": int, "default": 2024}),
+            _T,
+        ),
+    ),
+    "quotient": Command(
+        "equitable two-cell quotient of the derangement graph",
+        2, graphs.MAX_QUOTIENT_DEGREE,
+    ),
+    "validate": Command(
+        "validate a family file as an independent set", 1, _EXPLICIT_MAX_DEGREE,
+        (("--family", {"required": True, "metavar": "PATH"}), _T),
+    ),
+    "verify-all": Command(
+        "run every check across the supported degrees", 1, 9, (_WORKERS,), "--max-n"
+    ),
+}
 
 
 # --- report plumbing ------------------------------------------------------
@@ -618,98 +677,38 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="PATH", help="also write the report here"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def degree_cmd(name, help_text):
-        p = sub.add_parser(name, help=help_text, parents=[output_opts])
-        p.add_argument("n", type=int)
-        return p
-
-    degree_cmd("derangements", "fixed-point-free permutation counts")
-    p = degree_cmd("chartab", "exact character table")
-    p.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
-    p = degree_cmd("spectrum", "eigenvalues of the agreement-at-most-t graph")
-    p.add_argument("--t", type=int, default=0)
-    p = degree_cmd("bounds", "clique-coclique product and ratio bound")
-    p.add_argument("--t", type=int, default=0)
-    p = degree_cmd("clique", "build and validate an explicit clique")
-    p.add_argument(
-        "--method",
-        required=True,
-        choices=sorted(_CLIQUE_METHODS),
-    )
-    p = degree_cmd("search", "exhaustive maximum independent sets")
-    p.add_argument("--t", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    degree_cmd("classify", "match every maximum independent set to a point family")
-    degree_cmd("lemmas", "incidence-matrix rank, kernel and basis checks")
-    p = degree_cmd("conjecture", "depth-bounded eigenspace dimension comparison")
-    p.add_argument("--t", type=int, default=1)
-    p.add_argument("--depth", type=int, default=None)
-    p = degree_cmd("identity-check", "class/eigenspace quadratic-form identity")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--t", type=int, default=0)
-    degree_cmd("quotient", "equitable two-cell quotient of the derangement graph")
-    p = degree_cmd("validate", "validate a family file as an independent set")
-    p.add_argument("--family", required=True, metavar="PATH")
-    p.add_argument("--t", type=int, default=0)
-    p = sub.add_parser(
-        "verify-all",
-        help="run every check across the supported degrees",
-        parents=[output_opts],
-    )
-    p.add_argument("--max-n", type=int, default=9)
-    p.add_argument("--workers", type=int, default=1)
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(
+            name,
+            help=f"{cmd.help} ({cmd.span})",
+            description=f"{cmd.help}; {cmd.span}.",
+            parents=[output_opts],
+        )
+        # A positional n is required, so only --max-n ever takes the default.
+        p.add_argument(
+            cmd.degree, type=int, default=cmd.hi, help=f"from {cmd.lo} to {cmd.hi}"
+        )
+        for flag, spec in cmd.arguments:
+            p.add_argument(flag, **spec)
     return parser
 
 
-def dispatch(args) -> tuple[dict, list, str | None]:
-    """Returns (result, checks, raw_text_override)."""
-    if args.command == "derangements":
-        result, checks = run_derangements(args.n)
-    elif args.command == "chartab":
-        result, checks = run_chartab(args.n)
-        if args.csv:
-            table = chartab.character_table(args.n)
-            return result, checks, chartab.table_to_csv(table)
-    elif args.command == "spectrum":
-        result, checks = run_spectrum(args.n, args.t)
-    elif args.command == "bounds":
-        result, checks = run_bounds(args.n, args.t)
-    elif args.command == "clique":
-        result, checks = run_clique(args.n, args.method)
-    elif args.command == "search":
-        result, checks = run_search(args.n, args.t, args.workers)
-    elif args.command == "classify":
-        result, checks = run_classify(args.n)
-    elif args.command == "lemmas":
-        result, checks = run_lemmas(args.n)
-    elif args.command == "conjecture":
-        result, checks = run_conjecture(args.n, args.t, args.depth)
-    elif args.command == "identity-check":
-        result, checks = run_identity_check(args.n, args.trials, args.seed, args.t)
-    elif args.command == "quotient":
-        result, checks = run_quotient(args.n)
-    elif args.command == "validate":
-        result, checks = run_validate(args.n, args.family, args.t)
-    elif args.command == "verify-all":
-        result, checks = run_verify_all(args.max_n, args.workers)
-    else:  # pragma: no cover - argparse blocks this
-        raise ValueError(f"unknown command {args.command}")
-    return result, checks, None
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    parameters = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("command", "text", "out") and v is not None
+    args = build_parser().parse_args(argv)
+    options = {
+        k: v for k, v in vars(args).items() if k not in ("command", "text", "out")
     }
+    parameters = {k: v for k, v in sorted(options.items()) if v is not None}
+    cmd = COMMANDS[args.command]
+    degree = options[cmd.degree.lstrip("-").replace("-", "_")]
+    if not cmd.lo <= degree <= cmd.hi:
+        print(f"error: {args.command} takes {cmd.span}, got {degree}", file=sys.stderr)
+        return EXIT_DEGREE
+    csv = options.pop("csv", False)
+    handler = globals()[f"run_{args.command.replace('-', '_')}"]
     started = time.perf_counter()
     try:
-        result, checks, raw = dispatch(args)
+        result, checks = handler(**options)
     except DegreeRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGREE
@@ -736,8 +735,8 @@ def main(argv=None) -> int:
         "pass": all_pass,
         "wall_time_s": elapsed,
     }
-    if raw is not None:
-        output = raw
+    if csv:
+        output = chartab.table_to_csv(chartab.character_table(args.n))
     elif args.text:
         output = render_text(report)
     else:

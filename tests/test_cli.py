@@ -1,8 +1,10 @@
 """Command line interface: report schema, exit codes, determinism."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +196,96 @@ class TestExitCodes:
         )
         assert code == 0
         assert report["pass"] is True
+
+
+class TestCommandTable:
+    @staticmethod
+    def argv(name, degree):
+        """Arguments that parse for subcommand name at the given degree."""
+        cmd = cli.COMMANDS[name]
+        argv = [name] + ([str(degree)] if cmd.degree == "n" else [cmd.degree, str(degree)])
+        for flag, spec in cmd.arguments:
+            if spec.get("required"):
+                argv += [flag, spec.get("choices", ["family.txt"])[0]]
+        return argv
+
+    @pytest.mark.parametrize(
+        "name, degree",
+        [
+            (name, degree)
+            for name, cmd in cli.COMMANDS.items()
+            for degree in (cmd.lo - 1, cmd.hi + 1)
+        ],
+    )
+    def test_degree_beyond_range_exits_before_any_work(
+        self, capsys, monkeypatch, name, degree
+    ):
+        calls = []
+        handler = f"run_{name.replace('-', '_')}"
+        monkeypatch.setattr(cli, handler, lambda **kwargs: calls.append(kwargs))
+        code, out, err = run_cli(capsys, *self.argv(name, degree))
+        assert code == cli.EXIT_DEGREE == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert calls == []
+
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_help_states_the_range(self, capsys, name):
+        cmd = cli.COMMANDS[name]
+        with pytest.raises(SystemExit) as info:
+            cli.main([name, "--help"])
+        assert info.value.code == 0
+        assert f"{cmd.span}." in " ".join(capsys.readouterr().out.split())
+
+    def test_readme_rows_match_the_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Supported degrees", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `([a-z-]+)` \| (\d+) \| (\d+) \|", section, re.M)
+        documented = {name: (int(lo), int(hi)) for name, lo, hi in rows}
+        assert documented == {
+            name: (cmd.lo, cmd.hi) for name, cmd in cli.COMMANDS.items()
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["identity-check", "4", "--trials", "0"],
+            ["identity-check", "4", "--trials", "-2"],
+            ["search", "4", "--workers", "-3"],
+            ["verify-all", "--workers", "0"],
+        ],
+    )
+    def test_counts_below_one_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert info.value.code == cli.EXIT_USAGE == 2
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            f"ekrperm {argv[0]}: error: argument {argv[-2]}: expected an integer"
+            f" of at least 1, got '{argv[-1]}'"
+        ]
+
+
+class TestVerifyAllHandlers:
+    # Frozen from the least-eigenvalue and clique-characters entries of
+    # verify-all --max-n 9 before these sections had handlers of their own.
+    LEAST = {2: "-1", 3: "-1", 4: "-3", 5: "-11", 6: "-53", 7: "-309", 8: "-2119"}
+
+    @pytest.mark.parametrize("n", sorted(LEAST))
+    def test_least_eigenvalue(self, n):
+        _, checks = cli.run_least_eigenvalue(n)
+        assert checks == [
+            {"name": "equals--d/(n-1)", "pass": True, "value": self.LEAST[n]}
+        ]
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_clique_characters(self, n):
+        _, checks = cli.run_clique_characters(n)
+        assert checks == [
+            {"name": "nonzero-off-standard", "pass": True},
+            {"name": "zero-on-standard", "pass": True},
+        ]
 
 
 class TestOutputModes:
