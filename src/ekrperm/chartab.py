@@ -112,10 +112,6 @@ class CharacterTable:
     partitions: tuple[Partition, ...]
     values: tuple[tuple[int, ...], ...]
 
-    @property
-    def cycle_types(self) -> tuple[CycleType, ...]:
-        return self.partitions
-
     def row_index(self, shape: Partition) -> int:
         return self.partitions.index(tuple(shape))
 

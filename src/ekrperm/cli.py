@@ -5,10 +5,10 @@ Every subcommand prints one JSON report (or a plain-text rendering with
 subcommand's help, extra arguments and closed degree range; a degree outside
 that range is rejected before any work.  Exit codes: 1 a check failed or a
 supplied family was invalid, 2 usage error (including a --trials or --workers
-below 1), 3 degree outside the range in COMMANDS or outside a library
-function's own range, 4 construction unavailable at that degree, 5 an internal
-invariant failed (a bug, reported in one line without a traceback).  Reports
-are byte-identical across runs except for the wall_time_s field.
+below 1 and an unwritable --out), 3 degree outside the range in COMMANDS or
+outside a library function's own range, 4 construction unavailable at that
+degree, 5 an internal invariant failed (a bug, reported in one line without a
+traceback).  Reports are byte-identical across runs except for wall_time_s.
 """
 
 from __future__ import annotations
@@ -741,10 +741,14 @@ def main(argv=None) -> int:
         output = render_text(report)
     else:
         output = json.dumps(report, indent=2)
-    print(output)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    print(output)
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 

@@ -50,10 +50,6 @@ class IncidenceH:
     rows: tuple[tuple[int, ...], ...]
     ones: tuple[tuple[int, ...], ...]
 
-    def column(self, i: int, j: int) -> list[int]:
-        idx = self.columns.index((i, j))
-        return [row[idx] for row in self.rows]
-
 
 @lru_cache(maxsize=None)
 def build_H(n: int) -> IncidenceH:
@@ -394,15 +390,6 @@ class BasisCheckReport:
     rank_shifted: int
     rank_with_ones: int
     dimension_match: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.supports_ok
-            and self.rank_shifted == (self.n - 1) ** 2
-            and self.rank_with_ones == (self.n - 1) ** 2 + 1
-            and self.dimension_match
-        )
 
 
 def basis_check(n: int) -> BasisCheckReport:

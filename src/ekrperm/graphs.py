@@ -26,6 +26,7 @@ from .permgroup import (
     agreements,
     classes_with_few_fixed_points,
     derangement_count,
+    first_agreement_violation,
     identity,
     parse_one_line,
     rank_permutation,
@@ -78,22 +79,19 @@ def build_graph(n: int, t: int = 0) -> PermutationGraph:
 
 def validate_clique(members, t: int = 0) -> tuple[bool, tuple | None]:
     """Pairwise agreement check; returns (ok, witness pair or None)."""
-    members = list(members)
-    for i, p in enumerate(members):
-        for q in members[i + 1 :]:
-            if p.images == q.images or agreements(p, q) > t:
-                return False, (p, q)
-    return True, None
+    return _first_witness(list(members), t, clique=True)
 
 
 def validate_family(members, t: int = 0) -> tuple[bool, tuple | None]:
     """Check that all pairs agree in more than t points (an independent set)."""
-    members = list(members)
-    for i, p in enumerate(members):
-        for q in members[i + 1 :]:
-            if p.images == q.images or agreements(p, q) <= t:
-                return False, (p, q)
-    return True, None
+    return _first_witness(list(members), t, clique=False)
+
+
+def _first_witness(members, t, clique):
+    bad = first_agreement_violation(members, t, clique)
+    if bad is None:
+        return True, None
+    return False, (members[bad[0]], members[bad[1]])
 
 
 @dataclass(frozen=True)

@@ -181,11 +181,6 @@ def rank_profile_mod_p(int_rows, p: int) -> list[int]:
     return pivots
 
 
-def rank_mod_p(int_rows, p: int) -> int:
-    """Rank over the field of p elements; always a lower bound for rational rank."""
-    return len(rank_profile_mod_p(int_rows, p))
-
-
 def certified_ranks(int_rows, bounds) -> list[tuple[int, str]]:
     """Exact ranks of leading row blocks, certified by one modular rank profile.
 
@@ -224,14 +219,3 @@ def certified_ranks(int_rows, bounds) -> list[tuple[int, str]]:
             )
         out.append((exact, "fraction-free-elimination"))
     return out
-
-
-def certified_rank(int_rows, upper_bound: int | None = None) -> tuple[int, str]:
-    """Exact rank of an integer matrix, with a cheap certificate when possible.
-
-    When the caller supplies a proven upper bound that the modular rank
-    meets, the rank is certified without big-integer work; otherwise it comes
-    from fraction-free elimination.  A rank above the bound raises either
-    way.  Returns (rank, method).
-    """
-    return certified_ranks(int_rows, [(len(int_rows), upper_bound)])[0]

@@ -17,6 +17,9 @@ from .errors import DegreeRangeError
 Partition = tuple[int, ...]
 CycleType = tuple[int, ...]
 
+# Member pairs compared per block by first_agreement_violation.
+AGREEMENT_BLOCK_PAIRS = 1 << 16
+
 
 @dataclass(frozen=True)
 class Permutation:
@@ -74,6 +77,38 @@ def agreements(p: Permutation, q: Permutation) -> int:
     if p.degree != q.degree:
         raise ValueError("degrees differ")
     return sum(1 for a, b in zip(p.images, q.images) if a == b)
+
+
+def first_agreement_violation(members, t: int, clique: bool):
+    """(i, j, agreements) for the first failing pair i < j in (i, j) order, or None.
+
+    A pair fails when repeated or on the wrong side of t: a clique needs at most
+    t agreements, an independent set more.  Mixed degrees raise ValueError.
+    Images are compared directly, not through the group tables, in row blocks.
+    """
+    import numpy as np
+
+    degrees = {p.degree for p in members}
+    if len(degrees) > 1:
+        raise ValueError("degrees differ")
+    n, m = max(degrees, default=1), len(members)
+    dtype = np.min_scalar_type(n)  # images and agreement counts lie in 0..n
+    images = np.array([p.images for p in members], dtype=dtype)
+    lo = 0
+    while lo < m - 1:
+        later = images[lo + 1 :]
+        hi = min(m - 1, lo + max(1, AGREEMENT_BLOCK_PAIRS // len(later)))
+        agree = np.zeros((hi - lo, len(later)), dtype=dtype)
+        for k in range(n):
+            agree += images[lo:hi, k, None] == later[:, k]
+        bad = (agree == n) | ((agree > t) if clique else (agree <= t))
+        # row r is member lo+r and column c member lo+1+c, a later one if c >= r
+        bad &= np.arange(len(later)) >= np.arange(hi - lo)[:, None]
+        if bad.any():
+            r, c = divmod(int(bad.argmax()), len(later))
+            return lo + r, lo + 1 + c, int(agree[r, c])
+        lo = hi
+    return None
 
 
 def cycle_type(p: Permutation) -> CycleType:

@@ -26,11 +26,11 @@ from .permgroup import (
     ClassInfo,
     Partition,
     Permutation,
-    agreements,
     classes_with_few_fixed_points,
     conjugacy_classes,
     cycle_type_of_images,
     derangement_count,
+    first_agreement_violation,
     rank_permutation,
 )
 
@@ -246,10 +246,6 @@ class ProjectionResult:
     def vector(self) -> list[Fraction]:
         return [Fraction(v, self.denom) for v in self.nums]
 
-    @property
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.nums)
-
 
 def _character_row(shape: Partition, n: int) -> tuple[int, ...]:
     """Character values of shape on every class, in class order."""
@@ -362,22 +358,18 @@ def characteristic_vector(members, n: int) -> list[int]:
     return vec
 
 
-def _check_pairwise(members, n, t, want_clique):
+def _check_pairwise(members, t, want_clique):
     members = list(members)
-    for idx, p in enumerate(members):
-        for q in members[idx + 1 :]:
-            a = agreements(p, q)
-            if p.images == q.images:
-                raise FamilyValidationError(f"repeated member {p}")
-            if want_clique and a > t:
-                raise FamilyValidationError(
-                    f"not a clique at threshold {t}: {p} and {q} agree on {a} points"
-                )
-            if not want_clique and a <= t:
-                raise FamilyValidationError(
-                    f"not independent at threshold {t}: {p} and {q} agree on {a} points"
-                )
-    return members
+    bad = first_agreement_violation(members, t, want_clique)
+    if bad is None:
+        return members
+    p, q, a = members[bad[0]], members[bad[1]], bad[2]
+    if a == p.degree:
+        raise FamilyValidationError(f"repeated member {p}")
+    kind = "a clique" if want_clique else "independent"
+    raise FamilyValidationError(
+        f"not {kind} at threshold {t}: {p} and {q} agree on {a} points"
+    )
 
 
 @dataclass(frozen=True)
@@ -402,8 +394,8 @@ def clique_coclique_check(
     clique, independent, n: int, t: int = 0
 ) -> CliqueCocliqueReport:
     """Validate both families and evaluate |C| * |S| <= n! with exact arithmetic."""
-    clique = _check_pairwise(clique, n, t, want_clique=True)
-    independent = _check_pairwise(independent, n, t, want_clique=False)
+    clique = _check_pairwise(clique, t, want_clique=True)
+    independent = _check_pairwise(independent, t, want_clique=False)
     product = len(clique) * len(independent)
     bound = factorial(n)
     tight = product == bound

@@ -3,7 +3,7 @@
 Nothing here imports the package under test.  Characters are recovered by
 counting tabloids fixed by class representatives and orthogonalizing the
 permutation characters; spectra are certified from an explicitly built
-adjacency matrix with a plain rational Gaussian elimination.  Slow is fine:
+adjacency matrix with a fraction-free Gaussian elimination.  Slow is fine:
 these run at degrees 4 and 5 only.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 
 def partitions_descending(n: int, max_part: int | None = None):
@@ -127,20 +127,30 @@ def derangements_by_inclusion_exclusion(n: int) -> int:
 
 
 def gaussian_rank(matrix) -> int:
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    rank = 0
+    """Rank by fraction-free (Bareiss) elimination.
+
+    Each row is first multiplied by the common denominator of its entries,
+    which leaves the rank unchanged; every later division is exact.
+    """
+    rows = []
+    for row in matrix:
+        row = [Fraction(v) for v in row]
+        scale = lcm(*(v.denominator for v in row))
+        rows.append([int(v * scale) for v in row])
+    rank, previous = 0, 1
     cols = len(rows[0]) if rows else 0
     for col in range(cols):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
+        top = rows[rank]
+        lead = top[col]
+        for r in range(rank + 1, len(rows)):
+            row = rows[r]
+            factor = row[col]
+            rows[r] = [(lead * v - factor * w) // previous for v, w in zip(row, top)]
+        previous = lead
         rank += 1
     return rank
 

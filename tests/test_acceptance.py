@@ -117,7 +117,7 @@ def test_02_character_tables():
             oracle = oracles.brute_force_character_table(n)
             table = character_table(n)
             for shape, row in oracle.items():
-                got = tuple(table.value(shape, c) for c in table.cycle_types)
+                got = tuple(table.value(shape, c) for c in table.partitions)
                 assert got == row
 
 
@@ -276,7 +276,7 @@ def test_09_module_supports_and_basis():
                     supports = module_support(family([(i, j)], n).members, n)
                     assert support_set(supports) == (standard,)
             report = basis_check(n)
-            assert report.ok
+            assert report.supports_ok and report.dimension_match
             assert report.rank_shifted == (n - 1) ** 2
             assert report.rank_with_ones == (n - 1) ** 2 + 1
 

@@ -156,9 +156,8 @@ class TestTableObject:
         table = character_table(4)
         assert isinstance(table, CharacterTable)
         assert table.partitions == partitions_of(4)
-        assert table.cycle_types == partitions_of(4)
         for shape, row in TABLE_4.items():
-            got = tuple(table.value(shape, c) for c in table.cycle_types)
+            got = tuple(table.value(shape, c) for c in table.partitions)
             assert got == row
 
     def test_orthogonality_small_degrees(self):
@@ -174,7 +173,7 @@ class TestTableObject:
             for b in table.partitions:
                 total = sum(
                     class_size(c) * table.value(a, c) * table.value(b, c)
-                    for c in table.cycle_types
+                    for c in table.partitions
                 )
                 assert total == (math.factorial(5) if a == b else 0)
 
@@ -207,8 +206,8 @@ class TestCsv:
         table = character_table(5)
         rows = list(csv.reader(io.StringIO(table_to_csv(table))))
         header, body = rows[0], rows[1:]
-        assert header[1:] == [",".join(str(k) for k in c) for c in table.cycle_types]
+        assert header[1:] == [",".join(str(k) for k in c) for c in table.partitions]
         for row, shape in zip(body, table.partitions):
             assert row[0] == ",".join(str(k) for k in shape)
             values = tuple(int(tok) for tok in row[1:])
-            assert values == tuple(table.value(shape, c) for c in table.cycle_types)
+            assert values == tuple(table.value(shape, c) for c in table.partitions)

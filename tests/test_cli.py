@@ -301,6 +301,13 @@ class TestOutputModes:
         on_disk = path.read_text()
         assert json.loads(on_disk) == json.loads(out)
 
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing-dir" / "report.json"
+        code, out, err = run_cli(capsys, "derangements", "3", "--out", str(path))
+        assert code == cli.EXIT_USAGE == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_console_script_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ekrperm", "derangements", "3"],

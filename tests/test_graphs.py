@@ -3,7 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from ekrperm import permgroup, scheme
 from ekrperm.errors import (
     DegreeRangeError,
     FamilyValidationError,
@@ -26,6 +29,7 @@ from ekrperm.graphs import (
     write_family,
 )
 from ekrperm.permgroup import (
+    Permutation,
     agreements,
     all_permutations,
     compose,
@@ -94,6 +98,99 @@ class TestValidators:
     def test_valid_inputs(self):
         assert validate_clique(latin_clique(4).members, 0) == (True, None)
         assert validate_family(family([(1, 1)], 4).members, 0) == (True, None)
+
+
+def _first_failing_pair(members, t, clique):
+    """The first failing pair straight from the definition, one pair at a time."""
+    for i, p in enumerate(members):
+        for j in range(i + 1, len(members)):
+            q = members[j]
+            a = sum(x == y for x, y in zip(p.images, q.images))
+            if p.images == q.images or (a > t if clique else a <= t):
+                return i, j, a
+    return None
+
+
+def _assert_entry_points_agree(members, t, clique):
+    """All three validators report the pair the nested loop finds first."""
+    bad = _first_failing_pair(members, t, clique)
+    assert permgroup.first_agreement_violation(members, t, clique) == bad
+    validate = validate_clique if clique else validate_family
+    ok, witness = validate(iter(members), t)
+    assert ok is (bad is None)
+    if bad is None:
+        assert witness is None
+        assert scheme._check_pairwise(members, t, clique) == members
+        return
+    i, j, a = bad
+    p, q = members[i], members[j]
+    assert witness == (p, q)
+    if p.images == q.images:
+        message = f"repeated member {p}"
+    else:
+        kind = "a clique" if clique else "independent"
+        message = f"not {kind} at threshold {t}: {p} and {q} agree on {a} points"
+    with pytest.raises(FamilyValidationError) as info:
+        scheme._check_pairwise(members, t, clique)
+    assert str(info.value) == message
+
+
+@st.composite
+def _member_lists(draw):
+    n = draw(st.integers(1, 7))
+    pool = draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=6))
+    images = draw(st.lists(st.sampled_from(pool), max_size=12))
+    return [Permutation(tuple(p)) for p in images], draw(st.integers(-1, n + 1))
+
+
+class TestAgreementValidator:
+    @given(_member_lists(), st.booleans(), st.sampled_from([1, 5, 1 << 16]))
+    def test_matches_the_nested_loop(self, case, clique, block_pairs):
+        members, t = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(permgroup, "AGREEMENT_BLOCK_PAIRS", block_pairs)
+            _assert_entry_points_agree(members, t, clique)
+
+    @pytest.mark.parametrize("block_pairs", [1, 40])
+    def test_late_failures_in_small_blocks(self, monkeypatch, block_pairs):
+        # a budget of 1 pair gives one row per block; 40 gives two rows once
+        # at most 20 later members remain
+        monkeypatch.setattr(permgroup, "AGREEMENT_BLOCK_PAIRS", block_pairs)
+        points = list(family([(5, 5)], 5).members)
+        late = [points[10], parse_one_line("2,3,4,5,1"), parse_one_line("1,5,3,4,2")]
+        for extra in late:
+            _assert_entry_points_agree(points + [extra], 0, False)
+            _assert_entry_points_agree(points + [extra], 3, True)
+        clique = list(latin_clique(7).members)
+        _assert_entry_points_agree(clique + [clique[3]], 0, True)
+        _assert_entry_points_agree(clique + [clique[3]], 6, True)
+
+    def test_degree_128(self):
+        # images and agreement counts reach 128, past the top of int8
+        members = latin_clique(128).members
+        assert validate_clique(members, 0) == (True, None)
+        assert validate_clique([members[5], members[5]], 0) == (
+            False,
+            (members[5], members[5]),
+        )
+
+    def test_empty_and_single_families_pass(self):
+        for members in ([], [identity(3)]):
+            for clique in (True, False):
+                _assert_entry_points_agree(members, 0, clique)
+
+    def test_mixed_degrees_raise(self):
+        # checked before any pair is judged, so the early repeat does not mask it
+        members = [identity(3), identity(3), identity(4)]
+        for clique in (True, False):
+            with pytest.raises(ValueError, match="degrees differ"):
+                permgroup.first_agreement_violation(members, 0, clique)
+            with pytest.raises(ValueError, match="degrees differ"):
+                scheme._check_pairwise(members, 0, clique)
+        with pytest.raises(ValueError, match="degrees differ"):
+            validate_clique(members, 0)
+        with pytest.raises(ValueError, match="degrees differ"):
+            validate_family(members, 0)
 
 
 class TestLatinCliques:

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from ekrperm import linalg
 from ekrperm.linalg import (
     bareiss_rank,
-    certified_rank,
+    certified_ranks,
     complete_graph_matrix,
     gram_matrix,
     identity_matrix,
     kernel_basis,
     kron,
-    rank_mod_p,
     rank_profile_mod_p,
     rref,
     scaled_integers,
@@ -67,44 +66,49 @@ class TestRanks:
             assert bareiss_rank(m) == oracles.gaussian_rank(m)
 
 
+def _modular_rank(rows, p):
+    """The mod-p rank: how many rows the modular rank profile keeps."""
+    return len(rank_profile_mod_p(rows, p))
+
+
 class TestModularRank:
     def test_lower_bound_property(self):
         rng = random.Random(3)
         for _ in range(15):
             m = [[rng.randrange(-20, 21) for _ in range(6)] for _ in range(6)]
             exact = bareiss_rank(m)
-            assert rank_mod_p(m, 2147483647) <= exact
+            assert _modular_rank(m, 2147483647) <= exact
 
     def test_usually_equal_for_small_entries(self):
         m = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
-        assert rank_mod_p(m, 2147483647) == bareiss_rank(m) == 3
+        assert _modular_rank(m, 2147483647) == bareiss_rank(m) == 3
 
     def test_modular_rank_can_drop(self):
         # the matrix [[p]] is nonzero but vanishes mod p
-        assert rank_mod_p([[5]], 5) == 0
+        assert _modular_rank([[5]], 5) == 0
         assert bareiss_rank([[5]]) == 1
 
 
 class TestCertifiedRank:
     def test_certificate_path(self):
         m = [[2, 0, 0], [0, 3, 0], [0, 0, 5]]
-        rank, method = certified_rank(m, upper_bound=3)
+        rank, method = certified_ranks(m, [(3, 3)])[0]
         assert rank == 3
         assert method == "modular-certificate"
 
     def test_fallback_without_upper_bound(self):
-        rank, method = certified_rank([[1, 2], [2, 4]])
+        rank, method = certified_ranks([[1, 2], [2, 4]], [(2, None)])[0]
         assert rank == 1
         assert method == "fraction-free-elimination"
 
     def test_loose_upper_bound_falls_back_exactly(self):
-        rank, method = certified_rank([[1, 2], [2, 4]], upper_bound=2)
+        rank, method = certified_ranks([[1, 2], [2, 4]], [(2, 2)])[0]
         assert rank == 1
         assert method == "fraction-free-elimination"
 
     def test_wrong_upper_bound_is_caught(self):
         with pytest.raises(AssertionError):
-            certified_rank(identity_matrix(3), upper_bound=2)
+            certified_ranks(identity_matrix(3), [(3, 2)])
 
     def test_search_stops_at_the_first_certifying_prime(self, monkeypatch):
         calls = []
@@ -115,7 +119,7 @@ class TestCertifiedRank:
             return real(rows, p)
 
         monkeypatch.setattr(linalg, "rank_profile_mod_p", spy)
-        assert certified_rank(identity_matrix(3), upper_bound=3) == (
+        assert certified_ranks(identity_matrix(3), [(3, 3)])[0] == (
             3,
             "modular-certificate",
         )
@@ -123,7 +127,7 @@ class TestCertifiedRank:
         # [[p]] vanishes mod the first prime only, so the second one certifies
         first, second = linalg._RANK_PRIMES
         calls.clear()
-        assert certified_rank([[first]], upper_bound=1) == (1, "modular-certificate")
+        assert certified_ranks([[first]], [(1, 1)])[0] == (1, "modular-certificate")
         assert calls == [first, second]
 
 
@@ -162,16 +166,16 @@ class TestRankProfileProperties:
         for k in range(len(matrix) + 1):
             count = bisect_left(profile, k)
             assert count <= oracles.gaussian_rank(matrix[:k])
-            assert count == rank_mod_p(matrix[:k], p) == _rank_mod(matrix[:k], p)
+            assert count == _modular_rank(matrix[:k], p) == _rank_mod(matrix[:k], p)
 
     @given(_int_matrices(), st.integers(0, 6))
     def test_certified_rank_never_exceeds_its_bound(self, matrix, bound):
         exact = oracles.gaussian_rank(matrix)
         if exact > bound:
             with pytest.raises(AssertionError):
-                certified_rank(matrix, upper_bound=bound)
+                certified_ranks(matrix, [(len(matrix), bound)])
         else:
-            rank, _ = certified_rank(matrix, upper_bound=bound)
+            rank, _ = certified_ranks(matrix, [(len(matrix), bound)])[0]
             assert rank == exact <= bound
 
 
