@@ -1,11 +1,13 @@
 """Exact verification of the incidence-matrix lemmas and the classification.
 
 H is the n! x (n-1)^2 matrix whose (pi, (i,j)) entry is 1 when pi(i) = j,
-both coordinates running over 1..n-1.  Its Gram matrix has a closed form; its
-derangement rows split into a full-column-rank block M and a zero block; the
-kernel of [M | ones] is one-dimensional.  Together these pin down every
-maximum independent set of the derangement graph as a point-stabilizing
-family, which classify_maximum_sets re-derives set by set.
+both coordinates running over 1..n-1; it is held as the one-positions of each
+row, and every product and Gram matrix reads those.  Its Gram matrix has a
+closed form; its derangement rows split into a full-column-rank block M and a
+zero block; the kernel of [M | ones] is one-dimensional.  Together these pin
+down every maximum independent set of the derangement graph as a
+point-stabilizing family.  classify_maximum_sets certifies once that [H | ones]
+has full column rank and then checks each set's predicted coordinates.
 """
 
 from __future__ import annotations
@@ -42,12 +44,12 @@ rank = linalg.bareiss_rank
 class IncidenceH:
     """Position-value incidence matrix over 1..n-1, rows in permutation-rank order.
 
-    ones[r] lists the columns where row r is 1; there are at most n-1.
+    ones[r] lists, in increasing order, the columns where row r is 1; there
+    are at most n-1.
     """
 
     n: int
     columns: tuple[tuple[int, int], ...]
-    rows: tuple[tuple[int, ...], ...]
     ones: tuple[tuple[int, ...], ...]
 
 
@@ -58,18 +60,22 @@ def build_H(n: int) -> IncidenceH:
             f"incidence matrices are supported for 2 <= n <= {MAX_INCIDENCE_DEGREE}"
         )
     columns = tuple((i, j) for i in range(1, n) for j in range(1, n))
-    width = (n - 1) ** 2
     ones = tuple(
         tuple((i - 1) * (n - 1) + j - 1 for i, j in enumerate(images[:-1], 1) if j < n)
         for images in itertools.permutations(range(1, n + 1))
     )
+    return IncidenceH(n=n, columns=columns, ones=ones)
+
+
+def _dense_rows(ones_rows, width: int) -> list[list[int]]:
+    """The 0/1 rows whose one-positions are given."""
     rows = []
-    for positions in ones:
+    for ones in ones_rows:
         row = [0] * width
-        for idx in positions:
+        for idx in ones:
             row[idx] = 1
-        rows.append(tuple(row))
-    return IncidenceH(n=n, columns=columns, rows=tuple(rows), ones=ones)
+        rows.append(row)
+    return rows
 
 
 def expected_gram(n: int) -> list[list[int]]:
@@ -107,17 +113,16 @@ def gram_check(n: int) -> tuple[bool, list[list[int]]]:
 class BlockDecomposition:
     """Derangement rows of H split by diagonal vs off-diagonal columns.
 
-    N holds the full derangement rows, M their off-diagonal part (their
-    diagonal part is zero), and W the diagonal columns over all of S(n).
+    off_diagonal_ones[k] lists the one-positions of derangement row
+    derangement_ranks[k] as indices into off_diagonal_columns: that row of
+    the block M.  The diagonal part of a derangement row is zero.
     """
 
     n: int
     derangement_ranks: tuple[int, ...]
     diagonal_columns: tuple[tuple[int, int], ...]
     off_diagonal_columns: tuple[tuple[int, int], ...]
-    N: tuple[tuple[int, ...], ...]
-    M: tuple[tuple[int, ...], ...]
-    W: tuple[tuple[int, ...], ...]
+    off_diagonal_ones: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
@@ -126,33 +131,26 @@ def blocks(n: int) -> BlockDecomposition:
     diag = tuple(col for col in h.columns if col[0] == col[1])
     off = tuple(col for col in h.columns if col[0] != col[1])
     diag_idx = [h.columns.index(c) for c in diag]
-    off_idx = [h.columns.index(c) for c in off]
+    off_pos = {h.columns.index(c): k for k, c in enumerate(off)}
     der_ranks = []
     for r, images in enumerate(itertools.permutations(range(1, n + 1))):
         if all(images[i] != i + 1 for i in range(n)):
             der_ranks.append(r)
-    N = tuple(h.rows[r] for r in der_ranks)
-    M = tuple(tuple(row[c] for c in off_idx) for row in N)
-    W = tuple(tuple(row[c] for c in diag_idx) for row in h.rows)
-    for row in N:
-        if any(row[c] for c in diag_idx):
+    off_ones = []
+    for r in der_ranks:
+        if any(c not in off_pos for c in h.ones[r]):
             raise AssertionError("a derangement row meets a diagonal column")
-    for row in M:
-        if sum(row) != n - 2:
+        if len(h.ones[r]) != n - 2:
             raise AssertionError("an off-diagonal derangement row must have n-2 ones")
-    identity_row = h.rows[0]
-    if [identity_row[c] for c in diag_idx] != [1] * (n - 1) or any(
-        identity_row[c] for c in off_idx
-    ):
+        off_ones.append(tuple(off_pos[c] for c in h.ones[r]))
+    if list(h.ones[0]) != diag_idx:
         raise AssertionError("identity row must be all ones on the diagonal block")
     return BlockDecomposition(
         n=n,
         derangement_ranks=tuple(der_ranks),
         diagonal_columns=diag,
         off_diagonal_columns=off,
-        N=N,
-        M=M,
-        W=W,
+        off_diagonal_ones=tuple(off_ones),
     )
 
 
@@ -193,15 +191,16 @@ def pi_ab_submatrix(n: int):
         for j in range(1, n - 1):
             jp = (i + j - 1) % (n - 1) + 1
             column_order.append(dec.off_diagonal_columns.index((i, jp)))
-    h = build_H(n)
-    off_idx = [h.columns.index(c) for c in dec.off_diagonal_columns]
-    rows = []
-    for a in range(1, n):
-        for b in range(1, n - 1):
-            p = pi_ab(a, b, n)
-            full = h.rows[rank_permutation(p)]
-            m_row = [full[c] for c in off_idx]
-            rows.append([m_row[c] for c in column_order])
+    m_ones = dict(zip(dec.derangement_ranks, dec.off_diagonal_ones))
+    selected = [
+        m_ones[rank_permutation(pi_ab(a, b, n))]
+        for a in range(1, n)
+        for b in range(1, n - 1)
+    ]
+    rows = [
+        [m_row[c] for c in column_order]
+        for m_row in _dense_rows(selected, len(dec.off_diagonal_columns))
+    ]
     expected = linalg.kron(
         linalg.complete_graph_matrix(n - 1), linalg.identity_matrix(n - 2)
     )
@@ -215,11 +214,10 @@ def rank_M_check(n: int) -> tuple[int, bool]:
     the rank is recomputed from M directly as a cross-check.
     """
     dec = blocks(n)
-    cols = linalg.transpose(dec.M)
-    gram = linalg.gram_matrix(cols)
-    r = linalg.bareiss_rank(gram)
+    width = len(dec.off_diagonal_columns)
+    r = linalg.bareiss_rank(_incidence_gram(dec.off_diagonal_ones, width))
     if n <= 5:
-        direct = linalg.bareiss_rank([list(row) for row in dec.M])
+        direct = linalg.bareiss_rank(_dense_rows(dec.off_diagonal_ones, width))
         if direct != r:
             raise AssertionError("Gram rank disagrees with direct elimination")
     return r, r == (n - 1) * (n - 2)
@@ -230,8 +228,7 @@ def rank_H_check(n: int) -> tuple[int, bool]:
     _, gram = gram_check(n)
     r = linalg.bareiss_rank(gram)
     if n <= 5:
-        h = build_H(n)
-        direct = linalg.bareiss_rank([list(row) for row in h.rows])
+        direct = linalg.bareiss_rank(_dense_rows(build_H(n).ones, (n - 1) ** 2))
         if direct != r:
             raise AssertionError("Gram rank disagrees with direct elimination")
     return r, r == (n - 1) ** 2
@@ -241,17 +238,16 @@ def bordered_kernel_check(n: int):
     """Kernel of [M | ones] is spanned by (1, ..., 1, -(n-2)).
 
     The kernel is computed from the bordered Gram matrix, then every basis
-    vector is verified against the actual bordered matrix, exactly.
+    vector is verified against the actual bordered matrix, exactly.  Each
+    row of [M | ones] is read as its one-positions, the border being column
+    (n-1)(n-2).
     """
-    dec = blocks(n)
-    bordered = [list(row) + [1] for row in dec.M]
-    cols = linalg.transpose(bordered)
-    gram = linalg.gram_matrix(cols)
-    basis = linalg.kernel_basis(gram)
-    for vec in basis:
-        if any(sum(a * v for a, v in zip(row, vec)) != 0 for row in bordered):
-            raise AssertionError("Gram kernel vector is not in the matrix kernel")
     width = (n - 1) * (n - 2)
+    bordered = [ones + (width,) for ones in blocks(n).off_diagonal_ones]
+    basis = linalg.kernel_basis(_incidence_gram(bordered, width + 1))
+    for vec in basis:
+        if any(sum(map(vec.__getitem__, ones)) for ones in bordered):
+            raise AssertionError("Gram kernel vector is not in the matrix kernel")
     expected = [1] * width + [-(n - 2)]
     ok = len(basis) == 1 and _proportional(basis[0], expected)
     return basis, ok
@@ -268,9 +264,10 @@ def _proportional(u, v) -> bool:
 def kernel_membership_check(n: int, trials: int = 20, seed: int = 987) -> bool:
     """Random vectors in ker(N) are mapped by H into the span of W's columns.
 
-    ker(N) is found through N^T N (same kernel over the rationals), each basis
-    vector re-verified against N itself; membership of H y in the column span
-    of W is a rank comparison of bordered Gram matrices.  Every product with
+    N is the derangement rows of H and W its diagonal columns.  ker(N) is
+    found through N^T N (same kernel over the rationals), each basis vector
+    re-verified against N itself; membership of H y in the column span of W
+    is a rank comparison of bordered Gram matrices.  Every product with
     H or N reads the at most n-1 one-positions of each row, and W's Gram
     matrix is formed once, so a trial only adds its border W^T H y, |H y|^2.
     """
@@ -284,7 +281,8 @@ def kernel_membership_check(n: int, trials: int = 20, seed: int = 987) -> bool:
     for vec in basis:
         if any(sum(map(vec.__getitem__, ones)) for ones in n_ones):
             raise AssertionError("Gram kernel vector is not in ker(N)")
-    w_ones = [[d for d, v in enumerate(row) if v] for row in dec.W]
+    diag_pos = {h.columns.index(c): d for d, c in enumerate(dec.diagonal_columns)}
+    w_ones = [[diag_pos[c] for c in ones if c in diag_pos] for ones in h.ones]
     w_gram = _incidence_gram(w_ones, n - 1)
     w_rank = linalg.bareiss_rank(w_gram)
     w_support = [[r for r, ones in enumerate(w_ones) if d in ones] for d in range(n - 1)]
@@ -398,9 +396,13 @@ def basis_check(n: int) -> BasisCheckReport:
     Checks: each indicator minus ones/n has its whole weight on the
     standard-module eigenspace; the shifted vectors are linearly independent;
     the all-ones vector is outside their span; the count matches dim^2.
+    The shifted rows and the ones row form one int64 matrix, and one modular
+    rank profile gives both ranks, each capped by its row count.
     """
     if n > MAX_DENSE_DEGREE:
         raise DegreeRangeError(f"basis check needs degree at most {MAX_DENSE_DEGREE}")
+    import numpy as np
+
     gd = group_data(n)
     standard = (n - 1, 1)
     families = [family([(i, j)], n).members for i in range(1, n) for j in range(1, n)]
@@ -408,15 +410,15 @@ def basis_check(n: int) -> BasisCheckReport:
         support_set(supports) == (standard,)
         for supports in module_supports(families, n)
     )
-    vectors = []
-    for members in families:
-        indicator = [0] * gd.order
-        for p in members:
-            indicator[gd.rank_of(p)] = 1
-        vectors.append([n * v - 1 for v in indicator])  # scaled shift by ones/n
-    rank_shifted = linalg.bareiss_rank(vectors)
-    with_ones = vectors + [[1] * gd.order]
-    rank_with_ones = linalg.bareiss_rank(with_ones)
+    # n * indicator - ones, the shift by ones/n scaled by n, then the ones row
+    k = len(families)
+    rows = np.full((k + 1, gd.order), -1, dtype=np.int64)
+    rows[-1] = 1
+    for f, members in enumerate(families):
+        rows[f, [gd.rank_of(p) for p in members]] = n - 1
+    (rank_shifted, _), (rank_with_ones, _) = linalg.certified_ranks(
+        rows, [(k, k), (k + 1, k + 1)]
+    )
     dimension_match = (n - 1) ** 2 == dimension(standard) ** 2
     return BasisCheckReport(
         n=n,
@@ -454,22 +456,28 @@ class ClassificationReport:
 def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
     """Match every maximum independent set against the point families.
 
-    Each set is also translated to contain the identity and its indicator is
-    solved exactly against [H | ones]: stabilizing a point below n lands in
-    case 1 (a single diagonal column, coefficient 0); stabilizing the last
-    point lands in case 2 with ones coordinates and border coefficient
-    -(n-2).
+    Each set is also translated to contain the identity, and its indicator
+    is written exactly in the columns of [H | ones]: stabilizing a point
+    i < n is case 1 (the column (i,i), coefficient 0); stabilizing the last
+    point is case 2 (every column of H, border coefficient -(n-2)).  The
+    bordered Gram matrix of [H | ones] having full rank certifies, once per
+    call, that these coordinates are the only ones, so each set only checks
+    its predicted coordinates row by row on the one-positions of H.  A rank
+    deficit raises AssertionError; a prediction that fails marks the set as
+    a violation.
     """
     if search_result is None:
         search_result = max_independent_sets(n)
     gd = group_data(n)
     h = build_H(n)
+    width = (n - 1) ** 2
+    bordered = [ones + (width,) for ones in h.ones]
+    if linalg.bareiss_rank(_incidence_gram(bordered, width + 1)) != width + 1:
+        raise AssertionError("[H | ones] must have full column rank")
     families = {
         key: frozenset(gd.rank_of(p) for p in fam.members)
         for key, fam in all_point_families(n).items()
     }
-    h_with_ones = [list(row) + [1] for row in h.rows]
-    diag_cols = {h.columns.index((i, i)): i for i in range(1, n)}
     records = []
     violations = []
     for idx, members in enumerate(search_result.sets):
@@ -482,45 +490,23 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
             records.append(SetClassification(None, None, None, None, False))
             continue
         g_inv = inverse(members[0])
-        translated = sorted(compose(g_inv, p).images for p in members)
-        translated_ranks = [gd.index[images] for images in translated]
-        fixed = next(
-            key
-            for key, fam in families.items()
-            if fam == frozenset(translated_ranks)
-        )
-        indicator = [0] * gd.order
-        for r in translated_ranks:
-            indicator[r] = 1
-        solution = linalg.solve(h_with_ones, indicator)
-        if solution is None:
-            violations.append(idx)
-            records.append(SetClassification(family_key, fixed, None, None, False))
-            continue
-        coefficient = solution[-1]
-        body = solution[:-1]
-        if coefficient == 0:
-            case = 1
-            expect_col = h.columns.index((fixed[0], fixed[0]))
-            ok = (
-                fixed[0] == fixed[1] != n
-                and all(
-                    (v == 1) if k == expect_col else (v == 0)
-                    for k, v in enumerate(body)
-                )
+        translated = frozenset(gd.rank_of(compose(g_inv, p)) for p in members)
+        fixed = next(key for key, fam in families.items() if fam == translated)
+        if fixed[0] == fixed[1] < n:
+            case, body, coefficient = 1, [0] * width, 0
+            body[h.columns.index(fixed)] = 1
+        else:
+            case, body, coefficient = 2, [1] * width, -(n - 2)
+        if all(
+            sum(map(body.__getitem__, ones)) + coefficient == (r in translated)
+            for r, ones in enumerate(h.ones)
+        ):
+            records.append(
+                SetClassification(family_key, fixed, case, Fraction(coefficient), True)
             )
         else:
-            case = 2
-            ok = (
-                fixed == (n, n)
-                and coefficient == Fraction(-(n - 2))
-                and all(v == 1 for v in body)
-            )
-        if not ok:
             violations.append(idx)
-        records.append(
-            SetClassification(family_key, fixed, case, coefficient, ok)
-        )
+            records.append(SetClassification(family_key, fixed, None, None, False))
     return ClassificationReport(
         n=n,
         alpha=search_result.alpha,

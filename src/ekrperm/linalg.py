@@ -2,11 +2,10 @@
 
 Matrices are lists of equal-length rows with int or Fraction entries.  One
 fraction-free Gauss-Jordan elimination (Bareiss's integer-preserving scheme,
-carried above the pivots as well as below) serves rank, kernel and solve: it
-scales each row to integers, keeps every entry an integer throughout, and
-returns the reduced row echelon form as an integer matrix over one common
-denominator.  A Fraction appears only when solve hands back its answer.  A
-fast modular elimination (exact integer arithmetic mod a prime) provides
+carried above the pivots as well as below) serves rank and kernel: it scales
+each row to integers, keeps every entry an integer throughout, and returns
+the reduced row echelon form as an integer matrix over one common
+denominator.  A fast modular elimination (exact integer arithmetic mod a prime) provides
 certified rank lower bounds for every leading block of rows of a large
 integer matrix at once.
 """
@@ -101,19 +100,6 @@ def kernel_basis(rows) -> list[list[int]]:
             if sum(a * b for a, b in zip(row, vec)) != 0:
                 raise AssertionError("kernel vector fails the defining equations")
     return basis
-
-
-def solve(rows, rhs) -> list[Fraction] | None:
-    """One exact solution of rows * x = rhs, or None when inconsistent."""
-    augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
-    n_cols = len(rows[0])
-    m, pivots, d = rref(augmented)
-    if n_cols in pivots:
-        return None
-    x = [Fraction(0)] * n_cols
-    for r, col in enumerate(pivots):
-        x[col] = Fraction(m[r][n_cols], d)
-    return x
 
 
 def transpose(rows) -> list[list]:

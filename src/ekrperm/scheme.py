@@ -393,9 +393,15 @@ class CliqueCocliqueReport:
 def clique_coclique_check(
     clique, independent, n: int, t: int = 0
 ) -> CliqueCocliqueReport:
-    """Validate both families and evaluate |C| * |S| <= n! with exact arithmetic."""
+    """Validate both families and evaluate |C| * |S| <= n! with exact arithmetic.
+
+    A member of either family whose degree is not n raises ValueError.
+    """
     clique = _check_pairwise(clique, t, want_clique=True)
     independent = _check_pairwise(independent, t, want_clique=False)
+    for p in clique + independent:
+        if p.degree != n:
+            raise ValueError(f"member {p} has degree {p.degree}, not {n}")
     product = len(clique) * len(independent)
     bound = factorial(n)
     tight = product == bound

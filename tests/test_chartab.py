@@ -8,8 +8,11 @@ is shared with the package.
 import csv
 import io
 import math
+from functools import lru_cache
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ekrperm.chartab import (
     MAX_TABLE_DEGREE,
@@ -82,6 +85,11 @@ class TestShapeHelpers:
             assert dimension(conjugate_partition(s)) == dimension(s)
 
 
+@lru_cache(maxsize=None)
+def _oracle_table(n):
+    return oracles.brute_force_character_table(n)
+
+
 class TestCharacterValues:
     def test_frozen_degree_four_table(self):
         classes = partitions_of(4)
@@ -104,6 +112,15 @@ class TestCharacterValues:
         oracle = oracles.brute_force_character_table(5)
         for shape, row in oracle.items():
             assert TABLE_5[shape] == row
+
+    @given(st.data())
+    def test_random_values_match_oracle_through_degree_six(self, data):
+        n = data.draw(st.integers(1, 6))
+        classes = oracles.partitions_reverse_lex(n)
+        shape = data.draw(st.sampled_from(classes))
+        cycles = data.draw(st.sampled_from(classes))
+        expected = dict(zip(classes, _oracle_table(n)[shape]))[cycles]
+        assert character_value(shape, cycles) == expected
 
     def test_trivial_character_is_constant_one(self):
         for n in range(1, 8):

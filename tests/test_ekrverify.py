@@ -1,6 +1,7 @@
 """Incidence matrix of position-value pairs: Gram identity, ranks, kernels,
 module supports, and the classification of maximum intersecting families."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ekrperm import linalg, scheme
+from ekrperm import ekrverify, linalg, scheme
 from ekrperm.ekrverify import (
     MAX_INCIDENCE_DEGREE,
+    SetClassification,
     basis_check,
     blocks,
     bordered_kernel_check,
@@ -30,13 +32,14 @@ from ekrperm.ekrverify import (
     support_set,
 )
 from ekrperm.errors import DegreeRangeError
-from ekrperm.graphs import all_point_families, family
+from ekrperm.graphs import all_point_families, family, max_independent_sets
 from ekrperm.linalg import bareiss_rank, kron
 from ekrperm.permgroup import (
     all_permutations,
     compose,
     fixed_points,
     identity,
+    inverse,
     parse_cycles,
     parse_one_line,
     rank_permutation,
@@ -60,6 +63,13 @@ SUBMATRIX_4 = [
     [0, 1, 0, 1, 0, 0],
 ]
 
+
+def _rows(h):
+    """H as dense 0/1 rows, built from its one-positions."""
+    width = len(h.columns)
+    return [[int(k in ones) for k in range(width)] for ones in h.ones]
+
+
 PI_AB_CYCLES_4 = {
     (1, 1): "(1,4,2,3)",
     (1, 2): "(1,4,3,2)",
@@ -73,8 +83,9 @@ PI_AB_CYCLES_4 = {
 class TestIncidenceMatrix:
     def test_shape_and_column_order(self):
         h = build_H(4)
-        assert len(h.rows) == 24
-        assert all(len(row) == 9 for row in h.rows)
+        assert len(h.ones) == 24
+        assert all(all(0 <= k < 9 for k in ones) for ones in h.ones)
+        assert all(list(ones) == sorted(set(ones)) for ones in h.ones)
         assert h.columns[0] == (1, 1)
         assert h.columns == tuple(
             (i, j) for i in range(1, 4) for j in range(1, 4)
@@ -82,7 +93,7 @@ class TestIncidenceMatrix:
 
     def test_identity_row(self):
         h = build_H(4)
-        row = h.rows[rank_permutation(identity(4))]
+        row = _rows(h)[rank_permutation(identity(4))]
         ones = {h.columns[k] for k, v in enumerate(row) if v}
         assert ones == {(1, 1), (2, 2), (3, 3)}
 
@@ -90,7 +101,7 @@ class TestIncidenceMatrix:
         # pi = (1,4,2,3) sends 1 to 4 and 4 to 2, so only two pairs remain
         h = build_H(4)
         p = parse_one_line("4,3,1,2")
-        row = h.rows[rank_permutation(p)]
+        row = _rows(h)[rank_permutation(p)]
         ones = {h.columns[k] for k, v in enumerate(row) if v}
         assert ones == {(2, 3), (3, 1)}
 
@@ -98,13 +109,13 @@ class TestIncidenceMatrix:
         # each position-value pair is hit by (n-1)! permutations
         h = build_H(4)
         for idx in range(len(h.columns)):
-            assert sum(row[idx] for row in h.rows) == 6
+            assert sum(row[idx] for row in _rows(h)) == 6
 
     def test_row_weights(self):
         # n-1 pairs when the last point is fixed, otherwise n-2
         h = build_H(5)
         perms = list(all_permutations(5))
-        for p, row in zip(perms, h.rows):
+        for p, row in zip(perms, _rows(h)):
             expected = (5 - 1) if p(5) == 5 else 5 - 2
             hits = sum(
                 1 for i in range(1, 5) if p(i) <= 4
@@ -143,24 +154,33 @@ class TestGramIdentity:
 class TestBlocks:
     def test_degree_four_shapes(self):
         dec = blocks(4)
-        assert len(dec.N) == 9 and all(len(r) == 9 for r in dec.N)
-        assert len(dec.M) == 9 and all(len(r) == 6 for r in dec.M)
-        assert len(dec.W) == 24 and all(len(r) == 3 for r in dec.W)
+        assert len(dec.diagonal_columns) == 3
+        assert len(dec.off_diagonal_columns) == 6
+        assert len(dec.off_diagonal_ones) == 9
+        assert all(all(0 <= k < 6 for k in ones) for ones in dec.off_diagonal_ones)
         assert len(dec.derangement_ranks) == 9
 
     def test_derangement_rows_avoid_diagonal(self):
         dec = blocks(5)
-        assert all(all(v == 0 for v in row) for row in dec.N) is False
-        # N holds only off-diagonal column restrictions of derangements, so
+        # M holds only off-diagonal column restrictions of derangements, so
         # the diagonal block of a derangement row must vanish
         h = build_H(5)
+        rows = _rows(h)
+        assert any(any(rows[r]) for r in dec.derangement_ranks)
         diag_cols = [h.columns.index((i, i)) for i in range(1, 5)]
         for r in dec.derangement_ranks:
-            assert all(h.rows[r][c] == 0 for c in diag_cols)
+            assert all(rows[r][c] == 0 for c in diag_cols)
 
     def test_off_diagonal_row_weight(self):
         dec = blocks(4)
-        assert all(sum(row) == 2 for row in dec.M)
+        assert all(len(ones) == 2 for ones in dec.off_diagonal_ones)
+        # each entry is the off-diagonal part of the matching dense row of H
+        h = build_H(4)
+        rows = _rows(h)
+        off_cols = [h.columns.index(c) for c in dec.off_diagonal_columns]
+        for r, ones in zip(dec.derangement_ranks, dec.off_diagonal_ones):
+            row = rows[r]
+            assert [k for k, c in enumerate(off_cols) if row[c]] == list(ones)
 
 
 class TestReorderedSubmatrix:
@@ -212,7 +232,7 @@ class TestRanks:
 
     def test_rank_H_agrees_with_direct_elimination(self):
         h = build_H(4)
-        assert bareiss_rank(h.rows) == 9
+        assert bareiss_rank(_rows(h)) == 9
 
 
 class TestKernels:
@@ -330,6 +350,14 @@ class TestBasisCheck:
         assert report.rank_shifted == 16
         assert report.rank_with_ones == 17
 
+    def test_undershooting_profile_falls_back_to_elimination(self, monkeypatch):
+        real = linalg.rank_profile_mod_p
+        monkeypatch.setattr(
+            linalg, "rank_profile_mod_p", lambda rows, p: real(rows, p)[1:]
+        )
+        report = basis_check(4)
+        assert (report.rank_shifted, report.rank_with_ones) == (9, 10)
+
 
 class TestClassification:
     def test_degree_four(self):
@@ -352,6 +380,100 @@ class TestClassification:
         report = classify_maximum_sets(3)
         assert report.total_sets == 9
         assert report.all_canonical
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_records_are_the_unique_dense_solutions(self, n):
+        gd = group_data(n)
+        h = build_H(n)
+        width = len(h.columns)
+        families = all_point_families(n)
+        found = max_independent_sets(n)
+        report = classify_maximum_sets(n, found)
+        assert len(report.records) == len(found.sets) == n * n
+        for members, record in zip(found.sets, report.records):
+            point_set = families[record.family_key].members
+            assert {gd.rank_of(p) for p in members} == {gd.rank_of(p) for p in point_set}
+            translated = {gd.rank_of(compose(inverse(members[0]), p)) for p in members}
+            target = families[record.translated_to].members
+            assert translated == {gd.rank_of(p) for p in target}
+            augmented = [
+                row + [1, int(r in translated)] for r, row in enumerate(_rows(h))
+            ]
+            m, pivots, d = linalg.rref(augmented)
+            # every column of [H | ones] is a pivot and the right-hand side is
+            # not: the system is consistent and its solution unique
+            assert pivots == list(range(width + 1))
+            solution = [Fraction(m[r][width + 1], d) for r in range(width + 1)]
+            coefficient = solution[-1]
+            case = 1 if coefficient == 0 else 2
+            assert record == SetClassification(
+                record.family_key, record.translated_to, case, coefficient, True
+            )
+            if case == 1:
+                i = record.translated_to[0]
+                assert solution[:-1] == [int(c == (i, i)) for c in h.columns]
+            else:
+                assert solution[:-1] == [1] * width
+
+    def test_doctored_search_result_flags_that_set(self):
+        # Cameron-Ku: no intersecting family of size (n-1)! is outside the
+        # point families, so the stand-in has the size but not independence.
+        found = max_independent_sets(4)
+        k = 5
+        members = list(found.sets[k])
+        outsider = next(p for p in all_permutations(4) if p not in members)
+        sets = list(found.sets)
+        sets[k] = tuple(members[:-1] + [outsider])
+        report = classify_maximum_sets(4, dataclasses.replace(found, sets=tuple(sets)))
+        assert report.violations == (k,)
+        assert report.records[k] == SetClassification(None, None, None, None, False)
+        assert all(r.coordinates_ok for i, r in enumerate(report.records) if i != k)
+
+    def test_failed_prediction_is_a_violation(self, monkeypatch):
+        # with two catalogue entries swapped, the sets translated onto them
+        # get the other point's column predicted, which the rows refute
+        found = max_independent_sets(4)
+        real = all_point_families(4)
+        swapped = dict(real)
+        swapped[(1, 1)], swapped[(2, 2)] = real[(2, 2)], real[(1, 1)]
+        monkeypatch.setattr(ekrverify, "all_point_families", lambda n: swapped)
+        report = classify_maximum_sets(4, found)
+        assert report.violations
+        for idx, record in enumerate(report.records):
+            if idx in report.violations:
+                assert record.translated_to in {(1, 1), (2, 2)}
+                assert (record.case, record.recovered_coefficient) == (None, None)
+                assert not record.coordinates_ok
+            else:
+                assert record.coordinates_ok
+
+    def test_rank_deficient_certificate_raises(self, monkeypatch):
+        found = max_independent_sets(4)
+        real = ekrverify._incidence_gram
+
+        def deficient(ones_rows, width):
+            gram = real(ones_rows, width)
+            for row in gram:
+                row[-1] = 0
+            gram[-1] = [0] * width
+            return gram
+
+        monkeypatch.setattr(ekrverify, "_incidence_gram", deficient)
+        with pytest.raises(AssertionError):
+            classify_maximum_sets(4, found)
+
+    def test_eliminates_no_more_rows_than_the_certificate(self, monkeypatch):
+        n = 5
+        real = linalg.rref
+        heights = []
+
+        def recording(rows):
+            heights.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(linalg, "rref", recording)
+        assert classify_maximum_sets(n).all_canonical
+        assert heights and max(heights) <= (n - 1) ** 2 + 1
 
     def test_translation_moves_families_to_families(self):
         # left-multiplying a point family gives another point family

@@ -4,6 +4,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ekrperm.permgroup import (
     ClassInfo,
@@ -93,6 +95,17 @@ class TestRanking:
     def test_round_trip_degree_seven(self):
         for rank in (0, 1, 1000, math.factorial(7) - 1):
             assert rank_permutation(unrank_permutation(rank, 7)) == rank
+
+    @given(st.data())
+    def test_round_trips_through_degree_nine(self, data):
+        n = data.draw(st.integers(1, 9))
+        rank = data.draw(st.integers(0, math.factorial(n) - 1))
+        p = unrank_permutation(rank, n)
+        assert sorted(p.images) == list(range(1, n + 1))
+        assert rank_permutation(p) == rank
+        images = data.draw(st.permutations(range(1, n + 1)))
+        q = Permutation(tuple(images))
+        assert unrank_permutation(rank_permutation(q), n) == q
 
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):

@@ -305,6 +305,14 @@ class TestCliqueCoclique:
                 [identity(4), parse_one_line("2,1,3,4")], [identity(4)], 4
             )
 
+    def test_rejects_members_of_another_degree(self):
+        with pytest.raises(ValueError):
+            clique_coclique_check(
+                latin_clique(3).members, family([(1, 1)], 4).members, 5, 0
+            )
+        with pytest.raises(ValueError):
+            clique_coclique_check([identity(4)], [identity(4)], 5)
+
     def test_rejects_intersecting_pair_as_independent(self):
         derangement = parse_one_line("2,1,4,3")
         with pytest.raises(FamilyValidationError):
