@@ -2,7 +2,8 @@
 
 Character values are computed by the Murnaghan-Nakayama border-strip
 recursion, memoized on (shape, remaining cycle lengths).  Dimensions come from
-the hook length formula.  Everything is an exact Python integer.
+the hook length formula, and the skew counts f^{shape/(m)} by removing one
+corner at a time, memoized on the shape.  Everything is an exact integer.
 """
 
 from __future__ import annotations
@@ -10,12 +11,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from .errors import DegreeRangeError
-from .permgroup import CycleType, Partition, partitions_of
+from .permgroup import CycleType, Partition, class_size, partitions_of
 
 # Table sizes grow like the partition count; the recursion is fine well past
 # this, but larger degrees are outside the tested envelope.
@@ -47,6 +47,30 @@ def dimension(shape: Partition) -> int:
         for h in row:
             product *= h
     return factorial(n) // product
+
+
+@lru_cache(maxsize=None)
+def _skew_row_counts(shape: Partition) -> tuple[int, ...]:
+    if len(shape) <= 1:  # every filling of one row is standard
+        return (1,) * (sum(shape) + 1)
+    counts = [0] * (shape[0] + 1)
+    for i, part in enumerate(shape):
+        if i + 1 == len(shape) or shape[i + 1] < part:  # a corner ends row i
+            smaller = tuple(p for p in shape[:i] + (part - 1,) + shape[i + 1 :] if p)
+            # removable while smaller still contains (m): the range of its counts
+            for m, count in enumerate(_skew_row_counts(smaller)):
+                counts[m] += count
+    return tuple(counts)
+
+
+def skew_row_tableaux(shape: Partition) -> tuple[int, ...]:
+    """f^{shape/(m)}, the standard tableaux of shape less m cells of row 1.
+
+    Entry m for m = 0..shape[0], so entry 0 is dim(shape); 0 for larger m.
+    """
+    if shape:
+        _validate_shape(shape)
+    return _skew_row_counts(tuple(shape))
 
 
 def _validate_shape(shape: Partition) -> None:
@@ -144,8 +168,6 @@ def character_table(n: int) -> CharacterTable:
 
 def check_row_orthogonality(table: CharacterTable) -> bool:
     """First orthogonality relation, exactly, for every pair of rows."""
-    from .permgroup import class_size
-
     order = factorial(table.n)
     sizes = [class_size(ct) for ct in table.partitions]
     for a, row_a in enumerate(table.values):
@@ -158,16 +180,13 @@ def check_row_orthogonality(table: CharacterTable) -> bool:
 
 def check_column_orthogonality(table: CharacterTable) -> bool:
     """Second orthogonality relation, exactly, for every pair of columns."""
-    from .permgroup import class_size
-
     order = factorial(table.n)
     sizes = [class_size(ct) for ct in table.partitions]
     k = len(table.partitions)
     for a in range(k):
         for b in range(k):
             total = sum(row[a] * row[b] for row in table.values)
-            expected = Fraction(order, sizes[a]) if a == b else 0
-            if Fraction(total) != expected:
+            if total * sizes[a] != (order if a == b else 0):
                 return False
     return True
 

@@ -102,15 +102,6 @@ def kernel_basis(rows) -> list[list[int]]:
     return basis
 
 
-def transpose(rows) -> list[list]:
-    return [list(col) for col in zip(*rows)]
-
-
-def gram_matrix(rows) -> list[list[int]]:
-    """rows * rows^T for integer rows; rank(gram) = rank(rows) over the rationals."""
-    return [[sum(a * b for a, b in zip(r1, r2)) for r2 in rows] for r1 in rows]
-
-
 def kron(a, b) -> list[list[int]]:
     out = []
     for row_a in a:

@@ -2,8 +2,9 @@
 
 The scheme on S(n) has one class per cycle type; the common eigenspaces are
 the isotypic components of the group algebra, one per partition of n, with
-dimension dim(shape)^2.  Eigenvalues of a class graph are
-size * chi(class) / chi(1), which are always integers here (enforced).
+dimension dim(shape)^2.  dim * eig_t(shape) is an inclusion-exclusion over
+fixed points of skew tableau counts (union_spectrum), with no sum over
+classes; the division by dim must be exact (enforced).
 
 Vectors over the group are lists indexed by permutation rank.  Projections
 onto an eigenspace are computed as convolutions with the character, grouped
@@ -16,14 +17,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, prod
+from math import comb, factorial, prod
 from operator import mul
 
-from .chartab import character_table, character_value, dimension
+from .chartab import character_table, dimension, skew_row_tableaux
 from .errors import DegreeRangeError, FamilyValidationError
 from .linalg import scaled_integers
 from .permgroup import (
-    ClassInfo,
     Partition,
     Permutation,
     classes_with_few_fixed_points,
@@ -164,18 +164,6 @@ def group_data(n: int) -> GroupData:
     return GroupData(n)
 
 
-def class_eigenvalue(shape: Partition, cls: ClassInfo) -> int:
-    """Eigenvalue of the class graph on the eigenspace of shape; always an integer."""
-    value = Fraction(
-        cls.size * character_value(shape, cls.cycle_type), dimension(shape)
-    )
-    if value.denominator != 1:
-        raise AssertionError(
-            f"class eigenvalue is not an integer: shape {shape}, class {cls.cycle_type}"
-        )
-    return int(value)
-
-
 @dataclass(frozen=True)
 class SchemeSpectrum:
     """Spectrum of a union of class graphs, one eigenvalue per partition."""
@@ -201,17 +189,34 @@ class SchemeSpectrum:
 
 
 def union_spectrum(n: int, t: int = 0) -> SchemeSpectrum:
-    """Spectrum of the graph joining permutations that agree in at most t points."""
+    """Spectrum of the graph joining permutations that agree in at most t points.
+
+    The characters of the permutations fixing a given k-set sum to
+    (n-k)! f^{shape/(n-k)}, so by inclusion-exclusion over the fixed points
+    dim * eig_t(shape) = sum_{f <= t} sum_{k >= f} (-1)^(k-f) C(k, f)
+    (n!/k!) f^{shape/(n-k)}.  A nonzero remainder of the division by dim, or
+    a trivial eigenvalue that differs from the valency summed over class
+    sizes, raises AssertionError.
+    """
     if not 0 <= t < n:
         raise ValueError(f"need 0 <= t < n, got t={t}, n={n}")
-    selected = classes_with_few_fixed_points(n, t)
-    valency = sum(cls.size for cls in selected)
+    valency = sum(cls.size for cls in classes_with_few_fixed_points(n, t))
     parts = tuple(cls.cycle_type for cls in conjugacy_classes(n))
-    eigenvalues = []
-    multiplicities = []
+    # weights[m]: the coefficient of f^{shape/(m)}, for k = n - m fixed points
+    weights = [
+        sum((-1) ** (k - f) * comb(k, f) for f in range(min(t, k) + 1))
+        * (factorial(n) // factorial(k))
+        for k in range(n, -1, -1)
+    ]
+    eigenvalues, multiplicities = [], []
     for shape in parts:
-        eigenvalues.append(sum(class_eigenvalue(shape, cls) for cls in selected))
-        multiplicities.append(dimension(shape) ** 2)
+        dim = dimension(shape)
+        total = sum(map(mul, weights, skew_row_tableaux(shape)))
+        eigenvalue, remainder = divmod(total, dim)
+        if remainder:
+            raise AssertionError(f"eigenvalue of {shape} is not an integer")
+        eigenvalues.append(eigenvalue)
+        multiplicities.append(dim**2)
     if sum(multiplicities) != factorial(n):
         raise AssertionError("eigenspace dimensions do not add up to n!")
     if eigenvalues[0] != valency:  # trivial eigenspace carries the valency

@@ -7,6 +7,7 @@ is shared with the package.
 
 import csv
 import io
+import itertools
 import math
 from functools import lru_cache
 
@@ -25,6 +26,7 @@ from ekrperm.chartab import (
     dimension,
     hook_lengths,
     n_cycle_character,
+    skew_row_tableaux,
     table_to_csv,
 )
 from ekrperm.errors import DegreeRangeError
@@ -83,6 +85,48 @@ class TestShapeHelpers:
     def test_conjugate_flips_dimension_invariantly(self):
         for s in partitions_of(6):
             assert dimension(conjugate_partition(s)) == dimension(s)
+
+
+def _horizontal_strip_removals(shape, m):
+    """The mu with shape/mu a horizontal strip of m cells.
+
+    These are the mu with shape[i+1] <= mu[i] <= shape[i] and m cells fewer.
+    """
+    below = tuple(shape[1:]) + (0,)
+    for mu in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(below, shape))):
+        if sum(shape) - sum(mu) == m:
+            yield tuple(part for part in mu if part)
+
+
+class TestSkewRowTableaux:
+    def test_small_shapes_by_hand(self):
+        assert skew_row_tableaux(()) == (1,)
+        assert skew_row_tableaux((4,)) == (1, 1, 1, 1, 1)
+        assert skew_row_tableaux((3, 1)) == (3, 3, 2, 1)
+        assert skew_row_tableaux((2, 2)) == (2, 2, 1)
+
+    def test_pieri_sum_through_degree_eight(self):
+        # f^{shape/(m)} = sum of f^mu over mu with shape/mu a horizontal m-strip
+        for n in range(1, 9):
+            for shape in partitions_of(n):
+                counts = skew_row_tableaux(shape)
+                for m in range(n + 1):
+                    pieri = sum(
+                        dimension(mu) if mu else 1
+                        for mu in _horizontal_strip_removals(shape, m)
+                    )
+                    count = counts[m] if m < len(counts) else 0
+                    assert count == pieri, (shape, m)
+                    assert (count == 0) == (shape[0] < m), (shape, m)
+
+    def test_first_entry_is_the_dimension(self):
+        for n in range(1, 11):
+            for shape in partitions_of(n):
+                assert skew_row_tableaux(shape)[0] == dimension(shape)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            skew_row_tableaux((1, 2))
 
 
 @lru_cache(maxsize=None)

@@ -71,6 +71,15 @@ class TestCommands:
         assert by_partition["4,1"]["multiplicity"] == "16"
         assert report["result"]["least"]["value"] == "-11"
 
+    def test_spectrum_at_the_top_threshold(self, capsys):
+        # t = n - 1 selects every class but the identity, the widest threshold
+        code, report, _ = run_json(capsys, "spectrum", "24", "--t", "23")
+        assert code == 0 and report["pass"] is True
+        assert [c["name"] for c in report["checks"] if c["pass"]] == [
+            "multiplicities-sum-to-order",
+            "trivial-eigenvalue-is-valency",
+        ]
+
     def test_bounds_tight_product(self, capsys):
         code, report, _ = run_json(capsys, "bounds", "4")
         assert code == 0

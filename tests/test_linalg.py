@@ -13,14 +13,12 @@ from ekrperm.linalg import (
     bareiss_rank,
     certified_ranks,
     complete_graph_matrix,
-    gram_matrix,
     identity_matrix,
     kernel_basis,
     kron,
     rank_profile_mod_p,
     rref,
     scaled_integers,
-    transpose,
 )
 
 import oracles
@@ -40,6 +38,15 @@ def _solve(rows, rhs):
 
 def _matvec(rows, vec):
     return [sum(a * b for a, b in zip(row, vec)) for row in rows]
+
+
+def transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def gram_matrix(rows):
+    """rows * rows^T for integer rows; rank(gram) = rank(rows) over the rationals."""
+    return [_matvec(rows, r) for r in rows]
 
 
 class TestRanks:

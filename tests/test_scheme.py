@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ekrperm.chartab import character_table, character_value, dimension
+from ekrperm import scheme
+from ekrperm.chartab import (
+    character_table,
+    character_value,
+    dimension,
+    skew_row_tableaux,
+)
 from ekrperm.errors import DegreeRangeError, FamilyValidationError
 from ekrperm.graphs import affine_clique, family, latin_clique
 from ekrperm.permgroup import (
@@ -29,7 +35,6 @@ from ekrperm.scheme import (
     MAX_GROUP_DEGREE,
     adjacency_apply,
     characteristic_vector,
-    class_eigenvalue,
     class_quadratic_forms,
     clique_coclique_check,
     fundamental_identity_check,
@@ -49,6 +54,14 @@ import oracles
 # follow from the frozen degree-5 character table by the quotient formula.
 SPECTRUM_4 = ((9, 1), (-3, 9), (3, 4), (1, 9), (-3, 1))
 SPECTRUM_5 = ((44, 1), (-11, 16), (4, 25), (4, 36), (-4, 25), (-1, 16), (4, 1))
+
+
+def class_eigenvalue(shape, cls):
+    """Eigenvalue of one class graph on the eigenspace of shape: |C| chi(C) / dim."""
+    chi = character_value(shape, cls.cycle_type)
+    value = Fraction(cls.size * chi, dimension(shape))
+    assert value.denominator == 1, (shape, cls.cycle_type)
+    return int(value)
 
 
 class TestClassEigenvalues:
@@ -119,6 +132,36 @@ class TestUnionSpectrum:
         s = union_spectrum(5, 1)
         assert s.valency == 89
         assert s.eigenvalue((5,)) == 89
+
+    def test_matches_class_sums_through_degree_ten(self):
+        for n in range(2, 11):
+            classes = conjugacy_classes(n)
+            for t in range(n):
+                selected = [c for c in classes if c.fixed_points <= t]
+                s = union_spectrum(n, t)
+                assert s.eigenvalues == tuple(
+                    sum(class_eigenvalue(c.cycle_type, cls) for cls in selected)
+                    for c in classes
+                ), (n, t)
+
+    def test_indivisible_skew_count_is_an_internal_failure(self, monkeypatch):
+        def off_by_one(shape):
+            counts = list(skew_row_tableaux(shape))
+            # shifts every total by the m = 0 weight (-1)^n, which dim (3, 1) = 3
+            # does not divide
+            counts[0] += 1
+            return tuple(counts)
+
+        monkeypatch.setattr(scheme, "skew_row_tableaux", off_by_one)
+        with pytest.raises(AssertionError, match="not an integer"):
+            union_spectrum(4, 0)
+
+    def test_derangement_eigenvalue_signs_alternate(self):
+        # Ku-Wales (JCTA 2010), Renteln (EJC 2007): sign (-1)^(n - shape[0])
+        for n in range(2, 21):
+            s = union_spectrum(n, 0)
+            for shape, ev in zip(s.partitions, s.eigenvalues):
+                assert ev != 0 and (ev > 0) == ((n - shape[0]) % 2 == 0), (shape, ev)
 
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
