@@ -301,28 +301,74 @@ def adjacency_apply(nums: list[int], n: int, t: int = 0) -> list[int]:
 
 
 def class_quadratic_forms(x, n: int) -> list[Fraction]:
-    """x^T A_C x for every class C, via pairs in the support of x."""
+    """x^T A_C x for every class C, from integer counts of support pairs.
+
+    Support members are sorted by value and labelled by level, the index of
+    their value among the distinct nonzero values of the scaled vector.  Only
+    the unordered pairs a < b are composed: perm(a)^-1 perm(b) and its inverse
+    share a cycle type, so each pair counts twice, and the diagonal adds
+    sum x_a^2 to the identity class.  A block of rows meets every later member
+    (its own triangle and the rectangle after it), and one integer bincount
+    over (level(a), level(b), class) counts its pairs.  The levels of a block
+    are contiguous ranges, so its table stays near BLOCK_PAIRS * classes
+    entries; the values enter once per nonzero entry, as Python ints.
+    """
+    import numpy as np
+
     gd = group_data(n)
     nums, denom = scaled_integers(x)
-    support = [j for j, v in enumerate(nums) if v]
-    acc = [0] * len(gd.classes)
-    for a, row in zip(support, _class_sums(gd, support, nums)):
-        acc = [total + nums[a] * v for total, v in zip(acc, row)]
+    if len(nums) != gd.order:
+        raise ValueError(f"vector length {len(nums)} != {gd.order}")
+    support = sorted((j for j, v in enumerate(nums) if v), key=nums.__getitem__)
+    values = sorted(set(nums[j] for j in support))
+    level_of = {v: i for i, v in enumerate(values)}
+    ranks = np.array(support, dtype=np.intp)
+    levels = np.array([level_of[nums[j]] for j in support], dtype=np.intp)
+    k, size = len(gd.classes), len(support)
+    acc = [0] * k
+    acc[gd.class_index[(1,) * n]] = sum(nums[j] * nums[j] for j in support)
+    start = 0
+    while start < size - 1:
+        stop = min(size - 1, start + max(1, BLOCK_PAIRS // (size - 1 - start)))
+        low = int(levels[start])
+        width = int(levels[-1]) + 1 - low  # levels of this and the later members
+        inner_a, inner_b = np.triu_indices(stop - start, 1)
+        parts = (
+            (inner_a + start, inner_b + start),  # pairs inside the block
+            (np.s_[start:stop, None], np.s_[stop:]),  # the block against later members
+        )
+        labels = np.concatenate([
+            (
+                ((levels[a] - low) * width + levels[b] - low) * k
+                + gd.quotient_classes(ranks[a], ranks[b])
+            ).ravel()
+            for a, b in parts
+        ])
+        counts = np.bincount(labels, minlength=(levels[stop - 1] + 1 - low) * width * k)
+        hit = np.flatnonzero(counts)
+        for label, count in zip(hit.tolist(), counts[hit].tolist()):
+            pair, c = divmod(label, k)
+            la, lb = divmod(pair, width)
+            acc[c] += 2 * count * values[low + la] * values[low + lb]
+        start = stop
     d2 = denom * denom
     return [Fraction(v, d2) for v in acc]
 
 
-def module_quadratic_form(
-    shape: Partition, qforms: list[Fraction], n: int
-) -> Fraction:
-    """x^T E x from the class quadratic forms; equals |E x|^2 since E is idempotent."""
-    gd = group_data(n)
-    chi = _character_row(shape, n)
-    total = sum(c * q for c, q in zip(chi, qforms))
-    value = Fraction(dimension(shape), gd.order) * total
-    if value < 0:
+def _character_sums(qforms, n: int) -> list[int]:
+    """chi_shape . qforms for every shape in class order, times one positive integer.
+
+    x^T E x = dim/n! * chi . q is the squared norm of E x, so a negative sum
+    raises AssertionError.
+    """
+    nums, _ = scaled_integers(qforms)
+    sums = [
+        sum(map(mul, _character_row(cls.cycle_type, n), nums))
+        for cls in group_data(n).classes
+    ]
+    if min(sums) < 0:
         raise AssertionError("idempotent quadratic form must be nonnegative")
-    return value
+    return sums
 
 
 def fundamental_identity_check(x, y, n: int, t: int = 0) -> tuple[Fraction, Fraction]:
@@ -330,24 +376,20 @@ def fundamental_identity_check(x, y, n: int, t: int = 0) -> tuple[Fraction, Frac
 
     Left: sum over classes (including the identity class) of
     x^T A_C x * y^T A_C y / (n! * |C|).  Right: sum over partitions of
-    x^T E x * y^T E y / dim^2.  The identity itself does not depend on t.
+    x^T E x * y^T E y / dim^2, which is (chi . q_x)(chi . q_y) / n!^2 since
+    x^T E x = dim/n! * chi . q_x.  Both sides are one integer sum over the
+    numerators of the two form vectors.  The identity does not depend on t.
     """
     if not 0 <= t < n:
         raise ValueError(f"need 0 <= t < n, got t={t}, n={n}")
     gd = group_data(n)
-    qx = class_quadratic_forms(x, n)
-    qy = class_quadratic_forms(y, n)
-    order = gd.order
-    lhs = sum(
-        (a * b) / (order * cls.size) for a, b, cls in zip(qx, qy, gd.classes)
-    )
-    rhs = Fraction(0)
-    for cls in gd.classes:
-        shape = cls.cycle_type
-        ex = module_quadratic_form(shape, qx, n)
-        ey = module_quadratic_form(shape, qy, n)
-        rhs += (ex * ey) / dimension(shape) ** 2
-    return Fraction(lhs), Fraction(rhs)
+    qx, dx = scaled_integers(class_quadratic_forms(x, n))
+    qy, dy = scaled_integers(class_quadratic_forms(y, n))
+    scale = gd.order * gd.order * dx * dy
+    # 1/(n! |C|) = (n!/|C|) / n!^2
+    lhs = sum(a * b * (gd.order // cls.size) for a, b, cls in zip(qx, qy, gd.classes))
+    rhs = sum(map(mul, _character_sums(qx, n), _character_sums(qy, n)))
+    return Fraction(lhs, scale), Fraction(rhs, scale)
 
 
 def characteristic_vector(members, n: int) -> list[int]:
@@ -415,19 +457,15 @@ def clique_coclique_check(
     if tight and n <= MAX_DENSE_DEGREE:
         x = characteristic_vector(clique, n)
         y = characteristic_vector(independent, n)
-        qx = class_quadratic_forms(x, n)
-        qy = class_quadratic_forms(y, n)
-        rows = []
-        corollary_ok = True
-        for cls in conjugacy_classes(n):
-            shape = cls.cycle_type
-            if shape == partitions_top(n):
-                continue
-            x_nonzero = module_quadratic_form(shape, qx, n) != 0
-            y_nonzero = module_quadratic_form(shape, qy, n) != 0
-            rows.append((shape, x_nonzero, y_nonzero))
-            if x_nonzero and y_nonzero:
-                corollary_ok = False
+        ex = _character_sums(class_quadratic_forms(x, n), n)
+        ey = _character_sums(class_quadratic_forms(y, n), n)
+        top = partitions_top(n)
+        rows = [
+            (cls.cycle_type, a > 0, b > 0)
+            for cls, a, b in zip(group_data(n).classes, ex, ey)
+            if cls.cycle_type != top
+        ]
+        corollary_ok = not any(a and b for _, a, b in rows)
         supports = tuple(rows)
     return CliqueCocliqueReport(
         n=n,

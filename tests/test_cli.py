@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from ekrperm import cli
+from ekrperm import cli, scheme
 from ekrperm.graphs import write_family
 from ekrperm.permgroup import identity, parse_one_line
+from test_scheme import negative_identity_forms
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +140,17 @@ class TestCommands:
         first = report["result"]["first_trial"]
         assert first["lhs"] == first["rhs"]
 
+    @pytest.mark.parametrize(
+        "seed, value", [("3", "922563233/25920"), ("2024", "3628860859/129600")]
+    )
+    def test_identity_check_first_trial_is_pinned(self, capsys, seed, value):
+        # seed-dependent, so the benchmark's golden reports do not record it
+        code, report, _ = run_json(
+            capsys, "identity-check", "6", "--trials", "1", "--seed", seed
+        )
+        assert code == 0
+        assert report["result"]["first_trial"] == {"lhs": value, "rhs": value}
+
     def test_quotient(self, capsys):
         code, report, _ = run_json(capsys, "quotient", "5")
         assert code == 0
@@ -175,6 +187,13 @@ class TestExitCodes:
         assert code == cli.EXIT_INTERNAL == 5
         assert out == ""
         assert err == "error: internal check failed: cosets overlap\n"
+
+    def test_negative_module_form_exits_internal(self, capsys, monkeypatch):
+        monkeypatch.setattr(scheme, "class_quadratic_forms", negative_identity_forms)
+        code, out, err = run_cli(capsys, "identity-check", "4", "--trials", "1")
+        assert code == cli.EXIT_INTERNAL == 5
+        assert out == ""
+        assert "nonnegative" in err
 
     def test_usage_error_from_bad_depth(self, capsys):
         code, _, err = run_cli(capsys, "conjecture", "5", "--t", "1", "--depth", "3")

@@ -45,11 +45,8 @@ from ekrperm.permgroup import (
     rank_permutation,
     unrank_permutation,
 )
-from ekrperm.scheme import (
-    class_quadratic_forms,
-    group_data,
-    module_quadratic_form,
-)
+from ekrperm.scheme import class_quadratic_forms, group_data
+from test_scheme import module_quadratic_form
 
 # Row pattern of the six reordered derangement rows at degree 4, columns
 # ordered (1,2),(1,3),(2,3),(2,1),(3,1),(3,2); checked off the worked

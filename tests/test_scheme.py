@@ -40,7 +40,6 @@ from ekrperm.scheme import (
     fundamental_identity_check,
     group_data,
     least_eigenvalue,
-    module_quadratic_form,
     partitions_top,
     project,
     ratio_bound,
@@ -62,6 +61,18 @@ def class_eigenvalue(shape, cls):
     value = Fraction(cls.size * chi, dimension(shape))
     assert value.denominator == 1, (shape, cls.cycle_type)
     return int(value)
+
+
+def module_quadratic_form(shape, qforms, n):
+    """x^T E x from the class quadratic forms; equals |E x|^2 since E is idempotent."""
+    total = sum(
+        character_value(shape, cls.cycle_type) * q
+        for cls, q in zip(conjugacy_classes(n), qforms)
+    )
+    value = Fraction(dimension(shape), math.factorial(n)) * total
+    if value < 0:
+        raise AssertionError("idempotent quadratic form must be nonnegative")
+    return value
 
 
 class TestClassEigenvalues:
@@ -269,7 +280,77 @@ class TestQuadraticForms:
         assert total == 4
 
 
+def _brute_force_forms(x, n):
+    """x^T A_C x by a double loop over every pair, typed by the oracle."""
+    perms = list(itertools.permutations(range(1, n + 1)))  # rank order
+    totals: dict[tuple[int, ...], Fraction] = {}
+    for a, p in enumerate(perms):
+        for b, q in enumerate(perms):
+            if x[a] and x[b]:
+                ct = _oracle_quotient_type(p, q)
+                totals[ct] = totals.get(ct, 0) + Fraction(x[a]) * x[b]
+    return [totals.get(cls.cycle_type, 0) for cls in conjugacy_classes(n)]
+
+
+_FORM_VECTOR_NAMES = ("zeros", "ones", "single", "negative", "fractions")
+
+
+def _form_vectors(n):
+    """Named vectors over S(n) that stress the support and the value levels."""
+    order = math.factorial(n)
+    rng = random.Random(n)
+    single = [0] * order
+    single[order // 2] = 5
+    return {
+        "zeros": [0] * order,
+        "ones": [1] * order,
+        "single": single,
+        "negative": [-rng.randint(1, 4) for _ in range(order)],
+        # close to one level per member
+        "fractions": [
+            Fraction(rng.randint(-99, 99), rng.randint(1, 7)) for _ in range(order)
+        ],
+    }
+
+
+class TestClassFormsAgainstDoubleLoop:
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("name", _FORM_VECTOR_NAMES)
+    def test_matches_brute_force(self, n, name):
+        x = _form_vectors(n)[name]
+        assert class_quadratic_forms(x, n) == _brute_force_forms(x, n)
+
+    def test_many_levels_span_many_blocks(self, monkeypatch):
+        # small blocks: every block has its own level range and triangle
+        monkeypatch.setattr(scheme, "BLOCK_PAIRS", 50)
+        for name, x in _form_vectors(5).items():
+            assert class_quadratic_forms(x, 5) == _brute_force_forms(x, 5), name
+
+    def test_fraction_vector_has_many_levels(self):
+        x = _form_vectors(5)["fractions"]
+        assert len(set(x) - {0}) > 60
+
+    @settings(max_examples=40)
+    @given(st.lists(st.integers(-6, 6), min_size=24, max_size=24))
+    def test_random_integer_vectors_at_degree_four(self, x):
+        assert class_quadratic_forms(x, 4) == _brute_force_forms(x, 4)
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            class_quadratic_forms([1] * 23, 4)
+
+
+def negative_identity_forms(x, n):
+    """Forms whose character sums are negative: -1 on the identity class only."""
+    return [-int(cls.cycle_type == (1,) * n) for cls in conjugacy_classes(n)]
+
+
 class TestFundamentalIdentity:
+    def test_negative_module_form_raises(self, monkeypatch):
+        monkeypatch.setattr(scheme, "class_quadratic_forms", negative_identity_forms)
+        with pytest.raises(AssertionError, match="nonnegative"):
+            fundamental_identity_check([1] * 24, [1] * 24, 4)
+
     def test_all_ones_frozen_value(self):
         ones = [1] * 24
         lhs, rhs = fundamental_identity_check(ones, ones, 4)
@@ -325,6 +406,22 @@ class TestCliqueCoclique:
         assert support[(3, 1)] == (False, True)
         for x_nonzero, y_nonzero in support.values():
             assert not (x_nonzero and y_nonzero)
+
+    def test_supports_match_module_forms(self):
+        clique, independent = latin_clique(4).members, family([(1, 1)], 4).members
+        qx = class_quadratic_forms(characteristic_vector(clique, 4), 4)
+        qy = class_quadratic_forms(characteristic_vector(independent, 4), 4)
+        report = clique_coclique_check(clique, independent, 4)
+        for shape, x_nonzero, y_nonzero in report.supports:
+            assert x_nonzero == (module_quadratic_form(shape, qx, 4) != 0)
+            assert y_nonzero == (module_quadratic_form(shape, qy, 4) != 0)
+
+    def test_negative_module_form_raises(self, monkeypatch):
+        monkeypatch.setattr(scheme, "class_quadratic_forms", negative_identity_forms)
+        with pytest.raises(AssertionError, match="nonnegative"):
+            clique_coclique_check(
+                latin_clique(4).members, family([(1, 1)], 4).members, 4
+            )
 
     def test_loose_pair_reports_no_supports(self):
         report = clique_coclique_check([identity(4)], [identity(4)], 4)
