@@ -14,12 +14,14 @@ traceback).  Reports are byte-identical across runs except for wall_time_s.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
 import time
 from fractions import Fraction
 from math import factorial
+from operator import eq
 from typing import NamedTuple
 
 from . import chartab, ekrverify, graphs, linalg, permgroup, scheme
@@ -79,10 +81,11 @@ def run_derangements(n: int):
             check("matches-class-size-sum", class_sum == count, value=exact(class_sum))
         )
     if n <= 8:
-        brute = 0
-        for p in permgroup.all_permutations(n):
-            if permgroup.fixed_points(p) == 0:
-                brute += 1
+        points = range(1, n + 1)
+        brute = sum(
+            not any(map(eq, images, points))
+            for images in itertools.permutations(points)
+        )
         checks.append(check("matches-brute-force", brute == count, value=exact(brute)))
     return {"n": n, "count": exact(count)}, checks
 
@@ -227,9 +230,12 @@ def run_clique(n: int, method: str):
 def run_search(n: int, t: int, workers: int, found=None):
     if found is None:
         found = graphs.max_independent_sets(n, t, workers=workers)
+    gd = scheme.group_data(n)
     distinct_families = {
-        frozenset(p.images for p in fam.members)
-        for fam in graphs.all_point_families(n).values()
+        frozenset(ranks.tolist())
+        for ranks in gd.constraint_ranks(
+            [((i, j),) for i in range(1, n + 1) for j in range(1, n + 1)]
+        )
     }
     checks = [
         check(
@@ -247,7 +253,7 @@ def run_search(n: int, t: int, workers: int, found=None):
         check(
             "all-sets-are-stabilizer-cosets",
             all(
-                frozenset(p.images for p in members) in distinct_families
+                frozenset(map(gd.rank_of, members)) in distinct_families
                 for members in found.sets
             ),
         ),

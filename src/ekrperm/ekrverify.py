@@ -23,12 +23,10 @@ from operator import mul
 from . import linalg
 from .chartab import character_table, dimension
 from .errors import DegreeRangeError
-from .graphs import Family, all_point_families, family, max_independent_sets
+from .graphs import max_independent_sets
 from .permgroup import (
     Partition,
     Permutation,
-    compose,
-    inverse,
     partition_depth,
     partitions_of,
     rank_permutation,
@@ -67,15 +65,20 @@ def build_H(n: int) -> IncidenceH:
     return IncidenceH(n=n, columns=columns, ones=ones)
 
 
+def _incidence_matrix(ones_rows, width: int):
+    """The 0/1 rows whose one-positions are given, as one int64 array."""
+    import numpy as np
+
+    lengths = np.array([len(ones) for ones in ones_rows], dtype=np.intp)
+    matrix = np.zeros((len(lengths), width), dtype=np.int64)
+    columns = np.fromiter(itertools.chain.from_iterable(ones_rows), dtype=np.intp)
+    matrix[np.repeat(np.arange(len(lengths)), lengths), columns] = 1
+    return matrix
+
+
 def _dense_rows(ones_rows, width: int) -> list[list[int]]:
     """The 0/1 rows whose one-positions are given."""
-    rows = []
-    for ones in ones_rows:
-        row = [0] * width
-        for idx in ones:
-            row[idx] = 1
-        rows.append(row)
-    return rows
+    return _incidence_matrix(ones_rows, width).tolist()
 
 
 def expected_gram(n: int) -> list[list[int]]:
@@ -93,14 +96,22 @@ def expected_gram(n: int) -> list[list[int]]:
 
 
 def _incidence_gram(ones_rows, width: int) -> list[list[int]]:
-    """G[a][b] = number of 0/1 rows, given by their one-positions, with 1s at a and b."""
-    gram = [[0] * width for _ in range(width)]
+    """G[a][b] = number of 0/1 rows, given by their one-positions, with 1s at a and b.
+
+    Rows with the same number of ones form one array, and one bincount over
+    a * width + b counts the ordered pairs of their one-positions.
+    """
+    import numpy as np
+
+    by_length: dict[int, list] = {}
     for ones in ones_rows:
-        for a in ones:
-            row = gram[a]
-            for b in ones:
-                row[b] += 1
-    return gram
+        by_length.setdefault(len(ones), []).append(ones)
+    counts = np.zeros(width * width, dtype=np.int64)
+    for rows in by_length.values():
+        cols = np.array(rows, dtype=np.intp).reshape(len(rows), -1)
+        pairs = cols[:, :, None] * width + cols[:, None, :]
+        counts += np.bincount(pairs.ravel(), minlength=width * width)
+    return counts.reshape(width, width).tolist()
 
 
 def gram_check(n: int) -> tuple[bool, list[list[int]]]:
@@ -267,10 +278,14 @@ def kernel_membership_check(n: int, trials: int = 20, seed: int = 987) -> bool:
     N is the derangement rows of H and W its diagonal columns.  ker(N) is
     found through N^T N (same kernel over the rationals), each basis vector
     re-verified against N itself; membership of H y in the column span of W
-    is a rank comparison of bordered Gram matrices.  Every product with
-    H or N reads the at most n-1 one-positions of each row, and W's Gram
-    matrix is formed once, so a trial only adds its border W^T H y, |H y|^2.
+    is a rank comparison of bordered Gram matrices.  A trial draws y as an
+    integer combination sum c_i b_i of the basis, so by linearity its border
+    W^T H y and its |H y|^2 = c^T B c are sums over the basis, with
+    W^T H b_i and B_ij = <H b_i, H b_j> read once per call off G = H^T H
+    (W^T H is G's rows at W's columns, W^T W the square block there).
     """
+    import numpy as np
+
     h = build_H(n)
     dec = blocks(n)
     width = (n - 1) ** 2
@@ -278,26 +293,25 @@ def kernel_membership_check(n: int, trials: int = 20, seed: int = 987) -> bool:
     basis = linalg.kernel_basis(_incidence_gram(n_ones, width))
     if len(basis) != width - (n - 1) * (n - 2):
         raise AssertionError("unexpected kernel dimension for the derangement rows")
-    for vec in basis:
-        if any(sum(map(vec.__getitem__, ones)) for ones in n_ones):
-            raise AssertionError("Gram kernel vector is not in ker(N)")
-    diag_pos = {h.columns.index(c): d for d, c in enumerate(dec.diagonal_columns)}
-    w_ones = [[diag_pos[c] for c in ones if c in diag_pos] for ones in h.ones]
-    w_gram = _incidence_gram(w_ones, n - 1)
+    # every derangement row has n-2 ones; N b as object sums keeps Python ints
+    cols = np.array(n_ones, dtype=np.intp)
+    if np.array(basis, dtype=object)[:, cols].sum(axis=2).any():
+        raise AssertionError("Gram kernel vector is not in ker(N)")
+    gram = _incidence_gram(h.ones, width)
+    diag = [h.columns.index(c) for c in dec.diagonal_columns]
+    w_gram = [[gram[a][b] for b in diag] for a in diag]
     w_rank = linalg.bareiss_rank(w_gram)
-    w_support = [[r for r, ones in enumerate(w_ones) if d in ones] for d in range(n - 1)]
+    g_basis = [[sum(map(mul, row, vec)) for row in gram] for vec in basis]
+    # borders[d][i] = (W^T H b_i)[d]; norms[i][j] = <H b_i, H b_j>
+    borders = [[gb[d] for gb in g_basis] for d in diag]
+    norms = [[sum(map(mul, vec, gb)) for gb in g_basis] for vec in basis]
     rng = random.Random(seed)
     for _ in range(trials):
         coeffs = [rng.randint(-9, 9) for _ in basis]
-        y = [
-            sum(c * vec[k] for c, vec in zip(coeffs, basis))
-            for k in range(len(basis[0]))
-        ]
-        hy = [sum(map(y.__getitem__, ones)) for ones in h.ones]
-        # Gram matrix of W's columns bordered by H y: only the border is new
-        border = [sum(map(hy.__getitem__, support)) for support in w_support]
+        border = [sum(map(mul, coeffs, row)) for row in borders]
+        norm = sum(c * sum(map(mul, coeffs, row)) for c, row in zip(coeffs, norms))
         bordered = [row + [v] for row, v in zip(w_gram, border)]
-        bordered.append(border + [sum(v * v for v in hy)])
+        bordered.append(border + [norm])
         if linalg.bareiss_rank(bordered) != w_rank:
             return False
     return True
@@ -309,29 +323,14 @@ def module_supports(
     """Exact squared norm of each eigenspace component, for every family at once.
 
     Each vector is the 0/1 indicator of one family minus shift * ones (default
-    shift 1/n).  The idempotents are symmetric, so a component's squared norm
-    is x^T E x = dim/n! * sum_C chi(C) adjusted_C, with adjusted_C = x^T A_C x
-    for the shifted vector.  For the indicator itself, q_C = x^T A_C x counts
-    the ordered member pairs (p, q) with p^-1 q in C; the families of one size
-    m go through the composition kernel in one call, as an (F, m, 1) by
-    (F, 1, m) pair of rank arrays.  With shift = a/b the scaled forms
-    b^2 adjusted_C = b^2 q_C - 2ab|C|m + a^2|C|n! are integers, so a Fraction
-    is built only for each returned value.  A repeated member raises
-    ValueError; a negative value, or norms that do not add up to the vector's
-    squared norm, raise AssertionError.
+    shift 1/n).  The members are ranked and handed to _module_norms, and each
+    integer it returns becomes one Fraction over n! b^2, for shift = a/b.  A
+    repeated member raises ValueError.
     """
     if n > MAX_DENSE_DEGREE:
         raise DegreeRangeError(f"module support needs degree at most {MAX_DENSE_DEGREE}")
-    import numpy as np
-
     shift = Fraction(1, n) if shift is None else Fraction(shift)
-    a, b = shift.numerator, shift.denominator
     gd = group_data(n)
-    order = gd.order
-    table = character_table(n)
-    shapes = [cls.cycle_type for cls in gd.classes]
-    chi = [table.values[table.row_index(shape)] for shape in shapes]
-    dims = [dimension(shape) for shape in shapes]
     rank_lists = []
     for members in families:
         seen: set[int] = set()
@@ -341,10 +340,45 @@ def module_supports(
                 raise ValueError(f"repeated member {p}")
             seen.add(r)
         rank_lists.append(list(seen))
+    scale = gd.order * shift.denominator**2
+    shapes = [cls.cycle_type for cls in gd.classes]
+    return [
+        {shape: Fraction(total, scale) for shape, total in zip(shapes, totals)}
+        for totals in _module_norms(rank_lists, n, shift)
+    ]
+
+
+def _module_norms(rank_lists, n: int, shift: Fraction) -> list[list[int]]:
+    """n! b^2 times the squared norm of each eigenspace component, as ints.
+
+    Each family is a sequence of distinct ranks; its vector is the indicator
+    minus shift * ones, shift = a/b, and the norms come in class order (one
+    per shape).  The idempotents are symmetric, so a component's squared norm
+    is x^T E x = dim/n! * sum_C chi(C) adjusted_C, with adjusted_C = x^T A_C x
+    for the shifted vector.  For the indicator itself, q_C = x^T A_C x counts
+    the ordered member pairs (p, q) with p^-1 q in C; the families of one size
+    m go through the composition kernel in one call, as an (F, m, 1) by
+    (F, 1, m) pair of rank arrays.  The scaled forms
+    b^2 adjusted_C = b^2 q_C - 2ab|C|m + a^2|C|n! are integers.  A negative
+    value, or norms that do not add up to the vector's squared norm, raise
+    AssertionError.
+    """
+    import numpy as np
+
+    a, b = shift.numerator, shift.denominator
+    gd = group_data(n)
+    order = gd.order
+    table = character_table(n)
+    shapes = [cls.cycle_type for cls in gd.classes]
+    chi = [table.values[table.row_index(shape)] for shape in shapes]
+    dims = [dimension(shape) for shape in shapes]
+    sizes = [cls.size for cls in gd.classes]
+    # a norm is at most weight times the largest scaled form it sums
+    weight = max(d * sum(map(abs, row)) for d, row in zip(dims, chi))
     by_size: dict[int, list[int]] = {}
     for f, ranks in enumerate(rank_lists):
         by_size.setdefault(len(ranks), []).append(f)
-    out: list[dict[Partition, Fraction]] = [{} for _ in rank_lists]
+    out: list[list[int]] = [[] for _ in rank_lists]
     k = len(shapes)
     for m, batch in by_size.items():
         ranks = np.array([rank_lists[f] for f in batch], dtype=np.intp)
@@ -354,16 +388,18 @@ def module_supports(
         offset = a * (a * order - 2 * b * m)
         # n! b^2 (m - 2 shift m + shift^2 n!), the squared norm of the vector
         scaled_norm = order * (b * b * m - 2 * a * b * m + a * a * order)
-        for f, q in zip(batch, counts.reshape(-1, k).tolist()):
-            scaled = [b * b * qc + cls.size * offset for qc, cls in zip(q, gd.classes)]
-            totals = [d * sum(map(mul, row, scaled)) for d, row in zip(dims, chi)]
-            if min(totals) < 0:
+        # int64 when it holds every value and partial sum, else Python ints
+        largest = b * b * m * m + order * abs(offset)
+        exact = np.int64 if weight * largest < 2**63 else object
+        scaled = counts.reshape(-1, k).astype(exact) * (b * b)
+        scaled += np.array(sizes, dtype=exact) * offset
+        totals = scaled @ np.array(chi, dtype=exact).T * np.array(dims, dtype=exact)
+        for f, row in zip(batch, totals.tolist()):
+            if min(row) < 0:
                 raise AssertionError("idempotent quadratic form must be nonnegative")
-            if sum(totals) != scaled_norm:
+            if sum(row) != scaled_norm:
                 raise AssertionError("eigenspace norms do not add up to the vector norm")
-            out[f] = {
-                shape: Fraction(t, order * b * b) for shape, t in zip(shapes, totals)
-            }
+            out[f] = row
     return out
 
 
@@ -405,17 +441,20 @@ def basis_check(n: int) -> BasisCheckReport:
 
     gd = group_data(n)
     standard = (n - 1, 1)
-    families = [family([(i, j)], n).members for i in range(1, n) for j in range(1, n)]
+    families = gd.constraint_ranks(
+        [((i, j),) for i in range(1, n) for j in range(1, n)]
+    )
+    is_standard = [cls.cycle_type == standard for cls in gd.classes]
     supports_ok = all(
-        support_set(supports) == (standard,)
-        for supports in module_supports(families, n)
+        [total != 0 for total in totals] == is_standard
+        for totals in _module_norms(families, n, Fraction(1, n))
     )
     # n * indicator - ones, the shift by ones/n scaled by n, then the ones row
     k = len(families)
     rows = np.full((k + 1, gd.order), -1, dtype=np.int64)
     rows[-1] = 1
-    for f, members in enumerate(families):
-        rows[f, [gd.rank_of(p) for p in members]] = n - 1
+    for f, ranks in enumerate(families):
+        rows[f, ranks] = n - 1
     (rank_shifted, _), (rank_with_ones, _) = linalg.certified_ranks(
         rows, [(k, k), (k + 1, k + 1)]
     )
@@ -462,10 +501,12 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
     point is case 2 (every column of H, border coefficient -(n-2)).  The
     bordered Gram matrix of [H | ones] having full rank certifies, once per
     call, that these coordinates are the only ones, so each set only checks
-    its predicted coordinates row by row on the one-positions of H.  A rank
+    its predicted coordinates against every row of H.  A rank
     deficit raises AssertionError; a prediction that fails marks the set as
     a violation.
     """
+    import numpy as np
+
     if search_result is None:
         search_result = max_independent_sets(n)
     gd = group_data(n)
@@ -474,14 +515,18 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
     bordered = [ones + (width,) for ones in h.ones]
     if linalg.bareiss_rank(_incidence_gram(bordered, width + 1)) != width + 1:
         raise AssertionError("[H | ones] must have full column rank")
+    keys = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     families = {
-        key: frozenset(gd.rank_of(p) for p in fam.members)
-        for key, fam in all_point_families(n).items()
+        key: frozenset(ranks.tolist())
+        for key, ranks in zip(keys, gd.constraint_ranks([(key,) for key in keys]))
     }
+    # H as one 0/1 array: a prediction is checked against all its rows at once
+    h_matrix = _incidence_matrix(h.ones, width)
     records = []
     violations = []
     for idx, members in enumerate(search_result.sets):
-        ranks = frozenset(gd.rank_of(p) for p in members)
+        member_ranks = [gd.rank_of(p) for p in members]
+        ranks = frozenset(member_ranks)
         family_key = next(
             (key for key, fam in families.items() if fam == ranks), None
         )
@@ -489,18 +534,18 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
             violations.append(idx)
             records.append(SetClassification(None, None, None, None, False))
             continue
-        g_inv = inverse(members[0])
-        translated = frozenset(gd.rank_of(compose(g_inv, p)) for p in members)
+        # ranks of members[0]^-1 p, over the members p
+        translated_ranks = gd.compose_ranks(gd.inv[member_ranks[0]], member_ranks)
+        translated = frozenset(translated_ranks.tolist())
         fixed = next(key for key, fam in families.items() if fam == translated)
         if fixed[0] == fixed[1] < n:
-            case, body, coefficient = 1, [0] * width, 0
+            case, body, coefficient = 1, np.zeros(width, dtype=np.int64), 0
             body[h.columns.index(fixed)] = 1
         else:
-            case, body, coefficient = 2, [1] * width, -(n - 2)
-        if all(
-            sum(map(body.__getitem__, ones)) + coefficient == (r in translated)
-            for r, ones in enumerate(h.ones)
-        ):
+            case, body, coefficient = 2, np.ones(width, dtype=np.int64), -(n - 2)
+        indicator = np.zeros(gd.order, dtype=np.int64)
+        indicator[translated_ranks] = 1
+        if np.array_equal(h_matrix @ body + coefficient, indicator):
             records.append(
                 SetClassification(family_key, fixed, case, Fraction(coefficient), True)
             )
@@ -549,12 +594,12 @@ def depth_conjecture_dims(n: int, t: int = 1) -> DepthReport:
     readings (<= t and <= t+1) are reported, along with the exact rank of the
     span with and without the all-ones vector adjoined.
 
-    The supports of all families come from one module_supports call.  The
-    shifted rows and the ones row form one int64 matrix, and one modular rank
-    profile of it certifies both ranks: its leading rows against the
-    dimension of the observed support union, the whole matrix against that
-    plus one.  A bound the profile does not meet is settled by fraction-free
-    elimination instead.
+    The families are read as rank masks, and their supports are the nonzero
+    integer norms of one _module_norms call.  The shifted rows and the ones
+    row form one int64 matrix, and one modular rank profile of it certifies
+    both ranks: its leading rows against the dimension of the observed
+    support union, the whole matrix against that plus one.  A bound the
+    profile does not meet is settled by fraction-free elimination instead.
     """
     if not 1 <= t <= 2:
         raise ValueError(f"need t in {{1, 2}}, got {t}")
@@ -572,16 +617,17 @@ def depth_conjecture_dims(n: int, t: int = 1) -> DepthReport:
     # followed by the all-ones vector.
     rows = np.full((len(constraint_sets) + 1, order), -size, dtype=np.int64)
     rows[-1] = 1
-    families = []
-    for f, pairs in enumerate(constraint_sets):
-        fam = family(pairs, n)
-        if fam.size != size:
-            raise AssertionError(f"family {pairs} has {fam.size} members, not {size}")
-        families.append(fam.members)
-        rows[f, [gd.rank_of(p) for p in fam.members]] = order - size
-    union: set[Partition] = set()
-    for supports in module_supports(families, n, shift=Fraction(size, order)):
-        union.update(support_set(supports))
+    families = gd.constraint_ranks(constraint_sets)
+    for f, (pairs, ranks) in enumerate(zip(constraint_sets, families)):
+        if len(ranks) != size:
+            raise AssertionError(f"family {pairs} has {len(ranks)} members, not {size}")
+        rows[f, ranks] = order - size
+    union = {
+        cls.cycle_type
+        for totals in _module_norms(families, n, Fraction(size, order))
+        for cls, total in zip(gd.classes, totals)
+        if total != 0
+    }
     module_dim_sums = {}
     for depth in (t, t + 1):
         module_dim_sums[depth] = sum(

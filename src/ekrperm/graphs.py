@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import eq
 
 from .errors import (
     DegreeRangeError,
@@ -449,8 +450,9 @@ def equitable_quotient(n: int) -> EquitableQuotient:
         )
     counts = [0] * (n + 1)  # counts[w] = derangements sending n to w
     total = 0
-    for images in itertools.permutations(range(1, n + 1)):
-        if any(images[i] == i + 1 for i in range(n)):
+    points = range(1, n + 1)
+    for images in itertools.permutations(points):
+        if any(map(eq, images, points)):
             continue
         counts[images[n - 1]] += 1
         total += 1

@@ -22,12 +22,19 @@ _RANK_PRIMES = (2147483647, 2147483629)  # < 2**31, so modular products fit int6
 
 
 def scaled_integers(values) -> tuple[list[int], int]:
-    """(nums, denom) with values[k] == nums[k] / denom and denom the least such."""
-    denom = 1
-    for v in values:
-        if isinstance(v, Fraction):
-            denom = lcm(denom, v.denominator)
-    return [int(v * denom) for v in values], denom
+    """(nums, denom) with values[k] == nums[k] / denom and denom the least such.
+
+    Every rational entry (int, bool, NumPy integer, Fraction) has a
+    denominator; an entry without one, such as a float, raises TypeError.
+    """
+    try:
+        denom = lcm(*(v.denominator for v in values))
+    except AttributeError:
+        bad = next(v for v in values if not hasattr(v, "denominator"))
+        raise TypeError(f"not a rational entry: {bad!r}") from None
+    if denom == 1:
+        return [int(v) for v in values], 1
+    return [int(v.numerator) * (denom // v.denominator) for v in values], denom
 
 
 def rref(rows) -> tuple[list[list[int]], list[int], int]:

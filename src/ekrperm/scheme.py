@@ -127,6 +127,35 @@ class GroupData:
         _, _, inv, type_of = self._arrays
         return type_of[self.compose_ranks(inv[np.asarray(a, dtype=np.intp)], b)]
 
+    def constraint_ranks(self, constraint_sets) -> list:
+        """Ascending ranks of each family S_A, for constraint sets A of (x, y) pairs.
+
+        S_A holds the permutations sending x to y for every pair of A: the AND
+        over those pairs of the position planes by_position[x-1] == y-1, read
+        off with flatnonzero.  Sets of one size are masked together, one pair
+        at a time; no Permutation is built.  A point outside 1..n raises
+        ValueError.
+        """
+        import numpy as np
+
+        _, by_position, _, _ = self._arrays
+        # planes[x, y] marks the ranks sending x+1 to y+1
+        planes = by_position[:, None, :] == np.arange(self.n)[None, :, None]
+        by_size: dict[int, list[int]] = {}
+        for f, pairs in enumerate(constraint_sets):
+            by_size.setdefault(len(pairs), []).append(f)
+        out: list = [None] * len(constraint_sets)
+        for k, batch in by_size.items():
+            pairs = np.array([constraint_sets[f] for f in batch], dtype=np.intp) - 1
+            if k == 0 or pairs.min() < 0 or pairs.max() >= self.n:
+                raise ValueError(f"need nonempty constraint sets on points 1..{self.n}")
+            mask = planes[pairs[:, 0, 0], pairs[:, 0, 1]]
+            for j in range(1, k):
+                mask &= planes[pairs[:, j, 0], pairs[:, j, 1]]
+            for f, row in zip(batch, mask):
+                out[f] = np.flatnonzero(row)
+        return out
+
     def connection(self, t: int) -> list[int]:
         """Ranks of the connection set of the agreement-at-most-t graph.
 

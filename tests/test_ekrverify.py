@@ -3,6 +3,7 @@ module supports, and the classification of maximum intersecting families."""
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,29 @@ class TestGramIdentity:
             assert ok
 
 
+@st.composite
+def _ones_rows(draw):
+    """A width and 0/1 rows given by their increasing one-positions."""
+    width = draw(st.integers(0, 7))
+    ones = st.sets(st.integers(0, width - 1)) if width else st.just(set())
+    return draw(st.lists(ones.map(sorted).map(tuple), max_size=12)), width
+
+
+class TestIncidenceArrays:
+    @given(_ones_rows())
+    def test_gram_and_dense_rows_match_loops(self, case):
+        rows, width = case
+        gram = [[0] * width for _ in range(width)]
+        dense = []
+        for ones in rows:
+            dense.append([int(k in ones) for k in range(width)])
+            for a in ones:
+                for b in ones:
+                    gram[a][b] += 1
+        assert ekrverify._incidence_gram(rows, width) == gram
+        assert ekrverify._dense_rows(rows, width) == dense
+
+
 class TestBlocks:
     def test_degree_four_shapes(self):
         dec = blocks(4)
@@ -252,6 +276,71 @@ class TestKernels:
         assert kernel_membership_check(5)
 
 
+def _parent_kernel_membership(n, trials, seed):
+    """Each trial forms y, then H y over every row of H, then its border."""
+    h = build_H(n)
+    dec = ekrverify.blocks(n)
+    width = (n - 1) ** 2
+    n_ones = [h.ones[r] for r in dec.derangement_ranks]
+    basis = linalg.kernel_basis(ekrverify._incidence_gram(n_ones, width))
+    diag_pos = {h.columns.index(c): d for d, c in enumerate(dec.diagonal_columns)}
+    w_ones = [[diag_pos[c] for c in ones if c in diag_pos] for ones in h.ones]
+    w_gram = ekrverify._incidence_gram(w_ones, len(diag_pos))
+    w_rank = linalg.bareiss_rank(w_gram)
+    w_support = [
+        [r for r, ones in enumerate(w_ones) if d in ones] for d in range(len(diag_pos))
+    ]
+    rng = random.Random(seed)
+    for _ in range(trials):
+        coeffs = [rng.randint(-9, 9) for _ in basis]
+        y = [sum(c * vec[k] for c, vec in zip(coeffs, basis)) for k in range(width)]
+        hy = [sum(y[c] for c in ones) for ones in h.ones]
+        border = [sum(hy[r] for r in support) for support in w_support]
+        bordered = [row + [v] for row, v in zip(w_gram, border)]
+        bordered.append(border + [sum(v * v for v in hy)])
+        if linalg.bareiss_rank(bordered) != w_rank:
+            return False
+    return True
+
+
+def _without_first_diagonal_column(real):
+    return lambda n: dataclasses.replace(
+        real(n), diagonal_columns=real(n).diagonal_columns[1:]
+    )
+
+
+class TestKernelMembershipByLinearity:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("seed", [987, 1, 2024])
+    def test_matches_explicit_trials(self, n, seed):
+        assert kernel_membership_check(n, seed=seed) is True
+        assert _parent_kernel_membership(n, 20, seed) is True
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_damaged_W_fails_on_both_routes(self, n, monkeypatch):
+        monkeypatch.setattr(ekrverify, "blocks", _without_first_diagonal_column(blocks))
+        assert kernel_membership_check(n) is False
+        assert _parent_kernel_membership(n, 20, 987) is False
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_trials_see_the_same_bordered_matrices(self, n, monkeypatch):
+        real = linalg.bareiss_rank
+        seen = []
+
+        def recording(rows):
+            seen.append([list(row) for row in rows])
+            return real(rows)
+
+        monkeypatch.setattr(linalg, "bareiss_rank", recording)
+        kernel_membership_check(n, seed=2024)
+        ours = seen[:]
+        seen.clear()
+        _parent_kernel_membership(n, 20, 2024)
+        # W's Gram matrix, then one bordered matrix per trial
+        assert len(ours) == 21
+        assert ours == seen
+
+
 class TestModuleSupport:
     def test_point_family_lives_in_standard_module(self):
         supports = module_support(family([(2, 3)], 5).members, 5)
@@ -332,6 +421,91 @@ class TestBatchedSupports:
         expected = [module_support(members, 5) for members in families]
         monkeypatch.setattr(scheme, "BLOCK_PAIRS", 7)
         assert module_supports(families, 5) == expected
+
+
+def _norms_as_supports(families, n, shift):
+    """The integer core's norms over n! b^2, keyed by shape like module_supports."""
+    gd = group_data(n)
+    scale = gd.order * shift.denominator**2
+    ranks = gd.constraint_ranks(families)
+    return [
+        {cls.cycle_type: Fraction(total, scale) for cls, total in zip(gd.classes, totals)}
+        for totals in ekrverify._module_norms(ranks, n, shift)
+    ]
+
+
+class TestIntegerNorms:
+    @pytest.mark.parametrize("n, k", [(3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (5, 3)])
+    def test_equal_module_supports_on_constraint_families(self, n, k):
+        gd = group_data(n)
+        sets = enumerate_constraint_sets(n, k)
+        shift = Fraction(math.factorial(n - k), gd.order)
+        members = [family(pairs, n).members for pairs in sets]
+        ranks = gd.constraint_ranks(sets)
+        norms = ekrverify._module_norms(ranks, n, shift)
+        expected = module_supports(members, n, shift)
+        assert _norms_as_supports(sets, n, shift) == expected
+        for totals, supports in zip(norms, expected):
+            assert all(type(total) is int for total in totals)
+            assert [total != 0 for total in totals] == [v != 0 for v in supports.values()]
+
+    def test_default_shift_on_point_families(self):
+        n = 5
+        sets = [((i, j),) for i in range(1, n + 1) for j in range(1, n + 1)]
+        members = [family(pairs, n).members for pairs in sets]
+        shift = Fraction(1, n)
+        assert _norms_as_supports(sets, n, shift) == module_supports(members, n)
+
+    def test_python_ints_past_int64(self):
+        # b^2 m^2 alone is past 2^63, so the norms are summed as Python ints
+        n, shift = 4, Fraction(1, 10**12)
+        fam = family([(2, 3)], n)
+        (totals,) = ekrverify._module_norms(
+            group_data(n).constraint_ranks([((2, 3),)]), n, shift
+        )
+        assert max(totals) > 2**63
+        assert _norms_as_supports([((2, 3),)], n, shift) == [
+            _supports_by_class_forms(fam.members, n, shift)
+        ]
+
+    def test_negative_norm_raises(self, monkeypatch):
+        table = ekrverify.character_table(4)
+        flipped = dataclasses.replace(
+            table, values=tuple(tuple(-v for v in row) for row in table.values)
+        )
+        monkeypatch.setattr(ekrverify, "character_table", lambda n: flipped)
+        ranks = group_data(4).constraint_ranks([((1, 1),)])
+        with pytest.raises(AssertionError, match="nonnegative"):
+            ekrverify._module_norms(ranks, 4, Fraction(1, 4))
+
+
+class TestNoPermutationPerRow:
+    def test_verify_all_paths_build_no_permutation(self, monkeypatch):
+        from ekrperm import cli, permgroup
+
+        found = {n: max_independent_sets(n) for n in (4, 5)}
+
+        def run():
+            depth_conjecture_dims(5, 1)
+            basis_check(5)
+            kernel_membership_check(6)
+            for n in (4, 5):
+                classify_maximum_sets(n, found[n])
+                cli.run_search(n=n, t=0, workers=1, found=found[n])
+            cli.run_derangements(n=8)
+            cli.run_quotient(n=8)
+
+        run()  # fills the per-degree caches (class representatives, tables)
+        built = []
+        real = permgroup.Permutation.__post_init__
+
+        def counting(self):
+            built.append(self.images)
+            real(self)
+
+        monkeypatch.setattr(permgroup.Permutation, "__post_init__", counting)
+        run()
+        assert built == []
 
 
 class TestBasisCheck:
@@ -430,10 +604,13 @@ class TestClassification:
         # with two catalogue entries swapped, the sets translated onto them
         # get the other point's column predicted, which the rows refute
         found = max_independent_sets(4)
-        real = all_point_families(4)
-        swapped = dict(real)
-        swapped[(1, 1)], swapped[(2, 2)] = real[(2, 2)], real[(1, 1)]
-        monkeypatch.setattr(ekrverify, "all_point_families", lambda n: swapped)
+        real = scheme.GroupData.constraint_ranks
+        swap = {((1, 1),): ((2, 2),), ((2, 2),): ((1, 1),)}
+
+        def swapped(gd, constraint_sets):
+            return real(gd, [swap.get(tuple(a), a) for a in constraint_sets])
+
+        monkeypatch.setattr(scheme.GroupData, "constraint_ranks", swapped)
         report = classify_maximum_sets(4, found)
         assert report.violations
         for idx, record in enumerate(report.records):

@@ -269,6 +269,26 @@ class TestScaledIntegers:
         assert scaled_integers([1, -2]) == ([1, -2], 1)
         assert scaled_integers([]) == ([], 1)
 
+    def test_every_rational_type(self):
+        import numpy as np
+
+        assert scaled_integers([True, False, 3]) == ([1, 0, 3], 1)
+        nums, denom = scaled_integers(np.array([4, -7], dtype=np.int64))
+        assert (nums, denom) == ([4, -7], 1)
+        assert all(type(v) is int for v in nums)
+        mixed = [np.int64(2), Fraction(3, 4), True, Fraction(-5, 6)]
+        assert scaled_integers(mixed) == ([24, 9, 12, -10], 12)
+        assert scaled_integers([Fraction(6, 3), Fraction(0)]) == ([2, 0], 1)
+
+    def test_integers_beyond_int64_stay_exact(self):
+        big = 3**50
+        assert scaled_integers([Fraction(big, 7), -big]) == ([big, -7 * big], 7)
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, float("nan")])
+    def test_float_entry_raises(self, bad):
+        with pytest.raises(TypeError, match="not a rational entry"):
+            scaled_integers([1, bad, Fraction(1, 2)])
+
 
 class TestStructuredMatrices:
     def test_kron_small(self):

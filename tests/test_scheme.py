@@ -592,6 +592,49 @@ class TestCompositionKernel:
             assert vector[i] == Fraction(dim * total, order)
 
 
+def _constraint_sets(n, k):
+    """Every set of k pairs (x, y) with distinct points x and distinct values y."""
+    return [
+        tuple(zip(xs, ys))
+        for xs in itertools.combinations(range(1, n + 1), k)
+        for ys in itertools.permutations(range(1, n + 1), k)
+    ]
+
+
+class TestConstraintRanks:
+    @pytest.mark.parametrize(
+        "n, k",
+        [(n, k) for n in range(2, 6) for k in range(1, n)] + [(6, 1), (6, 2), (6, 3)],
+    )
+    def test_every_family_matches_its_members(self, n, k):
+        gd = group_data(n)
+        sets = _constraint_sets(n, k)
+        got = gd.constraint_ranks(sets)
+        assert len(got) == len(sets)
+        for pairs, ranks in zip(sets, got):
+            expected = sorted(gd.rank_of(p) for p in family(pairs, n).members)
+            assert ranks.tolist() == expected
+
+    def test_mixed_sizes_keep_their_order(self):
+        gd = group_data(5)
+        sets = [((1, 2),), ((1, 2), (3, 3)), ((5, 1),), ((2, 2), (3, 1), (4, 5))]
+        got = gd.constraint_ranks(sets)
+        for pairs, ranks in zip(sets, got):
+            assert ranks.tolist() == sorted(
+                gd.rank_of(p) for p in family(pairs, 5).members
+            )
+
+    def test_conflicting_pairs_give_an_empty_family(self):
+        gd = group_data(4)
+        same_point, same_value = gd.constraint_ranks([((1, 2), (1, 3)), ((1, 2), (3, 2))])
+        assert same_point.size == 0 and same_value.size == 0
+
+    @pytest.mark.parametrize("pairs", [((0, 1),), ((1, 5),), ((5, 1),), ()])
+    def test_points_outside_the_degree_raise(self, pairs):
+        with pytest.raises(ValueError):
+            group_data(4).constraint_ranks([((1, 1),), pairs])
+
+
 def test_group_data_degree_cap():
     with pytest.raises(DegreeRangeError):
         group_data(MAX_GROUP_DEGREE + 1)
