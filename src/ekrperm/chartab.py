@@ -1,7 +1,8 @@
 """Ordinary character tables of symmetric groups.
 
 Character values are computed by the Murnaghan-Nakayama border-strip
-recursion, memoized on (shape, remaining cycle lengths).  Dimensions come from
+recursion on bead masks (the beta-set of a shape as the bits of an int),
+memoized on (mask, remaining cycle lengths).  Dimensions come from
 the hook length formula, and the skew counts f^{shape/(m)} by removing one
 corner at a time, memoized on the shape.  Everything is an exact integer.
 """
@@ -13,6 +14,7 @@ import io
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 from .errors import DegreeRangeError
 from .permgroup import CycleType, Partition, class_size, partitions_of
@@ -80,28 +82,30 @@ def _validate_shape(shape: Partition) -> None:
         raise ValueError(f"parts must be weakly decreasing: {shape}")
 
 
+def _beads(shape: Partition, n: int) -> int:
+    """The beta-set of shape with n beads: bit shape[i] + n - 1 - i for i < n."""
+    return sum(1 << (part + n - 1 - i) for i, part in enumerate(shape)) | (
+        (1 << (n - len(shape))) - 1
+    )
+
+
 @lru_cache(maxsize=None)
-def _murnaghan_nakayama(shape: Partition, cycles: Partition) -> int:
+def _murnaghan_nakayama(beads: int, cycles: Partition) -> int:
+    """chi(cycles) of the shape whose beta-set is the bit mask beads.
+
+    Removing a border strip of k = cycles[0] cells moves one bead from b down
+    to an empty b - k; its sign is the parity of the beads passed on the way.
+    """
     if not cycles:
-        return 1 if not shape else 0
-    if not shape:
-        return 0
-    strip = cycles[0]
-    rest = cycles[1:]
-    k = len(shape)
-    beta = [shape[i] + k - 1 - i for i in range(k)]
-    beta_set = set(beta)
+        return int(beads & (beads + 1) == 0)  # the empty shape
+    k, rest = cycles[0], cycles[1:]
     total = 0
-    for i, b in enumerate(beta):
-        nb = b - strip
-        if nb < 0 or nb in beta_set:
-            continue
-        sign = -1 if sum(1 for c in beta if nb < c < b) % 2 else 1
-        new_beta = sorted((nb if j == i else beta[j] for j in range(k)), reverse=True)
-        new_shape = tuple(
-            v for v in (new_beta[j] - (k - 1 - j) for j in range(k)) if v > 0
-        )
-        total += sign * _murnaghan_nakayama(new_shape, rest)
+    movable = beads & ~(beads << k) & -(1 << k)
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        value = _murnaghan_nakayama(beads ^ low ^ (low >> k), rest)
+        total += -value if (beads & (low - (low >> k))).bit_count() & 1 else value
     return total
 
 
@@ -111,7 +115,8 @@ def character_value(shape: Partition, cycles: CycleType) -> int:
     _validate_shape(cycles)
     if sum(shape) != sum(cycles):
         raise ValueError(f"size mismatch: {shape} vs {cycles}")
-    return _murnaghan_nakayama(tuple(shape), tuple(sorted(cycles, reverse=True)))
+    n = sum(shape)
+    return _murnaghan_nakayama(_beads(shape, n), tuple(sorted(cycles, reverse=True)))
 
 
 def n_cycle_character(shape: Partition) -> int:
@@ -154,8 +159,10 @@ def character_table(n: int) -> CharacterTable:
             f"character tables are supported for 1 <= n <= {MAX_TABLE_DEGREE}, got {n}"
         )
     parts = partitions_of(n)
+    # partitions_of gives valid shapes in decreasing order: no per-entry checks
     values = tuple(
-        tuple(character_value(shape, cycles) for cycles in parts) for shape in parts
+        tuple(_murnaghan_nakayama(_beads(shape, n), cycles) for cycles in parts)
+        for shape in parts
     )
     table = CharacterTable(n, parts, values)
     for shape in parts:
@@ -166,29 +173,35 @@ def character_table(n: int) -> CharacterTable:
     return table
 
 
-def check_row_orthogonality(table: CharacterTable) -> bool:
-    """First orthogonality relation, exactly, for every pair of rows."""
-    order = factorial(table.n)
-    sizes = [class_size(ct) for ct in table.partitions]
-    for a, row_a in enumerate(table.values):
-        for b, row_b in enumerate(table.values):
-            total = sum(s * x * y for s, x, y in zip(sizes, row_a, row_b))
-            if total != (order if a == b else 0):
+def _orthonormal(rows, weighted_rows, norm: int) -> bool:
+    """<rows[a], weighted_rows[b]> is norm when a == b and 0 otherwise.
+
+    Each weighted row is its row times positive weights, so whether a pairing
+    vanishes does not depend on its order, and each unordered pair is
+    visited once.
+    """
+    for a, row in enumerate(rows):
+        if sum(map(mul, row, weighted_rows[a])) != norm:
+            return False
+        for other in weighted_rows[a + 1 :]:
+            if sum(map(mul, row, other)):
                 return False
     return True
+
+
+def check_row_orthogonality(table: CharacterTable) -> bool:
+    """First orthogonality relation, exactly, for every pair of rows."""
+    sizes = [class_size(ct) for ct in table.partitions]
+    weighted = [list(map(mul, sizes, row)) for row in table.values]
+    return _orthonormal(table.values, weighted, factorial(table.n))
 
 
 def check_column_orthogonality(table: CharacterTable) -> bool:
     """Second orthogonality relation, exactly, for every pair of columns."""
-    order = factorial(table.n)
+    columns = list(zip(*table.values))
     sizes = [class_size(ct) for ct in table.partitions]
-    k = len(table.partitions)
-    for a in range(k):
-        for b in range(k):
-            total = sum(row[a] * row[b] for row in table.values)
-            if total * sizes[a] != (order if a == b else 0):
-                return False
-    return True
+    weighted = [[size * x for x in column] for size, column in zip(sizes, columns)]
+    return _orthonormal(columns, weighted, factorial(table.n))
 
 
 def table_to_csv(table: CharacterTable) -> str:

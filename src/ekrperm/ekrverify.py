@@ -218,61 +218,62 @@ def pi_ab_submatrix(n: int):
     return rows, expected, rows == expected
 
 
-def rank_M_check(n: int) -> tuple[int, bool]:
-    """rank(M) = (n-1)(n-2), via the Gram matrix of M's columns.
+def _full_column_rank_check(n: int, ones_rows, width: int, gram=None):
+    """(rank, rank == width) for 0/1 rows, certified on their Gram matrix.
 
-    M^T M is integral and has the same rational rank as M; at degrees up to 5
-    the rank is recomputed from M directly as a cross-check.
+    G = X^T X (formed here when not given) is integral and has the same
+    rational rank as X, at most the width; one modular rank profile that
+    meets it certifies the rank, and a deficient G is eliminated
+    fraction-free to its exact rank.  At degrees up to 5 the rank is
+    recomputed from X directly as a cross-check.
     """
+    if gram is None:
+        gram = _incidence_gram(ones_rows, width)
+    ((r, _),) = linalg.certified_ranks(gram, [(width, width)])
+    if n <= 5 and linalg.bareiss_rank(_dense_rows(ones_rows, width)) != r:
+        raise AssertionError("Gram rank disagrees with direct elimination")
+    return r, r == width
+
+
+def rank_M_check(n: int) -> tuple[int, bool]:
+    """rank(M) = (n-1)(n-2), via the Gram matrix of M's columns."""
     dec = blocks(n)
-    width = len(dec.off_diagonal_columns)
-    r = linalg.bareiss_rank(_incidence_gram(dec.off_diagonal_ones, width))
-    if n <= 5:
-        direct = linalg.bareiss_rank(_dense_rows(dec.off_diagonal_ones, width))
-        if direct != r:
-            raise AssertionError("Gram rank disagrees with direct elimination")
-    return r, r == (n - 1) * (n - 2)
+    return _full_column_rank_check(n, dec.off_diagonal_ones, len(dec.off_diagonal_columns))
 
 
-def rank_H_check(n: int) -> tuple[int, bool]:
-    """rank(H) = (n-1)^2, via the Gram matrix (with a direct check at small n)."""
-    _, gram = gram_check(n)
-    r = linalg.bareiss_rank(gram)
-    if n <= 5:
-        direct = linalg.bareiss_rank(_dense_rows(build_H(n).ones, (n - 1) ** 2))
-        if direct != r:
-            raise AssertionError("Gram rank disagrees with direct elimination")
-    return r, r == (n - 1) ** 2
+def rank_H_check(n: int, gram=None) -> tuple[int, bool]:
+    """rank(H) = (n-1)^2, via the Gram matrix H^T H (when given, it is read)."""
+    return _full_column_rank_check(n, build_H(n).ones, (n - 1) ** 2, gram)
 
 
 def bordered_kernel_check(n: int):
     """Kernel of [M | ones] is spanned by (1, ..., 1, -(n-2)).
 
-    The kernel is computed from the bordered Gram matrix, then every basis
-    vector is verified against the actual bordered matrix, exactly.  Each
-    row of [M | ones] is read as its one-positions, the border being column
-    (n-1)(n-2).
+    Each row of [M | ones] is read as its one-positions, the border being
+    column (n-1)(n-2).  Exact integer row sums show the expected vector lies
+    in the kernel, which caps the rank at the width (n-1)(n-2); a certified
+    rank of the bordered Gram matrix equal to the width then proves the
+    kernel is exactly that line.  Otherwise the check fails: the vector
+    misses a row, or the kernel is wider than a line.  The kernel is then
+    computed from the Gram matrix and every basis vector is verified against
+    the bordered matrix.
     """
     width = (n - 1) * (n - 2)
     bordered = [ones + (width,) for ones in blocks(n).off_diagonal_ones]
-    basis = linalg.kernel_basis(_incidence_gram(bordered, width + 1))
+    gram = _incidence_gram(bordered, width + 1)
+    expected = [1] * width + [-(n - 2)]
+    if not any(sum(map(expected.__getitem__, ones)) for ones in bordered):
+        ((r, _),) = linalg.certified_ranks(gram, [(width + 1, width)])
+        if r == width:
+            return [expected], True
+    basis = linalg.kernel_basis(gram)
     for vec in basis:
         if any(sum(map(vec.__getitem__, ones)) for ones in bordered):
             raise AssertionError("Gram kernel vector is not in the matrix kernel")
-    expected = [1] * width + [-(n - 2)]
-    ok = len(basis) == 1 and _proportional(basis[0], expected)
-    return basis, ok
+    return basis, False
 
 
-def _proportional(u, v) -> bool:
-    pairs = [(a, b) for a, b in zip(u, v) if a or b]
-    if not pairs or any((a == 0) != (b == 0) for a, b in pairs):
-        return False
-    a0, b0 = pairs[0]
-    return all(a * b0 == b * a0 for a, b in pairs)
-
-
-def kernel_membership_check(n: int, trials: int = 20, seed: int = 987) -> bool:
+def kernel_membership_check(n: int, trials: int = 20, seed: int = 987, gram=None) -> bool:
     """Random vectors in ker(N) are mapped by H into the span of W's columns.
 
     N is the derangement rows of H and W its diagonal columns.  ker(N) is
@@ -282,7 +283,8 @@ def kernel_membership_check(n: int, trials: int = 20, seed: int = 987) -> bool:
     integer combination sum c_i b_i of the basis, so by linearity its border
     W^T H y and its |H y|^2 = c^T B c are sums over the basis, with
     W^T H b_i and B_ij = <H b_i, H b_j> read once per call off G = H^T H
-    (W^T H is G's rows at W's columns, W^T W the square block there).
+    (W^T H is G's rows at W's columns, W^T W the square block there), which
+    is formed here when not given.
     """
     import numpy as np
 
@@ -297,7 +299,8 @@ def kernel_membership_check(n: int, trials: int = 20, seed: int = 987) -> bool:
     cols = np.array(n_ones, dtype=np.intp)
     if np.array(basis, dtype=object)[:, cols].sum(axis=2).any():
         raise AssertionError("Gram kernel vector is not in ker(N)")
-    gram = _incidence_gram(h.ones, width)
+    if gram is None:
+        gram = _incidence_gram(h.ones, width)
     diag = [h.columns.index(c) for c in dec.diagonal_columns]
     w_gram = [[gram[a][b] for b in diag] for a in diag]
     w_rank = linalg.bareiss_rank(w_gram)
@@ -417,6 +420,30 @@ def support_set(supports: dict[Partition, Fraction]) -> tuple[Partition, ...]:
     return tuple(shape for shape, value in supports.items() if value != 0)
 
 
+def _shifted_span_ranks(families, order: int, size: int, cap: int):
+    """(rank S, rank [S; ones], method) for the families shifted by their density.
+
+    Row i of S is s_i = order * x_i - size * ones, where x_i is the 0/1
+    indicator of family i, and cap is a proven bound on rank S.  Every family
+    must have size members (AssertionError otherwise), so each s_i has
+    coordinate sum 0 while ones has sum order: ones lies outside span S, and
+    span (S + ones) = span (X + ones).  Hence rank [S; ones] = rank [X; ones]
+    and rank S = rank [X; ones] - 1, and one modular rank profile of the int8
+    rows [X; ones] that meets cap + 1 certifies both.  Short of it, [X; ones]
+    is eliminated fraction-free instead.
+    """
+    import numpy as np
+
+    rows = np.zeros((len(families) + 1, order), dtype=np.int8)
+    rows[-1] = 1
+    for f, ranks in enumerate(families):
+        if len(ranks) != size:
+            raise AssertionError(f"family {f} has {len(ranks)} members, not {size}")
+        rows[f, ranks] = 1
+    ((with_ones, method),) = linalg.certified_ranks(rows, [(len(rows), cap + 1)])
+    return with_ones - 1, with_ones, method
+
+
 @dataclass(frozen=True)
 class BasisCheckReport:
     n: int
@@ -432,13 +459,12 @@ def basis_check(n: int) -> BasisCheckReport:
     Checks: each indicator minus ones/n has its whole weight on the
     standard-module eigenspace; the shifted vectors are linearly independent;
     the all-ones vector is outside their span; the count matches dim^2.
-    The shifted rows and the ones row form one int64 matrix, and one modular
-    rank profile gives both ranks, each capped by its row count.
+    Each point family has (n-1)! members, so ones/n is its density and
+    _shifted_span_ranks gives both ranks from the 0/1 indicator rows, capped
+    by the row count k + 1.
     """
     if n > MAX_DENSE_DEGREE:
         raise DegreeRangeError(f"basis check needs degree at most {MAX_DENSE_DEGREE}")
-    import numpy as np
-
     gd = group_data(n)
     standard = (n - 1, 1)
     families = gd.constraint_ranks(
@@ -449,14 +475,8 @@ def basis_check(n: int) -> BasisCheckReport:
         [total != 0 for total in totals] == is_standard
         for totals in _module_norms(families, n, Fraction(1, n))
     )
-    # n * indicator - ones, the shift by ones/n scaled by n, then the ones row
-    k = len(families)
-    rows = np.full((k + 1, gd.order), -1, dtype=np.int64)
-    rows[-1] = 1
-    for f, ranks in enumerate(families):
-        rows[f, ranks] = n - 1
-    (rank_shifted, _), (rank_with_ones, _) = linalg.certified_ranks(
-        rows, [(k, k), (k + 1, k + 1)]
+    rank_shifted, rank_with_ones, _ = _shifted_span_ranks(
+        families, gd.order, factorial(n - 1), len(families)
     )
     dimension_match = (n - 1) ** 2 == dimension(standard) ** 2
     return BasisCheckReport(
@@ -499,9 +519,10 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
     is written exactly in the columns of [H | ones]: stabilizing a point
     i < n is case 1 (the column (i,i), coefficient 0); stabilizing the last
     point is case 2 (every column of H, border coefficient -(n-2)).  The
-    bordered Gram matrix of [H | ones] having full rank certifies, once per
-    call, that these coordinates are the only ones, so each set only checks
-    its predicted coordinates against every row of H.  A rank
+    bordered Gram matrix of [H | ones] having full rank, certified by one
+    modular rank profile, shows once per call that these coordinates are the
+    only ones, so each set only checks its predicted coordinates against
+    every row of H.  A rank
     deficit raises AssertionError; a prediction that fails marks the set as
     a violation.
     """
@@ -513,7 +534,8 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
     h = build_H(n)
     width = (n - 1) ** 2
     bordered = [ones + (width,) for ones in h.ones]
-    if linalg.bareiss_rank(_incidence_gram(bordered, width + 1)) != width + 1:
+    gram = _incidence_gram(bordered, width + 1)
+    if linalg.certified_ranks(gram, [(width + 1, width + 1)])[0][0] != width + 1:
         raise AssertionError("[H | ones] must have full column rank")
     keys = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     families = {
@@ -595,11 +617,9 @@ def depth_conjecture_dims(n: int, t: int = 1) -> DepthReport:
     span with and without the all-ones vector adjoined.
 
     The families are read as rank masks, and their supports are the nonzero
-    integer norms of one _module_norms call.  The shifted rows and the ones
-    row form one int64 matrix, and one modular rank profile of it certifies
-    both ranks: its leading rows against the dimension of the observed
-    support union, the whole matrix against that plus one.  A bound the
-    profile does not meet is settled by fraction-free elimination instead.
+    integer norms of one _module_norms call.  _shifted_span_ranks certifies
+    both ranks from the 0/1 indicator rows against the dimension of the
+    observed support union.
     """
     if not 1 <= t <= 2:
         raise ValueError(f"need t in {{1, 2}}, got {t}")
@@ -607,21 +627,11 @@ def depth_conjecture_dims(n: int, t: int = 1) -> DepthReport:
         raise DegreeRangeError(f"degree at most {MAX_DENSE_DEGREE} supported")
     if t + 1 >= n:
         raise ValueError("constraint sets must leave at least one free point")
-    import numpy as np
-
     gd = group_data(n)
     order = gd.order
     constraint_sets = enumerate_constraint_sets(n, t + 1)
     size = factorial(n - (t + 1))
-    # Rows are the indicators shifted by their density and scaled by n!,
-    # followed by the all-ones vector.
-    rows = np.full((len(constraint_sets) + 1, order), -size, dtype=np.int64)
-    rows[-1] = 1
     families = gd.constraint_ranks(constraint_sets)
-    for f, (pairs, ranks) in enumerate(zip(constraint_sets, families)):
-        if len(ranks) != size:
-            raise AssertionError(f"family {pairs} has {len(ranks)} members, not {size}")
-        rows[f, ranks] = order - size
     union = {
         cls.cycle_type
         for totals in _module_norms(families, n, Fraction(size, order))
@@ -642,11 +652,8 @@ def depth_conjecture_dims(n: int, t: int = 1) -> DepthReport:
     # The observed supports prove the span lies inside those eigenspaces, so
     # their total dimension is a certified cap for the modular rank bound.
     union_dim = sum(dimension(shape) ** 2 for shape in union)
-    (span_rank_shifted, method), (span_rank_with_ones, method_ones) = (
-        linalg.certified_ranks(
-            rows,
-            [(len(constraint_sets), union_dim), (len(constraint_sets) + 1, union_dim + 1)],
-        )
+    span_rank_shifted, span_rank_with_ones, method = _shifted_span_ranks(
+        families, order, size, union_dim
     )
     agreement = {}
     for depth in (t, t + 1):
@@ -664,7 +671,7 @@ def depth_conjecture_dims(n: int, t: int = 1) -> DepthReport:
         module_dim_sums=module_dim_sums,
         span_rank_shifted=span_rank_shifted,
         span_rank_with_ones=span_rank_with_ones,
-        rank_method=f"{method}/{method_ones}",
+        rank_method=f"{method}/{method}",
         support_union=tuple(sorted(union, reverse=True)),
         supports_within_depth=supports_within,
         agreement=agreement,

@@ -63,10 +63,15 @@ class PermutationGraph:
 
 @lru_cache(maxsize=None)
 def _adjacency_masks(n: int, t: int) -> list[int]:
+    import numpy as np
+
     gd = group_data(n)
     neighbours = gd.compose_ranks([[r] for r in range(gd.order)], gd.connection(t))
-    # neighbour ranks in a row are distinct, so the sum of their bits is the OR
-    return [sum(map((1).__lshift__, row)) for row in neighbours.tolist()]
+    adjacent = np.zeros((gd.order, gd.order), dtype=bool)
+    adjacent[np.arange(gd.order)[:, None], neighbours] = True
+    # bit r of a little-endian packed row is column r
+    packed = np.packbits(adjacent, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def build_graph(n: int, t: int = 0) -> PermutationGraph:

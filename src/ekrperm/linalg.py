@@ -134,12 +134,15 @@ def rank_profile_mod_p(int_rows, p: int) -> list[int]:
     among the first k rows number exactly the rank of those k rows over the
     field of p elements, and the length of the list is the rank of the whole
     matrix.  Entries are int64 residues; p < 2**31 keeps every product exact.
+    The C-order int64 transpose is the one working copy: narrow integer rows
+    such as int8 indicators are widened straight into it and reduced in place.
     """
     import numpy as np
 
     if not len(int_rows):
         return []
-    a = np.remainder(np.asarray(int_rows, dtype=np.int64).T, p, order="C")
+    a = np.asarray(int_rows).T.astype(np.int64, order="C")
+    a %= p
     free = np.ones(len(a), dtype=bool)
     pivots: list[int] = []
     for col in range(a.shape[1]):

@@ -122,6 +122,40 @@ def brute_force_character_table(n: int) -> dict[tuple[int, ...], tuple[int, ...]
     return table
 
 
+def frobenius_character(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+    """One character value by the Frobenius formula.
+
+    chi^shape(cycles) is the coefficient of x^(shape + delta) in the
+    Vandermonde determinant a_delta times the power sums p_m(x) over the cycle
+    lengths m, in len(shape) variables with delta = (k-1, ..., 1, 0).  The
+    power-sum product is expanded as a dict of exponent tuples; a monomial
+    x^e meets the determinant's term of sign(s) x^s exactly when
+    shape + delta - e is a permutation s of delta.
+    """
+    k = len(shape)
+    poly = {(0,) * k: 1}
+    for m in cycles:
+        grown: dict[tuple[int, ...], int] = {}
+        for exps, coeff in poly.items():
+            for i in range(k):
+                key = exps[:i] + (exps[i] + m,) + exps[i + 1 :]
+                grown[key] = grown.get(key, 0) + coeff
+        poly = grown
+    delta = list(range(k - 1, -1, -1))
+    target = [part + d for part, d in zip(shape, delta)]
+    total = 0
+    for exps, coeff in poly.items():
+        perm = [x - e for x, e in zip(target, exps)]
+        if sorted(perm, reverse=True) != delta:
+            continue
+        # inversions against the decreasing order of delta
+        inversions = sum(
+            1 for i in range(k) for j in range(i + 1, k) if perm[i] < perm[j]
+        )
+        total += (-1) ** inversions * coeff
+    return total
+
+
 def derangements_by_inclusion_exclusion(n: int) -> int:
     return sum((-1) ** k * factorial(n) // factorial(k) for k in range(n + 1))
 

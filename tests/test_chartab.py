@@ -166,6 +166,22 @@ class TestCharacterValues:
         expected = dict(zip(classes, _oracle_table(n)[shape]))[cycles]
         assert character_value(shape, cycles) == expected
 
+    @given(st.data())
+    def test_bead_recursion_matches_frobenius_through_degree_eight(self, data):
+        n = data.draw(st.integers(1, 8))
+        classes = oracles.partitions_reverse_lex(n)
+        shape = data.draw(st.sampled_from(classes))
+        cycles = data.draw(st.sampled_from(classes))
+        expected = oracles.frobenius_character(shape, cycles)
+        assert character_value(shape, cycles) == expected
+        assert character_table(n).value(shape, cycles) == expected
+
+    def test_frobenius_oracle_matches_brute_force_through_degree_six(self):
+        for n in range(1, 7):
+            classes = oracles.partitions_reverse_lex(n)
+            for shape, row in _oracle_table(n).items():
+                assert [oracles.frobenius_character(shape, c) for c in classes] == list(row)
+
     def test_trivial_character_is_constant_one(self):
         for n in range(1, 8):
             assert all(character_value((n,), c) == 1 for c in partitions_of(n))
@@ -226,6 +242,23 @@ class TestTableObject:
             table = character_table(n)
             assert check_row_orthogonality(table)
             assert check_column_orthogonality(table)
+
+    @pytest.mark.parametrize("cell", [(0, 0), (1, 2), (4, 1), (6, 6)])
+    def test_orthogonality_fails_on_a_changed_entry(self, cell):
+        table = character_table(5)
+        values = [list(row) for row in table.values]
+        values[cell[0]][cell[1]] += 1
+        doctored = CharacterTable(5, table.partitions, tuple(map(tuple, values)))
+        assert not check_row_orthogonality(doctored)
+        assert not check_column_orthogonality(doctored)
+
+    def test_row_orthogonality_fails_on_a_repeated_row(self):
+        # every row keeps its norm; only the pair (2, 3) is not orthogonal
+        table = character_table(5)
+        values = list(table.values)
+        values[3] = values[2]
+        doctored = CharacterTable(5, table.partitions, tuple(values))
+        assert not check_row_orthogonality(doctored)
 
     def test_row_orthogonality_by_hand(self):
         # sum over classes of |C| * chi(C) * psi(C) is 0 or |G|

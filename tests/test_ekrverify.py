@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ekrperm import ekrverify, linalg, scheme
+from ekrperm.chartab import dimension
 from ekrperm.ekrverify import (
     MAX_INCIDENCE_DEGREE,
     SetClassification,
@@ -341,6 +342,94 @@ class TestKernelMembershipByLinearity:
         assert ours == seen
 
 
+def _recording_rref(monkeypatch):
+    real = linalg.rref
+    heights = []
+
+    def recording(rows):
+        heights.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "rref", recording)
+    return heights
+
+
+def _blocks_with(edit):
+    """blocks(n) with its off-diagonal rows replaced by edit(rows)."""
+    return lambda n: dataclasses.replace(
+        blocks(n), off_diagonal_ones=tuple(edit(list(blocks(n).off_diagonal_ones)))
+    )
+
+
+def _deficient_gram(real):
+    """The real Gram with its last row and column zeroed: rank one lower."""
+
+    def deficient(ones_rows, width):
+        gram = real(ones_rows, width)
+        for row in gram:
+            row[-1] = 0
+        gram[-1] = [0] * width
+        return gram
+
+    return deficient
+
+
+class TestCertifiedLemmaRanks:
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_no_elimination_at_the_top_degrees(self, n, monkeypatch):
+        heights = _recording_rref(monkeypatch)
+        assert rank_H_check(n) == ((n - 1) ** 2, True)
+        assert rank_M_check(n) == ((n - 1) * (n - 2), True)
+        basis, ok = bordered_kernel_check(n)
+        assert ok and basis == [[1] * ((n - 1) * (n - 2)) + [-(n - 2)]]
+        assert heights == []
+
+    def test_given_gram_gives_the_same_results(self):
+        n = 6
+        _, gram = gram_check(n)
+        assert rank_H_check(n, gram) == rank_H_check(n)
+        assert kernel_membership_check(n, gram=gram) is kernel_membership_check(n)
+
+    def test_doctored_gram_reports_its_exact_rank(self, monkeypatch):
+        n = 6
+        width = (n - 1) ** 2
+        doctored = _deficient_gram(ekrverify._incidence_gram)(build_H(n).ones, width)
+        assert rank_H_check(n, doctored) == ((n - 1) ** 2 - 1, False)
+        monkeypatch.setattr(
+            ekrverify, "_incidence_gram", _deficient_gram(ekrverify._incidence_gram)
+        )
+        assert rank_M_check(n) == ((n - 1) * (n - 2) - 1, False)
+
+    def test_undershooting_profile_keeps_the_exact_ranks(self, monkeypatch):
+        n = 6
+        real = linalg.rank_profile_mod_p
+        monkeypatch.setattr(
+            linalg, "rank_profile_mod_p", lambda rows, p: real(rows, p)[1:]
+        )
+        assert rank_H_check(n) == ((n - 1) ** 2, True)
+        assert rank_M_check(n) == ((n - 1) * (n - 2), True)
+        assert bordered_kernel_check(n)[1] is True
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_too_few_rows_widen_the_kernel(self, n, monkeypatch):
+        # every row still sums to 0 against the expected vector, but the
+        # rank falls below the width, so the kernel has more than one line
+        monkeypatch.setattr(ekrverify, "blocks", _blocks_with(lambda rows: rows[:3]))
+        basis, ok = bordered_kernel_check(n)
+        assert not ok
+        assert len(basis) == (n - 1) * (n - 2) + 1 - 3
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_expected_vector_missing_a_row_fails(self, n, monkeypatch):
+        # a row with one of its ones dropped sums to -1 against the vector
+        monkeypatch.setattr(
+            ekrverify, "blocks", _blocks_with(lambda rows: [rows[0][1:]] + rows[1:])
+        )
+        basis, ok = bordered_kernel_check(n)
+        assert not ok
+        assert basis == []
+
+
 class TestModuleSupport:
     def test_point_family_lives_in_standard_module(self):
         supports = module_support(family([(2, 3)], 5).members, 5)
@@ -638,15 +727,17 @@ class TestClassification:
 
     def test_eliminates_no_more_rows_than_the_certificate(self, monkeypatch):
         n = 5
-        real = linalg.rref
-        heights = []
-
-        def recording(rows):
-            heights.append(len(rows))
-            return real(rows)
-
-        monkeypatch.setattr(linalg, "rref", recording)
-        assert classify_maximum_sets(n).all_canonical
+        heights = _recording_rref(monkeypatch)
+        found = max_independent_sets(n)
+        # the modular certificate meets its cap, so nothing is eliminated
+        assert classify_maximum_sets(n, found).all_canonical
+        assert heights == []
+        # a profile that undershoots every prime eliminates the certificate only
+        real_profile = linalg.rank_profile_mod_p
+        monkeypatch.setattr(
+            linalg, "rank_profile_mod_p", lambda rows, p: real_profile(rows, p)[1:]
+        )
+        assert classify_maximum_sets(n, found).all_canonical
         assert heights and max(heights) <= (n - 1) ** 2 + 1
 
     def test_translation_moves_families_to_families(self):
@@ -656,6 +747,67 @@ class TestClassification:
         translated = frozenset(compose(g, p).images for p in fam.members)
         target = family([(4, g(4))], 4)
         assert translated == frozenset(p.images for p in target.members)
+
+
+def _shifted_row_ranks(order, off, on, families, bounds):
+    """certified_ranks on int64 rows holding on at each family, off elsewhere,
+    followed by the ones row."""
+    import numpy as np
+
+    rows = np.full((len(families) + 1, order), off, dtype=np.int64)
+    rows[-1] = 1
+    for f, ranks in enumerate(families):
+        rows[f, ranks] = on
+    return linalg.certified_ranks(rows, bounds)
+
+
+class TestIndicatorRoute:
+    """The 0/1 indicator rows give the ranks of the shifted rows they replace."""
+
+    @pytest.mark.parametrize(
+        "n, t", [(3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2)]
+    )
+    def test_depth_spans_match_shifted_rows(self, n, t):
+        gd = group_data(n)
+        size = math.factorial(n - t - 1)
+        families = gd.constraint_ranks(enumerate_constraint_sets(n, t + 1))
+        report = depth_conjecture_dims(n, t)
+        union_dim = sum(dimension(shape) ** 2 for shape in report.support_union)
+        k = len(families)
+        # n! x - |family| ones
+        (shifted, m1), (with_ones, m2) = _shifted_row_ranks(
+            gd.order, -size, gd.order - size, families,
+            [(k, union_dim), (k + 1, union_dim + 1)],
+        )
+        assert (report.span_rank_shifted, report.span_rank_with_ones) == (
+            shifted,
+            with_ones,
+        )
+        assert report.rank_method == f"{m1}/{m2}"
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_point_basis_matches_shifted_rows(self, n):
+        gd = group_data(n)
+        points = [((i, j),) for i in range(1, n) for j in range(1, n)]
+        families = gd.constraint_ranks(points)
+        k = len(families)
+        # n x - ones
+        (shifted, m1), (with_ones, m2) = _shifted_row_ranks(
+            gd.order, -1, n - 1, families, [(k, k), (k + 1, k + 1)]
+        )
+        report = basis_check(n)
+        assert (report.rank_shifted, report.rank_with_ones) == (shifted, with_ones)
+        route = ekrverify._shifted_span_ranks(
+            families, gd.order, math.factorial(n - 1), k
+        )
+        assert route == (shifted, with_ones, m1) and m1 == m2
+
+    def test_family_of_the_wrong_size_raises(self):
+        gd = group_data(4)
+        families = gd.constraint_ranks([((1, 1),), ((2, 2),)])
+        families[1] = families[1][:-1]
+        with pytest.raises(AssertionError, match="members"):
+            ekrverify._shifted_span_ranks(families, gd.order, 6, 2)
 
 
 class TestDepthSpans:

@@ -68,6 +68,15 @@ class TestBuildGraph:
             for j in range(24):
                 assert ((mask >> j) & 1) == ((masks[j] >> i) & 1)
 
+    @pytest.mark.parametrize(
+        "n, t", [(3, 0), (4, 0), (5, 0), (6, 0), (4, 1), (5, 1)]
+    )
+    def test_packed_masks_equal_shift_sums(self, n, t):
+        gd = scheme.group_data(n)
+        rows = gd.compose_ranks([[r] for r in range(gd.order)], gd.connection(t))
+        shifted = [sum(1 << r for r in row) for row in rows.tolist()]
+        assert build_graph(n, t).adjacency_masks() == shifted
+
     def test_implicit_mode_above_dense_cap(self):
         g = build_graph(7, 0)
         assert not g.dense

@@ -186,6 +186,22 @@ class TestRankProfileProperties:
             assert count <= oracles.gaussian_rank(matrix[:k])
             assert count == _modular_rank(matrix[:k], p) == _rank_mod(matrix[:k], p)
 
+    @given(_int_matrices(), st.sampled_from([3, 5, 2147483647]))
+    def test_same_pivots_for_every_input_form(self, matrix, p):
+        import numpy as np
+
+        expected = rank_profile_mod_p(matrix, p)
+        narrow = np.array(matrix, dtype=np.int8)
+        assert rank_profile_mod_p(narrow, p) == expected
+        assert rank_profile_mod_p(np.asfortranarray(narrow), p) == expected
+        wide = np.array(matrix, dtype=np.int64)
+        assert rank_profile_mod_p(wide, p) == expected
+        assert wide.tolist() == matrix  # the caller's array is not reduced
+        # negative entries: shifted by -p (same residues) or negated rows
+        shifted = [[v - p for v in row] for row in matrix]
+        assert rank_profile_mod_p(np.array(shifted, dtype=np.int64), p) == expected
+        assert rank_profile_mod_p(-narrow, p) == expected
+
     @given(_int_matrices(), st.integers(0, 6))
     def test_certified_rank_never_exceeds_its_bound(self, matrix, bound):
         exact = oracles.gaussian_rank(matrix)
