@@ -12,7 +12,6 @@ from .chartab import (
     character_table,
     character_value,
     dimension,
-    n_cycle_character,
 )
 from .ekrverify import (
     basis_check,
@@ -23,8 +22,6 @@ from .ekrverify import (
     depth_conjecture_dims,
     gram_check,
     kernel_membership_check,
-    module_support,
-    module_supports,
     pi_ab,
     pi_ab_submatrix,
     rank_H_check,
@@ -38,10 +35,7 @@ from .errors import (
 from .graphs import (
     CliqueCertificate,
     Family,
-    PermutationGraph,
     affine_clique,
-    all_point_families,
-    build_graph,
     cycle_decomposition_clique,
     equitable_quotient,
     family,
@@ -56,7 +50,6 @@ from .graphs import (
 from .permgroup import (
     Permutation,
     agreements,
-    all_permutations,
     class_size,
     compose,
     conjugacy_classes,
@@ -72,12 +65,9 @@ from .permgroup import (
     unrank_permutation,
 )
 from .scheme import (
-    ProjectionResult,
     SchemeSpectrum,
     clique_coclique_check,
     fundamental_identity_check,
-    least_eigenvalue,
-    project,
     ratio_bound,
     union_spectrum,
 )
@@ -91,19 +81,14 @@ __all__ = [
     "Family",
     "FamilyValidationError",
     "Permutation",
-    "PermutationGraph",
-    "ProjectionResult",
     "SchemeSpectrum",
     "UnsupportedConstructionError",
     "affine_clique",
     "agreements",
-    "all_permutations",
-    "all_point_families",
     "basis_check",
     "blocks",
     "bordered_kernel_check",
     "build_H",
-    "build_graph",
     "character_table",
     "character_value",
     "class_size",
@@ -124,11 +109,7 @@ __all__ = [
     "inverse",
     "kernel_membership_check",
     "latin_clique",
-    "least_eigenvalue",
     "max_independent_sets",
-    "module_support",
-    "module_supports",
-    "n_cycle_character",
     "odd_n_latin_clique",
     "parse_cycles",
     "parse_one_line",
@@ -136,7 +117,6 @@ __all__ = [
     "partitions_of",
     "pi_ab",
     "pi_ab_submatrix",
-    "project",
     "rank_H_check",
     "rank_M_check",
     "rank_permutation",

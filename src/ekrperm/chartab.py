@@ -119,20 +119,6 @@ def character_value(shape: Partition, cycles: CycleType) -> int:
     return _murnaghan_nakayama(_beads(shape, n), tuple(sorted(cycles, reverse=True)))
 
 
-def n_cycle_character(shape: Partition) -> int:
-    """Character value on the single-n-cycle class: +-1 on hooks, 0 otherwise."""
-    n = sum(shape)
-    value = character_value(shape, (n,))
-    if value not in (-1, 0, 1):
-        raise AssertionError(f"n-cycle character of {shape} is {value}, not in -1..1")
-    is_hook = len(shape) == 1 or shape[1] == 1
-    if (value != 0) != is_hook:
-        raise AssertionError(
-            f"n-cycle character of {shape} must be nonzero exactly on hooks"
-        )
-    return value
-
-
 @dataclass(frozen=True)
 class CharacterTable:
     """Square table of character values, rows and columns in partition order."""

@@ -13,12 +13,10 @@ has full column rank and then checks each set's predicted coordinates.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from operator import mul
 
 from . import linalg
 from .chartab import character_table, dimension
@@ -273,82 +271,37 @@ def bordered_kernel_check(n: int):
     return basis, False
 
 
-def kernel_membership_check(n: int, trials: int = 20, seed: int = 987, gram=None) -> bool:
-    """Random vectors in ker(N) are mapped by H into the span of W's columns.
+def kernel_membership_check(n: int) -> bool:
+    """H maps ker(N) into the span of W's columns, certified without sampling.
 
-    N is the derangement rows of H and W its diagonal columns.  ker(N) is
-    found through N^T N (same kernel over the rationals), each basis vector
-    re-verified against N itself; membership of H y in the column span of W
-    is a rank comparison of bordered Gram matrices.  A trial draws y as an
-    integer combination sum c_i b_i of the basis, so by linearity its border
-    W^T H y and its |H y|^2 = c^T B c are sums over the basis, with
-    W^T H b_i and B_ij = <H b_i, H b_j> read once per call off G = H^T H
-    (W^T H is G's rows at W's columns, W^T W the square block there), which
-    is formed here when not given.
+    N is the derangement rows of H and W its diagonal columns.  The columns Z
+    that no row of N meets (the zeros on the diagonal of N^T N) give unit
+    vectors in ker(N), so rank N <= width - |Z|, and a certified rank of N^T N
+    that meets this cap proves ker(N) = span{e_c : c in Z}.  H e_c is column c
+    of H, so the check passes outright when Z lies among W's columns; otherwise
+    it compares the exact ranks of the Gram matrices of [W | H_Z] and of W.  A
+    kernel whose dimension is not n-1, or that those unit vectors do not span,
+    raises AssertionError.
     """
-    import numpy as np
-
     h = build_H(n)
     dec = blocks(n)
     width = (n - 1) ** 2
-    n_ones = [h.ones[r] for r in dec.derangement_ranks]
-    basis = linalg.kernel_basis(_incidence_gram(n_ones, width))
-    if len(basis) != width - (n - 1) * (n - 2):
+    n_gram = _incidence_gram([h.ones[r] for r in dec.derangement_ranks], width)
+    unmet = [c for c in range(width) if not n_gram[c][c]]
+    ((rank_n, _),) = linalg.certified_ranks(n_gram, [(width, width - len(unmet))])
+    if width - rank_n != n - 1:
         raise AssertionError("unexpected kernel dimension for the derangement rows")
-    # every derangement row has n-2 ones; N b as object sums keeps Python ints
-    cols = np.array(n_ones, dtype=np.intp)
-    if np.array(basis, dtype=object)[:, cols].sum(axis=2).any():
-        raise AssertionError("Gram kernel vector is not in ker(N)")
-    if gram is None:
-        gram = _incidence_gram(h.ones, width)
-    diag = [h.columns.index(c) for c in dec.diagonal_columns]
-    w_gram = [[gram[a][b] for b in diag] for a in diag]
-    w_rank = linalg.bareiss_rank(w_gram)
-    g_basis = [[sum(map(mul, row, vec)) for row in gram] for vec in basis]
-    # borders[d][i] = (W^T H b_i)[d]; norms[i][j] = <H b_i, H b_j>
-    borders = [[gb[d] for gb in g_basis] for d in diag]
-    norms = [[sum(map(mul, vec, gb)) for gb in g_basis] for vec in basis]
-    rng = random.Random(seed)
-    for _ in range(trials):
-        coeffs = [rng.randint(-9, 9) for _ in basis]
-        border = [sum(map(mul, coeffs, row)) for row in borders]
-        norm = sum(c * sum(map(mul, coeffs, row)) for c, row in zip(coeffs, norms))
-        bordered = [row + [v] for row, v in zip(w_gram, border)]
-        bordered.append(border + [norm])
-        if linalg.bareiss_rank(bordered) != w_rank:
-            return False
-    return True
+    if rank_n != width - len(unmet):
+        raise AssertionError("ker(N) is not spanned by the columns N never meets")
+    w = [h.columns.index(c) for c in dec.diagonal_columns]
+    if set(unmet) <= set(w):
+        return True
+    gram = _incidence_gram(h.ones, width)
 
+    def gram_rank(cols):
+        return linalg.bareiss_rank([[gram[a][b] for b in cols] for a in cols])
 
-def module_supports(
-    families, n: int, shift: Fraction | None = None
-) -> list[dict[Partition, Fraction]]:
-    """Exact squared norm of each eigenspace component, for every family at once.
-
-    Each vector is the 0/1 indicator of one family minus shift * ones (default
-    shift 1/n).  The members are ranked and handed to _module_norms, and each
-    integer it returns becomes one Fraction over n! b^2, for shift = a/b.  A
-    repeated member raises ValueError.
-    """
-    if n > MAX_DENSE_DEGREE:
-        raise DegreeRangeError(f"module support needs degree at most {MAX_DENSE_DEGREE}")
-    shift = Fraction(1, n) if shift is None else Fraction(shift)
-    gd = group_data(n)
-    rank_lists = []
-    for members in families:
-        seen: set[int] = set()
-        for p in members:
-            r = gd.rank_of(p)
-            if r in seen:
-                raise ValueError(f"repeated member {p}")
-            seen.add(r)
-        rank_lists.append(list(seen))
-    scale = gd.order * shift.denominator**2
-    shapes = [cls.cycle_type for cls in gd.classes]
-    return [
-        {shape: Fraction(total, scale) for shape, total in zip(shapes, totals)}
-        for totals in _module_norms(rank_lists, n, shift)
-    ]
+    return gram_rank(w + [c for c in unmet if c not in w]) == gram_rank(w)
 
 
 def _module_norms(rank_lists, n: int, shift: Fraction) -> list[list[int]]:
@@ -404,20 +357,6 @@ def _module_norms(rank_lists, n: int, shift: Fraction) -> list[list[int]]:
                 raise AssertionError("eigenspace norms do not add up to the vector norm")
             out[f] = row
     return out
-
-
-def module_support(members, n: int, shift: Fraction | None = None) -> dict[Partition, Fraction]:
-    """Exact squared norm of each eigenspace component of one shifted indicator.
-
-    The one-family call of module_supports: the vector is the 0/1 indicator
-    of the member set minus shift * ones (default shift 1/n), and nothing of
-    size n! is built.
-    """
-    return module_supports([members], n, shift)[0]
-
-
-def support_set(supports: dict[Partition, Fraction]) -> tuple[Partition, ...]:
-    return tuple(shape for shape, value in supports.items() if value != 0)
 
 
 def _shifted_span_ranks(families, order: int, size: int, cap: int):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from operator import eq
@@ -24,13 +23,10 @@ from .errors import (
 )
 from .permgroup import (
     Permutation,
-    agreements,
-    classes_with_few_fixed_points,
     derangement_count,
     first_agreement_violation,
     identity,
     parse_one_line,
-    rank_permutation,
 )
 from .scheme import MAX_DENSE_DEGREE, group_data
 
@@ -38,31 +34,9 @@ from .scheme import MAX_DENSE_DEGREE, group_data
 MAX_QUOTIENT_DEGREE = 10
 
 
-@dataclass(frozen=True)
-class PermutationGraph:
-    """The agreement-at-most-t graph, dense below 7 points and implicit above."""
-
-    n: int
-    t: int
-    degree: int
-    dense: bool
-
-    def adjacent(self, p: Permutation, q: Permutation) -> bool:
-        if p.degree != self.n or q.degree != self.n:
-            raise ValueError("degree mismatch")
-        return p.images != q.images and agreements(p, q) <= self.t
-
-    def adjacency_masks(self) -> list[int]:
-        """Bitmask neighbourhoods indexed by permutation rank (dense mode only)."""
-        if not self.dense:
-            raise DegreeRangeError(
-                f"explicit adjacency stops at degree {MAX_DENSE_DEGREE}"
-            )
-        return _adjacency_masks(self.n, self.t)
-
-
 @lru_cache(maxsize=None)
 def _adjacency_masks(n: int, t: int) -> list[int]:
+    """Bit q of mask p is set when p != q agree in at most t points; p is a rank."""
     import numpy as np
 
     gd = group_data(n)
@@ -72,15 +46,6 @@ def _adjacency_masks(n: int, t: int) -> list[int]:
     # bit r of a little-endian packed row is column r
     packed = np.packbits(adjacent, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def build_graph(n: int, t: int = 0) -> PermutationGraph:
-    if n < 2:
-        raise DegreeRangeError("graphs need degree at least 2")
-    if not 0 <= t < n - 1:
-        raise ValueError(f"need 0 <= t < n-1, got t={t}, n={n}")
-    degree = sum(cls.size for cls in classes_with_few_fixed_points(n, t))
-    return PermutationGraph(n=n, t=t, degree=degree, dense=n <= MAX_DENSE_DEGREE)
 
 
 def validate_clique(members, t: int = 0) -> tuple[bool, tuple | None]:
@@ -422,11 +387,6 @@ def family(constraints, n: int) -> Family:
         members.append(Permutation(tuple(images)))
     members.sort(key=lambda p: p.images)
     return Family(n=n, constraints=pairs, members=tuple(members))
-
-
-def all_point_families(n: int) -> dict[tuple[int, int], Family]:
-    """The n^2 families fixing a single position-value pair."""
-    return {(i, j): family([(i, j)], n) for i in range(1, n + 1) for j in range(1, n + 1)}
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ p(q(i))``.  All counting is done with Python integers, which never overflow.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -66,10 +65,6 @@ def inverse(p: Permutation) -> Permutation:
     for i, v in enumerate(p.images, start=1):
         out[v - 1] = i
     return Permutation(tuple(out))
-
-
-def fixed_points(p: Permutation) -> int:
-    return sum(1 for i, v in enumerate(p.images, start=1) if i == v)
 
 
 def agreements(p: Permutation, q: Permutation) -> int:
@@ -198,12 +193,6 @@ def unrank_permutation(rank: int, n: int) -> Permutation:
         idx, rank = divmod(rank, f)
         images.append(available.pop(idx))
     return Permutation(tuple(images))
-
-
-def all_permutations(n: int):
-    """Yield every degree-n permutation in rank (lexicographic) order."""
-    for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images)
 
 
 @lru_cache(maxsize=None)

@@ -6,9 +6,10 @@ dimension dim(shape)^2.  dim * eig_t(shape) is an inclusion-exclusion over
 fixed points of skew tableau counts (union_spectrum), with no sum over
 classes; the division by dim must be exact (enforced).
 
-Vectors over the group are lists indexed by permutation rank.  Projections
-onto an eigenspace are computed as convolutions with the character, grouped
-by the cycle type of p^-1 q; nothing here ever touches floating point.
+Vectors over the group are lists indexed by permutation rank.  A vector's
+weight on each eigenspace, x^T E x, is read from its class quadratic forms
+x^T A_C x (integer counts of support pairs by the cycle type of p^-1 q) paired
+with the character; nothing here ever touches floating point.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .permgroup import (
     classes_with_few_fixed_points,
     conjugacy_classes,
     cycle_type_of_images,
-    derangement_count,
     first_agreement_violation,
     rank_permutation,
 )
@@ -49,8 +49,8 @@ class GroupData:
     shared partition order.
 
     compose_ranks and quotient_classes are the one place where permutations
-    are multiplied; everything else in the scheme (projections, quadratic
-    forms, adjacency, the multiplication table) reads products from them.
+    are multiplied; everything else (quadratic forms, adjacency masks, the
+    multiplication table) reads products from them.
     NumPy is imported by the first call and only ever computes indices.
     """
 
@@ -255,10 +255,6 @@ def union_spectrum(n: int, t: int = 0) -> SchemeSpectrum:
     )
 
 
-def least_eigenvalue(n: int, t: int = 0) -> tuple[int, tuple[Partition, ...]]:
-    return union_spectrum(n, t).least()
-
-
 def ratio_bound(n: int, t: int = 0) -> Fraction:
     """Hoffman bound n!/(1 - valency/least) on independent sets, exactly."""
     spectrum = union_spectrum(n, t)
@@ -268,65 +264,10 @@ def ratio_bound(n: int, t: int = 0) -> Fraction:
     return Fraction(factorial(n)) / (1 - Fraction(spectrum.valency, tau))
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
-    """Projection of a vector onto one eigenspace: nums/denom entrywise."""
-
-    partition: Partition
-    nums: tuple[int, ...]
-    denom: int
-
-    @property
-    def vector(self) -> list[Fraction]:
-        return [Fraction(v, self.denom) for v in self.nums]
-
-
 def _character_row(shape: Partition, n: int) -> tuple[int, ...]:
     """Character values of shape on every class, in class order."""
     table = character_table(n)
     return table.values[table.row_index(shape)]
-
-
-def _class_sums(gd: GroupData, rows, nums: list[int]) -> list[list[int]]:
-    """sums[i][c] = sum of nums[j] over j with perm(rows[i])^-1 perm(j) in class c."""
-    if len(nums) != gd.order:
-        raise ValueError(f"vector length {len(nums)} != {gd.order}")
-    support = [j for j, v in enumerate(nums) if v]
-    values = [nums[j] for j in support]
-    sums = []
-    step = max(1, BLOCK_PAIRS // max(1, len(support)))
-    for start in range(0, len(rows), step):
-        block = [[r] for r in rows[start : start + step]]
-        for classes in gd.quotient_classes(block, support):
-            acc = [0] * len(gd.classes)
-            for c, v in zip(classes.tolist(), values):
-                acc[c] += v
-            sums.append(acc)
-    return sums
-
-
-def project(shape: Partition, x, n: int) -> ProjectionResult:
-    """Apply the idempotent of shape to x by character convolution.
-
-    Cost is n! * support(x) pairs, so keep the degree at most
-    MAX_DENSE_DEGREE for vectors with full support.
-    """
-    gd = group_data(n)
-    chi = _character_row(shape, n)
-    nums, denom = scaled_integers(x)
-    dim = dimension(shape)
-    sums = _class_sums(gd, range(gd.order), nums)
-    out = tuple(dim * sum(map(mul, chi, row)) for row in sums)
-    return ProjectionResult(tuple(shape), out, gd.order * denom)
-
-
-def adjacency_apply(nums: list[int], n: int, t: int = 0) -> list[int]:
-    """Apply the agreement-at-most-t graph's adjacency operator to an integer vector."""
-    gd = group_data(n)
-    if gd.n > MAX_DENSE_DEGREE:
-        raise DegreeRangeError("adjacency application needs the dense tables")
-    neighbours = gd.compose_ranks([[r] for r in range(gd.order)], gd.connection(t))
-    return [sum(map(nums.__getitem__, row)) for row in neighbours.tolist()]
 
 
 def class_quadratic_forms(x, n: int) -> list[Fraction]:
@@ -488,11 +429,10 @@ def clique_coclique_check(
         y = characteristic_vector(independent, n)
         ex = _character_sums(class_quadratic_forms(x, n), n)
         ey = _character_sums(class_quadratic_forms(y, n), n)
-        top = partitions_top(n)
         rows = [
             (cls.cycle_type, a > 0, b > 0)
             for cls, a, b in zip(group_data(n).classes, ex, ey)
-            if cls.cycle_type != top
+            if cls.cycle_type != (n,)
         ]
         corollary_ok = not any(a and b for _, a, b in rows)
         supports = tuple(rows)
@@ -508,7 +448,3 @@ def clique_coclique_check(
         corollary_ok=corollary_ok,
     )
 
-
-def partitions_top(n: int) -> Partition:
-    """The one-row partition, labelling the trivial eigenspace."""
-    return (n,)

@@ -4,11 +4,13 @@ Every check here recomputes its target from scratch through the public API
 and verifies exact values; nothing is trusted from other test modules.
 """
 
+import itertools
 import math
 import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ekrperm.chartab import (
@@ -17,7 +19,6 @@ from ekrperm.chartab import (
     check_column_orthogonality,
     check_row_orthogonality,
     dimension,
-    n_cycle_character,
 )
 from ekrperm.ekrverify import (
     basis_check,
@@ -25,16 +26,13 @@ from ekrperm.ekrverify import (
     depth_conjecture_dims,
     gram_check,
     kernel_membership_check,
-    module_support,
     pi_ab,
     pi_ab_submatrix,
     rank_H_check,
     rank_M_check,
-    support_set,
 )
 from ekrperm.graphs import (
     affine_clique,
-    all_point_families,
     cycle_decomposition_clique,
     family,
     latin_clique,
@@ -43,23 +41,19 @@ from ekrperm.graphs import (
     validate_clique,
 )
 from ekrperm.permgroup import (
-    all_permutations,
     class_size,
     classes_with_few_fixed_points,
     cycle_type,
     derangement_count,
-    fixed_points,
     parse_cycles,
     parse_one_line,
     partitions_of,
 )
 from ekrperm.scheme import (
-    adjacency_apply,
     characteristic_vector,
     clique_coclique_check,
     fundamental_identity_check,
-    least_eigenvalue,
-    project,
+    group_data,
     ratio_bound,
     union_spectrum,
 )
@@ -88,6 +82,22 @@ class Budget:
         return False
 
 
+def dense_projections(vectors, n):
+    """n! E_shape v for every shape and each integer vector v, one per column.
+
+    n! E_shape is dim(shape) * chi_shape(p^-1 q) as a dense n! x n! matrix, the
+    class of p^-1 q read from GroupData.quotient_classes for every pair of ranks.
+    """
+    ranks = np.arange(math.factorial(n))
+    classes = group_data(n).quotient_classes(ranks[:, None], ranks)
+    table = character_table(n)
+    columns = np.array(vectors, dtype=np.int64).T
+    return {
+        shape: dimension(shape) * (np.array(row, dtype=np.int64)[classes] @ columns)
+        for shape, row in zip(table.partitions, table.values)
+    }
+
+
 def test_01_derangement_counts():
     with Budget("1 derangement counts", 10):
         values = {n: derangement_count(n) for n in range(1, 10)}
@@ -98,7 +108,11 @@ def test_01_derangement_counts():
         for n in range(1, 10):
             assert values[n] == oracles.derangements_by_inclusion_exclusion(n)
         for n in range(1, 9):
-            brute = sum(1 for p in all_permutations(n) if fixed_points(p) == 0)
+            brute = sum(
+                1
+                for images in itertools.permutations(range(1, n + 1))
+                if all(v != i for i, v in enumerate(images, start=1))
+            )
             assert values[n] == brute
         for n in range(2, 10):
             by_classes = sum(
@@ -132,30 +146,30 @@ def test_03_spectrum_and_eigenvectors():
         # exact eigenvector identity for every module at the dense degrees
         rng = random.Random(321)
         for n in range(2, 7):
-            z = [rng.randrange(-4, 5) for _ in range(math.factorial(n))]
-            projections = {
-                shape: project(shape, z, n) for shape in partitions_of(n)
-            }
-            total = [Fraction(0)] * math.factorial(n)
-            for res in projections.values():
-                total = [a + b for a, b in zip(total, res.vector)]
-            assert total == [Fraction(v) for v in z]
+            order = math.factorial(n)
+            z = [rng.randrange(-4, 5) for _ in range(order)]
+            projections = dense_projections([z], n)
+            total = sum(projections.values())
+            assert total.ravel().tolist() == [order * v for v in z]
+            # adjacency from agreement counts; p agrees with itself n > t times
+            images = np.array(list(itertools.permutations(range(n))))
+            agree = (images[:, None, :] == images[None, :, :]).sum(axis=2)
             thresholds = (0, 1) if n >= 3 else (0,)
             for t in thresholds:
                 s = union_spectrum(n, t)
-                for shape, res in projections.items():
-                    image = adjacency_apply(list(res.nums), n, t)
-                    assert image == [s.eigenvalue(shape) * v for v in res.nums]
+                adjacency = (agree <= t).astype(np.int64)
+                for shape, image in projections.items():
+                    assert np.array_equal(adjacency @ image, s.eigenvalue(shape) * image)
 
 
 def test_04_least_eigenvalue():
     with Budget("4 least eigenvalue", 60):
         for n in range(2, 9):
-            value, achieved = least_eigenvalue(n)
+            value, achieved = union_spectrum(n).least()
             assert value == Fraction(-derangement_count(n), n - 1)
             assert (n - 1, 1) in achieved
             assert ratio_bound(n) == math.factorial(n - 1)
-        assert least_eigenvalue(8)[0] == -2119
+        assert union_spectrum(8).least()[0] == -2119
 
 
 def test_05_cliques_and_exhaustive_search():
@@ -167,8 +181,10 @@ def test_05_cliques_and_exhaustive_search():
             result = max_independent_sets(n)
             assert result.alpha == math.factorial(n - 1)
             assert result.tight
+            points = range(1, n + 1)
             catalogue = {
-                frozenset(f.members) for f in all_point_families(n).values()
+                frozenset(family([pair], n).members)
+                for pair in itertools.product(points, points)
             }
             assert result.count == len(catalogue)
             assert {frozenset(s) for s in result.sets} == catalogue
@@ -222,7 +238,7 @@ def test_07_larger_cliques_and_character_coverage():
                 assert by_shape[(n - 1, 1)] == 0
                 if cert.construction == "hamilton-decomposition":
                     for shape in table.partitions:
-                        expected = dimension(shape) + (n - 1) * n_cycle_character(shape)
+                        expected = dimension(shape) + (n - 1) * character_value(shape, (n,))
                         assert by_shape[shape] == expected
             for shape in table.partitions:
                 if shape == (n - 1, 1):
@@ -270,11 +286,16 @@ def test_08_incidence_linear_algebra():
 def test_09_module_supports_and_basis():
     with Budget("9 module supports", 300):
         for n in range(3, 7):
-            standard = (n - 1, 1)
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    supports = module_support(family([(i, j)], n).members, n)
-                    assert support_set(supports) == (standard,)
+            # n times each point family's indicator minus ones/n, by rank
+            points = range(1, n + 1)
+            shifted = []
+            for pair in itertools.product(points, points):
+                members = {p.images for p in family([pair], n).members}
+                shifted.append(
+                    [n * (images in members) - 1 for images in itertools.permutations(points)]
+                )
+            for shape, images in dense_projections(shifted, n).items():
+                assert images.any(axis=0).tolist() == [shape == (n - 1, 1)] * n * n
             report = basis_check(n)
             assert report.supports_ok and report.dimension_match
             assert report.rank_shifted == (n - 1) ** 2

@@ -2,6 +2,7 @@
 module supports, and the classification of maximum intersecting families."""
 
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -25,21 +26,16 @@ from ekrperm.ekrverify import (
     expected_gram,
     gram_check,
     kernel_membership_check,
-    module_support,
-    module_supports,
     pi_ab,
     pi_ab_submatrix,
     rank_H_check,
     rank_M_check,
-    support_set,
 )
 from ekrperm.errors import DegreeRangeError
-from ekrperm.graphs import all_point_families, family, max_independent_sets
+from ekrperm.graphs import family, max_independent_sets
 from ekrperm.linalg import bareiss_rank, kron
 from ekrperm.permgroup import (
-    all_permutations,
     compose,
-    fixed_points,
     identity,
     inverse,
     parse_cycles,
@@ -48,6 +44,7 @@ from ekrperm.permgroup import (
     unrank_permutation,
 )
 from ekrperm.scheme import class_quadratic_forms, group_data
+from test_graphs import point_families
 from test_scheme import module_quadratic_form
 
 # Row pattern of the six reordered derangement rows at degree 4, columns
@@ -67,6 +64,31 @@ def _rows(h):
     """H as dense 0/1 rows, built from its one-positions."""
     width = len(h.columns)
     return [[int(k in ones) for k in range(width)] for ones in h.ones]
+
+
+def module_supports(families, n, shift=None):
+    """Exact squared norm of each eigenspace component, one dict per family.
+
+    Each vector is the 0/1 indicator of one family of Permutation members minus
+    shift * ones (default 1/n); the integer norms of ekrverify._module_norms
+    over n! b^2, for shift = a/b.
+    """
+    shift = Fraction(1, n) if shift is None else Fraction(shift)
+    gd = group_data(n)
+    ranks = [[gd.rank_of(p) for p in members] for members in families]
+    scale = gd.order * shift.denominator**2
+    return [
+        {cls.cycle_type: Fraction(total, scale) for cls, total in zip(gd.classes, totals)}
+        for totals in ekrverify._module_norms(ranks, n, shift)
+    ]
+
+
+def module_support(members, n, shift=None):
+    return module_supports([members], n, shift)[0]
+
+
+def support_set(supports):
+    return tuple(shape for shape, value in supports.items() if value != 0)
 
 
 PI_AB_CYCLES_4 = {
@@ -113,7 +135,7 @@ class TestIncidenceMatrix:
     def test_row_weights(self):
         # n-1 pairs when the last point is fixed, otherwise n-2
         h = build_H(5)
-        perms = list(all_permutations(5))
+        perms = [unrank_permutation(r, 5) for r in range(120)]
         for p, row in zip(perms, _rows(h)):
             expected = (5 - 1) if p(5) == 5 else 5 - 2
             hits = sum(
@@ -218,7 +240,7 @@ class TestReorderedSubmatrix:
                 for b in range(1, n - 1)
             ]
             assert len(set(perms)) == (n - 1) * (n - 2)
-            assert all(fixed_points(p) == 0 for p in perms)
+            assert all(p(i) != i for p in perms for i in range(1, n + 1))
 
     def test_degree_four_literal(self):
         rows, expected, equal = pi_ab_submatrix(4)
@@ -278,12 +300,15 @@ class TestKernels:
 
 
 def _parent_kernel_membership(n, trials, seed):
-    """Each trial forms y, then H y over every row of H, then its border."""
+    """Random trials: each forms y in ker(N), then H y over every row of H, then
+    its border against W, and compares the ranks of the bordered Gram matrices."""
     h = build_H(n)
     dec = ekrverify.blocks(n)
     width = (n - 1) ** 2
     n_ones = [h.ones[r] for r in dec.derangement_ranks]
     basis = linalg.kernel_basis(ekrverify._incidence_gram(n_ones, width))
+    if len(basis) != n - 1:
+        raise AssertionError("unexpected kernel dimension for the derangement rows")
     diag_pos = {h.columns.index(c): d for d, c in enumerate(dec.diagonal_columns)}
     w_ones = [[diag_pos[c] for c in ones if c in diag_pos] for ones in h.ones]
     w_gram = ekrverify._incidence_gram(w_ones, len(diag_pos))
@@ -311,10 +336,13 @@ def _without_first_diagonal_column(real):
 
 
 class TestKernelMembershipByLinearity:
+    """The unit-vector certificate against the random-trial reference."""
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     @pytest.mark.parametrize("seed", [987, 1, 2024])
     def test_matches_explicit_trials(self, n, seed):
-        assert kernel_membership_check(n, seed=seed) is True
+        # the seed draws the reference's trials; the certificate draws nothing
+        assert kernel_membership_check(n) is True
         assert _parent_kernel_membership(n, 20, seed) is True
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -323,23 +351,20 @@ class TestKernelMembershipByLinearity:
         assert kernel_membership_check(n) is False
         assert _parent_kernel_membership(n, 20, 987) is False
 
-    @pytest.mark.parametrize("n", [4, 7])
-    def test_trials_see_the_same_bordered_matrices(self, n, monkeypatch):
-        real = linalg.bareiss_rank
-        seen = []
-
-        def recording(rows):
-            seen.append([list(row) for row in rows])
-            return real(rows)
-
-        monkeypatch.setattr(linalg, "bareiss_rank", recording)
-        kernel_membership_check(n, seed=2024)
-        ours = seen[:]
-        seen.clear()
-        _parent_kernel_membership(n, 20, 2024)
-        # W's Gram matrix, then one bordered matrix per trial
-        assert len(ours) == 21
-        assert ours == seen
+    def test_half_the_rows_raise_on_both_routes(self, monkeypatch):
+        # every other derangement row leaves a kernel wider than n-1
+        real = blocks
+        monkeypatch.setattr(
+            ekrverify,
+            "blocks",
+            lambda n: dataclasses.replace(
+                real(n), derangement_ranks=real(n).derangement_ranks[::2]
+            ),
+        )
+        with pytest.raises(AssertionError, match="kernel dimension"):
+            kernel_membership_check(4)
+        with pytest.raises(AssertionError, match="kernel dimension"):
+            _parent_kernel_membership(4, 20, 987)
 
 
 def _recording_rref(monkeypatch):
@@ -382,13 +407,13 @@ class TestCertifiedLemmaRanks:
         assert rank_M_check(n) == ((n - 1) * (n - 2), True)
         basis, ok = bordered_kernel_check(n)
         assert ok and basis == [[1] * ((n - 1) * (n - 2)) + [-(n - 2)]]
+        assert kernel_membership_check(n) is True
         assert heights == []
 
     def test_given_gram_gives_the_same_results(self):
         n = 6
         _, gram = gram_check(n)
         assert rank_H_check(n, gram) == rank_H_check(n)
-        assert kernel_membership_check(n, gram=gram) is kernel_membership_check(n)
 
     def test_doctored_gram_reports_its_exact_rank(self, monkeypatch):
         n = 6
@@ -437,7 +462,7 @@ class TestModuleSupport:
         assert supports[(4, 1)] == Fraction(96, 5)
 
     def test_whole_group_is_trivial_module(self):
-        supports = module_support(list(all_permutations(4)), 4)
+        supports = module_support([unrank_permutation(r, 4) for r in range(24)], 4)
         assert support_set(supports) == ((4,),)
         assert supports[(4,)] == Fraction(27, 2)
 
@@ -455,10 +480,6 @@ class TestModuleSupport:
         shift = Fraction(fam.size, 120)
         supports = module_support(fam.members, 5, shift=shift)
         assert supports[(5,)] == 0
-
-    def test_degree_cap(self):
-        with pytest.raises(DegreeRangeError):
-            module_support([identity(7)], 7)
 
 
 def _supports_by_class_forms(members, n, shift):
@@ -499,13 +520,17 @@ class TestBatchedSupports:
             assert supports == _supports_by_class_forms(members, n, shift)
 
     def test_repeated_member_anywhere_in_batch(self):
-        families = [fam.members for fam in all_point_families(4).values()]
-        families[5] = families[5] + (families[5][1],)
-        with pytest.raises(ValueError, match="repeated member"):
-            module_supports(families, 4)
+        # a repeated rank adds to the squared norm but not to the member count
+        points = range(1, 5)
+        ranks = group_data(4).constraint_ranks(
+            [((i, j),) for i, j in itertools.product(points, points)]
+        )
+        ranks[5] = list(ranks[5]) + [ranks[5][1]]
+        with pytest.raises(AssertionError, match="add up"):
+            ekrverify._module_norms(ranks, 4, Fraction(1, 4))
 
     def test_many_kernel_blocks(self, monkeypatch):
-        families = [fam.members for fam in all_point_families(5).values()]
+        families = [fam.members for fam in point_families(5).values()]
         families += [family([(1, 2), (3, 3)], 5).members, [identity(5)]]
         expected = [module_support(members, 5) for members in families]
         monkeypatch.setattr(scheme, "BLOCK_PAIRS", 7)
@@ -646,7 +671,7 @@ class TestClassification:
         gd = group_data(n)
         h = build_H(n)
         width = len(h.columns)
-        families = all_point_families(n)
+        families = point_families(n)
         found = max_independent_sets(n)
         report = classify_maximum_sets(n, found)
         assert len(report.records) == len(found.sets) == n * n
@@ -681,7 +706,8 @@ class TestClassification:
         found = max_independent_sets(4)
         k = 5
         members = list(found.sets[k])
-        outsider = next(p for p in all_permutations(4) if p not in members)
+        group = [unrank_permutation(r, 4) for r in range(24)]
+        outsider = next(p for p in group if p not in members)
         sets = list(found.sets)
         sets[k] = tuple(members[:-1] + [outsider])
         report = classify_maximum_sets(4, dataclasses.replace(found, sets=tuple(sets)))

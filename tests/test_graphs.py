@@ -1,12 +1,13 @@
 """Graphs on permutations: constructions, catalogues, exhaustive search."""
 
+import itertools
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ekrperm import permgroup, scheme
+from ekrperm import graphs, permgroup, scheme
 from ekrperm.errors import (
     DegreeRangeError,
     FamilyValidationError,
@@ -14,8 +15,6 @@ from ekrperm.errors import (
 )
 from ekrperm.graphs import (
     affine_clique,
-    all_point_families,
-    build_graph,
     cycle_decomposition_clique,
     equitable_quotient,
     family,
@@ -31,38 +30,41 @@ from ekrperm.graphs import (
 from ekrperm.permgroup import (
     Permutation,
     agreements,
-    all_permutations,
     compose,
     cycle_type,
     derangement_count,
-    fixed_points,
     identity,
     inverse,
     parse_one_line,
+    rank_permutation,
+    unrank_permutation,
 )
 
 
+def point_families(n):
+    """The n^2 families fixing a single position-value pair, keyed by the pair."""
+    return {(i, j): family([(i, j)], n) for i in range(1, n + 1) for j in range(1, n + 1)}
+
+
 class TestBuildGraph:
+    """The agreement graph as the search builds it: one neighbour bit mask per rank."""
+
     def test_degree_equals_derangement_count(self):
         for n in (3, 4, 5):
-            g = build_graph(n, 0)
-            assert g.degree == derangement_count(n)
-            degrees = {mask.bit_count() for mask in g.adjacency_masks()}
+            degrees = {mask.bit_count() for mask in graphs._adjacency_masks(n, 0)}
             assert degrees == {derangement_count(n)}
 
     def test_threshold_one_degree(self):
-        g = build_graph(5, 1)
-        assert g.degree == 89
-        assert g.adjacency_masks()[0].bit_count() == 89
+        degrees = {mask.bit_count() for mask in graphs._adjacency_masks(5, 1)}
+        assert degrees == {89}
 
     def test_adjacency_predicate(self):
-        g = build_graph(4, 0)
-        assert g.adjacent(identity(4), parse_one_line("2,1,4,3"))
-        assert not g.adjacent(identity(4), parse_one_line("2,1,3,4"))
+        mask = graphs._adjacency_masks(4, 0)[rank_permutation(identity(4))]
+        assert mask >> rank_permutation(parse_one_line("2,1,4,3")) & 1
+        assert not mask >> rank_permutation(parse_one_line("2,1,3,4")) & 1
 
     def test_masks_symmetric_and_irreflexive(self):
-        g = build_graph(4, 0)
-        masks = g.adjacency_masks()
+        masks = graphs._adjacency_masks(4, 0)
         for i, mask in enumerate(masks):
             assert not (mask >> i) & 1
             for j in range(24):
@@ -75,21 +77,7 @@ class TestBuildGraph:
         gd = scheme.group_data(n)
         rows = gd.compose_ranks([[r] for r in range(gd.order)], gd.connection(t))
         shifted = [sum(1 << r for r in row) for row in rows.tolist()]
-        assert build_graph(n, t).adjacency_masks() == shifted
-
-    def test_implicit_mode_above_dense_cap(self):
-        g = build_graph(7, 0)
-        assert not g.dense
-        assert g.degree == derangement_count(7)
-        assert g.adjacent(identity(7), parse_one_line("2,1,4,3,6,7,5"))
-        with pytest.raises(DegreeRangeError):
-            g.adjacency_masks()
-
-    def test_threshold_range(self):
-        with pytest.raises(ValueError):
-            build_graph(4, 3)
-        with pytest.raises(ValueError):
-            build_graph(4, -1)
+        assert graphs._adjacency_masks(n, t) == shifted
 
 
 class TestValidators:
@@ -306,7 +294,7 @@ class TestAffineCliques:
 
     def test_degree_three_is_whole_group(self):
         members = {p.images for p in affine_clique(3).members}
-        assert members == {p.images for p in all_permutations(3)}
+        assert members == set(itertools.permutations(range(1, 4)))
 
     def test_prime_power_degrees(self):
         assert affine_clique(4).size == 12
@@ -374,7 +362,7 @@ class TestFamilies:
             family([(1, 1), (2, 2), (3, 3), (4, 4)], 4)
 
     def test_all_point_families(self):
-        catalogue = all_point_families(4)
+        catalogue = point_families(4)
         assert len(catalogue) == 16
         assert all(fam.size == 6 for fam in catalogue.values())
         identity_holders = [
@@ -411,11 +399,10 @@ class TestCosetCover:
         cover = latin_coset_cover(n)
         assert len(cover) == math.factorial(n) // n
         seen = set()
-        perms = list(all_permutations(n))
         for coset in cover:
             assert len(coset) == n
             seen.update(coset)
-            members = [perms[r] for r in coset]
+            members = [unrank_permutation(r, n) for r in coset]
             assert validate_clique(members, 0) == (True, None)
         assert seen == set(range(math.factorial(n)))
 
@@ -435,7 +422,7 @@ class TestSearch:
             assert result.tight
             assert result.count == expected
             catalogue = {
-                frozenset(fam.members) for fam in all_point_families(n).values()
+                frozenset(fam.members) for fam in point_families(n).values()
             }
             for members in result.sets:
                 assert frozenset(members) in catalogue

@@ -12,7 +12,6 @@ from ekrperm.permgroup import (
     DegreeRangeError,
     Permutation,
     agreements,
-    all_permutations,
     class_representative,
     class_size,
     classes_with_few_fixed_points,
@@ -20,7 +19,6 @@ from ekrperm.permgroup import (
     conjugacy_classes,
     cycle_type,
     derangement_count,
-    fixed_points,
     identity,
     inverse,
     parse_cycles,
@@ -34,11 +32,20 @@ from ekrperm.permgroup import (
 import oracles
 
 
+def _permutations(n):
+    """Every degree-n permutation in rank (lexicographic) order."""
+    return [Permutation(images) for images in itertools.permutations(range(1, n + 1))]
+
+
+def _fixed_points(p):
+    return sum(1 for i, v in enumerate(p.images, start=1) if i == v)
+
+
 class TestPermutationBasics:
     def test_identity_fixes_everything(self):
         e = identity(5)
         assert e.images == (1, 2, 3, 4, 5)
-        assert fixed_points(e) == 5
+        assert _fixed_points(e) == 5
         assert all(e(i) == i for i in range(1, 6))
 
     def test_application_is_one_based(self):
@@ -114,7 +121,7 @@ class TestRanking:
             unrank_permutation(-1, 4)
 
     def test_all_permutations_is_lex_ordered(self):
-        perms = list(all_permutations(4))
+        perms = _permutations(4)
         assert len(perms) == 24
         assert [rank_permutation(p) for p in perms] == list(range(24))
 
@@ -127,14 +134,14 @@ class TestCycleStructure:
         assert cycle_type(parse_one_line("4,3,1,2")) == (4,)
 
     def test_cycle_type_is_a_partition(self):
-        for p in all_permutations(5):
+        for p in _permutations(5):
             t = cycle_type(p)
             assert sum(t) == 5
             assert list(t) == sorted(t, reverse=True)
 
     def test_fixed_points_match_ones_in_cycle_type(self):
-        for p in all_permutations(4):
-            assert fixed_points(p) == cycle_type(p).count(1)
+        for p in _permutations(4):
+            assert _fixed_points(p) == cycle_type(p).count(1)
 
     def test_parse_cycles(self):
         # one cycle: 1 -> 4 -> 2 -> 3 -> 1
@@ -160,8 +167,8 @@ class TestAgreements:
     def test_agreements_via_quotient(self):
         # the number of agreements of p and q equals the number of fixed
         # points of inverse(p) * q
-        for p, q in itertools.product(all_permutations(4), repeat=2):
-            assert agreements(p, q) == fixed_points(compose(inverse(p), q))
+        for p, q in itertools.product(_permutations(4), repeat=2):
+            assert agreements(p, q) == _fixed_points(compose(inverse(p), q))
 
 
 class TestPartitions:
@@ -243,7 +250,7 @@ class TestDerangementCounts:
 
     def test_matches_brute_force(self):
         for n in range(1, 8):
-            brute = sum(1 for p in all_permutations(n) if fixed_points(p) == 0)
+            brute = sum(1 for p in _permutations(n) if _fixed_points(p) == 0)
             assert derangement_count(n) == brute
 
     def test_matches_class_size_sum(self):
