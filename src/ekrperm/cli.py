@@ -386,16 +386,16 @@ def run_conjecture(n: int, t: int, depth: int | None = None):
 def run_identity_check(n: int, trials: int, seed: int, t: int):
     rng = random.Random(seed)
     order = factorial(n)
-    all_equal = True
-    sample = None
-    for _ in range(trials):
-        x = [rng.randint(0, 1) for _ in range(order)]
-        y = [rng.randint(0, 1) for _ in range(order)]
-        lhs, rhs = scheme.fundamental_identity_check(x, y, n, t)
-        if sample is None:
-            sample = (lhs, rhs)
-        if lhs != rhs:
-            all_equal = False
+
+    def draws():  # x, then y, per trial from the one generator
+        for _ in range(trials):
+            x = [rng.randint(0, 1) for _ in range(order)]
+            y = [rng.randint(0, 1) for _ in range(order)]
+            yield x, y
+
+    sides = scheme.fundamental_identity_check(draws(), n, t)
+    sample = sides[0]
+    all_equal = all(lhs == rhs for lhs, rhs in sides)
     checks = [check("identity-holds-exactly", all_equal, trials=trials)]
     result = {
         "n": n,

@@ -39,6 +39,8 @@ MAX_DENSE_DEGREE = 6
 MAX_GROUP_DEGREE = 8
 # Pairs of permutations composed per block by the group-algebra kernel.
 BLOCK_PAIRS = 1 << 15
+# (x, y) pairs whose forms fundamental_identity_check counts in one batch.
+IDENTITY_CHUNK = 32
 
 
 class GroupData:
@@ -270,59 +272,92 @@ def _character_row(shape: Partition, n: int) -> tuple[int, ...]:
     return table.values[table.row_index(shape)]
 
 
-def class_quadratic_forms(x, n: int) -> list[Fraction]:
-    """x^T A_C x for every class C, from integer counts of support pairs.
+def _occurring(levels, count: int):
+    """The levels (below count) that occur, and each entry's index among them.
 
-    Support members are sorted by value and labelled by level, the index of
-    their value among the distinct nonzero values of the scaled vector.  Only
-    the unordered pairs a < b are composed: perm(a)^-1 perm(b) and its inverse
-    share a cycle type, so each pair counts twice, and the diagonal adds
-    sum x_a^2 to the identity class.  A block of rows meets every later member
-    (its own triangle and the rectangle after it), and one integer bincount
-    over (level(a), level(b), class) counts its pairs.  The levels of a block
-    are contiguous ranges, so its table stays near BLOCK_PAIRS * classes
-    entries; the values enter once per nonzero entry, as Python ints.
+    A presence mask rather than np.unique: the levels are small ints, and
+    np.unique's first call (NumPy 2.4) alone adds about 0.5 MiB to the peak
+    memory of a process.
+    """
+    import numpy as np
+
+    present = np.zeros(count, dtype=bool)
+    present[levels] = True
+    return np.flatnonzero(present), np.cumsum(present)[levels] - 1
+
+
+def class_quadratic_forms(vectors, n: int) -> list[list[Fraction]]:
+    """x^T A_C x for every class C, one list per vector, from integer pair counts.
+
+    The members of the union U of the supports are sorted by the first
+    vector's value, and only their unordered pairs a < b are composed, each
+    once for the whole batch: perm(a)^-1 perm(b) and its inverse share a cycle
+    type, so each pair counts twice, and the diagonal adds sum x_a^2 to the
+    identity class.  A block of rows meets every later member of U (its own
+    triangle and the rectangle after it).  Each vector labels a member by its
+    level, the index of its value among the distinct values it takes on U
+    (zero included), and counts the block's pairs by (level(a), level(b),
+    class) with one integer bincount.  Levels are renumbered among those that
+    occur in the block's rows and in its columns, so the table stays near
+    BLOCK_PAIRS * classes entries; for the first vector they are contiguous
+    ranges.  The values enter once per nonzero entry, as Python ints.  A
+    vector whose length is not n! raises ValueError.
     """
     import numpy as np
 
     gd = group_data(n)
-    nums, denom = scaled_integers(x)
-    if len(nums) != gd.order:
-        raise ValueError(f"vector length {len(nums)} != {gd.order}")
-    support = sorted((j for j, v in enumerate(nums) if v), key=nums.__getitem__)
-    values = sorted(set(nums[j] for j in support))
-    level_of = {v: i for i, v in enumerate(values)}
-    ranks = np.array(support, dtype=np.intp)
-    levels = np.array([level_of[nums[j]] for j in support], dtype=np.intp)
-    k, size = len(gd.classes), len(support)
-    acc = [0] * k
-    acc[gd.class_index[(1,) * n]] = sum(nums[j] * nums[j] for j in support)
+    batch = [scaled_integers(x) for x in vectors]
+    for nums, _ in batch:
+        if len(nums) != gd.order:
+            raise ValueError(f"vector length {len(nums)} != {gd.order}")
+    if not batch:
+        return []
+    union: set[int] = set()
+    for nums, _ in batch:
+        union.update(itertools.compress(range(gd.order), nums))
+    # ties stay in rank order, so a batch of one keeps the support order
+    members = sorted(sorted(union), key=batch[0][0].__getitem__)
+    ranks = np.array(members, dtype=np.intp)
+    k, size = len(gd.classes), len(members)
+    identity_class = gd.class_index[(1,) * n]
+    per_vector = []  # (levels over U, value of each level, accumulator)
+    for nums, _ in batch:
+        on_union = list(map(nums.__getitem__, members))
+        values = sorted(set(on_union))
+        level_of = {v: i for i, v in enumerate(values)}
+        levels = np.array(list(map(level_of.__getitem__, on_union)), dtype=np.intp)
+        acc = [0] * k
+        acc[identity_class] = sum(map(mul, on_union, on_union))
+        per_vector.append((levels, values, acc))
     start = 0
     while start < size - 1:
         stop = min(size - 1, start + max(1, BLOCK_PAIRS // (size - 1 - start)))
-        low = int(levels[start])
-        width = int(levels[-1]) + 1 - low  # levels of this and the later members
-        inner_a, inner_b = np.triu_indices(stop - start, 1)
-        parts = (
-            (inner_a + start, inner_b + start),  # pairs inside the block
-            (np.s_[start:stop, None], np.s_[stop:]),  # the block against later members
-        )
-        labels = np.concatenate([
-            (
-                ((levels[a] - low) * width + levels[b] - low) * k
-                + gd.quotient_classes(ranks[a], ranks[b])
-            ).ravel()
-            for a, b in parts
-        ])
-        counts = np.bincount(labels, minlength=(levels[stop - 1] + 1 - low) * width * k)
-        hit = np.flatnonzero(counts)
-        for label, count in zip(hit.tolist(), counts[hit].tolist()):
-            pair, c = divmod(label, k)
-            la, lb = divmod(pair, width)
-            acc[c] += 2 * count * values[low + la] * values[low + lb]
+        rows = stop - start
+        inner_a, inner_b = np.triu_indices(rows, 1)
+        # classes of the pairs inside the block, then of the block against later members
+        inner = gd.quotient_classes(ranks[inner_a + start], ranks[inner_b + start])
+        outer = gd.quotient_classes(ranks[start:stop, None], ranks[stop:])
+        for levels, values, acc in per_vector:
+            row_levels, row = _occurring(levels[start:stop], len(values))
+            col_levels, col = _occurring(levels[start:], len(values))
+            width = len(col_levels)
+            labels = np.concatenate([
+                (row[inner_a] * width + col[inner_b]) * k + inner,
+                ((row[:, None] * width + col[None, rows:]) * k + outer).ravel(),
+            ])
+            counts = np.bincount(labels, minlength=len(row_levels) * width * k)
+            row_values = [values[i] for i in row_levels.tolist()]
+            col_values = [values[i] for i in col_levels.tolist()]
+            hit = np.flatnonzero(counts)
+            for label, count in zip(hit.tolist(), counts[hit].tolist()):
+                pair, c = divmod(label, k)
+                la, lb = divmod(pair, width)
+                acc[c] += 2 * count * row_values[la] * col_values[lb]
         start = stop
-    d2 = denom * denom
-    return [Fraction(v, d2) for v in acc]
+    return [
+        [Fraction(v, denom * denom) for v in acc]
+        for (_, denom), (_, _, acc) in zip(batch, per_vector)
+    ]
 
 
 def _character_sums(qforms, n: int) -> list[int]:
@@ -341,25 +376,37 @@ def _character_sums(qforms, n: int) -> list[int]:
     return sums
 
 
-def fundamental_identity_check(x, y, n: int, t: int = 0) -> tuple[Fraction, Fraction]:
-    """Both sides of the scheme identity linking class and eigenspace quadratic forms.
+def fundamental_identity_check(
+    pairs, n: int, t: int = 0
+) -> list[tuple[Fraction, Fraction]]:
+    """Both sides of the scheme identity for every (x, y) of pairs, in order.
 
     Left: sum over classes (including the identity class) of
     x^T A_C x * y^T A_C y / (n! * |C|).  Right: sum over partitions of
     x^T E x * y^T E y / dim^2, which is (chi . q_x)(chi . q_y) / n!^2 since
     x^T E x = dim/n! * chi . q_x.  Both sides are one integer sum over the
-    numerators of the two form vectors.  The identity does not depend on t.
+    numerators of the two form vectors.  The iterable is read IDENTITY_CHUNK
+    pairs at a time, and each chunk's vectors get their forms from one
+    class_quadratic_forms batch, so the vectors held at once do not grow with
+    the number of pairs.  The identity does not depend on t.
     """
     if not 0 <= t < n:
         raise ValueError(f"need 0 <= t < n, got t={t}, n={n}")
     gd = group_data(n)
-    qx, dx = scaled_integers(class_quadratic_forms(x, n))
-    qy, dy = scaled_integers(class_quadratic_forms(y, n))
-    scale = gd.order * gd.order * dx * dy
     # 1/(n! |C|) = (n!/|C|) / n!^2
-    lhs = sum(a * b * (gd.order // cls.size) for a, b, cls in zip(qx, qy, gd.classes))
-    rhs = sum(map(mul, _character_sums(qx, n), _character_sums(qy, n)))
-    return Fraction(lhs, scale), Fraction(rhs, scale)
+    weights = [gd.order // cls.size for cls in gd.classes]
+    sides = []
+    pairs = iter(pairs)
+    while chunk := list(itertools.islice(pairs, IDENTITY_CHUNK)):
+        forms = iter(class_quadratic_forms([v for x, y in chunk for v in (x, y)], n))
+        for fx, fy in zip(forms, forms):
+            qx, dx = scaled_integers(fx)
+            qy, dy = scaled_integers(fy)
+            scale = gd.order * gd.order * dx * dy
+            lhs = sum(a * b * w for a, b, w in zip(qx, qy, weights))
+            rhs = sum(map(mul, _character_sums(qx, n), _character_sums(qy, n)))
+            sides.append((Fraction(lhs, scale), Fraction(rhs, scale)))
+    return sides
 
 
 def characteristic_vector(members, n: int) -> list[int]:
@@ -425,10 +472,10 @@ def clique_coclique_check(
     supports = None
     corollary_ok = None
     if tight and n <= MAX_DENSE_DEGREE:
-        x = characteristic_vector(clique, n)
-        y = characteristic_vector(independent, n)
-        ex = _character_sums(class_quadratic_forms(x, n), n)
-        ey = _character_sums(class_quadratic_forms(y, n), n)
+        forms = class_quadratic_forms(
+            [characteristic_vector(clique, n), characteristic_vector(independent, n)], n
+        )
+        ex, ey = (_character_sums(q, n) for q in forms)
         rows = [
             (cls.cycle_type, a > 0, b > 0)
             for cls, a, b in zip(group_data(n).classes, ex, ey)

@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from ekrperm.chartab import (
     character_table,
@@ -38,15 +37,12 @@ from ekrperm.graphs import (
     latin_clique,
     max_independent_sets,
     odd_n_latin_clique,
-    validate_clique,
 )
 from ekrperm.permgroup import (
-    class_size,
     classes_with_few_fixed_points,
     cycle_type,
     derangement_count,
     parse_cycles,
-    parse_one_line,
     partitions_of,
 )
 from ekrperm.scheme import (
@@ -199,16 +195,20 @@ def test_06_fundamental_identity():
         rng = random.Random(2024)
         for n in (4, 5):
             order = math.factorial(n)
+            pairs = []
             for _ in range(20):
                 x = [rng.randrange(2) for _ in range(order)]
                 y = [rng.randrange(2) for _ in range(order)]
-                lhs, rhs = fundamental_identity_check(x, y, n)
+                pairs.append((x, y))
+            sides = fundamental_identity_check(pairs, n)
+            assert len(sides) == 20
+            for lhs, rhs in sides:
                 assert lhs == rhs
         # tight clique/coclique pairs collapse the identity to exactly 1
         for n in (4, 5):
             x = characteristic_vector(latin_clique(n).members, n)
             y = characteristic_vector(family([(1, 1)], n).members, n)
-            lhs, rhs = fundamental_identity_check(x, y, n)
+            [(lhs, rhs)] = fundamental_identity_check([(x, y)], n)
             assert lhs == rhs == 1
 
 

@@ -151,6 +151,19 @@ class TestCommands:
         assert code == 0
         assert report["result"]["first_trial"] == {"lhs": value, "rhs": value}
 
+    @pytest.mark.parametrize(
+        "n, value",
+        [("4", "709/12"), ("5", "1471897/1800"), ("6", "3628860859/129600")],
+    )
+    def test_identity_check_default_run_is_pinned(self, capsys, n, value):
+        code, report, _ = run_json(capsys, "identity-check", n, "--seed", "2024")
+        assert code == 0
+        assert report["result"]["trials"] == 20
+        assert report["result"]["first_trial"] == {"lhs": value, "rhs": value}
+        assert report["checks"] == [
+            {"name": "identity-holds-exactly", "pass": True, "trials": 20}
+        ]
+
     def test_quotient(self, capsys):
         code, report, _ = run_json(capsys, "quotient", "5")
         assert code == 0

@@ -491,7 +491,7 @@ def _supports_by_class_forms(members, n, shift):
     m = len(members)
     adjusted = [
         q - 2 * shift * cls.size * m + shift * shift * cls.size * gd.order
-        for q, cls in zip(class_quadratic_forms(vec, n), gd.classes)
+        for q, cls in zip(class_quadratic_forms([vec], n)[0], gd.classes)
     ]
     return {
         cls.cycle_type: module_quadratic_form(cls.cycle_type, adjusted, n)

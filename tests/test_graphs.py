@@ -34,7 +34,6 @@ from ekrperm.permgroup import (
     cycle_type,
     derangement_count,
     identity,
-    inverse,
     parse_one_line,
     rank_permutation,
     unrank_permutation,

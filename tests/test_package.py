@@ -1,4 +1,8 @@
-"""Package hygiene: no dead module-level imports, and the README example runs."""
+"""Package hygiene: no dead module-level imports, and the README example runs.
+
+The import walk covers the package modules (but __init__, whose imports are
+its exports) and the test modules.
+"""
 
 import ast
 import doctest
@@ -10,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(
     path for path in (ROOT / "src" / "ekrperm").glob("*.py") if path.name != "__init__.py"
-)
+) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

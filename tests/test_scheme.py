@@ -273,7 +273,7 @@ class TestQuadraticForms:
         x = characteristic_vector(
             [identity(4), parse_one_line("2,1,3,4")], 4
         )
-        forms = class_quadratic_forms(x, 4)
+        (forms,) = class_quadratic_forms([x], 4)
         gd = group_data(4)
         by_type = dict(zip((c.cycle_type for c in gd.classes), forms))
         assert by_type[(1, 1, 1, 1)] == 2
@@ -284,7 +284,7 @@ class TestQuadraticForms:
 
     def test_module_form_nonnegative_and_complete(self):
         x = characteristic_vector(latin_clique(4).members, 4)
-        forms = class_quadratic_forms(x, 4)
+        (forms,) = class_quadratic_forms([x], 4)
         total = Fraction(0)
         for shape in partitions_of(4):
             value = module_quadratic_form(shape, forms, 4)
@@ -332,13 +332,13 @@ class TestClassFormsAgainstDoubleLoop:
     @pytest.mark.parametrize("name", _FORM_VECTOR_NAMES)
     def test_matches_brute_force(self, n, name):
         x = _form_vectors(n)[name]
-        assert class_quadratic_forms(x, n) == _brute_force_forms(x, n)
+        assert class_quadratic_forms([x], n) == [_brute_force_forms(x, n)]
 
     def test_many_levels_span_many_blocks(self, monkeypatch):
         # small blocks: every block has its own level range and triangle
         monkeypatch.setattr(scheme, "BLOCK_PAIRS", 50)
         for name, x in _form_vectors(5).items():
-            assert class_quadratic_forms(x, 5) == _brute_force_forms(x, 5), name
+            assert class_quadratic_forms([x], 5) == [_brute_force_forms(x, 5)], name
 
     def test_fraction_vector_has_many_levels(self):
         x = _form_vectors(5)["fractions"]
@@ -347,33 +347,158 @@ class TestClassFormsAgainstDoubleLoop:
     @settings(max_examples=40)
     @given(st.lists(st.integers(-6, 6), min_size=24, max_size=24))
     def test_random_integer_vectors_at_degree_four(self, x):
-        assert class_quadratic_forms(x, 4) == _brute_force_forms(x, 4)
+        assert class_quadratic_forms([x], 4) == [_brute_force_forms(x, 4)]
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
-            class_quadratic_forms([1] * 23, 4)
+            class_quadratic_forms([[1] * 23], 4)
+        with pytest.raises(ValueError):
+            class_quadratic_forms([[1] * 24, [1] * 25], 4)
 
 
-def negative_identity_forms(x, n):
+def _one_vector_forms(x, n):
+    """The one-vector class form route, kept as the reference for batches.
+
+    Support members are sorted by value and labelled by level; one bincount
+    per block of rows counts the unordered pairs by (level, level, class).
+    """
+    gd = group_data(n)
+    nums, denom = scaled_integers(x)
+    if len(nums) != gd.order:
+        raise ValueError(f"vector length {len(nums)} != {gd.order}")
+    support = sorted((j for j, v in enumerate(nums) if v), key=nums.__getitem__)
+    values = sorted(set(nums[j] for j in support))
+    level_of = {v: i for i, v in enumerate(values)}
+    ranks = np.array(support, dtype=np.intp)
+    levels = np.array([level_of[nums[j]] for j in support], dtype=np.intp)
+    k, size = len(gd.classes), len(support)
+    acc = [0] * k
+    acc[gd.class_index[(1,) * n]] = sum(nums[j] * nums[j] for j in support)
+    start = 0
+    while start < size - 1:
+        stop = min(size - 1, start + max(1, scheme.BLOCK_PAIRS // (size - 1 - start)))
+        low = int(levels[start])
+        width = int(levels[-1]) + 1 - low
+        inner_a, inner_b = np.triu_indices(stop - start, 1)
+        parts = (
+            (inner_a + start, inner_b + start),
+            (np.s_[start:stop, None], np.s_[stop:]),
+        )
+        labels = np.concatenate([
+            (
+                ((levels[a] - low) * width + levels[b] - low) * k
+                + gd.quotient_classes(ranks[a], ranks[b])
+            ).ravel()
+            for a, b in parts
+        ])
+        counts = np.bincount(labels, minlength=(levels[stop - 1] + 1 - low) * width * k)
+        hit = np.flatnonzero(counts)
+        for label, count in zip(hit.tolist(), counts[hit].tolist()):
+            pair, c = divmod(label, k)
+            la, lb = divmod(pair, width)
+            acc[c] += 2 * count * values[low + la] * values[low + lb]
+        start = stop
+    d2 = denom * denom
+    return [Fraction(v, d2) for v in acc]
+
+
+def _multi_level_vector(rng, n):
+    """A vector over S(n) with a random density, signs, repeats and fractions."""
+    density = rng.random()
+    levels = [rng.randint(-5, 5) for _ in range(rng.randint(1, 6))]
+    levels += [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2)]
+    return [
+        rng.choice(levels) if rng.random() < density else 0
+        for _ in range(math.factorial(n))
+    ]
+
+
+class TestBatchedClassForms:
+    @pytest.mark.parametrize("n", range(3, 7))
+    @pytest.mark.parametrize("batch", [1, 2, 7])
+    def test_random_multi_level_batches(self, n, batch):
+        rng = random.Random(100 * n + batch)
+        vectors = [_multi_level_vector(rng, n) for _ in range(batch)]
+        assert class_quadratic_forms(vectors, n) == [
+            _one_vector_forms(x, n) for x in vectors
+        ]
+
+    def test_small_blocks_renumber_the_later_vectors_levels(self, monkeypatch):
+        # the first vector orders the union, so the others' levels are not
+        # contiguous within a block
+        monkeypatch.setattr(scheme, "BLOCK_PAIRS", 50)
+        vectors = list(_form_vectors(5).values())
+        vectors = vectors[::-1] + vectors
+        assert class_quadratic_forms(vectors, 5) == [
+            _brute_force_forms(x, 5) for x in vectors
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_zero_vectors_and_an_empty_union(self, n):
+        order = math.factorial(n)
+        zero = [0] * order
+        single = [0] * order
+        single[-1] = 3
+        assert class_quadratic_forms([zero, zero], n) == [
+            [0] * len(conjugacy_classes(n))
+        ] * 2
+        got = class_quadratic_forms([zero, single, zero, [1] * order], n)
+        assert got == [
+            _brute_force_forms(x, n) for x in (zero, single, zero, [1] * order)
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_smallest_degrees(self, n):
+        rng = random.Random(n)
+        vectors = [_multi_level_vector(rng, n) for _ in range(5)]
+        assert class_quadratic_forms(vectors, n) == [
+            _brute_force_forms(x, n) for x in vectors
+        ]
+
+    def test_repeated_identical_vectors(self):
+        x = _form_vectors(5)["fractions"]
+        y = _form_vectors(5)["negative"]
+        forms = class_quadratic_forms([x, x, y, x], 5)
+        assert forms[0] == forms[1] == forms[3] == _one_vector_forms(x, 5)
+        assert forms[2] == _one_vector_forms(y, 5)
+
+    def test_empty_batch(self):
+        assert class_quadratic_forms([], 4) == []
+
+    def test_sparse_degree_seven_vectors(self):
+        rng = random.Random(77)
+        vectors = []
+        for size in (4, 9, 1):
+            x = [0] * 5040
+            for r in rng.sample(range(5040), size):
+                x[r] = rng.choice([-3, -1, 2, 5])
+            vectors.append(x)
+        assert class_quadratic_forms(vectors, 7) == [
+            _one_vector_forms(x, 7) for x in vectors
+        ]
+
+
+def negative_identity_forms(vectors, n):
     """Forms whose character sums are negative: -1 on the identity class only."""
-    return [-int(cls.cycle_type == (1,) * n) for cls in conjugacy_classes(n)]
+    forms = [-int(cls.cycle_type == (1,) * n) for cls in conjugacy_classes(n)]
+    return [list(forms) for _ in vectors]
 
 
 class TestFundamentalIdentity:
     def test_negative_module_form_raises(self, monkeypatch):
         monkeypatch.setattr(scheme, "class_quadratic_forms", negative_identity_forms)
         with pytest.raises(AssertionError, match="nonnegative"):
-            fundamental_identity_check([1] * 24, [1] * 24, 4)
+            fundamental_identity_check([([1] * 24, [1] * 24)], 4)
 
     def test_all_ones_frozen_value(self):
         ones = [1] * 24
-        lhs, rhs = fundamental_identity_check(ones, ones, 4)
+        [(lhs, rhs)] = fundamental_identity_check([(ones, ones)], 4)
         assert lhs == rhs == 576
 
     def test_tight_pair_value_is_one(self):
         x = characteristic_vector(latin_clique(4).members, 4)
         y = characteristic_vector(family([(1, 1)], 4).members, 4)
-        lhs, rhs = fundamental_identity_check(x, y, 4)
+        [(lhs, rhs)] = fundamental_identity_check([(x, y)], 4)
         assert lhs == rhs == 1
 
     def test_random_zero_one_vectors(self):
@@ -381,15 +506,63 @@ class TestFundamentalIdentity:
         for _ in range(5):
             x = [rng.randrange(2) for _ in range(24)]
             y = [rng.randrange(2) for _ in range(24)]
-            lhs, rhs = fundamental_identity_check(x, y, 4)
+            [(lhs, rhs)] = fundamental_identity_check([(x, y)], 4)
             assert lhs == rhs
 
     def test_threshold_does_not_change_either_side(self):
         x = [1, 0] * 12
         y = [0, 1] * 12
-        assert fundamental_identity_check(x, y, 4, 0) == fundamental_identity_check(
-            x, y, 4, 1
+        assert fundamental_identity_check([(x, y)], 4, 0) == fundamental_identity_check(
+            [(x, y)], 4, 1
         )
+
+
+def _identity_pairs(count, n, seed):
+    rng = random.Random(seed)
+    order = math.factorial(n)
+    return [
+        tuple([rng.choice([0, 1, 1, 2]) for _ in range(order)] for _ in "xy")
+        for _ in range(count)
+    ]
+
+
+class TestIdentityInChunks:
+    def test_more_pairs_than_one_chunk(self):
+        pairs = _identity_pairs(scheme.IDENTITY_CHUNK + 5, 4, 8)
+        sides = fundamental_identity_check(pairs, 4)
+        assert sides == [fundamental_identity_check([pair], 4)[0] for pair in pairs]
+        assert all(lhs == rhs for lhs, rhs in sides)
+
+    def test_reads_the_pairs_one_chunk_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(scheme, "IDENTITY_CHUNK", 3)
+        pairs = _identity_pairs(8, 4, 9)
+        drawn = [0]
+        batches = []  # (vectors in the batch, pairs drawn so far)
+        forms = scheme.class_quadratic_forms
+
+        def lazily():
+            for pair in pairs:
+                drawn[0] += 1
+                yield pair
+
+        def recording(vectors, n):
+            batches.append((len(vectors), drawn[0]))
+            return forms(vectors, n)
+
+        monkeypatch.setattr(scheme, "class_quadratic_forms", recording)
+        sides = fundamental_identity_check(lazily(), 4)
+        assert batches == [(6, 3), (6, 6), (4, 8)]
+        assert sides == [fundamental_identity_check([pair], 4)[0] for pair in pairs]
+
+    def test_chunk_covers_the_default_trials(self):
+        assert scheme.IDENTITY_CHUNK >= 20
+
+    def test_no_pairs(self):
+        assert fundamental_identity_check([], 4) == []
+
+    def test_threshold_is_checked_before_any_pair(self):
+        with pytest.raises(ValueError):
+            fundamental_identity_check(iter([]), 4, 4)
 
 
 class TestCharacteristicVector:
@@ -423,8 +596,9 @@ class TestCliqueCoclique:
 
     def test_supports_match_module_forms(self):
         clique, independent = latin_clique(4).members, family([(1, 1)], 4).members
-        qx = class_quadratic_forms(characteristic_vector(clique, 4), 4)
-        qy = class_quadratic_forms(characteristic_vector(independent, 4), 4)
+        qx, qy = class_quadratic_forms(
+            [characteristic_vector(clique, 4), characteristic_vector(independent, 4)], 4
+        )
         report = clique_coclique_check(clique, independent, 4)
         for shape, x_nonzero, y_nonzero in report.supports:
             assert x_nonzero == (module_quadratic_form(shape, qx, 4) != 0)
@@ -591,7 +765,7 @@ class TestCompositionKernel:
             for b in support:
                 ct = _oracle_quotient_type(perms[a], perms[b])
                 expected[ct] = expected.get(ct, 0) + x[a] * x[b]
-        forms = class_quadratic_forms(x, n)
+        (forms,) = class_quadratic_forms([x], n)
         for cls, value in zip(conjugacy_classes(n), forms):
             assert value == expected.get(cls.cycle_type, 0)
         shape = (5, 1, 1)
