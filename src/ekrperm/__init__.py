@@ -15,12 +15,11 @@ from .chartab import (
 )
 from .ekrverify import (
     basis_check,
-    blocks,
     bordered_kernel_check,
-    build_H,
     classify_maximum_sets,
     depth_conjecture_dims,
     gram_check,
+    incidence,
     kernel_membership_check,
     pi_ab,
     pi_ab_submatrix,
@@ -86,9 +85,7 @@ __all__ = [
     "affine_clique",
     "agreements",
     "basis_check",
-    "blocks",
     "bordered_kernel_check",
-    "build_H",
     "character_table",
     "character_value",
     "class_size",
@@ -106,6 +103,7 @@ __all__ = [
     "fundamental_identity_check",
     "gram_check",
     "identity",
+    "incidence",
     "inverse",
     "kernel_membership_check",
     "latin_clique",

@@ -1,12 +1,13 @@
 """Exact verification of the incidence-matrix lemmas and the classification.
 
 H is the n! x (n-1)^2 matrix whose (pi, (i,j)) entry is 1 when pi(i) = j,
-both coordinates running over 1..n-1; it is held as the one-positions of each
-row, and every product and Gram matrix reads those.  Its Gram matrix has a
-closed form; its derangement rows split into a full-column-rank block M and a
-zero block; the kernel of [M | ones] is one-dimensional.  Together these pin
-down every maximum independent set of the derangement graph as a
-point-stabilizing family.  classify_maximum_sets certifies once that [H | ones]
+both coordinates running over 1..n-1; it is held as one array of the
+one-positions of each row, read off the permutation images, and every Gram
+matrix is one bincount of those (dense rows only where a product needs them).
+Its Gram matrix has a closed form; its derangement rows split into a
+full-column-rank block M and a zero block; the kernel of [M | ones] is
+one-dimensional.  Together these pin down every maximum independent set of
+the derangement graph as a point-stabilizing family.  classify_maximum_sets certifies once that [H | ones]
 has full column rank and then checks each set's predicted coordinates.
 """
 
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import TYPE_CHECKING
 
 from . import linalg
 from .chartab import character_table, dimension
@@ -31,136 +33,102 @@ from .permgroup import (
 )
 from .scheme import MAX_DENSE_DEGREE, group_data
 
-MAX_INCIDENCE_DEGREE = 7
+if TYPE_CHECKING:
+    import numpy as np
+
+MAX_INCIDENCE_DEGREE = 8
 
 rank = linalg.bareiss_rank
 
 
 @dataclass(frozen=True)
-class IncidenceH:
-    """Position-value incidence matrix over 1..n-1, rows in permutation-rank order.
+class Incidence:
+    """H, its derangement rows N, W's columns and the block M, as index arrays.
 
-    ones[r] lists, in increasing order, the columns where row r is 1; there
-    are at most n-1.
+    Column (i, j) of H, 1 <= i, j <= n-1, is (i-1)(n-1) + j-1.  Row r of ones
+    (rows in permutation-rank order) holds, for each position i < n, the
+    column (i, pi(i)), or the width (n-1)^2, no column, when pi(i) = n.  N is
+    the rows derangement_ranks and W the diagonal columns (i, i).  No
+    derangement row meets W, so m_ones is N with each column renumbered among
+    the off-diagonal ones: the rows of M, whose width (n-1)(n-2) is no column.
     """
 
     n: int
-    columns: tuple[tuple[int, int], ...]
-    ones: tuple[tuple[int, ...], ...]
+    ones: np.ndarray
+    derangement_ranks: np.ndarray
+    diagonal: np.ndarray
+    m_ones: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def build_H(n: int) -> IncidenceH:
+def incidence(n: int) -> Incidence:
+    """H of degree n, read off the images of all permutations at once."""
+    import numpy as np
+
     if not 2 <= n <= MAX_INCIDENCE_DEGREE:
         raise DegreeRangeError(
             f"incidence matrices are supported for 2 <= n <= {MAX_INCIDENCE_DEGREE}"
         )
-    columns = tuple((i, j) for i in range(1, n) for j in range(1, n))
-    ones = tuple(
-        tuple((i - 1) * (n - 1) + j - 1 for i, j in enumerate(images[:-1], 1) if j < n)
-        for images in itertools.permutations(range(1, n + 1))
-    )
-    return IncidenceH(n=n, columns=columns, ones=ones)
+    # 0-based images, one row per permutation in rank (lexicographic) order
+    images = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n))),
+        dtype=np.intp,
+        count=n * factorial(n),
+    ).reshape(-1, n)
+    points = np.arange(n - 1)
+    body = images[:, :-1]
+    ones = np.where(body < n - 1, points * (n - 1) + body, (n - 1) ** 2)
+    derangement_ranks = np.flatnonzero((images != np.arange(n)).all(axis=1))
+    # c // n + 1 diagonal columns (i-1)n lie at or below an off-diagonal c
+    n_ones = ones[derangement_ranks]
+    m_ones = n_ones - n_ones // n - 1
+    return Incidence(n, ones, derangement_ranks, points * n, m_ones)
 
 
-def _incidence_matrix(ones_rows, width: int):
-    """The 0/1 rows whose one-positions are given, as one int64 array."""
+def _dense(ones, width: int):
+    """The 0/1 rows, as one int64 array, whose one-positions are the rows of ones."""
     import numpy as np
 
-    lengths = np.array([len(ones) for ones in ones_rows], dtype=np.intp)
-    matrix = np.zeros((len(lengths), width), dtype=np.int64)
-    columns = np.fromiter(itertools.chain.from_iterable(ones_rows), dtype=np.intp)
-    matrix[np.repeat(np.arange(len(lengths)), lengths), columns] = 1
-    return matrix
+    dense = np.zeros((len(ones), width + 1), dtype=np.int64)
+    dense[np.arange(len(ones))[:, None], ones] = 1
+    return dense[:, :width]
 
 
-def _dense_rows(ones_rows, width: int) -> list[list[int]]:
-    """The 0/1 rows whose one-positions are given."""
-    return _incidence_matrix(ones_rows, width).tolist()
+def _gram(ones, width: int, border: bool = False) -> list[list[int]]:
+    """X^T X for the 0/1 rows X whose one-positions are the rows of ones.
+
+    An entry equal to the width is no column.  One bincount over
+    a * (width + 1) + b counts the ordered pairs of each row's entries; the
+    pairs that meet the width fill its own row and column.  Those are dropped,
+    or, with border, overwritten by the Gram row of the all-ones column of
+    [X | ones]: the column sums (the diagonal), and the row count.
+    """
+    import numpy as np
+
+    side = width + 1
+    pairs = ones[:, :, None] * side + ones[:, None, :]
+    gram = np.bincount(pairs.ravel(), minlength=side * side).reshape(side, side)
+    if not border:
+        return gram[:width, :width].tolist()
+    sums = gram.diagonal().copy()
+    sums[width] = len(ones)
+    gram[width] = gram[:, width] = sums
+    return gram.tolist()
 
 
 def expected_gram(n: int) -> list[list[int]]:
     """(n-1)! I + (n-2)! (K x K): the closed form for H^T H."""
-    k = linalg.complete_graph_matrix(n - 1)
-    kk = linalg.kron(k, k)
-    width = (n - 1) ** 2
-    return [
-        [
-            factorial(n - 2) * kk[a][b] + (factorial(n - 1) if a == b else 0)
-            for b in range(width)
-        ]
-        for a in range(width)
-    ]
-
-
-def _incidence_gram(ones_rows, width: int) -> list[list[int]]:
-    """G[a][b] = number of 0/1 rows, given by their one-positions, with 1s at a and b.
-
-    Rows with the same number of ones form one array, and one bincount over
-    a * width + b counts the ordered pairs of their one-positions.
-    """
     import numpy as np
 
-    by_length: dict[int, list] = {}
-    for ones in ones_rows:
-        by_length.setdefault(len(ones), []).append(ones)
-    counts = np.zeros(width * width, dtype=np.int64)
-    for rows in by_length.values():
-        cols = np.array(rows, dtype=np.intp).reshape(len(rows), -1)
-        pairs = cols[:, :, None] * width + cols[:, None, :]
-        counts += np.bincount(pairs.ravel(), minlength=width * width)
-    return counts.reshape(width, width).tolist()
+    k = 1 - np.eye(n - 1, dtype=np.int64)
+    identity = np.eye((n - 1) ** 2, dtype=np.int64)
+    return (factorial(n - 2) * np.kron(k, k) + factorial(n - 1) * identity).tolist()
 
 
 def gram_check(n: int) -> tuple[bool, list[list[int]]]:
-    """Compare H^T H, accumulated row by row, against the closed form."""
-    gram = _incidence_gram(build_H(n).ones, (n - 1) ** 2)
+    """Compare H^T H, counted over the rows of H, against the closed form."""
+    gram = _gram(incidence(n).ones, (n - 1) ** 2)
     return gram == expected_gram(n), gram
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Derangement rows of H split by diagonal vs off-diagonal columns.
-
-    off_diagonal_ones[k] lists the one-positions of derangement row
-    derangement_ranks[k] as indices into off_diagonal_columns: that row of
-    the block M.  The diagonal part of a derangement row is zero.
-    """
-
-    n: int
-    derangement_ranks: tuple[int, ...]
-    diagonal_columns: tuple[tuple[int, int], ...]
-    off_diagonal_columns: tuple[tuple[int, int], ...]
-    off_diagonal_ones: tuple[tuple[int, ...], ...]
-
-
-@lru_cache(maxsize=None)
-def blocks(n: int) -> BlockDecomposition:
-    h = build_H(n)
-    diag = tuple(col for col in h.columns if col[0] == col[1])
-    off = tuple(col for col in h.columns if col[0] != col[1])
-    diag_idx = [h.columns.index(c) for c in diag]
-    off_pos = {h.columns.index(c): k for k, c in enumerate(off)}
-    der_ranks = []
-    for r, images in enumerate(itertools.permutations(range(1, n + 1))):
-        if all(images[i] != i + 1 for i in range(n)):
-            der_ranks.append(r)
-    off_ones = []
-    for r in der_ranks:
-        if any(c not in off_pos for c in h.ones[r]):
-            raise AssertionError("a derangement row meets a diagonal column")
-        if len(h.ones[r]) != n - 2:
-            raise AssertionError("an off-diagonal derangement row must have n-2 ones")
-        off_ones.append(tuple(off_pos[c] for c in h.ones[r]))
-    if list(h.ones[0]) != diag_idx:
-        raise AssertionError("identity row must be all ones on the diagonal block")
-    return BlockDecomposition(
-        n=n,
-        derangement_ranks=tuple(der_ranks),
-        diagonal_columns=diag,
-        off_diagonal_columns=off,
-        off_diagonal_ones=tuple(off_ones),
-    )
 
 
 def pi_ab(a: int, b: int, n: int) -> Permutation:
@@ -194,76 +162,67 @@ def pi_ab_submatrix(n: int):
 
     Returns (matrix, expected, equal) where expected is K_{n-1} x I_{n-2}.
     """
-    dec = blocks(n)
-    column_order = []
-    for i in range(1, n):
-        for j in range(1, n - 1):
-            jp = (i + j - 1) % (n - 1) + 1
-            column_order.append(dec.off_diagonal_columns.index((i, jp)))
-    m_ones = dict(zip(dec.derangement_ranks, dec.off_diagonal_ones))
-    selected = [
-        m_ones[rank_permutation(pi_ab(a, b, n))]
-        for a in range(1, n)
-        for b in range(1, n - 1)
-    ]
-    rows = [
-        [m_row[c] for c in column_order]
-        for m_row in _dense_rows(selected, len(dec.off_diagonal_columns))
-    ]
-    expected = linalg.kron(
-        linalg.complete_graph_matrix(n - 1), linalg.identity_matrix(n - 2)
-    )
-    return rows, expected, rows == expected
+    import numpy as np
+
+    pairs = [(i, j) for i in range(1, n) for j in range(1, n - 1)]
+    # each pi_ab is a derangement, a row of N, and each column (i, i+j mod n-1),
+    # column (i-1)(n-1) + (i+j-1) mod (n-1) of H, is off the diagonal: so the
+    # rows and columns of H selected here meet inside M
+    ranks = [rank_permutation(pi_ab(a, b, n)) for a, b in pairs]
+    columns = [(i - 1) * (n - 1) + (i + j - 1) % (n - 1) for i, j in pairs]
+    rows = _dense(incidence(n).ones[ranks], (n - 1) ** 2)[:, columns]
+    k = 1 - np.eye(n - 1, dtype=np.int64)
+    expected = np.kron(k, np.eye(n - 2, dtype=np.int64))
+    return rows.tolist(), expected.tolist(), bool(np.array_equal(rows, expected))
 
 
-def _full_column_rank_check(n: int, ones_rows, width: int, gram=None):
+def _full_column_rank_check(n: int, ones, width: int, gram=None):
     """(rank, rank == width) for 0/1 rows, certified on their Gram matrix.
 
-    G = X^T X (formed here when not given) is integral and has the same
+    G = X^T X (counted here when not given) is integral and has the same
     rational rank as X, at most the width; one modular rank profile that
     meets it certifies the rank, and a deficient G is eliminated
     fraction-free to its exact rank.  At degrees up to 5 the rank is
     recomputed from X directly as a cross-check.
     """
     if gram is None:
-        gram = _incidence_gram(ones_rows, width)
+        gram = _gram(ones, width)
     ((r, _),) = linalg.certified_ranks(gram, [(width, width)])
-    if n <= 5 and linalg.bareiss_rank(_dense_rows(ones_rows, width)) != r:
+    if n <= 5 and linalg.bareiss_rank(_dense(ones, width).tolist()) != r:
         raise AssertionError("Gram rank disagrees with direct elimination")
     return r, r == width
 
 
 def rank_M_check(n: int) -> tuple[int, bool]:
     """rank(M) = (n-1)(n-2), via the Gram matrix of M's columns."""
-    dec = blocks(n)
-    return _full_column_rank_check(n, dec.off_diagonal_ones, len(dec.off_diagonal_columns))
+    return _full_column_rank_check(n, incidence(n).m_ones, (n - 1) * (n - 2))
 
 
 def rank_H_check(n: int, gram=None) -> tuple[int, bool]:
     """rank(H) = (n-1)^2, via the Gram matrix H^T H (when given, it is read)."""
-    return _full_column_rank_check(n, build_H(n).ones, (n - 1) ** 2, gram)
+    return _full_column_rank_check(n, incidence(n).ones, (n - 1) ** 2, gram)
 
 
 def bordered_kernel_check(n: int):
     """Kernel of [M | ones] is spanned by (1, ..., 1, -(n-2)).
 
-    Each row of [M | ones] is read as its one-positions, the border being
-    column (n-1)(n-2).  Exact integer row sums show the expected vector lies
-    in the kernel, which caps the rank at the width (n-1)(n-2); a certified
-    rank of the bordered Gram matrix equal to the width then proves the
-    kernel is exactly that line.  Otherwise the check fails: the vector
-    misses a row, or the kernel is wider than a line.  The kernel is then
-    computed from the Gram matrix and every basis vector is verified against
-    the bordered matrix.
+    A row of [M | ones] meets that vector in its number of ones in M less
+    n-2, so exact counts of each row's ones show the vector lies in the
+    kernel, which caps the rank at the width (n-1)(n-2); a certified rank of
+    the bordered Gram matrix equal to the width then proves the kernel is
+    exactly that line.  Otherwise the check fails: the vector misses a row,
+    or the kernel is wider than a line.  The kernel is then computed from the
+    Gram matrix and every basis vector is verified against the bordered
+    matrix.
     """
     width = (n - 1) * (n - 2)
-    bordered = [ones + (width,) for ones in blocks(n).off_diagonal_ones]
-    gram = _incidence_gram(bordered, width + 1)
-    expected = [1] * width + [-(n - 2)]
-    if not any(sum(map(expected.__getitem__, ones)) for ones in bordered):
+    m_ones = incidence(n).m_ones
+    gram = _gram(m_ones, width, border=True)
+    if ((m_ones < width).sum(axis=1) == n - 2).all():
         ((r, _),) = linalg.certified_ranks(gram, [(width + 1, width)])
         if r == width:
-            return [expected], True
+            return [[1] * width + [-(n - 2)]], True
+    bordered = [[c for c in ones if c < width] + [width] for ones in m_ones.tolist()]
     basis = linalg.kernel_basis(gram)
     for vec in basis:
         if any(sum(map(vec.__getitem__, ones)) for ones in bordered):
@@ -283,20 +242,19 @@ def kernel_membership_check(n: int) -> bool:
     kernel whose dimension is not n-1, or that those unit vectors do not span,
     raises AssertionError.
     """
-    h = build_H(n)
-    dec = blocks(n)
+    inc = incidence(n)
     width = (n - 1) ** 2
-    n_gram = _incidence_gram([h.ones[r] for r in dec.derangement_ranks], width)
+    n_gram = _gram(inc.ones[inc.derangement_ranks], width)
     unmet = [c for c in range(width) if not n_gram[c][c]]
     ((rank_n, _),) = linalg.certified_ranks(n_gram, [(width, width - len(unmet))])
     if width - rank_n != n - 1:
         raise AssertionError("unexpected kernel dimension for the derangement rows")
     if rank_n != width - len(unmet):
         raise AssertionError("ker(N) is not spanned by the columns N never meets")
-    w = [h.columns.index(c) for c in dec.diagonal_columns]
+    w = inc.diagonal.tolist()
     if set(unmet) <= set(w):
         return True
-    gram = _incidence_gram(h.ones, width)
+    gram = _gram(inc.ones, width)
 
     def gram_rank(cols):
         return linalg.bareiss_rank([[gram[a][b] for b in cols] for a in cols])
@@ -434,7 +392,7 @@ class SetClassification:
     family_key: tuple[int, int] | None
     translated_to: tuple[int, int] | None
     case: int | None
-    recovered_coefficient: Fraction | None
+    recovered_coefficient: int | None
     coordinates_ok: bool
 
 
@@ -461,19 +419,17 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
     bordered Gram matrix of [H | ones] having full rank, certified by one
     modular rank profile, shows once per call that these coordinates are the
     only ones, so each set only checks its predicted coordinates against
-    every row of H.  A rank
-    deficit raises AssertionError; a prediction that fails marks the set as
-    a violation.
+    every row of H.  A rank deficit raises AssertionError; a prediction that
+    fails marks the set as a violation.
     """
     import numpy as np
 
     if search_result is None:
         search_result = max_independent_sets(n)
     gd = group_data(n)
-    h = build_H(n)
+    h = incidence(n)
     width = (n - 1) ** 2
-    bordered = [ones + (width,) for ones in h.ones]
-    gram = _incidence_gram(bordered, width + 1)
+    gram = _gram(h.ones, width, border=True)
     if linalg.certified_ranks(gram, [(width + 1, width + 1)])[0][0] != width + 1:
         raise AssertionError("[H | ones] must have full column rank")
     keys = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
@@ -482,7 +438,7 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
         for key, ranks in zip(keys, gd.constraint_ranks([(key,) for key in keys]))
     }
     # H as one 0/1 array: a prediction is checked against all its rows at once
-    h_matrix = _incidence_matrix(h.ones, width)
+    h_matrix = _dense(h.ones, width)
     records = []
     violations = []
     for idx, members in enumerate(search_result.sets):
@@ -501,14 +457,14 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
         fixed = next(key for key, fam in families.items() if fam == translated)
         if fixed[0] == fixed[1] < n:
             case, body, coefficient = 1, np.zeros(width, dtype=np.int64), 0
-            body[h.columns.index(fixed)] = 1
+            body[h.diagonal[fixed[0] - 1]] = 1
         else:
             case, body, coefficient = 2, np.ones(width, dtype=np.int64), -(n - 2)
         indicator = np.zeros(gd.order, dtype=np.int64)
         indicator[translated_ranks] = 1
         if np.array_equal(h_matrix @ body + coefficient, indicator):
             records.append(
-                SetClassification(family_key, fixed, case, Fraction(coefficient), True)
+                SetClassification(family_key, fixed, case, coefficient, True)
             )
         else:
             violations.append(idx)

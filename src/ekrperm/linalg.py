@@ -109,23 +109,6 @@ def kernel_basis(rows) -> list[list[int]]:
     return basis
 
 
-def kron(a, b) -> list[list[int]]:
-    out = []
-    for row_a in a:
-        for row_b in b:
-            out.append([x * y for x in row_a for y in row_b])
-    return out
-
-
-def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def complete_graph_matrix(n: int) -> list[list[int]]:
-    """Adjacency matrix of the complete graph on n vertices."""
-    return [[0 if i == j else 1 for j in range(n)] for i in range(n)]
-
-
 def rank_profile_mod_p(int_rows, p: int) -> list[int]:
     """Indices of the rows that are independent of the rows before them, mod p.
 

@@ -126,6 +126,13 @@ class TestCommands:
         assert "gram-identity" in names or any("gram" in n for n in names)
         assert report["pass"] is True
 
+    def test_lemmas_at_the_top_degree(self, capsys):
+        code, report, _ = run_json(capsys, "lemmas", "8")
+        assert code == 0 and report["pass"] is True
+        ranks = {c["name"]: c.get("rank") for c in report["checks"]}
+        assert ranks["rank-H-is-(n-1)^2"] == 49
+        assert ranks["rank-M-is-(n-1)(n-2)"] == 42
+
     def test_conjecture(self, capsys):
         code, report, _ = run_json(capsys, "conjecture", "4", "--t", "1")
         assert code == 0

@@ -7,6 +7,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,14 +18,13 @@ from ekrperm.ekrverify import (
     MAX_INCIDENCE_DEGREE,
     SetClassification,
     basis_check,
-    blocks,
     bordered_kernel_check,
-    build_H,
     classify_maximum_sets,
     depth_conjecture_dims,
     enumerate_constraint_sets,
     expected_gram,
     gram_check,
+    incidence,
     kernel_membership_check,
     pi_ab,
     pi_ab_submatrix,
@@ -33,7 +33,7 @@ from ekrperm.ekrverify import (
 )
 from ekrperm.errors import DegreeRangeError
 from ekrperm.graphs import family, max_independent_sets
-from ekrperm.linalg import bareiss_rank, kron
+from ekrperm.linalg import bareiss_rank
 from ekrperm.permgroup import (
     compose,
     identity,
@@ -45,6 +45,7 @@ from ekrperm.permgroup import (
 )
 from ekrperm.scheme import class_quadratic_forms, group_data
 from test_graphs import point_families
+from test_linalg import kron
 from test_scheme import module_quadratic_form
 
 # Row pattern of the six reordered derangement rows at degree 4, columns
@@ -60,10 +61,15 @@ SUBMATRIX_4 = [
 ]
 
 
+def _columns(n):
+    """H's columns (i, j), 1 <= i, j <= n-1, in index order."""
+    return [(i, j) for i in range(1, n) for j in range(1, n)]
+
+
 def _rows(h):
-    """H as dense 0/1 rows, built from its one-positions."""
-    width = len(h.columns)
-    return [[int(k in ones) for k in range(width)] for ones in h.ones]
+    """H as dense 0/1 rows, built from its one-positions (the width is no column)."""
+    width = (h.n - 1) ** 2
+    return [[int(k in ones) for k in range(width)] for ones in h.ones.tolist()]
 
 
 def module_supports(families, n, shift=None):
@@ -103,38 +109,52 @@ PI_AB_CYCLES_4 = {
 
 class TestIncidenceMatrix:
     def test_shape_and_column_order(self):
-        h = build_H(4)
-        assert len(h.ones) == 24
-        assert all(all(0 <= k < 9 for k in ones) for ones in h.ones)
-        assert all(list(ones) == sorted(set(ones)) for ones in h.ones)
-        assert h.columns[0] == (1, 1)
-        assert h.columns == tuple(
-            (i, j) for i in range(1, 4) for j in range(1, 4)
-        )
+        h = incidence(4)
+        assert h.ones.shape == (24, 3)
+        # the entry for position i is a column (i, j), or the width 9
+        for row in h.ones.tolist():
+            assert all(k == 9 or k // 3 == i for i, k in enumerate(row))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_ones_match_the_defining_predicate(self, n):
+        # row pi, position i: the column (i, j) when pi(i) = j < n, else the width
+        column = {c: k for k, c in enumerate(_columns(n))}
+        expected = [
+            [column.get((i, j), len(column)) for i, j in enumerate(images[:-1], 1)]
+            for images in itertools.permutations(range(1, n + 1))
+        ]
+        h = incidence(n)
+        assert h.ones.tolist() == expected
+        assert h.derangement_ranks.tolist() == [
+            r
+            for r, images in enumerate(itertools.permutations(range(1, n + 1)))
+            if all(v != i for i, v in enumerate(images, 1))
+        ]
+        assert h.diagonal.tolist() == [column[(i, i)] for i in range(1, n)]
 
     def test_identity_row(self):
-        h = build_H(4)
+        h = incidence(4)
         row = _rows(h)[rank_permutation(identity(4))]
-        ones = {h.columns[k] for k, v in enumerate(row) if v}
+        ones = {_columns(4)[k] for k, v in enumerate(row) if v}
         assert ones == {(1, 1), (2, 2), (3, 3)}
 
     def test_four_cycle_row(self):
         # pi = (1,4,2,3) sends 1 to 4 and 4 to 2, so only two pairs remain
-        h = build_H(4)
+        h = incidence(4)
         p = parse_one_line("4,3,1,2")
         row = _rows(h)[rank_permutation(p)]
-        ones = {h.columns[k] for k, v in enumerate(row) if v}
+        ones = {_columns(4)[k] for k, v in enumerate(row) if v}
         assert ones == {(2, 3), (3, 1)}
 
     def test_column_weight(self):
         # each position-value pair is hit by (n-1)! permutations
-        h = build_H(4)
-        for idx in range(len(h.columns)):
+        h = incidence(4)
+        for idx in range(9):
             assert sum(row[idx] for row in _rows(h)) == 6
 
     def test_row_weights(self):
         # n-1 pairs when the last point is fixed, otherwise n-2
-        h = build_H(5)
+        h = incidence(5)
         perms = [unrank_permutation(r, 5) for r in range(120)]
         for p, row in zip(perms, _rows(h)):
             expected = (5 - 1) if p(5) == 5 else 5 - 2
@@ -145,7 +165,7 @@ class TestIncidenceMatrix:
 
     def test_degree_cap(self):
         with pytest.raises(DegreeRangeError):
-            build_H(MAX_INCIDENCE_DEGREE + 1)
+            incidence(MAX_INCIDENCE_DEGREE + 1)
 
 
 class TestGramIdentity:
@@ -173,58 +193,66 @@ class TestGramIdentity:
 
 
 @st.composite
-def _ones_rows(draw):
-    """A width and 0/1 rows given by their increasing one-positions."""
+def _one_position_arrays(draw):
+    """A width and an array whose rows hold distinct columns below it, padded
+    to one length with the width (no column) and shuffled."""
     width = draw(st.integers(0, 7))
-    ones = st.sets(st.integers(0, width - 1)) if width else st.just(set())
-    return draw(st.lists(ones.map(sorted).map(tuple), max_size=12)), width
+    k = draw(st.integers(0, 4))
+    columns = st.sets(st.integers(0, width - 1), max_size=k) if width else st.just(set())
+    rows = [
+        draw(st.permutations(sorted(cols) + [width] * (k - len(cols))))
+        for cols in draw(st.lists(columns, max_size=12))
+    ]
+    return np.array(rows, dtype=np.intp).reshape(len(rows), k), width
 
 
 class TestIncidenceArrays:
-    @given(_ones_rows())
+    @given(_one_position_arrays())
     def test_gram_and_dense_rows_match_loops(self, case):
-        rows, width = case
-        gram = [[0] * width for _ in range(width)]
-        dense = []
-        for ones in rows:
-            dense.append([int(k in ones) for k in range(width)])
-            for a in ones:
-                for b in ones:
-                    gram[a][b] += 1
-        assert ekrverify._incidence_gram(rows, width) == gram
-        assert ekrverify._dense_rows(rows, width) == dense
+        ones, width = case
+        dense = np.zeros((len(ones), width), dtype=np.int64)
+        for r, row in enumerate(ones.tolist()):
+            for c in row:
+                if c < width:
+                    dense[r, c] = 1
+        bordered = np.column_stack([dense, np.ones(len(ones), dtype=np.int64)])
+        assert ekrverify._gram(ones, width) == (dense.T @ dense).tolist()
+        assert ekrverify._gram(ones, width, border=True) == (bordered.T @ bordered).tolist()
+        assert ekrverify._dense(ones, width).tolist() == dense.tolist()
 
 
 class TestBlocks:
     def test_degree_four_shapes(self):
-        dec = blocks(4)
-        assert len(dec.diagonal_columns) == 3
-        assert len(dec.off_diagonal_columns) == 6
-        assert len(dec.off_diagonal_ones) == 9
-        assert all(all(0 <= k < 6 for k in ones) for ones in dec.off_diagonal_ones)
-        assert len(dec.derangement_ranks) == 9
+        h = incidence(4)
+        assert h.diagonal.tolist() == [0, 4, 8]
+        assert h.m_ones.shape == (9, 3)
+        # two of M's six columns and the width 6 once in every row
+        for ones in h.m_ones.tolist():
+            assert sorted(ones)[-1] == 6 and all(0 <= k < 6 for k in sorted(ones)[:-1])
+        assert len(h.derangement_ranks) == 9
 
     def test_derangement_rows_avoid_diagonal(self):
-        dec = blocks(5)
+        h = incidence(5)
         # M holds only off-diagonal column restrictions of derangements, so
         # the diagonal block of a derangement row must vanish
-        h = build_H(5)
         rows = _rows(h)
-        assert any(any(rows[r]) for r in dec.derangement_ranks)
-        diag_cols = [h.columns.index((i, i)) for i in range(1, 5)]
-        for r in dec.derangement_ranks:
+        assert any(any(rows[r]) for r in h.derangement_ranks)
+        diag_cols = [_columns(5).index((i, i)) for i in range(1, 5)]
+        for r in h.derangement_ranks:
             assert all(rows[r][c] == 0 for c in diag_cols)
 
     def test_off_diagonal_row_weight(self):
-        dec = blocks(4)
-        assert all(len(ones) == 2 for ones in dec.off_diagonal_ones)
-        # each entry is the off-diagonal part of the matching dense row of H
-        h = build_H(4)
-        rows = _rows(h)
-        off_cols = [h.columns.index(c) for c in dec.off_diagonal_columns]
-        for r, ones in zip(dec.derangement_ranks, dec.off_diagonal_ones):
-            row = rows[r]
-            assert [k for k, c in enumerate(off_cols) if row[c]] == list(ones)
+        for n in (4, 6):
+            h = incidence(n)
+            width = (n - 1) * (n - 2)
+            assert ((h.m_ones < width).sum(axis=1) == n - 2).all()
+            # each row is the off-diagonal part of the matching dense row of H
+            rows = _rows(h)
+            off_cols = [k for k, (i, j) in enumerate(_columns(n)) if i != j]
+            for r, ones in zip(h.derangement_ranks, h.m_ones.tolist()):
+                assert [k for k, c in enumerate(off_cols) if rows[r][c]] == [
+                    k for k in ones if k < width
+                ]
 
 
 class TestReorderedSubmatrix:
@@ -275,7 +303,7 @@ class TestRanks:
             assert rank == (n - 1) * (n - 2)
 
     def test_rank_H_agrees_with_direct_elimination(self):
-        h = build_H(4)
+        h = incidence(4)
         assert bareiss_rank(_rows(h)) == 9
 
 
@@ -302,25 +330,21 @@ class TestKernels:
 def _parent_kernel_membership(n, trials, seed):
     """Random trials: each forms y in ker(N), then H y over every row of H, then
     its border against W, and compares the ranks of the bordered Gram matrices."""
-    h = build_H(n)
-    dec = ekrverify.blocks(n)
+    h = ekrverify.incidence(n)
     width = (n - 1) ** 2
-    n_ones = [h.ones[r] for r in dec.derangement_ranks]
-    basis = linalg.kernel_basis(ekrverify._incidence_gram(n_ones, width))
+    basis = linalg.kernel_basis(ekrverify._gram(h.ones[h.derangement_ranks], width))
     if len(basis) != n - 1:
         raise AssertionError("unexpected kernel dimension for the derangement rows")
-    diag_pos = {h.columns.index(c): d for d, c in enumerate(dec.diagonal_columns)}
-    w_ones = [[diag_pos[c] for c in ones if c in diag_pos] for ones in h.ones]
-    w_gram = ekrverify._incidence_gram(w_ones, len(diag_pos))
+    w = ekrverify._dense(h.ones, width)[:, h.diagonal]
+    w_gram = (w.T @ w).tolist()
     w_rank = linalg.bareiss_rank(w_gram)
-    w_support = [
-        [r for r, ones in enumerate(w_ones) if d in ones] for d in range(len(diag_pos))
-    ]
+    w_support = [np.flatnonzero(column).tolist() for column in w.T]
+    h_ones = [[c for c in ones if c < width] for ones in h.ones.tolist()]
     rng = random.Random(seed)
     for _ in range(trials):
         coeffs = [rng.randint(-9, 9) for _ in basis]
         y = [sum(c * vec[k] for c, vec in zip(coeffs, basis)) for k in range(width)]
-        hy = [sum(y[c] for c in ones) for ones in h.ones]
+        hy = [sum(y[c] for c in ones) for ones in h_ones]
         border = [sum(hy[r] for r in support) for support in w_support]
         bordered = [row + [v] for row, v in zip(w_gram, border)]
         bordered.append(border + [sum(v * v for v in hy)])
@@ -330,9 +354,7 @@ def _parent_kernel_membership(n, trials, seed):
 
 
 def _without_first_diagonal_column(real):
-    return lambda n: dataclasses.replace(
-        real(n), diagonal_columns=real(n).diagonal_columns[1:]
-    )
+    return lambda n: dataclasses.replace(real(n), diagonal=real(n).diagonal[1:])
 
 
 class TestKernelMembershipByLinearity:
@@ -347,16 +369,18 @@ class TestKernelMembershipByLinearity:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_damaged_W_fails_on_both_routes(self, n, monkeypatch):
-        monkeypatch.setattr(ekrverify, "blocks", _without_first_diagonal_column(blocks))
+        monkeypatch.setattr(
+            ekrverify, "incidence", _without_first_diagonal_column(incidence)
+        )
         assert kernel_membership_check(n) is False
         assert _parent_kernel_membership(n, 20, 987) is False
 
     def test_half_the_rows_raise_on_both_routes(self, monkeypatch):
         # every other derangement row leaves a kernel wider than n-1
-        real = blocks
+        real = incidence
         monkeypatch.setattr(
             ekrverify,
-            "blocks",
+            "incidence",
             lambda n: dataclasses.replace(
                 real(n), derangement_ranks=real(n).derangement_ranks[::2]
             ),
@@ -379,28 +403,28 @@ def _recording_rref(monkeypatch):
     return heights
 
 
-def _blocks_with(edit):
-    """blocks(n) with its off-diagonal rows replaced by edit(rows)."""
+def _incidence_with(edit):
+    """incidence(n) with the rows of M replaced by edit(a copy of them)."""
     return lambda n: dataclasses.replace(
-        blocks(n), off_diagonal_ones=tuple(edit(list(blocks(n).off_diagonal_ones)))
+        incidence(n), m_ones=edit(incidence(n).m_ones.copy())
     )
 
 
 def _deficient_gram(real):
     """The real Gram with its last row and column zeroed: rank one lower."""
 
-    def deficient(ones_rows, width):
-        gram = real(ones_rows, width)
+    def deficient(ones, width, border=False):
+        gram = real(ones, width, border)
         for row in gram:
             row[-1] = 0
-        gram[-1] = [0] * width
+        gram[-1] = [0] * len(gram)
         return gram
 
     return deficient
 
 
 class TestCertifiedLemmaRanks:
-    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("n", [6, 7, 8])
     def test_no_elimination_at_the_top_degrees(self, n, monkeypatch):
         heights = _recording_rref(monkeypatch)
         assert rank_H_check(n) == ((n - 1) ** 2, True)
@@ -418,11 +442,9 @@ class TestCertifiedLemmaRanks:
     def test_doctored_gram_reports_its_exact_rank(self, monkeypatch):
         n = 6
         width = (n - 1) ** 2
-        doctored = _deficient_gram(ekrverify._incidence_gram)(build_H(n).ones, width)
+        doctored = _deficient_gram(ekrverify._gram)(incidence(n).ones, width)
         assert rank_H_check(n, doctored) == ((n - 1) ** 2 - 1, False)
-        monkeypatch.setattr(
-            ekrverify, "_incidence_gram", _deficient_gram(ekrverify._incidence_gram)
-        )
+        monkeypatch.setattr(ekrverify, "_gram", _deficient_gram(ekrverify._gram))
         assert rank_M_check(n) == ((n - 1) * (n - 2) - 1, False)
 
     def test_undershooting_profile_keeps_the_exact_ranks(self, monkeypatch):
@@ -439,7 +461,7 @@ class TestCertifiedLemmaRanks:
     def test_too_few_rows_widen_the_kernel(self, n, monkeypatch):
         # every row still sums to 0 against the expected vector, but the
         # rank falls below the width, so the kernel has more than one line
-        monkeypatch.setattr(ekrverify, "blocks", _blocks_with(lambda rows: rows[:3]))
+        monkeypatch.setattr(ekrverify, "incidence", _incidence_with(lambda rows: rows[:3]))
         basis, ok = bordered_kernel_check(n)
         assert not ok
         assert len(basis) == (n - 1) * (n - 2) + 1 - 3
@@ -447,9 +469,13 @@ class TestCertifiedLemmaRanks:
     @pytest.mark.parametrize("n", [4, 6])
     def test_expected_vector_missing_a_row_fails(self, n, monkeypatch):
         # a row with one of its ones dropped sums to -1 against the vector
-        monkeypatch.setattr(
-            ekrverify, "blocks", _blocks_with(lambda rows: [rows[0][1:]] + rows[1:])
-        )
+        width = (n - 1) * (n - 2)
+
+        def drop_one(rows):
+            rows[0, np.flatnonzero(rows[0] < width)[0]] = width
+            return rows
+
+        monkeypatch.setattr(ekrverify, "incidence", _incidence_with(drop_one))
         basis, ok = bordered_kernel_check(n)
         assert not ok
         assert basis == []
@@ -654,6 +680,7 @@ class TestClassification:
         assert cases.count(2) == 4
         for r in report.records:
             assert r.coordinates_ok
+            assert type(r.recovered_coefficient) is int
             if r.case == 1:
                 assert r.recovered_coefficient == 0
                 assert r.translated_to[0] == r.translated_to[1] != 4
@@ -669,8 +696,8 @@ class TestClassification:
     @pytest.mark.parametrize("n", [4, 5])
     def test_records_are_the_unique_dense_solutions(self, n):
         gd = group_data(n)
-        h = build_H(n)
-        width = len(h.columns)
+        h = incidence(n)
+        width = (n - 1) ** 2
         families = point_families(n)
         found = max_independent_sets(n)
         report = classify_maximum_sets(n, found)
@@ -696,7 +723,7 @@ class TestClassification:
             )
             if case == 1:
                 i = record.translated_to[0]
-                assert solution[:-1] == [int(c == (i, i)) for c in h.columns]
+                assert solution[:-1] == [int(c == (i, i)) for c in _columns(n)]
             else:
                 assert solution[:-1] == [1] * width
 
@@ -738,16 +765,7 @@ class TestClassification:
 
     def test_rank_deficient_certificate_raises(self, monkeypatch):
         found = max_independent_sets(4)
-        real = ekrverify._incidence_gram
-
-        def deficient(ones_rows, width):
-            gram = real(ones_rows, width)
-            for row in gram:
-                row[-1] = 0
-            gram[-1] = [0] * width
-            return gram
-
-        monkeypatch.setattr(ekrverify, "_incidence_gram", deficient)
+        monkeypatch.setattr(ekrverify, "_gram", _deficient_gram(ekrverify._gram))
         with pytest.raises(AssertionError):
             classify_maximum_sets(4, found)
 

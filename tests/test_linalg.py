@@ -12,10 +12,7 @@ from ekrperm import linalg
 from ekrperm.linalg import (
     bareiss_rank,
     certified_ranks,
-    complete_graph_matrix,
-    identity_matrix,
     kernel_basis,
-    kron,
     rank_profile_mod_p,
     rref,
     scaled_integers,
@@ -47,6 +44,19 @@ def transpose(rows):
 def gram_matrix(rows):
     """rows * rows^T for integer rows; rank(gram) = rank(rows) over the rationals."""
     return [_matvec(rows, r) for r in rows]
+
+
+def kron(a, b) -> list[list[int]]:
+    return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]
+
+
+def identity_matrix(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def complete_graph_matrix(n: int) -> list[list[int]]:
+    """Adjacency matrix of the complete graph on n vertices."""
+    return [[int(i != j) for j in range(n)] for i in range(n)]
 
 
 class TestRanks:
