@@ -37,6 +37,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 MAX_INCIDENCE_DEGREE = 8
+# Rows of one-positions whose pairs _gram counts per bincount.
+_GRAM_BLOCK_ROWS = 1 << 12
 
 rank = linalg.bareiss_rank
 
@@ -97,17 +99,22 @@ def _dense(ones, width: int):
 def _gram(ones, width: int, border: bool = False) -> list[list[int]]:
     """X^T X for the 0/1 rows X whose one-positions are the rows of ones.
 
-    An entry equal to the width is no column.  One bincount over
-    a * (width + 1) + b counts the ordered pairs of each row's entries; the
-    pairs that meet the width fill its own row and column.  Those are dropped,
-    or, with border, overwritten by the Gram row of the all-ones column of
-    [X | ones]: the column sums (the diagonal), and the row count.
+    An entry equal to the width is no column.  A bincount over
+    a * (width + 1) + b counts the ordered pairs of each row's entries, one
+    block of _GRAM_BLOCK_ROWS rows at a time, so no pair array spans all the
+    rows; the pairs that meet the width fill its own row and column.  Those
+    are dropped, or, with border, overwritten by the Gram row of the all-ones
+    column of [X | ones]: the column sums (the diagonal), and the row count.
     """
     import numpy as np
 
     side = width + 1
-    pairs = ones[:, :, None] * side + ones[:, None, :]
-    gram = np.bincount(pairs.ravel(), minlength=side * side).reshape(side, side)
+    gram = np.zeros(side * side, dtype=np.int64)
+    for start in range(0, len(ones), _GRAM_BLOCK_ROWS):
+        block = ones[start : start + _GRAM_BLOCK_ROWS]
+        pairs = block[:, :, None] * side + block[:, None, :]
+        gram += np.bincount(pairs.ravel(), minlength=side * side)
+    gram = gram.reshape(side, side)
     if not border:
         return gram[:width, :width].tolist()
     sums = gram.diagonal().copy()

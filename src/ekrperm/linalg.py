@@ -7,7 +7,9 @@ each row to integers, keeps every entry an integer throughout, and returns
 the reduced row echelon form as an integer matrix over one common
 denominator.  A fast modular elimination (exact integer arithmetic mod a prime) provides
 certified rank lower bounds for every leading block of rows of a large
-integer matrix at once.
+integer matrix at once.  Each pivot updates only the columns where the pivot
+row is nonzero: 443,057 cells for the 0/1 rows of the n = 6, t = 2 depth
+span, where every column from the pivot on would be 8,394,183.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from math import lcm
 
 Rational = int | Fraction
 
-_RANK_PRIMES = (2147483647, 2147483629)  # < 2**31, so modular products fit int64
+_RANK_PRIMES = (2147483647, 2147483629)  # < 2**31, so residues fit int32
+_RESIDUE_BLOCK = 64  # rows reduced at a time into the int32 working copy
 
 
 def scaled_integers(values) -> tuple[list[int], int]:
@@ -116,35 +119,57 @@ def rank_profile_mod_p(int_rows, p: int) -> list[int]:
     row rank profile whichever row each pivot is taken from, so the pivots
     among the first k rows number exactly the rank of those k rows over the
     field of p elements, and the length of the list is the rank of the whole
-    matrix.  Entries are int64 residues; p < 2**31 keeps every product exact.
-    The C-order int64 transpose is the one working copy: narrow integer rows
-    such as int8 indicators are widened straight into it and reduced in place.
+    matrix.  The one working copy is an int32 transpose of residues, filled
+    from blocks of _RESIDUE_BLOCK rows reduced in int64 (in Python ints for
+    entries past int64), so an integer array is never widened whole.  Each
+    pivot updates only the other live rows, and in them only the columns
+    where the pivot row is nonzero; the products are formed in int64, exact
+    for p < 2**31.  p must be a prime below 2**31: ValueError for a modulus
+    out of range, or for a pivot without an inverse mod p.
     """
     import numpy as np
 
+    if not 2 <= p < 2**31:
+        raise ValueError(f"need a modulus 2 <= p < 2**31, got {p}")
     if not len(int_rows):
         return []
-    a = np.asarray(int_rows).T.astype(np.int64, order="C")
-    a %= p
-    free = np.ones(len(a), dtype=bool)
+    rows = np.asarray(int_rows)
+    if rows.dtype.kind not in "biu" or rows.dtype == np.uint64:
+        # Python ints past int64, which NumPy reads as objects or floats
+        rows = np.asarray(int_rows, dtype=object)
+    wide = object if rows.dtype == object else np.int64
+    a = np.empty(rows.shape[::-1], dtype=np.int32)
+    for start in range(0, len(rows), _RESIDUE_BLOCK):
+        stop = start + _RESIDUE_BLOCK
+        a[:, start:stop] = np.remainder(rows[start:stop], p, dtype=wide).T
     pivots: list[int] = []
     for col in range(a.shape[1]):
-        live = np.flatnonzero(free & (a[:, col] != 0))
-        if live.size == 0:
+        live = a[:, col].nonzero()[0]
+        if not len(live):
             continue
-        # Any live row may pivot.  The last one keeps fill-in low on indicator
-        # matrices: about 7x fewer cell updates than the first at n = 6, t = 2.
-        r, rest = live[-1], live[:-1]
-        free[r] = False
-        # free rows are zero left of col, so only columns col.. change
-        lead = a[r, col:]
-        lead *= pow(int(lead[0]), p - 2, p)
-        lead %= p
-        if rest.size:
-            rows = a[rest, col:]
-            rows -= np.multiply.outer(rows[:, 0], lead)
-            rows %= p
-            a[rest, col:] = rows
+        # Any live row may pivot; the last is taken.  On the n = 6, t = 2
+        # indicator rows that updates 443,057 cells; the first, 456,489.
+        # Live rows are zero left of col, so lead starts at the pivot entry.
+        row = a[live[-1]]
+        nz = row.nonzero()[0]
+        lead = row[nz]
+        # a pivoted row is zeroed, so it is never live again
+        row.fill(0)
+        # Fermat's inverse; a pivot it fails to invert means p is not prime,
+        # where a nonzero residue need not certify a nonzero minor
+        pivot = int(lead[0])
+        inverse = pow(pivot, p - 2, p)
+        if pivot * inverse % p != 1:
+            raise ValueError(f"{pivot} has no inverse mod {p}: p is not prime")
+        if len(live) > 1:
+            idx = live[:-1, None], nz
+            block = a[idx]
+            factor = np.multiply(block[:, 0], inverse, dtype=np.int64)
+            factor %= p
+            update = np.multiply.outer(factor, lead)
+            np.subtract(block, update, out=update)
+            update %= p
+            a[idx] = update
         pivots.append(col)
         if len(pivots) == len(a):
             break

@@ -191,6 +191,23 @@ class TestGramIdentity:
             ok, _ = gram_check(n)
             assert ok
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("block_rows", [11, ekrverify._GRAM_BLOCK_ROWS])
+    def test_row_blocks_add_up_to_the_closed_form(self, n, block_rows, monkeypatch):
+        # 11 divides no n! here, so the last block is always a short one
+        monkeypatch.setattr(ekrverify, "_GRAM_BLOCK_ROWS", block_rows)
+        assert ekrverify._gram(incidence(n).ones, (n - 1) ** 2) == expected_gram(n)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_bordered_row_blocks_equal_the_dense_product(self, n, monkeypatch):
+        monkeypatch.setattr(ekrverify, "_GRAM_BLOCK_ROWS", 11)
+        inc = incidence(n)
+        for ones, width in ((inc.ones, (n - 1) ** 2), (inc.m_ones, (n - 1) * (n - 2))):
+            dense = ekrverify._dense(ones, width)
+            bordered = np.column_stack([dense, np.ones(len(ones), dtype=np.int64)])
+            gram = ekrverify._gram(ones, width, border=True)
+            assert gram == (bordered.T @ bordered).tolist()
+
 
 @st.composite
 def _one_position_arrays(draw):

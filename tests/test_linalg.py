@@ -223,6 +223,131 @@ class TestRankProfileProperties:
             assert rank == exact <= bound
 
 
+def _parent_profile(rows, p):
+    """The dense int64 elimination that rank_profile_mod_p replaced, kept as a
+    reference: every live row updates every column from the pivot on.  Rows
+    are reduced mod p in Python first, so entries past int64 can be compared."""
+    import numpy as np
+
+    if not len(rows):
+        return []
+    a = np.array([[int(v) % p for v in row] for row in rows], dtype=np.int64).T.copy()
+    free = np.ones(len(a), dtype=bool)
+    pivots = []
+    for col in range(a.shape[1]):
+        live = np.flatnonzero(free & (a[:, col] != 0))
+        if live.size == 0:
+            continue
+        r, rest = live[-1], live[:-1]
+        free[r] = False
+        lead = a[r, col:]
+        lead *= pow(int(lead[0]), p - 2, p)
+        lead %= p
+        if rest.size:
+            block = a[rest, col:]
+            block -= np.multiply.outer(block[:, 0], lead)
+            block %= p
+            a[rest, col:] = block
+        pivots.append(col)
+        if len(pivots) == len(a):
+            break
+    return pivots
+
+
+_DTYPE_RANGES = {
+    "int8": (-(2**7), 2**7 - 1),
+    "uint8": (0, 2**8 - 1),
+    "int32": (-(2**31), 2**31 - 1),
+    "int64": (-(2**63), 2**63 - 1),
+    "object": (-(2**80), 2**80),
+}
+
+
+@st.composite
+def _typed_matrices(draw):
+    """A matrix of one dtype, its entries mostly near zero (so ranks drop)."""
+    import numpy as np
+
+    dtype = draw(st.sampled_from(sorted(_DTYPE_RANGES)))
+    lo, hi = _DTYPE_RANGES[dtype]
+    entries = st.integers(max(lo, -2), 2) | st.integers(lo, hi)
+    n_cols = draw(st.integers(1, 6))
+    row = st.lists(entries, min_size=n_cols, max_size=n_cols)
+    rows = draw(st.lists(row, max_size=8))
+    return np.array(rows, dtype=dtype).reshape(len(rows), n_cols)
+
+
+class TestResidueKernel:
+    @given(_typed_matrices(), st.sampled_from([2, 3, 5, 2**31 - 1]))
+    def test_profile_matches_the_dense_int64_elimination(self, matrix, p):
+        before = matrix.copy()
+        assert rank_profile_mod_p(matrix, p) == _parent_profile(matrix.tolist(), p)
+        assert (matrix == before).all()  # the caller's array is not reduced
+
+    @pytest.mark.parametrize("p", [-3, 0, 1, 2**31, 2**61 - 1])
+    def test_modulus_out_of_range_raises(self, p):
+        # at p = 2**61 - 1 int64 products wrap: this rank-3 matrix read as rank 4
+        matrix = [[-7, -9, -3, 1], [-4, -2, -2, 5], [3, 9, 4, -8], [3, 9, 4, -8]]
+        assert bareiss_rank(matrix) == 3
+        with pytest.raises(ValueError):
+            rank_profile_mod_p(matrix, p)
+
+    @pytest.mark.parametrize(
+        "matrix, p", [([[2, 4], [1, 2]], 4), ([[2, 2], [1, 1]], 4), ([[2, 2], [1, 1]], 15)]
+    )
+    def test_composite_modulus_raises(self, matrix, p):
+        # rank 1, which the dense elimination read as rank 2 mod p: a pivot
+        # without an inverse passed as a certificate
+        assert bareiss_rank(matrix) == 1
+        with pytest.raises(ValueError):
+            rank_profile_mod_p(matrix, p)
+
+    def test_largest_modulus_is_exact(self):
+        matrix = [[-7, -9, -3, 1], [-4, -2, -2, 5], [3, 9, 4, -8], [3, 9, 4, -8]]
+        assert rank_profile_mod_p(matrix, 2**31 - 1) == [0, 1, 2]
+
+    @pytest.mark.parametrize("p", [2, 5, 2147483647, 2147483629])
+    def test_entries_past_int64_give_the_profile_of_their_residues(self, p):
+        rng = random.Random(p)
+        big = [
+            [rng.choice([-1, 1]) * 2**70 + rng.randrange(-3, 4) for _ in range(5)]
+            for _ in range(6)
+        ]
+        big[4] = [a + b for a, b in zip(big[0], big[1])]
+        residues = [[v % p for v in row] for row in big]
+        assert rank_profile_mod_p(big, p) == rank_profile_mod_p(residues, p)
+        assert 4 not in rank_profile_mod_p(big, p)
+        # NumPy reads a list holding 2**63 and -1 as floats; the residues stay exact
+        edge = [[2**63 + 2, -1], [2**63 + 1, -1]]
+        assert rank_profile_mod_p(edge, p) == _parent_profile(edge, p)
+
+    def test_peak_memory_is_the_int32_residues(self):
+        """The n = 6, t = 2 indicator rows [X; ones], 2,401 x 720 int8, the
+        largest matrix the certificate meets: the traced peak stays within a
+        quarter above the int32 residue transpose."""
+        import tracemalloc
+
+        import numpy as np
+
+        from ekrperm.ekrverify import enumerate_constraint_sets
+        from ekrperm.scheme import group_data
+
+        families = group_data(6).constraint_ranks(enumerate_constraint_sets(6, 3))
+        rows = np.zeros((len(families) + 1, 720), dtype=np.int8)
+        rows[-1] = 1
+        for f, ranks in enumerate(families):
+            rows[f, ranks] = 1
+        assert rows.shape == (2401, 720)
+        tracemalloc.start()
+        try:
+            profile = rank_profile_mod_p(rows, linalg._RANK_PRIMES[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(profile) == 588
+        assert peak < 1.25 * rows.size * np.dtype(np.int32).itemsize
+
+
 class TestKernelAndSolve:
     def test_kernel_of_rank_one_matrix(self):
         basis = kernel_basis([[1, 2, 3]])
