@@ -351,11 +351,7 @@ def run_lemmas(n: int):
     return result, checks
 
 
-def run_conjecture(n: int, t: int, depth: int | None = None):
-    if depth is None:
-        depth = t + 1
-    if depth not in (t, t + 1):
-        raise ValueError(f"--depth must be {t} or {t + 1} for --t {t}")
+def run_conjecture(n: int, t: int):
     report = ekrverify.depth_conjecture_dims(n, t)
     checks = [
         check(
@@ -366,7 +362,7 @@ def run_conjecture(n: int, t: int, depth: int | None = None):
     result = {
         "n": n,
         "t": t,
-        "selected_depth": depth,
+        "selected_depth": t + 1,
         "family_count": report.family_count,
         "module_dim_sums": {
             str(d): exact(v) for d, v in sorted(report.module_dim_sums.items())
@@ -606,7 +602,7 @@ COMMANDS = {
     ),
     "conjecture": Command(
         "depth-bounded eigenspace dimension comparison", 3, _DENSE,
-        (("--t", {"type": int, "default": 1}), ("--depth", {"type": int})),
+        (("--t", {"type": int, "default": 1}),),
     ),
     "identity-check": Command(
         "class/eigenspace quadratic-form identity", 1, _DENSE,

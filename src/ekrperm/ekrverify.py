@@ -7,8 +7,9 @@ matrix is one bincount of those (dense rows only where a product needs them).
 Its Gram matrix has a closed form; its derangement rows split into a
 full-column-rank block M and a zero block; the kernel of [M | ones] is
 one-dimensional.  Together these pin down every maximum independent set of
-the derangement graph as a point-stabilizing family.  classify_maximum_sets certifies once that [H | ones]
-has full column rank and then checks each set's predicted coordinates.
+the derangement graph as a point-stabilizing family.  classify_maximum_sets
+certifies once that [H | ones] has full column rank and then checks each
+set's predicted coordinates.
 """
 
 from __future__ import annotations
@@ -289,10 +290,8 @@ def _module_norms(rank_lists, n: int, shift: Fraction) -> list[list[int]]:
     a, b = shift.numerator, shift.denominator
     gd = group_data(n)
     order = gd.order
-    table = character_table(n)
-    shapes = [cls.cycle_type for cls in gd.classes]
-    chi = [table.values[table.row_index(shape)] for shape in shapes]
-    dims = [dimension(shape) for shape in shapes]
+    chi = character_table(n).values  # rows follow the class order
+    dims = [dimension(cls.cycle_type) for cls in gd.classes]
     sizes = [cls.size for cls in gd.classes]
     # a norm is at most weight times the largest scaled form it sums
     weight = max(d * sum(map(abs, row)) for d, row in zip(dims, chi))
@@ -300,7 +299,7 @@ def _module_norms(rank_lists, n: int, shift: Fraction) -> list[list[int]]:
     for f, ranks in enumerate(rank_lists):
         by_size.setdefault(len(ranks), []).append(f)
     out: list[list[int]] = [[] for _ in rank_lists]
-    k = len(shapes)
+    k = len(chi)
     for m, batch in by_size.items():
         ranks = np.array([rank_lists[f] for f in batch], dtype=np.intp)
         classes = gd.quotient_classes(ranks[:, :, None], ranks[:, None, :])

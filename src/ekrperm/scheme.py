@@ -6,10 +6,11 @@ dimension dim(shape)^2.  dim * eig_t(shape) is an inclusion-exclusion over
 fixed points of skew tableau counts (union_spectrum), with no sum over
 classes; the division by dim must be exact (enforced).
 
-Vectors over the group are lists indexed by permutation rank.  A vector's
-weight on each eigenspace, x^T E x, is read from its class quadratic forms
-x^T A_C x (integer counts of support pairs by the cycle type of p^-1 q) paired
-with the character; nothing here ever touches floating point.
+Vectors over the group are 0/1 lists indexed by permutation rank: the
+characteristic vectors of sets of permutations.  A vector's weight on each
+eigenspace, x^T E x, is read from its class quadratic forms x^T A_C x (integer
+counts of ordered support pairs by the cycle type of p^-1 q) paired with the
+character; nothing here ever touches floating point.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from operator import mul
 
 from .chartab import character_table, dimension, skew_row_tableaux
 from .errors import DegreeRangeError, FamilyValidationError
-from .linalg import scaled_integers
 from .permgroup import (
     Partition,
     Permutation,
@@ -266,111 +266,59 @@ def ratio_bound(n: int, t: int = 0) -> Fraction:
     return Fraction(factorial(n)) / (1 - Fraction(spectrum.valency, tau))
 
 
-def _character_row(shape: Partition, n: int) -> tuple[int, ...]:
-    """Character values of shape on every class, in class order."""
-    table = character_table(n)
-    return table.values[table.row_index(shape)]
+def class_quadratic_forms(vectors, n: int) -> list[list[int]]:
+    """x^T A_C x for every class C, one list of integers per 0/1 vector.
 
-
-def _occurring(levels, count: int):
-    """The levels (below count) that occur, and each entry's index among them.
-
-    A presence mask rather than np.unique: the levels are small ints, and
-    np.unique's first call (NumPy 2.4) alone adds about 0.5 MiB to the peak
-    memory of a process.
-    """
-    import numpy as np
-
-    present = np.zeros(count, dtype=bool)
-    present[levels] = True
-    return np.flatnonzero(present), np.cumsum(present)[levels] - 1
-
-
-def class_quadratic_forms(vectors, n: int) -> list[list[Fraction]]:
-    """x^T A_C x for every class C, one list per vector, from integer pair counts.
-
-    The members of the union U of the supports are sorted by the first
-    vector's value, and only their unordered pairs a < b are composed, each
-    once for the whole batch: perm(a)^-1 perm(b) and its inverse share a cycle
-    type, so each pair counts twice, and the diagonal adds sum x_a^2 to the
-    identity class.  A block of rows meets every later member of U (its own
-    triangle and the rectangle after it).  Each vector labels a member by its
-    level, the index of its value among the distinct values it takes on U
-    (zero included), and counts the block's pairs by (level(a), level(b),
-    class) with one integer bincount.  Levels are renumbered among those that
-    occur in the block's rows and in its columns, so the table stays near
-    BLOCK_PAIRS * classes entries; for the first vector they are contiguous
-    ranges.  The values enter once per nonzero entry, as Python ints.  A
-    vector whose length is not n! raises ValueError.
+    For a 0/1 vector x with support S, x^T A_C x counts the ordered pairs
+    (p, q) of S with p^-1 q in C.  Only the unordered pairs a < b of the union
+    U of the supports are composed, each once for the whole batch: perm(a)^-1
+    perm(b) and its inverse share a cycle type, so each pair counts twice, and
+    the diagonal adds |S| to the identity class.  A block of rows meets every
+    later member of U (its own triangle and the rectangle after it), so a
+    block holds about BLOCK_PAIRS pairs; each vector keeps the pairs of the
+    block that lie in its support with one boolean mask and counts their
+    classes with one bincount.  A vector whose length is not n!, or with an
+    entry that is not the int (or bool) 0 or 1, raises ValueError.
     """
     import numpy as np
 
     gd = group_data(n)
-    batch = [scaled_integers(x) for x in vectors]
-    for nums, _ in batch:
-        if len(nums) != gd.order:
-            raise ValueError(f"vector length {len(nums)} != {gd.order}")
-    if not batch:
+    vectors = list(vectors)
+    for x in vectors:
+        if len(x) != gd.order:
+            raise ValueError(f"vector length {len(x)} != {gd.order}")
+        if not set(map(type, x)) <= {int, bool} or not set(x) <= {0, 1}:
+            raise ValueError("class quadratic forms need 0/1 vectors")
+    if not vectors:
         return []
-    union: set[int] = set()
-    for nums, _ in batch:
-        union.update(itertools.compress(range(gd.order), nums))
-    # ties stay in rank order, so a batch of one keeps the support order
-    members = sorted(sorted(union), key=batch[0][0].__getitem__)
-    ranks = np.array(members, dtype=np.intp)
-    k, size = len(gd.classes), len(members)
-    identity_class = gd.class_index[(1,) * n]
-    per_vector = []  # (levels over U, value of each level, accumulator)
-    for nums, _ in batch:
-        on_union = list(map(nums.__getitem__, members))
-        values = sorted(set(on_union))
-        level_of = {v: i for i, v in enumerate(values)}
-        levels = np.array(list(map(level_of.__getitem__, on_union)), dtype=np.intp)
-        acc = [0] * k
-        acc[identity_class] = sum(map(mul, on_union, on_union))
-        per_vector.append((levels, values, acc))
+    on_union = np.array(vectors, dtype=bool)
+    ranks = np.flatnonzero(on_union.any(0))
+    on_union = on_union[:, ranks]
+    k, size = len(gd.classes), len(ranks)
+    forms = np.zeros((len(vectors), k), dtype=np.int64)
+    forms[:, gd.class_index[(1,) * n]] = on_union.sum(1)
     start = 0
     while start < size - 1:
         stop = min(size - 1, start + max(1, BLOCK_PAIRS // (size - 1 - start)))
-        rows = stop - start
-        inner_a, inner_b = np.triu_indices(rows, 1)
-        # classes of the pairs inside the block, then of the block against later members
-        inner = gd.quotient_classes(ranks[inner_a + start], ranks[inner_b + start])
-        outer = gd.quotient_classes(ranks[start:stop, None], ranks[stop:])
-        for levels, values, acc in per_vector:
-            row_levels, row = _occurring(levels[start:stop], len(values))
-            col_levels, col = _occurring(levels[start:], len(values))
-            width = len(col_levels)
-            labels = np.concatenate([
-                (row[inner_a] * width + col[inner_b]) * k + inner,
-                ((row[:, None] * width + col[None, rows:]) * k + outer).ravel(),
-            ])
-            counts = np.bincount(labels, minlength=len(row_levels) * width * k)
-            row_values = [values[i] for i in row_levels.tolist()]
-            col_values = [values[i] for i in col_levels.tolist()]
-            hit = np.flatnonzero(counts)
-            for label, count in zip(hit.tolist(), counts[hit].tolist()):
-                pair, c = divmod(label, k)
-                la, lb = divmod(pair, width)
-                acc[c] += 2 * count * row_values[la] * col_values[lb]
+        inner_a, inner_b = np.triu_indices(stop - start, 1)
+        outer_a, outer_b = np.indices((stop - start, size - stop)).reshape(2, -1)
+        a = np.concatenate([inner_a, outer_a]) + start
+        b = np.concatenate([inner_b + start, outer_b + stop])
+        classes = gd.quotient_classes(ranks[a], ranks[b])
+        for on, acc in zip(on_union, forms):
+            acc += 2 * np.bincount(classes[on[a] & on[b]], minlength=k)
         start = stop
-    return [
-        [Fraction(v, denom * denom) for v in acc]
-        for (_, denom), (_, _, acc) in zip(batch, per_vector)
-    ]
+    return forms.tolist()
 
 
 def _character_sums(qforms, n: int) -> list[int]:
-    """chi_shape . qforms for every shape in class order, times one positive integer.
+    """chi_shape . qforms for every shape in class order.
 
-    x^T E x = dim/n! * chi . q is the squared norm of E x, so a negative sum
-    raises AssertionError.
+    The rows of the character table follow the class order.  x^T E x =
+    dim/n! * chi . q is the squared norm of E x, so a negative sum raises
+    AssertionError.
     """
-    nums, _ = scaled_integers(qforms)
-    sums = [
-        sum(map(mul, _character_row(cls.cycle_type, n), nums))
-        for cls in group_data(n).classes
-    ]
+    sums = [sum(map(mul, chi, qforms)) for chi in character_table(n).values]
     if min(sums) < 0:
         raise AssertionError("idempotent quadratic form must be nonnegative")
     return sums
@@ -379,13 +327,13 @@ def _character_sums(qforms, n: int) -> list[int]:
 def fundamental_identity_check(
     pairs, n: int, t: int = 0
 ) -> list[tuple[Fraction, Fraction]]:
-    """Both sides of the scheme identity for every (x, y) of pairs, in order.
+    """Both sides of the scheme identity for every 0/1 (x, y) of pairs, in order.
 
     Left: sum over classes (including the identity class) of
     x^T A_C x * y^T A_C y / (n! * |C|).  Right: sum over partitions of
     x^T E x * y^T E y / dim^2, which is (chi . q_x)(chi . q_y) / n!^2 since
     x^T E x = dim/n! * chi . q_x.  Both sides are one integer sum over the
-    numerators of the two form vectors.  The iterable is read IDENTITY_CHUNK
+    two form vectors, divided by n!^2.  The iterable is read IDENTITY_CHUNK
     pairs at a time, and each chunk's vectors get their forms from one
     class_quadratic_forms batch, so the vectors held at once do not grow with
     the number of pairs.  The identity does not depend on t.
@@ -393,16 +341,14 @@ def fundamental_identity_check(
     if not 0 <= t < n:
         raise ValueError(f"need 0 <= t < n, got t={t}, n={n}")
     gd = group_data(n)
+    scale = gd.order * gd.order
     # 1/(n! |C|) = (n!/|C|) / n!^2
     weights = [gd.order // cls.size for cls in gd.classes]
     sides = []
     pairs = iter(pairs)
     while chunk := list(itertools.islice(pairs, IDENTITY_CHUNK)):
         forms = iter(class_quadratic_forms([v for x, y in chunk for v in (x, y)], n))
-        for fx, fy in zip(forms, forms):
-            qx, dx = scaled_integers(fx)
-            qy, dy = scaled_integers(fy)
-            scale = gd.order * gd.order * dx * dy
+        for qx, qy in zip(forms, forms):
             lhs = sum(a * b * w for a, b, w in zip(qx, qy, weights))
             rhs = sum(map(mul, _character_sums(qx, n), _character_sums(qy, n)))
             sides.append((Fraction(lhs, scale), Fraction(rhs, scale)))

@@ -216,8 +216,11 @@ class TestExitCodes:
         assert "nonnegative" in err
 
     def test_usage_error_from_bad_depth(self, capsys):
-        code, _, err = run_cli(capsys, "conjecture", "5", "--t", "1", "--depth", "3")
-        assert code == 2
+        # the depth is always t + 1, so there is no --depth option
+        with pytest.raises(SystemExit) as info:
+            cli.main(["conjecture", "5", "--t", "1", "--depth", "2"])
+        assert info.value.code == 2
+        assert "--depth" in capsys.readouterr().err
 
     def test_argparse_rejects_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -373,8 +376,10 @@ class TestImports:
             "import sys, ekrperm\n"
             "assert 'numpy' not in sys.modules, 'import ekrperm loaded numpy'\n"
             "from ekrperm import cli\n"
-            "assert cli.main(['spectrum', '9']) == 0\n"
-            "assert 'numpy' not in sys.modules, 'spectrum 9 loaded numpy'\n"
+            "for argv in (['spectrum', '9'], ['spectrum', '8', '--t', '1'],\n"
+            "             ['chartab', '8'], ['derangements', '9']):\n"
+            "    assert cli.main(argv) == 0\n"
+            "    assert 'numpy' not in sys.modules, f'{argv} loaded numpy'\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True

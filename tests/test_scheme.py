@@ -1,5 +1,7 @@
 """Conjugacy-class association scheme: spectra, projections, bound machinery."""
 
+import collections
+import functools
 import itertools
 import math
 import random
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from ekrperm import graphs, scheme
 from ekrperm.chartab import (
+    MAX_TABLE_DEGREE,
     character_table,
     character_value,
     dimension,
@@ -108,6 +111,14 @@ class TestClassEigenvalues:
         by_type = {c.cycle_type: c for c in conjugacy_classes(4)}
         # the square module vanishes on the 4-cycle class
         assert class_eigenvalue((2, 2), by_type[(4,)]) == 0
+
+
+class TestSharedOrder:
+    def test_character_rows_follow_the_class_order(self):
+        # _character_sums and ekrverify._module_norms pair row i with class i
+        for n in range(1, MAX_TABLE_DEGREE + 1):
+            classes = tuple(cls.cycle_type for cls in conjugacy_classes(n))
+            assert character_table(n).partitions == classes == partitions_of(n), n
 
 
 class TestUnionSpectrum:
@@ -295,35 +306,42 @@ class TestQuadraticForms:
 
 
 def _brute_force_forms(x, n):
-    """x^T A_C x by a double loop over every pair, typed by the oracle."""
+    """x^T A_C x of a 0/1 x by a double loop over the ordered pairs of its support.
+
+    Each p^-1 q is composed by hand and typed by the oracle.
+    """
     perms = list(itertools.permutations(range(1, n + 1)))  # rank order
-    totals: dict[tuple[int, ...], Fraction] = {}
-    for a, p in enumerate(perms):
-        for b, q in enumerate(perms):
-            if x[a] and x[b]:
-                ct = _oracle_quotient_type(p, q)
-                totals[ct] = totals.get(ct, 0) + Fraction(x[a]) * x[b]
-    return [totals.get(cls.cycle_type, 0) for cls in conjugacy_classes(n)]
+    support = [perms[a] for a, v in enumerate(x) if v]
+    typed = functools.cache(oracles.cycle_type_of)
+    totals = collections.Counter()
+    for p in support:
+        inv = [0] * n
+        for pos, v in enumerate(p, start=1):
+            inv[v - 1] = pos
+        totals.update(typed(tuple(inv[v - 1] for v in q)) for q in support)
+    return [totals[cls.cycle_type] for cls in conjugacy_classes(n)]
 
 
 _FORM_VECTOR_NAMES = ("zeros", "ones", "single", "negative", "fractions")
 
 
 def _form_vectors(n):
-    """Named vectors over S(n) that stress the support and the value levels."""
+    """Named 0/1 vectors over S(n) that stress the support and the blocks.
+
+    "negative" is the complement of "single", and "fractions" holds a random
+    fraction of the ranks.
+    """
     order = math.factorial(n)
     rng = random.Random(n)
     single = [0] * order
-    single[order // 2] = 5
+    single[order // 2] = 1
+    density = rng.random()
     return {
         "zeros": [0] * order,
         "ones": [1] * order,
         "single": single,
-        "negative": [-rng.randint(1, 4) for _ in range(order)],
-        # close to one level per member
-        "fractions": [
-            Fraction(rng.randint(-99, 99), rng.randint(1, 7)) for _ in range(order)
-        ],
+        "negative": [1 - v for v in single],
+        "fractions": [int(rng.random() < density) for _ in range(order)],
     }
 
 
@@ -334,20 +352,29 @@ class TestClassFormsAgainstDoubleLoop:
         x = _form_vectors(n)[name]
         assert class_quadratic_forms([x], n) == [_brute_force_forms(x, n)]
 
-    def test_many_levels_span_many_blocks(self, monkeypatch):
-        # small blocks: every block has its own level range and triangle
+    def test_many_small_blocks(self, monkeypatch):
+        # small blocks: every block has its own triangle and rectangle
         monkeypatch.setattr(scheme, "BLOCK_PAIRS", 50)
         for name, x in _form_vectors(5).items():
             assert class_quadratic_forms([x], 5) == [_brute_force_forms(x, 5)], name
 
-    def test_fraction_vector_has_many_levels(self):
-        x = _form_vectors(5)["fractions"]
-        assert len(set(x) - {0}) > 60
-
     @settings(max_examples=40)
-    @given(st.lists(st.integers(-6, 6), min_size=24, max_size=24))
+    @given(st.lists(st.integers(0, 1), min_size=24, max_size=24))
     def test_random_integer_vectors_at_degree_four(self, x):
         assert class_quadratic_forms([x], 4) == [_brute_force_forms(x, 4)]
+
+    def test_forms_are_python_ints_and_bools_count_as_integers(self):
+        x = _form_vectors(4)["fractions"]
+        (forms,) = class_quadratic_forms([x], 4)
+        assert all(type(v) is int for v in forms)
+        assert class_quadratic_forms([[bool(v) for v in x]], 4) == [forms]
+
+    @pytest.mark.parametrize("entry", [2, -1, Fraction(1, 2), Fraction(1), 1.0])
+    def test_rejects_entries_other_than_integer_zero_and_one(self, entry):
+        x = [0] * 24
+        x[5] = entry
+        with pytest.raises(ValueError):
+            class_quadratic_forms([[1] * 24, x], 4)
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
@@ -356,76 +383,25 @@ class TestClassFormsAgainstDoubleLoop:
             class_quadratic_forms([[1] * 24, [1] * 25], 4)
 
 
-def _one_vector_forms(x, n):
-    """The one-vector class form route, kept as the reference for batches.
-
-    Support members are sorted by value and labelled by level; one bincount
-    per block of rows counts the unordered pairs by (level, level, class).
-    """
-    gd = group_data(n)
-    nums, denom = scaled_integers(x)
-    if len(nums) != gd.order:
-        raise ValueError(f"vector length {len(nums)} != {gd.order}")
-    support = sorted((j for j, v in enumerate(nums) if v), key=nums.__getitem__)
-    values = sorted(set(nums[j] for j in support))
-    level_of = {v: i for i, v in enumerate(values)}
-    ranks = np.array(support, dtype=np.intp)
-    levels = np.array([level_of[nums[j]] for j in support], dtype=np.intp)
-    k, size = len(gd.classes), len(support)
-    acc = [0] * k
-    acc[gd.class_index[(1,) * n]] = sum(nums[j] * nums[j] for j in support)
-    start = 0
-    while start < size - 1:
-        stop = min(size - 1, start + max(1, scheme.BLOCK_PAIRS // (size - 1 - start)))
-        low = int(levels[start])
-        width = int(levels[-1]) + 1 - low
-        inner_a, inner_b = np.triu_indices(stop - start, 1)
-        parts = (
-            (inner_a + start, inner_b + start),
-            (np.s_[start:stop, None], np.s_[stop:]),
-        )
-        labels = np.concatenate([
-            (
-                ((levels[a] - low) * width + levels[b] - low) * k
-                + gd.quotient_classes(ranks[a], ranks[b])
-            ).ravel()
-            for a, b in parts
-        ])
-        counts = np.bincount(labels, minlength=(levels[stop - 1] + 1 - low) * width * k)
-        hit = np.flatnonzero(counts)
-        for label, count in zip(hit.tolist(), counts[hit].tolist()):
-            pair, c = divmod(label, k)
-            la, lb = divmod(pair, width)
-            acc[c] += 2 * count * values[low + la] * values[low + lb]
-        start = stop
-    d2 = denom * denom
-    return [Fraction(v, d2) for v in acc]
-
-
-def _multi_level_vector(rng, n):
-    """A vector over S(n) with a random density, signs, repeats and fractions."""
+def _random_set_vector(rng, n):
+    """The 0/1 vector of a random set over S(n), of a random density."""
     density = rng.random()
-    levels = [rng.randint(-5, 5) for _ in range(rng.randint(1, 6))]
-    levels += [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2)]
-    return [
-        rng.choice(levels) if rng.random() < density else 0
-        for _ in range(math.factorial(n))
-    ]
+    return [int(rng.random() < density) for _ in range(math.factorial(n))]
 
 
 class TestBatchedClassForms:
     @pytest.mark.parametrize("n", range(3, 7))
     @pytest.mark.parametrize("batch", [1, 2, 7])
     def test_random_multi_level_batches(self, n, batch):
+        # each vector of a batch has its own density level
         rng = random.Random(100 * n + batch)
-        vectors = [_multi_level_vector(rng, n) for _ in range(batch)]
+        vectors = [_random_set_vector(rng, n) for _ in range(batch)]
         assert class_quadratic_forms(vectors, n) == [
-            _one_vector_forms(x, n) for x in vectors
+            _brute_force_forms(x, n) for x in vectors
         ]
 
-    def test_small_blocks_renumber_the_later_vectors_levels(self, monkeypatch):
-        # the first vector orders the union, so the others' levels are not
-        # contiguous within a block
+    def test_small_blocks_with_many_vectors(self, monkeypatch):
+        # the supports differ, so each block holds pairs outside some of them
         monkeypatch.setattr(scheme, "BLOCK_PAIRS", 50)
         vectors = list(_form_vectors(5).values())
         vectors = vectors[::-1] + vectors
@@ -438,7 +414,7 @@ class TestBatchedClassForms:
         order = math.factorial(n)
         zero = [0] * order
         single = [0] * order
-        single[-1] = 3
+        single[-1] = 1
         assert class_quadratic_forms([zero, zero], n) == [
             [0] * len(conjugacy_classes(n))
         ] * 2
@@ -450,7 +426,7 @@ class TestBatchedClassForms:
     @pytest.mark.parametrize("n", [1, 2])
     def test_smallest_degrees(self, n):
         rng = random.Random(n)
-        vectors = [_multi_level_vector(rng, n) for _ in range(5)]
+        vectors = [_random_set_vector(rng, n) for _ in range(5)]
         assert class_quadratic_forms(vectors, n) == [
             _brute_force_forms(x, n) for x in vectors
         ]
@@ -459,8 +435,8 @@ class TestBatchedClassForms:
         x = _form_vectors(5)["fractions"]
         y = _form_vectors(5)["negative"]
         forms = class_quadratic_forms([x, x, y, x], 5)
-        assert forms[0] == forms[1] == forms[3] == _one_vector_forms(x, 5)
-        assert forms[2] == _one_vector_forms(y, 5)
+        assert forms[0] == forms[1] == forms[3] == _brute_force_forms(x, 5)
+        assert forms[2] == _brute_force_forms(y, 5)
 
     def test_empty_batch(self):
         assert class_quadratic_forms([], 4) == []
@@ -471,10 +447,10 @@ class TestBatchedClassForms:
         for size in (4, 9, 1):
             x = [0] * 5040
             for r in rng.sample(range(5040), size):
-                x[r] = rng.choice([-3, -1, 2, 5])
+                x[r] = 1
             vectors.append(x)
         assert class_quadratic_forms(vectors, 7) == [
-            _one_vector_forms(x, 7) for x in vectors
+            _brute_force_forms(x, 7) for x in vectors
         ]
 
 
@@ -521,7 +497,7 @@ def _identity_pairs(count, n, seed):
     rng = random.Random(seed)
     order = math.factorial(n)
     return [
-        tuple([rng.choice([0, 1, 1, 2]) for _ in range(order)] for _ in "xy")
+        tuple([rng.randrange(2) for _ in range(order)] for _ in "xy")
         for _ in range(count)
     ]
 
@@ -758,16 +734,9 @@ class TestCompositionKernel:
         rng = random.Random(77)
         x = [0] * order
         for r in rng.sample(range(order), 4):
-            x[r] = rng.choice([-3, -1, 2, 5])
+            x[r] = 1
         support = [j for j in range(order) if x[j]]
-        expected: dict[tuple[int, ...], int] = {}
-        for a in support:
-            for b in support:
-                ct = _oracle_quotient_type(perms[a], perms[b])
-                expected[ct] = expected.get(ct, 0) + x[a] * x[b]
-        (forms,) = class_quadratic_forms([x], n)
-        for cls, value in zip(conjugacy_classes(n), forms):
-            assert value == expected.get(cls.cycle_type, 0)
+        assert class_quadratic_forms([x], n) == [_brute_force_forms(x, n)]
         shape = (5, 1, 1)
         vector = project(shape, x, n)
         dim = dimension(shape)
