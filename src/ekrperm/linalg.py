@@ -20,8 +20,9 @@ from math import lcm
 
 Rational = int | Fraction
 
-_RANK_PRIMES = (2147483647, 2147483629)  # < 2**31, so residues fit int32
-_RESIDUE_BLOCK = 64  # rows reduced at a time into the int32 working copy
+# the two largest primes below 2**15: residues fit int16, products int32
+_RANK_PRIMES = (32749, 32719)
+_RESIDUE_BLOCK = 64  # rows reduced at a time into the int16 working copy
 
 
 def scaled_integers(values) -> tuple[list[int], int]:
@@ -119,18 +120,18 @@ def rank_profile_mod_p(int_rows, p: int) -> list[int]:
     row rank profile whichever row each pivot is taken from, so the pivots
     among the first k rows number exactly the rank of those k rows over the
     field of p elements, and the length of the list is the rank of the whole
-    matrix.  The one working copy is an int32 transpose of residues, filled
+    matrix.  The one working copy is an int16 transpose of residues, filled
     from blocks of _RESIDUE_BLOCK rows reduced in int64 (in Python ints for
     entries past int64), so an integer array is never widened whole.  Each
     pivot updates only the other live rows, and in them only the columns
-    where the pivot row is nonzero; the products are formed in int64, exact
-    for p < 2**31.  p must be a prime below 2**31: ValueError for a modulus
-    out of range, or for a pivot without an inverse mod p.
+    where the pivot row is nonzero; the products are formed in int32, exact
+    because (p - 1)**2 < 2**30.  p must be a prime below 2**15: ValueError
+    for a modulus out of range, or for a pivot without an inverse mod p.
     """
     import numpy as np
 
-    if not 2 <= p < 2**31:
-        raise ValueError(f"need a modulus 2 <= p < 2**31, got {p}")
+    if not 2 <= p < 2**15:
+        raise ValueError(f"need a modulus 2 <= p < 2**15, got {p}")
     if not len(int_rows):
         return []
     rows = np.asarray(int_rows)
@@ -138,7 +139,7 @@ def rank_profile_mod_p(int_rows, p: int) -> list[int]:
         # Python ints past int64, which NumPy reads as objects or floats
         rows = np.asarray(int_rows, dtype=object)
     wide = object if rows.dtype == object else np.int64
-    a = np.empty(rows.shape[::-1], dtype=np.int32)
+    a = np.empty(rows.shape[::-1], dtype=np.int16)
     for start in range(0, len(rows), _RESIDUE_BLOCK):
         stop = start + _RESIDUE_BLOCK
         a[:, start:stop] = np.remainder(rows[start:stop], p, dtype=wide).T
@@ -164,7 +165,7 @@ def rank_profile_mod_p(int_rows, p: int) -> list[int]:
         if len(live) > 1:
             idx = live[:-1, None], nz
             block = a[idx]
-            factor = np.multiply(block[:, 0], inverse, dtype=np.int64)
+            factor = np.multiply(block[:, 0], inverse, dtype=np.int32)
             factor %= p
             update = np.multiply.outer(factor, lead)
             np.subtract(block, update, out=update)

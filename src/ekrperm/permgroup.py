@@ -7,6 +7,7 @@ p(q(i))``.  All counting is done with Python integers, which never overflow.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -130,31 +131,38 @@ def cycle_type_of_images(images: tuple[int, ...]) -> CycleType:
 
 
 def parse_one_line(text: str) -> Permutation:
-    """Parse one-line notation like "4,3,1,2"."""
+    """Parse one-line notation like "4,3,1,2".
+
+    Whitespace may surround each number but not split one: "1 2,3" is an error.
+    """
     try:
-        images = tuple(int(tok) for tok in text.replace(" ", "").split(","))
+        images = tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ValueError(f"bad one-line permutation {text!r}") from exc
     return Permutation(images)
+
+
+_CYCLES = re.compile(r"\s*(?:\([^()]*\)\s*)*")
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse disjoint-cycle notation like "(1,4,2,3)" or "(1,2)(3,4)".
 
     Points absent from every cycle are fixed; the degree must be given because
-    it cannot be inferred from the cycles alone.
+    it cannot be inferred from the cycles alone.  Whitespace may surround each
+    number and each cycle, but not split a number: "(1 2)" is an error.
     """
-    images = list(range(1, degree + 1))
-    body = text.replace(" ", "")
-    if body.count("(") != body.count(")"):
+    if text.count("(") != text.count(")"):
         raise ValueError(f"unbalanced cycle notation {text!r}")
+    if not _CYCLES.fullmatch(text):
+        raise ValueError(f"bad cycle notation {text!r}")
+    images = list(range(1, degree + 1))
     moved: set[int] = set()
-    pos = 0
-    while pos < len(body):
-        if body[pos] != "(":
-            raise ValueError(f"bad cycle notation {text!r}")
-        end = body.index(")", pos)
-        points = [int(tok) for tok in body[pos + 1 : end].split(",") if tok]
+    for body in re.findall(r"\(([^()]*)\)", text):
+        try:
+            points = [int(tok) for tok in body.split(",")] if body.strip() else []
+        except ValueError as exc:
+            raise ValueError(f"bad cycle notation {text!r}") from exc
         if len(points) != len(set(points)):
             raise ValueError(f"repeated point inside a cycle in {text!r}")
         for pt in points:
@@ -165,7 +173,6 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             moved.add(pt)
         for i, pt in enumerate(points):
             images[pt - 1] = points[(i + 1) % len(points)]
-        pos = end + 1
     return Permutation(tuple(images))
 
 

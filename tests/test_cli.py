@@ -239,6 +239,15 @@ class TestExitCodes:
         witness = report["result"]["witness"]
         assert len(witness) == 2
 
+    def test_validate_space_separated_family_is_a_usage_error(self, capsys, tmp_path):
+        # a line that once read as the degree-one permutation (1234,)
+        path = tmp_path / "family.txt"
+        path.write_text("1,2,3,4\n1 2 3 4\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", "4", "--family", str(path))
+        assert code == cli.EXIT_USAGE == 2
+        assert out == ""
+        assert "bad one-line permutation '1 2 3 4'" in err
+
     def test_validate_success(self, capsys, tmp_path):
         path = tmp_path / "family.txt"
         write_family([identity(4), parse_one_line("2,1,3,4")], str(path))
@@ -427,3 +436,33 @@ class TestVerifyAll:
 
         assert outcomes(optimized) == outcomes(plain)
         assert optimized["pass"] is plain["pass"] is True
+
+
+class TestRankCertificates:
+    """Every rank certificate the reports use is met by the first prime, so no
+    profile is computed twice."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("conjecture", "6", "--t", "1"),
+            ("conjecture", "6", "--t", "2"),
+            *[("lemmas", str(n)) for n in range(3, 9)],
+            ("classify", "6"),
+        ],
+        ids=" ".join,
+    )
+    def test_every_profile_uses_the_first_prime(self, capsys, monkeypatch, argv):
+        from ekrperm import linalg
+
+        primes = []
+        real = linalg.rank_profile_mod_p
+
+        def recorded(rows, p):
+            primes.append(p)
+            return real(rows, p)
+
+        monkeypatch.setattr(linalg, "rank_profile_mod_p", recorded)
+        code, report, _ = run_json(capsys, *argv)
+        assert code == 0 and report["pass"] is True
+        assert primes and set(primes) == {linalg._RANK_PRIMES[0]}

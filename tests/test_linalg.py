@@ -105,11 +105,11 @@ class TestModularRank:
         for _ in range(15):
             m = [[rng.randrange(-20, 21) for _ in range(6)] for _ in range(6)]
             exact = bareiss_rank(m)
-            assert _modular_rank(m, 2147483647) <= exact
+            assert _modular_rank(m, 32749) <= exact
 
     def test_usually_equal_for_small_entries(self):
         m = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
-        assert _modular_rank(m, 2147483647) == bareiss_rank(m) == 3
+        assert _modular_rank(m, 32749) == bareiss_rank(m) == 3
 
     def test_modular_rank_can_drop(self):
         # the matrix [[p]] is nonzero but vanishes mod p
@@ -137,6 +137,13 @@ class TestCertifiedRank:
     def test_wrong_upper_bound_is_caught(self):
         with pytest.raises(AssertionError):
             certified_ranks(identity_matrix(3), [(3, 2)])
+
+    def test_rank_primes_are_distinct_primes_below_2_15(self):
+        first, second = linalg._RANK_PRIMES
+        assert first != second
+        for p in (first, second):
+            assert 2 <= p < 2**15
+            assert all(p % d for d in range(2, int(p**0.5) + 1))
 
     def test_search_stops_at_the_first_certifying_prime(self, monkeypatch):
         calls = []
@@ -187,7 +194,7 @@ def _rank_mod(rows, p):
 
 
 class TestRankProfileProperties:
-    @given(_int_matrices(), st.sampled_from([2, 3, 5, 2147483647]))
+    @given(_int_matrices(), st.sampled_from([2, 3, 5, 32719, 32749]))
     def test_every_prefix_count_is_its_modular_rank(self, matrix, p):
         profile = rank_profile_mod_p(matrix, p)
         assert profile == sorted(set(profile))
@@ -196,7 +203,7 @@ class TestRankProfileProperties:
             assert count <= oracles.gaussian_rank(matrix[:k])
             assert count == _modular_rank(matrix[:k], p) == _rank_mod(matrix[:k], p)
 
-    @given(_int_matrices(), st.sampled_from([3, 5, 2147483647]))
+    @given(_int_matrices(), st.sampled_from([3, 5, 32719, 32749]))
     def test_same_pivots_for_every_input_form(self, matrix, p):
         import numpy as np
 
@@ -278,15 +285,17 @@ def _typed_matrices(draw):
 
 
 class TestResidueKernel:
-    @given(_typed_matrices(), st.sampled_from([2, 3, 5, 2**31 - 1]))
+    @given(_typed_matrices(), st.sampled_from([2, 3, 5, 32719, 32749]))
     def test_profile_matches_the_dense_int64_elimination(self, matrix, p):
         before = matrix.copy()
         assert rank_profile_mod_p(matrix, p) == _parent_profile(matrix.tolist(), p)
         assert (matrix == before).all()  # the caller's array is not reduced
 
-    @pytest.mark.parametrize("p", [-3, 0, 1, 2**31, 2**61 - 1])
+    @pytest.mark.parametrize("p", [-3, 0, 1, 2**15, 2**31 - 1, 2**31, 2**61 - 1])
     def test_modulus_out_of_range_raises(self, p):
-        # at p = 2**61 - 1 int64 products wrap: this rank-3 matrix read as rank 4
+        # past 2**15 residues overflow int16 and their products int32;
+        # at p = 2**61 - 1 even int64 products wrap: this rank-3 matrix once
+        # read as rank 4
         matrix = [[-7, -9, -3, 1], [-4, -2, -2, 5], [3, 9, 4, -8], [3, 9, 4, -8]]
         assert bareiss_rank(matrix) == 3
         with pytest.raises(ValueError):
@@ -304,9 +313,24 @@ class TestResidueKernel:
 
     def test_largest_modulus_is_exact(self):
         matrix = [[-7, -9, -3, 1], [-4, -2, -2, 5], [3, 9, 4, -8], [3, 9, 4, -8]]
-        assert rank_profile_mod_p(matrix, 2**31 - 1) == [0, 1, 2]
+        assert rank_profile_mod_p(matrix, 32749) == [0, 1, 2]
 
-    @pytest.mark.parametrize("p", [2, 5, 2147483647, 2147483629])
+    @pytest.mark.parametrize("p", [32749, 32719])
+    def test_extreme_residues_are_exact(self, p):
+        """Residues of p - 1 give the largest products, (p - 1)**2 < 2**30,
+        and entries shifted by p give the residues of the identity."""
+        size = 6
+        top = [[p - 1] * size for _ in range(size)]
+        assert rank_profile_mod_p(top, p) == _parent_profile(top, p) == [0]
+        shifted = [[int(i == j) + p for j in range(size)] for i in range(size)]
+        assert rank_profile_mod_p(shifted, p) == _parent_profile(shifted, p)
+        assert len(rank_profile_mod_p(shifted, p)) == size
+        # residues p - 1 and 1 only, so every pivot, factor and product is extreme
+        rng = random.Random(p)
+        mixed = [[rng.choice([p - 1, 1, -1]) for _ in range(9)] for _ in range(12)]
+        assert rank_profile_mod_p(mixed, p) == _parent_profile(mixed, p)
+
+    @pytest.mark.parametrize("p", [2, 5, 32749, 32719])
     def test_entries_past_int64_give_the_profile_of_their_residues(self, p):
         rng = random.Random(p)
         big = [
@@ -321,10 +345,10 @@ class TestResidueKernel:
         edge = [[2**63 + 2, -1], [2**63 + 1, -1]]
         assert rank_profile_mod_p(edge, p) == _parent_profile(edge, p)
 
-    def test_peak_memory_is_the_int32_residues(self):
+    def test_peak_memory_is_the_int16_residues(self):
         """The n = 6, t = 2 indicator rows [X; ones], 2,401 x 720 int8, the
         largest matrix the certificate meets: the traced peak stays within a
-        quarter above the int32 residue transpose."""
+        quarter above the int16 residue transpose."""
         import tracemalloc
 
         import numpy as np
@@ -345,7 +369,7 @@ class TestResidueKernel:
         finally:
             tracemalloc.stop()
         assert len(profile) == 588
-        assert peak < 1.25 * rows.size * np.dtype(np.int32).itemsize
+        assert peak < 1.25 * rows.size * np.dtype(np.int16).itemsize
 
 
 class TestKernelAndSolve:

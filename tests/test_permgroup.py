@@ -83,6 +83,15 @@ class TestPermutationBasics:
     def test_str_is_comma_separated(self):
         assert str(parse_one_line("4,3,1,2")) == "4,3,1,2"
 
+    def test_one_line_accepts_whitespace_around_numbers(self):
+        assert parse_one_line(" 4, 3 ,1,\t2 ").images == (4, 3, 1, 2)
+
+    @pytest.mark.parametrize("text", ["1 2 3", "2,1 3", "1,,2", "1,a", "", "1,2,"])
+    def test_one_line_rejects_split_empty_or_non_numeric_tokens(self, text):
+        # "1 2 3" once read as the degree-one permutation (123,)
+        with pytest.raises(ValueError, match="bad one-line permutation"):
+            parse_one_line(text)
+
 
 class TestRanking:
     """Lexicographic rank agrees with itertools.permutations order."""
@@ -152,6 +161,24 @@ class TestCycleStructure:
     def test_parse_cycles_rejects_repeats(self):
         with pytest.raises(ValueError):
             parse_cycles("(1,2)(2,3)", 4)
+
+    def test_parse_cycles_accepts_whitespace_around_numbers_and_cycles(self):
+        expected = parse_cycles("(1,2)(3,4)", 4)
+        assert parse_cycles(" ( 1 , 2 ) (3,4 ) ", 4) == expected
+        assert parse_cycles("(1,2)\t(3,4)", 4) == expected
+        assert parse_cycles("()", 4) == parse_cycles("  ", 4) == identity(4)
+
+    @pytest.mark.parametrize(
+        "text", ["(1 2)", "(1, 2)(3 4)", "(1,,2)", "(1,a)", "(1,2,)", "((1,2))", "1(2,3)"]
+    )
+    def test_parse_cycles_rejects_split_empty_or_non_numeric_tokens(self, text):
+        # "(1 2)" once read as the identity and "(1, 2)(3 4)" as a point 34
+        with pytest.raises(ValueError, match="bad cycle notation"):
+            parse_cycles(text, 12)
+
+    def test_parse_cycles_rejects_unbalanced_brackets(self):
+        with pytest.raises(ValueError, match="unbalanced cycle notation"):
+            parse_cycles("(1,2", 4)
 
 
 class TestAgreements:
