@@ -8,7 +8,8 @@ supplied family was invalid, 2 usage error (including a --trials or --workers
 below 1 and an unwritable --out), 3 degree outside the range in COMMANDS or
 outside a library function's own range, 4 construction unavailable at that
 degree, 5 an internal invariant failed (a bug, reported in one line without a
-traceback).  Reports are byte-identical across runs except for wall_time_s.
+traceback).  A reader that closes stdout early leaves the exit code as it was.
+Reports are byte-identical across runs except for wall_time_s.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 import time
@@ -751,8 +753,14 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    print(output)
-    return EXIT_OK if all_pass else EXIT_CHECK_FAILED
+    code = EXIT_OK if all_pass else EXIT_CHECK_FAILED
+    try:
+        print(output, flush=True)
+    except BrokenPipeError:
+        # the reader left early; point stdout at devnull so the flush at exit
+        # cannot fail again, and keep the report's own exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import TYPE_CHECKING
 
 from . import linalg
-from .chartab import character_table, dimension
+from .chartab import dimension
 from .errors import DegreeRangeError
 from .graphs import max_independent_sets
 from .permgroup import (
@@ -32,7 +31,7 @@ from .permgroup import (
     partitions_of,
     rank_permutation,
 )
-from .scheme import MAX_DENSE_DEGREE, group_data
+from .scheme import MAX_DENSE_DEGREE, group_data, shifted_character_sums
 
 if TYPE_CHECKING:
     import numpy as np
@@ -270,59 +269,6 @@ def kernel_membership_check(n: int) -> bool:
     return gram_rank(w + [c for c in unmet if c not in w]) == gram_rank(w)
 
 
-def _module_norms(rank_lists, n: int, shift: Fraction) -> list[list[int]]:
-    """n! b^2 times the squared norm of each eigenspace component, as ints.
-
-    Each family is a sequence of distinct ranks; its vector is the indicator
-    minus shift * ones, shift = a/b, and the norms come in class order (one
-    per shape).  The idempotents are symmetric, so a component's squared norm
-    is x^T E x = dim/n! * sum_C chi(C) adjusted_C, with adjusted_C = x^T A_C x
-    for the shifted vector.  For the indicator itself, q_C = x^T A_C x counts
-    the ordered member pairs (p, q) with p^-1 q in C; the families of one size
-    m go through the composition kernel in one call, as an (F, m, 1) by
-    (F, 1, m) pair of rank arrays.  The scaled forms
-    b^2 adjusted_C = b^2 q_C - 2ab|C|m + a^2|C|n! are integers.  A negative
-    value, or norms that do not add up to the vector's squared norm, raise
-    AssertionError.
-    """
-    import numpy as np
-
-    a, b = shift.numerator, shift.denominator
-    gd = group_data(n)
-    order = gd.order
-    chi = character_table(n).values  # rows follow the class order
-    dims = [dimension(cls.cycle_type) for cls in gd.classes]
-    sizes = [cls.size for cls in gd.classes]
-    # a norm is at most weight times the largest scaled form it sums
-    weight = max(d * sum(map(abs, row)) for d, row in zip(dims, chi))
-    by_size: dict[int, list[int]] = {}
-    for f, ranks in enumerate(rank_lists):
-        by_size.setdefault(len(ranks), []).append(f)
-    out: list[list[int]] = [[] for _ in rank_lists]
-    k = len(chi)
-    for m, batch in by_size.items():
-        ranks = np.array([rank_lists[f] for f in batch], dtype=np.intp)
-        classes = gd.quotient_classes(ranks[:, :, None], ranks[:, None, :])
-        labels = classes + k * np.arange(len(batch))[:, None, None]
-        counts = np.bincount(labels.ravel(), minlength=k * len(batch))
-        offset = a * (a * order - 2 * b * m)
-        # n! b^2 (m - 2 shift m + shift^2 n!), the squared norm of the vector
-        scaled_norm = order * (b * b * m - 2 * a * b * m + a * a * order)
-        # int64 when it holds every value and partial sum, else Python ints
-        largest = b * b * m * m + order * abs(offset)
-        exact = np.int64 if weight * largest < 2**63 else object
-        scaled = counts.reshape(-1, k).astype(exact) * (b * b)
-        scaled += np.array(sizes, dtype=exact) * offset
-        totals = scaled @ np.array(chi, dtype=exact).T * np.array(dims, dtype=exact)
-        for f, row in zip(batch, totals.tolist()):
-            if min(row) < 0:
-                raise AssertionError("idempotent quadratic form must be nonnegative")
-            if sum(row) != scaled_norm:
-                raise AssertionError("eigenspace norms do not add up to the vector norm")
-            out[f] = row
-    return out
-
-
 def _shifted_span_ranks(families, order: int, size: int, cap: int):
     """(rank S, rank [S; ones], method) for the families shifted by their density.
 
@@ -362,7 +308,8 @@ def basis_check(n: int) -> BasisCheckReport:
     Checks: each indicator minus ones/n has its whole weight on the
     standard-module eigenspace; the shifted vectors are linearly independent;
     the all-ones vector is outside their span; the count matches dim^2.
-    Each point family has (n-1)! members, so ones/n is its density and
+    Each point family has (n-1)! members, so ones/n is its density: the
+    supports are the nonzero entries of scheme.shifted_character_sums, and
     _shifted_span_ranks gives both ranks from the 0/1 indicator rows, capped
     by the row count k + 1.
     """
@@ -374,10 +321,8 @@ def basis_check(n: int) -> BasisCheckReport:
         [((i, j),) for i in range(1, n) for j in range(1, n)]
     )
     is_standard = [cls.cycle_type == standard for cls in gd.classes]
-    supports_ok = all(
-        [total != 0 for total in totals] == is_standard
-        for totals in _module_norms(families, n, Fraction(1, n))
-    )
+    supports = shifted_character_sums(families, n) != 0
+    supports_ok = bool((supports == is_standard).all())
     rank_shifted, rank_with_ones, _ = _shifted_span_ranks(
         families, gd.order, factorial(n - 1), len(families)
     )
@@ -518,9 +463,9 @@ def depth_conjecture_dims(n: int, t: int = 1) -> DepthReport:
     span with and without the all-ones vector adjoined.
 
     The families are read as rank masks, and their supports are the nonzero
-    integer norms of one _module_norms call.  _shifted_span_ranks certifies
-    both ranks from the 0/1 indicator rows against the dimension of the
-    observed support union.
+    entries of one scheme.shifted_character_sums call.  _shifted_span_ranks
+    certifies both ranks from the 0/1 indicator rows against the dimension of
+    the observed support union.
     """
     if not 1 <= t <= 2:
         raise ValueError(f"need t in {{1, 2}}, got {t}")
@@ -533,12 +478,8 @@ def depth_conjecture_dims(n: int, t: int = 1) -> DepthReport:
     constraint_sets = enumerate_constraint_sets(n, t + 1)
     size = factorial(n - (t + 1))
     families = gd.constraint_ranks(constraint_sets)
-    union = {
-        cls.cycle_type
-        for totals in _module_norms(families, n, Fraction(size, order))
-        for cls, total in zip(gd.classes, totals)
-        if total != 0
-    }
+    met = shifted_character_sums(families, n).any(axis=0)
+    union = {cls.cycle_type for cls, hit in zip(gd.classes, met) if hit}
     module_dim_sums = {}
     for depth in (t, t + 1):
         module_dim_sums[depth] = sum(

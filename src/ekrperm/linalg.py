@@ -1,57 +1,39 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on integer matrices.
 
-Matrices are lists of equal-length rows with int or Fraction entries.  One
-fraction-free Gauss-Jordan elimination (Bareiss's integer-preserving scheme,
-carried above the pivots as well as below) serves rank and kernel: it scales
-each row to integers, keeps every entry an integer throughout, and returns
-the reduced row echelon form as an integer matrix over one common
-denominator.  A fast modular elimination (exact integer arithmetic mod a prime) provides
-certified rank lower bounds for every leading block of rows of a large
-integer matrix at once.  Each pivot updates only the columns where the pivot
-row is nonzero: 443,057 cells for the 0/1 rows of the n = 6, t = 2 depth
-span, where every column from the pivot on would be 8,394,183.
+Matrices are lists of equal-length rows of Python ints or bools or NumPy
+integers; each entry is read through operator.index, so a float or a
+fraction (even a whole one) raises TypeError.  One fraction-free
+Gauss-Jordan elimination (Bareiss's integer-preserving scheme, carried
+above the pivots as well as below) serves rank and kernel: it keeps every
+entry an integer throughout and returns the reduced row echelon form as an
+integer matrix over one common denominator.  A fast modular elimination
+(exact integer arithmetic mod a prime) provides certified rank lower bounds
+for every leading block of rows of a large integer matrix at once.  Each
+pivot updates only the columns where the pivot row is nonzero: 443,057
+cells for the 0/1 rows of the n = 6, t = 2 depth span, where every column
+from the pivot on would be 8,394,183.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
-from math import lcm
-
-Rational = int | Fraction
+from operator import index
 
 # the two largest primes below 2**15: residues fit int16, products int32
 _RANK_PRIMES = (32749, 32719)
 _RESIDUE_BLOCK = 64  # rows reduced at a time into the int16 working copy
 
 
-def scaled_integers(values) -> tuple[list[int], int]:
-    """(nums, denom) with values[k] == nums[k] / denom and denom the least such.
-
-    Every rational entry (int, bool, NumPy integer, Fraction) has a
-    denominator; an entry without one, such as a float, raises TypeError.
-    """
-    try:
-        denom = lcm(*(v.denominator for v in values))
-    except AttributeError:
-        bad = next(v for v in values if not hasattr(v, "denominator"))
-        raise TypeError(f"not a rational entry: {bad!r}") from None
-    if denom == 1:
-        return [int(v) for v in values], 1
-    return [int(v.numerator) * (denom // v.denominator) for v in values], denom
-
-
 def rref(rows) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free reduced row echelon form: (m, pivots, d) with RREF == m / d.
+    """Reduced row echelon form, fraction-free: (m, pivots, d) with RREF == m / d.
 
-    Each row is first scaled to integers, which changes neither the row space
-    nor the RREF.  Every step replaces each other row by
+    Every step replaces each other row by
     (pivot * row - factor * pivot_row) / previous pivot, a division that is
     always exact, so all pivot entries end equal to d and the pivot columns
     are zero elsewhere.  The pivot of each column is its first nonzero row at
     or below the current one.
     """
-    m = [scaled_integers(row)[0] for row in rows]
+    m = [list(map(index, row)) for row in rows]
     pivots: list[int] = []
     if not m:
         return m, pivots, 1
@@ -105,7 +87,7 @@ def kernel_basis(rows) -> list[list[int]]:
         for r, col in enumerate(pivots):
             vec[col] = -m[r][free]
         basis.append(vec)
-    int_rows = [scaled_integers(row)[0] for row in rows]
+    int_rows = [list(map(index, row)) for row in rows]
     for vec in basis:
         for row in int_rows:
             if sum(a * b for a, b in zip(row, vec)) != 0:

@@ -130,16 +130,27 @@ def cycle_type_of_images(images: tuple[int, ...]) -> CycleType:
     return tuple(lengths)
 
 
+# ASCII digits between optional whitespace; int() also reads a sign, an
+# underscore and the digits of other scripts
+_NUMBER = re.compile(r"\s*([0-9]+)\s*")
+
+
+def _numbers(text: str) -> list[int] | None:
+    """The comma-separated numbers of text, or None for a token not _NUMBER."""
+    tokens = [_NUMBER.fullmatch(tok) for tok in text.split(",")]
+    return [int(tok[1]) for tok in tokens] if all(tokens) else None
+
+
 def parse_one_line(text: str) -> Permutation:
     """Parse one-line notation like "4,3,1,2".
 
-    Whitespace may surround each number but not split one: "1 2,3" is an error.
+    Whitespace may surround each number but not split one: "1 2,3" is an error,
+    as is any token other than ASCII digits ("+3", "2_0").
     """
-    try:
-        images = tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"bad one-line permutation {text!r}") from exc
-    return Permutation(images)
+    images = _numbers(text)
+    if images is None:
+        raise ValueError(f"bad one-line permutation {text!r}")
+    return Permutation(tuple(images))
 
 
 _CYCLES = re.compile(r"\s*(?:\([^()]*\)\s*)*")
@@ -150,7 +161,8 @@ def parse_cycles(text: str, degree: int) -> Permutation:
 
     Points absent from every cycle are fixed; the degree must be given because
     it cannot be inferred from the cycles alone.  Whitespace may surround each
-    number and each cycle, but not split a number: "(1 2)" is an error.
+    number and each cycle, but not split a number: "(1 2)" is an error, as is
+    any token other than ASCII digits ("(1,+2)", "(1,2_0)").
     """
     if text.count("(") != text.count(")"):
         raise ValueError(f"unbalanced cycle notation {text!r}")
@@ -159,10 +171,9 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     images = list(range(1, degree + 1))
     moved: set[int] = set()
     for body in re.findall(r"\(([^()]*)\)", text):
-        try:
-            points = [int(tok) for tok in body.split(",")] if body.strip() else []
-        except ValueError as exc:
-            raise ValueError(f"bad cycle notation {text!r}") from exc
+        points = _numbers(body) if body.strip() else []
+        if points is None:
+            raise ValueError(f"bad cycle notation {text!r}")
         if len(points) != len(set(points)):
             raise ValueError(f"repeated point inside a cycle in {text!r}")
         for pt in points:

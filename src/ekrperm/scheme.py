@@ -311,17 +311,62 @@ def class_quadratic_forms(vectors, n: int) -> list[list[int]]:
     return forms.tolist()
 
 
-def _character_sums(qforms, n: int) -> list[int]:
-    """chi_shape . qforms for every shape in class order.
+def _character_sums(qforms, sizes, n: int):
+    """chi_shape . q for every row q of class counts, as int64 rows in class order.
 
-    The rows of the character table follow the class order.  x^T E x =
-    dim/n! * chi . q is the squared norm of E x, so a negative sum raises
-    AssertionError.
+    The rows of the character table follow the class order, so column j of
+    the result belongs to shape j.  x^T E x = dim/n! * chi . q is the squared
+    norm of E x, so a negative sum raises AssertionError.  So do sums that
+    break Parseval, sum over shapes of dim * chi . q = n! |x|^2, where
+    |x|^2 = sizes[f] for the 0/1 vector of row f (a repeated member breaks it).
     """
-    sums = [sum(map(mul, chi, qforms)) for chi in character_table(n).values]
-    if min(sums) < 0:
+    import numpy as np
+
+    table = np.array(character_table(n).values, dtype=np.int64)
+    sums = np.asarray(qforms, dtype=np.int64) @ table.T
+    if (sums < 0).any():
         raise AssertionError("idempotent quadratic form must be nonnegative")
+    # the identity class comes last, where each character is its dimension
+    if not np.array_equal(sums @ table[:, -1], factorial(n) * np.asarray(sizes)):
+        raise AssertionError("eigenspace norms do not add up to the vector norm")
     return sums
+
+
+def shifted_character_sums(rank_lists, n: int):
+    """chi . q of each family's density-shifted indicator, as int64 rows.
+
+    A family is a sequence of m distinct ranks.  Its indicator x less m/n!
+    times ones has no trivial component and every other component of x, so
+    row f holds, in class order, n!/dim times each component's squared norm:
+    chi . q for the counts q_C of ordered member pairs (p, q) with p^-1 q in
+    C, and 0 for the trivial shape.  The families of one size are composed
+    (B, m, 1) against (B, 1, m), B families a block so a block holds about
+    BLOCK_PAIRS pairs, and each block's classes are counted by one bincount.
+    The sums pass through _character_sums and its checks.
+    """
+    import numpy as np
+
+    gd = group_data(n)
+    k = len(gd.classes)
+    out = np.zeros((len(rank_lists), k), dtype=np.int64)
+    by_size: dict[int, list[int]] = {}
+    for f, ranks in enumerate(rank_lists):
+        by_size.setdefault(len(ranks), []).append(f)
+    for m, batch in by_size.items():
+        ranks = np.array([rank_lists[f] for f in batch], dtype=np.intp)
+        ranks = ranks.reshape(len(batch), m)
+        counts = np.zeros((len(batch), k), dtype=np.int64)
+        step = max(1, BLOCK_PAIRS // max(1, m * m))
+        for start in range(0, len(batch), step):
+            block = ranks[start : start + step]
+            classes = gd.quotient_classes(block[:, :, None], block[:, None, :])
+            labels = classes.reshape(len(block), -1) + k * np.arange(len(block))[:, None]
+            counts[start : start + step] = np.bincount(
+                labels.ravel(), minlength=k * len(block)
+            ).reshape(-1, k)
+        out[batch] = _character_sums(counts, [m] * len(batch), n)
+    out[:, gd.class_index[(n,)]] = 0
+    return out
 
 
 def fundamental_identity_check(
@@ -333,10 +378,11 @@ def fundamental_identity_check(
     x^T A_C x * y^T A_C y / (n! * |C|).  Right: sum over partitions of
     x^T E x * y^T E y / dim^2, which is (chi . q_x)(chi . q_y) / n!^2 since
     x^T E x = dim/n! * chi . q_x.  Both sides are one integer sum over the
-    two form vectors, divided by n!^2.  The iterable is read IDENTITY_CHUNK
-    pairs at a time, and each chunk's vectors get their forms from one
-    class_quadratic_forms batch, so the vectors held at once do not grow with
-    the number of pairs.  The identity does not depend on t.
+    two form vectors, divided by n!^2, with the products in Python ints.  The
+    iterable is read IDENTITY_CHUNK pairs at a time, and each chunk's vectors
+    get their forms from one class_quadratic_forms batch, so the vectors held
+    at once do not grow with the number of pairs.  The identity does not
+    depend on t.
     """
     if not 0 <= t < n:
         raise ValueError(f"need 0 <= t < n, got t={t}, n={n}")
@@ -344,13 +390,15 @@ def fundamental_identity_check(
     scale = gd.order * gd.order
     # 1/(n! |C|) = (n!/|C|) / n!^2
     weights = [gd.order // cls.size for cls in gd.classes]
+    identity = gd.class_index[(1,) * n]
     sides = []
     pairs = iter(pairs)
     while chunk := list(itertools.islice(pairs, IDENTITY_CHUNK)):
-        forms = iter(class_quadratic_forms([v for x, y in chunk for v in (x, y)], n))
-        for qx, qy in zip(forms, forms):
+        forms = class_quadratic_forms([v for x, y in chunk for v in (x, y)], n)
+        sums = _character_sums(forms, [q[identity] for q in forms], n).tolist()
+        for qx, qy, ex, ey in zip(forms[::2], forms[1::2], sums[::2], sums[1::2]):
             lhs = sum(a * b * w for a, b, w in zip(qx, qy, weights))
-            rhs = sum(map(mul, _character_sums(qx, n), _character_sums(qy, n)))
+            rhs = sum(map(mul, ex, ey))
             sides.append((Fraction(lhs, scale), Fraction(rhs, scale)))
     return sides
 
@@ -421,7 +469,7 @@ def clique_coclique_check(
         forms = class_quadratic_forms(
             [characteristic_vector(clique, n), characteristic_vector(independent, n)], n
         )
-        ex, ey = (_character_sums(q, n) for q in forms)
+        ex, ey = _character_sums(forms, [len(clique), len(independent)], n).tolist()
         rows = [
             (cls.cycle_type, a > 0, b > 0)
             for cls, a, b in zip(group_data(n).classes, ex, ey)

@@ -141,6 +141,33 @@ class TestCommands:
         assert report["result"]["span_rank_with_ones"] == "23"
         assert report["result"]["agreement"]["with_ones_equals_depth_2_sum"] is True
 
+    @pytest.mark.parametrize(
+        "n, t, union, shifted, with_ones, dim_sums",
+        [
+            (3, 1, ["2,1", "1,1,1"], "5", "6", {"1": "5", "2": "6"}),
+            (4, 2, ["3,1", "2,2", "2,1,1", "1,1,1,1"], "23", "24", {"2": "23", "3": "24"}),
+            (
+                5,
+                2,
+                ["4,1", "3,2", "3,1,1", "2,2,1", "2,1,1,1"],
+                "118",
+                "119",
+                {"2": "78", "3": "119"},
+            ),
+        ],
+    )
+    def test_conjecture_reports_are_pinned(
+        self, capsys, n, t, union, shifted, with_ones, dim_sums
+    ):
+        # degrees the benchmark's golden reports do not cover
+        code, report, _ = run_json(capsys, "conjecture", str(n), "--t", str(t))
+        assert code == 0
+        result = report["result"]
+        assert result["support_union"] == union
+        assert result["span_rank_shifted"] == shifted
+        assert result["span_rank_with_ones"] == with_ones
+        assert result["module_dim_sums"] == dim_sums
+
     def test_identity_check(self, capsys):
         code, report, _ = run_json(capsys, "identity-check", "4")
         assert code == 0
@@ -247,6 +274,15 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE == 2
         assert out == ""
         assert "bad one-line permutation '1 2 3 4'" in err
+
+    @pytest.mark.parametrize("line", ["2,1,+3,4", "2,1,\u0663,4", "2,1,3,4_0"])
+    def test_validate_non_ascii_digit_token_is_a_usage_error(self, capsys, tmp_path, line):
+        path = tmp_path / "family.txt"
+        path.write_text(f"1,2,3,4\n{line}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", "4", "--family", str(path))
+        assert code == cli.EXIT_USAGE == 2
+        assert out == ""
+        assert f"bad one-line permutation {line!r}" in err
 
     def test_validate_success(self, capsys, tmp_path):
         path = tmp_path / "family.txt"
@@ -377,6 +413,21 @@ class TestOutputModes:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["result"]["count"] == "2"
+
+
+    def test_reader_that_closes_early_leaves_the_exit_code_alone(self):
+        # chartab 12 prints about 83 kB, more than a pipe holds, after the
+        # reader has gone
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ekrperm", "chartab", "12"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == cli.EXIT_OK
+        assert err == ""
 
 
 class TestImports:

@@ -72,25 +72,26 @@ def _rows(h):
     return [[int(k in ones) for k in range(width)] for ones in h.ones.tolist()]
 
 
-def module_supports(families, n, shift=None):
+def module_supports(families, n):
     """Exact squared norm of each eigenspace component, one dict per family.
 
-    Each vector is the 0/1 indicator of one family of Permutation members minus
-    shift * ones (default 1/n); the integer norms of ekrverify._module_norms
-    over n! b^2, for shift = a/b.
+    Each vector is the 0/1 indicator of one family of Permutation members less
+    its density m/n! times ones; the norms are dim/n! times the entries of
+    scheme.shifted_character_sums.
     """
-    shift = Fraction(1, n) if shift is None else Fraction(shift)
     gd = group_data(n)
     ranks = [[gd.rank_of(p) for p in members] for members in families]
-    scale = gd.order * shift.denominator**2
     return [
-        {cls.cycle_type: Fraction(total, scale) for cls, total in zip(gd.classes, totals)}
-        for totals in ekrverify._module_norms(ranks, n, shift)
+        {
+            cls.cycle_type: Fraction(dimension(cls.cycle_type) * total, gd.order)
+            for cls, total in zip(gd.classes, totals)
+        }
+        for totals in scheme.shifted_character_sums(ranks, n).tolist()
     ]
 
 
-def module_support(members, n, shift=None):
-    return module_supports([members], n, shift)[0]
+def module_support(members, n):
+    return module_supports([members], n)[0]
 
 
 def support_set(supports):
@@ -504,34 +505,40 @@ class TestModuleSupport:
         assert support_set(supports) == ((4, 1),)
         assert supports[(4, 1)] == Fraction(96, 5)
 
-    def test_whole_group_is_trivial_module(self):
+    def test_whole_group_shifts_to_zero(self):
+        # the whole group is its own density times ones
         supports = module_support([unrank_permutation(r, 4) for r in range(24)], 4)
-        assert support_set(supports) == ((4,),)
-        assert supports[(4,)] == Fraction(27, 2)
+        assert support_set(supports) == ()
 
     def test_two_element_set_spreads_out(self):
         members = [identity(4), parse_one_line("2,1,3,4")]
         supports = module_support(members, 4)
-        assert supports[(4,)] == Fraction(2, 3)
+        assert supports[(4,)] == 0
         assert supports[(3, 1)] == 1
         assert supports[(2, 2)] == Fraction(1, 3)
         assert supports[(2, 1, 1)] == Fraction(1, 2)
         assert supports[(1, 1, 1, 1)] == 0
 
-    def test_custom_shift(self):
+    def test_density_shift_leaves_the_trivial_shape_unmet(self):
         fam = family([(1, 1), (2, 2)], 5)
-        shift = Fraction(fam.size, 120)
-        supports = module_support(fam.members, 5, shift=shift)
+        supports = module_support(fam.members, 5)
         assert supports[(5,)] == 0
+        assert support_set(supports) == ((4, 1), (3, 2), (3, 1, 1))
 
 
-def _supports_by_class_forms(members, n, shift):
-    """The per-family route: class quadratic forms of the indicator, then E."""
+def _supports_by_class_forms(members, n):
+    """The per-vector route: class quadratic forms of the indicator, then E.
+
+    The indicator is shifted by its density m/n! in exact fractions, and each
+    component's squared norm is read off the character table one shape at a
+    time.
+    """
     gd = group_data(n)
     vec = [0] * gd.order
     for p in members:
         vec[rank_permutation(p)] = 1
     m = len(members)
+    shift = Fraction(m, gd.order)
     adjusted = [
         q - 2 * shift * cls.size * m + shift * shift * cls.size * gd.order
         for q, cls in zip(class_quadratic_forms([vec], n)[0], gd.classes)
@@ -544,23 +551,22 @@ def _supports_by_class_forms(members, n, shift):
 
 @st.composite
 def _family_batches(draw):
-    """A degree, a shift and a few families of distinct random permutations."""
+    """A degree and a few families of distinct random permutations."""
     n = draw(st.integers(3, 5))
     ranks = st.sets(st.integers(0, math.factorial(n) - 1), max_size=8)
     batch = draw(st.lists(ranks, min_size=1, max_size=5))
-    shift = draw(st.fractions(-2, 2, max_denominator=30))
     families = [[unrank_permutation(r, n) for r in sorted(fam)] for fam in batch]
-    return n, families, shift
+    return n, families
 
 
 class TestBatchedSupports:
     @given(_family_batches())
     def test_batch_matches_class_form_route(self, case):
-        n, families, shift = case
-        batched = module_supports(families, n, shift)
+        n, families = case
+        batched = module_supports(families, n)
         assert len(batched) == len(families)
         for members, supports in zip(families, batched):
-            assert supports == _supports_by_class_forms(members, n, shift)
+            assert supports == _supports_by_class_forms(members, n)
 
     def test_repeated_member_anywhere_in_batch(self):
         # a repeated rank adds to the squared norm but not to the member count
@@ -570,7 +576,7 @@ class TestBatchedSupports:
         )
         ranks[5] = list(ranks[5]) + [ranks[5][1]]
         with pytest.raises(AssertionError, match="add up"):
-            ekrverify._module_norms(ranks, 4, Fraction(1, 4))
+            scheme.shifted_character_sums(ranks, 4)
 
     def test_many_kernel_blocks(self, monkeypatch):
         families = [fam.members for fam in point_families(5).values()]
@@ -579,16 +585,24 @@ class TestBatchedSupports:
         monkeypatch.setattr(scheme, "BLOCK_PAIRS", 7)
         assert module_supports(families, 5) == expected
 
+    def test_block_size_is_read_at_call_time(self, monkeypatch):
+        # 25 point families of 24 members: 576 pairs each
+        gd = group_data(5)
+        ranks = gd.constraint_ranks([((i, j),) for i in range(1, 6) for j in range(1, 6)])
+        blocks = []
+        real = gd.quotient_classes
 
-def _norms_as_supports(families, n, shift):
-    """The integer core's norms over n! b^2, keyed by shape like module_supports."""
-    gd = group_data(n)
-    scale = gd.order * shift.denominator**2
-    ranks = gd.constraint_ranks(families)
-    return [
-        {cls.cycle_type: Fraction(total, scale) for cls, total in zip(gd.classes, totals)}
-        for totals in ekrverify._module_norms(ranks, n, shift)
-    ]
+        def recording(a, b):
+            blocks.append(len(a))
+            return real(a, b)
+
+        monkeypatch.setattr(gd, "quotient_classes", recording)
+        expected = scheme.shifted_character_sums(ranks, 5)
+        assert blocks == [25]
+        blocks.clear()
+        monkeypatch.setattr(scheme, "BLOCK_PAIRS", 3 * 576)
+        assert np.array_equal(scheme.shifted_character_sums(ranks, 5), expected)
+        assert blocks == [3] * 8 + [1]
 
 
 class TestIntegerNorms:
@@ -596,44 +610,35 @@ class TestIntegerNorms:
     def test_equal_module_supports_on_constraint_families(self, n, k):
         gd = group_data(n)
         sets = enumerate_constraint_sets(n, k)
-        shift = Fraction(math.factorial(n - k), gd.order)
         members = [family(pairs, n).members for pairs in sets]
-        ranks = gd.constraint_ranks(sets)
-        norms = ekrverify._module_norms(ranks, n, shift)
-        expected = module_supports(members, n, shift)
-        assert _norms_as_supports(sets, n, shift) == expected
-        for totals, supports in zip(norms, expected):
-            assert all(type(total) is int for total in totals)
-            assert [total != 0 for total in totals] == [v != 0 for v in supports.values()]
+        sums = scheme.shifted_character_sums(gd.constraint_ranks(sets), n)
+        assert sums.dtype == np.int64 and sums.shape == (len(sets), len(gd.classes))
+        assert not sums[:, gd.class_index[(n,)]].any()
+        assert module_supports(members, n) == [
+            _supports_by_class_forms(fam, n) for fam in members
+        ]
 
-    def test_default_shift_on_point_families(self):
+    def test_point_families(self):
         n = 5
         sets = [((i, j),) for i in range(1, n + 1) for j in range(1, n + 1)]
         members = [family(pairs, n).members for pairs in sets]
-        shift = Fraction(1, n)
-        assert _norms_as_supports(sets, n, shift) == module_supports(members, n)
-
-    def test_python_ints_past_int64(self):
-        # b^2 m^2 alone is past 2^63, so the norms are summed as Python ints
-        n, shift = 4, Fraction(1, 10**12)
-        fam = family([(2, 3)], n)
-        (totals,) = ekrverify._module_norms(
-            group_data(n).constraint_ranks([((2, 3),)]), n, shift
-        )
-        assert max(totals) > 2**63
-        assert _norms_as_supports([((2, 3),)], n, shift) == [
-            _supports_by_class_forms(fam.members, n, shift)
+        assert module_supports(members, n) == [
+            _supports_by_class_forms(fam, n) for fam in members
         ]
 
+    def test_empty_family_and_empty_batch(self):
+        assert scheme.shifted_character_sums([[]], 4).tolist() == [[0] * 5]
+        assert scheme.shifted_character_sums([], 4).shape == (0, 5)
+
     def test_negative_norm_raises(self, monkeypatch):
-        table = ekrverify.character_table(4)
+        table = scheme.character_table(4)
         flipped = dataclasses.replace(
             table, values=tuple(tuple(-v for v in row) for row in table.values)
         )
-        monkeypatch.setattr(ekrverify, "character_table", lambda n: flipped)
+        monkeypatch.setattr(scheme, "character_table", lambda n: flipped)
         ranks = group_data(4).constraint_ranks([((1, 1),)])
         with pytest.raises(AssertionError, match="nonnegative"):
-            ekrverify._module_norms(ranks, 4, Fraction(1, 4))
+            scheme.shifted_character_sums(ranks, 4)
 
 
 class TestNoPermutationPerRow:

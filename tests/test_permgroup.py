@@ -86,9 +86,13 @@ class TestPermutationBasics:
     def test_one_line_accepts_whitespace_around_numbers(self):
         assert parse_one_line(" 4, 3 ,1,\t2 ").images == (4, 3, 1, 2)
 
-    @pytest.mark.parametrize("text", ["1 2 3", "2,1 3", "1,,2", "1,a", "", "1,2,"])
+    @pytest.mark.parametrize(
+        "text",
+        ["1 2 3", "2,1 3", "1,,2", "1,a", "", "1,2,", "2,1,+3", "1_0,2", "2,1,\u0663"],
+    )
     def test_one_line_rejects_split_empty_or_non_numeric_tokens(self, text):
-        # "1 2 3" once read as the degree-one permutation (123,)
+        # "1 2 3" once read as the degree-one permutation (123,), and int() reads
+        # a sign, an underscore and the digits of other scripts
         with pytest.raises(ValueError, match="bad one-line permutation"):
             parse_one_line(text)
 
@@ -169,10 +173,13 @@ class TestCycleStructure:
         assert parse_cycles("()", 4) == parse_cycles("  ", 4) == identity(4)
 
     @pytest.mark.parametrize(
-        "text", ["(1 2)", "(1, 2)(3 4)", "(1,,2)", "(1,a)", "(1,2,)", "((1,2))", "1(2,3)"]
+        "text",
+        ["(1 2)", "(1, 2)(3 4)", "(1,,2)", "(1,a)", "(1,2,)", "((1,2))", "1(2,3)"]
+        + ["(1,1_0)", "(1,+2)", "(\u0661,2)"],
     )
     def test_parse_cycles_rejects_split_empty_or_non_numeric_tokens(self, text):
-        # "(1 2)" once read as the identity and "(1, 2)(3 4)" as a point 34
+        # "(1 2)" once read as the identity, "(1, 2)(3 4)" as a point 34 and
+        # "(1,1_0)" as the transposition of 1 and 10
         with pytest.raises(ValueError, match="bad cycle notation"):
             parse_cycles(text, 12)
 

@@ -21,7 +21,6 @@ from ekrperm.chartab import (
     skew_row_tableaux,
 )
 from ekrperm.errors import DegreeRangeError, FamilyValidationError
-from ekrperm.linalg import scaled_integers
 from ekrperm.graphs import affine_clique, family, latin_clique
 from ekrperm.permgroup import (
     compose,
@@ -62,7 +61,8 @@ def project(shape, x, n):
     the support of x only, so a sparse x stays cheap at degree 7.
     """
     gd = group_data(n)
-    nums, denom = scaled_integers(x)
+    denom = math.lcm(*(Fraction(v).denominator for v in x))
+    nums = [int(Fraction(v) * denom) for v in x]
     support = [q for q, v in enumerate(nums) if v]
     classes = gd.quotient_classes(np.arange(gd.order)[:, None], support)
     table = character_table(n)
@@ -115,7 +115,8 @@ class TestClassEigenvalues:
 
 class TestSharedOrder:
     def test_character_rows_follow_the_class_order(self):
-        # _character_sums and ekrverify._module_norms pair row i with class i
+        # _character_sums pairs character row i with class i, for class
+        # quadratic forms and for shifted_character_sums alike
         for n in range(1, MAX_TABLE_DEGREE + 1):
             classes = tuple(cls.cycle_type for cls in conjugacy_classes(n))
             assert character_table(n).partitions == classes == partitions_of(n), n
