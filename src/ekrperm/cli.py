@@ -320,7 +320,7 @@ def run_lemmas(n: int):
     checks.append(check("rank-M-is-(n-1)(n-2)", ok_m, rank=rank_m))
     _, _, sub_ok = ekrverify.pi_ab_submatrix(n)
     checks.append(check("selected-rows-give-K-kron-I", sub_ok))
-    _, bordered_ok = ekrverify.bordered_kernel_check(n)
+    bordered_ok = ekrverify.bordered_kernel_check(n)
     checks.append(check("bordered-kernel-spanned-by-expected-vector", bordered_ok))
     checks.append(
         check(
@@ -431,6 +431,8 @@ def run_quotient(n: int):
 
 
 def run_validate(n: int, family: str, t: int):
+    if not 0 <= t < n:
+        raise ValueError(f"need 0 <= t < n, got t={t}, n={n}")
     members = graphs.read_family(family, n)
     ok, witness = graphs.validate_family(members, t)
     checks = [check("family-is-independent", ok, threshold=t)]
@@ -756,10 +758,13 @@ def main(argv=None) -> int:
     code = EXIT_OK if all_pass else EXIT_CHECK_FAILED
     try:
         print(output, flush=True)
-    except BrokenPipeError:
-        # the reader left early; point stdout at devnull so the flush at exit
-        # cannot fail again, and keep the report's own exit code
+    except OSError as exc:
+        # point stdout at devnull so the flush at exit cannot fail again; a
+        # reader that left early keeps the report's own exit code
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
+            code = EXIT_USAGE
     return code
 
 

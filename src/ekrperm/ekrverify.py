@@ -187,14 +187,13 @@ def _full_column_rank_check(n: int, ones, width: int, gram=None):
     """(rank, rank == width) for 0/1 rows, certified on their Gram matrix.
 
     G = X^T X (counted here when not given) is integral and has the same
-    rational rank as X, at most the width; one modular rank profile that
-    meets it certifies the rank, and a deficient G is eliminated
-    fraction-free to its exact rank.  At degrees up to 5 the rank is
-    recomputed from X directly as a cross-check.
+    rational rank as X, at most the width; linalg.certified_rank gives its
+    exact rank.  At degrees up to 5 the rank is recomputed from X directly
+    as a cross-check.
     """
     if gram is None:
         gram = _gram(ones, width)
-    ((r, _),) = linalg.certified_ranks(gram, [(width, width)])
+    r, _ = linalg.certified_rank(gram, width)
     if n <= 5 and linalg.bareiss_rank(_dense(ones, width).tolist()) != r:
         raise AssertionError("Gram rank disagrees with direct elimination")
     return r, r == width
@@ -210,7 +209,7 @@ def rank_H_check(n: int, gram=None) -> tuple[int, bool]:
     return _full_column_rank_check(n, incidence(n).ones, (n - 1) ** 2, gram)
 
 
-def bordered_kernel_check(n: int):
+def bordered_kernel_check(n: int) -> bool:
     """Kernel of [M | ones] is spanned by (1, ..., 1, -(n-2)).
 
     A row of [M | ones] meets that vector in its number of ones in M less
@@ -218,23 +217,14 @@ def bordered_kernel_check(n: int):
     kernel, which caps the rank at the width (n-1)(n-2); a certified rank of
     the bordered Gram matrix equal to the width then proves the kernel is
     exactly that line.  Otherwise the check fails: the vector misses a row,
-    or the kernel is wider than a line.  The kernel is then computed from the
-    Gram matrix and every basis vector is verified against the bordered
-    matrix.
+    or the kernel is wider than a line.
     """
     width = (n - 1) * (n - 2)
     m_ones = incidence(n).m_ones
+    if not ((m_ones < width).sum(axis=1) == n - 2).all():
+        return False
     gram = _gram(m_ones, width, border=True)
-    if ((m_ones < width).sum(axis=1) == n - 2).all():
-        ((r, _),) = linalg.certified_ranks(gram, [(width + 1, width)])
-        if r == width:
-            return [[1] * width + [-(n - 2)]], True
-    bordered = [[c for c in ones if c < width] + [width] for ones in m_ones.tolist()]
-    basis = linalg.kernel_basis(gram)
-    for vec in basis:
-        if any(sum(map(vec.__getitem__, ones)) for ones in bordered):
-            raise AssertionError("Gram kernel vector is not in the matrix kernel")
-    return basis, False
+    return linalg.certified_rank(gram, width)[0] == width
 
 
 def kernel_membership_check(n: int) -> bool:
@@ -244,29 +234,21 @@ def kernel_membership_check(n: int) -> bool:
     that no row of N meets (the zeros on the diagonal of N^T N) give unit
     vectors in ker(N), so rank N <= width - |Z|, and a certified rank of N^T N
     that meets this cap proves ker(N) = span{e_c : c in Z}.  H e_c is column c
-    of H, so the check passes outright when Z lies among W's columns; otherwise
-    it compares the exact ranks of the Gram matrices of [W | H_Z] and of W.  A
-    kernel whose dimension is not n-1, or that those unit vectors do not span,
-    raises AssertionError.
+    of H, and H has full column rank (rank_H_check), so H e_c lies in the span
+    of W's columns exactly when c is one of them: the lemma holds exactly when
+    Z lies among W's columns.  A kernel whose dimension is not n-1, or that
+    those unit vectors do not span, raises AssertionError.
     """
     inc = incidence(n)
     width = (n - 1) ** 2
     n_gram = _gram(inc.ones[inc.derangement_ranks], width)
     unmet = [c for c in range(width) if not n_gram[c][c]]
-    ((rank_n, _),) = linalg.certified_ranks(n_gram, [(width, width - len(unmet))])
+    rank_n, _ = linalg.certified_rank(n_gram, width - len(unmet))
     if width - rank_n != n - 1:
         raise AssertionError("unexpected kernel dimension for the derangement rows")
     if rank_n != width - len(unmet):
         raise AssertionError("ker(N) is not spanned by the columns N never meets")
-    w = inc.diagonal.tolist()
-    if set(unmet) <= set(w):
-        return True
-    gram = _gram(inc.ones, width)
-
-    def gram_rank(cols):
-        return linalg.bareiss_rank([[gram[a][b] for b in cols] for a in cols])
-
-    return gram_rank(w + [c for c in unmet if c not in w]) == gram_rank(w)
+    return set(unmet) <= set(inc.diagonal.tolist())
 
 
 def _shifted_span_ranks(families, order: int, size: int, cap: int):
@@ -289,7 +271,7 @@ def _shifted_span_ranks(families, order: int, size: int, cap: int):
         if len(ranks) != size:
             raise AssertionError(f"family {f} has {len(ranks)} members, not {size}")
         rows[f, ranks] = 1
-    ((with_ones, method),) = linalg.certified_ranks(rows, [(len(rows), cap + 1)])
+    with_ones, method = linalg.certified_rank(rows, cap + 1)
     return with_ones - 1, with_ones, method
 
 
@@ -381,7 +363,7 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
     h = incidence(n)
     width = (n - 1) ** 2
     gram = _gram(h.ones, width, border=True)
-    if linalg.certified_ranks(gram, [(width + 1, width + 1)])[0][0] != width + 1:
+    if linalg.certified_rank(gram, width + 1)[0] != width + 1:
         raise AssertionError("[H | ones] must have full column rank")
     keys = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     families = {

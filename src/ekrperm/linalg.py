@@ -2,21 +2,19 @@
 
 Matrices are lists of equal-length rows of Python ints or bools or NumPy
 integers; each entry is read through operator.index, so a float or a
-fraction (even a whole one) raises TypeError.  One fraction-free
-Gauss-Jordan elimination (Bareiss's integer-preserving scheme, carried
-above the pivots as well as below) serves rank and kernel: it keeps every
-entry an integer throughout and returns the reduced row echelon form as an
-integer matrix over one common denominator.  A fast modular elimination
-(exact integer arithmetic mod a prime) provides certified rank lower bounds
-for every leading block of rows of a large integer matrix at once.  Each
-pivot updates only the columns where the pivot row is nonzero: 443,057
-cells for the 0/1 rows of the n = 6, t = 2 depth span, where every column
-from the pivot on would be 8,394,183.
+fraction (even a whole one) raises TypeError.  Every rank is certified by
+one of two methods.  A fast modular elimination (exact integer arithmetic
+mod a prime) gives the rank profile of a large integer matrix, the mod-p
+rank of every leading block of rows at once; a modular rank that meets a
+proven cap is the exact rank.  Short of the cap, one fraction-free forward
+elimination (Bareiss's integer-preserving scheme) gives the rank exactly.
+Each modular pivot updates only the columns where the pivot row is nonzero:
+443,057 cells for the 0/1 rows of the n = 6, t = 2 depth span, where every
+column from the pivot on would be 8,394,183.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from operator import index
 
 # the two largest primes below 2**15: residues fit int16, products int32
@@ -24,75 +22,29 @@ _RANK_PRIMES = (32749, 32719)
 _RESIDUE_BLOCK = 64  # rows reduced at a time into the int16 working copy
 
 
-def rref(rows) -> tuple[list[list[int]], list[int], int]:
-    """Reduced row echelon form, fraction-free: (m, pivots, d) with RREF == m / d.
+def bareiss_rank(rows) -> int:
+    """Rank over the rationals via fraction-free forward elimination.
 
-    Every step replaces each other row by
-    (pivot * row - factor * pivot_row) / previous pivot, a division that is
-    always exact, so all pivot entries end equal to d and the pivot columns
-    are zero elsewhere.  The pivot of each column is its first nonzero row at
-    or below the current one.
+    Each row below the pivot becomes (pivot * row - factor * pivot_row) /
+    previous pivot, a division that is always exact, so every entry stays an
+    integer.  The pivot of each column is its first nonzero row at or below
+    the current one.
     """
     m = [list(map(index, row)) for row in rows]
-    pivots: list[int] = []
-    if not m:
-        return m, pivots, 1
-    n_rows, n_cols = len(m), len(m[0])
-    prev = 1
-    r = 0
-    for col in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if m[i][col]), None)
+    rank, prev = 0, 1
+    for col in range(len(m[0]) if m else 0):
+        pivot_row = next((i for i in range(rank, len(m)) if m[i][col]), None)
         if pivot_row is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        row_r = m[r]
-        pivot = row_r[col]
-        for i in range(n_rows):
-            if i == r:
-                continue
-            row_i = m[i]
-            factor = row_i[col]
-            if factor:
-                m[i] = [(pivot * a - factor * b) // prev for a, b in zip(row_i, row_r)]
-            elif pivot != prev:
-                m[i] = [pivot * a // prev for a in row_i]
-        pivots.append(col)
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        top = m[rank]
+        pivot = top[col]
+        for i in range(rank + 1, len(m)):
+            factor = m[i][col]
+            m[i] = [(pivot * a - factor * b) // prev for a, b in zip(m[i], top)]
         prev = pivot
-        r += 1
-        if r == n_rows:
-            break
-    return m, pivots, prev
-
-
-def bareiss_rank(rows) -> int:
-    """Rank over the rationals via fraction-free elimination."""
-    return len(rref(rows)[1])
-
-
-def kernel_basis(rows) -> list[list[int]]:
-    """Integer basis of the right kernel; each vector is verified against the matrix.
-
-    The vector for a free column holds d there and -m[r][free] at the pivot
-    column of row r, which is the RREF kernel vector scaled by d.
-    """
-    if not rows:
-        return []
-    n_cols = len(rows[0])
-    m, pivots, d = rref(rows)
-    free_cols = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for free in free_cols:
-        vec = [0] * n_cols
-        vec[free] = d
-        for r, col in enumerate(pivots):
-            vec[col] = -m[r][free]
-        basis.append(vec)
-    int_rows = [list(map(index, row)) for row in rows]
-    for vec in basis:
-        for row in int_rows:
-            if sum(a * b for a, b in zip(row, vec)) != 0:
-                raise AssertionError("kernel vector fails the defining equations")
-    return basis
+        rank += 1
+    return rank
 
 
 def rank_profile_mod_p(int_rows, p: int) -> list[int]:
@@ -159,41 +111,26 @@ def rank_profile_mod_p(int_rows, p: int) -> list[int]:
     return pivots
 
 
-def certified_ranks(int_rows, bounds) -> list[tuple[int, str]]:
-    """Exact ranks of leading row blocks, certified by one modular rank profile.
+def certified_rank(int_rows, cap: int) -> tuple[int, str]:
+    """(rank, method): the exact rank of int_rows, at most the proven cap.
 
-    bounds holds (k, upper_bound) pairs: the rank of the first k rows is
-    wanted, and upper_bound (or None) is a proven cap on it.  A nonzero r x r
-    minor mod p proves rank >= r over the rationals, so a modular rank that
-    meets its cap is the exact rank.  The primes are tried in turn, each
-    giving every block's modular rank from one profile, until every cap is
-    met.  A modular rank above its cap raises; a cap still unmet falls back
-    to fraction-free elimination of that block.  Returns one (rank, method)
-    per pair.
+    A nonzero r x r minor mod p proves rank >= r over the rationals, so a
+    modular rank that meets the cap is the exact rank, and the method is
+    "modular-certificate".  The primes are tried in turn until one meets it;
+    short of it the rows are eliminated fraction-free, and the method is
+    "fraction-free-elimination".  A rank above the cap, or an exact rank
+    below a modular one, raises AssertionError.
     """
-    best = [0] * len(bounds)
+    best = 0
     for p in _RANK_PRIMES:
-        profile = rank_profile_mod_p(int_rows, p)
-        for i, (k, upper_bound) in enumerate(bounds):
-            modular = bisect_left(profile, k)
-            if upper_bound is not None and modular > upper_bound:
-                raise AssertionError(
-                    f"modular rank {modular} exceeds the proven upper bound {upper_bound}"
-                )
-            best[i] = max(best[i], modular)
-        if all(r == upper_bound for r, (_, upper_bound) in zip(best, bounds)):
-            break
-    out = []
-    for r, (k, upper_bound) in zip(best, bounds):
-        if r == upper_bound:
-            out.append((r, "modular-certificate"))
-            continue
-        exact = bareiss_rank(int_rows[:k])
-        if exact < r:
-            raise AssertionError(f"exact rank {exact} is below the modular rank {r}")
-        if upper_bound is not None and exact > upper_bound:
-            raise AssertionError(
-                f"exact rank {exact} exceeds the proven upper bound {upper_bound}"
-            )
-        out.append((exact, "fraction-free-elimination"))
-    return out
+        best = max(best, len(rank_profile_mod_p(int_rows, p)))
+        if best > cap:
+            raise AssertionError(f"modular rank {best} exceeds the proven upper bound {cap}")
+        if best == cap:
+            return best, "modular-certificate"
+    exact = bareiss_rank(int_rows)
+    if exact < best:
+        raise AssertionError(f"exact rank {exact} is below the modular rank {best}")
+    if exact > cap:
+        raise AssertionError(f"exact rank {exact} exceeds the proven upper bound {cap}")
+    return exact, "fraction-free-elimination"

@@ -3,8 +3,9 @@
 Nothing here imports the package under test.  Characters are recovered by
 counting tabloids fixed by class representatives and orthogonalizing the
 permutation characters; spectra are certified from an explicitly built
-adjacency matrix with a fraction-free Gaussian elimination.  Slow is fine:
-these run at degrees 4 and 5 only.
+adjacency matrix with a fraction-free Gaussian elimination; solutions and
+kernels are read off a reduced row echelon form in Fractions.  Slow is fine:
+these run at degrees 7 and below.
 """
 
 from __future__ import annotations
@@ -187,6 +188,57 @@ def gaussian_rank(matrix) -> int:
         previous = lead
         rank += 1
     return rank
+
+
+def _reduced_echelon(matrix):
+    """Reduced row echelon form in Fractions: (rows, pivot columns)."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = rows[r][col]
+        rows[r] = [v / lead for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                factor = row[col]
+                rows[i] = [v - factor * w for v, w in zip(row, rows[r])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def solve(matrix, rhs):
+    """One exact solution x of matrix * x = rhs in Fractions, or None.
+
+    The coordinates at the columns without a pivot are 0.
+    """
+    n_cols = len(matrix[0])
+    rows, pivots = _reduced_echelon([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if n_cols in pivots:
+        return None
+    x = [Fraction(0)] * n_cols
+    for r, col in enumerate(pivots):
+        x[col] = rows[r][n_cols]
+    return x
+
+
+def kernel(matrix):
+    """A basis of the right kernel in Fractions, one vector per free column."""
+    n_cols = len(matrix[0])
+    rows, pivots = _reduced_echelon(matrix)
+    basis = []
+    for free in range(n_cols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * n_cols
+        vec[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -rows[r][free]
+        basis.append(vec)
+    return basis
 
 
 def derangement_adjacency(n: int):

@@ -284,6 +284,29 @@ class TestExitCodes:
         assert out == ""
         assert f"bad one-line permutation {line!r}" in err
 
+    @pytest.mark.parametrize("t", ["-1", "4"])
+    def test_validate_threshold_out_of_range_is_a_usage_error(self, capsys, tmp_path, t):
+        path = tmp_path / "family.txt"
+        write_family([identity(4), parse_one_line("2,1,3,4")], str(path))
+        code, out, err = run_cli(capsys, "validate", "4", "--family", str(path), "--t", t)
+        assert code == cli.EXIT_USAGE == 2
+        assert out == ""
+        assert err == f"error: need 0 <= t < n, got t={t}, n=4\n"
+
+    def test_damaged_incidence_fails_the_bordered_kernel_check(
+        self, capsys, monkeypatch
+    ):
+        # too few rows of M: the kernel of [M | ones] is wider than a line,
+        # which is a failed check, not an internal error
+        from ekrperm import ekrverify
+        from test_ekrverify import _incidence_with
+
+        monkeypatch.setattr(ekrverify, "incidence", _incidence_with(lambda rows: rows[:3]))
+        code, report, _ = run_json(capsys, "lemmas", "5")
+        assert code == cli.EXIT_CHECK_FAILED == 1
+        outcomes = {c["name"]: c["pass"] for c in report["checks"]}
+        assert outcomes["bordered-kernel-spanned-by-expected-vector"] is False
+
     def test_validate_success(self, capsys, tmp_path):
         path = tmp_path / "family.txt"
         write_family([identity(4), parse_one_line("2,1,3,4")], str(path))
@@ -428,6 +451,19 @@ class TestOutputModes:
         err = proc.stderr.read().decode()
         assert proc.wait() == cli.EXIT_OK
         assert err == ""
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_full_stdout_is_a_usage_error(self):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ekrperm", "derangements", "3"],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        assert proc.returncode == cli.EXIT_USAGE
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
 
 class TestImports:

@@ -44,6 +44,7 @@ from ekrperm.permgroup import (
     unrank_permutation,
 )
 from ekrperm.scheme import class_quadratic_forms, group_data
+import oracles
 from test_graphs import point_families
 from test_linalg import kron
 from test_scheme import module_quadratic_form
@@ -326,19 +327,18 @@ class TestRanks:
 
 
 class TestKernels:
-    def test_bordered_kernel_direction(self):
-        basis, ok = bordered_kernel_check(4)
-        assert ok
-        assert len(basis) == 1
-        vec = basis[0]
-        scale = vec[0]
-        assert scale != 0
-        assert [Fraction(v, scale) for v in vec] == [1, 1, 1, 1, 1, 1, -2]
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_bordered_kernel_direction(self, n):
+        # the certificate against the oracle's kernel of the dense [M | ones]
+        assert bordered_kernel_check(n) is True
+        width = (n - 1) * (n - 2)
+        dense = ekrverify._dense(incidence(n).m_ones, width).tolist()
+        (vec,) = oracles.kernel([row + [1] for row in dense])
+        assert [v / vec[0] for v in vec] == [1] * width + [-(n - 2)]
 
     def test_bordered_kernel_through_degree_six(self):
         for n in (4, 5, 6):
-            _, ok = bordered_kernel_check(n)
-            assert ok
+            assert bordered_kernel_check(n) is True
 
     def test_kernel_membership(self):
         assert kernel_membership_check(4)
@@ -350,12 +350,12 @@ def _parent_kernel_membership(n, trials, seed):
     its border against W, and compares the ranks of the bordered Gram matrices."""
     h = ekrverify.incidence(n)
     width = (n - 1) ** 2
-    basis = linalg.kernel_basis(ekrverify._gram(h.ones[h.derangement_ranks], width))
+    basis = oracles.kernel(ekrverify._gram(h.ones[h.derangement_ranks], width))
     if len(basis) != n - 1:
         raise AssertionError("unexpected kernel dimension for the derangement rows")
     w = ekrverify._dense(h.ones, width)[:, h.diagonal]
     w_gram = (w.T @ w).tolist()
-    w_rank = linalg.bareiss_rank(w_gram)
+    w_rank = oracles.gaussian_rank(w_gram)
     w_support = [np.flatnonzero(column).tolist() for column in w.T]
     h_ones = [[c for c in ones if c < width] for ones in h.ones.tolist()]
     rng = random.Random(seed)
@@ -366,7 +366,7 @@ def _parent_kernel_membership(n, trials, seed):
         border = [sum(hy[r] for r in support) for support in w_support]
         bordered = [row + [v] for row, v in zip(w_gram, border)]
         bordered.append(border + [sum(v * v for v in hy)])
-        if linalg.bareiss_rank(bordered) != w_rank:
+        if oracles.gaussian_rank(bordered) != w_rank:
             return False
     return True
 
@@ -409,15 +409,15 @@ class TestKernelMembershipByLinearity:
             _parent_kernel_membership(4, 20, 987)
 
 
-def _recording_rref(monkeypatch):
-    real = linalg.rref
+def _recording_bareiss(monkeypatch):
+    real = linalg.bareiss_rank
     heights = []
 
     def recording(rows):
         heights.append(len(rows))
         return real(rows)
 
-    monkeypatch.setattr(linalg, "rref", recording)
+    monkeypatch.setattr(linalg, "bareiss_rank", recording)
     return heights
 
 
@@ -444,11 +444,10 @@ def _deficient_gram(real):
 class TestCertifiedLemmaRanks:
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_no_elimination_at_the_top_degrees(self, n, monkeypatch):
-        heights = _recording_rref(monkeypatch)
+        heights = _recording_bareiss(monkeypatch)
         assert rank_H_check(n) == ((n - 1) ** 2, True)
         assert rank_M_check(n) == ((n - 1) * (n - 2), True)
-        basis, ok = bordered_kernel_check(n)
-        assert ok and basis == [[1] * ((n - 1) * (n - 2)) + [-(n - 2)]]
+        assert bordered_kernel_check(n) is True
         assert kernel_membership_check(n) is True
         assert heights == []
 
@@ -473,16 +472,14 @@ class TestCertifiedLemmaRanks:
         )
         assert rank_H_check(n) == ((n - 1) ** 2, True)
         assert rank_M_check(n) == ((n - 1) * (n - 2), True)
-        assert bordered_kernel_check(n)[1] is True
+        assert bordered_kernel_check(n) is True
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_too_few_rows_widen_the_kernel(self, n, monkeypatch):
         # every row still sums to 0 against the expected vector, but the
         # rank falls below the width, so the kernel has more than one line
         monkeypatch.setattr(ekrverify, "incidence", _incidence_with(lambda rows: rows[:3]))
-        basis, ok = bordered_kernel_check(n)
-        assert not ok
-        assert len(basis) == (n - 1) * (n - 2) + 1 - 3
+        assert bordered_kernel_check(n) is False
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_expected_vector_missing_a_row_fails(self, n, monkeypatch):
@@ -494,9 +491,7 @@ class TestCertifiedLemmaRanks:
             return rows
 
         monkeypatch.setattr(ekrverify, "incidence", _incidence_with(drop_one))
-        basis, ok = bordered_kernel_check(n)
-        assert not ok
-        assert basis == []
+        assert bordered_kernel_check(n) is False
 
 
 class TestModuleSupport:
@@ -724,20 +719,20 @@ class TestClassification:
         found = max_independent_sets(n)
         report = classify_maximum_sets(n, found)
         assert len(report.records) == len(found.sets) == n * n
+        bordered = [row + [1] for row in _rows(h)]
+        # [H | ones] has a trivial kernel, so each consistent system has
+        # exactly one solution
+        assert oracles.kernel(bordered) == []
         for members, record in zip(found.sets, report.records):
             point_set = families[record.family_key].members
             assert {gd.rank_of(p) for p in members} == {gd.rank_of(p) for p in point_set}
             translated = {gd.rank_of(compose(inverse(members[0]), p)) for p in members}
             target = families[record.translated_to].members
             assert translated == {gd.rank_of(p) for p in target}
-            augmented = [
-                row + [1, int(r in translated)] for r, row in enumerate(_rows(h))
-            ]
-            m, pivots, d = linalg.rref(augmented)
-            # every column of [H | ones] is a pivot and the right-hand side is
-            # not: the system is consistent and its solution unique
-            assert pivots == list(range(width + 1))
-            solution = [Fraction(m[r][width + 1], d) for r in range(width + 1)]
+            solution = oracles.solve(
+                bordered, [int(r in translated) for r in range(len(bordered))]
+            )
+            assert solution is not None
             coefficient = solution[-1]
             case = 1 if coefficient == 0 else 2
             assert record == SetClassification(
@@ -793,7 +788,7 @@ class TestClassification:
 
     def test_eliminates_no_more_rows_than_the_certificate(self, monkeypatch):
         n = 5
-        heights = _recording_rref(monkeypatch)
+        heights = _recording_bareiss(monkeypatch)
         found = max_independent_sets(n)
         # the modular certificate meets its cap, so nothing is eliminated
         assert classify_maximum_sets(n, found).all_canonical
@@ -816,15 +811,15 @@ class TestClassification:
 
 
 def _shifted_row_ranks(order, off, on, families, bounds):
-    """certified_ranks on int64 rows holding on at each family, off elsewhere,
-    followed by the ones row."""
+    """certified_rank of the first k int64 rows for each (k, cap) in bounds;
+    the rows hold on at each family, off elsewhere, then the ones row."""
     import numpy as np
 
     rows = np.full((len(families) + 1, order), off, dtype=np.int64)
     rows[-1] = 1
     for f, ranks in enumerate(families):
         rows[f, ranks] = on
-    return linalg.certified_ranks(rows, bounds)
+    return [linalg.certified_rank(rows[:k], cap) for k, cap in bounds]
 
 
 class TestIndicatorRoute:

@@ -1,4 +1,4 @@
-"""Exact rank and kernel routines, cross-checked against the oracle."""
+"""Exact and certified ranks, cross-checked against the oracles."""
 
 import random
 from bisect import bisect_left
@@ -9,27 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ekrperm import linalg
-from ekrperm.linalg import (
-    bareiss_rank,
-    certified_ranks,
-    kernel_basis,
-    rank_profile_mod_p,
-    rref,
-)
+from ekrperm.linalg import bareiss_rank, certified_rank, rank_profile_mod_p
 
 import oracles
-
-
-def _solve(rows, rhs):
-    """One exact solution of rows * x = rhs from the RREF of [rows | rhs], or None."""
-    n_cols = len(rows[0])
-    m, pivots, d = rref([list(row) + [b] for row, b in zip(rows, rhs)])
-    if n_cols in pivots:
-        return None
-    x = [Fraction(0)] * n_cols
-    for r, col in enumerate(pivots):
-        x[col] = Fraction(m[r][n_cols], d)
-    return x
 
 
 def _matvec(rows, vec):
@@ -82,18 +64,14 @@ class TestRanks:
     @pytest.mark.parametrize("bad", [0.5, 2.0, float("nan"), Fraction(1, 2), Fraction(3)])
     def test_non_integer_entry_raises(self, bad):
         # rows are integer matrices; a rational caller scales its rows first
-        for routine in (rref, bareiss_rank, kernel_basis):
-            with pytest.raises(TypeError):
-                routine([[1, 2], [3, bad]])
+        with pytest.raises(TypeError):
+            bareiss_rank([[1, 2], [3, bad]])
 
     def test_every_integer_type(self):
         import numpy as np
 
         rows = [[True, np.int64(2)], [np.int8(3), 3**50]]
         assert bareiss_rank(rows) == 2
-        m, pivots, d = rref(rows)
-        assert pivots == [0, 1]
-        assert all(type(v) is int for row in m for v in row)
 
     def test_matches_external_elimination(self):
         rng = random.Random(7)
@@ -128,23 +106,16 @@ class TestModularRank:
 class TestCertifiedRank:
     def test_certificate_path(self):
         m = [[2, 0, 0], [0, 3, 0], [0, 0, 5]]
-        rank, method = certified_ranks(m, [(3, 3)])[0]
-        assert rank == 3
-        assert method == "modular-certificate"
-
-    def test_fallback_without_upper_bound(self):
-        rank, method = certified_ranks([[1, 2], [2, 4]], [(2, None)])[0]
-        assert rank == 1
-        assert method == "fraction-free-elimination"
+        assert certified_rank(m, 3) == (3, "modular-certificate")
 
     def test_loose_upper_bound_falls_back_exactly(self):
-        rank, method = certified_ranks([[1, 2], [2, 4]], [(2, 2)])[0]
+        rank, method = certified_rank([[1, 2], [2, 4]], 2)
         assert rank == 1
         assert method == "fraction-free-elimination"
 
     def test_wrong_upper_bound_is_caught(self):
         with pytest.raises(AssertionError):
-            certified_ranks(identity_matrix(3), [(3, 2)])
+            certified_rank(identity_matrix(3), 2)
 
     def test_rank_primes_are_distinct_primes_below_2_15(self):
         first, second = linalg._RANK_PRIMES
@@ -162,15 +133,12 @@ class TestCertifiedRank:
             return real(rows, p)
 
         monkeypatch.setattr(linalg, "rank_profile_mod_p", spy)
-        assert certified_ranks(identity_matrix(3), [(3, 3)])[0] == (
-            3,
-            "modular-certificate",
-        )
+        assert certified_rank(identity_matrix(3), 3) == (3, "modular-certificate")
         assert len(calls) == 1
         # [[p]] vanishes mod the first prime only, so the second one certifies
         first, second = linalg._RANK_PRIMES
         calls.clear()
-        assert certified_ranks([[first]], [(1, 1)])[0] == (1, "modular-certificate")
+        assert certified_rank([[first]], 1) == (1, "modular-certificate")
         assert calls == [first, second]
 
 
@@ -232,9 +200,9 @@ class TestRankProfileProperties:
         exact = oracles.gaussian_rank(matrix)
         if exact > bound:
             with pytest.raises(AssertionError):
-                certified_ranks(matrix, [(len(matrix), bound)])
+                certified_rank(matrix, bound)
         else:
-            rank, _ = certified_ranks(matrix, [(len(matrix), bound)])[0]
+            rank, _ = certified_rank(matrix, bound)
             assert rank == exact <= bound
 
 
@@ -381,54 +349,38 @@ class TestResidueKernel:
 
 
 class TestKernelAndSolve:
+    """The oracles' Fraction kernel and solve, which the reference tests rest on."""
+
     def test_kernel_of_rank_one_matrix(self):
-        basis = kernel_basis([[1, 2, 3]])
+        basis = oracles.kernel([[1, 2, 3]])
         assert len(basis) == 2
         for vec in basis:
             assert sum(c * v for c, v in zip([1, 2, 3], vec)) == 0
 
-    def test_kernel_vectors_are_integers_scaled_by_the_denominator(self):
-        # RREF of [2 1] is [1 1/2] with d = 2, so the kernel vector is (-1, 2)
-        assert kernel_basis([[2, 1]]) == [[-1, 2]]
-        assert kernel_basis([[3, 2]]) == [[-2, 3]]
-        for vec in kernel_basis([[1, 2, 3]]):
-            assert all(type(v) is int for v in vec)
-
     def test_full_rank_kernel_is_trivial(self):
-        assert kernel_basis(identity_matrix(3)) == []
+        assert oracles.kernel(identity_matrix(3)) == []
 
     def test_kernel_vectors_annihilate_random_matrices(self):
         rng = random.Random(19)
         for _ in range(10):
             m = [[rng.randrange(-4, 5) for _ in range(6)] for _ in range(3)]
-            basis = kernel_basis(m)
+            basis = oracles.kernel(m)
             assert len(basis) == 6 - bareiss_rank(m)
             for vec in basis:
                 assert all(v == 0 for v in _matvec(m, vec))
 
     def test_rref_pivots(self):
-        m, pivots, d = rref([[0, 1, 2], [0, 2, 4], [1, 0, 0]])
+        rows, pivots = oracles._reduced_echelon([[0, 1, 2], [0, 2, 4], [1, 0, 0]])
         assert pivots == [0, 1]
-        assert all(type(v) is int for row in m for v in row)
-        assert [[Fraction(v, d) for v in row] for row in m] == [
-            [1, 0, 0],
-            [0, 1, 2],
-            [0, 0, 0],
-        ]
-
-    def test_rref_common_denominator(self):
-        m, pivots, d = rref([[2, 1], [4, 3]])
-        assert pivots == [0, 1]
-        assert m == [[d, 0], [0, d]]
-        assert rref([]) == ([], [], 1)
+        assert rows == [[1, 0, 0], [0, 1, 2], [0, 0, 0]]
+        assert all(type(v) is Fraction for row in rows for v in row)
 
     def test_solve_consistent_system(self):
-        m = [[1, 1], [1, -1]]
-        x = _solve(m, [3, 1])
+        x = oracles.solve([[1, 1], [1, -1]], [3, 1])
         assert x == [Fraction(2), Fraction(1)]
 
     def test_solve_inconsistent_system(self):
-        assert _solve([[1, 1], [1, 1]], [0, 1]) is None
+        assert oracles.solve([[1, 1], [1, 1]], [0, 1]) is None
 
     def test_solve_verifies_by_substitution(self):
         rng = random.Random(23)
@@ -436,12 +388,12 @@ class TestKernelAndSolve:
             m = [[rng.randrange(-5, 6) for _ in range(4)] for _ in range(6)]
             target = [rng.randrange(-3, 4) for _ in range(4)]
             rhs = _matvec(m, target)
-            x = _solve(m, rhs)
+            x = oracles.solve(m, rhs)
             assert x is not None
             assert _matvec(m, x) == rhs
 
     def test_solve_returns_fractions(self):
-        x = _solve([[2, 0], [0, 3]], [1, 1])
+        x = oracles.solve([[2, 0], [0, 3]], [1, 1])
         assert x == [Fraction(1, 2), Fraction(1, 3)]
         assert all(type(v) is Fraction for v in x)
 
@@ -502,9 +454,10 @@ class TestEliminationProperties:
 
     @given(_matrix_and_vectors())
     def test_kernel_dimension_and_annihilation(self, case):
+        # rank-nullity against the oracle's independent kernel
         matrix, _, _ = case
-        basis = kernel_basis(matrix)
-        assert len(basis) == len(matrix[0]) - oracles.gaussian_rank(matrix)
+        basis = oracles.kernel(matrix)
+        assert len(basis) == len(matrix[0]) - bareiss_rank(matrix)
         for vec in basis:
             assert any(vec)
             assert all(v == 0 for v in _matvec(matrix, vec))
@@ -513,7 +466,7 @@ class TestEliminationProperties:
     def test_solve_consistent_right_hand_side(self, case):
         matrix, x0, _ = case
         rhs = _matvec(matrix, x0)
-        x = _solve(matrix, rhs)
+        x = oracles.solve(matrix, rhs)
         assert x is not None
         assert _matvec(matrix, x) == rhs
 
@@ -521,8 +474,8 @@ class TestEliminationProperties:
     def test_solve_none_exactly_when_inconsistent(self, case):
         matrix, _, b = case
         augmented = [list(row) + [v] for row, v in zip(matrix, b)]
-        inconsistent = oracles.gaussian_rank(augmented) > oracles.gaussian_rank(matrix)
-        x = _solve(matrix, b)
+        inconsistent = bareiss_rank(augmented) > bareiss_rank(matrix)
+        x = oracles.solve(matrix, b)
         assert (x is None) == inconsistent
         if x is not None:
             assert _matvec(matrix, x) == b
