@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import mul
+from typing import NamedTuple
 
 from .errors import DegreeRangeError
 from .permgroup import CycleType, Partition, class_size, partitions_of
@@ -119,8 +119,7 @@ def character_value(shape: Partition, cycles: CycleType) -> int:
     return _murnaghan_nakayama(_beads(shape, n), tuple(sorted(cycles, reverse=True)))
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """Square table of character values, rows and columns in partition order."""
 
     n: int

@@ -15,6 +15,7 @@ Reports are byte-identical across runs except for wall_time_s.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import itertools
 import json
 import os
@@ -22,16 +23,41 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from math import factorial
 from operator import eq
 from typing import NamedTuple
 
-from . import chartab, ekrverify, graphs, permgroup, scheme
+from . import chartab, graphs, permgroup, scheme
 from .errors import (
     DegreeRangeError,
     FamilyValidationError,
     UnsupportedConstructionError,
 )
+
+
+def _lazy_submodule(name: str):
+    """The package's submodule name, whose body runs on its first attribute use.
+
+    The module object enters sys.modules (and the package's namespace) at
+    once, as an eager import would put it there, so every importer shares
+    it; a module already in sys.modules is returned as it is.
+    """
+    qualified = f"{__package__}.{name}"
+    if qualified in sys.modules:
+        return sys.modules[qualified]
+    spec = importlib.util.find_spec(qualified)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[qualified] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the incidence lemmas, depth spans and their linear algebra: only lemmas,
+# classify, conjecture and verify-all read them
+ekrverify = _lazy_submodule("ekrverify")
 
 SCHEMA = "ekrperm-report/1"
 
@@ -64,6 +90,11 @@ def check(name: str, ok: bool, **detail):
     entry = {"name": name, "pass": bool(ok)}
     entry.update(detail)
     return entry
+
+
+def _need_threshold(n: int, t: int) -> None:
+    if not 0 <= t < n:
+        raise ValueError(f"need 0 <= t < n, got t={t}, n={n}")
 
 
 # --- subcommand handlers -------------------------------------------------
@@ -159,6 +190,7 @@ def run_spectrum(n: int, t: int):
 
 
 def run_bounds(n: int, t: int):
+    _need_threshold(n, t)
     if t == 0:
         clique = graphs.latin_clique(n)
         coclique = graphs.family([(n, n)], n)
@@ -230,6 +262,7 @@ def run_clique(n: int, method: str):
 
 
 def run_search(n: int, t: int, workers: int, found=None):
+    _need_threshold(n, t)
     if found is None:
         found = graphs.max_independent_sets(n, t, workers=workers)
     gd = scheme.group_data(n)
@@ -381,14 +414,24 @@ def run_conjecture(n: int, t: int):
     return result, checks
 
 
+def _coin_flips(rng: random.Random):
+    """rng.randint(0, 1), drawn again and again, as one endless iterator.
+
+    randint(0, 1) draws getrandbits(2) until the value is below 2.  These are
+    the same draws, so the stream and the generator's state stay the same,
+    but the loop runs in C.
+    """
+    return filter((2).__gt__, iter(partial(rng.getrandbits, 2), None))
+
+
 def run_identity_check(n: int, trials: int, seed: int, t: int):
-    rng = random.Random(seed)
+    flips = _coin_flips(random.Random(seed))
     order = factorial(n)
 
     def draws():  # x, then y, per trial from the one generator
         for _ in range(trials):
-            x = [rng.randint(0, 1) for _ in range(order)]
-            y = [rng.randint(0, 1) for _ in range(order)]
+            x = list(itertools.islice(flips, order))
+            y = list(itertools.islice(flips, order))
             yield x, y
 
     sides = scheme.fundamental_identity_check(draws(), n, t)
@@ -431,8 +474,7 @@ def run_quotient(n: int):
 
 
 def run_validate(n: int, family: str, t: int):
-    if not 0 <= t < n:
-        raise ValueError(f"need 0 <= t < n, got t={t}, n={n}")
+    _need_threshold(n, t)
     members = graphs.read_family(family, n)
     ok, witness = graphs.validate_family(members, t)
     checks = [check("family-is-independent", ok, threshold=t)]
@@ -602,7 +644,7 @@ COMMANDS = {
     ),
     "lemmas": Command(
         "incidence-matrix rank, kernel and basis checks",
-        3, ekrverify.MAX_INCIDENCE_DEGREE,
+        3, scheme.MAX_INCIDENCE_DEGREE,
     ),
     "conjecture": Command(
         "depth-bounded eigenspace dimension comparison", 3, _DENSE,

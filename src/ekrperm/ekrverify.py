@@ -15,10 +15,9 @@ set's predicted coordinates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import linalg
 from .chartab import dimension
@@ -31,20 +30,23 @@ from .permgroup import (
     partitions_of,
     rank_permutation,
 )
-from .scheme import MAX_DENSE_DEGREE, group_data, shifted_character_sums
+from .scheme import (
+    MAX_DENSE_DEGREE,
+    MAX_INCIDENCE_DEGREE,
+    group_data,
+    shifted_character_sums,
+)
 
 if TYPE_CHECKING:
     import numpy as np
 
-MAX_INCIDENCE_DEGREE = 8
 # Rows of one-positions whose pairs _gram counts per bincount.
 _GRAM_BLOCK_ROWS = 1 << 12
 
 rank = linalg.bareiss_rank
 
 
-@dataclass(frozen=True)
-class Incidence:
+class Incidence(NamedTuple):
     """H, its derangement rows N, W's columns and the block M, as index arrays.
 
     Column (i, j) of H, 1 <= i, j <= n-1, is (i-1)(n-1) + j-1.  Row r of ones
@@ -275,8 +277,7 @@ def _shifted_span_ranks(families, order: int, size: int, cap: int):
     return with_ones - 1, with_ones, method
 
 
-@dataclass(frozen=True)
-class BasisCheckReport:
+class BasisCheckReport(NamedTuple):
     n: int
     supports_ok: bool
     rank_shifted: int
@@ -318,8 +319,7 @@ def basis_check(n: int) -> BasisCheckReport:
     )
 
 
-@dataclass(frozen=True)
-class SetClassification:
+class SetClassification(NamedTuple):
     """How one maximum independent set matches the canonical catalogue."""
 
     family_key: tuple[int, int] | None
@@ -329,8 +329,7 @@ class SetClassification:
     coordinates_ok: bool
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     n: int
     alpha: int
     total_sets: int
@@ -420,8 +419,7 @@ def enumerate_constraint_sets(n: int, k: int) -> list[tuple[tuple[int, int], ...
     return out
 
 
-@dataclass(frozen=True)
-class DepthReport:
+class DepthReport(NamedTuple):
     """Span dimensions of the shifted constraint-family indicators vs eigenspaces."""
 
     n: int

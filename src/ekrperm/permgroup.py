@@ -8,9 +8,9 @@ p(q(i))``.  All counting is done with Python integers, which never overflow.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from .errors import DegreeRangeError
 
@@ -21,18 +21,22 @@ CycleType = tuple[int, ...]
 AGREEMENT_BLOCK_PAIRS = 1 << 16
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of 1..n in one-line notation."""
-
+class _OneLine(NamedTuple):
     images: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.images)
+
+class Permutation(_OneLine):
+    """A permutation of 1..n in one-line notation."""
+
+    __slots__ = ()
+
+    def __new__(cls, images):
+        n = len(images)
         if n < 1:
             raise ValueError("a permutation needs degree at least 1")
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {images}")
+        return super().__new__(cls, images)
 
     @property
     def degree(self) -> int:
@@ -267,8 +271,7 @@ def class_representative(shape: CycleType) -> Permutation:
     return Permutation(tuple(images))
 
 
-@dataclass(frozen=True)
-class ClassInfo:
+class ClassInfo(NamedTuple):
     """One conjugacy class of S(n)."""
 
     cycle_type: CycleType

@@ -16,11 +16,11 @@ character; nothing here ever touches floating point.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, prod
 from operator import mul
+from typing import NamedTuple
 
 from .chartab import character_table, dimension, skew_row_tableaux
 from .errors import DegreeRangeError, FamilyValidationError
@@ -37,6 +37,8 @@ from .permgroup import (
 # Dense per-group tables (multiplication by rank) stop being cheap past 6!.
 MAX_DENSE_DEGREE = 6
 MAX_GROUP_DEGREE = 8
+# The explicit n! x (n-1)^2 incidence matrices of ekrverify stop here.
+MAX_INCIDENCE_DEGREE = 8
 # Pairs of permutations composed per block by the group-algebra kernel.
 BLOCK_PAIRS = 1 << 15
 # (x, y) pairs whose forms fundamental_identity_check counts in one batch.
@@ -195,8 +197,7 @@ def group_data(n: int) -> GroupData:
     return GroupData(n)
 
 
-@dataclass(frozen=True)
-class SchemeSpectrum:
+class SchemeSpectrum(NamedTuple):
     """Spectrum of a union of class graphs, one eigenvalue per partition."""
 
     n: int
@@ -430,8 +431,7 @@ def _check_pairwise(members, t, want_clique):
     )
 
 
-@dataclass(frozen=True)
-class CliqueCocliqueReport:
+class CliqueCocliqueReport(NamedTuple):
     """Outcome of the clique-coclique product bound for one clique/coclique pair."""
 
     n: int

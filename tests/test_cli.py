@@ -1,6 +1,9 @@
 """Command line interface: report schema, exit codes, determinism."""
 
+import itertools
 import json
+import os
+import random
 import re
 import subprocess
 import sys
@@ -198,6 +201,15 @@ class TestCommands:
             {"name": "identity-holds-exactly", "pass": True, "trials": 20}
         ]
 
+    @pytest.mark.parametrize("seed", [0, 3, 2024, 2**70 + 5])
+    def test_identity_check_draws_are_randints(self, seed):
+        # randint(0, 1) retries getrandbits(2) while it is 2 or 3; a CPython
+        # that draws it differently fails here, not in the pinned values
+        rng, reference = random.Random(seed), random.Random(seed)
+        draws = list(itertools.islice(cli._coin_flips(rng), 5000))
+        assert draws == [reference.randint(0, 1) for _ in range(5000)]
+        assert rng.getstate() == reference.getstate()
+
     def test_quotient(self, capsys):
         code, report, _ = run_json(capsys, "quotient", "5")
         assert code == 0
@@ -292,6 +304,30 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE == 2
         assert out == ""
         assert err == f"error: need 0 <= t < n, got t={t}, n=4\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "4", "--t", "-1"],
+            ["search", "4", "--t", "-1"],
+            ["search", "4", "--t", "4"],
+            ["search", "4", "--t", "9"],
+        ],
+    )
+    def test_threshold_out_of_range_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == cli.EXIT_USAGE == 2
+        assert out == ""
+        assert err == f"error: need 0 <= t < n, got t={argv[-1]}, n=4\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["bounds", "4", "--t", "2"], ["search", "4", "--t", "1"]]
+    )
+    def test_threshold_in_range_without_a_construction_is_unsupported(
+        self, capsys, argv
+    ):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == cli.EXIT_UNSUPPORTED == 4
 
     def test_damaged_incidence_fails_the_bordered_kernel_check(
         self, capsys, monkeypatch
@@ -481,6 +517,43 @@ class TestImports:
             [sys.executable, "-c", script], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
+
+    @staticmethod
+    def imported(*args):
+        """Modules a fresh interpreter imports, as -X importtime lists them."""
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *args],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        # after the header, one "import time: self | cumulative | name" per module
+        return {
+            line.rsplit("|", 1)[1].strip()
+            for line in lines[1:]
+            if line.startswith("import time:")
+        }
+
+    @pytest.mark.parametrize(
+        "argv", [["spectrum", "6", "--t", "0"], ["chartab", "6"], ["derangements", "5"]]
+    )
+    def test_cold_start_loads_only_what_the_command_runs(self, argv):
+        new = self.imported("-m", "ekrperm", *argv) - self.imported("-c", "pass")
+        assert "ekrperm.cli" in new
+        assert not new & {"numpy", "dataclasses", "ekrperm.linalg"}, argv
+
+    def test_lemmas_loads_its_linear_algebra(self):
+        assert "ekrperm.linalg" in self.imported("-m", "ekrperm", "lemmas", "4")
+
+    def test_lazy_submodule_is_the_one_in_sys_modules(self):
+        import ekrperm
+        from ekrperm import ekrverify
+
+        assert cli.ekrverify is ekrverify is sys.modules["ekrperm.ekrverify"]
+        assert ekrperm.ekrverify is ekrverify
+        assert cli._lazy_submodule("ekrverify") is ekrverify
+        assert ekrverify.MAX_INCIDENCE_DEGREE == scheme.MAX_INCIDENCE_DEGREE
 
 
 class TestVerifyAll:

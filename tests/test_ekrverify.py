@@ -1,7 +1,6 @@
 """Incidence matrix of position-value pairs: Gram identity, ranks, kernels,
 module supports, and the classification of maximum intersecting families."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -372,7 +371,7 @@ def _parent_kernel_membership(n, trials, seed):
 
 
 def _without_first_diagonal_column(real):
-    return lambda n: dataclasses.replace(real(n), diagonal=real(n).diagonal[1:])
+    return lambda n: real(n)._replace(diagonal=real(n).diagonal[1:])
 
 
 class TestKernelMembershipByLinearity:
@@ -399,8 +398,8 @@ class TestKernelMembershipByLinearity:
         monkeypatch.setattr(
             ekrverify,
             "incidence",
-            lambda n: dataclasses.replace(
-                real(n), derangement_ranks=real(n).derangement_ranks[::2]
+            lambda n: real(n)._replace(
+                derangement_ranks=real(n).derangement_ranks[::2]
             ),
         )
         with pytest.raises(AssertionError, match="kernel dimension"):
@@ -423,9 +422,7 @@ def _recording_bareiss(monkeypatch):
 
 def _incidence_with(edit):
     """incidence(n) with the rows of M replaced by edit(a copy of them)."""
-    return lambda n: dataclasses.replace(
-        incidence(n), m_ones=edit(incidence(n).m_ones.copy())
-    )
+    return lambda n: incidence(n)._replace(m_ones=edit(incidence(n).m_ones.copy()))
 
 
 def _deficient_gram(real):
@@ -627,8 +624,8 @@ class TestIntegerNorms:
 
     def test_negative_norm_raises(self, monkeypatch):
         table = scheme.character_table(4)
-        flipped = dataclasses.replace(
-            table, values=tuple(tuple(-v for v in row) for row in table.values)
+        flipped = table._replace(
+            values=tuple(tuple(-v for v in row) for row in table.values)
         )
         monkeypatch.setattr(scheme, "character_table", lambda n: flipped)
         ranks = group_data(4).constraint_ranks([((1, 1),)])
@@ -654,13 +651,13 @@ class TestNoPermutationPerRow:
 
         run()  # fills the per-degree caches (class representatives, tables)
         built = []
-        real = permgroup.Permutation.__post_init__
+        real = permgroup.Permutation.__new__
 
-        def counting(self):
-            built.append(self.images)
-            real(self)
+        def counting(cls, images):
+            built.append(images)
+            return real(cls, images)
 
-        monkeypatch.setattr(permgroup.Permutation, "__post_init__", counting)
+        monkeypatch.setattr(permgroup.Permutation, "__new__", counting)
         run()
         assert built == []
 
@@ -754,7 +751,7 @@ class TestClassification:
         outsider = next(p for p in group if p not in members)
         sets = list(found.sets)
         sets[k] = tuple(members[:-1] + [outsider])
-        report = classify_maximum_sets(4, dataclasses.replace(found, sets=tuple(sets)))
+        report = classify_maximum_sets(4, found._replace(sets=tuple(sets)))
         assert report.violations == (k,)
         assert report.records[k] == SetClassification(None, None, None, None, False)
         assert all(r.coordinates_ok for i, r in enumerate(report.records) if i != k)

@@ -257,18 +257,33 @@ class TestCycleDecompositionCliques:
                 if p != identity(n):
                     assert cycle_type(p) == (n,)
 
-    def test_even_degree_eight_by_search(self):
+    def test_even_degree_eight_from_the_table(self):
         cert = cycle_decomposition_clique(8)
         assert cert.size == 8
         assert all(
             cycle_type(p) == (8,) for p in cert.members if p != identity(8)
         )
 
+    def test_a_damaged_table_is_caught(self, monkeypatch):
+        cycles = list(graphs._DEGREE_8_CYCLES)
+        # the last cycle traversed backwards reuses arcs of the others
+        monkeypatch.setattr(graphs, "_DEGREE_8_CYCLES", cycles[:-1] + [cycles[0][::-1]])
+        with pytest.raises(AssertionError, match="reused"):
+            cycle_decomposition_clique(8)
+        # one cycle short leaves arcs uncovered
+        monkeypatch.setattr(graphs, "_DEGREE_8_CYCLES", cycles[:-1])
+        with pytest.raises(AssertionError, match="cover"):
+            cycle_decomposition_clique(8)
+
     def test_impossible_even_degrees(self):
         with pytest.raises(UnsupportedConstructionError):
             cycle_decomposition_clique(4)
         with pytest.raises(UnsupportedConstructionError):
             cycle_decomposition_clique(6)
+
+    def test_no_even_degree_past_the_table(self):
+        with pytest.raises(UnsupportedConstructionError, match="degree 10"):
+            cycle_decomposition_clique(10)
 
     def test_arc_coverage(self):
         # the n-1 cycles traverse every ordered pair exactly once

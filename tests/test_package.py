@@ -6,6 +6,7 @@ its exports) and the test modules.
 
 import ast
 import doctest
+import importlib
 import re
 from pathlib import Path
 
@@ -55,3 +56,19 @@ def test_readme_example_runs():
         runner.run(parser.get_doctest(block, {}, f"README[{k}]", "README.md", 0))
     failed, attempted = runner.summarize(verbose=False)
     assert attempted and not failed
+
+
+def test_every_exported_name_resolves_and_is_listed():
+    import ekrperm
+
+    listing = dir(ekrperm)
+    for name in ekrperm.__all__:
+        value = getattr(ekrperm, name)
+        owner = importlib.import_module(f"ekrperm.{ekrperm._OWNER[name]}")
+        assert value is getattr(owner, name)
+        assert name in listing
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ekrperm.no_such_name
+    namespace = {}
+    exec("from ekrperm import *", namespace)
+    assert set(ekrperm.__all__) <= set(namespace)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -82,6 +83,17 @@ class TestPermutationBasics:
 
     def test_str_is_comma_separated(self):
         assert str(parse_one_line("4,3,1,2")) == "4,3,1,2"
+
+    def test_record_behaviour(self):
+        p = Permutation(images=(2, 3, 1))
+        assert repr(p) == "Permutation(images=(2, 3, 1))"
+        assert hash(p) == hash(((2, 3, 1),)) and p == Permutation((2, 3, 1))
+        assert pickle.loads(pickle.dumps(p)) == p
+        for name in ("images", "other"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, (1, 2, 3))
+        with pytest.raises(ValueError):
+            Permutation(images=())
 
     def test_one_line_accepts_whitespace_around_numbers(self):
         assert parse_one_line(" 4, 3 ,1,\t2 ").images == (4, 3, 1, 2)
