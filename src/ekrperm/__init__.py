@@ -7,7 +7,7 @@ and independent families; and verifies the rank, kernel, and eigenspace
 lemmas that pin down every maximum independent set at small degree.
 
 Each submodule loads on first use (PEP 562): ``from ekrperm import
-union_spectrum`` imports ekrperm.scheme and what it needs, not the rest.
+union_spectrum`` imports ekrperm.chartab and what it needs, not the rest.
 """
 
 import importlib
@@ -16,7 +16,14 @@ __version__ = "0.1.0"
 
 # each submodule and the names the package exports from it
 _EXPORTS = {
-    "chartab": ("CharacterTable", "character_table", "character_value", "dimension"),
+    "chartab": (
+        "CharacterTable",
+        "SchemeSpectrum",
+        "character_table",
+        "character_value",
+        "dimension",
+        "union_spectrum",
+    ),
     "ekrverify": (
         "basis_check",
         "bordered_kernel_check",
@@ -67,13 +74,7 @@ _EXPORTS = {
         "rank_permutation",
         "unrank_permutation",
     ),
-    "scheme": (
-        "SchemeSpectrum",
-        "clique_coclique_check",
-        "fundamental_identity_check",
-        "ratio_bound",
-        "union_spectrum",
-    ),
+    "scheme": ("clique_coclique_check", "fundamental_identity_check", "ratio_bound"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

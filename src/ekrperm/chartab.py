@@ -4,20 +4,28 @@ Character values are computed by the Murnaghan-Nakayama border-strip
 recursion on bead masks (the beta-set of a shape as the bits of an int),
 memoized on (mask, remaining cycle lengths).  Dimensions come from
 the hook length formula, and the skew counts f^{shape/(m)} by removing one
-corner at a time, memoized on the shape.  Everything is an exact integer.
+corner at a time, memoized on the shape.  The spectra of the agreement graphs
+(union_spectrum) are inclusion-exclusion sums of those skew counts over fixed
+points, with no sum over classes; the division by dim must be exact
+(enforced).  Everything is an exact integer.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from operator import mul
 from typing import NamedTuple
 
 from .errors import DegreeRangeError
-from .permgroup import CycleType, Partition, class_size, partitions_of
+from .permgroup import (
+    CycleType,
+    Partition,
+    class_size,
+    classes_with_few_fixed_points,
+    conjugacy_classes,
+    partitions_of,
+)
 
 # Table sizes grow like the partition count; the recursion is fine well past
 # this, but larger degrees are outside the tested envelope.
@@ -73,6 +81,67 @@ def skew_row_tableaux(shape: Partition) -> tuple[int, ...]:
     if shape:
         _validate_shape(shape)
     return _skew_row_counts(tuple(shape))
+
+
+class SchemeSpectrum(NamedTuple):
+    """Spectrum of a union of class graphs, one eigenvalue per partition."""
+
+    n: int
+    t: int
+    partitions: tuple[Partition, ...]
+    eigenvalues: tuple[int, ...]
+    multiplicities: tuple[int, ...]
+    valency: int
+
+    def eigenvalue(self, shape: Partition) -> int:
+        return self.eigenvalues[self.partitions.index(tuple(shape))]
+
+    def least(self) -> tuple[int, tuple[Partition, ...]]:
+        value = min(self.eigenvalues)
+        achieved = tuple(
+            shape
+            for shape, ev in zip(self.partitions, self.eigenvalues)
+            if ev == value
+        )
+        return value, achieved
+
+
+def union_spectrum(n: int, t: int = 0) -> SchemeSpectrum:
+    """Spectrum of the graph joining permutations that agree in at most t points.
+
+    The characters of the permutations fixing a given k-set sum to
+    (n-k)! f^{shape/(n-k)}, so by inclusion-exclusion over the fixed points
+    dim * eig_t(shape) = sum_{f <= t} sum_{k >= f} (-1)^(k-f) C(k, f)
+    (n!/k!) f^{shape/(n-k)}.  A nonzero remainder of the division by dim, or
+    a trivial eigenvalue that differs from the valency summed over class
+    sizes, raises AssertionError.
+    """
+    if not 0 <= t < n:
+        raise ValueError(f"need 0 <= t < n, got t={t}, n={n}")
+    valency = sum(cls.size for cls in classes_with_few_fixed_points(n, t))
+    parts = tuple(cls.cycle_type for cls in conjugacy_classes(n))
+    # weights[m]: the coefficient of f^{shape/(m)}, for k = n - m fixed points
+    weights = [
+        sum((-1) ** (k - f) * comb(k, f) for f in range(min(t, k) + 1))
+        * (factorial(n) // factorial(k))
+        for k in range(n, -1, -1)
+    ]
+    eigenvalues, multiplicities = [], []
+    for shape in parts:
+        dim = dimension(shape)
+        total = sum(map(mul, weights, skew_row_tableaux(shape)))
+        eigenvalue, remainder = divmod(total, dim)
+        if remainder:
+            raise AssertionError(f"eigenvalue of {shape} is not an integer")
+        eigenvalues.append(eigenvalue)
+        multiplicities.append(dim**2)
+    if sum(multiplicities) != factorial(n):
+        raise AssertionError("eigenspace dimensions do not add up to n!")
+    if eigenvalues[0] != valency:  # trivial eigenspace carries the valency
+        raise AssertionError("trivial eigenvalue differs from the valency")
+    return SchemeSpectrum(
+        n, t, parts, tuple(eigenvalues), tuple(multiplicities), valency
+    )
 
 
 def _validate_shape(shape: Partition) -> None:
@@ -191,6 +260,8 @@ def check_column_orthogonality(table: CharacterTable) -> bool:
 
 def table_to_csv(table: CharacterTable) -> str:
     """Render the table as CSV with partition labels on both axes."""
+    import csv
+    import io
 
     def label(shape: Partition) -> str:
         return ",".join(str(part) for part in shape)

@@ -22,13 +22,12 @@ import os
 import random
 import sys
 import time
-from fractions import Fraction
 from functools import partial
 from math import factorial
 from operator import eq
 from typing import NamedTuple
 
-from . import chartab, graphs, permgroup, scheme
+from . import chartab, permgroup
 from .errors import (
     DegreeRangeError,
     FamilyValidationError,
@@ -55,8 +54,11 @@ def _lazy_submodule(name: str):
     return module
 
 
-# the incidence lemmas, depth spans and their linear algebra: only lemmas,
-# classify, conjecture and verify-all read them
+# Cliques, cocliques and search; the group tables and quadratic forms; the
+# incidence lemmas, depth spans and their linear algebra.  spectrum, chartab
+# and derangements read none of them.
+graphs = _lazy_submodule("graphs")
+scheme = _lazy_submodule("scheme")
 ekrverify = _lazy_submodule("ekrverify")
 
 SCHEMA = "ekrperm-report/1"
@@ -75,7 +77,9 @@ def exact(value):
         return value
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, Fraction):
+    # a Fraction exists only once fractions is imported, which this never does
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(value, fractions.Fraction):
         if value.denominator == 1:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
@@ -148,7 +152,7 @@ def run_chartab(n: int):
 
 
 def run_spectrum(n: int, t: int):
-    spectrum = scheme.union_spectrum(n, t)
+    spectrum = chartab.union_spectrum(n, t)
     least, achieved = spectrum.least()
     entries = [
         {
@@ -176,7 +180,7 @@ def run_spectrum(n: int, t: int):
         checks.append(
             check(
                 "standard-eigenvalue-closed-form",
-                Fraction(spectrum.eigenvalue((n - 1, 1))) == Fraction(-d, n - 1),
+                spectrum.eigenvalue((n - 1, 1)) * (n - 1) == -d,
             )
         )
     result = {
@@ -195,6 +199,11 @@ def run_bounds(n: int, t: int):
         clique = graphs.latin_clique(n)
         coclique = graphs.family([(n, n)], n)
     elif t == 1:
+        if n < 3:
+            raise UnsupportedConstructionError(
+                f"bounds at t = 1 need n >= 3, got n={n}: the t = 1 coclique"
+                " fixes the points 1 and 2 and needs a third, free point"
+            )
         clique = graphs.affine_clique(n)
         coclique = graphs.family([(1, 1), (2, 2)], n)
     else:
@@ -211,9 +220,7 @@ def run_bounds(n: int, t: int):
     if report.corollary_ok is not None:
         checks.append(check("tight-pair-supports-disjoint", report.corollary_ok))
     if t == 0:
-        checks.append(
-            check("ratio-bound-is-(n-1)!", ratio == Fraction(factorial(n - 1)))
-        )
+        checks.append(check("ratio-bound-is-(n-1)!", ratio == factorial(n - 1)))
     result = {
         "n": n,
         "t": t,
@@ -236,16 +243,29 @@ def run_bounds(n: int, t: int):
     return result, checks
 
 
-_CLIQUE_METHODS = {
-    "latin": graphs.latin_clique,
-    "odd-latin": graphs.odd_n_latin_clique,
-    "cycles": graphs.cycle_decomposition_clique,
-    "affine": graphs.affine_clique,
+# clique --method choices and the graphs functions that build them, by name,
+# so that the command table does not load graphs
+_CLIQUE_CONSTRUCTIONS = {
+    "latin": "latin_clique",
+    "odd-latin": "odd_n_latin_clique",
+    "cycles": "cycle_decomposition_clique",
+    "affine": "affine_clique",
 }
 
 
+def __getattr__(name: str):
+    # _CLIQUE_METHODS maps each choice to the function graphs binds now; built
+    # when read (PEP 562), so only a reader loads graphs
+    if name == "_CLIQUE_METHODS":
+        return {
+            method: getattr(graphs, function)
+            for method, function in _CLIQUE_CONSTRUCTIONS.items()
+        }
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def run_clique(n: int, method: str):
-    certificate = _CLIQUE_METHODS[method](n)
+    certificate = getattr(graphs, _CLIQUE_CONSTRUCTIONS[method])(n)
     expected = n * (n - 1) if method == "affine" else n
     checks = [
         check("pairwise-validated", certificate.validated),
@@ -362,7 +382,7 @@ def run_lemmas(n: int):
         )
     )
     skipped = []
-    if n <= scheme.MAX_DENSE_DEGREE:
+    if n <= permgroup.MAX_DENSE_DEGREE:
         basis = ekrverify.basis_check(n)
         checks.append(check("point-family-supports-standard-only", basis.supports_ok))
         checks.append(
@@ -488,13 +508,13 @@ def run_validate(n: int, family: str, t: int):
 
 
 def run_least_eigenvalue(n: int):
-    spectrum = scheme.union_spectrum(n, 0)
+    spectrum = chartab.union_spectrum(n, 0)
     least, _ = spectrum.least()
     d = permgroup.derangement_count(n)
     checks = [
         check(
             "equals--d/(n-1)",
-            Fraction(least) == Fraction(-d, n - 1),
+            least * (n - 1) == -d,
             value=exact(least),
         )
     ]
@@ -621,7 +641,7 @@ _WORKERS = ("--workers", {"type": _at_least_one, "default": 1})
 # family files take about a second at most up to here (cycles at 127: 0.3 s,
 # odd-latin at 101: 1.2 s).
 _EXPLICIT_MAX_DEGREE = 128
-_DENSE = scheme.MAX_DENSE_DEGREE
+_DENSE = permgroup.MAX_DENSE_DEGREE
 
 COMMANDS = {
     # D(1700) has more digits than Python turns into a string by default.
@@ -636,7 +656,7 @@ COMMANDS = {
     "bounds": Command("clique-coclique product and ratio bound", 2, 8, (_T,)),
     "clique": Command(
         "build and validate an explicit clique", 2, _EXPLICIT_MAX_DEGREE,
-        (("--method", {"required": True, "choices": sorted(_CLIQUE_METHODS)}),),
+        (("--method", {"required": True, "choices": sorted(_CLIQUE_CONSTRUCTIONS)}),),
     ),
     "search": Command("exhaustive maximum independent sets", 2, _DENSE, (_T, _WORKERS)),
     "classify": Command(
@@ -644,7 +664,7 @@ COMMANDS = {
     ),
     "lemmas": Command(
         "incidence-matrix rank, kernel and basis checks",
-        3, scheme.MAX_INCIDENCE_DEGREE,
+        3, permgroup.MAX_INCIDENCE_DEGREE,
     ),
     "conjecture": Command(
         "depth-bounded eigenspace dimension comparison", 3, _DENSE,
@@ -660,7 +680,7 @@ COMMANDS = {
     ),
     "quotient": Command(
         "equitable two-cell quotient of the derangement graph",
-        2, graphs.MAX_QUOTIENT_DEGREE,
+        2, permgroup.MAX_QUOTIENT_DEGREE,
     ),
     "validate": Command(
         "validate a family file as an independent set", 1, _EXPLICIT_MAX_DEGREE,

@@ -24,18 +24,15 @@ from .chartab import dimension
 from .errors import DegreeRangeError
 from .graphs import max_independent_sets
 from .permgroup import (
+    MAX_DENSE_DEGREE,
+    MAX_INCIDENCE_DEGREE,
     Partition,
     Permutation,
     partition_depth,
     partitions_of,
     rank_permutation,
 )
-from .scheme import (
-    MAX_DENSE_DEGREE,
-    MAX_INCIDENCE_DEGREE,
-    group_data,
-    shifted_character_sums,
-)
+from .scheme import group_data, shifted_character_sums
 
 if TYPE_CHECKING:
     import numpy as np

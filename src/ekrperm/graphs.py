@@ -21,16 +21,15 @@ from .errors import (
     UnsupportedConstructionError,
 )
 from .permgroup import (
+    MAX_DENSE_DEGREE,
+    MAX_QUOTIENT_DEGREE,
     Permutation,
     derangement_count,
     first_agreement_violation,
     identity,
     parse_one_line,
 )
-from .scheme import MAX_DENSE_DEGREE, group_data
-
-# equitable_quotient walks all n! permutations; 11! is already 40 million.
-MAX_QUOTIENT_DEGREE = 10
+from .scheme import group_data
 
 
 @lru_cache(maxsize=None)

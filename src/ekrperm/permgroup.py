@@ -20,6 +20,15 @@ CycleType = tuple[int, ...]
 # Member pairs compared per block by first_agreement_violation.
 AGREEMENT_BLOCK_PAIRS = 1 << 16
 
+# Degree caps of the other modules, kept here because every run loads this
+# module and the command table reads them.  Dense per-group tables
+# (multiplication by rank) stop being cheap past 6!.
+MAX_DENSE_DEGREE = 6
+# The explicit n! x (n-1)^2 incidence matrices of ekrverify stop here.
+MAX_INCIDENCE_DEGREE = 8
+# equitable_quotient walks all n! permutations; 11! is already 40 million.
+MAX_QUOTIENT_DEGREE = 10
+
 
 class _OneLine(NamedTuple):
     images: tuple[int, ...]

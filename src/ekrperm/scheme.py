@@ -2,9 +2,8 @@
 
 The scheme on S(n) has one class per cycle type; the common eigenspaces are
 the isotypic components of the group algebra, one per partition of n, with
-dimension dim(shape)^2.  dim * eig_t(shape) is an inclusion-exclusion over
-fixed points of skew tableau counts (union_spectrum), with no sum over
-classes; the division by dim must be exact (enforced).
+dimension dim(shape)^2.  Their eigenvalues come from chartab.union_spectrum,
+which ratio_bound reads.
 
 Vectors over the group are 0/1 lists indexed by permutation rank: the
 characteristic vectors of sets of permutations.  A vector's weight on each
@@ -16,15 +15,15 @@ character; nothing here ever touches floating point.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, prod
+from math import factorial, prod
 from operator import mul
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .chartab import character_table, dimension, skew_row_tableaux
+from .chartab import character_table, union_spectrum
 from .errors import DegreeRangeError, FamilyValidationError
 from .permgroup import (
+    MAX_DENSE_DEGREE,
     Partition,
     Permutation,
     classes_with_few_fixed_points,
@@ -34,11 +33,10 @@ from .permgroup import (
     rank_permutation,
 )
 
-# Dense per-group tables (multiplication by rank) stop being cheap past 6!.
-MAX_DENSE_DEGREE = 6
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 MAX_GROUP_DEGREE = 8
-# The explicit n! x (n-1)^2 incidence matrices of ekrverify stop here.
-MAX_INCIDENCE_DEGREE = 8
 # Pairs of permutations composed per block by the group-algebra kernel.
 BLOCK_PAIRS = 1 << 15
 # (x, y) pairs whose forms fundamental_identity_check counts in one batch.
@@ -197,69 +195,10 @@ def group_data(n: int) -> GroupData:
     return GroupData(n)
 
 
-class SchemeSpectrum(NamedTuple):
-    """Spectrum of a union of class graphs, one eigenvalue per partition."""
-
-    n: int
-    t: int
-    partitions: tuple[Partition, ...]
-    eigenvalues: tuple[int, ...]
-    multiplicities: tuple[int, ...]
-    valency: int
-
-    def eigenvalue(self, shape: Partition) -> int:
-        return self.eigenvalues[self.partitions.index(tuple(shape))]
-
-    def least(self) -> tuple[int, tuple[Partition, ...]]:
-        value = min(self.eigenvalues)
-        achieved = tuple(
-            shape
-            for shape, ev in zip(self.partitions, self.eigenvalues)
-            if ev == value
-        )
-        return value, achieved
-
-
-def union_spectrum(n: int, t: int = 0) -> SchemeSpectrum:
-    """Spectrum of the graph joining permutations that agree in at most t points.
-
-    The characters of the permutations fixing a given k-set sum to
-    (n-k)! f^{shape/(n-k)}, so by inclusion-exclusion over the fixed points
-    dim * eig_t(shape) = sum_{f <= t} sum_{k >= f} (-1)^(k-f) C(k, f)
-    (n!/k!) f^{shape/(n-k)}.  A nonzero remainder of the division by dim, or
-    a trivial eigenvalue that differs from the valency summed over class
-    sizes, raises AssertionError.
-    """
-    if not 0 <= t < n:
-        raise ValueError(f"need 0 <= t < n, got t={t}, n={n}")
-    valency = sum(cls.size for cls in classes_with_few_fixed_points(n, t))
-    parts = tuple(cls.cycle_type for cls in conjugacy_classes(n))
-    # weights[m]: the coefficient of f^{shape/(m)}, for k = n - m fixed points
-    weights = [
-        sum((-1) ** (k - f) * comb(k, f) for f in range(min(t, k) + 1))
-        * (factorial(n) // factorial(k))
-        for k in range(n, -1, -1)
-    ]
-    eigenvalues, multiplicities = [], []
-    for shape in parts:
-        dim = dimension(shape)
-        total = sum(map(mul, weights, skew_row_tableaux(shape)))
-        eigenvalue, remainder = divmod(total, dim)
-        if remainder:
-            raise AssertionError(f"eigenvalue of {shape} is not an integer")
-        eigenvalues.append(eigenvalue)
-        multiplicities.append(dim**2)
-    if sum(multiplicities) != factorial(n):
-        raise AssertionError("eigenspace dimensions do not add up to n!")
-    if eigenvalues[0] != valency:  # trivial eigenspace carries the valency
-        raise AssertionError("trivial eigenvalue differs from the valency")
-    return SchemeSpectrum(
-        n, t, parts, tuple(eigenvalues), tuple(multiplicities), valency
-    )
-
-
 def ratio_bound(n: int, t: int = 0) -> Fraction:
     """Hoffman bound n!/(1 - valency/least) on independent sets, exactly."""
+    from fractions import Fraction
+
     spectrum = union_spectrum(n, t)
     tau, _ = spectrum.least()
     if tau >= 0:
@@ -385,6 +324,8 @@ def fundamental_identity_check(
     at once do not grow with the number of pairs.  The identity does not
     depend on t.
     """
+    from fractions import Fraction
+
     if not 0 <= t < n:
         raise ValueError(f"need 0 <= t < n, got t={t}, n={n}")
     gd = group_data(n)

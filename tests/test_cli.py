@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ekrperm import cli, scheme
+from ekrperm import cli, permgroup, scheme
 from ekrperm.graphs import write_family
 from ekrperm.permgroup import identity, parse_one_line
 from test_scheme import negative_identity_forms
@@ -329,6 +329,16 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, *argv)
         assert code == cli.EXIT_UNSUPPORTED == 4
 
+    def test_threshold_one_bounds_need_a_free_point(self, capsys):
+        # the t = 1 coclique fixes two points, so at n = 2 there is none
+        code, out, err = run_cli(capsys, "bounds", "2", "--t", "1")
+        assert code == cli.EXIT_UNSUPPORTED == 4
+        assert out == ""
+        assert err == (
+            "error: bounds at t = 1 need n >= 3, got n=2: the t = 1 coclique"
+            " fixes the points 1 and 2 and needs a third, free point\n"
+        )
+
     def test_damaged_incidence_fails_the_bordered_kernel_check(
         self, capsys, monkeypatch
     ):
@@ -400,6 +410,23 @@ class TestCommandTable:
         assert documented == {
             name: (cmd.lo, cmd.hi) for name, cmd in cli.COMMANDS.items()
         }
+
+    def test_clique_choices_are_the_construction_table(self):
+        from ekrperm import graphs
+
+        (flag, spec), = cli.COMMANDS["clique"].arguments
+        methods = cli._CLIQUE_METHODS
+        assert flag == "--method"
+        assert spec["choices"] == sorted(methods) == sorted(cli._CLIQUE_CONSTRUCTIONS)
+        assert methods == {
+            "latin": graphs.latin_clique,
+            "odd-latin": graphs.odd_n_latin_clique,
+            "cycles": graphs.cycle_decomposition_clique,
+            "affine": graphs.affine_clique,
+        }
+        for method, function in cli._CLIQUE_CONSTRUCTIONS.items():
+            assert methods[method] is getattr(graphs, function)
+            assert methods[method].__name__ == function
 
     @pytest.mark.parametrize(
         "argv",
@@ -541,7 +568,54 @@ class TestImports:
     def test_cold_start_loads_only_what_the_command_runs(self, argv):
         new = self.imported("-m", "ekrperm", *argv) - self.imported("-c", "pass")
         assert "ekrperm.cli" in new
-        assert not new & {"numpy", "dataclasses", "ekrperm.linalg"}, argv
+        unused = {"numpy", "dataclasses", "ekrperm.linalg", "fractions", "decimal", "csv"}
+        assert not new & unused, argv
+
+    @staticmethod
+    def executed(*argv):
+        """What cli.main(argv) imports in a fresh interpreter, and the package
+        modules whose bodies it runs.
+
+        -X importtime does not list a module that LazyLoader executes, so the
+        bodies are told by the module's type: a stub is not a plain
+        types.ModuleType until its body has run.  Reading an attribute would
+        run it.
+        """
+        script = (
+            "import contextlib, io, json, sys, types\n"
+            "before = set(sys.modules)\n"
+            "from ekrperm import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(sys.argv[1:]) == 0\n"
+            "new = set(sys.modules) - before\n"
+            "ran = [m for m in new if type(sys.modules[m]) is types.ModuleType]\n"
+            "print(json.dumps([sorted(new), sorted(ran)]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        new, ran = json.loads(proc.stdout)
+        return set(new), {m for m in ran if m.startswith("ekrperm")}
+
+    @pytest.mark.parametrize(
+        "argv", [["spectrum", "6", "--t", "0"], ["chartab", "6"], ["derangements", "5"]]
+    )
+    def test_cold_start_runs_no_graphs_or_scheme_body(self, argv):
+        new, ran = self.executed(*argv)
+        assert ran == {
+            "ekrperm", "ekrperm.cli", "ekrperm.chartab", "ekrperm.permgroup", "ekrperm.errors"
+        }, argv
+        # the stubs are in place, unexecuted, for whoever reads them first
+        assert {"ekrperm.graphs", "ekrperm.scheme", "ekrperm.ekrverify"} <= new - ran
+        assert not new & {"fractions", "decimal", "csv"}, argv
+
+    @pytest.mark.parametrize("argv", [["bounds", "4"], ["clique", "5", "--method", "latin"]])
+    def test_cliques_and_bounds_run_graphs(self, argv):
+        _, ran = self.executed(*argv)
+        assert {"ekrperm.graphs", "ekrperm.scheme"} <= ran, argv
+        assert "ekrperm.ekrverify" not in ran, argv
 
     def test_lemmas_loads_its_linear_algebra(self):
         assert "ekrperm.linalg" in self.imported("-m", "ekrperm", "lemmas", "4")
@@ -553,7 +627,7 @@ class TestImports:
         assert cli.ekrverify is ekrverify is sys.modules["ekrperm.ekrverify"]
         assert ekrperm.ekrverify is ekrverify
         assert cli._lazy_submodule("ekrverify") is ekrverify
-        assert ekrverify.MAX_INCIDENCE_DEGREE == scheme.MAX_INCIDENCE_DEGREE
+        assert ekrverify.MAX_INCIDENCE_DEGREE == permgroup.MAX_INCIDENCE_DEGREE
 
 
 class TestVerifyAll:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ekrperm import graphs, scheme
+from ekrperm import chartab, graphs, scheme
 from ekrperm.chartab import (
     MAX_TABLE_DEGREE,
     character_table,
@@ -194,7 +194,7 @@ class TestUnionSpectrum:
             counts[0] += 1
             return tuple(counts)
 
-        monkeypatch.setattr(scheme, "skew_row_tableaux", off_by_one)
+        monkeypatch.setattr(chartab, "skew_row_tableaux", off_by_one)
         with pytest.raises(AssertionError, match="not an integer"):
             union_spectrum(4, 0)
 
