@@ -12,9 +12,9 @@ points, with no sum over classes; the division by dim must be exact
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import comb, factorial
-from operator import mul
+from functools import lru_cache, partial
+from math import comb, factorial, prod
+from operator import add, mul
 from typing import NamedTuple
 
 from .errors import DegreeRangeError
@@ -41,22 +41,13 @@ def conjugate_partition(shape: Partition) -> Partition:
     return tuple(out)
 
 
-def hook_lengths(shape: Partition) -> list[list[int]]:
-    conj = conjugate_partition(shape)
-    return [
-        [(row - j) + (conj[j] - i) - 1 for j in range(row)]
-        for i, row in enumerate(shape)
-    ]
-
-
 def dimension(shape: Partition) -> int:
     """Dimension of the irreducible module labelled by shape (hook formula)."""
-    n = sum(shape)
-    product = 1
-    for row in hook_lengths(shape):
-        for h in row:
-            product *= h
-    return factorial(n) // product
+    conj = conjugate_partition(shape)
+    hooks = prod(
+        row - j + conj[j] - i - 1 for i, row in enumerate(shape) for j in range(row)
+    )
+    return factorial(sum(shape)) // hooks
 
 
 @lru_cache(maxsize=None)
@@ -64,12 +55,17 @@ def _skew_row_counts(shape: Partition) -> tuple[int, ...]:
     if len(shape) <= 1:  # every filling of one row is standard
         return (1,) * (sum(shape) + 1)
     counts = [0] * (shape[0] + 1)
+    last = len(shape) - 1
     for i, part in enumerate(shape):
-        if i + 1 == len(shape) or shape[i + 1] < part:  # a corner ends row i
-            smaller = tuple(p for p in shape[:i] + (part - 1,) + shape[i + 1 :] if p)
+        if i == last or shape[i + 1] < part:  # a corner ends row i
+            # a part of 1 with a corner is the last row, which then goes
+            if part > 1:
+                smaller = shape[:i] + (part - 1,) + shape[i + 1 :]
+            else:
+                smaller = shape[:i]
             # removable while smaller still contains (m): the range of its counts
-            for m, count in enumerate(_skew_row_counts(smaller)):
-                counts[m] += count
+            child = _skew_row_counts(smaller)
+            counts[: len(child)] = map(add, counts, child)
     return tuple(counts)
 
 
@@ -213,9 +209,10 @@ def character_table(n: int) -> CharacterTable:
             f"character tables are supported for 1 <= n <= {MAX_TABLE_DEGREE}, got {n}"
         )
     parts = partitions_of(n)
-    # partitions_of gives valid shapes in decreasing order: no per-entry checks
+    # partitions_of gives valid shapes in decreasing order: no per-entry checks,
+    # and one bead mask per row
     values = tuple(
-        tuple(_murnaghan_nakayama(_beads(shape, n), cycles) for cycles in parts)
+        tuple(map(partial(_murnaghan_nakayama, _beads(shape, n)), parts))
         for shape in parts
     )
     table = CharacterTable(n, parts, values)

@@ -2,14 +2,16 @@
 
 Every subcommand prints one JSON report (or a plain-text rendering with
 --text) and exits 0 only when all of its checks pass.  COMMANDS holds each
-subcommand's help, extra arguments and closed degree range; a degree outside
-that range is rejected before any work.  Exit codes: 1 a check failed or a
-supplied family was invalid, 2 usage error (including a --trials or --workers
-below 1 and an unwritable --out), 3 degree outside the range in COMMANDS or
-outside a library function's own range, 4 construction unavailable at that
-degree, 5 an internal invariant failed (a bug, reported in one line without a
-traceback).  A reader that closes stdout early leaves the exit code as it was.
-Reports are byte-identical across runs except for wall_time_s.
+subcommand's help, extra arguments, closed degree range and the module of its
+handler: this one for the commands that read only chartab and permgroup,
+groupcmds for the rest.  A degree outside the range is rejected before any
+work.  Exit codes: 1 a check failed or a supplied family was invalid, 2 usage
+error (including a --trials or --workers below 1 and an unwritable --out), 3
+degree outside the range in COMMANDS or outside a library function's own
+range, 4 construction unavailable at that degree, 5 an internal invariant
+failed (a bug, reported in one line without a traceback).  A reader that
+closes stdout early leaves the exit code as it was.  Reports are
+byte-identical across runs except for wall_time_s.
 """
 
 from __future__ import annotations
@@ -19,10 +21,8 @@ import importlib.util
 import itertools
 import json
 import os
-import random
 import sys
 import time
-from functools import partial
 from math import factorial
 from operator import eq
 from typing import NamedTuple
@@ -54,9 +54,10 @@ def _lazy_submodule(name: str):
     return module
 
 
-# Cliques, cocliques and search; the group tables and quadratic forms; the
-# incidence lemmas, depth spans and their linear algebra.  spectrum, chartab
-# and derangements read none of them.
+# The handlers of the group-table subcommands; cliques, cocliques and search;
+# the group tables and quadratic forms; the incidence lemmas, depth spans and
+# their linear algebra.  spectrum, chartab and derangements read none of them.
+groupcmds = _lazy_submodule("groupcmds")
 graphs = _lazy_submodule("graphs")
 scheme = _lazy_submodule("scheme")
 ekrverify = _lazy_submodule("ekrverify")
@@ -96,13 +97,9 @@ def check(name: str, ok: bool, **detail):
     return entry
 
 
-def _need_threshold(n: int, t: int) -> None:
-    if not 0 <= t < n:
-        raise ValueError(f"need 0 <= t < n, got t={t}, n={n}")
-
-
 # --- subcommand handlers -------------------------------------------------
 # Each returns (result, checks) and takes its parsed arguments as keywords.
+# These read only chartab and permgroup; the rest are in groupcmds.
 
 
 def run_derangements(n: int):
@@ -193,54 +190,18 @@ def run_spectrum(n: int, t: int):
     return result, checks
 
 
-def run_bounds(n: int, t: int):
-    _need_threshold(n, t)
-    if t == 0:
-        clique = graphs.latin_clique(n)
-        coclique = graphs.family([(n, n)], n)
-    elif t == 1:
-        if n < 3:
-            raise UnsupportedConstructionError(
-                f"bounds at t = 1 need n >= 3, got n={n}: the t = 1 coclique"
-                " fixes the points 1 and 2 and needs a third, free point"
-            )
-        clique = graphs.affine_clique(n)
-        coclique = graphs.family([(1, 1), (2, 2)], n)
-    else:
-        raise UnsupportedConstructionError(
-            "bounds are wired up for thresholds 0 and 1 only"
-        )
-    report = scheme.clique_coclique_check(
-        clique.members, coclique.members, n, t
-    )
-    ratio = scheme.ratio_bound(n, t)
+def run_least_eigenvalue(n: int):
+    spectrum = chartab.union_spectrum(n, 0)
+    least, _ = spectrum.least()
+    d = permgroup.derangement_count(n)
     checks = [
-        check("product-meets-bound", report.tight, product=exact(report.product)),
+        check(
+            "equals--d/(n-1)",
+            least * (n - 1) == -d,
+            value=exact(least),
+        )
     ]
-    if report.corollary_ok is not None:
-        checks.append(check("tight-pair-supports-disjoint", report.corollary_ok))
-    if t == 0:
-        checks.append(check("ratio-bound-is-(n-1)!", ratio == factorial(n - 1)))
-    result = {
-        "n": n,
-        "t": t,
-        "clique_size": report.clique_size,
-        "independent_size": report.independent_size,
-        "product": exact(report.product),
-        "bound": exact(report.bound),
-        "tight": report.tight,
-        "ratio_bound": exact(ratio),
-    }
-    if report.supports is not None:
-        result["supports"] = [
-            {
-                "partition": plabel(shape),
-                "clique_nonzero": cx,
-                "independent_nonzero": cy,
-            }
-            for shape, cx, cy in report.supports
-        ]
-    return result, checks
+    return {"n": n, "least": exact(least)}, checks
 
 
 # clique --method choices and the graphs functions that build them, by name,
@@ -264,339 +225,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def run_clique(n: int, method: str):
-    certificate = getattr(graphs, _CLIQUE_CONSTRUCTIONS[method])(n)
-    expected = n * (n - 1) if method == "affine" else n
-    checks = [
-        check("pairwise-validated", certificate.validated),
-        check("expected-size", certificate.size == expected, size=certificate.size),
-    ]
-    result = {
-        "n": n,
-        "t": certificate.t,
-        "construction": certificate.construction,
-        "size": certificate.size,
-        "members": [str(p) for p in certificate.members],
-    }
-    return result, checks
-
-
-def run_search(n: int, t: int, workers: int, found=None):
-    _need_threshold(n, t)
-    if found is None:
-        found = graphs.max_independent_sets(n, t, workers=workers)
-    gd = scheme.group_data(n)
-    distinct_families = {
-        frozenset(ranks.tolist())
-        for ranks in gd.constraint_ranks(
-            [((i, j),) for i in range(1, n + 1) for j in range(1, n + 1)]
-        )
-    }
-    checks = [
-        check(
-            "alpha-is-(n-1)!",
-            found.alpha == factorial(n - 1),
-            alpha=exact(found.alpha),
-        ),
-        check("product-tight", found.tight),
-        check(
-            "count-matches-stabilizer-catalogue",
-            found.count == len(distinct_families),
-            count=found.count,
-            expected=len(distinct_families),
-        ),
-        check(
-            "all-sets-are-stabilizer-cosets",
-            all(
-                frozenset(map(gd.rank_of, members)) in distinct_families
-                for members in found.sets
-            ),
-        ),
-    ]
-    result = {
-        "n": n,
-        "t": t,
-        "alpha": exact(found.alpha),
-        "omega": exact(found.omega),
-        "tight": found.tight,
-        "sets": [[str(p) for p in members] for members in found.sets],
-    }
-    return result, checks
-
-
-def run_classify(n: int, search_result=None):
-    report = ekrverify.classify_maximum_sets(n, search_result=search_result)
-    sets = []
-    for record in report.records:
-        sets.append(
-            {
-                "family": list(record.family_key) if record.family_key else None,
-                "translated_to": list(record.translated_to)
-                if record.translated_to
-                else None,
-                "case": record.case,
-                "border_coefficient": exact(record.recovered_coefficient)
-                if record.recovered_coefficient is not None
-                else None,
-                "coordinates_ok": record.coordinates_ok,
-            }
-        )
-    checks = [
-        check("all-sets-canonical", report.all_canonical),
-        check(
-            "count-matches-catalogue",
-            report.total_sets == (n * n if n >= 3 else 2),
-            count=report.total_sets,
-        ),
-        check(
-            "coordinate-recovery",
-            all(r.coordinates_ok for r in report.records),
-        ),
-    ]
-    result = {
-        "n": n,
-        "alpha": exact(report.alpha),
-        "total_sets": report.total_sets,
-        "sets": sets,
-    }
-    return result, checks
-
-
-def run_lemmas(n: int):
-    checks = []
-    # H^T H is formed once: the Gram identity compares it, the rank check reads it
-    gram_ok, gram = ekrverify.gram_check(n)
-    checks.append(check("gram-identity", gram_ok))
-    rank_h, ok_h = ekrverify.rank_H_check(n, gram)
-    checks.append(check("rank-H-is-(n-1)^2", ok_h, rank=rank_h))
-    rank_m, ok_m = ekrverify.rank_M_check(n)
-    checks.append(check("rank-M-is-(n-1)(n-2)", ok_m, rank=rank_m))
-    _, _, sub_ok = ekrverify.pi_ab_submatrix(n)
-    checks.append(check("selected-rows-give-K-kron-I", sub_ok))
-    bordered_ok = ekrverify.bordered_kernel_check(n)
-    checks.append(check("bordered-kernel-spanned-by-expected-vector", bordered_ok))
-    checks.append(
-        check(
-            "kernel-vectors-map-into-diagonal-column-space",
-            ekrverify.kernel_membership_check(n),
-        )
-    )
-    skipped = []
-    if n <= permgroup.MAX_DENSE_DEGREE:
-        basis = ekrverify.basis_check(n)
-        checks.append(check("point-family-supports-standard-only", basis.supports_ok))
-        checks.append(
-            check(
-                "shifted-point-families-have-full-rank",
-                basis.rank_shifted == (n - 1) ** 2,
-                rank=basis.rank_shifted,
-            )
-        )
-        checks.append(
-            check(
-                "ones-outside-span",
-                basis.rank_with_ones == (n - 1) ** 2 + 1,
-                rank=basis.rank_with_ones,
-            )
-        )
-        checks.append(check("dimension-matches-square", basis.dimension_match))
-    else:
-        skipped = ["point-family-supports", "basis-rank"]
-    result = {"n": n, "skipped": skipped}
-    return result, checks
-
-
-def run_conjecture(n: int, t: int):
-    report = ekrverify.depth_conjecture_dims(n, t)
-    checks = [
-        check(
-            f"supports-within-depth-{t + 1}",
-            report.supports_within_depth[t + 1],
-        )
-    ]
-    result = {
-        "n": n,
-        "t": t,
-        "selected_depth": t + 1,
-        "family_count": report.family_count,
-        "module_dim_sums": {
-            str(d): exact(v) for d, v in sorted(report.module_dim_sums.items())
-        },
-        "span_rank_shifted": exact(report.span_rank_shifted),
-        "span_rank_with_ones": exact(report.span_rank_with_ones),
-        "rank_method": report.rank_method,
-        "support_union": [plabel(s) for s in report.support_union],
-        "supports_within_depth": {
-            str(d): v for d, v in sorted(report.supports_within_depth.items())
-        },
-        "agreement": dict(report.agreement),
-    }
-    return result, checks
-
-
-def _coin_flips(rng: random.Random):
-    """rng.randint(0, 1), drawn again and again, as one endless iterator.
-
-    randint(0, 1) draws getrandbits(2) until the value is below 2.  These are
-    the same draws, so the stream and the generator's state stay the same,
-    but the loop runs in C.
-    """
-    return filter((2).__gt__, iter(partial(rng.getrandbits, 2), None))
-
-
-def run_identity_check(n: int, trials: int, seed: int, t: int):
-    flips = _coin_flips(random.Random(seed))
-    order = factorial(n)
-
-    def draws():  # x, then y, per trial from the one generator
-        for _ in range(trials):
-            x = list(itertools.islice(flips, order))
-            y = list(itertools.islice(flips, order))
-            yield x, y
-
-    sides = scheme.fundamental_identity_check(draws(), n, t)
-    sample = sides[0]
-    all_equal = all(lhs == rhs for lhs, rhs in sides)
-    checks = [check("identity-holds-exactly", all_equal, trials=trials)]
-    result = {
-        "n": n,
-        "t": t,
-        "trials": trials,
-        "seed": seed,
-        "first_trial": {"lhs": exact(sample[0]), "rhs": exact(sample[1])},
-    }
-    return result, checks
-
-
-def run_quotient(n: int):
-    quotient = graphs.equitable_quotient(n)
-    d = permgroup.derangement_count(n)
-    checks = [
-        check("partition-is-equitable", quotient.equitable),
-        check("matches-closed-form", quotient.matches_closed_form),
-        check(
-            "eigenvalues-are-d-and--d/(n-1)",
-            quotient.eigenvalues == (d, -(d // (n - 1)))
-            and d % (n - 1) == 0,
-        ),
-        check(
-            "row-sums-equal-valency",
-            all(sum(row) == d for row in quotient.matrix),
-        ),
-    ]
-    result = {
-        "n": n,
-        "matrix": [[exact(v) for v in row] for row in quotient.matrix],
-        "eigenvalues": [exact(v) for v in quotient.eigenvalues],
-        "cell_sizes": [exact(v) for v in quotient.cell_sizes],
-    }
-    return result, checks
-
-
-def run_validate(n: int, family: str, t: int):
-    _need_threshold(n, t)
-    members = graphs.read_family(family, n)
-    ok, witness = graphs.validate_family(members, t)
-    checks = [check("family-is-independent", ok, threshold=t)]
-    result = {
-        "n": n,
-        "t": t,
-        "size": len(members),
-        "witness": [str(p) for p in witness] if witness else None,
-    }
-    return result, checks
-
-
-def run_least_eigenvalue(n: int):
-    spectrum = chartab.union_spectrum(n, 0)
-    least, _ = spectrum.least()
-    d = permgroup.derangement_count(n)
-    checks = [
-        check(
-            "equals--d/(n-1)",
-            least * (n - 1) == -d,
-            value=exact(least),
-        )
-    ]
-    return {"n": n, "least": exact(least)}, checks
-
-
-def run_clique_characters(n: int):
-    """Every non-standard character sums to nonzero over some clique at degree n.
-
-    The cliques are the Hamilton-cycle one (every n but 4 and 6) and, for odd
-    n >= 5, the odd-Latin one; over each of them the standard character
-    (n-1, 1) must sum to zero.
-    """
-    cliques = []
-    if n not in (4, 6):
-        cliques.append(graphs.cycle_decomposition_clique(n))
-    if n % 2 == 1 and n >= 5:
-        cliques.append(graphs.odd_n_latin_clique(n))
-    table = chartab.character_table(n)
-    sums = [
-        {
-            shape: sum(
-                table.value(shape, permgroup.cycle_type(p)) for p in clique.members
-            )
-            for shape in table.partitions
-        }
-        for clique in cliques
-    ]
-    standard = (n - 1, 1)
-    covered = all(
-        any(s[shape] != 0 for s in sums)
-        for shape in table.partitions
-        if shape != standard
-    )
-    checks = [
-        check("nonzero-off-standard", covered),
-        check("zero-on-standard", all(s[standard] == 0 for s in sums)),
-    ]
-    return {"n": n, "cliques": [c.construction for c in cliques]}, checks
-
-
-def run_verify_all(max_n: int, workers: int):
-    sections = []
-    checks = []
-
-    def add(section: str, degrees, handler, t=None, **extra):
-        """One section per degree up to max_n; its checks prefixed by its label."""
-        for n in degrees:
-            if n > max_n:
-                continue
-            params = {"n": n} if t is None else {"n": n, "t": t}
-            _, section_checks = handler(**params, **extra)
-            ok = all(c["pass"] for c in section_checks)
-            sections.append({"section": section, "parameters": params, "pass": ok})
-            for c in section_checks:
-                prefixed = dict(c)
-                prefixed["name"] = f"{section}[{_params_label(params)}]:{c['name']}"
-                checks.append(prefixed)
-
-    add("derangements", range(1, 10), run_derangements)
-    add("chartab", range(2, 9), run_chartab)
-    add("spectrum", range(2, 10), run_spectrum, t=0)
-    add("least-eigenvalue", range(2, 9), run_least_eigenvalue)
-    add("quotient", range(2, 9), run_quotient)
-    add("clique-latin", range(2, 9), run_clique, method="latin")
-    add("clique-odd-latin", (5, 7, 9), run_clique, method="odd-latin")
-    add("clique-cycles", (3, 5, 7, 8), run_clique, method="cycles")
-    add("clique-characters", (7, 8, 9), run_clique_characters)
-    add("bounds", range(2, 7), run_bounds, t=0)
-    add("bounds", (3, 4, 5), run_bounds, t=1)
-    searched = {}
-    for n in range(3, min(6, max_n) + 1):
-        searched[n] = graphs.max_independent_sets(n, 0, workers=workers)
-        add("search", (n,), run_search, t=0, workers=workers, found=searched[n])
-    for n, found in searched.items():
-        add("classify", (n,), run_classify, search_result=found)
-    add("identity-check", (4, 5), run_identity_check, t=0, trials=20, seed=2024)
-    add("lemmas", range(3, 8), run_lemmas)
-    add("conjecture", (4, 5, 6), run_conjecture, t=1)
-    return {"max_n": max_n, "sections": sections}, checks
-
-
 def _params_label(params: dict) -> str:
     return ",".join(f"{k}={v}" for k, v in params.items())
 
@@ -607,9 +235,10 @@ def _params_label(params: dict) -> str:
 class Command(NamedTuple):
     """One subcommand: its help, closed degree range and extra arguments.
 
-    The handler is run_<name with - as _>, looked up when the command runs so
-    that a replaced module attribute takes effect.  The degree argument is the
-    positional n, or an option (defaulting to hi) when degree names one.
+    The handler is run_<name with - as _> in the package submodule named by
+    module, looked up when the command runs so that a replaced module
+    attribute takes effect.  The degree argument is the positional n, or an option
+    (defaulting to hi) when degree names one.
     """
 
     help: str
@@ -617,6 +246,7 @@ class Command(NamedTuple):
     hi: int
     arguments: tuple = ()
     degree: str = "n"
+    module: str = "groupcmds"
 
     @property
     def span(self) -> str:
@@ -645,13 +275,18 @@ _DENSE = permgroup.MAX_DENSE_DEGREE
 
 COMMANDS = {
     # D(1700) has more digits than Python turns into a string by default.
-    "derangements": Command("fixed-point-free permutation counts", 1, 1000),
+    "derangements": Command(
+        "fixed-point-free permutation counts", 1, 1000, module="cli"
+    ),
     "chartab": Command(
         "exact character table", 1, chartab.MAX_TABLE_DEGREE,
         (("--csv", {"action": "store_true", "help": "emit CSV instead of JSON"}),),
+        module="cli",
     ),
-    # About 1.1 s at n = 30 for every t; the run time does not grow with t.
-    "spectrum": Command("eigenvalues of the agreement-at-most-t graph", 1, 30, (_T,)),
+    # About 0.6 s at n = 30 for every t; the run time does not grow with t.
+    "spectrum": Command(
+        "eigenvalues of the agreement-at-most-t graph", 1, 30, (_T,), module="cli"
+    ),
     # 0.6 s at n = 8 (0.4 s with --t 1); n = 9 would take about 14 s.
     "bounds": Command("clique-coclique product and ratio bound", 2, 8, (_T,)),
     "clique": Command(
@@ -729,7 +364,12 @@ def _render_value(key, value, depth) -> str:
     return f"{pad}{key}: {value}"
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
+    """The parser with a subparser for each command in names.
+
+    Its usage line lists every command whatever names holds, so an error
+    raised by a parser built for some commands reads as from the full tree.
+    """
     parser = argparse.ArgumentParser(
         prog="ekrperm",
         description=(
@@ -745,8 +385,17 @@ def build_parser() -> argparse.ArgumentParser:
     output_opts.add_argument(
         "--out", metavar="PATH", help="also write the report here"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, cmd in COMMANDS.items():
+    # argparse lists the commands built; the full tree keeps that listing,
+    # since a metavar also renames the argument in its errors ("argument
+    # command: invalid choice")
+    every = "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar=None if list(names) == list(COMMANDS) else every,
+    )
+    for name in names:
+        cmd = COMMANDS[name]
         p = sub.add_parser(
             name,
             help=f"{cmd.help} ({cmd.span})",
@@ -763,7 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a run builds only its own subparser; with no command, or an unknown one,
+    # the full tree prints the help and errors that list every command
+    names = [name for name in argv[:1] if name in COMMANDS] or COMMANDS
+    args = build_parser(names).parse_args(argv)
     options = {
         k: v for k, v in vars(args).items() if k not in ("command", "text", "out")
     }
@@ -774,7 +427,8 @@ def main(argv=None) -> int:
         print(f"error: {args.command} takes {cmd.span}, got {degree}", file=sys.stderr)
         return EXIT_DEGREE
     csv = options.pop("csv", False)
-    handler = globals()[f"run_{args.command.replace('-', '_')}"]
+    home = importlib.import_module(f"{__package__}.{cmd.module}")
+    handler = getattr(home, f"run_{args.command.replace('-', '_')}")
     started = time.perf_counter()
     try:
         result, checks = handler(**options)

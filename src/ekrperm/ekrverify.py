@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import linalg
 from .chartab import dimension
 from .errors import DegreeRangeError
-from .graphs import max_independent_sets
 from .permgroup import (
     MAX_DENSE_DEGREE,
     MAX_INCIDENCE_DEGREE,
@@ -41,6 +40,16 @@ if TYPE_CHECKING:
 _GRAM_BLOCK_ROWS = 1 << 12
 
 rank = linalg.bareiss_rank
+
+
+def __getattr__(name: str):
+    # graphs' search, read from graphs when read (PEP 562), so that lemmas and
+    # conjecture run no graphs body; kept for ekrbench/test_selftest.py's pin
+    if name == "max_independent_sets":
+        from .graphs import max_independent_sets
+
+        return max_independent_sets
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Incidence(NamedTuple):
@@ -354,6 +363,8 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
     import numpy as np
 
     if search_result is None:
+        from .graphs import max_independent_sets
+
         search_result = max_independent_sets(n)
     gd = group_data(n)
     h = incidence(n)

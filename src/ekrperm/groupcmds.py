@@ -1,0 +1,406 @@
+"""Report handlers for the subcommands that read the group tables.
+
+bounds, clique, search, classify, lemmas, conjecture, identity-check,
+quotient, validate and verify-all build cliques, group tables, searches and
+incidence matrices; cli finds their handlers here, so a spectrum, chartab or
+derangements run compiles none of this.  Each handler returns (result,
+checks) and takes its parsed arguments as keywords, as cli's own do.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from functools import partial
+from math import factorial
+
+from . import chartab, permgroup
+from .cli import (
+    _CLIQUE_CONSTRUCTIONS,
+    _params_label,
+    check,
+    ekrverify,
+    exact,
+    graphs,
+    plabel,
+    run_chartab,
+    run_derangements,
+    run_least_eigenvalue,
+    run_spectrum,
+    scheme,
+)
+from .errors import UnsupportedConstructionError
+
+
+def _need_threshold(n: int, t: int) -> None:
+    if not 0 <= t < n:
+        raise ValueError(f"need 0 <= t < n, got t={t}, n={n}")
+
+
+def run_bounds(n: int, t: int):
+    _need_threshold(n, t)
+    if t == 0:
+        clique = graphs.latin_clique(n)
+        coclique = graphs.family([(n, n)], n)
+    elif t == 1:
+        if n < 3:
+            raise UnsupportedConstructionError(
+                f"bounds at t = 1 need n >= 3, got n={n}: the t = 1 coclique"
+                " fixes the points 1 and 2 and needs a third, free point"
+            )
+        clique = graphs.affine_clique(n)
+        coclique = graphs.family([(1, 1), (2, 2)], n)
+    else:
+        raise UnsupportedConstructionError(
+            "bounds are wired up for thresholds 0 and 1 only"
+        )
+    report = scheme.clique_coclique_check(
+        clique.members, coclique.members, n, t
+    )
+    ratio = scheme.ratio_bound(n, t)
+    checks = [
+        check("product-meets-bound", report.tight, product=exact(report.product)),
+    ]
+    if report.corollary_ok is not None:
+        checks.append(check("tight-pair-supports-disjoint", report.corollary_ok))
+    if t == 0:
+        checks.append(check("ratio-bound-is-(n-1)!", ratio == factorial(n - 1)))
+    result = {
+        "n": n,
+        "t": t,
+        "clique_size": report.clique_size,
+        "independent_size": report.independent_size,
+        "product": exact(report.product),
+        "bound": exact(report.bound),
+        "tight": report.tight,
+        "ratio_bound": exact(ratio),
+    }
+    if report.supports is not None:
+        result["supports"] = [
+            {
+                "partition": plabel(shape),
+                "clique_nonzero": cx,
+                "independent_nonzero": cy,
+            }
+            for shape, cx, cy in report.supports
+        ]
+    return result, checks
+
+
+def run_clique(n: int, method: str):
+    certificate = getattr(graphs, _CLIQUE_CONSTRUCTIONS[method])(n)
+    expected = n * (n - 1) if method == "affine" else n
+    checks = [
+        check("pairwise-validated", certificate.validated),
+        check("expected-size", certificate.size == expected, size=certificate.size),
+    ]
+    result = {
+        "n": n,
+        "t": certificate.t,
+        "construction": certificate.construction,
+        "size": certificate.size,
+        "members": [str(p) for p in certificate.members],
+    }
+    return result, checks
+
+
+def run_search(n: int, t: int, workers: int, found=None):
+    _need_threshold(n, t)
+    if found is None:
+        found = graphs.max_independent_sets(n, t, workers=workers)
+    gd = scheme.group_data(n)
+    distinct_families = {
+        frozenset(ranks.tolist())
+        for ranks in gd.constraint_ranks(
+            [((i, j),) for i in range(1, n + 1) for j in range(1, n + 1)]
+        )
+    }
+    checks = [
+        check(
+            "alpha-is-(n-1)!",
+            found.alpha == factorial(n - 1),
+            alpha=exact(found.alpha),
+        ),
+        check("product-tight", found.tight),
+        check(
+            "count-matches-stabilizer-catalogue",
+            found.count == len(distinct_families),
+            count=found.count,
+            expected=len(distinct_families),
+        ),
+        check(
+            "all-sets-are-stabilizer-cosets",
+            all(
+                frozenset(map(gd.rank_of, members)) in distinct_families
+                for members in found.sets
+            ),
+        ),
+    ]
+    result = {
+        "n": n,
+        "t": t,
+        "alpha": exact(found.alpha),
+        "omega": exact(found.omega),
+        "tight": found.tight,
+        "sets": [[str(p) for p in members] for members in found.sets],
+    }
+    return result, checks
+
+
+def run_classify(n: int, search_result=None):
+    report = ekrverify.classify_maximum_sets(n, search_result=search_result)
+    sets = []
+    for record in report.records:
+        sets.append(
+            {
+                "family": list(record.family_key) if record.family_key else None,
+                "translated_to": list(record.translated_to)
+                if record.translated_to
+                else None,
+                "case": record.case,
+                "border_coefficient": exact(record.recovered_coefficient)
+                if record.recovered_coefficient is not None
+                else None,
+                "coordinates_ok": record.coordinates_ok,
+            }
+        )
+    checks = [
+        check("all-sets-canonical", report.all_canonical),
+        check(
+            "count-matches-catalogue",
+            report.total_sets == (n * n if n >= 3 else 2),
+            count=report.total_sets,
+        ),
+        check(
+            "coordinate-recovery",
+            all(r.coordinates_ok for r in report.records),
+        ),
+    ]
+    result = {
+        "n": n,
+        "alpha": exact(report.alpha),
+        "total_sets": report.total_sets,
+        "sets": sets,
+    }
+    return result, checks
+
+
+def run_lemmas(n: int):
+    checks = []
+    # H^T H is formed once: the Gram identity compares it, the rank check reads it
+    gram_ok, gram = ekrverify.gram_check(n)
+    checks.append(check("gram-identity", gram_ok))
+    rank_h, ok_h = ekrverify.rank_H_check(n, gram)
+    checks.append(check("rank-H-is-(n-1)^2", ok_h, rank=rank_h))
+    rank_m, ok_m = ekrverify.rank_M_check(n)
+    checks.append(check("rank-M-is-(n-1)(n-2)", ok_m, rank=rank_m))
+    _, _, sub_ok = ekrverify.pi_ab_submatrix(n)
+    checks.append(check("selected-rows-give-K-kron-I", sub_ok))
+    bordered_ok = ekrverify.bordered_kernel_check(n)
+    checks.append(check("bordered-kernel-spanned-by-expected-vector", bordered_ok))
+    checks.append(
+        check(
+            "kernel-vectors-map-into-diagonal-column-space",
+            ekrverify.kernel_membership_check(n),
+        )
+    )
+    skipped = []
+    if n <= permgroup.MAX_DENSE_DEGREE:
+        basis = ekrverify.basis_check(n)
+        checks.append(check("point-family-supports-standard-only", basis.supports_ok))
+        checks.append(
+            check(
+                "shifted-point-families-have-full-rank",
+                basis.rank_shifted == (n - 1) ** 2,
+                rank=basis.rank_shifted,
+            )
+        )
+        checks.append(
+            check(
+                "ones-outside-span",
+                basis.rank_with_ones == (n - 1) ** 2 + 1,
+                rank=basis.rank_with_ones,
+            )
+        )
+        checks.append(check("dimension-matches-square", basis.dimension_match))
+    else:
+        skipped = ["point-family-supports", "basis-rank"]
+    result = {"n": n, "skipped": skipped}
+    return result, checks
+
+
+def run_conjecture(n: int, t: int):
+    report = ekrverify.depth_conjecture_dims(n, t)
+    checks = [
+        check(
+            f"supports-within-depth-{t + 1}",
+            report.supports_within_depth[t + 1],
+        )
+    ]
+    result = {
+        "n": n,
+        "t": t,
+        "selected_depth": t + 1,
+        "family_count": report.family_count,
+        "module_dim_sums": {
+            str(d): exact(v) for d, v in sorted(report.module_dim_sums.items())
+        },
+        "span_rank_shifted": exact(report.span_rank_shifted),
+        "span_rank_with_ones": exact(report.span_rank_with_ones),
+        "rank_method": report.rank_method,
+        "support_union": [plabel(s) for s in report.support_union],
+        "supports_within_depth": {
+            str(d): v for d, v in sorted(report.supports_within_depth.items())
+        },
+        "agreement": dict(report.agreement),
+    }
+    return result, checks
+
+
+def _coin_flips(rng: random.Random):
+    """rng.randint(0, 1), drawn again and again, as one endless iterator.
+
+    randint(0, 1) draws getrandbits(2) until the value is below 2.  These are
+    the same draws, so the stream and the generator's state stay the same,
+    but the loop runs in C.
+    """
+    return filter((2).__gt__, iter(partial(rng.getrandbits, 2), None))
+
+
+def run_identity_check(n: int, trials: int, seed: int, t: int):
+    flips = _coin_flips(random.Random(seed))
+    order = factorial(n)
+
+    def draws():  # x, then y, per trial from the one generator
+        for _ in range(trials):
+            x = list(itertools.islice(flips, order))
+            y = list(itertools.islice(flips, order))
+            yield x, y
+
+    sides = scheme.fundamental_identity_check(draws(), n, t)
+    sample = sides[0]
+    all_equal = all(lhs == rhs for lhs, rhs in sides)
+    checks = [check("identity-holds-exactly", all_equal, trials=trials)]
+    result = {
+        "n": n,
+        "t": t,
+        "trials": trials,
+        "seed": seed,
+        "first_trial": {"lhs": exact(sample[0]), "rhs": exact(sample[1])},
+    }
+    return result, checks
+
+
+def run_quotient(n: int):
+    quotient = graphs.equitable_quotient(n)
+    d = permgroup.derangement_count(n)
+    checks = [
+        check("partition-is-equitable", quotient.equitable),
+        check("matches-closed-form", quotient.matches_closed_form),
+        check(
+            "eigenvalues-are-d-and--d/(n-1)",
+            quotient.eigenvalues == (d, -(d // (n - 1)))
+            and d % (n - 1) == 0,
+        ),
+        check(
+            "row-sums-equal-valency",
+            all(sum(row) == d for row in quotient.matrix),
+        ),
+    ]
+    result = {
+        "n": n,
+        "matrix": [[exact(v) for v in row] for row in quotient.matrix],
+        "eigenvalues": [exact(v) for v in quotient.eigenvalues],
+        "cell_sizes": [exact(v) for v in quotient.cell_sizes],
+    }
+    return result, checks
+
+
+def run_validate(n: int, family: str, t: int):
+    _need_threshold(n, t)
+    members = graphs.read_family(family, n)
+    ok, witness = graphs.validate_family(members, t)
+    checks = [check("family-is-independent", ok, threshold=t)]
+    result = {
+        "n": n,
+        "t": t,
+        "size": len(members),
+        "witness": [str(p) for p in witness] if witness else None,
+    }
+    return result, checks
+
+
+def run_clique_characters(n: int):
+    """Every non-standard character sums to nonzero over some clique at degree n.
+
+    The cliques are the Hamilton-cycle one (every n but 4 and 6) and, for odd
+    n >= 5, the odd-Latin one; over each of them the standard character
+    (n-1, 1) must sum to zero.
+    """
+    cliques = []
+    if n not in (4, 6):
+        cliques.append(graphs.cycle_decomposition_clique(n))
+    if n % 2 == 1 and n >= 5:
+        cliques.append(graphs.odd_n_latin_clique(n))
+    table = chartab.character_table(n)
+    sums = [
+        {
+            shape: sum(
+                table.value(shape, permgroup.cycle_type(p)) for p in clique.members
+            )
+            for shape in table.partitions
+        }
+        for clique in cliques
+    ]
+    standard = (n - 1, 1)
+    covered = all(
+        any(s[shape] != 0 for s in sums)
+        for shape in table.partitions
+        if shape != standard
+    )
+    checks = [
+        check("nonzero-off-standard", covered),
+        check("zero-on-standard", all(s[standard] == 0 for s in sums)),
+    ]
+    return {"n": n, "cliques": [c.construction for c in cliques]}, checks
+
+
+def run_verify_all(max_n: int, workers: int):
+    sections = []
+    checks = []
+
+    def add(section: str, degrees, handler, t=None, **extra):
+        """One section per degree up to max_n; its checks prefixed by its label."""
+        for n in degrees:
+            if n > max_n:
+                continue
+            params = {"n": n} if t is None else {"n": n, "t": t}
+            _, section_checks = handler(**params, **extra)
+            ok = all(c["pass"] for c in section_checks)
+            sections.append({"section": section, "parameters": params, "pass": ok})
+            for c in section_checks:
+                prefixed = dict(c)
+                prefixed["name"] = f"{section}[{_params_label(params)}]:{c['name']}"
+                checks.append(prefixed)
+
+    add("derangements", range(1, 10), run_derangements)
+    add("chartab", range(2, 9), run_chartab)
+    add("spectrum", range(2, 10), run_spectrum, t=0)
+    add("least-eigenvalue", range(2, 9), run_least_eigenvalue)
+    add("quotient", range(2, 9), run_quotient)
+    add("clique-latin", range(2, 9), run_clique, method="latin")
+    add("clique-odd-latin", (5, 7, 9), run_clique, method="odd-latin")
+    add("clique-cycles", (3, 5, 7, 8), run_clique, method="cycles")
+    add("clique-characters", (7, 8, 9), run_clique_characters)
+    add("bounds", range(2, 7), run_bounds, t=0)
+    add("bounds", (3, 4, 5), run_bounds, t=1)
+    searched = {}
+    for n in range(3, min(6, max_n) + 1):
+        searched[n] = graphs.max_independent_sets(n, 0, workers=workers)
+        add("search", (n,), run_search, t=0, workers=workers, found=searched[n])
+    for n, found in searched.items():
+        add("classify", (n,), run_classify, search_result=found)
+    add("identity-check", (4, 5), run_identity_check, t=0, trials=20, seed=2024)
+    add("lemmas", range(3, 8), run_lemmas)
+    add("conjecture", (4, 5, 6), run_conjecture, t=1)
+    return {"max_n": max_n, "sections": sections}, checks

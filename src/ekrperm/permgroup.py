@@ -269,23 +269,11 @@ def class_size(shape: CycleType) -> int:
     return factorial(n) // denom
 
 
-def class_representative(shape: CycleType) -> Permutation:
-    """Canonical member of the class: cycles laid out on consecutive points."""
-    images = []
-    start = 1
-    for part in shape:
-        block = list(range(start, start + part))
-        images.extend(block[1:] + block[:1])
-        start += part
-    return Permutation(tuple(images))
-
-
 class ClassInfo(NamedTuple):
     """One conjugacy class of S(n)."""
 
     cycle_type: CycleType
     size: int
-    representative: Permutation
 
     @property
     def fixed_points(self) -> int:
@@ -295,10 +283,7 @@ class ClassInfo(NamedTuple):
 @lru_cache(maxsize=None)
 def conjugacy_classes(n: int) -> tuple[ClassInfo, ...]:
     """All classes of S(n), ordered like partitions_of(n)."""
-    out = []
-    for shape in partitions_of(n):
-        out.append(ClassInfo(shape, class_size(shape), class_representative(shape)))
-    return tuple(out)
+    return tuple(ClassInfo(shape, class_size(shape)) for shape in partitions_of(n))
 
 
 def classes_with_few_fixed_points(n: int, t: int) -> tuple[ClassInfo, ...]:

@@ -157,6 +157,28 @@ def frobenius_character(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     return total
 
 
+def skew_tableaux_over_row(m: int, n: int) -> dict[tuple[int, ...], int]:
+    """shape -> standard fillings of shape/(m), for every shape of n cells.
+
+    Every chain of shapes that adds one cell at a time, from the row (m) up
+    to n cells, is walked one by one; each ends at its shape.  With m = 0 the
+    counts are the standard tableaux, the dimensions.
+    """
+    counts: dict[tuple[int, ...], int] = {}
+
+    def grow(shape: tuple[int, ...], cells: int) -> None:
+        if cells == n:
+            counts[shape] = counts.get(shape, 0) + 1
+            return
+        for i in range(len(shape) + 1):
+            length = shape[i] if i < len(shape) else 0
+            if i == 0 or shape[i - 1] > length:
+                grow(shape[:i] + (length + 1,) + shape[i + 1 :], cells + 1)
+
+    grow((m,) if m else (), m)
+    return counts
+
+
 def derangements_by_inclusion_exclusion(n: int) -> int:
     return sum((-1) ** k * factorial(n) // factorial(k) for k in range(n + 1))
 

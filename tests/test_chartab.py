@@ -24,7 +24,6 @@ from ekrperm.chartab import (
     check_row_orthogonality,
     conjugate_partition,
     dimension,
-    hook_lengths,
     skew_row_tableaux,
     table_to_csv,
 )
@@ -61,10 +60,6 @@ class TestShapeHelpers:
         assert conjugate_partition((3, 1)) == (2, 1, 1)
         assert conjugate_partition((2, 2)) == (2, 2)
         assert conjugate_partition((4,)) == (1, 1, 1, 1)
-
-    def test_hook_lengths(self):
-        assert hook_lengths((2, 2)) == [[3, 2], [2, 1]]
-        assert hook_lengths((3, 1)) == [[4, 2, 1], [1]]
 
     def test_dimension_by_hook_formula(self):
         assert dimension((4,)) == 1
@@ -117,6 +112,18 @@ class TestSkewRowTableaux:
                     count = counts[m] if m < len(counts) else 0
                     assert count == pieri, (shape, m)
                     assert (count == 0) == (shape[0] < m), (shape, m)
+
+    def test_counts_equal_walked_chains_through_degree_ten(self):
+        # the oracle walks every chain of cells added to (m); dimension is m = 0
+        for n in range(1, 11):
+            walked = [oracles.skew_tableaux_over_row(m, n) for m in range(n + 1)]
+            for shape in partitions_of(n):
+                counts = skew_row_tableaux(shape)
+                assert len(counts) == shape[0] + 1
+                assert [c.get(shape, 0) for c in walked] == list(counts) + [0] * (
+                    n - shape[0]
+                ), shape
+                assert dimension(shape) == walked[0][shape], shape
 
     def test_first_entry_is_the_dimension(self):
         for n in range(1, 11):

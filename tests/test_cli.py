@@ -1,5 +1,7 @@
 """Command line interface: report schema, exit codes, determinism."""
 
+import hashlib
+import importlib
 import itertools
 import json
 import os
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from ekrperm import cli, permgroup, scheme
+from ekrperm import cli, groupcmds, permgroup, scheme
 from ekrperm.graphs import write_family
 from ekrperm.permgroup import identity, parse_one_line
 from test_scheme import negative_identity_forms
@@ -83,6 +85,29 @@ class TestCommands:
             "multiplicities-sum-to-order",
             "trivial-eigenvalue-is-valency",
         ]
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("spectrum", "30", "--t", "3"),
+                "74d449fe5c15b3d91e332a02ec221196ff173b4a550ed058753424ac551fd70b",
+            ),
+            (
+                ("spectrum", "24", "--t", "23"),
+                "57245b8a4ca0266cc24c58000368874c2cc632850d4b1c47af5c27d210f6c7cb",
+            ),
+        ],
+        ids=["spectrum 30 --t 3", "spectrum 24 --t 23"],
+    )
+    def test_spectrum_reports_above_the_goldens_are_pinned(self, capsys, argv, digest):
+        # SHA-256 of the report less wall_time_s, indented as printed; the
+        # golden reports stop at n = 16
+        code, report, _ = run_json(capsys, *argv)
+        assert code == 0
+        del report["wall_time_s"]
+        canonical = json.dumps(report, indent=2).encode()
+        assert hashlib.sha256(canonical).hexdigest() == digest
 
     def test_bounds_tight_product(self, capsys):
         code, report, _ = run_json(capsys, "bounds", "4")
@@ -206,7 +231,7 @@ class TestCommands:
         # randint(0, 1) retries getrandbits(2) while it is 2 or 3; a CPython
         # that draws it differently fails here, not in the pinned values
         rng, reference = random.Random(seed), random.Random(seed)
-        draws = list(itertools.islice(cli._coin_flips(rng), 5000))
+        draws = list(itertools.islice(groupcmds._coin_flips(rng), 5000))
         assert draws == [reference.randint(0, 1) for _ in range(5000)]
         assert rng.getstate() == reference.getstate()
 
@@ -386,8 +411,9 @@ class TestCommandTable:
         self, capsys, monkeypatch, name, degree
     ):
         calls = []
+        home = importlib.import_module(f"ekrperm.{cli.COMMANDS[name].module}")
         handler = f"run_{name.replace('-', '_')}"
-        monkeypatch.setattr(cli, handler, lambda **kwargs: calls.append(kwargs))
+        monkeypatch.setattr(home, handler, lambda **kwargs: calls.append(kwargs))
         code, out, err = run_cli(capsys, *self.argv(name, degree))
         assert code == cli.EXIT_DEGREE == 3
         assert out == ""
@@ -401,6 +427,35 @@ class TestCommandTable:
             cli.main([name, "--help"])
         assert info.value.code == 0
         assert f"{cmd.span}." in " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_one_command_parser_reads_as_the_full_tree(self, capsys, name):
+        argv = self.argv(name, cli.COMMANDS[name].lo)
+        full, alone = cli.build_parser(), cli.build_parser([name])
+        assert alone.parse_args(argv) == full.parse_args(argv)
+        # the command's help, and a top-level error that prints the usage line
+        for failing in ([name, "--help"], [*argv, "--bogus"]):
+            outcomes = []
+            for parser in (full, alone):
+                with pytest.raises(SystemExit) as info:
+                    parser.parse_args(failing)
+                outcomes.append((info.value.code, capsys.readouterr()))
+            assert outcomes[0] == outcomes[1], failing
+
+    def test_main_builds_the_named_command_alone(self, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+
+        def recorded(names):
+            built.append(list(names))
+            return real(names)
+
+        monkeypatch.setattr(cli, "build_parser", recorded)
+        assert run_cli(capsys, "derangements", "3")[0] == 0
+        for argv in (["bogus"], [], ["--help"]):
+            with pytest.raises(SystemExit):
+                cli.main(argv)
+        assert built == [["derangements"]] + [list(cli.COMMANDS)] * 3
 
     def test_readme_rows_match_the_table(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -463,7 +518,7 @@ class TestVerifyAllHandlers:
 
     @pytest.mark.parametrize("n", [7, 8, 9])
     def test_clique_characters(self, n):
-        _, checks = cli.run_clique_characters(n)
+        _, checks = groupcmds.run_clique_characters(n)
         assert checks == [
             {"name": "nonzero-off-standard", "pass": True},
             {"name": "zero-on-standard", "pass": True},
@@ -608,14 +663,21 @@ class TestImports:
             "ekrperm", "ekrperm.cli", "ekrperm.chartab", "ekrperm.permgroup", "ekrperm.errors"
         }, argv
         # the stubs are in place, unexecuted, for whoever reads them first
-        assert {"ekrperm.graphs", "ekrperm.scheme", "ekrperm.ekrverify"} <= new - ran
+        stubs = {"ekrperm.groupcmds", "ekrperm.graphs", "ekrperm.scheme", "ekrperm.ekrverify"}
+        assert stubs <= new - ran
         assert not new & {"fractions", "decimal", "csv"}, argv
 
     @pytest.mark.parametrize("argv", [["bounds", "4"], ["clique", "5", "--method", "latin"]])
     def test_cliques_and_bounds_run_graphs(self, argv):
         _, ran = self.executed(*argv)
-        assert {"ekrperm.graphs", "ekrperm.scheme"} <= ran, argv
+        assert {"ekrperm.groupcmds", "ekrperm.graphs", "ekrperm.scheme"} <= ran, argv
         assert "ekrperm.ekrverify" not in ran, argv
+
+    @pytest.mark.parametrize("argv", [["lemmas", "4"], ["conjecture", "4", "--t", "1"]])
+    def test_lemmas_and_conjecture_run_no_graphs_body(self, argv):
+        new, ran = self.executed(*argv)
+        assert {"ekrperm.ekrverify", "ekrperm.scheme"} <= ran, argv
+        assert "ekrperm.graphs" in new - ran, argv
 
     def test_lemmas_loads_its_linear_algebra(self):
         assert "ekrperm.linalg" in self.imported("-m", "ekrperm", "lemmas", "4")
@@ -626,13 +688,14 @@ class TestImports:
 
         assert cli.ekrverify is ekrverify is sys.modules["ekrperm.ekrverify"]
         assert ekrperm.ekrverify is ekrverify
+        assert cli.groupcmds is groupcmds is sys.modules["ekrperm.groupcmds"]
         assert cli._lazy_submodule("ekrverify") is ekrverify
         assert ekrverify.MAX_INCIDENCE_DEGREE == permgroup.MAX_INCIDENCE_DEGREE
 
 
 class TestVerifyAll:
     def test_search_runs_once_per_degree(self, capsys, monkeypatch):
-        from ekrperm import ekrverify, graphs
+        from ekrperm import graphs
 
         calls = []
         search = graphs.max_independent_sets
@@ -642,7 +705,6 @@ class TestVerifyAll:
             return search(n, *args, **kwargs)
 
         monkeypatch.setattr(graphs, "max_independent_sets", counted)
-        monkeypatch.setattr(ekrverify, "max_independent_sets", counted)
         code, _, _ = run_cli(capsys, "verify-all", "--max-n", "5")
         assert code == 0
         assert calls == [3, 4, 5]

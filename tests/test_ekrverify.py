@@ -635,7 +635,7 @@ class TestIntegerNorms:
 
 class TestNoPermutationPerRow:
     def test_verify_all_paths_build_no_permutation(self, monkeypatch):
-        from ekrperm import cli, permgroup
+        from ekrperm import cli, groupcmds, permgroup
 
         found = {n: max_independent_sets(n) for n in (4, 5)}
 
@@ -645,11 +645,11 @@ class TestNoPermutationPerRow:
             kernel_membership_check(6)
             for n in (4, 5):
                 classify_maximum_sets(n, found[n])
-                cli.run_search(n=n, t=0, workers=1, found=found[n])
+                groupcmds.run_search(n=n, t=0, workers=1, found=found[n])
             cli.run_derangements(n=8)
-            cli.run_quotient(n=8)
+            groupcmds.run_quotient(n=8)
 
-        run()  # fills the per-degree caches (class representatives, tables)
+        run()  # fills the per-degree caches (classes, tables)
         built = []
         real = permgroup.Permutation.__new__
 

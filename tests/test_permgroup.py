@@ -13,7 +13,6 @@ from ekrperm.permgroup import (
     DegreeRangeError,
     Permutation,
     agreements,
-    class_representative,
     class_size,
     classes_with_few_fixed_points,
     compose,
@@ -258,10 +257,6 @@ class TestConjugacyClasses:
         sizes, _ = oracles.classes_by_enumeration(5)
         for t in partitions_of(5):
             assert class_size(t) == sizes[t]
-
-    def test_representative_has_the_right_type(self):
-        for t in partitions_of(6):
-            assert cycle_type(class_representative(t)) == t
 
     def test_conjugacy_classes_reverse_lex(self):
         infos = conjugacy_classes(4)
