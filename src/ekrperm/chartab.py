@@ -33,11 +33,14 @@ MAX_TABLE_DEGREE = 12
 
 
 def conjugate_partition(shape: Partition) -> Partition:
-    if not shape:
-        return ()
-    out = []
-    for j in range(shape[0]):
-        out.append(sum(1 for part in shape if part > j))
+    """Column lengths of shape, in one walk up from its last row.
+
+    The parts are sorted, so row i (from 1) is the lowest row of each column
+    it reaches past the columns of the rows below it: those have length i.
+    """
+    out: list[int] = []
+    for i in range(len(shape), 0, -1):
+        out += [i] * (shape[i - 1] - len(out))
     return tuple(out)
 
 

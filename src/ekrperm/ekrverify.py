@@ -27,6 +27,7 @@ from .permgroup import (
     MAX_INCIDENCE_DEGREE,
     Partition,
     Permutation,
+    image_table,
     partition_depth,
     partitions_of,
     rank_permutation,
@@ -72,19 +73,14 @@ class Incidence(NamedTuple):
 
 @lru_cache(maxsize=None)
 def incidence(n: int) -> Incidence:
-    """H of degree n, read off the images of all permutations at once."""
+    """H of degree n, read off permgroup.image_table: all permutations at once."""
     import numpy as np
 
     if not 2 <= n <= MAX_INCIDENCE_DEGREE:
         raise DegreeRangeError(
             f"incidence matrices are supported for 2 <= n <= {MAX_INCIDENCE_DEGREE}"
         )
-    # 0-based images, one row per permutation in rank (lexicographic) order
-    images = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(n))),
-        dtype=np.intp,
-        count=n * factorial(n),
-    ).reshape(-1, n)
+    images = image_table(n)
     points = np.arange(n - 1)
     body = images[:, :-1]
     ones = np.where(body < n - 1, points * (n - 1) + body, (n - 1) ** 2)
@@ -382,8 +378,9 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
     records = []
     violations = []
     for idx, members in enumerate(search_result.sets):
-        member_ranks = [gd.rank_of(p) for p in members]
-        ranks = frozenset(member_ranks)
+        images = np.array([p.images for p in members], dtype=np.int8) - 1
+        member_ranks = gd.rank_images(images.T)
+        ranks = frozenset(member_ranks.tolist())
         family_key = next(
             (key for key, fam in families.items() if fam == ranks), None
         )

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import factorial
-from operator import eq
 from typing import NamedTuple
 
 from .errors import (
@@ -25,9 +24,11 @@ from .permgroup import (
     MAX_QUOTIENT_DEGREE,
     Permutation,
     derangement_count,
+    derangements_by_last_image,
     first_agreement_violation,
     identity,
     parse_one_line,
+    rank_permutation,
 )
 from .scheme import group_data
 
@@ -219,61 +220,42 @@ def cycle_decomposition_clique(n: int) -> CliqueCertificate:
     return _certify(members, n, 0, "hamilton-decomposition")
 
 
-# Irreducible polynomials (little-endian coefficient lists) for the three
-# prime-power fields small enough to matter here.
+# q = p^k -> (p, little-endian coefficients of a monic irreducible degree-k
+# polynomial over GF(p)); a prime q is the degree-1 case, with the polynomial x.
 _FIELD_POLYS = {4: (2, (1, 1, 1)), 8: (2, (1, 1, 0, 1)), 9: (3, (1, 0, 1))}
 _AFFINE_SIZES = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 
 
-class _Field:
-    """Arithmetic tables for GF(q), q prime or one of 4, 8, 9."""
+def _field(q: int):
+    """(add, mul) of GF(q), each element 0..q-1 read as its base-p digits.
 
-    def __init__(self, q: int):
-        if q in _FIELD_POLYS:
-            p, poly = _FIELD_POLYS[q]
-            k = len(poly) - 1
-            self.q = q
+    The digits are the coefficients of a polynomial over GF(p), and products
+    are reduced modulo the polynomial of _FIELD_POLYS.
+    """
+    p, poly = _FIELD_POLYS.get(q, (q, (0, 1)))
+    k = len(poly) - 1
 
-            def to_coeffs(a: int) -> list[int]:
-                out = []
-                for _ in range(k):
-                    a, r = divmod(a, p)
-                    out.append(r)
-                return out
+    def digits(a: int) -> list[int]:
+        return [a // p**i % p for i in range(k)]
 
-            def from_coeffs(cs) -> int:
-                value = 0
-                for c in reversed(cs):
-                    value = value * p + c
-                return value
+    def value(coeffs) -> int:
+        return sum(c % p * p**i for i, c in enumerate(coeffs))
 
-            def mul(a: int, b: int) -> int:
-                ca, cb = to_coeffs(a), to_coeffs(b)
-                prod = [0] * (2 * k - 1)
-                for i, x in enumerate(ca):
-                    for j, y in enumerate(cb):
-                        prod[i + j] = (prod[i + j] + x * y) % p
-                for deg in range(2 * k - 2, k - 1, -1):
-                    coeff = prod[deg]
-                    if coeff:
-                        prod[deg] = 0
-                        for j in range(k):
-                            prod[deg - k + j] = (prod[deg - k + j] - coeff * poly[j]) % p
-                return from_coeffs(prod[:k])
+    def add(a: int, b: int) -> int:
+        return value(x + y for x, y in zip(digits(a), digits(b)))
 
-            def add(a: int, b: int) -> int:
-                ca, cb = to_coeffs(a), to_coeffs(b)
-                return from_coeffs([(x + y) % p for x, y in zip(ca, cb)])
+    def mul(a: int, b: int) -> int:
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                prod[i + j] += x * y
+        for deg in range(2 * k - 2, k - 1, -1):  # less prod[deg] x^(deg-k) poly
+            lead = prod[deg]
+            for j, c in enumerate(poly):
+                prod[deg - k + j] -= lead * c
+        return value(prod[:k])
 
-            self.add = add
-            self.mul = mul
-        else:
-            for d in range(2, q):
-                if q % d == 0:
-                    raise UnsupportedConstructionError(f"{q} is not a prime power here")
-            self.q = q
-            self.add = lambda a, b: (a + b) % q
-            self.mul = lambda a, b: (a * b) % q
+    return add, mul
 
 
 def affine_clique(q: int) -> CliqueCertificate:
@@ -286,12 +268,12 @@ def affine_clique(q: int) -> CliqueCertificate:
         raise UnsupportedConstructionError(
             f"affine cliques are built for q in {_AFFINE_SIZES}, got {q}"
         )
-    field = _Field(q)
-    members = []
-    for a in range(1, q):
-        for b in range(q):
-            images = tuple(field.add(field.mul(a, x), b) + 1 for x in range(q))
-            members.append(Permutation(images))
+    add, mul = _field(q)
+    members = [
+        Permutation(tuple(add(mul(a, x), b) + 1 for x in range(q)))
+        for a in range(1, q)
+        for b in range(q)
+    ]
     if len(set(members)) != q * (q - 1):
         raise AssertionError("affine maps are not distinct")
     return _certify(members, q, 1, "affine")
@@ -351,53 +333,33 @@ def equitable_quotient(n: int) -> EquitableQuotient:
 
     Edge counts are taken directly: a neighbour pi*g of pi fixes n exactly
     when g(n) = pi^-1(n), so counting derangements by their image of n gives
-    every vertex's count into the first cell.  Equitability is confirmed by
-    those counts being constant on each cell.
+    every vertex's count into the first cell.  The partition is equitable
+    when those counts are constant on each cell, read from the point 1.
     """
     if not 2 <= n <= MAX_QUOTIENT_DEGREE:
         raise DegreeRangeError(
             f"the quotient is supported for 2 <= n <= {MAX_QUOTIENT_DEGREE}, got {n}"
         )
-    counts = [0] * (n + 1)  # counts[w] = derangements sending n to w
-    total = 0
-    points = range(1, n + 1)
-    for images in itertools.permutations(points):
-        if any(map(eq, images, points)):
-            continue
-        counts[images[n - 1]] += 1
-        total += 1
+    counts = derangements_by_last_image(n)
     d = derangement_count(n)
-    if total != d:
+    if sum(counts) != d:
         raise AssertionError("derangement enumeration disagrees with the recursion")
-    if counts[n] != 0:
-        raise AssertionError("a derangement fixed the last point")
-    off_cell = set(counts[1:n])
-    equitable = len(off_cell) == 1
-    if not equitable:
-        raise AssertionError(f"quotient is not equitable: counts {counts[1:n]}")
     q = counts[1]
-    matrix = ((0, d), (q, d - q))
-    # Eigenvalues of [[0, d], [q, d-q]] are d and -q, by trace and determinant.
-    eigenvalues = (d, -q)
-    if d + (-q) != matrix[0][0] + matrix[1][1]:
-        raise AssertionError("quotient eigenvalues disagree with its trace")
-    if d * (-q) != matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]:
-        raise AssertionError("quotient eigenvalues disagree with its determinant")
-    matches_closed_form = q * (n - 1) == d
     return EquitableQuotient(
         n=n,
-        matrix=matrix,
-        eigenvalues=eigenvalues,
+        matrix=((0, d), (q, d - q)),
+        # the eigenvalues of [[0, d], [q, d - q]]
+        eigenvalues=(d, -q),
         cell_sizes=(factorial(n - 1), factorial(n) - factorial(n - 1)),
-        equitable=equitable,
-        matches_closed_form=matches_closed_form,
+        equitable=len(set(counts[1:n])) == 1,
+        matches_closed_form=q * (n - 1) == d,
     )
 
 
 def latin_coset_cover(n: int) -> list[tuple[int, ...]]:
     """Right cosets of the cyclic Latin clique: a partition into n!/n cliques."""
     gd = group_data(n)
-    clique_ranks = [gd.index[p.images] for p in latin_clique(n).members]
+    clique_ranks = [rank_permutation(p) for p in latin_clique(n).members]
     # row v lists the ranks of r * v over the clique members r
     columns = gd.compose_ranks(clique_ranks, [[v] for v in range(gd.order)]).tolist()
     assigned = [False] * gd.order
@@ -476,7 +438,8 @@ def max_independent_sets(n: int, t: int = 0, workers: int = 1) -> SearchResult:
     The right cosets of the cyclic Latin clique partition the vertices into
     n!/n cliques, so no independent set beats (n-1)!; the family fixing the
     last point reaches it.  Every maximum set therefore picks exactly one
-    vertex per coset, and those transversals are enumerated completely.
+    vertex per coset, and those transversals are enumerated completely; that
+    family must be among them, and each one is validated.
     """
     if t != 0:
         raise UnsupportedConstructionError("exhaustive search is implemented for t=0")
@@ -488,32 +451,26 @@ def max_independent_sets(n: int, t: int = 0, workers: int = 1) -> SearchResult:
     masks = _adjacency_masks(n, 0)
     full = (1 << gd.order) - 1
     nonadj = [full & ~m for m in masks]
-    cosets = latin_coset_cover(n)
-    coset_masks = []
-    for coset in cosets:
-        mask = 0
-        for v in coset:
-            mask |= 1 << v
-        coset_masks.append(mask)
-    seed = family([(n, n)], n)
-    ok, witness = validate_family(seed.members, 0)
-    if not ok:
-        raise AssertionError(f"seed family is not independent: {witness}")
-    alpha = seed.size  # floor (n-1)! met; coset cover shows it is also a cap
+    # a coset's ranks are distinct, so its mask is the sum of their bits
+    coset_masks = [sum(1 << v for v in coset) for coset in latin_coset_cover(n)]
+    seed = gd.constraint_ranks([((n, n),)])[0].tolist()
+    alpha = len(seed)  # floor (n-1)! met; coset cover shows it is also a cap
     if workers > 1:
         found = _parallel_search(coset_masks, nonadj, full, workers)
     else:
         found = _enumerate_transversals(coset_masks, nonadj, full, ())
+    found = sorted(map(sorted, found))
+    if seed not in found:
+        raise AssertionError("the seed family was not rediscovered")
+    # one Permutation per rank, shared by the n sets it lies in
+    perms = [Permutation(tuple(row)) for row in (gd.images + 1).tolist()]
     sets = []
     for ranks in found:
-        members = tuple(gd.permutation(r) for r in sorted(ranks))
+        members = tuple(perms[r] for r in ranks)
         ok, witness = validate_family(members, 0)
         if not ok:
             raise AssertionError(f"search produced a dependent set: {witness}")
         sets.append(members)
-    sets.sort(key=lambda ms: tuple(p.images for p in ms))
-    if not any(tuple(p.images for p in s) == tuple(p.images for p in seed.members) for s in sets):
-        raise AssertionError("the seed family was not rediscovered")
     return SearchResult(n=n, t=0, alpha=alpha, omega=n, sets=tuple(sets))
 
 

@@ -110,7 +110,7 @@ def run_search(n: int, t: int, workers: int, found=None):
         found = graphs.max_independent_sets(n, t, workers=workers)
     gd = scheme.group_data(n)
     distinct_families = {
-        frozenset(ranks.tolist())
+        frozenset(map(tuple, (gd.images[ranks] + 1).tolist()))
         for ranks in gd.constraint_ranks(
             [((i, j),) for i in range(1, n + 1) for j in range(1, n + 1)]
         )
@@ -131,7 +131,7 @@ def run_search(n: int, t: int, workers: int, found=None):
         check(
             "all-sets-are-stabilizer-cosets",
             all(
-                frozenset(map(gd.rank_of, members)) in distinct_families
+                frozenset(p.images for p in members) in distinct_families
                 for members in found.sets
             ),
         ),
@@ -268,6 +268,7 @@ def _coin_flips(rng: random.Random):
 
 
 def run_identity_check(n: int, trials: int, seed: int, t: int):
+    _need_threshold(n, t)  # the identity does not depend on t
     flips = _coin_flips(random.Random(seed))
     order = factorial(n)
 
@@ -277,7 +278,7 @@ def run_identity_check(n: int, trials: int, seed: int, t: int):
             y = list(itertools.islice(flips, order))
             yield x, y
 
-    sides = scheme.fundamental_identity_check(draws(), n, t)
+    sides = scheme.fundamental_identity_check(draws(), n)
     sample = sides[0]
     all_equal = all(lhs == rhs for lhs, rhs in sides)
     checks = [check("identity-holds-exactly", all_equal, trials=trials)]

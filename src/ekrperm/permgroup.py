@@ -7,9 +7,11 @@ p(q(i))``.  All counting is done with Python integers, which never overflow.
 
 from __future__ import annotations
 
+import itertools
 import re
 from functools import lru_cache
 from math import factorial
+from operator import eq
 from typing import NamedTuple
 
 from .errors import DegreeRangeError
@@ -26,7 +28,7 @@ AGREEMENT_BLOCK_PAIRS = 1 << 16
 MAX_DENSE_DEGREE = 6
 # The explicit n! x (n-1)^2 incidence matrices of ekrverify stop here.
 MAX_INCIDENCE_DEGREE = 8
-# equitable_quotient walks all n! permutations; 11! is already 40 million.
+# The quotient's walk of S(n) visits all n! permutations; 11! is 40 million.
 MAX_QUOTIENT_DEGREE = 10
 
 
@@ -308,3 +310,32 @@ def derangement_count(n: int) -> int:
     for k in range(2, n + 1):
         previous, current = current, (k - 1) * (current + previous)
     return current
+
+
+@lru_cache(maxsize=None)
+def derangements_by_last_image(n: int) -> tuple[int, ...]:
+    """Entry w counts the derangements of 1..n sending n to w, from a walk of S(n).
+
+    Entries 0 and n are 0.  Every permutation is visited, so the counts are
+    a brute-force witness against derangement_count.
+    """
+    counts = [0] * (n + 1)
+    points = range(1, n + 1)
+    for images in itertools.permutations(points):
+        if not any(map(eq, images, points)):
+            counts[images[-1]] += 1
+    return tuple(counts)
+
+
+@lru_cache(maxsize=None)
+def image_table(n: int):
+    """0-based images of every permutation of 1..n, one read-only int8 row per rank."""
+    import numpy as np
+
+    table = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n))),
+        dtype=np.int8,
+        count=n * factorial(n),
+    ).reshape(-1, n)
+    table.flags.writeable = False
+    return table

@@ -15,7 +15,7 @@ character; nothing here ever touches floating point.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import factorial, prod
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
@@ -25,11 +25,11 @@ from .errors import DegreeRangeError, FamilyValidationError
 from .permgroup import (
     MAX_DENSE_DEGREE,
     Partition,
-    Permutation,
     classes_with_few_fixed_points,
     conjugacy_classes,
     cycle_type_of_images,
     first_agreement_violation,
+    image_table,
     rank_permutation,
 )
 
@@ -44,70 +44,66 @@ IDENTITY_CHUNK = 32
 
 
 class GroupData:
-    """Rank-indexed tables for one symmetric group.
+    """Rank-indexed tables for one symmetric group, as NumPy arrays.
 
-    perms[r] is the one-line tuple of the rank-r permutation, inv[r] the rank
-    of its inverse and type_of[r] the index of its conjugacy class in the
-    shared partition order.
+    images[r] holds the 0-based images of the rank-r permutation (the shared
+    permgroup.image_table, so images.T[k] holds the images of k+1 by rank),
+    inv[r] the rank of its inverse and type_of[r] the index of its conjugacy
+    class in the shared partition order.
 
     compose_ranks and quotient_classes are the one place where permutations
-    are multiplied; everything else (quadratic forms, adjacency masks, the
+    are multiplied, and rank_images ranks image arrays (the products, the
+    inverses); everything else (quadratic forms, adjacency masks, the
     multiplication table) reads products from them.
-    NumPy is imported by the first call and only ever computes indices.
     """
 
     def __init__(self, n: int):
+        import numpy as np
+
         if not 1 <= n <= MAX_GROUP_DEGREE:
             raise DegreeRangeError(
                 f"group tables are supported for 1 <= n <= {MAX_GROUP_DEGREE}, got {n}"
             )
         self.n = n
         self.order = factorial(n)
-        self.perms = list(itertools.permutations(range(1, n + 1)))
-        self.index = {images: r for r, images in enumerate(self.perms)}
-        self.inv = [0] * self.order
-        for r, images in enumerate(self.perms):
-            inv_images = [0] * n
-            for i, v in enumerate(images, start=1):
-                inv_images[v - 1] = i
-            self.inv[r] = self.index[tuple(inv_images)]
+        self.images = image_table(n)
+        self.inv = self.rank_images(np.argsort(self.images, axis=1).T)
         self.classes = conjugacy_classes(n)
         self.class_index = {cls.cycle_type: k for k, cls in enumerate(self.classes)}
-        self.type_of = [
-            self.class_index[cycle_type_of_images(images)] for images in self.perms
-        ]
+        one_based = (self.images + 1).tolist()
+        types = [self.class_index[cycle_type_of_images(row)] for row in one_based]
+        self.type_of = np.array(types, dtype=np.int8)
         self._mult: list[list[int]] | None = None
 
-    @cached_property
-    def _arrays(self):
-        """0-based images (by rank and by position), inverse ranks and class indices."""
+    def rank_images(self, planes):
+        """Lexicographic ranks of the permutations whose 0-based images are planes.
+
+        planes[k] holds the images of k+1, all planes of one shape, and so
+        does the result: the Lehmer code, counted plane against plane.
+        """
         import numpy as np
 
-        images = np.array(self.perms, dtype=np.int8) - 1
-        return (
-            images,
-            np.ascontiguousarray(images.T, dtype=np.intp),
-            np.array(self.inv, dtype=np.intp),
-            np.array(self.type_of, dtype=np.int8),
-        )
+        ranks = np.zeros(np.shape(planes)[1:], dtype=np.intp)
+        for k in range(self.n - 1):
+            ranks += (planes[k + 1 :] < planes[k]).sum(0) * factorial(self.n - 1 - k)
+        return ranks
 
     def compose_ranks(self, a, b):
         """Ranks of perm(a) composed with perm(b), for rank arrays that broadcast.
 
         The result has the broadcast shape of a and b, so a column against a
         row, [[r] for r in a] with b, gives every pair.  Products are formed on
-        images, one contiguous plane per position, and ranked by their Lehmer
-        codes, a block of the leading axis at a time so temporaries stay near
-        BLOCK_PAIRS * n.
+        images, one plane per position, and ranked by rank_images, a block of
+        the leading axis at a time so temporaries stay near BLOCK_PAIRS * n.
         """
         import numpy as np
 
-        images, by_position, _, _ = self._arrays
         a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
         shape = np.broadcast_shapes(a.shape, b.shape)
         a = a.reshape((1,) * (len(shape) - a.ndim) + a.shape)
         b = b.reshape((1,) * (len(shape) - b.ndim) + b.shape)
         out = np.zeros(shape, dtype=np.int32)
+        flat, by_position = self.images.ravel(), np.ascontiguousarray(self.images.T)
         step = max(1, BLOCK_PAIRS // max(1, prod(shape[1:])))
         for start in range(0, len(out), step):
             block = slice(start, start + step)
@@ -116,32 +112,28 @@ class GroupData:
             # composed[k] = perm(a)(perm(b)(k)) over the block, 0-based
             composed = np.empty((self.n,) + out[block].shape, dtype=np.int8)
             for k in range(self.n):
-                np.take(images.ravel(), by_position[k][right] + offsets, out=composed[k])
-            for k in range(self.n - 1):
-                smaller = (composed[k + 1 :] < composed[k]).sum(0)
-                out[block] += smaller * factorial(self.n - 1 - k)
+                np.take(flat, by_position[k][right] + offsets, out=composed[k])
+            out[block] = self.rank_images(composed)
         return out
 
     def quotient_classes(self, a, b):
         """Class index of perm(a)^-1 perm(b), for rank arrays that broadcast."""
-        import numpy as np
-
-        _, _, inv, type_of = self._arrays
-        return type_of[self.compose_ranks(inv[np.asarray(a, dtype=np.intp)], b)]
+        return self.type_of[self.compose_ranks(self.inv[a], b)]
 
     def constraint_ranks(self, constraint_sets) -> list:
         """Ascending ranks of each family S_A, for constraint sets A of (x, y) pairs.
 
         S_A holds the permutations sending x to y for every pair of A: the AND
-        over those pairs of the position planes by_position[x-1] == y-1, read
+        over those pairs of the position planes images.T[x-1] == y-1, read
         off with flatnonzero.  Sets of one size are masked together, one pair
         at a time; no Permutation is built.  A point outside 1..n raises
         ValueError.
         """
         import numpy as np
 
-        _, by_position, _, _ = self._arrays
         # planes[x, y] marks the ranks sending x+1 to y+1
+        # contiguous, so that each plane below is contiguous over the ranks
+        by_position = np.ascontiguousarray(self.images.T)
         planes = by_position[:, None, :] == np.arange(self.n)[None, :, None]
         by_size: dict[int, list[int]] = {}
         for f, pairs in enumerate(constraint_sets):
@@ -165,8 +157,8 @@ class GroupData:
         q are adjacent exactly when p^-1 q is one of them.
         """
         few = classes_with_few_fixed_points(self.n, t)
-        chosen = [cls in few for cls in self.classes]
-        return [r for r, k in enumerate(self.type_of) if chosen[k]]
+        chosen = {self.class_index[cls.cycle_type] for cls in few}
+        return [r for r, k in enumerate(self.type_of.tolist()) if k in chosen]
 
     @property
     def mult(self) -> list[list[int]]:
@@ -182,12 +174,6 @@ class GroupData:
                 for row in self.compose_ranks([[r] for r in shared], shared)
             ]
         return self._mult
-
-    def permutation(self, rank: int) -> Permutation:
-        return Permutation(self.perms[rank])
-
-    def rank_of(self, p: Permutation) -> int:
-        return self.index[p.images]
 
 
 @lru_cache(maxsize=None)
@@ -309,9 +295,7 @@ def shifted_character_sums(rank_lists, n: int):
     return out
 
 
-def fundamental_identity_check(
-    pairs, n: int, t: int = 0
-) -> list[tuple[Fraction, Fraction]]:
+def fundamental_identity_check(pairs, n: int) -> list[tuple[Fraction, Fraction]]:
     """Both sides of the scheme identity for every 0/1 (x, y) of pairs, in order.
 
     Left: sum over classes (including the identity class) of
@@ -321,13 +305,10 @@ def fundamental_identity_check(
     two form vectors, divided by n!^2, with the products in Python ints.  The
     iterable is read IDENTITY_CHUNK pairs at a time, and each chunk's vectors
     get their forms from one class_quadratic_forms batch, so the vectors held
-    at once do not grow with the number of pairs.  The identity does not
-    depend on t.
+    at once do not grow with the number of pairs.
     """
     from fractions import Fraction
 
-    if not 0 <= t < n:
-        raise ValueError(f"need 0 <= t < n, got t={t}, n={n}")
     gd = group_data(n)
     scale = gd.order * gd.order
     # 1/(n! |C|) = (n!/|C|) / n!^2

@@ -60,6 +60,15 @@ class TestShapeHelpers:
         assert conjugate_partition((3, 1)) == (2, 1, 1)
         assert conjugate_partition((2, 2)) == (2, 2)
         assert conjugate_partition((4,)) == (1, 1, 1, 1)
+        assert conjugate_partition(()) == ()
+
+    def test_conjugate_counts_the_parts_beyond_each_column(self):
+        for n in range(1, 21):
+            for shape in partitions_of(n):
+                columns = tuple(
+                    sum(1 for part in shape if part > j) for j in range(shape[0])
+                )
+                assert conjugate_partition(shape) == columns
 
     def test_dimension_by_hook_formula(self):
         assert dimension((4,)) == 1

@@ -240,6 +240,37 @@ class TestCommands:
         assert code == 0
         assert report["result"]["matrix"] == [["0", "44"], ["11", "33"]]
 
+    def test_derangements_then_quotient_walk_the_group_once(self, capsys, monkeypatch):
+        n, walks = 6, []
+        permutations = itertools.permutations
+
+        def counting(points, r=None):
+            if r is None and len(points) == n:
+                walks.append(tuple(points))
+            return permutations(points, r)
+
+        permgroup.derangements_by_last_image.cache_clear()
+        monkeypatch.setattr(itertools, "permutations", counting)
+        assert run_cli(capsys, "derangements", str(n))[0] == 0
+        assert run_cli(capsys, "quotient", str(n))[0] == 0
+        assert len(walks) == 1
+
+    def test_a_doctored_quotient_fails_its_check(self, capsys, monkeypatch):
+        graphs = cli.graphs
+        counts = list(permgroup.derangements_by_last_image(4))
+        counts[1] -= 1  # one derangement moved from image 1 to image 2
+        counts[2] += 1
+        monkeypatch.setattr(graphs, "derangements_by_last_image", lambda n: counts)
+        code, report, err = run_json(capsys, "quotient", "4")
+        assert code == cli.EXIT_CHECK_FAILED == 1
+        assert err == ""
+        assert {c["name"]: c["pass"] for c in report["checks"]} == {
+            "partition-is-equitable": False,
+            "matches-closed-form": False,
+            "eigenvalues-are-d-and--d/(n-1)": False,
+            "row-sums-equal-valency": True,
+        }
+
 
 class TestExitCodes:
     def test_degree_error(self, capsys):
@@ -337,6 +368,7 @@ class TestExitCodes:
             ["search", "4", "--t", "-1"],
             ["search", "4", "--t", "4"],
             ["search", "4", "--t", "9"],
+            ["identity-check", "4", "--t", "4"],
         ],
     )
     def test_threshold_out_of_range_is_a_usage_error(self, capsys, argv):

@@ -80,7 +80,7 @@ def module_supports(families, n):
     scheme.shifted_character_sums.
     """
     gd = group_data(n)
-    ranks = [[gd.rank_of(p) for p in members] for members in families]
+    ranks = [[rank_permutation(p) for p in members] for members in families]
     return [
         {
             cls.cycle_type: Fraction(dimension(cls.cycle_type) * total, gd.order)
@@ -709,7 +709,6 @@ class TestClassification:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_records_are_the_unique_dense_solutions(self, n):
-        gd = group_data(n)
         h = incidence(n)
         width = (n - 1) ** 2
         families = point_families(n)
@@ -722,10 +721,14 @@ class TestClassification:
         assert oracles.kernel(bordered) == []
         for members, record in zip(found.sets, report.records):
             point_set = families[record.family_key].members
-            assert {gd.rank_of(p) for p in members} == {gd.rank_of(p) for p in point_set}
-            translated = {gd.rank_of(compose(inverse(members[0]), p)) for p in members}
+            assert set(map(rank_permutation, members)) == set(
+                map(rank_permutation, point_set)
+            )
+            translated = {
+                rank_permutation(compose(inverse(members[0]), p)) for p in members
+            }
             target = families[record.translated_to].members
-            assert translated == {gd.rank_of(p) for p in target}
+            assert translated == {rank_permutation(p) for p in target}
             solution = oracles.solve(
                 bordered, [int(r in translated) for r in range(len(bordered))]
             )

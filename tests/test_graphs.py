@@ -40,6 +40,51 @@ from ekrperm.permgroup import (
 )
 
 
+class _ParentField:
+    """GF(q) as graphs built it before one base-p route served every q."""
+
+    POLYS = {4: (2, (1, 1, 1)), 8: (2, (1, 1, 0, 1)), 9: (3, (1, 0, 1))}
+
+    def __init__(self, q):
+        if q not in self.POLYS:
+            self.add = lambda a, b: (a + b) % q
+            self.mul = lambda a, b: (a * b) % q
+            return
+        p, poly = self.POLYS[q]
+        k = len(poly) - 1
+
+        def to_coeffs(a):
+            out = []
+            for _ in range(k):
+                a, r = divmod(a, p)
+                out.append(r)
+            return out
+
+        def from_coeffs(cs):
+            value = 0
+            for c in reversed(cs):
+                value = value * p + c
+            return value
+
+        def mul(a, b):
+            prod = [0] * (2 * k - 1)
+            for i, x in enumerate(to_coeffs(a)):
+                for j, y in enumerate(to_coeffs(b)):
+                    prod[i + j] = (prod[i + j] + x * y) % p
+            for deg in range(2 * k - 2, k - 1, -1):
+                coeff = prod[deg]
+                if coeff:
+                    prod[deg] = 0
+                    for j in range(k):
+                        prod[deg - k + j] = (prod[deg - k + j] - coeff * poly[j]) % p
+            return from_coeffs(prod[:k])
+
+        self.mul = mul
+        self.add = lambda a, b: from_coeffs(
+            [(x + y) % p for x, y in zip(to_coeffs(a), to_coeffs(b))]
+        )
+
+
 def point_families(n):
     """The n^2 families fixing a single position-value pair, keyed by the pair."""
     return {(i, j): family([(i, j)], n) for i in range(1, n + 1) for j in range(1, n + 1)}
@@ -332,6 +377,14 @@ class TestAffineCliques:
                         ]
                         assert len(hits) == 1
 
+    @pytest.mark.parametrize("q", graphs._AFFINE_SIZES)
+    def test_one_route_equals_the_prime_and_polynomial_branches(self, q):
+        add, mul = graphs._field(q)
+        parent = _ParentField(q)
+        for a, b in itertools.product(range(q), repeat=2):
+            assert add(a, b) == parent.add(a, b)
+            assert mul(a, b) == parent.mul(a, b)
+
     def test_non_prime_power_rejected(self):
         with pytest.raises(UnsupportedConstructionError):
             affine_clique(6)
@@ -407,6 +460,15 @@ class TestEquitableQuotient:
             assert q.matches_closed_form
 
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_counts_are_the_walk_of_every_derangement(self, n):
+        counts = [0] * (n + 1)
+        for images in itertools.permutations(range(1, n + 1)):
+            if all(v != i for i, v in enumerate(images, start=1)):
+                counts[images[-1]] += 1
+        assert permgroup.derangements_by_last_image(n) == tuple(counts)
+
+
 class TestCosetCover:
     def test_partition_into_cliques(self):
         n = 4
@@ -445,6 +507,17 @@ class TestSearch:
         serial = max_independent_sets(4, workers=1)
         parallel = max_independent_sets(4, workers=2)
         assert serial.sets == parallel.sets
+
+    def test_the_seed_must_be_rediscovered(self, monkeypatch):
+        seed = sorted(rank_permutation(p) for p in family([(4, 4)], 4).members)
+        enumerate_all = graphs._enumerate_transversals
+
+        def losing_the_seed(*args):
+            return [t for t in enumerate_all(*args) if sorted(t) != seed]
+
+        monkeypatch.setattr(graphs, "_enumerate_transversals", losing_the_seed)
+        with pytest.raises(AssertionError, match="the seed family was not rediscovered"):
+            max_independent_sets(4)
 
     def test_unsupported_threshold(self):
         with pytest.raises(UnsupportedConstructionError):

@@ -486,13 +486,6 @@ class TestFundamentalIdentity:
             [(lhs, rhs)] = fundamental_identity_check([(x, y)], 4)
             assert lhs == rhs
 
-    def test_threshold_does_not_change_either_side(self):
-        x = [1, 0] * 12
-        y = [0, 1] * 12
-        assert fundamental_identity_check([(x, y)], 4, 0) == fundamental_identity_check(
-            [(x, y)], 4, 1
-        )
-
 
 def _identity_pairs(count, n, seed):
     rng = random.Random(seed)
@@ -536,10 +529,6 @@ class TestIdentityInChunks:
 
     def test_no_pairs(self):
         assert fundamental_identity_check([], 4) == []
-
-    def test_threshold_is_checked_before_any_pair(self):
-        with pytest.raises(ValueError):
-            fundamental_identity_check(iter([]), 4, 4)
 
 
 class TestCharacteristicVector:
@@ -692,6 +681,45 @@ def _oracle_quotient_type(p, q):
     return oracles.cycle_type_of(tuple(inv[v - 1] for v in q))
 
 
+class TestGroupTables:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_arrays_agree_with_the_oracle_walk(self, n):
+        gd = group_data(n)
+        perms = list(itertools.permutations(range(1, n + 1)))  # rank order
+        index = {images: r for r, images in enumerate(perms)}
+        assert (gd.images + 1).tolist() == [list(images) for images in perms]
+        for r, images in enumerate(perms):
+            inverse_images = [0] * n
+            for i, v in enumerate(images, start=1):
+                inverse_images[v - 1] = i
+            assert gd.inv[r] == index[tuple(inverse_images)]
+            assert gd.classes[gd.type_of[r]].cycle_type == oracles.cycle_type_of(images)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_images_rank_in_order(self, n):
+        gd = group_data(n)
+        assert gd.rank_images(gd.images.T).tolist() == list(range(gd.order))
+
+    def test_the_image_table_is_shared_and_read_only(self, monkeypatch):
+        from ekrperm import ekrverify, permgroup
+
+        table = permgroup.image_table(5)
+        assert group_data(5).images is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+        def walk(*args):
+            raise AssertionError("S(5) walked again")
+
+        ekrverify.incidence.cache_clear()
+        monkeypatch.setattr(itertools, "permutations", walk)
+        h = ekrverify.incidence(5)
+        # row r has column (1, pi(1)) unless pi(1) = 5
+        assert h.ones[:, 0].tolist() == [
+            4 * 4 if v == 4 else v for v in table[:, 0].tolist()
+        ]
+
+
 class TestCompositionKernel:
     @settings(max_examples=60)
     @given(_rank_pairs())
@@ -769,7 +797,7 @@ class TestConstraintRanks:
         got = gd.constraint_ranks(sets)
         assert len(got) == len(sets)
         for pairs, ranks in zip(sets, got):
-            expected = sorted(gd.rank_of(p) for p in family(pairs, n).members)
+            expected = sorted(rank_permutation(p) for p in family(pairs, n).members)
             assert ranks.tolist() == expected
 
     def test_mixed_sizes_keep_their_order(self):
@@ -778,7 +806,7 @@ class TestConstraintRanks:
         got = gd.constraint_ranks(sets)
         for pairs, ranks in zip(sets, got):
             assert ranks.tolist() == sorted(
-                gd.rank_of(p) for p in family(pairs, 5).members
+                rank_permutation(p) for p in family(pairs, 5).members
             )
 
     def test_conflicting_pairs_give_an_empty_family(self):
