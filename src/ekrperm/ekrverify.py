@@ -30,6 +30,7 @@ from .permgroup import (
     image_table,
     partition_depth,
     partitions_of,
+    point_family,
     rank_permutation,
 )
 from .scheme import group_data, shifted_character_sums
@@ -346,15 +347,16 @@ class ClassificationReport(NamedTuple):
 def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
     """Match every maximum independent set against the point families.
 
-    Each set is also translated to contain the identity, and its indicator
-    is written exactly in the columns of [H | ones]: stabilizing a point
-    i < n is case 1 (the column (i,i), coefficient 0); stabilizing the last
-    point is case 2 (every column of H, border coefficient -(n-2)).  The
-    bordered Gram matrix of [H | ones] having full rank, certified by one
-    modular rank profile, shows once per call that these coordinates are the
-    only ones, so each set only checks its predicted coordinates against
-    every row of H.  A rank deficit raises AssertionError; a prediction that
-    fails marks the set as a violation.
+    A set of distinct members (by their ranks) must be a coset S_{i->j}, read
+    by permgroup.point_family, or it is a violation; so must the set
+    translated to contain the identity, whose indicator is written exactly in
+    the columns of [H | ones]: stabilizing a point i < n is case 1 (the column
+    (i,i), coefficient 0); stabilizing the last point is case 2 (every column
+    of H, border coefficient -(n-2)).  The bordered Gram matrix of [H | ones]
+    having full rank, certified by one modular rank profile, shows once per
+    call that these coordinates are the only ones, so each set only checks its
+    predicted coordinates against every row of H.  A rank deficit raises
+    AssertionError; a prediction that fails is a violation too.
     """
     import numpy as np
 
@@ -368,11 +370,6 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
     gram = _gram(h.ones, width, border=True)
     if linalg.certified_rank(gram, width + 1)[0] != width + 1:
         raise AssertionError("[H | ones] must have full column rank")
-    keys = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    families = {
-        key: frozenset(ranks.tolist())
-        for key, ranks in zip(keys, gd.constraint_ranks([(key,) for key in keys]))
-    }
     # H as one 0/1 array: a prediction is checked against all its rows at once
     h_matrix = _dense(h.ones, width)
     records = []
@@ -380,18 +377,15 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
     for idx, members in enumerate(search_result.sets):
         images = np.array([p.images for p in members], dtype=np.int8) - 1
         member_ranks = gd.rank_images(images.T)
-        ranks = frozenset(member_ranks.tolist())
-        family_key = next(
-            (key for key, fam in families.items() if fam == ranks), None
-        )
-        if family_key is None:
-            violations.append(idx)
-            records.append(SetClassification(None, None, None, None, False))
-            continue
+        distinct = len(np.unique(member_ranks)) == len(member_ranks)
+        family_key = point_family(images) if distinct else None
         # ranks of members[0]^-1 p, over the members p
         translated_ranks = gd.compose_ranks(gd.inv[member_ranks[0]], member_ranks)
-        translated = frozenset(translated_ranks.tolist())
-        fixed = next(key for key, fam in families.items() if fam == translated)
+        fixed = point_family(gd.images[translated_ranks]) if family_key else None
+        if fixed is None:
+            violations.append(idx)
+            records.append(SetClassification(family_key, None, None, None, False))
+            continue
         if fixed[0] == fixed[1] < n:
             case, body, coefficient = 1, np.zeros(width, dtype=np.int64), 0
             body[h.diagonal[fixed[0] - 1]] = 1

@@ -14,11 +14,7 @@ from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
-from .errors import (
-    DegreeRangeError,
-    FamilyValidationError,
-    UnsupportedConstructionError,
-)
+from .errors import DegreeRangeError, UnsupportedConstructionError
 from .permgroup import (
     MAX_DENSE_DEGREE,
     MAX_QUOTIENT_DEGREE,
@@ -65,7 +61,7 @@ def _first_witness(members, t, clique):
 
 
 class CliqueCertificate(NamedTuple):
-    """A validated clique in the threshold-t graph."""
+    """A built clique in the threshold-t graph, and whether it validated."""
 
     n: int
     t: int
@@ -79,13 +75,10 @@ class CliqueCertificate(NamedTuple):
 
 
 def _certify(members, n, t, construction) -> CliqueCertificate:
-    ok, witness = validate_clique(members, t)
-    if not ok:
-        raise FamilyValidationError(
-            f"{construction} produced a non-clique: {witness[0]} vs {witness[1]}"
-        )
+    """The members as a certificate; validated records whether they are a clique."""
+    ok, _ = validate_clique(members, t)
     return CliqueCertificate(
-        n=n, t=t, construction=construction, members=tuple(members), validated=True
+        n=n, t=t, construction=construction, members=tuple(members), validated=ok
     )
 
 
@@ -341,25 +334,26 @@ def equitable_quotient(n: int) -> EquitableQuotient:
             f"the quotient is supported for 2 <= n <= {MAX_QUOTIENT_DEGREE}, got {n}"
         )
     counts = derangements_by_last_image(n)
-    d = derangement_count(n)
-    if sum(counts) != d:
-        raise AssertionError("derangement enumeration disagrees with the recursion")
-    q = counts[1]
+    # rows and eigenvalues read the walk alone (s, not derangement_count)
+    s, c, q = sum(counts), counts[n], counts[1]
     return EquitableQuotient(
         n=n,
-        matrix=((0, d), (q, d - q)),
-        # the eigenvalues of [[0, d], [q, d - q]]
-        eigenvalues=(d, -q),
+        matrix=((c, s - c), (q, s - q)),
+        # the eigenvalues of [[c, s - c], [q, s - q]]
+        eigenvalues=(s, c - q),
         cell_sizes=(factorial(n - 1), factorial(n) - factorial(n - 1)),
         equitable=len(set(counts[1:n])) == 1,
-        matches_closed_form=q * (n - 1) == d,
+        matches_closed_form=q * (n - 1) == derangement_count(n),
     )
 
 
 def latin_coset_cover(n: int) -> list[tuple[int, ...]]:
     """Right cosets of the cyclic Latin clique: a partition into n!/n cliques."""
     gd = group_data(n)
-    clique_ranks = [rank_permutation(p) for p in latin_clique(n).members]
+    clique = latin_clique(n)
+    if not clique.validated:
+        raise AssertionError("the cyclic Latin clique is not a clique")
+    clique_ranks = [rank_permutation(p) for p in clique.members]
     # row v lists the ranks of r * v over the clique members r
     columns = gd.compose_ranks(clique_ranks, [[v] for v in range(gd.order)]).tolist()
     assigned = [False] * gd.order

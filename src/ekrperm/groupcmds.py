@@ -106,15 +106,10 @@ def run_clique(n: int, method: str):
 
 def run_search(n: int, t: int, workers: int, found=None):
     _need_threshold(n, t)
+    import numpy as np
+
     if found is None:
         found = graphs.max_independent_sets(n, t, workers=workers)
-    gd = scheme.group_data(n)
-    distinct_families = {
-        frozenset(map(tuple, (gd.images[ranks] + 1).tolist()))
-        for ranks in gd.constraint_ranks(
-            [((i, j),) for i in range(1, n + 1) for j in range(1, n + 1)]
-        )
-    }
     checks = [
         check(
             "alpha-is-(n-1)!",
@@ -124,14 +119,15 @@ def run_search(n: int, t: int, workers: int, found=None):
         check("product-tight", found.tight),
         check(
             "count-matches-stabilizer-catalogue",
-            found.count == len(distinct_families),
+            found.count == permgroup.stabilizer_coset_count(n),
             count=found.count,
-            expected=len(distinct_families),
+            expected=permgroup.stabilizer_coset_count(n),
         ),
-        check(
+        check(  # the search validates each set, so its members are distinct
             "all-sets-are-stabilizer-cosets",
             all(
-                frozenset(p.images for p in members) in distinct_families
+                permgroup.point_family(np.array([p.images for p in members]) - 1)
+                is not None
                 for members in found.sets
             ),
         ),
@@ -168,7 +164,7 @@ def run_classify(n: int, search_result=None):
         check("all-sets-canonical", report.all_canonical),
         check(
             "count-matches-catalogue",
-            report.total_sets == (n * n if n >= 3 else 2),
+            report.total_sets == permgroup.stabilizer_coset_count(n),
             count=report.total_sets,
         ),
         check(
@@ -343,6 +339,8 @@ def run_clique_characters(n: int):
         cliques.append(graphs.cycle_decomposition_clique(n))
     if n % 2 == 1 and n >= 5:
         cliques.append(graphs.odd_n_latin_clique(n))
+    if not all(clique.validated for clique in cliques):
+        raise AssertionError("a clique construction produced a non-clique")
     table = chartab.character_table(n)
     sums = [
         {

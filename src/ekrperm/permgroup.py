@@ -327,6 +327,28 @@ def derangements_by_last_image(n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def stabilizer_coset_count(n: int) -> int:
+    """The n^2 cosets S_{i->j} of S(n), but 2 at n = 2, where S_{1->1} = S_{2->2}."""
+    return n * n if n >= 3 else 2
+
+
+def point_family(images) -> tuple[int, int] | None:
+    """(i, j), 1-based, when the rows are exactly the coset S_{i->j}; else None.
+
+    images is the (m, n) array of the 0-based images of m pairwise-distinct
+    permutations, a row each as in image_table.  They are S_{i->j} when m is
+    (n-1)! and column i is constant at j: the first constant column is the
+    first such (i, j) in row-major order.
+    """
+    import numpy as np
+
+    images = np.asarray(images)
+    constant = np.flatnonzero((images == images[:1]).all(axis=0))
+    if len(images) != factorial(images.shape[1] - 1) or not len(constant):
+        return None
+    return int(constant[0]) + 1, int(images[0, constant[0]]) + 1
+
+
 @lru_cache(maxsize=None)
 def image_table(n: int):
     """0-based images of every permutation of 1..n, one read-only int8 row per rank."""

@@ -5,11 +5,10 @@ the isotypic components of the group algebra, one per partition of n, with
 dimension dim(shape)^2.  Their eigenvalues come from chartab.union_spectrum,
 which ratio_bound reads.
 
-Vectors over the group are 0/1 lists indexed by permutation rank: the
-characteristic vectors of sets of permutations.  A vector's weight on each
-eigenspace, x^T E x, is read from its class quadratic forms x^T A_C x (integer
-counts of ordered support pairs by the cycle type of p^-1 q) paired with the
-character; nothing here ever touches floating point.
+A family's weight on each eigenspace, x^T E x for its indicator x, is read
+from integer counts of ordered member pairs by the cycle type of p^-1 q,
+paired with the character: families are rank arrays, and only the identity
+check takes 0/1 vectors indexed by rank.  Nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .permgroup import (
     cycle_type_of_images,
     first_agreement_violation,
     image_table,
-    rank_permutation,
 )
 
 if TYPE_CHECKING:
@@ -326,19 +324,6 @@ def fundamental_identity_check(pairs, n: int) -> list[tuple[Fraction, Fraction]]
     return sides
 
 
-def characteristic_vector(members, n: int) -> list[int]:
-    """0/1 vector over permutation ranks for a set of permutations."""
-    vec = [0] * factorial(n)
-    for p in members:
-        if p.degree != n:
-            raise ValueError(f"degree mismatch: {p} in a degree-{n} vector")
-        r = rank_permutation(p)
-        if vec[r]:
-            raise ValueError(f"repeated member {p}")
-        vec[r] = 1
-    return vec
-
-
 def _check_pairwise(members, t, want_clique):
     members = list(members)
     bad = first_agreement_violation(members, t, want_clique)
@@ -375,7 +360,9 @@ def clique_coclique_check(
 ) -> CliqueCocliqueReport:
     """Validate both families and evaluate |C| * |S| <= n! with exact arithmetic.
 
-    A member of either family whose degree is not n raises ValueError.
+    A member of either family whose degree is not n raises ValueError.  A
+    tight pair's supports are the nonzero entries of shifted_character_sums
+    on the families' ranks (the shift moves only the trivial entry, left out).
     """
     clique = _check_pairwise(clique, t, want_clique=True)
     independent = _check_pairwise(independent, t, want_clique=False)
@@ -388,13 +375,17 @@ def clique_coclique_check(
     supports = None
     corollary_ok = None
     if tight and n <= MAX_DENSE_DEGREE:
-        forms = class_quadratic_forms(
-            [characteristic_vector(clique, n), characteristic_vector(independent, n)], n
-        )
-        ex, ey = _character_sums(forms, [len(clique), len(independent)], n).tolist()
+        import numpy as np
+
+        gd = group_data(n)
+        ranks = [
+            gd.rank_images(np.array([p.images for p in family], dtype=np.int8).T - 1)
+            for family in (clique, independent)
+        ]
+        ex, ey = shifted_character_sums(ranks, n).tolist()
         rows = [
             (cls.cycle_type, a > 0, b > 0)
-            for cls, a, b in zip(group_data(n).classes, ex, ey)
+            for cls, a, b in zip(gd.classes, ex, ey)
             if cls.cycle_type != (n,)
         ]
         corollary_ok = not any(a and b for _, a, b in rows)

@@ -263,6 +263,25 @@ def kernel(matrix):
     return basis
 
 
+def characteristic_vector(members, n: int) -> list[int]:
+    """0/1 vector over the lex-ordered permutations of 1..n for a set of them.
+
+    Each member is given by its one-line images, or carries them as .images.
+    A member that is no permutation of 1..n, or a repeated one, raises
+    ValueError.
+    """
+    position = {p: r for r, p in enumerate(itertools.permutations(range(1, n + 1)))}
+    vec = [0] * len(position)
+    for member in members:
+        images = tuple(getattr(member, "images", member))
+        if images not in position:
+            raise ValueError(f"{images} is not a permutation of 1..{n}")
+        if vec[position[images]]:
+            raise ValueError(f"repeated member {images}")
+        vec[position[images]] = 1
+    return vec
+
+
 def derangement_adjacency(n: int):
     """Adjacency matrix of the derangement graph over lex-ordered permutations."""
     perms = list(itertools.permutations(range(1, n + 1)))

@@ -46,7 +46,6 @@ from ekrperm.permgroup import (
     partitions_of,
 )
 from ekrperm.scheme import (
-    characteristic_vector,
     clique_coclique_check,
     fundamental_identity_check,
     group_data,
@@ -206,8 +205,8 @@ def test_06_fundamental_identity():
                 assert lhs == rhs
         # tight clique/coclique pairs collapse the identity to exactly 1
         for n in (4, 5):
-            x = characteristic_vector(latin_clique(n).members, n)
-            y = characteristic_vector(family([(1, 1)], n).members, n)
+            x = oracles.characteristic_vector(latin_clique(n).members, n)
+            y = oracles.characteristic_vector(family([(1, 1)], n).members, n)
             [(lhs, rhs)] = fundamental_identity_check([(x, y)], n)
             assert lhs == rhs == 1
 

@@ -271,6 +271,40 @@ class TestCommands:
             "row-sums-equal-valency": True,
         }
 
+    def test_a_walk_short_of_a_derangement_fails_its_check(self, capsys, monkeypatch):
+        graphs = cli.graphs
+        counts = list(permgroup.derangements_by_last_image(4))
+        counts[2] -= 1  # one derangement sending 4 to 2 dropped from the walk
+        monkeypatch.setattr(graphs, "derangements_by_last_image", lambda n: counts)
+        code, report, err = run_json(capsys, "quotient", "4")
+        assert code == cli.EXIT_CHECK_FAILED == 1
+        assert err == ""
+        assert report["result"]["matrix"] == [["0", "8"], ["3", "5"]]
+        assert {c["name"]: c["pass"] for c in report["checks"]} == {
+            "partition-is-equitable": False,
+            "matches-closed-form": True,
+            "eigenvalues-are-d-and--d/(n-1)": False,
+            "row-sums-equal-valency": False,
+        }
+
+    def test_a_construction_that_is_no_clique_fails_its_check(
+        self, capsys, monkeypatch
+    ):
+        graphs = cli.graphs
+        # the square's rows after the prescribed two are copies of the first
+        monkeypatch.setattr(
+            graphs,
+            "_complete_latin_square",
+            lambda rows, n: rows + [rows[0]] * (n - len(rows)),
+        )
+        code, report, err = run_json(capsys, "clique", "5", "--method", "odd-latin")
+        assert code == cli.EXIT_CHECK_FAILED == 1
+        assert err == ""
+        assert {c["name"]: c["pass"] for c in report["checks"]} == {
+            "pairwise-validated": False,
+            "expected-size": True,
+        }
+
 
 class TestExitCodes:
     def test_degree_error(self, capsys):

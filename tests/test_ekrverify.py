@@ -760,16 +760,18 @@ class TestClassification:
         assert all(r.coordinates_ok for i, r in enumerate(report.records) if i != k)
 
     def test_failed_prediction_is_a_violation(self, monkeypatch):
-        # with two catalogue entries swapped, the sets translated onto them
-        # get the other point's column predicted, which the rows refute
+        # with the coset test reading S_{1->1} and S_{2->2} swapped, the sets
+        # translated onto them get the other point's column predicted, which
+        # the rows refute
         found = max_independent_sets(4)
-        real = scheme.GroupData.constraint_ranks
-        swap = {((1, 1),): ((2, 2),), ((2, 2),): ((1, 1),)}
+        real = ekrverify.point_family
+        swap = {(1, 1): (2, 2), (2, 2): (1, 1)}
 
-        def swapped(gd, constraint_sets):
-            return real(gd, [swap.get(tuple(a), a) for a in constraint_sets])
+        def swapped(images):
+            key = real(images)
+            return swap.get(key, key)
 
-        monkeypatch.setattr(scheme.GroupData, "constraint_ranks", swapped)
+        monkeypatch.setattr(ekrverify, "point_family", swapped)
         report = classify_maximum_sets(4, found)
         assert report.violations
         for idx, record in enumerate(report.records):

@@ -31,12 +31,13 @@ from ekrperm.permgroup import (
     inverse,
     parse_one_line,
     partitions_of,
+    point_family,
     rank_permutation,
+    stabilizer_coset_count,
     unrank_permutation,
 )
 from ekrperm.scheme import (
     MAX_GROUP_DEGREE,
-    characteristic_vector,
     class_quadratic_forms,
     clique_coclique_check,
     fundamental_identity_check,
@@ -233,12 +234,13 @@ class TestLeastEigenvalue:
 class TestProjections:
     def test_trivial_projection_is_the_mean(self):
         members = latin_clique(4).members
-        x = characteristic_vector(members, 4)
+        x = oracles.characteristic_vector(members, 4)
         assert project((4,), x, 4) == [Fraction(1, 6)] * 24
 
     def test_shifted_family_lives_in_standard_module(self):
         fam = family([(1, 1)], 4)
-        x = [Fraction(v) - Fraction(1, 4) for v in characteristic_vector(fam.members, 4)]
+        x = oracles.characteristic_vector(fam.members, 4)
+        x = [Fraction(v) - Fraction(1, 4) for v in x]
         for shape in partitions_of(4):
             vec = project(shape, x, 4)
             if shape == (3, 1):
@@ -282,7 +284,7 @@ class TestProjections:
 
 class TestQuadraticForms:
     def test_two_element_set(self):
-        x = characteristic_vector(
+        x = oracles.characteristic_vector(
             [identity(4), parse_one_line("2,1,3,4")], 4
         )
         (forms,) = class_quadratic_forms([x], 4)
@@ -295,7 +297,7 @@ class TestQuadraticForms:
         assert by_type[(2, 2)] == 0
 
     def test_module_form_nonnegative_and_complete(self):
-        x = characteristic_vector(latin_clique(4).members, 4)
+        x = oracles.characteristic_vector(latin_clique(4).members, 4)
         (forms,) = class_quadratic_forms([x], 4)
         total = Fraction(0)
         for shape in partitions_of(4):
@@ -473,8 +475,8 @@ class TestFundamentalIdentity:
         assert lhs == rhs == 576
 
     def test_tight_pair_value_is_one(self):
-        x = characteristic_vector(latin_clique(4).members, 4)
-        y = characteristic_vector(family([(1, 1)], 4).members, 4)
+        x = oracles.characteristic_vector(latin_clique(4).members, 4)
+        y = oracles.characteristic_vector(family([(1, 1)], 4).members, 4)
         [(lhs, rhs)] = fundamental_identity_check([(x, y)], 4)
         assert lhs == rhs == 1
 
@@ -534,16 +536,16 @@ class TestIdentityInChunks:
 class TestCharacteristicVector:
     def test_counts_members(self):
         members = family([(2, 2)], 4).members
-        vec = characteristic_vector(members, 4)
+        vec = oracles.characteristic_vector(members, 4)
         assert sum(vec) == 6
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            characteristic_vector([identity(4), identity(4)], 4)
+            oracles.characteristic_vector([identity(4), identity(4)], 4)
 
     def test_rejects_degree_mismatch(self):
         with pytest.raises(ValueError):
-            characteristic_vector([identity(3)], 4)
+            oracles.characteristic_vector([identity(3)], 4)
 
 
 class TestCliqueCoclique:
@@ -563,15 +565,41 @@ class TestCliqueCoclique:
     def test_supports_match_module_forms(self):
         clique, independent = latin_clique(4).members, family([(1, 1)], 4).members
         qx, qy = class_quadratic_forms(
-            [characteristic_vector(clique, 4), characteristic_vector(independent, 4)], 4
+            [oracles.characteristic_vector(f, 4) for f in (clique, independent)], 4
         )
         report = clique_coclique_check(clique, independent, 4)
         for shape, x_nonzero, y_nonzero in report.supports:
             assert x_nonzero == (module_quadratic_form(shape, qx, 4) != 0)
             assert y_nonzero == (module_quadratic_form(shape, qy, 4) != 0)
 
+    @pytest.mark.parametrize(
+        "n, t", [(3, 0), (4, 0), (5, 0), (6, 0), (3, 1), (4, 1), (5, 1)]
+    )
+    def test_tight_supports_match_dense_vector_forms(self, n, t):
+        # the rank-array route against 0/1 vectors built on the test side
+        if t == 0:
+            clique, independent = latin_clique(n).members, family([(n, n)], n).members
+        else:
+            clique = affine_clique(n).members
+            independent = family([(1, 1), (2, 2)], n).members
+        forms = class_quadratic_forms(
+            [oracles.characteristic_vector(f, n) for f in (clique, independent)], n
+        )
+        report = clique_coclique_check(clique, independent, n, t)
+        assert report.tight
+        assert report.supports == tuple(
+            (shape, *(module_quadratic_form(shape, q, n) != 0 for q in forms))
+            for shape in partitions_of(n)[1:]
+        )
+
     def test_negative_module_form_raises(self, monkeypatch):
-        monkeypatch.setattr(scheme, "class_quadratic_forms", negative_identity_forms)
+        # the class counts that reach the character sums are made negative
+        real = scheme._character_sums
+        monkeypatch.setattr(
+            scheme,
+            "_character_sums",
+            lambda qforms, sizes, n: real(negative_identity_forms(qforms, n), sizes, n),
+        )
         with pytest.raises(AssertionError, match="nonnegative"):
             clique_coclique_check(
                 latin_clique(4).members, family([(1, 1)], 4).members, 4
@@ -818,6 +846,49 @@ class TestConstraintRanks:
     def test_points_outside_the_degree_raise(self, pairs):
         with pytest.raises(ValueError):
             group_data(4).constraint_ranks([((1, 1),), pairs])
+
+
+def _catalogue(n):
+    """The n^2 point families as (i, j) and ascending ranks, in row-major order."""
+    keys = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return list(zip(keys, group_data(n).constraint_ranks([(k,) for k in keys])))
+
+
+class TestPointFamily:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_the_catalogue_and_its_translates(self, n):
+        gd = group_data(n)
+        catalogue = _catalogue(n)
+
+        def first_key(ranks):
+            members = set(ranks.tolist())
+            return next(k for k, fam in catalogue if set(fam.tolist()) == members)
+
+        spread = range(0, gd.order, max(1, gd.order // 24))
+        for _, ranks in catalogue:
+            for g in [gd.inv[ranks[0]], *spread]:
+                translated = gd.compose_ranks(g, ranks)
+                assert point_family(gd.images[translated]) == first_key(translated)
+
+    def test_degree_two_reads_the_first_constant_column(self):
+        # S_{1->1} = S_{2->2} = {12} and S_{1->2} = S_{2->1} = {21}
+        assert point_family([[0, 1]]) == (1, 1)
+        assert point_family([[1, 0]]) == (1, 2)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_a_set_short_or_swapped_is_no_family(self, n):
+        # from n = 4 on, two cosets share at most (n-2)! < (n-1)! - 1 members,
+        # so a coset with one member swapped out is no coset at all
+        gd = group_data(n)
+        for _, ranks in _catalogue(n):
+            outsider = next(r for r in range(gd.order) if r not in set(ranks.tolist()))
+            assert point_family(gd.images[ranks[:-1]]) is None
+            assert point_family(gd.images[[*ranks[:-1], outsider]]) is None
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_coset_count_is_the_distinct_catalogue_families(self, n):
+        distinct = {tuple(ranks.tolist()) for _, ranks in _catalogue(n)}
+        assert stabilizer_coset_count(n) == len(distinct)
 
 
 def test_group_data_degree_cap():
