@@ -345,18 +345,18 @@ class ClassificationReport(NamedTuple):
 
 
 def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
-    """Match every maximum independent set against the point families.
+    """Match every maximum independent set, a row of search_result.ranks, to a coset.
 
-    A set of distinct members (by their ranks) must be a coset S_{i->j}, read
-    by permgroup.point_family, or it is a violation; so must the set
-    translated to contain the identity, whose indicator is written exactly in
-    the columns of [H | ones]: stabilizing a point i < n is case 1 (the column
-    (i,i), coefficient 0); stabilizing the last point is case 2 (every column
-    of H, border coefficient -(n-2)).  The bordered Gram matrix of [H | ones]
-    having full rank, certified by one modular rank profile, shows once per
-    call that these coordinates are the only ones, so each set only checks its
-    predicted coordinates against every row of H.  A rank deficit raises
-    AssertionError; a prediction that fails is a violation too.
+    A row of distinct ranks must be a coset S_{i->j}, read by
+    permgroup.point_family, or it is a violation; so must the set translated
+    by its first member's inverse to contain the identity, whose indicator is
+    written exactly in the columns of [H | ones]: stabilizing a point i < n is
+    case 1 (the column (i,i), coefficient 0); stabilizing the last point is
+    case 2 (every column of H, border coefficient -(n-2)).  The bordered Gram
+    matrix of [H | ones] having full rank, certified by one modular rank
+    profile, shows once per call that these coordinates are the only ones, so
+    one product checks every set's predicted coordinates against every row of
+    H.  A rank deficit raises AssertionError; a failed prediction is a violation.
     """
     import numpy as np
 
@@ -370,42 +370,39 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
     gram = _gram(h.ones, width, border=True)
     if linalg.certified_rank(gram, width + 1)[0] != width + 1:
         raise AssertionError("[H | ones] must have full column rank")
-    # H as one 0/1 array: a prediction is checked against all its rows at once
-    h_matrix = _dense(h.ones, width)
-    records = []
-    violations = []
-    for idx, members in enumerate(search_result.sets):
-        images = np.array([p.images for p in members], dtype=np.int8) - 1
-        member_ranks = gd.rank_images(images.T)
-        distinct = len(np.unique(member_ranks)) == len(member_ranks)
-        family_key = point_family(images) if distinct else None
-        # ranks of members[0]^-1 p, over the members p
-        translated_ranks = gd.compose_ranks(gd.inv[member_ranks[0]], member_ranks)
-        fixed = point_family(gd.images[translated_ranks]) if family_key else None
-        if fixed is None:
-            violations.append(idx)
-            records.append(SetClassification(family_key, None, None, None, False))
-            continue
-        if fixed[0] == fixed[1] < n:
-            case, body, coefficient = 1, np.zeros(width, dtype=np.int64), 0
-            body[h.diagonal[fixed[0] - 1]] = 1
-        else:
-            case, body, coefficient = 2, np.ones(width, dtype=np.int64), -(n - 2)
-        indicator = np.zeros(gd.order, dtype=np.int64)
-        indicator[translated_ranks] = 1
-        if np.array_equal(h_matrix @ body + coefficient, indicator):
-            records.append(
-                SetClassification(family_key, fixed, case, coefficient, True)
-            )
-        else:
-            violations.append(idx)
-            records.append(SetClassification(family_key, fixed, None, None, False))
+    ranks = np.asarray(search_result.ranks, dtype=np.intp)
+    distinct = np.diff(np.sort(ranks, axis=1)).all(axis=1).tolist()
+    # ranks of members[0]^-1 p, over the members p of each set
+    translated = gd.compose_ranks(gd.inv[ranks[:, :1]], ranks)
+    # column k: set k's predicted coordinates in [H | ones], 0 if it has none
+    coordinates = np.zeros((width + 1, len(ranks)), dtype=np.int64)
+    keys = []
+    for k, row in enumerate(ranks):
+        family_key = point_family(gd.images[row]) if distinct[k] else None
+        fixed = point_family(gd.images[translated[k]]) if family_key else None
+        case = None if fixed is None else 1 if fixed[0] == fixed[1] < n else 2
+        if case == 1:
+            coordinates[h.diagonal[fixed[0] - 1], k] = 1
+        elif case == 2:
+            coordinates[:, k] = [1] * width + [-(n - 2)]
+        keys.append((family_key, fixed, case))
+    indicators = np.zeros((len(ranks), gd.order), dtype=np.int64)
+    indicators[np.arange(len(ranks))[:, None], translated] = 1
+    bordered = np.ones((gd.order, width + 1), dtype=np.int64)
+    bordered[:, :width] = _dense(h.ones, width)  # [H | ones] as one 0/1 array
+    matches = ((bordered @ coordinates).T == indicators).all(axis=1).tolist()
+    records = tuple(
+        SetClassification(key, fixed, case, 0 if case == 1 else -(n - 2), True)
+        if case and ok
+        else SetClassification(key, fixed, None, None, False)
+        for (key, fixed, case), ok in zip(keys, matches)
+    )
     return ClassificationReport(
         n=n,
         alpha=search_result.alpha,
-        total_sets=len(search_result.sets),
-        records=tuple(records),
-        violations=tuple(violations),
+        total_sets=len(records),
+        records=records,
+        violations=tuple(k for k, r in enumerate(records) if not r.coordinates_ok),
     )
 
 

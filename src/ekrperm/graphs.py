@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import factorial
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegreeRangeError, UnsupportedConstructionError
 from .permgroup import (
@@ -27,6 +27,9 @@ from .permgroup import (
     rank_permutation,
 )
 from .scheme import group_data
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @lru_cache(maxsize=None)
@@ -348,28 +351,21 @@ def equitable_quotient(n: int) -> EquitableQuotient:
 
 
 def latin_coset_cover(n: int) -> list[tuple[int, ...]]:
-    """Right cosets of the cyclic Latin clique: a partition into n!/n cliques."""
+    """Right cosets of the cyclic Latin clique, ascending, by their least members."""
+    import numpy as np
+
     gd = group_data(n)
     clique = latin_clique(n)
     if not clique.validated:
         raise AssertionError("the cyclic Latin clique is not a clique")
     clique_ranks = [rank_permutation(p) for p in clique.members]
-    # row v lists the ranks of r * v over the clique members r
-    columns = gd.compose_ranks(clique_ranks, [[v] for v in range(gd.order)]).tolist()
-    assigned = [False] * gd.order
-    cosets = []
-    for v, column in enumerate(columns):
-        if assigned[v]:
-            continue
-        coset = tuple(sorted(column))
-        for w in coset:
-            if assigned[w]:
-                raise AssertionError("cosets overlap")
-            assigned[w] = True
-        cosets.append(coset)
-    if len(cosets) != gd.order // n:
-        raise AssertionError("coset count is off")
-    return cosets
+    # row v lists the ranks of r * v over the clique members r, ascending
+    rows = np.sort(gd.compose_ranks(clique_ranks, np.arange(gd.order)[:, None]), axis=1)
+    cosets = rows[rows[:, 0] == np.arange(gd.order)]
+    # they partition S(n) into n!/n cliques: as many cosets as that cover it
+    if len(cosets) != gd.order // n or not np.bincount(cosets.ravel()).all():
+        raise AssertionError("the cosets do not partition S(n)")
+    return [tuple(coset) for coset in cosets.tolist()]
 
 
 class SearchResult(NamedTuple):
@@ -379,11 +375,11 @@ class SearchResult(NamedTuple):
     t: int
     alpha: int
     omega: int
-    sets: tuple[tuple[Permutation, ...], ...]
+    ranks: np.ndarray  # (count, alpha) intp, one sorted row of member ranks per set
 
     @property
     def count(self) -> int:
-        return len(self.sets)
+        return len(self.ranks)
 
     @property
     def tight(self) -> bool:
@@ -421,11 +417,6 @@ def _enumerate_transversals(
     return out
 
 
-def _search_branch(args) -> list[tuple[int, ...]]:
-    coset_masks, nonadj, allowed, chosen = args
-    return _enumerate_transversals(coset_masks, nonadj, allowed, chosen)
-
-
 def max_independent_sets(n: int, t: int = 0, workers: int = 1) -> SearchResult:
     """Exhaustively enumerate the maximum independent sets of the derangement graph.
 
@@ -441,31 +432,31 @@ def max_independent_sets(n: int, t: int = 0, workers: int = 1) -> SearchResult:
         raise DegreeRangeError(
             f"exhaustive search is supported for 2 <= n <= {MAX_DENSE_DEGREE}"
         )
+    import numpy as np
+
     gd = group_data(n)
     masks = _adjacency_masks(n, 0)
     full = (1 << gd.order) - 1
     nonadj = [full & ~m for m in masks]
     # a coset's ranks are distinct, so its mask is the sum of their bits
     coset_masks = [sum(1 << v for v in coset) for coset in latin_coset_cover(n)]
-    seed = gd.constraint_ranks([((n, n),)])[0].tolist()
+    seed = gd.constraint_ranks([((n, n),)])[0]
     alpha = len(seed)  # floor (n-1)! met; coset cover shows it is also a cap
     if workers > 1:
         found = _parallel_search(coset_masks, nonadj, full, workers)
     else:
         found = _enumerate_transversals(coset_masks, nonadj, full, ())
-    found = sorted(map(sorted, found))
-    if seed not in found:
+    # every transversal has one member per coset, alpha in all
+    ranks = np.array(sorted(map(sorted, found)), dtype=np.intp).reshape(-1, alpha)
+    if not (ranks == seed).all(axis=1).any():
         raise AssertionError("the seed family was not rediscovered")
-    # one Permutation per rank, shared by the n sets it lies in
-    perms = [Permutation(tuple(row)) for row in (gd.images + 1).tolist()]
-    sets = []
-    for ranks in found:
-        members = tuple(perms[r] for r in ranks)
-        ok, witness = validate_family(members, 0)
-        if not ok:
-            raise AssertionError(f"search produced a dependent set: {witness}")
-        sets.append(members)
-    return SearchResult(n=n, t=0, alpha=alpha, omega=n, sets=tuple(sets))
+    for row in ranks:
+        bad = first_agreement_violation(gd.images[row] + 1, 0, clique=False)
+        if bad is not None:
+            raise AssertionError(
+                f"search produced a dependent set: ranks {row[bad[0]]}, {row[bad[1]]}"
+            )
+    return SearchResult(n=n, t=0, alpha=alpha, omega=n, ranks=ranks)
 
 
 def _parallel_search(coset_masks, nonadj, full, workers) -> list[tuple[int, ...]]:
@@ -482,7 +473,8 @@ def _parallel_search(coset_masks, nonadj, full, workers) -> list[tuple[int, ...]
         tasks.append((rest, nonadj, full & nonadj[v], (v,)))
     found: list[tuple[int, ...]] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for chunk in pool.map(_search_branch, tasks):
+        # one branch per vertex of the first coset; map takes one iterable per argument
+        for chunk in pool.map(_enumerate_transversals, *zip(*tasks)):
             found.extend(chunk)
     return found
 

@@ -106,10 +106,9 @@ def run_clique(n: int, method: str):
 
 def run_search(n: int, t: int, workers: int, found=None):
     _need_threshold(n, t)
-    import numpy as np
-
     if found is None:
         found = graphs.max_independent_sets(n, t, workers=workers)
+    images, one_line = permgroup.image_table(n), permgroup.one_line_strings(n)
     checks = [
         check(
             "alpha-is-(n-1)!",
@@ -125,11 +124,7 @@ def run_search(n: int, t: int, workers: int, found=None):
         ),
         check(  # the search validates each set, so its members are distinct
             "all-sets-are-stabilizer-cosets",
-            all(
-                permgroup.point_family(np.array([p.images for p in members]) - 1)
-                is not None
-                for members in found.sets
-            ),
+            all(permgroup.point_family(images[row]) is not None for row in found.ranks),
         ),
     ]
     result = {
@@ -138,28 +133,24 @@ def run_search(n: int, t: int, workers: int, found=None):
         "alpha": exact(found.alpha),
         "omega": exact(found.omega),
         "tight": found.tight,
-        "sets": [[str(p) for p in members] for members in found.sets],
+        "sets": [[one_line[r] for r in row] for row in found.ranks.tolist()],
     }
     return result, checks
 
 
 def run_classify(n: int, search_result=None):
     report = ekrverify.classify_maximum_sets(n, search_result=search_result)
-    sets = []
-    for record in report.records:
-        sets.append(
-            {
-                "family": list(record.family_key) if record.family_key else None,
-                "translated_to": list(record.translated_to)
-                if record.translated_to
-                else None,
-                "case": record.case,
-                "border_coefficient": exact(record.recovered_coefficient)
-                if record.recovered_coefficient is not None
-                else None,
-                "coordinates_ok": record.coordinates_ok,
-            }
-        )
+    sets = [
+        {
+            "family": list(r.family_key) if r.family_key else None,
+            "translated_to": list(r.translated_to) if r.translated_to else None,
+            "case": r.case,
+            # a record has a coefficient exactly when it has a case
+            "border_coefficient": exact(r.recovered_coefficient) if r.case else None,
+            "coordinates_ok": r.coordinates_ok,
+        }
+        for r in report.records
+    ]
     checks = [
         check("all-sets-canonical", report.all_canonical),
         check(

@@ -11,7 +11,6 @@ import itertools
 import re
 from functools import lru_cache
 from math import factorial
-from operator import eq
 from typing import NamedTuple
 
 from .errors import DegreeRangeError
@@ -28,7 +27,7 @@ AGREEMENT_BLOCK_PAIRS = 1 << 16
 MAX_DENSE_DEGREE = 6
 # The explicit n! x (n-1)^2 incidence matrices of ekrverify stop here.
 MAX_INCIDENCE_DEGREE = 8
-# The quotient's walk of S(n) visits all n! permutations; 11! is 40 million.
+# The quotient's walk visits every derangement, D(n) of them; D(11) is 15 million.
 MAX_QUOTIENT_DEGREE = 10
 
 
@@ -94,17 +93,20 @@ def first_agreement_violation(members, t: int, clique: bool):
     """(i, j, agreements) for the first failing pair i < j in (i, j) order, or None.
 
     A pair fails when repeated or on the wrong side of t: a clique needs at most
-    t agreements, an independent set more.  Mixed degrees raise ValueError.
-    Images are compared directly, not through the group tables, in row blocks.
+    t agreements, an independent set more.  members is an (m, n) image array,
+    or Permutations, read as the array of their images (mixed degrees raise
+    ValueError).  Images are compared directly, in row blocks.
     """
     import numpy as np
 
-    degrees = {p.degree for p in members}
-    if len(degrees) > 1:
-        raise ValueError("degrees differ")
-    n, m = max(degrees, default=1), len(members)
+    if not isinstance(members, np.ndarray):
+        if len({p.degree for p in members}) > 1:
+            raise ValueError("degrees differ")
+        # no members read as one row of no images: no pair either way
+        members = np.array([p.images for p in members], ndmin=2)
+    m, n = members.shape
     dtype = np.min_scalar_type(n)  # images and agreement counts lie in 0..n
-    images = np.array([p.images for p in members], dtype=dtype)
+    images = members.astype(dtype, copy=False)
     lo = 0
     while lo < m - 1:
         later = images[lo + 1 :]
@@ -314,16 +316,26 @@ def derangement_count(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def derangements_by_last_image(n: int) -> tuple[int, ...]:
-    """Entry w counts the derangements of 1..n sending n to w, from a walk of S(n).
+    """Entry w counts the derangements of 1..n sending n to w, from a walk of them.
 
-    Entries 0 and n are 0.  Every permutation is visited, so the counts are
-    a brute-force witness against derangement_count.
+    Entries 0 and n are 0.  The walk gives the points 1, 2, ... in turn a free
+    image other than itself (bit v of free marks image v unused), so it meets
+    each derangement once: a brute-force witness against derangement_count.
     """
     counts = [0] * (n + 1)
-    points = range(1, n + 1)
-    for images in itertools.permutations(points):
-        if not any(map(eq, images, points)):
-            counts[images[-1]] += 1
+
+    def place(i: int, free: int) -> None:
+        if i == n:  # n takes the one image left, unless that is n
+            if free != 1 << n:
+                counts[free.bit_length() - 1] += 1
+            return
+        options = free & ~(1 << i)
+        while options:
+            low = options & -options
+            options ^= low
+            place(i + 1, free ^ low)
+
+    place(1, (1 << (n + 1)) - 2)
     return tuple(counts)
 
 
@@ -361,3 +373,9 @@ def image_table(n: int):
     ).reshape(-1, n)
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=None)
+def one_line_strings(n: int) -> tuple[str, ...]:
+    """str(Permutation) of every permutation of 1..n, by rank, read off image_table."""
+    return tuple(",".join(map(str, row)) for row in (image_table(n) + 1).tolist())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 
 def partitions_descending(n: int, max_part: int | None = None):
@@ -181,6 +181,19 @@ def skew_tableaux_over_row(m: int, n: int) -> dict[tuple[int, ...], int]:
 
 def derangements_by_inclusion_exclusion(n: int) -> int:
     return sum((-1) ** k * factorial(n) // factorial(k) for k in range(n + 1))
+
+
+def derangements_ending_at(n: int) -> tuple[int, ...]:
+    """Entry w counts the derangements of 1..n sending n to w (entries 0 and n are 0).
+
+    With n sent to w != n, the points 1..n-1 go onto the n-1 values other than
+    w, and the n-2 points other than w must not go to themselves: by
+    inclusion-exclusion over r of those fixed, sum (-1)^r C(n-2, r) (n-1-r)!.
+    """
+    each = sum(
+        (-1) ** r * comb(n - 2, r) * factorial(n - 1 - r) for r in range(n - 1)
+    )
+    return (0,) + (each,) * (n - 1) + (0,) if n > 1 else (0, 0)
 
 
 def gaussian_rank(matrix) -> int:

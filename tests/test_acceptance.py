@@ -44,6 +44,7 @@ from ekrperm.permgroup import (
     derangement_count,
     parse_cycles,
     partitions_of,
+    unrank_permutation,
 )
 from ekrperm.scheme import (
     clique_coclique_check,
@@ -182,7 +183,11 @@ def test_05_cliques_and_exhaustive_search():
                 for pair in itertools.product(points, points)
             }
             assert result.count == len(catalogue)
-            assert {frozenset(s) for s in result.sets} == catalogue
+            found = {
+                frozenset(unrank_permutation(r, n) for r in row)
+                for row in result.ranks.tolist()
+            }
+            assert found == catalogue
             report = clique_coclique_check(
                 latin_clique(n).members, family([(n, n)], n).members, n
             )

@@ -240,20 +240,13 @@ class TestCommands:
         assert code == 0
         assert report["result"]["matrix"] == [["0", "44"], ["11", "33"]]
 
-    def test_derangements_then_quotient_walk_the_group_once(self, capsys, monkeypatch):
-        n, walks = 6, []
-        permutations = itertools.permutations
-
-        def counting(points, r=None):
-            if r is None and len(points) == n:
-                walks.append(tuple(points))
-            return permutations(points, r)
-
-        permgroup.derangements_by_last_image.cache_clear()
-        monkeypatch.setattr(itertools, "permutations", counting)
-        assert run_cli(capsys, "derangements", str(n))[0] == 0
-        assert run_cli(capsys, "quotient", str(n))[0] == 0
-        assert len(walks) == 1
+    def test_derangements_then_quotient_walk_the_group_once(self, capsys):
+        # the walk runs on a cache miss only: the second command reads the first's
+        walk = permgroup.derangements_by_last_image
+        walk.cache_clear()
+        assert run_cli(capsys, "derangements", "6")[0] == 0
+        assert run_cli(capsys, "quotient", "6")[0] == 0
+        assert (walk.cache_info().misses, walk.cache_info().hits) == (1, 1)
 
     def test_a_doctored_quotient_fails_its_check(self, capsys, monkeypatch):
         graphs = cli.graphs
@@ -663,6 +656,22 @@ class TestImports:
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_classify_and_verify_all_leave_numpy_ma_unloaded(self):
+        # a set's distinct members are read from a row sort: np.unique loads numpy.ma
+        script = (
+            "import contextlib, io, sys\n"
+            "from ekrperm import cli\n"
+            "for argv in (['classify', '4'], ['verify-all', '--max-n', '6']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0\n"
+            "    assert 'numpy.ma' not in sys.modules, f'{argv} loaded numpy.ma'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
 

@@ -39,6 +39,7 @@ from ekrperm.permgroup import (
     inverse,
     parse_cycles,
     parse_one_line,
+    point_family,
     rank_permutation,
     unrank_permutation,
 )
@@ -684,6 +685,37 @@ class TestBasisCheck:
         assert (report.rank_shifted, report.rank_with_ones) == (9, 10)
 
 
+def _per_set_records(n, sets):
+    """The records of sets of Permutations, classified one set at a time, as
+    classify_maximum_sets did before it took every set's ranks at once."""
+    gd, h = group_data(n), incidence(n)
+    width = (n - 1) ** 2
+    h_matrix = ekrverify._dense(h.ones, width)
+    records = []
+    for members in sets:
+        images = np.array([p.images for p in members], dtype=np.int8) - 1
+        member_ranks = gd.rank_images(images.T)
+        distinct = len(set(member_ranks.tolist())) == len(member_ranks)
+        family_key = point_family(images) if distinct else None
+        translated = gd.compose_ranks(gd.inv[member_ranks[0]], member_ranks)
+        fixed = point_family(gd.images[translated]) if family_key else None
+        if fixed is None:
+            records.append(SetClassification(family_key, None, None, None, False))
+            continue
+        if fixed[0] == fixed[1] < n:
+            case, body, coefficient = 1, np.zeros(width, dtype=np.int64), 0
+            body[h.diagonal[fixed[0] - 1]] = 1
+        else:
+            case, body, coefficient = 2, np.ones(width, dtype=np.int64), -(n - 2)
+        indicator = np.zeros(gd.order, dtype=np.int64)
+        indicator[translated] = 1
+        ok = np.array_equal(h_matrix @ body + coefficient, indicator)
+        if not ok:
+            case = coefficient = None
+        records.append(SetClassification(family_key, fixed, case, coefficient, ok))
+    return records
+
+
 class TestClassification:
     def test_degree_four(self):
         report = classify_maximum_sets(4)
@@ -714,12 +746,13 @@ class TestClassification:
         families = point_families(n)
         found = max_independent_sets(n)
         report = classify_maximum_sets(n, found)
-        assert len(report.records) == len(found.sets) == n * n
+        assert len(report.records) == len(found.ranks) == n * n
         bordered = [row + [1] for row in _rows(h)]
         # [H | ones] has a trivial kernel, so each consistent system has
         # exactly one solution
         assert oracles.kernel(bordered) == []
-        for members, record in zip(found.sets, report.records):
+        for row, record in zip(found.ranks.tolist(), report.records):
+            members = [unrank_permutation(r, n) for r in row]
             point_set = families[record.family_key].members
             assert set(map(rank_permutation, members)) == set(
                 map(rank_permutation, point_set)
@@ -749,15 +782,31 @@ class TestClassification:
         # point families, so the stand-in has the size but not independence.
         found = max_independent_sets(4)
         k = 5
-        members = list(found.sets[k])
-        group = [unrank_permutation(r, 4) for r in range(24)]
-        outsider = next(p for p in group if p not in members)
-        sets = list(found.sets)
-        sets[k] = tuple(members[:-1] + [outsider])
-        report = classify_maximum_sets(4, found._replace(sets=tuple(sets)))
+        ranks = found.ranks.copy()
+        ranks[k, -1] = next(r for r in range(24) if r not in ranks[k])
+        report = classify_maximum_sets(4, found._replace(ranks=ranks))
         assert report.violations == (k,)
         assert report.records[k] == SetClassification(None, None, None, None, False)
         assert all(r.coordinates_ok for i, r in enumerate(report.records) if i != k)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("doctor", ["non-coset", "repeated-rank", "unsorted"])
+    def test_doctored_rank_rows_match_the_per_set_loop(self, n, doctor):
+        found = max_independent_sets(n)
+        ranks = found.ranks.copy()
+        k = n + 1
+        if doctor == "non-coset":
+            outsider = next(r for r in range(math.factorial(n)) if r not in ranks[k])
+            ranks[k, -1] = outsider
+            ranks[k].sort()
+        elif doctor == "repeated-rank":
+            ranks[k, -1] = ranks[k, -2]
+        else:
+            ranks[k] = ranks[k, ::-1].copy()
+        sets = [[unrank_permutation(r, n) for r in row] for row in ranks.tolist()]
+        report = classify_maximum_sets(n, found._replace(ranks=ranks))
+        assert report.records == tuple(_per_set_records(n, sets))
+        assert report.violations == (() if doctor == "unsorted" else (k,))
 
     def test_failed_prediction_is_a_violation(self, monkeypatch):
         # with the coset test reading S_{1->1} and S_{2->2} swapped, the sets

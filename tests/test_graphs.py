@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -38,6 +39,8 @@ from ekrperm.permgroup import (
     rank_permutation,
     unrank_permutation,
 )
+
+import oracles
 
 
 class _ParentField:
@@ -191,6 +194,16 @@ class TestAgreementValidator:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(permgroup, "AGREEMENT_BLOCK_PAIRS", block_pairs)
             _assert_entry_points_agree(members, t, clique)
+
+    @given(_member_lists(), st.booleans(), st.sampled_from(["int8", "uint8", "int64"]))
+    def test_members_and_their_image_array_agree(self, case, clique, dtype):
+        members, t = case
+        degree = members[0].degree if members else 1
+        images = np.array([p.images for p in members], dtype=dtype)
+        images = images.reshape(len(members), degree)
+        assert permgroup.first_agreement_violation(
+            images, t, clique
+        ) == permgroup.first_agreement_violation(members, t, clique)
 
     @pytest.mark.parametrize("block_pairs", [1, 40])
     def test_late_failures_in_small_blocks(self, monkeypatch, block_pairs):
@@ -468,6 +481,11 @@ class TestEquitableQuotient:
                 counts[images[-1]] += 1
         assert permgroup.derangements_by_last_image(n) == tuple(counts)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_walk_equals_the_inclusion_exclusion_count(self, n):
+        walk = permgroup.derangements_by_last_image(n)
+        assert walk == oracles.derangements_ending_at(n)
+
 
 class TestCosetCover:
     def test_partition_into_cliques(self):
@@ -500,13 +518,14 @@ class TestSearch:
             catalogue = {
                 frozenset(fam.members) for fam in point_families(n).values()
             }
-            for members in result.sets:
-                assert frozenset(members) in catalogue
+            for row in result.ranks.tolist():
+                members = frozenset(unrank_permutation(r, n) for r in row)
+                assert members in catalogue
 
     def test_workers_agree(self):
         serial = max_independent_sets(4, workers=1)
         parallel = max_independent_sets(4, workers=2)
-        assert serial.sets == parallel.sets
+        assert serial.ranks.tolist() == parallel.ranks.tolist()
 
     def test_the_seed_must_be_rediscovered(self, monkeypatch):
         seed = sorted(rank_permutation(p) for p in family([(4, 4)], 4).members)

@@ -21,6 +21,7 @@ from ekrperm.permgroup import (
     derangement_count,
     identity,
     inverse,
+    one_line_strings,
     parse_cycles,
     parse_one_line,
     partition_depth,
@@ -82,6 +83,11 @@ class TestPermutationBasics:
 
     def test_str_is_comma_separated(self):
         assert str(parse_one_line("4,3,1,2")) == "4,3,1,2"
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_string_table_is_str_of_every_rank(self, n):
+        expected = [str(unrank_permutation(r, n)) for r in range(math.factorial(n))]
+        assert one_line_strings(n) == tuple(expected)
 
     def test_record_behaviour(self):
         p = Permutation(images=(2, 3, 1))
