@@ -27,11 +27,13 @@ from .permgroup import (
     MAX_INCIDENCE_DEGREE,
     Partition,
     Permutation,
+    constraint_ranks,
+    image_rows,
     image_table,
     partition_depth,
     partitions_of,
     point_family,
-    rank_permutation,
+    rank_images,
 )
 from .scheme import group_data, shifted_character_sums
 
@@ -180,7 +182,7 @@ def pi_ab_submatrix(n: int):
     # each pi_ab is a derangement, a row of N, and each column (i, i+j mod n-1),
     # column (i-1)(n-1) + (i+j-1) mod (n-1) of H, is off the diagonal: so the
     # rows and columns of H selected here meet inside M
-    ranks = [rank_permutation(pi_ab(a, b, n)) for a, b in pairs]
+    ranks = rank_images(image_rows([pi_ab(a, b, n) for a, b in pairs]).T - 1)
     columns = [(i - 1) * (n - 1) + (i + j - 1) % (n - 1) for i, j in pairs]
     rows = _dense(incidence(n).ones[ranks], (n - 1) ** 2)[:, columns]
     k = 1 - np.eye(n - 1, dtype=np.int64)
@@ -303,8 +305,8 @@ def basis_check(n: int) -> BasisCheckReport:
         raise DegreeRangeError(f"basis check needs degree at most {MAX_DENSE_DEGREE}")
     gd = group_data(n)
     standard = (n - 1, 1)
-    families = gd.constraint_ranks(
-        [((i, j),) for i in range(1, n) for j in range(1, n)]
+    families = constraint_ranks(
+        n, [((i, j),) for i in range(1, n) for j in range(1, n)]
     )
     is_standard = [cls.cycle_type == standard for cls in gd.classes]
     supports = shifted_character_sums(families, n) != 0
@@ -453,7 +455,7 @@ def depth_conjecture_dims(n: int, t: int = 1) -> DepthReport:
     order = gd.order
     constraint_sets = enumerate_constraint_sets(n, t + 1)
     size = factorial(n - (t + 1))
-    families = gd.constraint_ranks(constraint_sets)
+    families = constraint_ranks(n, constraint_sets)
     met = shifted_character_sums(families, n).any(axis=0)
     union = {cls.cycle_type for cls, hit in zip(gd.classes, met) if hit}
     module_dim_sums = {}

@@ -9,7 +9,6 @@ the threshold-1 graph come from the affine maps of a finite field.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import factorial
 from typing import TYPE_CHECKING, NamedTuple
@@ -19,12 +18,15 @@ from .permgroup import (
     MAX_DENSE_DEGREE,
     MAX_QUOTIENT_DEGREE,
     Permutation,
+    constraint_ranks,
+    constraint_rows,
     derangement_count,
     derangements_by_last_image,
     first_agreement_violation,
     identity,
+    image_rows,
     parse_one_line,
-    rank_permutation,
+    rank_images,
 )
 from .scheme import group_data
 
@@ -183,10 +185,10 @@ def cycle_decomposition_clique(n: int) -> CliqueCertificate:
 
     The complete digraph on n vertices splits into n-1 directed Hamilton
     cycles for every n >= 3 except 4 and 6.  Arc-disjointness makes the n
-    successor maps pairwise agree nowhere.
+    successor maps pairwise agree nowhere.  Only even degree 8 is tabulated.
     """
-    if n < 3:
-        raise DegreeRangeError("need degree at least 3")
+    if n < 2:
+        raise DegreeRangeError("need degree at least 2")
     if n in (4, 6):
         raise UnsupportedConstructionError(
             f"the complete digraph on {n} vertices has no Hamilton decomposition"
@@ -288,29 +290,15 @@ class Family(NamedTuple):
 
 
 def family(constraints, n: int) -> Family:
-    """Build the family of permutations satisfying the given position constraints."""
+    """The permutations satisfying the position constraints, in rank order.
+
+    They are the rows of permgroup.constraint_rows, as Permutations, and a
+    bad constraint raises its ValueError.
+    """
     pairs = tuple(sorted((int(x), int(y)) for x, y in constraints))
-    if not 1 <= len(pairs) < n:
-        raise ValueError(f"need between 1 and {n - 1} constraints, got {len(pairs)}")
-    xs = [x for x, _ in pairs]
-    ys = [y for _, y in pairs]
-    for v in xs + ys:
-        if not 1 <= v <= n:
-            raise ValueError(f"constraint value {v} outside 1..{n}")
-    if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
-        raise ValueError(f"conflicting constraints: {pairs}")
-    free_positions = [i for i in range(1, n + 1) if i not in set(xs)]
-    free_values = [v for v in range(1, n + 1) if v not in set(ys)]
-    members = []
-    for assignment in itertools.permutations(free_values):
-        images = [0] * n
-        for x, y in pairs:
-            images[x - 1] = y
-        for pos, val in zip(free_positions, assignment):
-            images[pos - 1] = val
-        members.append(Permutation(tuple(images)))
-    members.sort(key=lambda p: p.images)
-    return Family(n=n, constraints=pairs, members=tuple(members))
+    rows = constraint_rows(n, pairs)
+    members = tuple(Permutation(tuple(row)) for row in rows.tolist())
+    return Family(n=n, constraints=pairs, members=members)
 
 
 class EquitableQuotient(NamedTuple):
@@ -358,7 +346,7 @@ def latin_coset_cover(n: int) -> list[tuple[int, ...]]:
     clique = latin_clique(n)
     if not clique.validated:
         raise AssertionError("the cyclic Latin clique is not a clique")
-    clique_ranks = [rank_permutation(p) for p in clique.members]
+    clique_ranks = rank_images(image_rows(clique.members).T - 1)
     # row v lists the ranks of r * v over the clique members r, ascending
     rows = np.sort(gd.compose_ranks(clique_ranks, np.arange(gd.order)[:, None]), axis=1)
     cosets = rows[rows[:, 0] == np.arange(gd.order)]
@@ -440,7 +428,7 @@ def max_independent_sets(n: int, t: int = 0, workers: int = 1) -> SearchResult:
     nonadj = [full & ~m for m in masks]
     # a coset's ranks are distinct, so its mask is the sum of their bits
     coset_masks = [sum(1 << v for v in coset) for coset in latin_coset_cover(n)]
-    seed = gd.constraint_ranks([((n, n),)])[0]
+    seed = constraint_ranks(n, [((n, n),)])[0]
     alpha = len(seed)  # floor (n-1)! met; coset cover shows it is also a cap
     if workers > 1:
         found = _parallel_search(coset_masks, nonadj, full, workers)

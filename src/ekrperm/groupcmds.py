@@ -41,7 +41,7 @@ def run_bounds(n: int, t: int):
     _need_threshold(n, t)
     if t == 0:
         clique = graphs.latin_clique(n)
-        coclique = graphs.family([(n, n)], n)
+        pairs = ((n, n),)
     elif t == 1:
         if n < 3:
             raise UnsupportedConstructionError(
@@ -49,14 +49,13 @@ def run_bounds(n: int, t: int):
                 " fixes the points 1 and 2 and needs a third, free point"
             )
         clique = graphs.affine_clique(n)
-        coclique = graphs.family([(1, 1), (2, 2)], n)
+        pairs = ((1, 1), (2, 2))
     else:
         raise UnsupportedConstructionError(
             "bounds are wired up for thresholds 0 and 1 only"
         )
-    report = scheme.clique_coclique_check(
-        clique.members, coclique.members, n, t
-    )
+    coclique = permgroup.constraint_rows(n, pairs)
+    report = scheme.clique_coclique_check(clique.members, coclique, n, t)
     ratio = scheme.ratio_bound(n, t)
     checks = [
         check("product-meets-bound", report.tight, product=exact(report.product)),

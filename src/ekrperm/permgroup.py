@@ -2,7 +2,7 @@
 
 Permutations act on the points 1..n and are stored in one-line notation, so
 ``p.images[i-1]`` is the image of ``i``.  Composition is ``compose(p, q)(i) =
-p(q(i))``.  All counting is done with Python integers, which never overflow.
+p(q(i))``.  Counts are Python integers, but for the int64 ranks of rank_images.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ MAX_DENSE_DEGREE = 6
 MAX_INCIDENCE_DEGREE = 8
 # The quotient's walk visits every derangement, D(n) of them; D(11) is 15 million.
 MAX_QUOTIENT_DEGREE = 10
+# rank_images counts in int64, which holds every rank below 20! but not 21!.
+MAX_RANK_DEGREE = 20
 
 
 class _OneLine(NamedTuple):
@@ -89,24 +91,32 @@ def agreements(p: Permutation, q: Permutation) -> int:
     return sum(1 for a, b in zip(p.images, q.images) if a == b)
 
 
+def image_rows(members):
+    """An (m, n) image array as it is, or Permutations of one degree as theirs."""
+    import numpy as np
+
+    if isinstance(members, np.ndarray):
+        return members
+    members = list(members)
+    if len({p.degree for p in members}) > 1:
+        raise ValueError("degrees differ")
+    rows = np.array([p.images for p in members], dtype=np.intp)
+    return rows.reshape(len(members), members[0].degree if members else 0)
+
+
 def first_agreement_violation(members, t: int, clique: bool):
     """(i, j, agreements) for the first failing pair i < j in (i, j) order, or None.
 
     A pair fails when repeated or on the wrong side of t: a clique needs at most
-    t agreements, an independent set more.  members is an (m, n) image array,
-    or Permutations, read as the array of their images (mixed degrees raise
-    ValueError).  Images are compared directly, in row blocks.
+    t agreements, an independent set more.  members is read by image_rows, and
+    its images are compared directly, in row blocks.
     """
     import numpy as np
 
-    if not isinstance(members, np.ndarray):
-        if len({p.degree for p in members}) > 1:
-            raise ValueError("degrees differ")
-        # no members read as one row of no images: no pair either way
-        members = np.array([p.images for p in members], ndmin=2)
-    m, n = members.shape
+    images = image_rows(members)
+    m, n = images.shape
     dtype = np.min_scalar_type(n)  # images and agreement counts lie in 0..n
-    images = members.astype(dtype, copy=False)
+    images = images.astype(dtype, copy=False)
     lo = 0
     while lo < m - 1:
         later = images[lo + 1 :]
@@ -341,7 +351,7 @@ def derangements_by_last_image(n: int) -> tuple[int, ...]:
 
 def stabilizer_coset_count(n: int) -> int:
     """The n^2 cosets S_{i->j} of S(n), but 2 at n = 2, where S_{1->1} = S_{2->2}."""
-    return n * n if n >= 3 else 2
+    return 2 if n == 2 else n * n
 
 
 def point_family(images) -> tuple[int, int] | None:
@@ -373,6 +383,81 @@ def image_table(n: int):
     ).reshape(-1, n)
     table.flags.writeable = False
     return table
+
+
+def rank_images(planes):
+    """Lexicographic ranks of the permutations whose 0-based images are planes.
+
+    planes[k] holds the images of k+1, all planes of one shape, and so does
+    the result: the Lehmer code, counted plane against plane in int64, so a
+    degree len(planes) above MAX_RANK_DEGREE raises DegreeRangeError.
+    """
+    import numpy as np
+
+    n = len(planes)
+    if n > MAX_RANK_DEGREE:
+        raise DegreeRangeError(f"ranks are counted up to degree {MAX_RANK_DEGREE}")
+    ranks = np.zeros(np.shape(planes)[1:], dtype=np.int64)
+    for k in range(n - 1):
+        ranks += (planes[k + 1 :] < planes[k]).sum(0) * factorial(n - 1 - k)
+    return ranks
+
+
+def constraint_ranks(n: int, constraint_sets) -> list:
+    """Ascending ranks of each family S_A, for constraint sets A of (x, y) pairs.
+
+    S_A holds the permutations of 1..n sending x to y for every pair of A: the
+    AND of image_table(n).T[x-1] == y-1 over them, sets of one size compared
+    together.  No Permutation is built.  A point outside 1..n raises ValueError.
+    """
+    import numpy as np
+
+    # by_position[x] holds the images of x+1 by rank, contiguous
+    by_position = np.ascontiguousarray(image_table(n).T)
+    by_size: dict[int, list[int]] = {}
+    for f, pairs in enumerate(constraint_sets):
+        by_size.setdefault(len(pairs), []).append(f)
+    out: list = [None] * len(constraint_sets)
+    for k, batch in by_size.items():
+        pairs = np.array([constraint_sets[f] for f in batch], dtype=np.intp) - 1
+        if k == 0 or pairs.min() < 0 or pairs.max() >= n:
+            raise ValueError(f"need nonempty constraint sets on points 1..{n}")
+        mask = by_position[pairs[:, 0, 0]] == pairs[:, 0, 1, None]
+        for j in range(1, k):
+            mask &= by_position[pairs[:, j, 0]] == pairs[:, j, 1, None]
+        for f, row in zip(batch, mask):
+            out[f] = np.flatnonzero(row)
+    return out
+
+
+def constraint_rows(n: int, constraints):
+    """The 1-based image rows of S_A, in rank order, for a set A of (x, y) pairs.
+
+    Row r fills the free positions with the free values in the order of row r
+    of image_table(n - |A|); both ascend, so the rows keep rank order, and
+    only the (n - |A|)! members are built, at any degree.  Fewer than 1 or
+    more than n-1 pairs, a point outside 1..n, or two pairs that share a
+    point raise ValueError.
+    """
+    import numpy as np
+
+    pairs = tuple(sorted((int(x), int(y)) for x, y in constraints))
+    if not 1 <= len(pairs) < n:
+        raise ValueError(f"need between 1 and {n - 1} constraints, got {len(pairs)}")
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    for v in xs + ys:
+        if not 1 <= v <= n:
+            raise ValueError(f"constraint value {v} outside 1..{n}")
+    if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
+        raise ValueError(f"conflicting constraints: {pairs}")
+    free_positions = [x - 1 for x in range(1, n + 1) if x not in xs]
+    free_values = np.array([y for y in range(1, n + 1) if y not in ys])
+    table = image_table(n - len(pairs))
+    rows = np.empty((len(table), n), dtype=np.intp)
+    rows[:, free_positions] = free_values[table]
+    rows[:, np.subtract(xs, 1)] = ys
+    return rows
 
 
 @lru_cache(maxsize=None)

@@ -28,7 +28,9 @@ from .permgroup import (
     conjugacy_classes,
     cycle_type_of_images,
     first_agreement_violation,
+    image_rows,
     image_table,
+    rank_images,
 )
 
 if TYPE_CHECKING:
@@ -42,17 +44,14 @@ IDENTITY_CHUNK = 32
 
 
 class GroupData:
-    """Rank-indexed tables for one symmetric group, as NumPy arrays.
+    """The class scheme of one symmetric group, as rank-indexed NumPy arrays.
 
-    images[r] holds the 0-based images of the rank-r permutation (the shared
-    permgroup.image_table, so images.T[k] holds the images of k+1 by rank),
-    inv[r] the rank of its inverse and type_of[r] the index of its conjugacy
-    class in the shared partition order.
-
-    compose_ranks and quotient_classes are the one place where permutations
-    are multiplied, and rank_images ranks image arrays (the products, the
-    inverses); everything else (quadratic forms, adjacency masks, the
-    multiplication table) reads products from them.
+    images is the shared permgroup.image_table, inv[r] the rank of the
+    inverse of the rank-r permutation and type_of[r] the index of its
+    conjugacy class in the shared partition order.  compose_ranks and
+    quotient_classes are the one place where permutations are multiplied
+    (permgroup.rank_images ranks the products and the inverses); everything
+    else (quadratic forms, adjacency masks, mult) reads products from them.
     """
 
     def __init__(self, n: int):
@@ -65,26 +64,13 @@ class GroupData:
         self.n = n
         self.order = factorial(n)
         self.images = image_table(n)
-        self.inv = self.rank_images(np.argsort(self.images, axis=1).T)
+        self.inv = rank_images(np.argsort(self.images, axis=1).T)
         self.classes = conjugacy_classes(n)
         self.class_index = {cls.cycle_type: k for k, cls in enumerate(self.classes)}
         one_based = (self.images + 1).tolist()
         types = [self.class_index[cycle_type_of_images(row)] for row in one_based]
         self.type_of = np.array(types, dtype=np.int8)
         self._mult: list[list[int]] | None = None
-
-    def rank_images(self, planes):
-        """Lexicographic ranks of the permutations whose 0-based images are planes.
-
-        planes[k] holds the images of k+1, all planes of one shape, and so
-        does the result: the Lehmer code, counted plane against plane.
-        """
-        import numpy as np
-
-        ranks = np.zeros(np.shape(planes)[1:], dtype=np.intp)
-        for k in range(self.n - 1):
-            ranks += (planes[k + 1 :] < planes[k]).sum(0) * factorial(self.n - 1 - k)
-        return ranks
 
     def compose_ranks(self, a, b):
         """Ranks of perm(a) composed with perm(b), for rank arrays that broadcast.
@@ -111,42 +97,12 @@ class GroupData:
             composed = np.empty((self.n,) + out[block].shape, dtype=np.int8)
             for k in range(self.n):
                 np.take(flat, by_position[k][right] + offsets, out=composed[k])
-            out[block] = self.rank_images(composed)
+            out[block] = rank_images(composed)
         return out
 
     def quotient_classes(self, a, b):
         """Class index of perm(a)^-1 perm(b), for rank arrays that broadcast."""
         return self.type_of[self.compose_ranks(self.inv[a], b)]
-
-    def constraint_ranks(self, constraint_sets) -> list:
-        """Ascending ranks of each family S_A, for constraint sets A of (x, y) pairs.
-
-        S_A holds the permutations sending x to y for every pair of A: the AND
-        over those pairs of the position planes images.T[x-1] == y-1, read
-        off with flatnonzero.  Sets of one size are masked together, one pair
-        at a time; no Permutation is built.  A point outside 1..n raises
-        ValueError.
-        """
-        import numpy as np
-
-        # planes[x, y] marks the ranks sending x+1 to y+1
-        # contiguous, so that each plane below is contiguous over the ranks
-        by_position = np.ascontiguousarray(self.images.T)
-        planes = by_position[:, None, :] == np.arange(self.n)[None, :, None]
-        by_size: dict[int, list[int]] = {}
-        for f, pairs in enumerate(constraint_sets):
-            by_size.setdefault(len(pairs), []).append(f)
-        out: list = [None] * len(constraint_sets)
-        for k, batch in by_size.items():
-            pairs = np.array([constraint_sets[f] for f in batch], dtype=np.intp) - 1
-            if k == 0 or pairs.min() < 0 or pairs.max() >= self.n:
-                raise ValueError(f"need nonempty constraint sets on points 1..{self.n}")
-            mask = planes[pairs[:, 0, 0], pairs[:, 0, 1]]
-            for j in range(1, k):
-                mask &= planes[pairs[:, j, 0], pairs[:, j, 1]]
-            for f, row in zip(batch, mask):
-                out[f] = np.flatnonzero(row)
-        return out
 
     def connection(self, t: int) -> list[int]:
         """Ranks of the connection set of the agreement-at-most-t graph.
@@ -324,13 +280,27 @@ def fundamental_identity_check(pairs, n: int) -> list[tuple[Fraction, Fraction]]
     return sides
 
 
-def _check_pairwise(members, t, want_clique):
-    members = list(members)
-    bad = first_agreement_violation(members, t, want_clique)
+def _one_line(row) -> str:
+    return ",".join(map(str, row.tolist()))
+
+
+def _validated_rows(family, t, want_clique):
+    """family as one (m, k) array of 1-based images, once its rows and pairs pass."""
+    import numpy as np
+
+    rows = image_rows(family)
+    if rows.ndim != 2:
+        raise ValueError(f"need an (m, n) image array, got shape {rows.shape}")
+    k = rows.shape[1]
+    wrong = (np.sort(rows, axis=1) != np.arange(1, k + 1)).any(axis=1)
+    if wrong.any():
+        row = _one_line(rows[np.flatnonzero(wrong)[0]])
+        raise ValueError(f"member {row} is not a permutation of 1..{k}")
+    bad = first_agreement_violation(rows, t, want_clique)
     if bad is None:
-        return members
-    p, q, a = members[bad[0]], members[bad[1]], bad[2]
-    if a == p.degree:
+        return rows
+    p, q, a = _one_line(rows[bad[0]]), _one_line(rows[bad[1]]), bad[2]
+    if a == k:
         raise FamilyValidationError(f"repeated member {p}")
     kind = "a clique" if want_clique else "independent"
     raise FamilyValidationError(
@@ -360,28 +330,28 @@ def clique_coclique_check(
 ) -> CliqueCocliqueReport:
     """Validate both families and evaluate |C| * |S| <= n! with exact arithmetic.
 
-    A member of either family whose degree is not n raises ValueError.  A
-    tight pair's supports are the nonzero entries of shifted_character_sums
-    on the families' ranks (the shift moves only the trivial entry, left out).
+    Each family is Permutations or an (m, n) array of their 1-based images,
+    read as that array (permgroup.image_rows); a row that is no permutation
+    raises ValueError.  Both families' pairs are validated before their
+    degrees, and a degree other than n raises ValueError.  A tight pair's
+    supports are the nonzero entries of shifted_character_sums on the
+    families' ranks (the shift moves only the trivial entry, left out).
     """
-    clique = _check_pairwise(clique, t, want_clique=True)
-    independent = _check_pairwise(independent, t, want_clique=False)
-    for p in clique + independent:
-        if p.degree != n:
-            raise ValueError(f"member {p} has degree {p.degree}, not {n}")
+    clique = _validated_rows(clique, t, want_clique=True)
+    independent = _validated_rows(independent, t, want_clique=False)
+    for rows in (clique, independent):
+        if len(rows) and rows.shape[1] != n:
+            raise ValueError(
+                f"member {_one_line(rows[0])} has degree {rows.shape[1]}, not {n}"
+            )
     product = len(clique) * len(independent)
     bound = factorial(n)
     tight = product == bound
     supports = None
     corollary_ok = None
     if tight and n <= MAX_DENSE_DEGREE:
-        import numpy as np
-
         gd = group_data(n)
-        ranks = [
-            gd.rank_images(np.array([p.images for p in family], dtype=np.int8).T - 1)
-            for family in (clique, independent)
-        ]
+        ranks = [rank_images(rows.T - 1) for rows in (clique, independent)]
         ex, ey = shifted_character_sums(ranks, n).tolist()
         rows = [
             (cls.cycle_type, a > 0, b > 0)

@@ -310,6 +310,13 @@ class TestExitCodes:
         assert code == 4
         assert "error:" in err
 
+    def test_cycles_at_degree_two_are_unsupported_not_out_of_range(self, capsys):
+        # 2 lies inside the clique range; the method tabulates no even degree but 8
+        code, out, err = run_cli(capsys, "clique", "2", "--method", "cycles")
+        assert code == cli.EXIT_UNSUPPORTED == 4
+        assert out == ""
+        assert err == "error: no Hamilton decomposition is tabulated at even degree 2\n"
+
     def test_search_degree_cap(self, capsys):
         code, _, _ = run_cli(capsys, "search", "7")
         assert code == 3

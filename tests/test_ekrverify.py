@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ekrperm import ekrverify, linalg, scheme
+from ekrperm import ekrverify, graphs, linalg, scheme
 from ekrperm.chartab import dimension
 from ekrperm.ekrverify import (
     MAX_INCIDENCE_DEGREE,
@@ -35,11 +35,13 @@ from ekrperm.graphs import family, max_independent_sets
 from ekrperm.linalg import bareiss_rank
 from ekrperm.permgroup import (
     compose,
+    constraint_ranks,
     identity,
     inverse,
     parse_cycles,
     parse_one_line,
     point_family,
+    rank_images,
     rank_permutation,
     unrank_permutation,
 )
@@ -564,8 +566,8 @@ class TestBatchedSupports:
     def test_repeated_member_anywhere_in_batch(self):
         # a repeated rank adds to the squared norm but not to the member count
         points = range(1, 5)
-        ranks = group_data(4).constraint_ranks(
-            [((i, j),) for i, j in itertools.product(points, points)]
+        ranks = constraint_ranks(
+            4, [((i, j),) for i, j in itertools.product(points, points)]
         )
         ranks[5] = list(ranks[5]) + [ranks[5][1]]
         with pytest.raises(AssertionError, match="add up"):
@@ -581,7 +583,7 @@ class TestBatchedSupports:
     def test_block_size_is_read_at_call_time(self, monkeypatch):
         # 25 point families of 24 members: 576 pairs each
         gd = group_data(5)
-        ranks = gd.constraint_ranks([((i, j),) for i in range(1, 6) for j in range(1, 6)])
+        ranks = constraint_ranks(5, [((i, j),) for i in range(1, 6) for j in range(1, 6)])
         blocks = []
         real = gd.quotient_classes
 
@@ -604,7 +606,7 @@ class TestIntegerNorms:
         gd = group_data(n)
         sets = enumerate_constraint_sets(n, k)
         members = [family(pairs, n).members for pairs in sets]
-        sums = scheme.shifted_character_sums(gd.constraint_ranks(sets), n)
+        sums = scheme.shifted_character_sums(constraint_ranks(n, sets), n)
         assert sums.dtype == np.int64 and sums.shape == (len(sets), len(gd.classes))
         assert not sums[:, gd.class_index[(n,)]].any()
         assert module_supports(members, n) == [
@@ -629,7 +631,7 @@ class TestIntegerNorms:
             values=tuple(tuple(-v for v in row) for row in table.values)
         )
         monkeypatch.setattr(scheme, "character_table", lambda n: flipped)
-        ranks = group_data(4).constraint_ranks([((1, 1),)])
+        ranks = constraint_ranks(4, [((1, 1),)])
         with pytest.raises(AssertionError, match="nonnegative"):
             scheme.shifted_character_sums(ranks, 4)
 
@@ -661,6 +663,29 @@ class TestNoPermutationPerRow:
         monkeypatch.setattr(permgroup.Permutation, "__new__", counting)
         run()
         assert built == []
+
+    @pytest.mark.parametrize("n, t", [(7, 0), (8, 0), (7, 1)])
+    def test_bounds_builds_only_the_clique(self, monkeypatch, n, t):
+        from ekrperm import groupcmds, permgroup
+
+        def forbidden(*args):
+            raise AssertionError("bounds built group tables")
+
+        # every library route to the group tables passes one of these names
+        monkeypatch.setattr(scheme.GroupData, "__init__", forbidden)
+        for module in (scheme, graphs, ekrverify):
+            monkeypatch.setattr(module, "group_data", forbidden)
+        built = []
+        real = permgroup.Permutation.__new__
+
+        def counting(cls, images):
+            built.append(images)
+            return real(cls, images)
+
+        monkeypatch.setattr(permgroup.Permutation, "__new__", counting)
+        result, checks = groupcmds.run_bounds(n=n, t=t)
+        assert all(c["pass"] for c in checks)
+        assert len(built) == result["clique_size"] == (n if t == 0 else n * (n - 1))
 
 
 class TestBasisCheck:
@@ -694,7 +719,7 @@ def _per_set_records(n, sets):
     records = []
     for members in sets:
         images = np.array([p.images for p in members], dtype=np.int8) - 1
-        member_ranks = gd.rank_images(images.T)
+        member_ranks = rank_images(images.T)
         distinct = len(set(member_ranks.tolist())) == len(member_ranks)
         family_key = point_family(images) if distinct else None
         translated = gd.compose_ranks(gd.inv[member_ranks[0]], member_ranks)
@@ -882,7 +907,7 @@ class TestIndicatorRoute:
     def test_depth_spans_match_shifted_rows(self, n, t):
         gd = group_data(n)
         size = math.factorial(n - t - 1)
-        families = gd.constraint_ranks(enumerate_constraint_sets(n, t + 1))
+        families = constraint_ranks(n, enumerate_constraint_sets(n, t + 1))
         report = depth_conjecture_dims(n, t)
         union_dim = sum(dimension(shape) ** 2 for shape in report.support_union)
         k = len(families)
@@ -901,7 +926,7 @@ class TestIndicatorRoute:
     def test_point_basis_matches_shifted_rows(self, n):
         gd = group_data(n)
         points = [((i, j),) for i in range(1, n) for j in range(1, n)]
-        families = gd.constraint_ranks(points)
+        families = constraint_ranks(n, points)
         k = len(families)
         # n x - ones
         (shifted, m1), (with_ones, m2) = _shifted_row_ranks(
@@ -916,7 +941,7 @@ class TestIndicatorRoute:
 
     def test_family_of_the_wrong_size_raises(self):
         gd = group_data(4)
-        families = gd.constraint_ranks([((1, 1),), ((2, 2),)])
+        families = constraint_ranks(4, [((1, 1),), ((2, 2),)])
         families[1] = families[1][:-1]
         with pytest.raises(AssertionError, match="members"):
             ekrverify._shifted_span_ranks(families, gd.order, 6, 2)

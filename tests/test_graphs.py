@@ -164,7 +164,8 @@ def _assert_entry_points_agree(members, t, clique):
     assert ok is (bad is None)
     if bad is None:
         assert witness is None
-        assert scheme._check_pairwise(members, t, clique) == members
+        rows = scheme._validated_rows(members, t, clique)
+        assert [tuple(row) for row in rows.tolist()] == [p.images for p in members]
         return
     i, j, a = bad
     p, q = members[i], members[j]
@@ -175,7 +176,7 @@ def _assert_entry_points_agree(members, t, clique):
         kind = "a clique" if clique else "independent"
         message = f"not {kind} at threshold {t}: {p} and {q} agree on {a} points"
     with pytest.raises(FamilyValidationError) as info:
-        scheme._check_pairwise(members, t, clique)
+        scheme._validated_rows(members, t, clique)
     assert str(info.value) == message
 
 
@@ -239,8 +240,9 @@ class TestAgreementValidator:
         for clique in (True, False):
             with pytest.raises(ValueError, match="degrees differ"):
                 permgroup.first_agreement_violation(members, 0, clique)
+            pair = (members, []) if clique else ([], members)
             with pytest.raises(ValueError, match="degrees differ"):
-                scheme._check_pairwise(members, 0, clique)
+                scheme.clique_coclique_check(*pair, 3)
         with pytest.raises(ValueError, match="degrees differ"):
             validate_clique(members, 0)
         with pytest.raises(ValueError, match="degrees differ"):
@@ -343,6 +345,12 @@ class TestCycleDecompositionCliques:
         with pytest.raises(UnsupportedConstructionError, match="degree 10"):
             cycle_decomposition_clique(10)
 
+    def test_degree_two_is_untabulated_and_one_out_of_range(self):
+        with pytest.raises(UnsupportedConstructionError, match="degree 2$"):
+            cycle_decomposition_clique(2)
+        with pytest.raises(DegreeRangeError, match="at least 2"):
+            cycle_decomposition_clique(1)
+
     def test_arc_coverage(self):
         # the n-1 cycles traverse every ordered pair exactly once
         n = 7
@@ -440,6 +448,39 @@ class TestFamilies:
             family([], 4)
         with pytest.raises(ValueError):
             family([(1, 1), (2, 2), (3, 3), (4, 4)], 4)
+
+    def test_bad_constraints_keep_their_messages(self):
+        cases = [
+            ([], "need between 1 and 3 constraints, got 0"),
+            ([(2, 5)], "constraint value 5 outside 1..4"),
+            ([(2, 1), (1, 1)], r"conflicting constraints: \(\(1, 1\), \(2, 1\)\)"),
+        ]
+        for constraints, message in cases:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                family(constraints, 4)
+
+    @pytest.mark.parametrize("free", [2, 3])
+    def test_any_degree_builds_only_the_free_points(self, monkeypatch, free):
+        # at degree 12 the members are the orders of the free values alone
+        n = 12
+        shift = [(x, x % n + 1) for x in range(1, n + 1)]
+        constraints = shift[: n - free]
+        degrees = []
+        real = permgroup.image_table
+
+        def spy(k):
+            degrees.append(k)
+            return real(k)
+
+        monkeypatch.setattr(permgroup, "image_table", spy)
+        fam = family(reversed(constraints), n)
+        assert degrees == [free]
+        assert fam.constraints == tuple(constraints)
+        fixed = [y for _, y in constraints]
+        free_values = sorted(set(range(1, n + 1)) - set(fixed))
+        assert [p.images for p in fam.members] == [
+            tuple(fixed) + order for order in itertools.permutations(free_values)
+        ]
 
     def test_all_point_families(self):
         catalogue = point_families(4)

@@ -330,9 +330,9 @@ class TestResidueKernel:
         import numpy as np
 
         from ekrperm.ekrverify import enumerate_constraint_sets
-        from ekrperm.scheme import group_data
+        from ekrperm.permgroup import constraint_ranks
 
-        families = group_data(6).constraint_ranks(enumerate_constraint_sets(6, 3))
+        families = constraint_ranks(6, enumerate_constraint_sets(6, 3))
         rows = np.zeros((len(families) + 1, 720), dtype=np.int8)
         rows[-1] = 1
         for f, ranks in enumerate(families):

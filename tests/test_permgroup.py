@@ -4,11 +4,13 @@ import itertools
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ekrperm.permgroup import (
+    MAX_RANK_DEGREE,
     ClassInfo,
     DegreeRangeError,
     Permutation,
@@ -26,7 +28,9 @@ from ekrperm.permgroup import (
     parse_one_line,
     partition_depth,
     partitions_of,
+    rank_images,
     rank_permutation,
+    stabilizer_coset_count,
     unrank_permutation,
 )
 
@@ -154,6 +158,24 @@ class TestRanking:
         perms = _permutations(4)
         assert len(perms) == 24
         assert [rank_permutation(p) for p in perms] == list(range(24))
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.lists(st.permutations(range(n)), min_size=1)
+        )
+    )
+    def test_image_planes_rank_like_the_scalar_rank(self, rows):
+        # one plane per position, one column per permutation
+        planes = np.array(rows, dtype=np.int8).T
+        expected = [rank_permutation(Permutation(tuple(v + 1 for v in r))) for r in rows]
+        assert rank_images(planes).tolist() == expected
+
+    def test_image_planes_past_the_int64_ranks_raise(self):
+        planes = np.arange(MAX_RANK_DEGREE)[:, None]
+        assert rank_images(planes).tolist() == [0]
+        assert rank_images(planes[::-1]).tolist() == [math.factorial(MAX_RANK_DEGREE) - 1]
+        with pytest.raises(DegreeRangeError):
+            rank_images(np.arange(MAX_RANK_DEGREE + 1)[:, None])
 
 
 class TestCycleStructure:
@@ -306,6 +328,11 @@ class TestDerangementCounts:
                 c.size for c in classes_with_few_fixed_points(n, 0)
             )
             assert derangement_count(n) == total
+
+
+def test_stabilizer_coset_count():
+    # S_1 is the single coset S_{1->1}; at n = 2, S_{1->1} = S_{2->2}
+    assert [stabilizer_coset_count(n) for n in range(1, 6)] == [1, 2, 9, 16, 25]
 
 
 def test_degree_guard():
