@@ -115,8 +115,6 @@ def union_spectrum(n: int, t: int = 0) -> SchemeSpectrum:
     a trivial eigenvalue that differs from the valency summed over class
     sizes, raises AssertionError.
     """
-    if not 0 <= t < n:
-        raise ValueError(f"need 0 <= t < n, got t={t}, n={n}")
     valency = sum(cls.size for cls in classes_with_few_fixed_points(n, t))
     parts = tuple(cls.cycle_type for cls in conjugacy_classes(n))
     # weights[m]: the coefficient of f^{shape/(m)}, for k = n - m fixed points

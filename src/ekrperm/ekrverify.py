@@ -14,7 +14,6 @@ set's predicted coordinates.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import factorial
 from typing import TYPE_CHECKING, NamedTuple
@@ -27,7 +26,7 @@ from .permgroup import (
     MAX_INCIDENCE_DEGREE,
     Partition,
     Permutation,
-    constraint_ranks,
+    constraint_families,
     image_rows,
     image_table,
     partition_depth,
@@ -296,23 +295,24 @@ def basis_check(n: int) -> BasisCheckReport:
     Checks: each indicator minus ones/n has its whole weight on the
     standard-module eigenspace; the shifted vectors are linearly independent;
     the all-ones vector is outside their span; the count matches dim^2.
-    Each point family has (n-1)! members, so ones/n is its density: the
-    supports are the nonzero entries of scheme.shifted_character_sums, and
-    _shifted_span_ranks gives both ranks from the 0/1 indicator rows, capped
-    by the row count k + 1.
+    The families S_{i->j} with i, j < n are the k = 1 rows of
+    permgroup.constraint_families, read as (n, n, m) with the last position
+    and the last value dropped.  Each has m = (n-1)! members, so ones/n is its
+    density: the supports are the nonzero entries of
+    scheme.shifted_character_sums, and _shifted_span_ranks gives both ranks
+    from the 0/1 indicator rows, capped by the row count k + 1.
     """
     if n > MAX_DENSE_DEGREE:
         raise DegreeRangeError(f"basis check needs degree at most {MAX_DENSE_DEGREE}")
     gd = group_data(n)
     standard = (n - 1, 1)
-    families = constraint_ranks(
-        n, [((i, j),) for i in range(1, n) for j in range(1, n)]
-    )
+    m = factorial(n - 1)
+    families = constraint_families(n, 1).reshape(n, n, m)[:-1, :-1].reshape(-1, m)
     is_standard = [cls.cycle_type == standard for cls in gd.classes]
     supports = shifted_character_sums(families, n) != 0
     supports_ok = bool((supports == is_standard).all())
     rank_shifted, rank_with_ones, _ = _shifted_span_ranks(
-        families, gd.order, factorial(n - 1), len(families)
+        families, gd.order, m, len(families)
     )
     dimension_match = (n - 1) ** 2 == dimension(standard) ** 2
     return BasisCheckReport(
@@ -408,15 +408,6 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
     )
 
 
-def enumerate_constraint_sets(n: int, k: int) -> list[tuple[tuple[int, int], ...]]:
-    """All sets of k position-value constraints with distinct positions and values."""
-    out = []
-    for xs in itertools.combinations(range(1, n + 1), k):
-        for ys in itertools.permutations(range(1, n + 1), k):
-            out.append(tuple(sorted(zip(xs, ys))))
-    return out
-
-
 class DepthReport(NamedTuple):
     """Span dimensions of the shifted constraint-family indicators vs eigenspaces."""
 
@@ -440,10 +431,10 @@ def depth_conjecture_dims(n: int, t: int = 1) -> DepthReport:
     readings (<= t and <= t+1) are reported, along with the exact rank of the
     span with and without the all-ones vector adjoined.
 
-    The families are read as rank masks, and their supports are the nonzero
-    entries of one scheme.shifted_character_sums call.  _shifted_span_ranks
-    certifies both ranks from the 0/1 indicator rows against the dimension of
-    the observed support union.
+    The families are the rows of permgroup.constraint_families(n, t+1), and
+    their supports are the nonzero entries of one scheme.shifted_character_sums
+    call.  _shifted_span_ranks certifies both ranks from the 0/1 indicator
+    rows against the dimension of the observed support union.
     """
     if not 1 <= t <= 2:
         raise ValueError(f"need t in {{1, 2}}, got {t}")
@@ -452,10 +443,7 @@ def depth_conjecture_dims(n: int, t: int = 1) -> DepthReport:
     if t + 1 >= n:
         raise ValueError("constraint sets must leave at least one free point")
     gd = group_data(n)
-    order = gd.order
-    constraint_sets = enumerate_constraint_sets(n, t + 1)
-    size = factorial(n - (t + 1))
-    families = constraint_ranks(n, constraint_sets)
+    families = constraint_families(n, t + 1)
     met = shifted_character_sums(families, n).any(axis=0)
     union = {cls.cycle_type for cls, hit in zip(gd.classes, met) if hit}
     module_dim_sums = {}
@@ -473,7 +461,7 @@ def depth_conjecture_dims(n: int, t: int = 1) -> DepthReport:
     # their total dimension is a certified cap for the modular rank bound.
     union_dim = sum(dimension(shape) ** 2 for shape in union)
     span_rank_shifted, span_rank_with_ones, method = _shifted_span_ranks(
-        families, order, size, union_dim
+        families, gd.order, factorial(n - t - 1), union_dim
     )
     agreement = {}
     for depth in (t, t + 1):
@@ -487,7 +475,7 @@ def depth_conjecture_dims(n: int, t: int = 1) -> DepthReport:
     return DepthReport(
         n=n,
         t=t,
-        family_count=len(constraint_sets),
+        family_count=len(families),
         module_dim_sums=module_dim_sums,
         span_rank_shifted=span_rank_shifted,
         span_rank_with_ones=span_rank_with_ones,

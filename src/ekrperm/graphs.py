@@ -18,7 +18,7 @@ from .permgroup import (
     MAX_DENSE_DEGREE,
     MAX_QUOTIENT_DEGREE,
     Permutation,
-    constraint_ranks,
+    constraint_families,
     constraint_rows,
     derangement_count,
     derangements_by_last_image,
@@ -428,7 +428,7 @@ def max_independent_sets(n: int, t: int = 0, workers: int = 1) -> SearchResult:
     nonadj = [full & ~m for m in masks]
     # a coset's ranks are distinct, so its mask is the sum of their bits
     coset_masks = [sum(1 << v for v in coset) for coset in latin_coset_cover(n)]
-    seed = constraint_ranks(n, [((n, n),)])[0]
+    seed = constraint_families(n, 1)[-1]  # S_{n->n}
     alpha = len(seed)  # floor (n-1)! met; coset cover shows it is also a cap
     if workers > 1:
         found = _parallel_search(coset_masks, nonadj, full, workers)

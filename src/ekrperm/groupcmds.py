@@ -32,13 +32,8 @@ from .cli import (
 from .errors import UnsupportedConstructionError
 
 
-def _need_threshold(n: int, t: int) -> None:
-    if not 0 <= t < n:
-        raise ValueError(f"need 0 <= t < n, got t={t}, n={n}")
-
-
 def run_bounds(n: int, t: int):
-    _need_threshold(n, t)
+    permgroup.need_threshold(n, t)
     if t == 0:
         clique = graphs.latin_clique(n)
         pairs = ((n, n),)
@@ -104,7 +99,7 @@ def run_clique(n: int, method: str):
 
 
 def run_search(n: int, t: int, workers: int, found=None):
-    _need_threshold(n, t)
+    permgroup.need_threshold(n, t)
     if found is None:
         found = graphs.max_independent_sets(n, t, workers=workers)
     images, one_line = permgroup.image_table(n), permgroup.one_line_strings(n)
@@ -254,7 +249,7 @@ def _coin_flips(rng: random.Random):
 
 
 def run_identity_check(n: int, trials: int, seed: int, t: int):
-    _need_threshold(n, t)  # the identity does not depend on t
+    permgroup.need_threshold(n, t)  # the identity does not depend on t
     flips = _coin_flips(random.Random(seed))
     order = factorial(n)
 
@@ -304,7 +299,7 @@ def run_quotient(n: int):
 
 
 def run_validate(n: int, family: str, t: int):
-    _need_threshold(n, t)
+    permgroup.need_threshold(n, t)
     members = graphs.read_family(family, n)
     ok, witness = graphs.validate_family(members, t)
     checks = [check("family-is-independent", ok, threshold=t)]

@@ -300,10 +300,15 @@ def conjugacy_classes(n: int) -> tuple[ClassInfo, ...]:
     return tuple(ClassInfo(shape, class_size(shape)) for shape in partitions_of(n))
 
 
-def classes_with_few_fixed_points(n: int, t: int) -> tuple[ClassInfo, ...]:
-    """Non-identity classes whose members fix at most t points."""
+def need_threshold(n: int, t: int) -> None:
+    """Raise ValueError unless 0 <= t < n: t is an agreement threshold in S(n)."""
     if not 0 <= t < n:
         raise ValueError(f"need 0 <= t < n, got t={t}, n={n}")
+
+
+def classes_with_few_fixed_points(n: int, t: int) -> tuple[ClassInfo, ...]:
+    """Non-identity classes whose members fix at most t points."""
+    need_threshold(n, t)
     out = []
     for cls in conjugacy_classes(n):
         if cls.cycle_type == (1,) * n:
@@ -403,31 +408,27 @@ def rank_images(planes):
     return ranks
 
 
-def constraint_ranks(n: int, constraint_sets) -> list:
-    """Ascending ranks of each family S_A, for constraint sets A of (x, y) pairs.
+def constraint_families(n: int, k: int):
+    """Ascending ranks of every family S_A with |A| = k, one row per A.
 
-    S_A holds the permutations of 1..n sending x to y for every pair of A: the
-    AND of image_table(n).T[x-1] == y-1 over them, sets of one size compared
-    together.  No Permutation is built.  A point outside 1..n raises ValueError.
+    S_A holds the permutations of 1..n sending x to y for every pair of A.
+    The rows run over the position sets xs in itertools.combinations order
+    and, within one, over the value tuples in lexicographic order: a stable
+    argsort of the ranks keyed by image_table(n)[:, xs], read as base-n
+    digits, lines up the (n-k)! members of each value tuple in rank order.
+    A row that holds more than one value tuple raises AssertionError.
     """
     import numpy as np
 
-    # by_position[x] holds the images of x+1 by rank, contiguous
-    by_position = np.ascontiguousarray(image_table(n).T)
-    by_size: dict[int, list[int]] = {}
-    for f, pairs in enumerate(constraint_sets):
-        by_size.setdefault(len(pairs), []).append(f)
-    out: list = [None] * len(constraint_sets)
-    for k, batch in by_size.items():
-        pairs = np.array([constraint_sets[f] for f in batch], dtype=np.intp) - 1
-        if k == 0 or pairs.min() < 0 or pairs.max() >= n:
-            raise ValueError(f"need nonempty constraint sets on points 1..{n}")
-        mask = by_position[pairs[:, 0, 0]] == pairs[:, 0, 1, None]
-        for j in range(1, k):
-            mask &= by_position[pairs[:, j, 0]] == pairs[:, j, 1, None]
-        for f, row in zip(batch, mask):
-            out[f] = np.flatnonzero(row)
-    return out
+    table = image_table(n)
+    blocks = []
+    for xs in itertools.combinations(range(n), k):
+        keys = np.ravel_multi_index(table[:, xs].T, (n,) * k)
+        order = np.argsort(keys, kind="stable").reshape(-1, factorial(n - k))
+        if (keys[order] != keys[order[:, :1]]).any():
+            raise AssertionError(f"a family on positions {xs} mixes value tuples")
+        blocks.append(order)
+    return np.concatenate(blocks)
 
 
 def constraint_rows(n: int, constraints):

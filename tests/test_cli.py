@@ -444,6 +444,36 @@ class TestExitCodes:
         outcomes = {c["name"]: c["pass"] for c in report["checks"]}
         assert outcomes["bordered-kernel-spanned-by-expected-vector"] is False
 
+    @pytest.mark.parametrize(
+        "argv, failing",
+        [
+            (("conjecture", "5", "--t", "1"), "supports-within-depth-2"),
+            (("lemmas", "5"), "point-family-supports-standard-only"),
+        ],
+    )
+    def test_a_swapped_family_member_fails_the_support_check(
+        self, capsys, monkeypatch, argv, failing
+    ):
+        # the first family loses its last member to the least outsider and
+        # stays sorted, so every family keeps its size
+        from ekrperm import ekrverify
+
+        real = ekrverify.constraint_families
+
+        def swapped(n, k):
+            families = real(n, k).copy()
+            first = families[0]
+            first[-1] = next(r for r in itertools.count() if r not in first)
+            first.sort()
+            return families
+
+        monkeypatch.setattr(ekrverify, "constraint_families", swapped)
+        code, report, _ = run_json(capsys, *argv)
+        assert code == cli.EXIT_CHECK_FAILED == 1
+        outcomes = {c["name"]: c["pass"] for c in report["checks"]}
+        assert outcomes.pop(failing) is False
+        assert all(outcomes.values())
+
     def test_validate_success(self, capsys, tmp_path):
         path = tmp_path / "family.txt"
         write_family([identity(4), parse_one_line("2,1,3,4")], str(path))

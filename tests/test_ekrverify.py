@@ -20,7 +20,6 @@ from ekrperm.ekrverify import (
     bordered_kernel_check,
     classify_maximum_sets,
     depth_conjecture_dims,
-    enumerate_constraint_sets,
     expected_gram,
     gram_check,
     incidence,
@@ -35,7 +34,7 @@ from ekrperm.graphs import family, max_independent_sets
 from ekrperm.linalg import bareiss_rank
 from ekrperm.permgroup import (
     compose,
-    constraint_ranks,
+    constraint_families,
     identity,
     inverse,
     parse_cycles,
@@ -49,7 +48,7 @@ from ekrperm.scheme import class_quadratic_forms, group_data
 import oracles
 from test_graphs import point_families
 from test_linalg import kron
-from test_scheme import module_quadratic_form
+from test_scheme import constraint_sets, family_ranks, module_quadratic_form
 
 # Row pattern of the six reordered derangement rows at degree 4, columns
 # ordered (1,2),(1,3),(2,3),(2,1),(3,1),(3,2); checked off the worked
@@ -565,10 +564,7 @@ class TestBatchedSupports:
 
     def test_repeated_member_anywhere_in_batch(self):
         # a repeated rank adds to the squared norm but not to the member count
-        points = range(1, 5)
-        ranks = constraint_ranks(
-            4, [((i, j),) for i, j in itertools.product(points, points)]
-        )
+        ranks = list(constraint_families(4, 1))
         ranks[5] = list(ranks[5]) + [ranks[5][1]]
         with pytest.raises(AssertionError, match="add up"):
             scheme.shifted_character_sums(ranks, 4)
@@ -583,7 +579,7 @@ class TestBatchedSupports:
     def test_block_size_is_read_at_call_time(self, monkeypatch):
         # 25 point families of 24 members: 576 pairs each
         gd = group_data(5)
-        ranks = constraint_ranks(5, [((i, j),) for i in range(1, 6) for j in range(1, 6)])
+        ranks = constraint_families(5, 1)
         blocks = []
         real = gd.quotient_classes
 
@@ -604,9 +600,9 @@ class TestIntegerNorms:
     @pytest.mark.parametrize("n, k", [(3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (5, 3)])
     def test_equal_module_supports_on_constraint_families(self, n, k):
         gd = group_data(n)
-        sets = enumerate_constraint_sets(n, k)
+        sets = constraint_sets(n, k)
         members = [family(pairs, n).members for pairs in sets]
-        sums = scheme.shifted_character_sums(constraint_ranks(n, sets), n)
+        sums = scheme.shifted_character_sums(constraint_families(n, k), n)
         assert sums.dtype == np.int64 and sums.shape == (len(sets), len(gd.classes))
         assert not sums[:, gd.class_index[(n,)]].any()
         assert module_supports(members, n) == [
@@ -631,7 +627,7 @@ class TestIntegerNorms:
             values=tuple(tuple(-v for v in row) for row in table.values)
         )
         monkeypatch.setattr(scheme, "character_table", lambda n: flipped)
-        ranks = constraint_ranks(4, [((1, 1),)])
+        ranks = constraint_families(4, 1)[:1]
         with pytest.raises(AssertionError, match="nonnegative"):
             scheme.shifted_character_sums(ranks, 4)
 
@@ -907,7 +903,7 @@ class TestIndicatorRoute:
     def test_depth_spans_match_shifted_rows(self, n, t):
         gd = group_data(n)
         size = math.factorial(n - t - 1)
-        families = constraint_ranks(n, enumerate_constraint_sets(n, t + 1))
+        families = constraint_families(n, t + 1)
         report = depth_conjecture_dims(n, t)
         union_dim = sum(dimension(shape) ** 2 for shape in report.support_union)
         k = len(families)
@@ -926,7 +922,7 @@ class TestIndicatorRoute:
     def test_point_basis_matches_shifted_rows(self, n):
         gd = group_data(n)
         points = [((i, j),) for i in range(1, n) for j in range(1, n)]
-        families = constraint_ranks(n, points)
+        families = [family_ranks(pairs, n) for pairs in points]
         k = len(families)
         # n x - ones
         (shifted, m1), (with_ones, m2) = _shifted_row_ranks(
@@ -941,7 +937,7 @@ class TestIndicatorRoute:
 
     def test_family_of_the_wrong_size_raises(self):
         gd = group_data(4)
-        families = constraint_ranks(4, [((1, 1),), ((2, 2),)])
+        families = [family_ranks(pairs, 4) for pairs in [((1, 1),), ((2, 2),)]]
         families[1] = families[1][:-1]
         with pytest.raises(AssertionError, match="members"):
             ekrverify._shifted_span_ranks(families, gd.order, 6, 2)
@@ -949,8 +945,8 @@ class TestIndicatorRoute:
 
 class TestDepthSpans:
     def test_constraint_set_count(self):
-        assert len(enumerate_constraint_sets(4, 2)) == 72
-        assert len(enumerate_constraint_sets(5, 3)) == 600
+        assert depth_conjecture_dims(4, 1).family_count == 72
+        assert depth_conjecture_dims(5, 2).family_count == 600
 
     def test_degree_three_by_hand(self):
         # two constraints pin down a degree-3 permutation completely, so the

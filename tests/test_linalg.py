@@ -329,10 +329,9 @@ class TestResidueKernel:
 
         import numpy as np
 
-        from ekrperm.ekrverify import enumerate_constraint_sets
-        from ekrperm.permgroup import constraint_ranks
+        from ekrperm.permgroup import constraint_families
 
-        families = constraint_ranks(6, enumerate_constraint_sets(6, 3))
+        families = constraint_families(6, 3)
         rows = np.zeros((len(families) + 1, 720), dtype=np.int8)
         rows[-1] = 1
         for f, ranks in enumerate(families):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ekrperm import chartab, graphs, scheme
+from ekrperm import chartab, graphs, permgroup, scheme
 from ekrperm.chartab import (
     MAX_TABLE_DEGREE,
     character_table,
@@ -26,7 +26,7 @@ from ekrperm.graphs import affine_clique, family, latin_clique
 from ekrperm.permgroup import (
     compose,
     conjugacy_classes,
-    constraint_ranks,
+    constraint_families,
     constraint_rows,
     cycle_type,
     derangement_count,
@@ -873,8 +873,12 @@ class TestCompositionKernel:
             assert vector[i] == Fraction(dim * total, order)
 
 
-def _constraint_sets(n, k):
-    """Every set of k pairs (x, y) with distinct points x and distinct values y."""
+def constraint_sets(n, k):
+    """Every set of k pairs (x, y) with distinct points x and distinct values y.
+
+    The points run in itertools.combinations order and, for each, the values
+    in lexicographic order: the order of the rows of constraint_families.
+    """
     return [
         tuple(zip(xs, ys))
         for xs in itertools.combinations(range(1, n + 1), k)
@@ -882,58 +886,82 @@ def _constraint_sets(n, k):
     ]
 
 
-def _filtered_ranks(pairs, n):
+@functools.lru_cache(maxsize=None)
+def _permutations(n):
+    return tuple(itertools.permutations(range(1, n + 1)))
+
+
+def filtered_ranks(pairs, n):
     """The ranks of S_A by brute force: itertools.permutations runs in rank order."""
-    return [
-        r
-        for r, images in enumerate(itertools.permutations(range(1, n + 1)))
-        if all(images[x - 1] == y for x, y in pairs)
-    ]
+    images = _permutations(n)
+    ranks = range(len(images))
+    for x, y in pairs:
+        ranks = [r for r in ranks if images[r][x - 1] == y]
+    return list(ranks)
 
 
-class TestConstraintRanks:
-    @pytest.mark.parametrize(
-        "n, k",
-        [(n, k) for n in range(2, 6) for k in range(1, n)] + [(6, 1), (6, 2), (6, 3)],
-    )
-    def test_every_family_matches_its_members(self, n, k):
-        sets = _constraint_sets(n, k)
-        got = constraint_ranks(n, sets)
-        assert len(got) == len(sets)
-        for pairs, ranks in zip(sets, got):
-            assert ranks.tolist() == _filtered_ranks(pairs, n)
+def family_ranks(pairs, n):
+    """The ranks of S_A, read off the image rows of constraint_rows."""
+    return rank_images((constraint_rows(n, pairs) - 1).T)
 
-    def test_mixed_sizes_keep_their_order(self):
+
+# S_1 has the one family S_{1->1}, which basis_check reads at n = 1
+_DEGREE_SPLITS = [(1, 1)] + [(n, k) for n in range(2, 7) for k in range(1, n)]
+
+
+class TestConstraintFamilies:
+    @pytest.mark.parametrize("n, k", _DEGREE_SPLITS)
+    def test_every_row_is_its_filtered_set(self, n, k):
+        got = constraint_families(n, k)
+        assert got.shape == (
+            math.comb(n, k) * math.perm(n, k),
+            math.factorial(n - k),
+        )
+        assert [row.tolist() for row in got] == [
+            filtered_ranks(pairs, n) for pairs in constraint_sets(n, k)
+        ]
+
+    @pytest.mark.parametrize("n, k", _DEGREE_SPLITS)
+    def test_each_position_set_partitions_the_group(self, n, k):
+        blocks = constraint_families(n, k).reshape(math.comb(n, k), -1)
+        order = np.arange(math.factorial(n))
+        for block in blocks:
+            assert (np.sort(block) == order).all()
+
+    def test_a_row_of_two_value_tuples_raises(self, monkeypatch):
+        # 1 goes to 1 in seven rows of the doctored table, to 2 in five
+        table = image_table(4).copy()
+        table[6, 0] = 0
+        monkeypatch.setattr(permgroup, "image_table", lambda n: table)
+        with pytest.raises(AssertionError, match="mixes value tuples"):
+            constraint_families(4, 1)
+
+    def test_mixed_sizes_keep_their_members(self):
         sets = [((1, 2),), ((1, 2), (3, 3)), ((5, 1),), ((2, 2), (3, 1), (4, 5))]
-        got = constraint_ranks(5, sets)
-        for pairs, ranks in zip(sets, got):
-            assert ranks.tolist() == _filtered_ranks(pairs, 5)
+        for pairs in sets:
+            assert family_ranks(pairs, 5).tolist() == filtered_ranks(pairs, 5)
 
     @pytest.mark.parametrize("n, k", [(4, 1), (5, 3), (6, 2)])
     def test_rows_and_family_are_the_ranked_members(self, n, k):
-        table = list(itertools.permutations(range(1, n + 1)))
-        sets = _constraint_sets(n, k)
-        for pairs, ranks in zip(sets, constraint_ranks(n, sets)):
-            expected = [table[r] for r in _filtered_ranks(pairs, n)]
+        table = _permutations(n)
+        sets = constraint_sets(n, k)
+        for pairs, ranks in zip(sets, constraint_families(n, k)):
+            expected = [table[r] for r in filtered_ranks(pairs, n)]
             rows = constraint_rows(n, pairs)
             assert [tuple(row) for row in rows.tolist()] == expected
             assert (rows == image_table(n)[ranks] + 1).all()
             assert [p.images for p in family(pairs, n).members] == expected
 
-    def test_conflicting_pairs_give_an_empty_family(self):
-        same_point, same_value = constraint_ranks(4, [((1, 2), (1, 3)), ((1, 2), (3, 2))])
-        assert same_point.size == 0 and same_value.size == 0
-
     @pytest.mark.parametrize("pairs", [((0, 1),), ((1, 5),), ((5, 1),), ()])
     def test_points_outside_the_degree_raise(self, pairs):
         with pytest.raises(ValueError):
-            constraint_ranks(4, [((1, 1),), pairs])
+            constraint_rows(4, pairs)
 
 
 def _catalogue(n):
     """The n^2 point families as (i, j) and ascending ranks, in row-major order."""
     keys = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    return list(zip(keys, constraint_ranks(n, [(k,) for k in keys])))
+    return list(zip(keys, constraint_families(n, 1)))
 
 
 class TestPointFamily:
