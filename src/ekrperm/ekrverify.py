@@ -1,15 +1,15 @@
 """Exact verification of the incidence-matrix lemmas and the classification.
 
 H is the n! x (n-1)^2 matrix whose (pi, (i,j)) entry is 1 when pi(i) = j,
-both coordinates running over 1..n-1; it is held as one array of the
-one-positions of each row, read off the permutation images, and every Gram
-matrix is one bincount of those (dense rows only where a product needs them).
-Its Gram matrix has a closed form; its derangement rows split into a
-full-column-rank block M and a zero block; the kernel of [M | ones] is
-one-dimensional.  Together these pin down every maximum independent set of
-the derangement graph as a point-stabilizing family.  classify_maximum_sets
-certifies once that [H | ones] has full column rank and then checks each
-set's predicted coordinates.
+both coordinates running over 1..n-1, held as one array of the one-positions
+of each row; N is its derangement rows, W its diagonal columns and M is N
+off W.  Every lemma reads a block of G_H = [H | 1]^T [H | 1] or of
+G_N = [N | 1]^T [N | 1], each one bincount per degree (bordered_grams): H^T H
+has a closed form, M has full column rank, the kernel of [M | 1] is one line
+and, N being zero on W, ker N is spanned by W's unit vectors.  Together these
+pin down every maximum independent set of the derangement graph as a
+point-stabilizing family; classify_maximum_sets certifies once that G_H has
+full rank and then checks each set's predicted coordinates.
 """
 
 from __future__ import annotations
@@ -56,21 +56,19 @@ def __getattr__(name: str):
 
 
 class Incidence(NamedTuple):
-    """H, its derangement rows N, W's columns and the block M, as index arrays.
+    """H, its derangement rows N and W's columns, as index arrays.
 
     Column (i, j) of H, 1 <= i, j <= n-1, is (i-1)(n-1) + j-1.  Row r of ones
     (rows in permutation-rank order) holds, for each position i < n, the
     column (i, pi(i)), or the width (n-1)^2, no column, when pi(i) = n.  N is
-    the rows derangement_ranks and W the diagonal columns (i, i).  No
-    derangement row meets W, so m_ones is N with each column renumbered among
-    the off-diagonal ones: the rows of M, whose width (n-1)(n-2) is no column.
+    the rows derangement_ranks and W the diagonal columns (i, i), which no
+    derangement row meets; M is N on the other (n-1)(n-2) columns.
     """
 
     n: int
     ones: np.ndarray
     derangement_ranks: np.ndarray
     diagonal: np.ndarray
-    m_ones: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -87,10 +85,7 @@ def incidence(n: int) -> Incidence:
     body = images[:, :-1]
     ones = np.where(body < n - 1, points * (n - 1) + body, (n - 1) ** 2)
     derangement_ranks = np.flatnonzero((images != np.arange(n)).all(axis=1))
-    # c // n + 1 diagonal columns (i-1)n lie at or below an off-diagonal c
-    n_ones = ones[derangement_ranks]
-    m_ones = n_ones - n_ones // n - 1
-    return Incidence(n, ones, derangement_ranks, points * n, m_ones)
+    return Incidence(n, ones, derangement_ranks, points * n)
 
 
 def _dense(ones, width: int):
@@ -102,15 +97,15 @@ def _dense(ones, width: int):
     return dense[:, :width]
 
 
-def _gram(ones, width: int, border: bool = False) -> list[list[int]]:
-    """X^T X for the 0/1 rows X whose one-positions are the rows of ones.
+def _gram(ones, width: int) -> np.ndarray:
+    """[X | ones]^T [X | ones] for the 0/1 rows X whose one-positions are ones.
 
     An entry equal to the width is no column.  A bincount over
     a * (width + 1) + b counts the ordered pairs of each row's entries, one
     block of _GRAM_BLOCK_ROWS rows at a time, so no pair array spans all the
     rows; the pairs that meet the width fill its own row and column.  Those
-    are dropped, or, with border, overwritten by the Gram row of the all-ones
-    column of [X | ones]: the column sums (the diagonal), and the row count.
+    are overwritten by the Gram row of the all-ones column: the column sums
+    (the diagonal), and the row count.
     """
     import numpy as np
 
@@ -121,12 +116,29 @@ def _gram(ones, width: int, border: bool = False) -> list[list[int]]:
         pairs = block[:, :, None] * side + block[:, None, :]
         gram += np.bincount(pairs.ravel(), minlength=side * side)
     gram = gram.reshape(side, side)
-    if not border:
-        return gram[:width, :width].tolist()
     sums = gram.diagonal().copy()
     sums[width] = len(ones)
     gram[width] = gram[:, width] = sums
-    return gram.tolist()
+    return gram
+
+
+@lru_cache(maxsize=None)
+def bordered_grams(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(G_H, G_N): the read-only Gram matrices of [H | ones] and [N | ones]."""
+    inc = incidence(n)
+    width = (n - 1) ** 2
+    g_h, g_n = _gram(inc.ones, width), _gram(inc.ones[inc.derangement_ranks], width)
+    g_h.flags.writeable = g_n.flags.writeable = False
+    return g_h, g_n
+
+
+def _m_columns(n: int) -> np.ndarray:
+    """H's columns outside W, which are M's, then the border (n-1)^2."""
+    import numpy as np
+
+    keep = np.ones((n - 1) ** 2 + 1, dtype=bool)
+    keep[incidence(n).diagonal] = False
+    return np.flatnonzero(keep)
 
 
 def expected_gram(n: int) -> list[list[int]]:
@@ -139,8 +151,8 @@ def expected_gram(n: int) -> list[list[int]]:
 
 
 def gram_check(n: int) -> tuple[bool, list[list[int]]]:
-    """Compare H^T H, counted over the rows of H, against the closed form."""
-    gram = _gram(incidence(n).ones, (n - 1) ** 2)
+    """Compare H^T H, the block of G_H off the border, against the closed form."""
+    gram = bordered_grams(n)[0][:-1, :-1].tolist()
     return gram == expected_gram(n), gram
 
 
@@ -189,72 +201,61 @@ def pi_ab_submatrix(n: int):
     return rows.tolist(), expected.tolist(), bool(np.array_equal(rows, expected))
 
 
-def _full_column_rank_check(n: int, ones, width: int, gram=None):
-    """(rank, rank == width) for 0/1 rows, certified on their Gram matrix.
+def _full_column_rank_check(n: int, gram, ones, columns):
+    """(rank, rank == width) for X, the rows ones of H on its columns.
 
-    G = X^T X (counted here when not given) is integral and has the same
-    rational rank as X, at most the width; linalg.certified_rank gives its
-    exact rank.  At degrees up to 5 the rank is recomputed from X directly
-    as a cross-check.
+    gram's block on columns is X^T X: integral, of X's rational rank, at most
+    the width, which linalg.certified_rank gives exactly.  At degrees up to 5
+    the rank is recomputed from X directly as a cross-check.
     """
-    if gram is None:
-        gram = _gram(ones, width)
-    r, _ = linalg.certified_rank(gram, width)
-    if n <= 5 and linalg.bareiss_rank(_dense(ones, width).tolist()) != r:
-        raise AssertionError("Gram rank disagrees with direct elimination")
-    return r, r == width
+    r, _ = linalg.certified_rank(gram[columns][:, columns].tolist(), len(columns))
+    if n <= 5:
+        dense = _dense(ones, (n - 1) ** 2)[:, columns].tolist()
+        if linalg.bareiss_rank(dense) != r:
+            raise AssertionError("Gram rank disagrees with direct elimination")
+    return r, r == len(columns)
 
 
 def rank_M_check(n: int) -> tuple[int, bool]:
-    """rank(M) = (n-1)(n-2), via the Gram matrix of M's columns."""
-    return _full_column_rank_check(n, incidence(n).m_ones, (n - 1) * (n - 2))
+    """rank(M) = (n-1)(n-2), read on G_N without W's rows and the border."""
+    n_ones = incidence(n).ones[incidence(n).derangement_ranks]
+    return _full_column_rank_check(n, bordered_grams(n)[1], n_ones, _m_columns(n)[:-1])
 
 
-def rank_H_check(n: int, gram=None) -> tuple[int, bool]:
-    """rank(H) = (n-1)^2, via the Gram matrix H^T H (when given, it is read)."""
-    return _full_column_rank_check(n, incidence(n).ones, (n - 1) ** 2, gram)
+def rank_H_check(n: int) -> tuple[int, bool]:
+    """rank(H) = (n-1)^2, read on H^T H, the block of G_H off the border."""
+    columns = range((n - 1) ** 2)
+    return _full_column_rank_check(n, bordered_grams(n)[0], incidence(n).ones, columns)
 
 
 def bordered_kernel_check(n: int) -> bool:
-    """Kernel of [M | ones] is spanned by (1, ..., 1, -(n-2)).
+    """Kernel of [M | ones] is spanned by v = (1, ..., 1, -(n-2)).
 
-    A row of [M | ones] meets that vector in its number of ones in M less
-    n-2, so exact counts of each row's ones show the vector lies in the
-    kernel, which caps the rank at the width (n-1)(n-2); a certified rank of
-    the bordered Gram matrix equal to the width then proves the kernel is
-    exactly that line.  Otherwise the check fails: the vector misses a row,
-    or the kernel is wider than a line.
+    G = [M | ones]^T [M | ones] is G_N off W's rows and columns.  As
+    v^T G v = |[M | ones] v|^2, the exact integer product G v = 0 puts v in
+    the kernel, capping the rank at the width (n-1)(n-2); a certified rank of
+    G equal to the width proves the kernel is that line.  Otherwise the check
+    fails: the vector misses a row, or the kernel is wider than a line.
     """
-    width = (n - 1) * (n - 2)
-    m_ones = incidence(n).m_ones
-    if not ((m_ones < width).sum(axis=1) == n - 2).all():
+    columns = _m_columns(n)
+    gram = bordered_grams(n)[1][columns][:, columns]
+    if (gram[:, :-1].sum(axis=1) != (n - 2) * gram[:, -1]).any():
         return False
-    gram = _gram(m_ones, width, border=True)
-    return linalg.certified_rank(gram, width)[0] == width
+    return linalg.certified_rank(gram.tolist(), len(gram) - 1)[0] == len(gram) - 1
 
 
 def kernel_membership_check(n: int) -> bool:
     """H maps ker(N) into the span of W's columns, certified without sampling.
 
-    N is the derangement rows of H and W its diagonal columns.  The columns Z
-    that no row of N meets (the zeros on the diagonal of N^T N) give unit
-    vectors in ker(N), so rank N <= width - |Z|, and a certified rank of N^T N
-    that meets this cap proves ker(N) = span{e_c : c in Z}.  H e_c is column c
-    of H, and H has full column rank (rank_H_check), so H e_c lies in the span
-    of W's columns exactly when c is one of them: the lemma holds exactly when
-    Z lies among W's columns.  A kernel whose dimension is not n-1, or that
-    those unit vectors do not span, raises AssertionError.
+    When G_N is zero on W's diagonal entries, no row of N meets W, so ker N
+    is span{e_c : c in W} plus the kernel of M; when M also has full column
+    rank (rank_M_check), ker N = span{e_c : c in W}, and H e_c is column c of
+    H, in the span of W's columns.  The check fails when either premise does,
+    a row meeting W voiding the certificate; and a kernel wider than W's unit
+    vectors holds a vector off W, which H (rank_H_check) maps outside it.
     """
-    inc = incidence(n)
-    width = (n - 1) ** 2
-    n_gram = _gram(inc.ones[inc.derangement_ranks], width)
-    unmet = [c for c in range(width) if not n_gram[c][c]]
-    rank_n, _ = linalg.certified_rank(n_gram, width - len(unmet))
-    if width - rank_n != n - 1:
-        raise AssertionError("unexpected kernel dimension for the derangement rows")
-    if rank_n != width - len(unmet):
-        raise AssertionError("ker(N) is not spanned by the columns N never meets")
-    return set(unmet) <= set(inc.diagonal.tolist())
+    diagonal = incidence(n).diagonal
+    return not bordered_grams(n)[1][diagonal, diagonal].any() and rank_M_check(n)[1]
 
 
 def _shifted_span_ranks(families, order: int, size: int, cap: int):
@@ -300,7 +301,7 @@ def basis_check(n: int) -> BasisCheckReport:
     and the last value dropped.  Each has m = (n-1)! members, so ones/n is its
     density: the supports are the nonzero entries of
     scheme.shifted_character_sums, and _shifted_span_ranks gives both ranks
-    from the 0/1 indicator rows, capped by the row count k + 1.
+    from the 0/1 indicator rows, capped by the family count (n-1)^2.
     """
     if n > MAX_DENSE_DEGREE:
         raise DegreeRangeError(f"basis check needs degree at most {MAX_DENSE_DEGREE}")
@@ -354,8 +355,8 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
     by its first member's inverse to contain the identity, whose indicator is
     written exactly in the columns of [H | ones]: stabilizing a point i < n is
     case 1 (the column (i,i), coefficient 0); stabilizing the last point is
-    case 2 (every column of H, border coefficient -(n-2)).  The bordered Gram
-    matrix of [H | ones] having full rank, certified by one modular rank
+    case 2 (every column of H, border coefficient -(n-2)).  G_H, the Gram
+    matrix of [H | ones], having full rank, certified by one modular rank
     profile, shows once per call that these coordinates are the only ones, so
     one product checks every set's predicted coordinates against every row of
     H.  A rank deficit raises AssertionError; a failed prediction is a violation.
@@ -369,8 +370,7 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
     gd = group_data(n)
     h = incidence(n)
     width = (n - 1) ** 2
-    gram = _gram(h.ones, width, border=True)
-    if linalg.certified_rank(gram, width + 1)[0] != width + 1:
+    if linalg.certified_rank(bordered_grams(n)[0].tolist(), width + 1)[0] != width + 1:
         raise AssertionError("[H | ones] must have full column rank")
     ranks = np.asarray(search_result.ranks, dtype=np.intp)
     distinct = np.diff(np.sort(ranks, axis=1)).all(axis=1).tolist()

@@ -1,8 +1,10 @@
-"""Make the oracle helpers importable and set the Hypothesis defaults."""
+"""Make the oracle helpers importable, set the Hypothesis defaults and give
+the fixtures that doctor the incidence rows behind the cached Gram matrices."""
 
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -11,3 +13,28 @@ sys.path.insert(0, str(Path(__file__).parent))
 # timing an example says nothing about the code under test.
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
+
+
+@pytest.fixture
+def fresh_grams():
+    """ekrverify.bordered_grams with its per-degree cache cleared before and
+    after the test, so the Gram matrices are formed from the rows it sees."""
+    from ekrperm import ekrverify
+
+    ekrverify.bordered_grams.cache_clear()
+    yield ekrverify.bordered_grams
+    ekrverify.bordered_grams.cache_clear()
+
+
+@pytest.fixture
+def doctor_incidence(monkeypatch, fresh_grams):
+    """install(edit) reads ekrverify.incidence(n) as edit(the real record);
+    the Gram matrices are then formed from the edited rows."""
+    from ekrperm import ekrverify
+
+    real = ekrverify.incidence
+
+    def install(edit):
+        monkeypatch.setattr(ekrverify, "incidence", lambda n: edit(real(n)))
+
+    return install

@@ -431,18 +431,36 @@ class TestExitCodes:
         )
 
     def test_damaged_incidence_fails_the_bordered_kernel_check(
-        self, capsys, monkeypatch
+        self, capsys, doctor_incidence
     ):
         # too few rows of M: the kernel of [M | ones] is wider than a line,
         # which is a failed check, not an internal error
-        from ekrperm import ekrverify
-        from test_ekrverify import _incidence_with
+        from test_ekrverify import _first_derangements
 
-        monkeypatch.setattr(ekrverify, "incidence", _incidence_with(lambda rows: rows[:3]))
+        doctor_incidence(_first_derangements(3))
         code, report, _ = run_json(capsys, "lemmas", "5")
         assert code == cli.EXIT_CHECK_FAILED == 1
         outcomes = {c["name"]: c["pass"] for c in report["checks"]}
         assert outcomes["bordered-kernel-spanned-by-expected-vector"] is False
+
+    def test_half_the_derangement_rows_fail_kernel_membership(
+        self, capsys, doctor_incidence
+    ):
+        # G_N from every other derangement row: at n = 4, five rows on M's
+        # six columns, so ker N is wider than W's unit vectors, a failed
+        # check (exit 1), not an internal error (exit 5); at n = 5 the 22
+        # rows left still give M full column rank, and the lemma holds
+        from test_ekrverify import _every_other_derangement
+
+        doctor_incidence(_every_other_derangement)
+        code, report, _ = run_json(capsys, "lemmas", "4")
+        assert code == cli.EXIT_CHECK_FAILED == 1
+        outcomes = {c["name"]: c["pass"] for c in report["checks"]}
+        assert outcomes["kernel-vectors-map-into-diagonal-column-space"] is False
+        # H's rows and the point families are untouched
+        assert outcomes["gram-identity"] is True
+        assert outcomes["rank-H-is-(n-1)^2"] is True
+        assert outcomes["point-family-supports-standard-only"] is True
 
     @pytest.mark.parametrize(
         "argv, failing",

@@ -199,17 +199,69 @@ class TestGramIdentity:
     def test_row_blocks_add_up_to_the_closed_form(self, n, block_rows, monkeypatch):
         # 11 divides no n! here, so the last block is always a short one
         monkeypatch.setattr(ekrverify, "_GRAM_BLOCK_ROWS", block_rows)
-        assert ekrverify._gram(incidence(n).ones, (n - 1) ** 2) == expected_gram(n)
+        gram = ekrverify._gram(incidence(n).ones, (n - 1) ** 2)
+        assert gram[:-1, :-1].tolist() == expected_gram(n)
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_bordered_row_blocks_equal_the_dense_product(self, n, monkeypatch):
         monkeypatch.setattr(ekrverify, "_GRAM_BLOCK_ROWS", 11)
         inc = incidence(n)
-        for ones, width in ((inc.ones, (n - 1) ** 2), (inc.m_ones, (n - 1) * (n - 2))):
+        width = (n - 1) ** 2
+        for ones in (inc.ones, inc.ones[inc.derangement_ranks]):
             dense = ekrverify._dense(ones, width)
             bordered = np.column_stack([dense, np.ones(len(ones), dtype=np.int64)])
-            gram = ekrverify._gram(ones, width, border=True)
-            assert gram == (bordered.T @ bordered).tolist()
+            gram = ekrverify._gram(ones, width)
+            assert gram.tolist() == (bordered.T @ bordered).tolist()
+
+
+def _bordered_gram(rows):
+    bordered = np.column_stack([rows, np.ones(len(rows), dtype=np.int64)])
+    return (bordered.T @ bordered).tolist()
+
+
+class TestBorderedGrams:
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_grams_match_brute_force(self, n):
+        # H, N and M from itertools.permutations alone, M's one-positions
+        # renumbered among the off-diagonal columns as c - c // n - 1
+        width, m_width = (n - 1) ** 2, (n - 1) * (n - 2)
+        perms = list(itertools.permutations(range(1, n + 1)))
+        h = np.array([[int(p[i - 1] == j) for i, j in _columns(n)] for p in perms])
+        deranged = [p for p in perms if all(v != i for i, v in enumerate(p, 1))]
+        n_rows = h[[perms.index(p) for p in deranged]]
+        g_h, g_n = ekrverify.bordered_grams(n)
+        assert g_h.tolist() == _bordered_gram(h)
+        assert g_n.tolist() == _bordered_gram(n_rows)
+        diagonal = [k for k, (i, j) in enumerate(_columns(n)) if i == j]
+        assert not g_n[diagonal].any() and not g_n[:, diagonal].any()
+        n_ones = np.array(
+            [[(i - 1) * (n - 1) + p[i - 1] - 1 if p[i - 1] < n else width
+              for i in range(1, n)] for p in deranged]
+        )
+        m_ones = n_ones - n_ones // n - 1
+        m = np.zeros((len(m_ones), m_width + 1), dtype=np.int64)
+        m[np.arange(len(m_ones))[:, None], m_ones] = 1
+        off = [k for k in range(width + 1) if k not in diagonal]
+        assert g_n[np.ix_(off, off)].tolist() == _bordered_gram(m[:, :m_width])
+
+    def test_cached_and_read_only(self):
+        g_h, g_n = ekrverify.bordered_grams(5)
+        assert ekrverify.bordered_grams(5)[0] is g_h
+        assert not g_h.flags.writeable and not g_n.flags.writeable
+
+    def test_formed_once_per_degree(self, monkeypatch, fresh_grams):
+        from ekrperm import groupcmds
+
+        real, widths = ekrverify._gram, []
+
+        def counting(ones, width):
+            widths.append(width)
+            return real(ones, width)
+
+        monkeypatch.setattr(ekrverify, "_gram", counting)
+        groupcmds.run_lemmas(5)
+        groupcmds.run_classify(5)
+        assert widths == [16, 16]
 
 
 @st.composite
@@ -236,8 +288,7 @@ class TestIncidenceArrays:
                 if c < width:
                     dense[r, c] = 1
         bordered = np.column_stack([dense, np.ones(len(ones), dtype=np.int64)])
-        assert ekrverify._gram(ones, width) == (dense.T @ dense).tolist()
-        assert ekrverify._gram(ones, width, border=True) == (bordered.T @ bordered).tolist()
+        assert ekrverify._gram(ones, width).tolist() == (bordered.T @ bordered).tolist()
         assert ekrverify._dense(ones, width).tolist() == dense.tolist()
 
 
@@ -245,10 +296,8 @@ class TestBlocks:
     def test_degree_four_shapes(self):
         h = incidence(4)
         assert h.diagonal.tolist() == [0, 4, 8]
-        assert h.m_ones.shape == (9, 3)
-        # two of M's six columns and the width 6 once in every row
-        for ones in h.m_ones.tolist():
-            assert sorted(ones)[-1] == 6 and all(0 <= k < 6 for k in sorted(ones)[:-1])
+        # M's six columns, then the border
+        assert ekrverify._m_columns(4).tolist() == [1, 2, 3, 5, 6, 7, 9]
         assert len(h.derangement_ranks) == 9
 
     def test_derangement_rows_avoid_diagonal(self):
@@ -264,15 +313,11 @@ class TestBlocks:
     def test_off_diagonal_row_weight(self):
         for n in (4, 6):
             h = incidence(n)
-            width = (n - 1) * (n - 2)
-            assert ((h.m_ones < width).sum(axis=1) == n - 2).all()
-            # each row is the off-diagonal part of the matching dense row of H
-            rows = _rows(h)
+            # M is N on the off-diagonal columns, each row holding n-2 ones
             off_cols = [k for k, (i, j) in enumerate(_columns(n)) if i != j]
-            for r, ones in zip(h.derangement_ranks, h.m_ones.tolist()):
-                assert [k for k, c in enumerate(off_cols) if rows[r][c]] == [
-                    k for k in ones if k < width
-                ]
+            assert ekrverify._m_columns(n).tolist() == off_cols + [(n - 1) ** 2]
+            rows = np.array(_rows(h))[h.derangement_ranks]
+            assert (rows[:, off_cols].sum(axis=1) == n - 2).all()
 
 
 class TestReorderedSubmatrix:
@@ -333,8 +378,9 @@ class TestKernels:
         # the certificate against the oracle's kernel of the dense [M | ones]
         assert bordered_kernel_check(n) is True
         width = (n - 1) * (n - 2)
-        dense = ekrverify._dense(incidence(n).m_ones, width).tolist()
-        (vec,) = oracles.kernel([row + [1] for row in dense])
+        off_cols = [k for k, (i, j) in enumerate(_columns(n)) if i != j]
+        dense = np.array(_rows(incidence(n)))[incidence(n).derangement_ranks]
+        (vec,) = oracles.kernel([row + [1] for row in dense[:, off_cols].tolist()])
         assert [v / vec[0] for v in vec] == [1] * width + [-(n - 2)]
 
     def test_bordered_kernel_through_degree_six(self):
@@ -351,7 +397,9 @@ def _parent_kernel_membership(n, trials, seed):
     its border against W, and compares the ranks of the bordered Gram matrices."""
     h = ekrverify.incidence(n)
     width = (n - 1) ** 2
-    basis = oracles.kernel(ekrverify._gram(h.ones[h.derangement_ranks], width))
+    basis = oracles.kernel(
+        ekrverify._gram(h.ones[h.derangement_ranks], width)[:-1, :-1].tolist()
+    )
     if len(basis) != n - 1:
         raise AssertionError("unexpected kernel dimension for the derangement rows")
     w = ekrverify._dense(h.ones, width)[:, h.diagonal]
@@ -372,8 +420,8 @@ def _parent_kernel_membership(n, trials, seed):
     return True
 
 
-def _without_first_diagonal_column(real):
-    return lambda n: real(n)._replace(diagonal=real(n).diagonal[1:])
+def _every_other_derangement(inc):
+    return inc._replace(derangement_ranks=inc.derangement_ranks[::2])
 
 
 class TestKernelMembershipByLinearity:
@@ -387,27 +435,33 @@ class TestKernelMembershipByLinearity:
         assert _parent_kernel_membership(n, 20, seed) is True
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_damaged_W_fails_on_both_routes(self, n, monkeypatch):
-        monkeypatch.setattr(
-            ekrverify, "incidence", _without_first_diagonal_column(incidence)
-        )
+    def test_damaged_W_fails_on_both_routes(self, n, doctor_incidence):
+        doctor_incidence(lambda inc: inc._replace(diagonal=inc.diagonal[1:]))
         assert kernel_membership_check(n) is False
         assert _parent_kernel_membership(n, 20, 987) is False
 
-    def test_half_the_rows_raise_on_both_routes(self, monkeypatch):
-        # every other derangement row leaves a kernel wider than n-1
-        real = incidence
-        monkeypatch.setattr(
-            ekrverify,
-            "incidence",
-            lambda n: real(n)._replace(
-                derangement_ranks=real(n).derangement_ranks[::2]
-            ),
-        )
-        with pytest.raises(AssertionError, match="kernel dimension"):
-            kernel_membership_check(4)
+    def test_half_the_rows_fail_here_and_raise_in_the_reference(self, doctor_incidence):
+        # every other derangement row leaves a kernel wider than n-1: M loses
+        # full column rank, which fails the check; the reference still raises
+        doctor_incidence(_every_other_derangement)
+        assert kernel_membership_check(4) is False
         with pytest.raises(AssertionError, match="kernel dimension"):
             _parent_kernel_membership(4, 20, 987)
+
+    def test_half_the_rows_at_five_keep_the_lemma(self, doctor_incidence):
+        # 22 of the 44 derangement rows still give M full column rank
+        doctor_incidence(_every_other_derangement)
+        assert kernel_membership_check(5) is True
+        assert _parent_kernel_membership(5, 20, 987) is True
+
+    def test_a_row_meeting_W_voids_the_certificate(self, doctor_incidence):
+        # with the identity among N's rows, G_N is nonzero on W's diagonal
+        doctor_incidence(
+            lambda inc: inc._replace(
+                derangement_ranks=np.append(0, inc.derangement_ranks)
+            )
+        )
+        assert kernel_membership_check(4) is False
 
 
 def _recording_bareiss(monkeypatch):
@@ -422,20 +476,23 @@ def _recording_bareiss(monkeypatch):
     return heights
 
 
-def _incidence_with(edit):
-    """incidence(n) with the rows of M replaced by edit(a copy of them)."""
-    return lambda n: incidence(n)._replace(m_ones=edit(incidence(n).m_ones.copy()))
+def _first_derangements(count):
+    """An incidence edit keeping only the first count rows of N."""
+    return lambda inc: inc._replace(derangement_ranks=inc.derangement_ranks[:count])
 
 
-def _deficient_gram(real):
-    """The real Gram with its last row and column zeroed: rank one lower."""
+def _deficient_grams(real):
+    """real bordered_grams with the row and column of H's column (n-1, n-2)
+    zeroed in both, as if no permutation took n-1 to n-2: that column is off
+    W, so H^T H, [H | 1]'s Gram and M's each lose one rank."""
 
-    def deficient(ones, width, border=False):
-        gram = real(ones, width, border)
-        for row in gram:
-            row[-1] = 0
-        gram[-1] = [0] * len(gram)
-        return gram
+    def deficient(n):
+        grams = []
+        for gram in real(n):
+            gram = gram.copy()
+            gram[(n - 1) ** 2 - 2] = gram[:, (n - 1) ** 2 - 2] = 0
+            grams.append(gram)
+        return tuple(grams)
 
     return deficient
 
@@ -450,17 +507,11 @@ class TestCertifiedLemmaRanks:
         assert kernel_membership_check(n) is True
         assert heights == []
 
-    def test_given_gram_gives_the_same_results(self):
-        n = 6
-        _, gram = gram_check(n)
-        assert rank_H_check(n, gram) == rank_H_check(n)
-
     def test_doctored_gram_reports_its_exact_rank(self, monkeypatch):
         n = 6
-        width = (n - 1) ** 2
-        doctored = _deficient_gram(ekrverify._gram)(incidence(n).ones, width)
-        assert rank_H_check(n, doctored) == ((n - 1) ** 2 - 1, False)
-        monkeypatch.setattr(ekrverify, "_gram", _deficient_gram(ekrverify._gram))
+        doctored = _deficient_grams(ekrverify.bordered_grams)
+        monkeypatch.setattr(ekrverify, "bordered_grams", doctored)
+        assert rank_H_check(n) == ((n - 1) ** 2 - 1, False)
         assert rank_M_check(n) == ((n - 1) * (n - 2) - 1, False)
 
     def test_undershooting_profile_keeps_the_exact_ranks(self, monkeypatch):
@@ -474,22 +525,23 @@ class TestCertifiedLemmaRanks:
         assert bordered_kernel_check(n) is True
 
     @pytest.mark.parametrize("n", [4, 6])
-    def test_too_few_rows_widen_the_kernel(self, n, monkeypatch):
+    def test_too_few_rows_widen_the_kernel(self, n, doctor_incidence):
         # every row still sums to 0 against the expected vector, but the
         # rank falls below the width, so the kernel has more than one line
-        monkeypatch.setattr(ekrverify, "incidence", _incidence_with(lambda rows: rows[:3]))
+        doctor_incidence(_first_derangements(3))
         assert bordered_kernel_check(n) is False
 
     @pytest.mark.parametrize("n", [4, 6])
-    def test_expected_vector_missing_a_row_fails(self, n, monkeypatch):
-        # a row with one of its ones dropped sums to -1 against the vector
-        width = (n - 1) * (n - 2)
+    def test_expected_vector_missing_a_row_fails(self, n, doctor_incidence):
+        # a row of M with one of its ones dropped sums to -1 against the vector
+        width = (n - 1) ** 2
 
-        def drop_one(rows):
-            rows[0, np.flatnonzero(rows[0] < width)[0]] = width
-            return rows
+        def drop_one(inc):
+            ones, r = inc.ones.copy(), inc.derangement_ranks[0]
+            ones[r, np.flatnonzero(ones[r] < width)[0]] = width
+            return inc._replace(ones=ones)
 
-        monkeypatch.setattr(ekrverify, "incidence", _incidence_with(drop_one))
+        doctor_incidence(drop_one)
         assert bordered_kernel_check(n) is False
 
 
@@ -854,8 +906,9 @@ class TestClassification:
 
     def test_rank_deficient_certificate_raises(self, monkeypatch):
         found = max_independent_sets(4)
-        monkeypatch.setattr(ekrverify, "_gram", _deficient_gram(ekrverify._gram))
-        with pytest.raises(AssertionError):
+        doctored = _deficient_grams(ekrverify.bordered_grams)
+        monkeypatch.setattr(ekrverify, "bordered_grams", doctored)
+        with pytest.raises(AssertionError, match=r"\[H \| ones\]"):
             classify_maximum_sets(4, found)
 
     def test_eliminates_no_more_rows_than_the_certificate(self, monkeypatch):
