@@ -69,6 +69,16 @@ EXIT_DEGREE = 3
 EXIT_UNSUPPORTED = 4
 EXIT_INTERNAL = 5
 
+# The exit code of each error a handler raises; the first match counts.
+_ERROR_EXITS = {
+    DegreeRangeError: EXIT_DEGREE,
+    UnsupportedConstructionError: EXIT_UNSUPPORTED,
+    FamilyValidationError: EXIT_CHECK_FAILED,
+    ValueError: EXIT_USAGE,
+    OSError: EXIT_USAGE,
+    AssertionError: EXIT_INTERNAL,
+}
+
 
 def exact(value):
     """Exact numbers as strings so no JSON consumer can round them."""
@@ -426,21 +436,11 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         result, checks = handler(**options)
-    except DegreeRangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGREE
-    except UnsupportedConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except FamilyValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except AssertionError as exc:
-        print(f"error: internal check failed: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except tuple(_ERROR_EXITS) as exc:
+        code = next(v for kind, v in _ERROR_EXITS.items() if isinstance(exc, kind))
+        internal = "internal check failed: " if code == EXIT_INTERNAL else ""
+        print(f"error: {internal}{exc}", file=sys.stderr)
+        return code
     elapsed = round(time.perf_counter() - started, 3)
     all_pass = all(c["pass"] for c in checks)
     report = {

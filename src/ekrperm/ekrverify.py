@@ -76,9 +76,9 @@ def incidence(n: int) -> Incidence:
     """H of degree n, read off permgroup.image_table: all permutations at once."""
     import numpy as np
 
-    if not 2 <= n <= MAX_INCIDENCE_DEGREE:
+    if not 1 <= n <= MAX_INCIDENCE_DEGREE:
         raise DegreeRangeError(
-            f"incidence matrices are supported for 2 <= n <= {MAX_INCIDENCE_DEGREE}"
+            f"incidence matrices are supported for 1 <= n <= {MAX_INCIDENCE_DEGREE}"
         )
     images = image_table(n)
     points = np.arange(n - 1)
@@ -164,18 +164,10 @@ def pi_ab(a: int, b: int, n: int) -> Permutation:
     """
     if not (1 <= a <= n - 1 and 1 <= b <= n - 2):
         raise ValueError(f"need 1 <= a <= n-1 and 1 <= b <= n-2, got ({a}, {b})")
-    images = [0] * n
-    used = set()
-    for i in range(1, n):
-        if i == a:
-            value = n
-        elif i + b < n:
-            value = i + b
-        else:
-            value = (i + b + 1) % n
-        images[i - 1] = value
-        used.add(value)
-    images[n - 1] = next(v for v in range(1, n + 1) if v not in used)
+    images = [
+        n if i == a else i + b if i + b < n else (i + b + 1) % n for i in range(1, n)
+    ]
+    images.append(next(v for v in range(1, n + 1) if v not in images))
     p = Permutation(tuple(images))
     if any(p.images[i] == i + 1 for i in range(n)):
         raise AssertionError(f"pi_ab({a},{b}) has a fixed point")
@@ -244,18 +236,26 @@ def bordered_kernel_check(n: int) -> bool:
     return linalg.certified_rank(gram.tolist(), len(gram) - 1)[0] == len(gram) - 1
 
 
-def kernel_membership_check(n: int) -> bool:
+def kernel_membership_check(n: int, m_full_rank: bool | None = None) -> bool:
     """H maps ker(N) into the span of W's columns, certified without sampling.
 
     When G_N is zero on W's diagonal entries, no row of N meets W, so ker N
     is span{e_c : c in W} plus the kernel of M; when M also has full column
-    rank (rank_M_check), ker N = span{e_c : c in W}, and H e_c is column c of
-    H, in the span of W's columns.  The check fails when either premise does,
-    a row meeting W voiding the certificate; and a kernel wider than W's unit
-    vectors holds a vector off W, which H (rank_H_check) maps outside it.
+    rank (m_full_rank, from rank_M_check unless given), ker N = span{e_c : c
+    in W}, and H e_c is column c of H, in the span of W's columns.  The check
+    fails when either premise does, a row meeting W voiding the certificate;
+    and a kernel wider than W's unit vectors holds a vector off W, which H
+    (rank_H_check) maps outside it.
     """
     diagonal = incidence(n).diagonal
-    return not bordered_grams(n)[1][diagonal, diagonal].any() and rank_M_check(n)[1]
+    if bordered_grams(n)[1][diagonal, diagonal].any():
+        return False
+    return rank_M_check(n)[1] if m_full_rank is None else m_full_rank
+
+
+def _bordered_rank(n: int) -> int:
+    """rank [H | ones], certified on G_H against its full rank (n-1)^2 + 1."""
+    return linalg.certified_rank(bordered_grams(n)[0].tolist(), (n - 1) ** 2 + 1)[0]
 
 
 def _shifted_span_ranks(families, order: int, size: int, cap: int):
@@ -300,8 +300,9 @@ def basis_check(n: int) -> BasisCheckReport:
     permgroup.constraint_families, read as (n, n, m) with the last position
     and the last value dropped.  Each has m = (n-1)! members, so ones/n is its
     density: the supports are the nonzero entries of
-    scheme.shifted_character_sums, and _shifted_span_ranks gives both ranks
-    from the 0/1 indicator rows, capped by the family count (n-1)^2.
+    scheme.shifted_character_sums.  Their indicators are H's columns, so the
+    rank with ones is _bordered_rank, and, as in _shifted_span_ranks, the
+    shifted rank is one less.
     """
     if n > MAX_DENSE_DEGREE:
         raise DegreeRangeError(f"basis check needs degree at most {MAX_DENSE_DEGREE}")
@@ -312,14 +313,12 @@ def basis_check(n: int) -> BasisCheckReport:
     is_standard = [cls.cycle_type == standard for cls in gd.classes]
     supports = shifted_character_sums(families, n) != 0
     supports_ok = bool((supports == is_standard).all())
-    rank_shifted, rank_with_ones, _ = _shifted_span_ranks(
-        families, gd.order, m, len(families)
-    )
+    rank_with_ones = _bordered_rank(n)
     dimension_match = (n - 1) ** 2 == dimension(standard) ** 2
     return BasisCheckReport(
         n=n,
         supports_ok=supports_ok,
-        rank_shifted=rank_shifted,
+        rank_shifted=rank_with_ones - 1,
         rank_with_ones=rank_with_ones,
         dimension_match=dimension_match,
     )
@@ -356,10 +355,10 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
     written exactly in the columns of [H | ones]: stabilizing a point i < n is
     case 1 (the column (i,i), coefficient 0); stabilizing the last point is
     case 2 (every column of H, border coefficient -(n-2)).  G_H, the Gram
-    matrix of [H | ones], having full rank, certified by one modular rank
-    profile, shows once per call that these coordinates are the only ones, so
-    one product checks every set's predicted coordinates against every row of
-    H.  A rank deficit raises AssertionError; a failed prediction is a violation.
+    matrix of [H | ones], having full rank (_bordered_rank), shows once per
+    call that these coordinates are the only ones, so one product checks every
+    set's predicted coordinates against every row of H.  A rank deficit raises
+    AssertionError; a failed prediction is a violation.
     """
     import numpy as np
 
@@ -370,7 +369,7 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
     gd = group_data(n)
     h = incidence(n)
     width = (n - 1) ** 2
-    if linalg.certified_rank(bordered_grams(n)[0].tolist(), width + 1)[0] != width + 1:
+    if _bordered_rank(n) != width + 1:
         raise AssertionError("[H | ones] must have full column rank")
     ranks = np.asarray(search_result.ranks, dtype=np.intp)
     distinct = np.diff(np.sort(ranks, axis=1)).all(axis=1).tolist()

@@ -405,6 +405,10 @@ def _enumerate_transversals(
     return out
 
 
+# The search result of each degree, which does not depend on the workers.
+_catalogues: dict[int, SearchResult] = {}
+
+
 def max_independent_sets(n: int, t: int = 0, workers: int = 1) -> SearchResult:
     """Exhaustively enumerate the maximum independent sets of the derangement graph.
 
@@ -412,7 +416,8 @@ def max_independent_sets(n: int, t: int = 0, workers: int = 1) -> SearchResult:
     n!/n cliques, so no independent set beats (n-1)!; the family fixing the
     last point reaches it.  Every maximum set therefore picks exactly one
     vertex per coset, and those transversals are enumerated completely; that
-    family must be among them, and each one is validated.
+    family must be among them, and each one is validated.  A degree is
+    searched once per process; its read-only ranks are then shared.
     """
     if t != 0:
         raise UnsupportedConstructionError("exhaustive search is implemented for t=0")
@@ -420,6 +425,8 @@ def max_independent_sets(n: int, t: int = 0, workers: int = 1) -> SearchResult:
         raise DegreeRangeError(
             f"exhaustive search is supported for 2 <= n <= {MAX_DENSE_DEGREE}"
         )
+    if n in _catalogues:
+        return _catalogues[n]
     import numpy as np
 
     gd = group_data(n)
@@ -444,7 +451,9 @@ def max_independent_sets(n: int, t: int = 0, workers: int = 1) -> SearchResult:
             raise AssertionError(
                 f"search produced a dependent set: ranks {row[bad[0]]}, {row[bad[1]]}"
             )
-    return SearchResult(n=n, t=0, alpha=alpha, omega=n, ranks=ranks)
+    ranks.flags.writeable = False
+    _catalogues[n] = SearchResult(n=n, t=0, alpha=alpha, omega=n, ranks=ranks)
+    return _catalogues[n]
 
 
 def _parallel_search(coset_masks, nonadj, full, workers) -> list[tuple[int, ...]]:

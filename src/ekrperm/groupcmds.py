@@ -98,10 +98,9 @@ def run_clique(n: int, method: str):
     return result, checks
 
 
-def run_search(n: int, t: int, workers: int, found=None):
+def run_search(n: int, t: int, workers: int):
     permgroup.need_threshold(n, t)
-    if found is None:
-        found = graphs.max_independent_sets(n, t, workers=workers)
+    found = graphs.max_independent_sets(n, t, workers=workers)
     images, one_line = permgroup.image_table(n), permgroup.one_line_strings(n)
     checks = [
         check(
@@ -132,8 +131,8 @@ def run_search(n: int, t: int, workers: int, found=None):
     return result, checks
 
 
-def run_classify(n: int, search_result=None):
-    report = ekrverify.classify_maximum_sets(n, search_result=search_result)
+def run_classify(n: int):
+    report = ekrverify.classify_maximum_sets(n)
     sets = [
         {
             "family": list(r.family_key) if r.family_key else None,
@@ -176,12 +175,8 @@ def run_lemmas(n: int):
     checks.append(check("selected-rows-give-K-kron-I", sub_ok))
     bordered_ok = ekrverify.bordered_kernel_check(n)
     checks.append(check("bordered-kernel-spanned-by-expected-vector", bordered_ok))
-    checks.append(
-        check(
-            "kernel-vectors-map-into-diagonal-column-space",
-            ekrverify.kernel_membership_check(n),
-        )
-    )
+    in_w = ekrverify.kernel_membership_check(n, ok_m)  # M's rank, computed once
+    checks.append(check("kernel-vectors-map-into-diagonal-column-space", in_w))
     skipped = []
     if n <= permgroup.MAX_DENSE_DEGREE:
         basis = ekrverify.basis_check(n)
@@ -346,42 +341,40 @@ def run_clique_characters(n: int):
     return {"n": n, "cliques": [c.construction for c in cliques]}, checks
 
 
+# verify-all's sections in report order: label, handler, degrees, the t that
+# the parameters show (None: n alone) and keyword options, where "workers"
+# takes verify-all's own --workers.  The degrees are the sections' own, not
+# cli.COMMANDS' ranges, so widening a range leaves the report as it is.
+SECTIONS = (
+    ("derangements", run_derangements, range(1, 10), None, {}),
+    ("chartab", run_chartab, range(2, 9), None, {}),
+    ("spectrum", run_spectrum, range(2, 10), 0, {}),
+    ("least-eigenvalue", run_least_eigenvalue, range(2, 9), None, {}),
+    ("quotient", run_quotient, range(2, 9), None, {}),
+    ("clique-latin", run_clique, range(2, 9), None, {"method": "latin"}),
+    ("clique-odd-latin", run_clique, (5, 7, 9), None, {"method": "odd-latin"}),
+    ("clique-cycles", run_clique, (3, 5, 7, 8), None, {"method": "cycles"}),
+    ("clique-characters", run_clique_characters, (7, 8, 9), None, {}),
+    ("bounds", run_bounds, range(2, 7), 0, {}),
+    ("bounds", run_bounds, (3, 4, 5), 1, {}),
+    # classify reads the catalogue that search leaves in graphs' cache
+    ("search", run_search, range(3, 7), 0, {"workers": None}),
+    ("classify", run_classify, range(3, 7), None, {}),
+    ("identity-check", run_identity_check, (4, 5), 0, {"trials": 20, "seed": 2024}),
+    ("lemmas", run_lemmas, range(3, 8), None, {}),
+    ("conjecture", run_conjecture, (4, 5, 6), 1, {}),
+)
+
+
 def run_verify_all(max_n: int, workers: int):
-    sections = []
-    checks = []
-
-    def add(section: str, degrees, handler, t=None, **extra):
-        """One section per degree up to max_n; its checks prefixed by its label."""
-        for n in degrees:
-            if n > max_n:
-                continue
+    sections, checks = [], []
+    for label, handler, degrees, t, options in SECTIONS:
+        options = {k: workers if k == "workers" else v for k, v in options.items()}
+        for n in [d for d in degrees if d <= max_n]:
             params = {"n": n} if t is None else {"n": n, "t": t}
-            _, section_checks = handler(**params, **extra)
+            _, section_checks = handler(**params, **options)
             ok = all(c["pass"] for c in section_checks)
-            sections.append({"section": section, "parameters": params, "pass": ok})
-            for c in section_checks:
-                prefixed = dict(c)
-                prefixed["name"] = f"{section}[{_params_label(params)}]:{c['name']}"
-                checks.append(prefixed)
-
-    add("derangements", range(1, 10), run_derangements)
-    add("chartab", range(2, 9), run_chartab)
-    add("spectrum", range(2, 10), run_spectrum, t=0)
-    add("least-eigenvalue", range(2, 9), run_least_eigenvalue)
-    add("quotient", range(2, 9), run_quotient)
-    add("clique-latin", range(2, 9), run_clique, method="latin")
-    add("clique-odd-latin", (5, 7, 9), run_clique, method="odd-latin")
-    add("clique-cycles", (3, 5, 7, 8), run_clique, method="cycles")
-    add("clique-characters", (7, 8, 9), run_clique_characters)
-    add("bounds", range(2, 7), run_bounds, t=0)
-    add("bounds", (3, 4, 5), run_bounds, t=1)
-    searched = {}
-    for n in range(3, min(6, max_n) + 1):
-        searched[n] = graphs.max_independent_sets(n, 0, workers=workers)
-        add("search", (n,), run_search, t=0, workers=workers, found=searched[n])
-    for n, found in searched.items():
-        add("classify", (n,), run_classify, search_result=found)
-    add("identity-check", (4, 5), run_identity_check, t=0, trials=20, seed=2024)
-    add("lemmas", range(3, 8), run_lemmas)
-    add("conjecture", (4, 5, 6), run_conjecture, t=1)
+            sections.append({"section": label, "parameters": params, "pass": ok})
+            prefix = f"{label}[{_params_label(params)}]:"
+            checks.extend({**c, "name": prefix + c["name"]} for c in section_checks)
     return {"max_n": max_n, "sections": sections}, checks

@@ -307,15 +307,12 @@ def need_threshold(n: int, t: int) -> None:
 
 
 def classes_with_few_fixed_points(n: int, t: int) -> tuple[ClassInfo, ...]:
-    """Non-identity classes whose members fix at most t points."""
+    """Non-identity classes whose members fix at most t points.
+
+    The identity fixes all n points, more than any t that need_threshold admits.
+    """
     need_threshold(n, t)
-    out = []
-    for cls in conjugacy_classes(n):
-        if cls.cycle_type == (1,) * n:
-            continue
-        if cls.fixed_points <= t:
-            out.append(cls)
-    return tuple(out)
+    return tuple(cls for cls in conjugacy_classes(n) if cls.fixed_points <= t)
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 """Make the oracle helpers importable, set the Hypothesis defaults and give
-the fixtures that doctor the incidence rows behind the cached Gram matrices."""
+the fixtures that doctor the incidence rows behind the cached Gram matrices
+and clear the cached search catalogues."""
 
 import sys
 from pathlib import Path
@@ -24,6 +25,18 @@ def fresh_grams():
     ekrverify.bordered_grams.cache_clear()
     yield ekrverify.bordered_grams
     ekrverify.bordered_grams.cache_clear()
+
+
+@pytest.fixture
+def fresh_search():
+    """graphs' per-degree search catalogues, cleared before and after the
+    test, so each search runs on the code the test sees; clear() it again
+    to search a degree once more."""
+    from ekrperm import graphs
+
+    graphs._catalogues.clear()
+    yield graphs._catalogues
+    graphs._catalogues.clear()
 
 
 @pytest.fixture

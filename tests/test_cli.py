@@ -14,6 +14,11 @@ from pathlib import Path
 import pytest
 
 from ekrperm import cli, groupcmds, permgroup, scheme
+from ekrperm.errors import (
+    DegreeRangeError,
+    FamilyValidationError,
+    UnsupportedConstructionError,
+)
 from ekrperm.graphs import write_family
 from ekrperm.permgroup import identity, parse_one_line
 from test_scheme import negative_identity_forms
@@ -336,6 +341,30 @@ class TestExitCodes:
         assert code == cli.EXIT_INTERNAL == 5
         assert out == ""
         assert err == "error: internal check failed: cosets overlap\n"
+
+    @pytest.mark.parametrize(
+        "error, code, line",
+        [
+            (DegreeRangeError("too big"), 3, "error: too big"),
+            (UnsupportedConstructionError("none"), 4, "error: none"),
+            (FamilyValidationError("repeated"), 1, "error: repeated"),
+            (ValueError("bad"), 2, "error: bad"),
+            (FileNotFoundError("gone"), 2, "error: gone"),
+            (AssertionError("broken"), 5, "error: internal check failed: broken"),
+        ],
+        ids=["degree", "unsupported", "family", "value", "os", "assertion"],
+    )
+    def test_each_error_reads_its_row(self, capsys, monkeypatch, error, code, line):
+        def failing(n):
+            raise error
+
+        monkeypatch.setattr(cli, "run_derangements", failing)
+        assert run_cli(capsys, "derangements", "4") == (code, "", line + "\n")
+
+    def test_no_error_row_is_shadowed_by_an_earlier_one(self):
+        kinds = list(cli._ERROR_EXITS)
+        for i, later in enumerate(kinds):
+            assert not any(issubclass(later, earlier) for earlier in kinds[:i]), later
 
     def test_negative_module_form_exits_internal(self, capsys, monkeypatch):
         monkeypatch.setattr(scheme, "class_quadratic_forms", negative_identity_forms)
@@ -824,20 +853,91 @@ class TestImports:
 
 
 class TestVerifyAll:
-    def test_search_runs_once_per_degree(self, capsys, monkeypatch):
+    # The sections of verify-all --max-n 9 before they became one table:
+    # (label, t or None, degrees) runs in report order, and the digest of
+    # the 246 check names, joined by newlines in report order.
+    FROZEN_SECTIONS = [
+        ("derangements", None, range(1, 10)),
+        ("chartab", None, range(2, 9)),
+        ("spectrum", 0, range(2, 10)),
+        ("least-eigenvalue", None, range(2, 9)),
+        ("quotient", None, range(2, 9)),
+        ("clique-latin", None, range(2, 9)),
+        ("clique-odd-latin", None, (5, 7, 9)),
+        ("clique-cycles", None, (3, 5, 7, 8)),
+        ("clique-characters", None, (7, 8, 9)),
+        ("bounds", 0, range(2, 7)),
+        ("bounds", 1, (3, 4, 5)),
+        ("search", 0, range(3, 7)),
+        ("classify", None, range(3, 7)),
+        ("identity-check", 0, (4, 5)),
+        ("lemmas", None, range(3, 8)),
+        ("conjecture", 1, (4, 5, 6)),
+    ]
+    FROZEN_NAMES_SHA256 = (
+        "66533bcb4c5399ce7556e7c385ff298f380122658ff359cf409c7c96597e9eac"
+    )
+
+    def test_sections_and_check_names_are_frozen(self, capsys):
+        code, report, _ = run_json(capsys, "verify-all", "--max-n", "9")
+        assert code == 0
+        sections = [
+            (s["section"], s["parameters"]) for s in report["result"]["sections"]
+        ]
+        assert sections == [
+            (label, {"n": n} if t is None else {"n": n, "t": t})
+            for label, t, degrees in self.FROZEN_SECTIONS
+            for n in degrees
+        ]
+        assert len(sections) == 81
+        names = [c["name"] for c in report["checks"]]
+        assert len(names) == 246
+        digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
+        assert digest == self.FROZEN_NAMES_SHA256
+
+    def test_search_runs_once_per_degree(self, capsys, monkeypatch, fresh_search):
+        # every search that is not read from the cache covers S(n) with cosets
         from ekrperm import graphs
 
-        calls = []
-        search = graphs.max_independent_sets
+        searched = []
+        cover = graphs.latin_coset_cover
 
-        def counted(n, *args, **kwargs):
-            calls.append(n)
-            return search(n, *args, **kwargs)
+        def counted(n):
+            searched.append(n)
+            return cover(n)
 
-        monkeypatch.setattr(graphs, "max_independent_sets", counted)
+        monkeypatch.setattr(graphs, "latin_coset_cover", counted)
         code, _, _ = run_cli(capsys, "verify-all", "--max-n", "5")
         assert code == 0
-        assert calls == [3, 4, 5]
+        assert searched == [3, 4, 5]
+        for argv in (["search", "4", "--workers", "2"], ["classify", "5"]):
+            assert run_cli(capsys, *argv)[0] == 0
+        assert searched == [3, 4, 5]
+
+    def test_workers_leave_the_report_alone(self, capsys, monkeypatch, fresh_search):
+        # --workers reaches every search, which then splits its transversals
+        from ekrperm import graphs
+
+        split = []
+        parallel = graphs._parallel_search
+
+        def counted(coset_masks, nonadj, full, workers):
+            split.append(workers)
+            return parallel(coset_masks, nonadj, full, workers)
+
+        monkeypatch.setattr(graphs, "_parallel_search", counted)
+        reports = []
+        for workers in ("1", "2"):
+            fresh_search.clear()
+            code, report, _ = run_json(
+                capsys, "verify-all", "--max-n", "5", "--workers", workers
+            )
+            assert code == 0
+            assert report["parameters"].pop("workers") == int(workers)
+            del report["wall_time_s"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert split == [2, 2, 2]
 
     def test_capped_run_passes(self, capsys):
         code, report, _ = run_json(capsys, "verify-all", "--max-n", "4")

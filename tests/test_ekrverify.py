@@ -15,6 +15,7 @@ from ekrperm import ekrverify, graphs, linalg, scheme
 from ekrperm.chartab import dimension
 from ekrperm.ekrverify import (
     MAX_INCIDENCE_DEGREE,
+    BasisCheckReport,
     SetClassification,
     basis_check,
     bordered_kernel_check,
@@ -391,6 +392,25 @@ class TestKernels:
         assert kernel_membership_check(4)
         assert kernel_membership_check(5)
 
+    def test_a_given_rank_of_M_is_used_as_it_is(self, monkeypatch):
+        heights = _recording_bareiss(monkeypatch)
+        assert kernel_membership_check(5, True) is True
+        assert kernel_membership_check(5, False) is False
+        assert heights == []
+        assert kernel_membership_check(5) is True
+        assert heights == [44]
+
+    def test_lemmas_eliminate_H_and_M_once_each(self, monkeypatch):
+        # the dense cross-checks at n <= 5: H (120 x 16), then M (44 x 12),
+        # whose rank the kernel membership check reads instead of eliminating
+        # M again
+        from ekrperm import groupcmds
+
+        heights = _recording_bareiss(monkeypatch)
+        _, checks = groupcmds.run_lemmas(5)
+        assert all(c["pass"] for c in checks)
+        assert heights == [120, 44]
+
 
 def _parent_kernel_membership(n, trials, seed):
     """Random trials: each forms y in ker(N), then H y over every row of H, then
@@ -696,7 +716,7 @@ class TestNoPermutationPerRow:
             kernel_membership_check(6)
             for n in (4, 5):
                 classify_maximum_sets(n, found[n])
-                groupcmds.run_search(n=n, t=0, workers=1, found=found[n])
+                groupcmds.run_search(n=n, t=0, workers=1)
             cli.run_derangements(n=8)
             groupcmds.run_quotient(n=8)
 
@@ -756,6 +776,34 @@ class TestBasisCheck:
         )
         report = basis_check(4)
         assert (report.rank_shifted, report.rank_with_ones) == (9, 10)
+
+    @pytest.mark.parametrize(
+        "n, ranks", [(1, (0, 1)), (2, (1, 2)), (3, (4, 5)), (6, (25, 26))]
+    )
+    def test_ranks_are_one_certified_rank_of_G_H(self, monkeypatch, n, ranks):
+        # [H | ones] has the point-family indicators, H's columns, and ones as
+        # its columns: one certified rank of G_H, (n-1)^2 x (n-1)^2 plus the
+        # border, gives both ranks
+        real, sides = linalg.certified_rank, []
+
+        def recording(rows, cap):
+            sides.append((len(rows), cap))
+            return real(rows, cap)
+
+        monkeypatch.setattr(linalg, "certified_rank", recording)
+        report = basis_check(n)
+        assert (report.rank_shifted, report.rank_with_ones) == ranks
+        assert sides == [((n - 1) ** 2 + 1, (n - 1) ** 2 + 1)]
+
+    def test_degree_one_keeps_its_record(self):
+        assert basis_check(1) == BasisCheckReport(1, True, 0, 1, False)
+
+    def test_basis_and_classification_read_one_rank(self, monkeypatch):
+        monkeypatch.setattr(ekrverify, "_bordered_rank", lambda n: (n - 1) ** 2)
+        report = basis_check(4)
+        assert (report.rank_shifted, report.rank_with_ones) == (8, 9)
+        with pytest.raises(AssertionError, match=r"\[H \| ones\]"):
+            classify_maximum_sets(4)
 
 
 def _per_set_records(n, sets):

@@ -563,12 +563,31 @@ class TestSearch:
                 members = frozenset(unrank_permutation(r, n) for r in row)
                 assert members in catalogue
 
-    def test_workers_agree(self):
+    def test_workers_agree(self, fresh_search):
         serial = max_independent_sets(4, workers=1)
+        fresh_search.clear()
         parallel = max_independent_sets(4, workers=2)
+        assert parallel is not serial
         assert serial.ranks.tolist() == parallel.ranks.tolist()
 
-    def test_the_seed_must_be_rediscovered(self, monkeypatch):
+    def test_each_degree_is_searched_once(self, fresh_search):
+        # whatever the workers, the second call reads the first one's result
+        found = max_independent_sets(4, workers=2)
+        assert max_independent_sets(4) is found
+        assert max_independent_sets(4, workers=1) is found
+        assert list(fresh_search) == [4]
+        with pytest.raises(ValueError, match="read-only"):
+            found.ranks[0, 0] = found.ranks[1, 0]
+
+    def test_a_failed_search_is_not_kept(self, monkeypatch, fresh_search):
+        monkeypatch.setattr(graphs, "_enumerate_transversals", lambda *args: [])
+        with pytest.raises(AssertionError, match="the seed family"):
+            max_independent_sets(3)
+        assert fresh_search == {}
+        monkeypatch.undo()
+        assert max_independent_sets(3).count == 9
+
+    def test_the_seed_must_be_rediscovered(self, monkeypatch, fresh_search):
         seed = sorted(rank_permutation(p) for p in family([(4, 4)], 4).members)
         enumerate_all = graphs._enumerate_transversals
 
