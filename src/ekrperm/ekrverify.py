@@ -272,12 +272,12 @@ def _shifted_span_ranks(families, order: int, size: int, cap: int):
     """
     import numpy as np
 
-    rows = np.zeros((len(families) + 1, order), dtype=np.int8)
-    rows[-1] = 1
     for f, ranks in enumerate(families):
         if len(ranks) != size:
             raise AssertionError(f"family {f} has {len(ranks)} members, not {size}")
-        rows[f, ranks] = 1
+    rows = np.zeros((len(families) + 1, order), dtype=np.int8)
+    rows[-1] = 1
+    rows[np.arange(len(families))[:, None], np.reshape(families, (-1, size))] = 1
     with_ones, method = linalg.certified_rank(rows, cap + 1)
     return with_ones - 1, with_ones, method
 

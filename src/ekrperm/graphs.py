@@ -18,6 +18,7 @@ from .permgroup import (
     MAX_DENSE_DEGREE,
     MAX_QUOTIENT_DEGREE,
     Permutation,
+    agreement_counts,
     constraint_families,
     constraint_rows,
     derangement_count,
@@ -25,6 +26,8 @@ from .permgroup import (
     first_agreement_violation,
     identity,
     image_rows,
+    image_table,
+    need_threshold,
     parse_one_line,
     rank_images,
 )
@@ -39,10 +42,9 @@ def _adjacency_masks(n: int, t: int) -> list[int]:
     """Bit q of mask p is set when p != q agree in at most t points; p is a rank."""
     import numpy as np
 
-    gd = group_data(n)
-    neighbours = gd.compose_ranks([[r] for r in range(gd.order)], gd.connection(t))
-    adjacent = np.zeros((gd.order, gd.order), dtype=bool)
-    adjacent[np.arange(gd.order)[:, None], neighbours] = True
+    need_threshold(n, t)
+    images = image_table(n)
+    adjacent = agreement_counts(images, images) <= t
     # bit r of a little-endian packed row is column r
     packed = np.packbits(adjacent, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]

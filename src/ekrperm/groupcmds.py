@@ -151,10 +151,7 @@ def run_classify(n: int):
             report.total_sets == permgroup.stabilizer_coset_count(n),
             count=report.total_sets,
         ),
-        check(
-            "coordinate-recovery",
-            all(r.coordinates_ok for r in report.records),
-        ),
+        check("coordinate-recovery", all(r.coordinates_ok for r in report.records)),
     ]
     result = {
         "n": n,
@@ -204,12 +201,8 @@ def run_lemmas(n: int):
 
 def run_conjecture(n: int, t: int):
     report = ekrverify.depth_conjecture_dims(n, t)
-    checks = [
-        check(
-            f"supports-within-depth-{t + 1}",
-            report.supports_within_depth[t + 1],
-        )
-    ]
+    within = report.supports_within_depth
+    checks = [check(f"supports-within-depth-{t + 1}", within[t + 1])]
     result = {
         "n": n,
         "t": t,
@@ -222,9 +215,7 @@ def run_conjecture(n: int, t: int):
         "span_rank_with_ones": exact(report.span_rank_with_ones),
         "rank_method": report.rank_method,
         "support_union": [plabel(s) for s in report.support_union],
-        "supports_within_depth": {
-            str(d): v for d, v in sorted(report.supports_within_depth.items())
-        },
+        "supports_within_depth": {str(d): v for d, v in sorted(within.items())},
         "agreement": dict(report.agreement),
     }
     return result, checks
@@ -273,13 +264,9 @@ def run_quotient(n: int):
         check("matches-closed-form", quotient.matches_closed_form),
         check(
             "eigenvalues-are-d-and--d/(n-1)",
-            quotient.eigenvalues == (d, -(d // (n - 1)))
-            and d % (n - 1) == 0,
+            quotient.eigenvalues == (d, -(d // (n - 1))) and d % (n - 1) == 0,
         ),
-        check(
-            "row-sums-equal-valency",
-            all(sum(row) == d for row in quotient.matrix),
-        ),
+        check("row-sums-equal-valency", all(sum(row) == d for row in quotient.matrix)),
     ]
     result = {
         "n": n,

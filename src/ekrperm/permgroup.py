@@ -2,7 +2,8 @@
 
 Permutations act on the points 1..n and are stored in one-line notation, so
 ``p.images[i-1]`` is the image of ``i``.  Composition is ``compose(p, q)(i) =
-p(q(i))``.  Counts are Python integers, but for the int64 ranks of rank_images.
+p(q(i))``.  Counts are Python integers, but for the int64 ranks of rank_images
+and the small-integer arrays of agreement_counts.
 """
 
 from __future__ import annotations
@@ -104,26 +105,33 @@ def image_rows(members):
     return rows.reshape(len(members), members[0].degree if members else 0)
 
 
+def agreement_counts(rows, cols):
+    """agree[i, j] = points where rows[i] and cols[j] agree, in the dtype of rows."""
+    import numpy as np
+
+    agree = np.zeros((len(rows), len(cols)), dtype=rows.dtype)
+    for k in range(rows.shape[1]):
+        agree += rows[:, k, None] == cols[:, k]
+    return agree
+
+
 def first_agreement_violation(members, t: int, clique: bool):
     """(i, j, agreements) for the first failing pair i < j in (i, j) order, or None.
 
     A pair fails when repeated or on the wrong side of t: a clique needs at most
     t agreements, an independent set more.  members is read by image_rows, and
-    its images are compared directly, in row blocks.
+    its images are compared by agreement_counts, in row blocks.
     """
     import numpy as np
 
     images = image_rows(members)
     m, n = images.shape
-    dtype = np.min_scalar_type(n)  # images and agreement counts lie in 0..n
-    images = images.astype(dtype, copy=False)
+    images = images.astype(np.min_scalar_type(n), copy=False)
     lo = 0
     while lo < m - 1:
         later = images[lo + 1 :]
         hi = min(m - 1, lo + max(1, AGREEMENT_BLOCK_PAIRS // len(later)))
-        agree = np.zeros((hi - lo, len(later)), dtype=dtype)
-        for k in range(n):
-            agree += images[lo:hi, k, None] == later[:, k]
+        agree = agreement_counts(images[lo:hi], later)
         bad = (agree == n) | ((agree > t) if clique else (agree <= t))
         # row r is member lo+r and column c member lo+1+c, a later one if c >= r
         bad &= np.arange(len(later)) >= np.arange(hi - lo)[:, None]
@@ -391,17 +399,25 @@ def rank_images(planes):
     """Lexicographic ranks of the permutations whose 0-based images are planes.
 
     planes[k] holds the images of k+1, all planes of one shape, and so does
-    the result: the Lehmer code, counted plane against plane in int64, so a
-    degree len(planes) above MAX_RANK_DEGREE raises DegreeRangeError.
+    the result: the Lehmer code, each digit counted in place in one int8
+    plane and the digits combined in int64, so a degree len(planes) above
+    MAX_RANK_DEGREE raises DegreeRangeError.
     """
     import numpy as np
 
     n = len(planes)
     if n > MAX_RANK_DEGREE:
         raise DegreeRangeError(f"ranks are counted up to degree {MAX_RANK_DEGREE}")
-    ranks = np.zeros(np.shape(planes)[1:], dtype=np.int64)
+    shape = np.shape(planes)[1:]
+    ranks = np.zeros(shape, dtype=np.int64)
+    digit, below = np.empty(shape, dtype=np.int8), np.empty(shape, dtype=bool)
     for k in range(n - 1):
-        ranks += (planes[k + 1 :] < planes[k]).sum(0) * factorial(n - 1 - k)
+        # digit k counts the later images below image k, weighted (n-1-k)! by Horner
+        np.less(planes[k + 1], planes[k], out=digit)
+        for j in range(k + 2, n):
+            digit += np.less(planes[j], planes[k], out=below)
+        ranks *= n - k
+        ranks += digit
     return ranks
 
 

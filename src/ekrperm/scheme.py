@@ -24,9 +24,7 @@ from .errors import DegreeRangeError, FamilyValidationError
 from .permgroup import (
     MAX_DENSE_DEGREE,
     Partition,
-    classes_with_few_fixed_points,
     conjugacy_classes,
-    cycle_type_of_images,
     first_agreement_violation,
     image_rows,
     image_table,
@@ -48,10 +46,10 @@ class GroupData:
 
     images is the shared permgroup.image_table, inv[r] the rank of the
     inverse of the rank-r permutation and type_of[r] the index of its
-    conjugacy class in the shared partition order.  compose_ranks and
-    quotient_classes are the one place where permutations are multiplied
-    (permgroup.rank_images ranks the products and the inverses); everything
-    else (quadratic forms, adjacency masks, mult) reads products from them.
+    conjugacy class in the shared partition order, read off the fixed points
+    of its powers.  compose_ranks and quotient_classes are the one place where
+    two permutations are multiplied (permgroup.rank_images ranks the products
+    and the inverses); quadratic forms and mult read products from them.
     """
 
     def __init__(self, n: int):
@@ -67,9 +65,17 @@ class GroupData:
         self.inv = rank_images(np.argsort(self.images, axis=1).T)
         self.classes = conjugacy_classes(n)
         self.class_index = {cls.cycle_type: k for k, cls in enumerate(self.classes)}
-        one_based = (self.images + 1).tolist()
-        types = [self.class_index[cycle_type_of_images(row)] for row in one_based]
-        self.type_of = np.array(types, dtype=np.int8)
+        # fix(p^L) for L = 1..n, read as base-(n+1) digits, names the cycle
+        # type of p: it sums the cycle lengths c that divide L
+        flat, offsets = self.images.ravel(), np.arange(0, self.images.size, n)
+        power, keys = np.ascontiguousarray(self.images.T), 0  # power[k] = p^L(k)
+        for _ in range(n):
+            keys = keys * (n + 1) + (power == np.arange(n)[:, None]).sum(0)
+            power = np.take(flat, power + offsets)
+        self.type_of = np.zeros(self.order, dtype=np.int8)
+        for index, (shape, _) in enumerate(self.classes):
+            key = sum(c * (n + 1) ** (n - L) for c in shape for L in range(c, n + 1, c))
+            self.type_of[keys == key] = index
         self._mult: list[list[int]] | None = None
 
     def compose_ranks(self, a, b):
@@ -103,16 +109,6 @@ class GroupData:
     def quotient_classes(self, a, b):
         """Class index of perm(a)^-1 perm(b), for rank arrays that broadcast."""
         return self.type_of[self.compose_ranks(self.inv[a], b)]
-
-    def connection(self, t: int) -> list[int]:
-        """Ranks of the connection set of the agreement-at-most-t graph.
-
-        These are the non-identity permutations fixing at most t points: p and
-        q are adjacent exactly when p^-1 q is one of them.
-        """
-        few = classes_with_few_fixed_points(self.n, t)
-        chosen = {self.class_index[cls.cycle_type] for cls in few}
-        return [r for r, k in enumerate(self.type_of.tolist()) if k in chosen]
 
     @property
     def mult(self) -> list[list[int]]:
@@ -150,13 +146,12 @@ def class_quadratic_forms(vectors, n: int) -> list[list[int]]:
     """x^T A_C x for every class C, one list of integers per 0/1 vector.
 
     For a 0/1 vector x with support S, x^T A_C x counts the ordered pairs
-    (p, q) of S with p^-1 q in C.  Only the unordered pairs a < b of the union
-    U of the supports are composed, each once for the whole batch: perm(a)^-1
-    perm(b) and its inverse share a cycle type, so each pair counts twice, and
-    the diagonal adds |S| to the identity class.  A block of rows meets every
-    later member of U (its own triangle and the rectangle after it), so a
-    block holds about BLOCK_PAIRS pairs; each vector keeps the pairs of the
-    block that lie in its support with one boolean mask and counts their
+    (p, q) of S with p^-1 q in C, the diagonal p = q in the identity class.
+    The classes of perm(a)^-1 perm(b) over the union U of the supports form
+    one int8 matrix, built once for the whole batch a block of rows at a
+    time.  A block holds about n * BLOCK_PAIRS entries, as many bytes as the
+    int8 image planes of one compose_ranks block; each vector keeps its own
+    rows and columns of the block with two boolean masks and counts their
     classes with one bincount.  A vector whose length is not n!, or with an
     entry that is not the int (or bool) 0 or 1, raises ValueError.
     """
@@ -176,18 +171,12 @@ def class_quadratic_forms(vectors, n: int) -> list[list[int]]:
     on_union = on_union[:, ranks]
     k, size = len(gd.classes), len(ranks)
     forms = np.zeros((len(vectors), k), dtype=np.int64)
-    forms[:, gd.class_index[(1,) * n]] = on_union.sum(1)
-    start = 0
-    while start < size - 1:
-        stop = min(size - 1, start + max(1, BLOCK_PAIRS // (size - 1 - start)))
-        inner_a, inner_b = np.triu_indices(stop - start, 1)
-        outer_a, outer_b = np.indices((stop - start, size - stop)).reshape(2, -1)
-        a = np.concatenate([inner_a, outer_a]) + start
-        b = np.concatenate([inner_b + start, outer_b + stop])
-        classes = gd.quotient_classes(ranks[a], ranks[b])
+    step = max(1, n * BLOCK_PAIRS // max(1, size))
+    for start in range(0, size, step):
+        rows = slice(start, start + step)
+        block = gd.quotient_classes(ranks[rows, None], ranks)
         for on, acc in zip(on_union, forms):
-            acc += 2 * np.bincount(classes[on[a] & on[b]], minlength=k)
-        start = stop
+            acc += np.bincount(block[on[rows]][:, on].ravel(), minlength=k)
     return forms.tolist()
 
 

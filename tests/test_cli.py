@@ -727,6 +727,66 @@ class TestOutputModes:
         assert "Traceback" not in proc.stderr
 
 
+def run_module(*argv):
+    """python -m ekrperm argv, finished in a process group of its own.
+
+    Returns (exit code, stdout, stderr, the group id, which is the run's pid).
+    """
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ekrperm", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+        start_new_session=True,
+    )
+    out, err = proc.communicate(timeout=120)
+    return proc.returncode, out, err, proc.pid
+
+
+class TestFastExit:
+    """python -m ekrperm ends with os._exit once its report is flushed."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["derangements", "3"], cli.EXIT_OK),
+            (["validate", "3", "--family", "FAMILY"], cli.EXIT_CHECK_FAILED),
+            (["derangements", "3", "--out", "MISSING/report.json"], cli.EXIT_USAGE),
+            (["identity-check", "3", "--trials", "0"], cli.EXIT_USAGE),  # argparse exits
+            (["search", "7"], cli.EXIT_DEGREE),
+            (["bounds", "4", "--t", "2"], cli.EXIT_UNSUPPORTED),
+        ],
+    )
+    def test_exit_codes_and_stderr(self, tmp_path, argv, code):
+        # a clique of the derangement graph is no independent set
+        write_family([parse_one_line("1,2,3"), parse_one_line("2,3,1")], tmp_path / "f")
+        argv = [a.replace("FAMILY", str(tmp_path / "f")) for a in argv]
+        argv = [a.replace("MISSING", str(tmp_path / "missing")) for a in argv]
+        returncode, out, err, _ = run_module(*argv)
+        assert returncode == code, err
+        assert "Exception ignored" not in err and "Traceback" not in err
+        assert (err == "") == (code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED))
+        if code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED):
+            assert json.loads(out)["pass"] is (code == cli.EXIT_OK)
+
+    def test_piped_and_written_reports_parse(self, tmp_path):
+        path = tmp_path / "report.json"
+        code, out, err, _ = run_module("conjecture", "4", "--out", str(path))
+        assert code == 0 and err == ""
+        piped, written = json.loads(out), json.loads(path.read_text())
+        assert piped == written and piped["pass"] is True
+
+    def test_search_with_two_workers_leaves_no_child(self):
+        code, out, err, group = run_module("search", "6", "--workers", "2")
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["pass"] is True and len(report["result"]["sets"]) == 36
+        # the workers were forked into the run's process group, now empty
+        with pytest.raises(ProcessLookupError):
+            os.killpg(group, 0)
+
+
 class TestImports:
     def test_spectrum_leaves_numpy_unimported(self):
         script = (

@@ -122,7 +122,9 @@ class TestBuildGraph:
     )
     def test_packed_masks_equal_shift_sums(self, n, t):
         gd = scheme.group_data(n)
-        rows = gd.compose_ranks([[r] for r in range(gd.order)], gd.connection(t))
+        # the connection set: the ranks that fix at most t points (never the identity)
+        connection = np.flatnonzero((gd.images == np.arange(n)).sum(1) <= t)
+        rows = gd.compose_ranks([[r] for r in range(gd.order)], connection)
         shifted = [sum(1 << r for r in row) for row in rows.tolist()]
         assert graphs._adjacency_masks(n, t) == shifted
 

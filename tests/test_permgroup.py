@@ -170,6 +170,23 @@ class TestRanking:
         expected = [rank_permutation(Permutation(tuple(v + 1 for v in r))) for r in rows]
         assert rank_images(planes).tolist() == expected
 
+    @given(
+        st.integers(1, MAX_RANK_DEGREE),
+        st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        st.sampled_from([np.int8, np.intp]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_image_planes_rank_like_the_pairwise_lehmer_code(self, n, shape, dtype, seed):
+        # one random permutation of 0..n-1 along the leading axis per cell of shape
+        keys = np.random.default_rng(seed).random((n, *shape))
+        planes = np.argsort(keys, axis=0).astype(dtype)
+        reference = np.zeros(tuple(shape), dtype=np.int64)
+        for k in range(n - 1):  # digit k compared against every later plane at once
+            reference += (planes[k + 1 :] < planes[k]).sum(0) * math.factorial(n - 1 - k)
+        ranks = rank_images(planes)
+        assert ranks.dtype == np.int64 and ranks.shape == tuple(shape)
+        assert np.array_equal(ranks, reference)
+
     def test_image_planes_past_the_int64_ranks_raise(self):
         planes = np.arange(MAX_RANK_DEGREE)[:, None]
         assert rank_images(planes).tolist() == [0]

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from ekrperm.chartab import (
 from ekrperm.errors import DegreeRangeError, FamilyValidationError
 from ekrperm.graphs import affine_clique, family, latin_clique
 from ekrperm.permgroup import (
+    classes_with_few_fixed_points,
     compose,
     conjugacy_classes,
     constraint_families,
@@ -361,7 +363,7 @@ class TestClassFormsAgainstDoubleLoop:
         assert class_quadratic_forms([x], n) == [_brute_force_forms(x, n)]
 
     def test_many_small_blocks(self, monkeypatch):
-        # small blocks: every block has its own triangle and rectangle
+        # small blocks: a few rows each, the last one short
         monkeypatch.setattr(scheme, "BLOCK_PAIRS", 50)
         for name, x in _form_vectors(5).items():
             assert class_quadratic_forms([x], 5) == [_brute_force_forms(x, 5)], name
@@ -407,6 +409,30 @@ class TestBatchedClassForms:
         assert class_quadratic_forms(vectors, n) == [
             _brute_force_forms(x, n) for x in vectors
         ]
+
+    @pytest.mark.parametrize("block_pairs", [1, 30, 100])
+    def test_tiny_row_blocks(self, monkeypatch, block_pairs):
+        # blocks of one row (BLOCK_PAIRS 1) or a few, the last one short
+        monkeypatch.setattr(scheme, "BLOCK_PAIRS", block_pairs)
+        rng = random.Random(block_pairs)
+        vectors = [_random_set_vector(rng, 5) for _ in range(5)]
+        assert class_quadratic_forms(vectors, 5) == [
+            _brute_force_forms(x, 5) for x in vectors
+        ]
+
+    def test_a_dense_degree_six_batch_stays_in_row_blocks(self):
+        # the whole 720 x 720 class matrix with its int32 ranks takes 720^2 * 5 bytes
+        gd = group_data(6)  # the tables are built outside the traced span
+        vectors = [[1] * 720] * (2 * scheme.IDENTITY_CHUNK)
+        tracemalloc.start()
+        try:
+            forms = class_quadratic_forms(vectors, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # every ordered pair of S(6) is counted: 720 |C| in class C
+        assert forms == [[720 * cls.size for cls in gd.classes]] * len(vectors)
+        assert peak < 720 * 720 * 5
 
     def test_small_blocks_with_many_vectors(self, monkeypatch):
         # the supports differ, so each block holds pairs outside some of them
@@ -769,6 +795,13 @@ def _rank_pairs(draw):
     return n, draw(ranks), draw(ranks)
 
 
+def _connection(gd, t):
+    """Ranks of the non-identity permutations fixing at most t points, by class."""
+    few = classes_with_few_fixed_points(gd.n, t)
+    chosen = {gd.class_index[cls.cycle_type] for cls in few}
+    return [r for r, k in enumerate(gd.type_of.tolist()) if k in chosen]
+
+
 def _oracle_quotient_type(p, q):
     """Cycle type of p^-1 q, composed by hand and typed by the oracle."""
     inv = [0] * len(p)
@@ -790,6 +823,15 @@ class TestGroupTables:
                 inverse_images[v - 1] = i
             assert gd.inv[r] == index[tuple(inverse_images)]
             assert gd.classes[gd.type_of[r]].cycle_type == oracles.cycle_type_of(images)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_class_indices_match_the_cycle_walk(self, n):
+        gd = group_data(n)
+        walked = [
+            gd.class_index[permgroup.cycle_type_of_images(row)]
+            for row in (gd.images + 1).tolist()
+        ]
+        assert gd.type_of.dtype == np.int8 and gd.type_of.tolist() == walked
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_images_rank_in_order(self, n):
@@ -851,7 +893,7 @@ class TestCompositionKernel:
                 if 0 < 5 - cycle_type(unrank_permutation(r, 5)).count(1)
                 and cycle_type(unrank_permutation(r, 5)).count(1) <= t
             ]
-            assert gd.connection(t) == expected
+            assert _connection(gd, t) == expected
 
     def test_degree_seven_sparse_vector_matches_brute_force(self):
         n, order = 7, 5040
