@@ -266,18 +266,17 @@ def _shifted_span_ranks(families, order: int, size: int, cap: int):
     must have size members (AssertionError otherwise), so each s_i has
     coordinate sum 0 while ones has sum order: ones lies outside span S, and
     span (S + ones) = span (X + ones).  Hence rank [S; ones] = rank [X; ones]
-    and rank S = rank [X; ones] - 1, and one modular rank profile of the int8
-    rows [X; ones] that meets cap + 1 certifies both.  Short of it, [X; ones]
-    is eliminated fraction-free instead.
+    and rank S = rank [X; ones] - 1, and one modular rank profile of the 0/1
+    rows [X; ones], read a slice at a time from linalg.IndicatorRows, that
+    meets cap + 1 certifies both.  Short of it, [X; ones] is eliminated
+    fraction-free instead.
     """
     import numpy as np
 
     for f, ranks in enumerate(families):
         if len(ranks) != size:
             raise AssertionError(f"family {f} has {len(ranks)} members, not {size}")
-    rows = np.zeros((len(families) + 1, order), dtype=np.int8)
-    rows[-1] = 1
-    rows[np.arange(len(families))[:, None], np.reshape(families, (-1, size))] = 1
+    rows = linalg.IndicatorRows(np.reshape(families, (-1, size)), order)
     with_ones, method = linalg.certified_rank(rows, cap + 1)
     return with_ones - 1, with_ones, method
 

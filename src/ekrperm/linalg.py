@@ -1,25 +1,59 @@
 """Exact linear algebra over the rationals, on integer matrices.
 
 Matrices are lists of equal-length rows of Python ints or bools or NumPy
-integers; each entry is read through operator.index, so a float or a
+integers, or sequences that serve such rows by index and by slice
+(IndicatorRows); each entry is read through operator.index, so a float or a
 fraction (even a whole one) raises TypeError.  Every rank is certified by
 one of two methods.  A fast modular elimination (exact integer arithmetic
 mod a prime) gives the rank profile of a large integer matrix, the mod-p
 rank of every leading block of rows at once; a modular rank that meets a
 proven cap is the exact rank.  Short of the cap, one fraction-free forward
 elimination (Bareiss's integer-preserving scheme) gives the rank exactly.
-Each modular pivot updates only the columns where the pivot row is nonzero:
-443,057 cells for the 0/1 rows of the n = 6, t = 2 depth span, where every
-column from the pivot on would be 8,394,183.
+The modular elimination reads its rows a block at a time into one working
+copy of residues, one byte per entry for the first prime, 251, and two for
+the second, 32749.  Each modular pivot updates only the columns where the
+pivot row is nonzero: 443,057 cells for the 0/1 rows of the n = 6, t = 2
+depth span, where every column from the pivot on would be 8,394,183.
 """
 
 from __future__ import annotations
 
 from operator import index
 
-# the two largest primes below 2**15: residues fit int16, products int32
-_RANK_PRIMES = (32749, 32719)
-_RESIDUE_BLOCK = 64  # rows reduced at a time into the int16 working copy
+# the largest primes below 2**8 and 2**15: residues fit uint8, then uint16,
+# and products int32
+_RANK_PRIMES = (251, 32749)
+_RESIDUE_BLOCK = 64  # rows read and reduced at a time into the working copy
+
+
+class IndicatorRows:
+    """The 0/1 matrix [X; ones], held as the one-positions of X's rows.
+
+    Row i of X is 1 at positions[i] and 0 elsewhere in its width columns,
+    for a (rows, k) integer array positions, and the last row is all ones.
+    A slice is built as one int8 array and an int index gives one row, so
+    rank_profile_mod_p reads the matrix a block at a time with no dense copy
+    beside its working copy, and bareiss_rank can still iterate the rows.
+    """
+
+    def __init__(self, positions, width: int):
+        self.positions, self.width = positions, width
+
+    def __len__(self) -> int:
+        return len(self.positions) + 1
+
+    def __getitem__(self, key):
+        import numpy as np
+
+        if not isinstance(key, slice):
+            at = range(len(self))[key]  # IndexError past the end stops iteration
+            return self[at : at + 1][0]
+        picked = np.arange(len(self))[key]
+        in_x = picked < len(self.positions)
+        rows = np.zeros((len(picked), self.width), dtype=np.int8)
+        rows[~in_x] = 1
+        rows[np.flatnonzero(in_x)[:, None], self.positions[picked[in_x]]] = 1
+        return rows
 
 
 def bareiss_rank(rows) -> int:
@@ -54,13 +88,17 @@ def rank_profile_mod_p(int_rows, p: int) -> list[int]:
     row rank profile whichever row each pivot is taken from, so the pivots
     among the first k rows number exactly the rank of those k rows over the
     field of p elements, and the length of the list is the rank of the whole
-    matrix.  The one working copy is an int16 transpose of residues, filled
-    from blocks of _RESIDUE_BLOCK rows reduced in int64 (in Python ints for
-    entries past int64), so an integer array is never widened whole.  Each
-    pivot updates only the other live rows, and in them only the columns
-    where the pivot row is nonzero; the products are formed in int32, exact
-    because (p - 1)**2 < 2**30.  p must be a prime below 2**15: ValueError
-    for a modulus out of range, or for a pivot without an inverse mod p.
+    matrix.  int_rows is any sized sequence of rows that slices: it is read
+    one slice of _RESIDUE_BLOCK rows at a time, each reduced in the
+    narrowest signed dtype, int16 or wider, that holds its entries and p (in
+    Python ints for entries past int64), so neither it nor an integer array
+    is widened whole.  The one working copy is a transpose of residues in
+    the narrowest unsigned dtype that holds p - 1, one byte per entry for
+    p < 2**8.  Each pivot updates only the other live rows, and in them only
+    the columns where the pivot row is nonzero; the products are formed in
+    int32, exact because (p - 1)**2 < 2**30.  p must be a prime below 2**15:
+    ValueError for a modulus out of range, or for a pivot without an
+    inverse mod p.
     """
     import numpy as np
 
@@ -68,15 +106,15 @@ def rank_profile_mod_p(int_rows, p: int) -> list[int]:
         raise ValueError(f"need a modulus 2 <= p < 2**15, got {p}")
     if not len(int_rows):
         return []
-    rows = np.asarray(int_rows)
-    if rows.dtype.kind not in "biu" or rows.dtype == np.uint64:
-        # Python ints past int64, which NumPy reads as objects or floats
-        rows = np.asarray(int_rows, dtype=object)
-    wide = object if rows.dtype == object else np.int64
-    a = np.empty(rows.shape[::-1], dtype=np.int16)
-    for start in range(0, len(rows), _RESIDUE_BLOCK):
-        stop = start + _RESIDUE_BLOCK
-        a[:, start:stop] = np.remainder(rows[start:stop], p, dtype=wide).T
+    a = np.empty((len(int_rows[0]), len(int_rows)), dtype=np.min_scalar_type(p - 1))
+    for start in range(0, len(int_rows), _RESIDUE_BLOCK):
+        chunk = slice(start, start + _RESIDUE_BLOCK)
+        rows = np.asarray(int_rows[chunk])
+        if rows.dtype.kind not in "biu" or rows.dtype == np.uint64:
+            # Python ints past int64, which NumPy reads as objects or floats
+            rows = np.asarray(int_rows[chunk], dtype=object)
+        wide = object if rows.dtype == object else np.promote_types(rows.dtype, np.int16)
+        a[:, chunk] = np.remainder(rows, p, dtype=wide).T
     pivots: list[int] = []
     for col in range(a.shape[1]):
         live = a[:, col].nonzero()[0]
@@ -116,8 +154,10 @@ def certified_rank(int_rows, cap: int) -> tuple[int, str]:
 
     A nonzero r x r minor mod p proves rank >= r over the rationals, so a
     modular rank that meets the cap is the exact rank, and the method is
-    "modular-certificate".  The primes are tried in turn until one meets it;
-    short of it the rows are eliminated fraction-free, and the method is
+    "modular-certificate".  The primes are tried in turn until one meets it,
+    251 first, whose residues take one byte each, then 32749; int_rows is
+    read again for each, a slice at a time (rank_profile_mod_p).  Short of
+    the cap the rows are eliminated fraction-free, and the method is
     "fraction-free-elimination".  A rank above the cap, or an exact rank
     below a modular one, raises AssertionError.
     """

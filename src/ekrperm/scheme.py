@@ -208,10 +208,13 @@ def shifted_character_sums(rank_lists, n: int):
     times ones has no trivial component and every other component of x, so
     row f holds, in class order, n!/dim times each component's squared norm:
     chi . q for the counts q_C of ordered member pairs (p, q) with p^-1 q in
-    C, and 0 for the trivial shape.  The families of one size are composed
-    (B, m, 1) against (B, 1, m), B families a block so a block holds about
-    BLOCK_PAIRS pairs, and each block's classes are counted by one bincount.
-    The sums pass through _character_sums and its checks.
+    C, and 0 for the trivial shape.  Only the m(m-1)/2 pairs of positions
+    i < j are composed: q^-1 p is the inverse of p^-1 q, in the same class,
+    so each count is doubled, and the m pairs (p, p) add m to the identity
+    class.  The families of one size are composed B at a time, each pair's
+    two member ranks gathered from the block, B chosen so a block gathers
+    about BLOCK_PAIRS ranks, and each block's classes are counted by one
+    bincount.  The sums pass through _character_sums and its checks.
     """
     import numpy as np
 
@@ -225,14 +228,18 @@ def shifted_character_sums(rank_lists, n: int):
         ranks = np.array([rank_lists[f] for f in batch], dtype=np.intp)
         ranks = ranks.reshape(len(batch), m)
         counts = np.zeros((len(batch), k), dtype=np.int64)
-        step = max(1, BLOCK_PAIRS // max(1, m * m))
+        first, second = np.triu_indices(m, 1)
+        step = max(1, BLOCK_PAIRS // max(1, 2 * len(first)))
         for start in range(0, len(batch), step):
             block = ranks[start : start + step]
-            classes = gd.quotient_classes(block[:, :, None], block[:, None, :])
-            labels = classes.reshape(len(block), -1) + k * np.arange(len(block))[:, None]
+            classes = gd.quotient_classes(block[:, first], block[:, second])
+            labels = classes + k * np.arange(len(block))[:, None]
             counts[start : start + step] = np.bincount(
                 labels.ravel(), minlength=k * len(block)
             ).reshape(-1, k)
+        # (q, p) lies in the class of (p, q), and (p, p) in the identity class
+        counts *= 2
+        counts[:, gd.class_index[(1,) * n]] += m
         out[batch] = _character_sums(counts, [m] * len(batch), n)
     out[:, gd.class_index[(n,)]] = 0
     return out

@@ -1043,6 +1043,58 @@ class TestIndicatorRoute:
         with pytest.raises(AssertionError, match="members"):
             ekrverify._shifted_span_ranks(families, gd.order, 6, 2)
 
+    @staticmethod
+    def _dense_rows(n, t):
+        """The rows [X; ones] of _shifted_span_ranks, built whole as int8."""
+        families = constraint_families(n, t + 1)
+        rows = np.zeros((len(families) + 1, math.factorial(n)), dtype=np.int8)
+        rows[-1] = 1
+        for f, ranks in enumerate(families):
+            rows[f, ranks] = 1
+        return families, rows
+
+    @pytest.mark.parametrize("n, t", [(3, 1), (4, 1), (4, 2), (5, 1), (5, 2)])
+    def test_every_slice_is_the_dense_rows(self, n, t):
+        families, dense = self._dense_rows(n, t)
+        rows = linalg.IndicatorRows(families, math.factorial(n))
+        size = len(dense)
+        assert len(rows) == size
+        ends = sorted({0, 1, 2, 63, 64, 65, size - 2, size - 1, size, size + 5})
+        for start in ends + [-size - 1, -size, -2, -1]:
+            for stop in ends + [None, -1]:
+                for step in (None, 1, 3, -1, -4):
+                    got = rows[start:stop:step]
+                    assert got.dtype == np.int8
+                    assert np.array_equal(got, dense[start:stop:step])
+        for i in (0, 1, size - 2, size - 1, -1, -size):
+            assert np.array_equal(rows[i], dense[i])
+        for i in (size, -size - 1):
+            with pytest.raises(IndexError):
+                rows[i]
+        assert np.array_equal(np.array(list(rows)), dense)
+
+    @pytest.mark.parametrize("n, t", [(3, 1), (4, 1), (4, 2)])
+    def test_bareiss_over_the_rows_is_the_dense_rank(self, n, t):
+        families, dense = self._dense_rows(n, t)
+        rows = linalg.IndicatorRows(families, math.factorial(n))
+        assert bareiss_rank(rows) == bareiss_rank(dense.tolist())
+        assert bareiss_rank(rows[:-1]) == bareiss_rank(dense[:-1].tolist())
+
+    def test_peak_memory_is_one_byte_wide_working_copy(self):
+        """The n = 6, t = 2 certificate, [X; ones] 2,401 x 720: no dense copy
+        of the rows is held beside the uint8 residues of the first prime."""
+        import tracemalloc
+
+        families = constraint_families(6, 3)
+        tracemalloc.start()
+        try:
+            ranks = ekrverify._shifted_span_ranks(families, 720, 6, 587)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ranks == (587, 588, "modular-certificate")
+        assert peak < 1.5 * 2401 * 720
+
 
 class TestDepthSpans:
     def test_constraint_set_count(self):
@@ -1116,10 +1168,19 @@ class TestDepthSpans:
         monkeypatch.setattr(
             linalg, "rank_profile_mod_p", lambda rows, p: real(rows, p)[1:]
         )
+        eliminated, real_bareiss = [], linalg.bareiss_rank
+
+        def recording(rows):
+            eliminated.append(type(rows))
+            return real_bareiss(rows)
+
+        monkeypatch.setattr(linalg, "bareiss_rank", recording)
         report = depth_conjecture_dims(4, 1)
         assert report.span_rank_shifted == 22
         assert report.span_rank_with_ones == 23
         assert report.rank_method == "fraction-free-elimination/fraction-free-elimination"
+        # the elimination reads the same row sequence as the modular profile
+        assert eliminated == [linalg.IndicatorRows]
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

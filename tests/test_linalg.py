@@ -123,6 +123,8 @@ class TestCertifiedRank:
         for p in (first, second):
             assert 2 <= p < 2**15
             assert all(p % d for d in range(2, int(p**0.5) + 1))
+        # the first prime's residues take one byte each
+        assert first < 2**8
 
     def test_search_stops_at_the_first_certifying_prime(self, monkeypatch):
         calls = []
@@ -170,7 +172,7 @@ def _rank_mod(rows, p):
 
 
 class TestRankProfileProperties:
-    @given(_int_matrices(), st.sampled_from([2, 3, 5, 32719, 32749]))
+    @given(_int_matrices(), st.sampled_from([2, 3, 5, 251, 32719, 32749]))
     def test_every_prefix_count_is_its_modular_rank(self, matrix, p):
         profile = rank_profile_mod_p(matrix, p)
         assert profile == sorted(set(profile))
@@ -179,7 +181,7 @@ class TestRankProfileProperties:
             assert count <= oracles.gaussian_rank(matrix[:k])
             assert count == _modular_rank(matrix[:k], p) == _rank_mod(matrix[:k], p)
 
-    @given(_int_matrices(), st.sampled_from([3, 5, 32719, 32749]))
+    @given(_int_matrices(), st.sampled_from([3, 5, 251, 32719, 32749]))
     def test_same_pivots_for_every_input_form(self, matrix, p):
         import numpy as np
 
@@ -238,9 +240,13 @@ def _parent_profile(rows, p):
 
 
 _DTYPE_RANGES = {
+    "bool": (0, 1),
     "int8": (-(2**7), 2**7 - 1),
     "uint8": (0, 2**8 - 1),
+    "int16": (-(2**15), 2**15 - 1),
+    "uint16": (0, 2**16 - 1),
     "int32": (-(2**31), 2**31 - 1),
+    "uint32": (0, 2**32 - 1),
     "int64": (-(2**63), 2**63 - 1),
     "object": (-(2**80), 2**80),
 }
@@ -261,7 +267,7 @@ def _typed_matrices(draw):
 
 
 class TestResidueKernel:
-    @given(_typed_matrices(), st.sampled_from([2, 3, 5, 32719, 32749]))
+    @given(_typed_matrices(), st.sampled_from([2, 3, 5, 251, 32719, 32749]))
     def test_profile_matches_the_dense_int64_elimination(self, matrix, p):
         before = matrix.copy()
         assert rank_profile_mod_p(matrix, p) == _parent_profile(matrix.tolist(), p)
@@ -269,9 +275,9 @@ class TestResidueKernel:
 
     @pytest.mark.parametrize("p", [-3, 0, 1, 2**15, 2**31 - 1, 2**31, 2**61 - 1])
     def test_modulus_out_of_range_raises(self, p):
-        # past 2**15 residues overflow int16 and their products int32;
-        # at p = 2**61 - 1 even int64 products wrap: this rank-3 matrix once
-        # read as rank 4
+        # past 2**15 residue products leave the int32 range the kernel is
+        # exact in; at p = 2**61 - 1 even int64 products wrap: this rank-3
+        # matrix once read as rank 4
         matrix = [[-7, -9, -3, 1], [-4, -2, -2, 5], [3, 9, 4, -8], [3, 9, 4, -8]]
         assert bareiss_rank(matrix) == 3
         with pytest.raises(ValueError):
@@ -291,7 +297,7 @@ class TestResidueKernel:
         matrix = [[-7, -9, -3, 1], [-4, -2, -2, 5], [3, 9, 4, -8], [3, 9, 4, -8]]
         assert rank_profile_mod_p(matrix, 32749) == [0, 1, 2]
 
-    @pytest.mark.parametrize("p", [32749, 32719])
+    @pytest.mark.parametrize("p", [251, 32749, 32719])
     def test_extreme_residues_are_exact(self, p):
         """Residues of p - 1 give the largest products, (p - 1)**2 < 2**30,
         and entries shifted by p give the residues of the identity."""
@@ -306,7 +312,7 @@ class TestResidueKernel:
         mixed = [[rng.choice([p - 1, 1, -1]) for _ in range(9)] for _ in range(12)]
         assert rank_profile_mod_p(mixed, p) == _parent_profile(mixed, p)
 
-    @pytest.mark.parametrize("p", [2, 5, 32749, 32719])
+    @pytest.mark.parametrize("p", [2, 5, 251, 32749, 32719])
     def test_entries_past_int64_give_the_profile_of_their_residues(self, p):
         rng = random.Random(p)
         big = [
@@ -321,10 +327,51 @@ class TestResidueKernel:
         edge = [[2**63 + 2, -1], [2**63 + 1, -1]]
         assert rank_profile_mod_p(edge, p) == _parent_profile(edge, p)
 
-    def test_peak_memory_is_the_int16_residues(self):
+    @pytest.mark.parametrize("p, width", [(2, 1), (251, 1), (257, 2), (32749, 2)])
+    def test_working_copy_is_the_narrowest_unsigned_dtype(self, monkeypatch, p, width):
+        import numpy as np
+
+        made, real = [], np.empty
+
+        def recording(shape, dtype=float, *args, **kwargs):
+            made.append(np.dtype(dtype))
+            return real(shape, dtype, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", recording)
+        assert rank_profile_mod_p([[1, 2, 3], [4, 5, 6]], p) == [0, 1]
+        assert made == [np.dtype(f"uint{8 * width}")]
+
+    @pytest.mark.parametrize("rows", [130, 64, 63, 1])
+    def test_rows_are_read_one_block_at_a_time(self, rows):
+        """A sequence that serves slices of at most _RESIDUE_BLOCK rows, and
+        whose whole length np.asarray may not read, gives the list's profile."""
+        import numpy as np
+
+        rng = random.Random(rows)
+        matrix = [[rng.randrange(-3, 4) for _ in range(5)] for _ in range(rows)]
+        served = []
+
+        class Blocks:
+            def __len__(self):
+                return len(matrix)
+
+            def __getitem__(self, key):
+                if isinstance(key, slice):
+                    served.append(len(matrix[key]))
+                    assert served[-1] <= linalg._RESIDUE_BLOCK
+                    return np.array(matrix[key])
+                return matrix[key]
+
+        for p in (251, 32749):
+            served.clear()
+            assert rank_profile_mod_p(Blocks(), p) == _parent_profile(matrix, p)
+            assert sum(served) == rows
+
+    def test_peak_memory_is_the_byte_wide_residues(self):
         """The n = 6, t = 2 indicator rows [X; ones], 2,401 x 720 int8, the
         largest matrix the certificate meets: the traced peak stays within a
-        quarter above the int16 residue transpose."""
+        quarter above the uint8 residue transpose of the first prime, which
+        the int16 residues of one block of rows and the pivot updates share."""
         import tracemalloc
 
         import numpy as np
@@ -344,7 +391,7 @@ class TestResidueKernel:
         finally:
             tracemalloc.stop()
         assert len(profile) == 588
-        assert peak < 1.25 * rows.size * np.dtype(np.int16).itemsize
+        assert peak < 1.25 * rows.size * np.dtype(np.uint8).itemsize
 
 
 class TestKernelAndSolve:
