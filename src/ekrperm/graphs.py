@@ -24,8 +24,6 @@ from .permgroup import (
     derangement_count,
     derangements_by_last_image,
     first_agreement_violation,
-    identity,
-    image_rows,
     image_table,
     need_threshold,
     parse_one_line,
@@ -51,16 +49,17 @@ def _adjacency_masks(n: int, t: int) -> list[int]:
 
 
 def validate_clique(members, t: int = 0) -> tuple[bool, tuple | None]:
-    """Pairwise agreement check; returns (ok, witness pair or None)."""
-    return _first_witness(list(members), t, clique=True)
+    """Pairwise check of Permutations or image rows: (ok, witness pair or None)."""
+    return _first_witness(members, t, clique=True)
 
 
 def validate_family(members, t: int = 0) -> tuple[bool, tuple | None]:
-    """Check that all pairs agree in more than t points (an independent set)."""
-    return _first_witness(list(members), t, clique=False)
+    """As validate_clique, for an independent set: pairs agree in more than t points."""
+    return _first_witness(members, t, clique=False)
 
 
 def _first_witness(members, t, clique):
+    members = members if hasattr(members, "ndim") else list(members)
     bad = first_agreement_violation(members, t, clique)
     if bad is None:
         return True, None
@@ -73,7 +72,7 @@ class CliqueCertificate(NamedTuple):
     n: int
     t: int
     construction: str
-    members: tuple[Permutation, ...]
+    members: np.ndarray  # (size, n) intp, read-only, one row of 1-based images each
     validated: bool
 
     @property
@@ -82,23 +81,25 @@ class CliqueCertificate(NamedTuple):
 
 
 def _certify(members, n, t, construction) -> CliqueCertificate:
-    """The members as a certificate; validated records whether they are a clique."""
-    ok, _ = validate_clique(members, t)
+    """The image rows as a certificate; validated: permutations of 1..n, a clique."""
+    import numpy as np
+
+    members.flags.writeable = False
+    rows_ok = (np.sort(members, axis=1) == np.arange(1, n + 1)).all()
+    ok = validate_clique(members, t)[0] and bool(rows_ok)
     return CliqueCertificate(
-        n=n, t=t, construction=construction, members=tuple(members), validated=ok
+        n=n, t=t, construction=construction, members=members, validated=ok
     )
 
 
 def latin_clique(n: int) -> CliqueCertificate:
     """Rows of the cyclic Latin square: row k sends i to i+k mod n."""
+    import numpy as np
+
     if n < 2:
         raise DegreeRangeError("need degree at least 2")
-    rows = []
-    for k in range(n):
-        rows.append(
-            Permutation(tuple((i - 1 + k) % n + 1 for i in range(1, n + 1)))
-        )
-    return _certify(rows, n, 0, "cyclic-latin")
+    k = np.arange(n, dtype=np.intp)
+    return _certify((k[:, None] + k) % n + 1, n, 0, "cyclic-latin")
 
 
 def _complete_latin_square(rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
@@ -134,6 +135,8 @@ def odd_n_latin_clique(n: int) -> CliqueCertificate:
     2,1,n,3,...,n-1; remaining rows are filled in by repeated perfect
     matchings between columns and unused symbols.
     """
+    import numpy as np
+
     if n < 5 or n % 2 == 0:
         raise UnsupportedConstructionError(
             f"the prescribed-row Latin clique needs odd degree >= 5, got {n}"
@@ -143,8 +146,7 @@ def odd_n_latin_clique(n: int) -> CliqueCertificate:
     if sorted(second) != list(first):
         raise AssertionError("the prescribed second row is not a permutation")
     square = _complete_latin_square([first, second], n)
-    members = [Permutation(row) for row in square]
-    return _certify(members, n, 0, "odd-latin")
+    return _certify(np.array(square, dtype=np.intp), n, 0, "odd-latin")
 
 
 def _walecki_cycles(n: int) -> list[list[int]]:
@@ -189,6 +191,8 @@ def cycle_decomposition_clique(n: int) -> CliqueCertificate:
     cycles for every n >= 3 except 4 and 6.  Arc-disjointness makes the n
     successor maps pairwise agree nowhere.  Only even degree 8 is tabulated.
     """
+    import numpy as np
+
     if n < 2:
         raise DegreeRangeError("need degree at least 2")
     if n in (4, 6):
@@ -203,20 +207,13 @@ def cycle_decomposition_clique(n: int) -> CliqueCertificate:
         raise UnsupportedConstructionError(
             f"no Hamilton decomposition is tabulated at even degree {n}"
         )
-    arcs_seen: set[tuple[int, int]] = set()
-    members = [identity(n)]
-    for seq in cycles:
-        images = [0] * n
-        for idx, v in enumerate(seq):
-            successor = seq[(idx + 1) % n]
-            images[v - 1] = successor
-            arc = (v, successor)
-            if arc in arcs_seen:
-                raise AssertionError(f"arc {arc} reused across cycles")
-            arcs_seen.add(arc)
-        members.append(Permutation(tuple(images)))
-    if len(arcs_seen) != n * (n - 1):
-        raise AssertionError("decomposition does not cover every arc")
+    members = np.zeros((len(cycles) + 1, n), dtype=np.intp)
+    members[0] = np.arange(1, n + 1)
+    for row, seq in zip(members[1:], cycles):
+        row[np.subtract(seq, 1)] = np.roll(seq, -1)  # v's image is its successor
+    # column v, v and its successors, is 1..n for every v iff each arc is used once
+    if len(members) != n or (np.sort(members, axis=0) != members[0][:, None]).any():
+        raise AssertionError("the Hamilton cycles do not use every arc exactly once")
     return _certify(members, n, 0, "hamilton-decomposition")
 
 
@@ -264,17 +261,18 @@ def affine_clique(q: int) -> CliqueCertificate:
     Two distinct affine maps agree in at most one point, so the family is a
     clique in the agreement-at-most-1 graph on q points.
     """
+    import numpy as np
+
     if q not in _AFFINE_SIZES:
         raise UnsupportedConstructionError(
             f"affine cliques are built for q in {_AFFINE_SIZES}, got {q}"
         )
     add, mul = _field(q)
-    members = [
-        Permutation(tuple(add(mul(a, x), b) + 1 for x in range(q)))
-        for a in range(1, q)
-        for b in range(q)
-    ]
-    if len(set(members)) != q * (q - 1):
+    members = 1 + np.array(
+        [[add(mul(a, x), b) for x in range(q)] for a in range(1, q) for b in range(q)],
+        dtype=np.intp,
+    )
+    if len(set(map(tuple, members.tolist()))) != q * (q - 1):
         raise AssertionError("affine maps are not distinct")
     return _certify(members, q, 1, "affine")
 
@@ -348,7 +346,7 @@ def latin_coset_cover(n: int) -> list[tuple[int, ...]]:
     clique = latin_clique(n)
     if not clique.validated:
         raise AssertionError("the cyclic Latin clique is not a clique")
-    clique_ranks = rank_images(image_rows(clique.members).T - 1)
+    clique_ranks = rank_images(clique.members.T - 1)
     # row v lists the ranks of r * v over the clique members r, ascending
     rows = np.sort(gd.compose_ranks(clique_ranks, np.arange(gd.order)[:, None]), axis=1)
     cosets = rows[rows[:, 0] == np.arange(gd.order)]

@@ -93,7 +93,7 @@ def run_clique(n: int, method: str):
         "t": certificate.t,
         "construction": certificate.construction,
         "size": certificate.size,
-        "members": [str(p) for p in certificate.members],
+        "members": [",".join(map(str, row)) for row in certificate.members.tolist()],
     }
     return result, checks
 
@@ -309,7 +309,8 @@ def run_clique_characters(n: int):
     sums = [
         {
             shape: sum(
-                table.value(shape, permgroup.cycle_type(p)) for p in clique.members
+                table.value(shape, permgroup.cycle_type_of_images(row))
+                for row in clique.members.tolist()
             )
             for shape in table.partitions
         }

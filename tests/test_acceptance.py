@@ -40,7 +40,7 @@ from ekrperm.graphs import (
 )
 from ekrperm.permgroup import (
     classes_with_few_fixed_points,
-    cycle_type,
+    cycle_type_of_images,
     derangement_count,
     parse_cycles,
     partitions_of,
@@ -231,8 +231,8 @@ def test_07_larger_cliques_and_character_coverage():
                 sums.append(
                     {
                         shape: sum(
-                            table.value(shape, cycle_type(p))
-                            for p in cert.members
+                            table.value(shape, cycle_type_of_images(row))
+                            for row in cert.members.tolist()
                         )
                         for shape in table.partitions
                     }

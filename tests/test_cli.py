@@ -35,6 +35,24 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+# sha256 of json.dumps(members) in the report of `clique n --method method`,
+# recorded when each member was built as a Permutation and printed by its str
+CLIQUE_DIGESTS = {
+    "latin 2": "e1b688f8fd9b5e9534d66dd61d1723f56b39694b307cb0da9dfc33d8f398d779",
+    "latin 8": "2c32d2c3bf17a91d7e261fb3a3314b86cf6d87865883b4abba576d768af0acc8",
+    "latin 128": "b5426e3bb710b322569c7b992c40d18134518541cc97073915968b0d0c937c99",
+    "odd-latin 5": "af8a86673dac7d927c295927b6b629c9d51f015a8955db30e67e5dd18a9d637f",
+    "odd-latin 9": "650fe5f2e2e48ba77d883e36625a2b7a58ac69a42a62599034747cc5028300e6",
+    "odd-latin 101": "d189dc854f906e5c50903f006bb066396d91c7fbfc358898699018e79b8d3e82",
+    "cycles 3": "6be4bc62aef4cd795499cee953fb2090c7a37032fe15e60dcac44f65f187e3a0",
+    "cycles 8": "0f57c61f8fe2fd554fa6395bf26db370d9362401468f4310991672d28dfcfbff",
+    "cycles 127": "31f3aee6619560cc204f3a718d07949cbc37f8c4688c23c1edfddea77be9aee6",
+    "affine 2": "e1b688f8fd9b5e9534d66dd61d1723f56b39694b307cb0da9dfc33d8f398d779",
+    "affine 9": "bde8303aaf972956dc786d34c98f3c173249765fe683b69b2e70a82cec091299",
+    "affine 13": "0d4da6b3968799110a4f3f63705daadad38d93756017ada851b655b930902677",
+}
+
+
 class TestReportShape:
     def test_schema_and_fields(self, capsys):
         code, report, _ = run_json(capsys, "derangements", "4")
@@ -132,6 +150,14 @@ class TestCommands:
         assert report["result"]["size"] == 5
         rows = report["result"]["members"]
         assert rows[1] == "2,1,5,3,4"
+
+    @pytest.mark.parametrize("run", CLIQUE_DIGESTS)
+    def test_clique_members_are_pinned(self, capsys, run):
+        method, n = run.split()
+        code, report, err = run_json(capsys, "clique", n, "--method", method)
+        assert (code, err) == (0, "")
+        members = json.dumps(report["result"]["members"]).encode()
+        assert hashlib.sha256(members).hexdigest() == CLIQUE_DIGESTS[run]
 
     def test_chartab_csv(self, capsys):
         code, out, _ = run_cli(capsys, "chartab", "4", "--csv")
@@ -298,6 +324,28 @@ class TestCommands:
         code, report, err = run_json(capsys, "clique", "5", "--method", "odd-latin")
         assert code == cli.EXIT_CHECK_FAILED == 1
         assert err == ""
+        assert {c["name"]: c["pass"] for c in report["checks"]} == {
+            "pairwise-validated": False,
+            "expected-size": True,
+        }
+
+    def test_rows_that_are_no_permutations_fail_the_clique_check(
+        self, capsys, monkeypatch
+    ):
+        graphs = cli.graphs
+        # the three added rows agree nowhere with any other row, but repeat images
+        extra = [(3, 3, 1, 1, 1), (4, 4, 2, 2, 2), (5, 5, 4, 5, 3)]
+        monkeypatch.setattr(
+            graphs, "_complete_latin_square", lambda rows, n: rows + extra
+        )
+        members = graphs.odd_n_latin_clique(5).members
+        assert graphs.validate_clique(members) == (True, None)
+        code, report, err = run_json(capsys, "clique", "5", "--method", "odd-latin")
+        assert code == cli.EXIT_CHECK_FAILED == 1
+        assert err == ""
+        assert report["result"]["members"][2:] == [
+            "3,3,1,1,1", "4,4,2,2,2", "5,5,4,5,3"
+        ]
         assert {c["name"]: c["pass"] for c in report["checks"]} == {
             "pairwise-validated": False,
             "expected-size": True,

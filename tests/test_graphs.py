@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ekrperm import graphs, permgroup, scheme
+from ekrperm import cli, graphs, permgroup, scheme
 from ekrperm.errors import (
     DegreeRangeError,
     FamilyValidationError,
@@ -33,6 +33,7 @@ from ekrperm.permgroup import (
     agreements,
     compose,
     cycle_type,
+    cycle_type_of_images,
     derangement_count,
     identity,
     parse_one_line,
@@ -86,6 +87,11 @@ class _ParentField:
         self.add = lambda a, b: from_coeffs(
             [(x + y) % p for x, y in zip(to_coeffs(a), to_coeffs(b))]
         )
+
+
+def as_permutations(rows):
+    """A clique's image rows as Permutations, for the entry points that take them."""
+    return [Permutation(tuple(row)) for row in rows.tolist()]
 
 
 def point_families(n):
@@ -207,6 +213,15 @@ class TestAgreementValidator:
         assert permgroup.first_agreement_violation(
             images, t, clique
         ) == permgroup.first_agreement_violation(members, t, clique)
+        # an array's witness is the two rows of the Permutations' witness
+        validate = validate_clique if clique else validate_family
+        ok, witness = validate(members, t)
+        rows_ok, rows = validate(images, t)
+        assert rows_ok is ok
+        if witness is None:
+            assert rows is None
+        else:
+            assert [row.tolist() for row in rows] == [list(p.images) for p in witness]
 
     @pytest.mark.parametrize("block_pairs", [1, 40])
     def test_late_failures_in_small_blocks(self, monkeypatch, block_pairs):
@@ -218,18 +233,24 @@ class TestAgreementValidator:
         for extra in late:
             _assert_entry_points_agree(points + [extra], 0, False)
             _assert_entry_points_agree(points + [extra], 3, True)
-        clique = list(latin_clique(7).members)
+        clique = as_permutations(latin_clique(7).members)
         _assert_entry_points_agree(clique + [clique[3]], 0, True)
         _assert_entry_points_agree(clique + [clique[3]], 6, True)
 
     def test_degree_128(self):
         # images and agreement counts reach 128, past the top of int8
-        members = latin_clique(128).members
-        assert validate_clique(members, 0) == (True, None)
+        rows = latin_clique(128).members
+        assert rows.max() == 128
+        members = as_permutations(rows)
+        for family_ in (rows, members):
+            assert validate_clique(family_, 0) == (True, None)
         assert validate_clique([members[5], members[5]], 0) == (
             False,
             (members[5], members[5]),
         )
+        ok, witness = validate_clique(rows[[5, 5]], 0)
+        assert not ok
+        assert [row.tolist() for row in witness] == [list(members[5].images)] * 2
 
     def test_empty_and_single_families_pass(self):
         for members in ([], [identity(3)]):
@@ -254,7 +275,7 @@ class TestAgreementValidator:
 class TestLatinCliques:
     def test_degree_two(self):
         cert = latin_clique(2)
-        assert {p.images for p in cert.members} == {(1, 2), (2, 1)}
+        assert cert.members.tolist() == [[1, 2], [2, 1]]
 
     def test_rows_pairwise_disagree(self):
         for n in (3, 4, 5, 8):
@@ -262,34 +283,40 @@ class TestLatinCliques:
             assert cert.size == n
             assert cert.construction == "cyclic-latin"
             assert cert.validated
-            members = cert.members
+            members = as_permutations(cert.members)
             for i in range(n):
                 for j in range(i + 1, n):
                     assert agreements(members[i], members[j]) == 0
 
     def test_forms_a_group(self):
         # the cyclic construction is closed under composition
-        members = set(latin_clique(5).members)
+        members = set(as_permutations(latin_clique(5).members))
         for p in members:
             for q in members:
                 assert compose(p, q) in members
 
     def test_contains_identity(self):
-        assert identity(6) in latin_clique(6).members
+        assert identity(6) in as_permutations(latin_clique(6).members)
+
+    def test_rows_are_read_only_intp(self):
+        members = latin_clique(5).members
+        assert members.dtype == np.intp and members.shape == (5, 5)
+        with pytest.raises(ValueError, match="read-only"):
+            members[0, 0] = 2
 
 
 class TestOddLatinCliques:
     def test_prescribed_second_row(self):
         cert = odd_n_latin_clique(5)
-        assert cert.members[0] == identity(5)
-        assert cert.members[1].images == (2, 1, 5, 3, 4)
+        assert cert.members[0].tolist() == [1, 2, 3, 4, 5]
+        assert cert.members[1].tolist() == [2, 1, 5, 3, 4]
 
     def test_second_row_is_odd(self):
         # parity is what distinguishes this clique from the cyclic one
         for n in (5, 7, 9):
             cert = odd_n_latin_clique(n)
-            second = cert.members[1]
-            parity = (-1) ** (n - len(cycle_type(second)))
+            second = cert.members[1].tolist()
+            parity = (-1) ** (n - len(cycle_type_of_images(second)))
             assert parity == -1
 
     def test_validates_at_odd_degrees(self):
@@ -311,11 +338,11 @@ class TestCycleDecompositionCliques:
             cert = cycle_decomposition_clique(n)
             assert cert.size == n
             assert cert.construction == "hamilton-decomposition"
-            assert identity(n) in cert.members
+            assert identity(n) in as_permutations(cert.members)
 
     def test_members_are_full_cycles(self):
         for n in (5, 7):
-            for p in cycle_decomposition_clique(n).members:
+            for p in as_permutations(cycle_decomposition_clique(n).members):
                 if p != identity(n):
                     assert cycle_type(p) == (n,)
 
@@ -323,19 +350,32 @@ class TestCycleDecompositionCliques:
         cert = cycle_decomposition_clique(8)
         assert cert.size == 8
         assert all(
-            cycle_type(p) == (8,) for p in cert.members if p != identity(8)
+            cycle_type(p) == (8,)
+            for p in as_permutations(cert.members)
+            if p != identity(8)
         )
 
-    def test_a_damaged_table_is_caught(self, monkeypatch):
+    def test_a_damaged_table_is_caught(self, monkeypatch, capsys):
         cycles = list(graphs._DEGREE_8_CYCLES)
         # the last cycle traversed backwards reuses arcs of the others
         monkeypatch.setattr(graphs, "_DEGREE_8_CYCLES", cycles[:-1] + [cycles[0][::-1]])
-        with pytest.raises(AssertionError, match="reused"):
+        with pytest.raises(AssertionError, match="every arc exactly once"):
             cycle_decomposition_clique(8)
         # one cycle short leaves arcs uncovered
         monkeypatch.setattr(graphs, "_DEGREE_8_CYCLES", cycles[:-1])
-        with pytest.raises(AssertionError, match="cover"):
+        with pytest.raises(AssertionError, match="every arc exactly once"):
             cycle_decomposition_clique(8)
+        # a vertex visited twice leaves another without a successor: an
+        # internal failure, not a usage error
+        damaged = [(2,) + cycles[0][1:]] + cycles[1:]
+        monkeypatch.setattr(graphs, "_DEGREE_8_CYCLES", damaged)
+        assert cli.main(["clique", "8", "--method", "cycles"]) == cli.EXIT_INTERNAL == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: internal check failed:"
+            " the Hamilton cycles do not use every arc exactly once\n"
+        )
 
     def test_impossible_even_degrees(self):
         with pytest.raises(UnsupportedConstructionError):
@@ -356,11 +396,11 @@ class TestCycleDecompositionCliques:
     def test_arc_coverage(self):
         # the n-1 cycles traverse every ordered pair exactly once
         n = 7
-        members = [p for p in cycle_decomposition_clique(n).members if p != identity(n)]
+        rows = cycle_decomposition_clique(n).members.tolist()
         arcs = set()
-        for p in members:
+        for row in rows[1:]:  # the identity, then one successor row per cycle
             for i in range(1, n + 1):
-                arc = (i, p(i))
+                arc = (i, row[i - 1])
                 assert arc not in arcs
                 arcs.add(arc)
         assert len(arcs) == n * (n - 1)
@@ -375,7 +415,7 @@ class TestAffineCliques:
             assert cert.construction == "affine"
 
     def test_degree_three_is_whole_group(self):
-        members = {p.images for p in affine_clique(3).members}
+        members = {tuple(row) for row in affine_clique(3).members.tolist()}
         assert members == set(itertools.permutations(range(1, 4)))
 
     def test_prime_power_degrees(self):
@@ -386,7 +426,7 @@ class TestAffineCliques:
     def test_sharply_two_transitive(self):
         # every ordered pair goes to every ordered pair exactly once
         q = 5
-        members = affine_clique(q).members
+        members = as_permutations(affine_clique(q).members)
         for x1 in range(1, q + 1):
             for x2 in range(1, q + 1):
                 if x1 == x2:

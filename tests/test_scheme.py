@@ -25,6 +25,7 @@ from ekrperm.chartab import (
 from ekrperm.errors import DegreeRangeError, FamilyValidationError
 from ekrperm.graphs import affine_clique, family, latin_clique
 from ekrperm.permgroup import (
+    Permutation,
     classes_with_few_fixed_points,
     compose,
     conjugacy_classes,
@@ -681,6 +682,7 @@ class TestCliqueCoclique:
         else:
             clique = affine_clique(n).members
             independent = family([(1, 1), (2, 2)], n).members
+        clique = [Permutation(tuple(row)) for row in clique.tolist()]
         loose = independent[: len(independent) // 2]
         for pair in ((clique, independent), (clique, loose), ([], independent)):
             expected = clique_coclique_check(*pair, n, t)
