@@ -39,9 +39,6 @@ from .scheme import group_data, shifted_character_sums
 if TYPE_CHECKING:
     import numpy as np
 
-# Rows of one-positions whose pairs _gram counts per bincount.
-_GRAM_BLOCK_ROWS = 1 << 12
-
 rank = linalg.bareiss_rank
 
 
@@ -100,21 +97,23 @@ def _dense(ones, width: int):
 def _gram(ones, width: int) -> np.ndarray:
     """[X | ones]^T [X | ones] for the 0/1 rows X whose one-positions are ones.
 
-    An entry equal to the width is no column.  A bincount over
-    a * (width + 1) + b counts the ordered pairs of each row's entries, one
-    block of _GRAM_BLOCK_ROWS rows at a time, so no pair array spans all the
-    rows; the pairs that meet the width fill its own row and column.  Those
-    are overwritten by the Gram row of the all-ones column: the column sums
-    (the diagonal), and the row count.
+    An entry equal to the width is no column.  For each ordered pair (i, j)
+    of ones' position columns, one bincount over a * (width + 1) + b, a from
+    column i and b from column j, counts the rows' pairs there, into one key
+    array of a row count reused for every pair; the pairs that meet the width
+    fill its own row and column.  Those are overwritten by the Gram row of the
+    all-ones column: the column sums (the diagonal), and the row count.
     """
     import numpy as np
 
     side = width + 1
     gram = np.zeros(side * side, dtype=np.int64)
-    for start in range(0, len(ones), _GRAM_BLOCK_ROWS):
-        block = ones[start : start + _GRAM_BLOCK_ROWS]
-        pairs = block[:, :, None] * side + block[:, None, :]
-        gram += np.bincount(pairs.ravel(), minlength=side * side)
+    keys = np.empty(len(ones), dtype=np.intp)
+    for i in range(ones.shape[1]):
+        for j in range(ones.shape[1]):
+            np.multiply(ones[:, i], side, out=keys)
+            keys += ones[:, j]
+            gram += np.bincount(keys, minlength=side * side)
     gram = gram.reshape(side, side)
     sums = gram.diagonal().copy()
     sums[width] = len(ones)

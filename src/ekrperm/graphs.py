@@ -18,13 +18,11 @@ from .permgroup import (
     MAX_DENSE_DEGREE,
     MAX_QUOTIENT_DEGREE,
     Permutation,
-    agreement_counts,
     constraint_families,
     constraint_rows,
     derangement_count,
     derangements_by_last_image,
     first_agreement_violation,
-    image_table,
     need_threshold,
     parse_one_line,
     rank_images,
@@ -37,12 +35,17 @@ if TYPE_CHECKING:
 
 @lru_cache(maxsize=None)
 def _adjacency_masks(n: int, t: int) -> list[int]:
-    """Bit q of mask p is set when p != q agree in at most t points; p is a rank."""
+    """Bit q of mask p is set when p != q agree in at most t points; p is a rank.
+
+    p and q agree where p^-1 q has a fixed point, so the masks read the class
+    of every p^-1 q off the relation table: n <= MAX_DENSE_DEGREE.
+    """
     import numpy as np
 
     need_threshold(n, t)
-    images = image_table(n)
-    adjacent = agreement_counts(images, images) <= t
+    gd = group_data(n)
+    few = np.array([cls.fixed_points <= t for cls in gd.classes])
+    adjacent = few[gd.relations]
     # bit r of a little-endian packed row is column r
     packed = np.packbits(adjacent, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
@@ -103,15 +106,20 @@ def latin_clique(n: int) -> CliqueCertificate:
 
 
 def _complete_latin_square(rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """Extend a Latin rectangle to a full square, one row per perfect matching."""
+    """Extend a Latin rectangle to a full square, one row per perfect matching.
+
+    Each column keeps its missing symbols from row to row, and they are
+    sorted once per row for the augmenting-path search.
+    """
     rows = list(rows)
+    missing = [set(range(1, n + 1)) - {row[c] for row in rows} for c in range(n)]
     while len(rows) < n:
-        missing = [set(range(1, n + 1)) - {row[c] for row in rows} for c in range(n)]
+        options = [sorted(symbols) for symbols in missing]
         match_col: dict[int, int] = {}  # symbol -> column
         match_sym: dict[int, int] = {}  # column -> symbol
 
         def try_assign(col: int, seen: set[int]) -> bool:
-            for sym in sorted(missing[col]):
+            for sym in options[col]:
                 if sym in seen:
                     continue
                 seen.add(sym)
@@ -125,6 +133,8 @@ def _complete_latin_square(rows: list[tuple[int, ...]], n: int) -> list[tuple[in
             if not try_assign(col, set()):
                 raise AssertionError("Latin rectangle completion failed")
         rows.append(tuple(match_sym[col] for col in range(n)))
+        for symbols, sym in zip(missing, rows[-1]):
+            symbols.discard(sym)
     return rows
 
 

@@ -14,7 +14,7 @@ check takes 0/1 vectors indexed by rank.  Nothing here touches floating point.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, prod
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
@@ -47,9 +47,11 @@ class GroupData:
     images is the shared permgroup.image_table, inv[r] the rank of the
     inverse of the rank-r permutation and type_of[r] the index of its
     conjugacy class in the shared partition order, read off the fixed points
-    of its powers.  compose_ranks and quotient_classes are the one place where
-    two permutations are multiplied (permgroup.rank_images ranks the products
-    and the inverses); quadratic forms and mult read products from them.
+    of its powers.  compose_ranks is the one place where two permutations are
+    multiplied (permgroup.rank_images ranks the products and the inverses);
+    mult reads products from it.  quotient_classes gives the class of p^-1 q,
+    read from the relation table up to MAX_DENSE_DEGREE and from compose_ranks
+    above it.
     """
 
     def __init__(self, n: int):
@@ -106,8 +108,47 @@ class GroupData:
             out[block] = rank_images(composed)
         return out
 
+    @cached_property
+    def relations(self):
+        """The read-only (n!, n!) int8 table of the class of perm(a)^-1 perm(b).
+
+        Row 0 is type_of.  For an adjacent transposition s, (a s)^-1 b =
+        s a^-1 b is conjugate to a^-1 (b s), so row rank(a s) is row a read
+        through b -> rank(b s).  Every rank c but the identity's has a first
+        descent i, c(i) > c(i+1); swapping it gives c s_i, of lower rank, so
+        the rows fill in rank order, one gather each.  Built on first use, up
+        to MAX_DENSE_DEGREE only.
+        """
+        import numpy as np
+
+        if self.n > MAX_DENSE_DEGREE:
+            raise DegreeRangeError(
+                f"the relation table stops at degree {MAX_DENSE_DEGREE}"
+            )
+        planes = self.images.T
+        # swap[i][b] = rank of perm(b) s_i: images i and i+1 of b exchanged
+        swap = np.empty((self.n - 1, self.order), dtype=np.intp)
+        for i in range(self.n - 1):
+            order = np.arange(self.n)
+            order[[i, i + 1]] = i + 1, i
+            swap[i] = rank_images(planes[order])
+        # each rank c > 0 in turn: its first i with c(i) > c(i+1), and c s_i
+        later = np.arange(1, self.order)
+        descent = (np.diff(self.images[1:], axis=1, append=self.n) < 0).argmax(1)
+        parents = swap[descent, later]
+        table = np.empty((self.order, self.order), dtype=np.int8)
+        table[0] = self.type_of
+        for c, parent, i in zip(later.tolist(), parents.tolist(), descent.tolist()):
+            table[c] = table[parent][swap[i]]
+        table.flags.writeable = False
+        return table
+
     def quotient_classes(self, a, b):
         """Class index of perm(a)^-1 perm(b), for rank arrays that broadcast."""
+        import numpy as np
+
+        if self.n <= MAX_DENSE_DEGREE:
+            return self.relations[np.asarray(a, np.intp), np.asarray(b, np.intp)]
         return self.type_of[self.compose_ranks(self.inv[a], b)]
 
     @property
@@ -209,9 +250,9 @@ def shifted_character_sums(rank_lists, n: int):
     row f holds, in class order, n!/dim times each component's squared norm:
     chi . q for the counts q_C of ordered member pairs (p, q) with p^-1 q in
     C, and 0 for the trivial shape.  Only the m(m-1)/2 pairs of positions
-    i < j are composed: q^-1 p is the inverse of p^-1 q, in the same class,
+    i < j are classed: q^-1 p is the inverse of p^-1 q, in the same class,
     so each count is doubled, and the m pairs (p, p) add m to the identity
-    class.  The families of one size are composed B at a time, each pair's
+    class.  The families of one size are classed B at a time, each pair's
     two member ranks gathered from the block, B chosen so a block gathers
     about BLOCK_PAIRS ranks, and each block's classes are counted by one
     bincount.  The sums pass through _character_sums and its checks.

@@ -196,16 +196,12 @@ class TestGramIdentity:
             assert ok
 
     @pytest.mark.parametrize("n", range(3, 9))
-    @pytest.mark.parametrize("block_rows", [11, ekrverify._GRAM_BLOCK_ROWS])
-    def test_row_blocks_add_up_to_the_closed_form(self, n, block_rows, monkeypatch):
-        # 11 divides no n! here, so the last block is always a short one
-        monkeypatch.setattr(ekrverify, "_GRAM_BLOCK_ROWS", block_rows)
+    def test_position_pairs_add_up_to_the_closed_form(self, n):
         gram = ekrverify._gram(incidence(n).ones, (n - 1) ** 2)
         assert gram[:-1, :-1].tolist() == expected_gram(n)
 
     @pytest.mark.parametrize("n", range(3, 8))
-    def test_bordered_row_blocks_equal_the_dense_product(self, n, monkeypatch):
-        monkeypatch.setattr(ekrverify, "_GRAM_BLOCK_ROWS", 11)
+    def test_bordered_position_pairs_equal_the_dense_product(self, n):
         inc = incidence(n)
         width = (n - 1) ** 2
         for ones in (inc.ones, inc.ones[inc.derangement_ranks]):

@@ -134,6 +134,15 @@ class TestBuildGraph:
         shifted = [sum(1 << r for r in row) for row in rows.tolist()]
         assert graphs._adjacency_masks(n, t) == shifted
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_masks_equal_the_agreement_counts(self, n):
+        images = permgroup.image_table(n)
+        agree = permgroup.agreement_counts(images, images)
+        for t in range(n):
+            packed = np.packbits(agree <= t, axis=1, bitorder="little")
+            expected = [int.from_bytes(row.tobytes(), "little") for row in packed]
+            assert graphs._adjacency_masks(n, t) == expected
+
 
 class TestValidators:
     def test_validate_clique_witness(self):

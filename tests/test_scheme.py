@@ -860,6 +860,43 @@ class TestGroupTables:
         ]
 
 
+class TestRelationTable:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_table_equals_the_composed_classes(self, n):
+        gd = scheme.GroupData(n)
+        a = np.arange(gd.order)
+        composed = gd.type_of[gd.compose_ranks(gd.inv[a[:, None]], a)]
+        assert gd.relations.dtype == np.int8
+        assert np.array_equal(gd.relations, composed)
+
+    def test_read_only_and_built_once(self):
+        gd = scheme.GroupData(5)
+        assert gd.relations is gd.relations
+        assert not gd.relations.flags.writeable
+        with pytest.raises(ValueError):
+            gd.relations[0, 0] = 0
+
+    def test_dense_degrees_read_the_table(self, monkeypatch):
+        gd = group_data(5)
+
+        def compose(*args):
+            raise AssertionError("composed at a dense degree")
+
+        monkeypatch.setattr(gd, "compose_ranks", compose)
+        classes = gd.quotient_classes([[0], [7]], range(120))
+        assert np.array_equal(classes, gd.relations[[0, 7]])
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_larger_degrees_compose_and_build_no_table(self, n):
+        gd = group_data(n)
+        classes = gd.quotient_classes([[0], [1]], [2, 3])
+        assert classes.shape == (2, 2)
+        assert "relations" not in vars(gd)
+        with pytest.raises(DegreeRangeError):
+            gd.relations
+        assert "relations" not in vars(gd)
+
+
 class TestCompositionKernel:
     @settings(max_examples=60)
     @given(_rank_pairs())
