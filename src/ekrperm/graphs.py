@@ -488,8 +488,8 @@ def _parallel_search(coset_masks, nonadj, full, workers) -> list[tuple[int, ...]
 
 def write_family(members, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for p in members:
-            fh.write(str(p) + "\n")
+        for p in members:  # a Permutation or one row of its images
+            fh.write(",".join(map(str, getattr(p, "images", p))) + "\n")
 
 
 def read_family(path: str, n: int) -> list[Permutation]:

@@ -93,10 +93,15 @@ def agreements(p: Permutation, q: Permutation) -> int:
 
 
 def image_rows(members):
-    """An (m, n) image array as it is, or Permutations of one degree as theirs."""
+    """An (m, n) image array as it is, or Permutations of one degree as theirs.
+
+    An array of any other shape raises ValueError.
+    """
     import numpy as np
 
     if isinstance(members, np.ndarray):
+        if members.ndim != 2:
+            raise ValueError(f"need an (m, n) image array, got shape {members.shape}")
         return members
     members = list(members)
     if len({p.degree for p in members}) > 1:

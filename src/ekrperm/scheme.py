@@ -13,7 +13,6 @@ check takes 0/1 vectors indexed by rank.  Nothing here touches floating point.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property, lru_cache
 from math import factorial, prod
 from operator import mul
@@ -35,10 +34,8 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 MAX_GROUP_DEGREE = 8
-# Pairs of permutations composed per block by the group-algebra kernel.
+# Pairs of permutations classed per block by the group-algebra kernels.
 BLOCK_PAIRS = 1 << 15
-# (x, y) pairs whose forms fundamental_identity_check counts in one batch.
-IDENTITY_CHUNK = 32
 
 
 class GroupData:
@@ -148,7 +145,8 @@ class GroupData:
         import numpy as np
 
         if self.n <= MAX_DENSE_DEGREE:
-            return self.relations[np.asarray(a, np.intp), np.asarray(b, np.intp)]
+            flat = np.asarray(a, np.intp) * self.order + np.asarray(b, np.intp)
+            return np.take(self.relations.ravel(), flat)
         return self.type_of[self.compose_ranks(self.inv[a], b)]
 
     @property
@@ -183,18 +181,48 @@ def ratio_bound(n: int, t: int = 0) -> Fraction:
     return Fraction(factorial(n)) / (1 - Fraction(spectrum.valency, tau))
 
 
+def _class_counts(rank_lists, n: int):
+    """Ordered member pairs (p, q) of each family counted by the class of p^-1 q.
+
+    One int64 row per family of distinct ranks, in class order, the diagonal
+    p = q in the identity class.  Families of one size m are read in blocks
+    of F families by R member rows by all m members, F * R * m near
+    BLOCK_PAIRS, and each block is counted by one bincount, class C of the
+    block's family f at label f * k + C for the k classes.
+    """
+    import numpy as np
+
+    gd = group_data(n)
+    k = len(gd.classes)
+    out = np.zeros((len(rank_lists), k), dtype=np.int64)
+    by_size: dict[int, list[int]] = {}
+    for f, ranks in enumerate(rank_lists):
+        by_size.setdefault(len(ranks), []).append(f)
+    for m, batch in by_size.items():
+        ranks = np.array([rank_lists[f] for f in batch], dtype=np.intp)
+        ranks = ranks.reshape(len(batch), m)
+        rows = max(1, min(m, BLOCK_PAIRS // max(1, m)))
+        step = max(1, BLOCK_PAIRS // (rows * max(1, m)))
+        # int32 labels: each block's sum takes half the bytes of intp
+        offsets = np.arange(0, k * step, k, dtype=np.int32)[:, None, None]
+        for start in range(0, len(batch), step):
+            block = ranks[start : start + step]
+            labels, members = offsets[: len(block)], block[:, None]
+            for r in range(0, m, rows):
+                classes = gd.quotient_classes(block[:, r : r + rows, None], members)
+                classes = (classes + labels).ravel()
+                counts = np.bincount(classes, minlength=k * len(block))
+                out[batch[start : start + step]] += counts.reshape(-1, k)
+    return out
+
+
 def class_quadratic_forms(vectors, n: int) -> list[list[int]]:
     """x^T A_C x for every class C, one list of integers per 0/1 vector.
 
     For a 0/1 vector x with support S, x^T A_C x counts the ordered pairs
-    (p, q) of S with p^-1 q in C, the diagonal p = q in the identity class.
-    The classes of perm(a)^-1 perm(b) over the union U of the supports form
-    one int8 matrix, built once for the whole batch a block of rows at a
-    time.  A block holds about n * BLOCK_PAIRS entries, as many bytes as the
-    int8 image planes of one compose_ranks block; each vector keeps its own
-    rows and columns of the block with two boolean masks and counts their
-    classes with one bincount.  A vector whose length is not n!, or with an
-    entry that is not the int (or bool) 0 or 1, raises ValueError.
+    (p, q) of S with p^-1 q in C, the diagonal p = q in the identity class:
+    _class_counts of the supports.  A vector whose length is not n!, or with
+    an entry that is not the int (or bool) 0 or 1, raises ValueError.
     """
     import numpy as np
 
@@ -205,20 +233,7 @@ def class_quadratic_forms(vectors, n: int) -> list[list[int]]:
             raise ValueError(f"vector length {len(x)} != {gd.order}")
         if not set(map(type, x)) <= {int, bool} or not set(x) <= {0, 1}:
             raise ValueError("class quadratic forms need 0/1 vectors")
-    if not vectors:
-        return []
-    on_union = np.array(vectors, dtype=bool)
-    ranks = np.flatnonzero(on_union.any(0))
-    on_union = on_union[:, ranks]
-    k, size = len(gd.classes), len(ranks)
-    forms = np.zeros((len(vectors), k), dtype=np.int64)
-    step = max(1, n * BLOCK_PAIRS // max(1, size))
-    for start in range(0, size, step):
-        rows = slice(start, start + step)
-        block = gd.quotient_classes(ranks[rows, None], ranks)
-        for on, acc in zip(on_union, forms):
-            acc += np.bincount(block[on[rows]][:, on].ravel(), minlength=k)
-    return forms.tolist()
+    return _class_counts([np.flatnonzero(x) for x in vectors], n).tolist()
 
 
 def _character_sums(qforms, sizes, n: int):
@@ -248,40 +263,12 @@ def shifted_character_sums(rank_lists, n: int):
     A family is a sequence of m distinct ranks.  Its indicator x less m/n!
     times ones has no trivial component and every other component of x, so
     row f holds, in class order, n!/dim times each component's squared norm:
-    chi . q for the counts q_C of ordered member pairs (p, q) with p^-1 q in
-    C, and 0 for the trivial shape.  Only the m(m-1)/2 pairs of positions
-    i < j are classed: q^-1 p is the inverse of p^-1 q, in the same class,
-    so each count is doubled, and the m pairs (p, p) add m to the identity
-    class.  The families of one size are classed B at a time, each pair's
-    two member ranks gathered from the block, B chosen so a block gathers
-    about BLOCK_PAIRS ranks, and each block's classes are counted by one
-    bincount.  The sums pass through _character_sums and its checks.
+    chi . q for the _class_counts q of the family, and 0 for the trivial
+    shape.  The sums pass through _character_sums and its checks.
     """
-    import numpy as np
-
     gd = group_data(n)
-    k = len(gd.classes)
-    out = np.zeros((len(rank_lists), k), dtype=np.int64)
-    by_size: dict[int, list[int]] = {}
-    for f, ranks in enumerate(rank_lists):
-        by_size.setdefault(len(ranks), []).append(f)
-    for m, batch in by_size.items():
-        ranks = np.array([rank_lists[f] for f in batch], dtype=np.intp)
-        ranks = ranks.reshape(len(batch), m)
-        counts = np.zeros((len(batch), k), dtype=np.int64)
-        first, second = np.triu_indices(m, 1)
-        step = max(1, BLOCK_PAIRS // max(1, 2 * len(first)))
-        for start in range(0, len(batch), step):
-            block = ranks[start : start + step]
-            classes = gd.quotient_classes(block[:, first], block[:, second])
-            labels = classes + k * np.arange(len(block))[:, None]
-            counts[start : start + step] = np.bincount(
-                labels.ravel(), minlength=k * len(block)
-            ).reshape(-1, k)
-        # (q, p) lies in the class of (p, q), and (p, p) in the identity class
-        counts *= 2
-        counts[:, gd.class_index[(1,) * n]] += m
-        out[batch] = _character_sums(counts, [m] * len(batch), n)
+    counts = _class_counts(rank_lists, n)
+    out = _character_sums(counts, [len(ranks) for ranks in rank_lists], n)
     out[:, gd.class_index[(n,)]] = 0
     return out
 
@@ -294,9 +281,8 @@ def fundamental_identity_check(pairs, n: int) -> list[tuple[Fraction, Fraction]]
     x^T E x * y^T E y / dim^2, which is (chi . q_x)(chi . q_y) / n!^2 since
     x^T E x = dim/n! * chi . q_x.  Both sides are one integer sum over the
     two form vectors, divided by n!^2, with the products in Python ints.  The
-    iterable is read IDENTITY_CHUNK pairs at a time, and each chunk's vectors
-    get their forms from one class_quadratic_forms batch, so the vectors held
-    at once do not grow with the number of pairs.
+    iterable is read one pair at a time, so the vectors held at once do not
+    grow with the number of pairs.
     """
     from fractions import Fraction
 
@@ -306,14 +292,11 @@ def fundamental_identity_check(pairs, n: int) -> list[tuple[Fraction, Fraction]]
     weights = [gd.order // cls.size for cls in gd.classes]
     identity = gd.class_index[(1,) * n]
     sides = []
-    pairs = iter(pairs)
-    while chunk := list(itertools.islice(pairs, IDENTITY_CHUNK)):
-        forms = class_quadratic_forms([v for x, y in chunk for v in (x, y)], n)
-        sums = _character_sums(forms, [q[identity] for q in forms], n).tolist()
-        for qx, qy, ex, ey in zip(forms[::2], forms[1::2], sums[::2], sums[1::2]):
-            lhs = sum(a * b * w for a, b, w in zip(qx, qy, weights))
-            rhs = sum(map(mul, ex, ey))
-            sides.append((Fraction(lhs, scale), Fraction(rhs, scale)))
+    for x, y in pairs:
+        qx, qy = forms = class_quadratic_forms([x, y], n)
+        ex, ey = _character_sums(forms, [qx[identity], qy[identity]], n).tolist()
+        lhs = sum(a * b * w for a, b, w in zip(qx, qy, weights))
+        sides.append((Fraction(lhs, scale), Fraction(sum(map(mul, ex, ey)), scale)))
     return sides
 
 
@@ -326,8 +309,6 @@ def _validated_rows(family, t, want_clique):
     import numpy as np
 
     rows = image_rows(family)
-    if rows.ndim != 2:
-        raise ValueError(f"need an (m, n) image array, got shape {rows.shape}")
     k = rows.shape[1]
     wrong = (np.sort(rows, axis=1) != np.arange(1, k + 1)).any(axis=1)
     if wrong.any():

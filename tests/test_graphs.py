@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -671,3 +672,36 @@ class TestFamilyIo:
         write_family([identity(4)], str(path))
         with pytest.raises(ValueError):
             read_family(str(path), 5)
+
+    def test_image_rows_and_their_permutations_round_trip(self, tmp_path):
+        rows = latin_clique(4).members
+        by_rows, by_perms = tmp_path / "rows.txt", tmp_path / "perms.txt"
+        write_family(rows, str(by_rows))
+        back = read_family(str(by_rows), 4)
+        assert [p.images for p in back] == [tuple(row) for row in rows.tolist()]
+        write_family(back, str(by_perms))
+        assert by_perms.read_text() == by_rows.read_text() == "".join(
+            ",".join(map(str, row)) + "\n" for row in rows.tolist()
+        )
+        again = read_family(str(by_perms), 4)
+        assert np.array_equal(permgroup.image_rows(again), rows)
+
+
+class TestImageArrayShape:
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 3)])
+    @pytest.mark.parametrize(
+        "check",
+        [
+            permgroup.image_rows,
+            validate_clique,
+            validate_family,
+            lambda rows: scheme.clique_coclique_check(rows, [identity(3)], 3),
+            lambda rows: scheme.clique_coclique_check([identity(3)], rows, 3),
+        ],
+        ids=["image_rows", "clique", "family", "coclique-clique", "coclique-set"],
+    )
+    def test_arrays_that_are_not_two_dimensional_raise(self, shape, check):
+        rows = np.arange(1, np.prod(shape) + 1).reshape(shape) % 3 + 1
+        message = rf"^need an \(m, n\) image array, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            check(rows)

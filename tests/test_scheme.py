@@ -424,7 +424,7 @@ class TestBatchedClassForms:
     def test_a_dense_degree_six_batch_stays_in_row_blocks(self):
         # the whole 720 x 720 class matrix with its int32 ranks takes 720^2 * 5 bytes
         gd = group_data(6)  # the tables are built outside the traced span
-        vectors = [[1] * 720] * (2 * scheme.IDENTITY_CHUNK)
+        vectors = [[1] * 720] * 64
         tracemalloc.start()
         try:
             forms = class_quadratic_forms(vectors, 6)
@@ -532,16 +532,16 @@ def _identity_pairs(count, n, seed):
 
 class TestIdentityInChunks:
     def test_more_pairs_than_one_chunk(self):
-        pairs = _identity_pairs(scheme.IDENTITY_CHUNK + 5, 4, 8)
+        pairs = _identity_pairs(37, 4, 8)
         sides = fundamental_identity_check(pairs, 4)
         assert sides == [fundamental_identity_check([pair], 4)[0] for pair in pairs]
         assert all(lhs == rhs for lhs, rhs in sides)
 
     def test_reads_the_pairs_one_chunk_at_a_time(self, monkeypatch):
-        monkeypatch.setattr(scheme, "IDENTITY_CHUNK", 3)
+        # each pair gets its forms from one call, made just after it is drawn
         pairs = _identity_pairs(8, 4, 9)
         drawn = [0]
-        batches = []  # (vectors in the batch, pairs drawn so far)
+        batches = []  # (vectors in the call, pairs drawn so far)
         forms = scheme.class_quadratic_forms
 
         def lazily():
@@ -555,11 +555,8 @@ class TestIdentityInChunks:
 
         monkeypatch.setattr(scheme, "class_quadratic_forms", recording)
         sides = fundamental_identity_check(lazily(), 4)
-        assert batches == [(6, 3), (6, 6), (4, 8)]
+        assert batches == [(2, k) for k in range(1, 9)]
         assert sides == [fundamental_identity_check([pair], 4)[0] for pair in pairs]
-
-    def test_chunk_covers_the_default_trials(self):
-        assert scheme.IDENTITY_CHUNK >= 20
 
     def test_no_pairs(self):
         assert fundamental_identity_check([], 4) == []
@@ -895,6 +892,63 @@ class TestRelationTable:
         with pytest.raises(DegreeRangeError):
             gd.relations
         assert "relations" not in vars(gd)
+
+
+def _vector_of(ranks, n):
+    x = [0] * math.factorial(n)
+    for r in ranks:
+        x[r] = 1
+    return x
+
+
+def _mixed_rank_lists(n, seed):
+    """Rank lists of mixed sizes, with families of sizes 0 and 1 among them."""
+    order = math.factorial(n)
+    rng = random.Random(seed)
+    sizes = [0, 1, 5, 1, 0, 5, order, 9, 2, 5]
+    return [rng.sample(range(order), min(size, order)) for size in sizes]
+
+
+class TestClassCounts:
+    @pytest.mark.parametrize("n", range(3, 7))
+    @pytest.mark.parametrize("block_pairs", [scheme.BLOCK_PAIRS, 7])
+    def test_counts_equal_the_double_loop_on_the_table(
+        self, monkeypatch, n, block_pairs
+    ):
+        monkeypatch.setattr(scheme, "BLOCK_PAIRS", block_pairs)
+        rank_lists = _mixed_rank_lists(n, n)
+        counts = scheme._class_counts(rank_lists, n)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [
+            _brute_force_forms(_vector_of(ranks, n), n) for ranks in rank_lists
+        ]
+
+    def test_degree_seven_composes(self):
+        gd = group_data(7)
+        rng = random.Random(7)
+        rank_lists = [rng.sample(range(5040), size) for size in (0, 1, 6, 3, 1, 6)]
+        counts = scheme._class_counts(rank_lists, 7)
+        assert "relations" not in vars(gd)
+        assert counts.tolist() == [
+            _brute_force_forms(_vector_of(ranks, 7), 7) for ranks in rank_lists
+        ]
+
+
+class TestFlatRelationGather:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_flat_take_equals_the_two_index_gather(self, n):
+        gd = group_data(n)
+        rng = np.random.default_rng(n)
+        ranks = rng.integers(gd.order, size=(3, 4, 5))
+        shapes = [
+            (ranks[:, :2, :1], ranks[:, None, 0]),  # (F, R, 1) x (F, 1, m)
+            (ranks[0, :, :1], ranks[1, 0]),  # (R, 1) x (m,)
+            (ranks[0], ranks[1]),  # equal shapes
+        ]
+        for a, b in shapes:
+            classes = gd.quotient_classes(a, b)
+            assert classes.dtype == np.int8
+            assert np.array_equal(classes, gd.relations[a, b])
 
 
 class TestCompositionKernel:
