@@ -27,12 +27,10 @@ from .permgroup import (
     Partition,
     Permutation,
     constraint_families,
-    image_rows,
     image_table,
     partition_depth,
     partitions_of,
     point_family,
-    rank_images,
 )
 from .scheme import group_data, shifted_character_sums
 
@@ -181,12 +179,13 @@ def pi_ab_submatrix(n: int):
     import numpy as np
 
     pairs = [(i, j) for i in range(1, n) for j in range(1, n - 1)]
-    # each pi_ab is a derangement, a row of N, and each column (i, i+j mod n-1),
-    # column (i-1)(n-1) + (i+j-1) mod (n-1) of H, is off the diagonal: so the
-    # rows and columns of H selected here meet inside M
-    ranks = rank_images(image_rows([pi_ab(a, b, n) for a, b in pairs]).T - 1)
-    columns = [(i - 1) * (n - 1) + (i + j - 1) % (n - 1) for i, j in pairs]
-    rows = _dense(incidence(n).ones[ranks], (n - 1) ** 2)[:, columns]
+    # each pi_ab is a derangement, a row of N, and each column (i, i+j mod n-1)
+    # of H is off the diagonal: so the rows and columns selected meet inside M,
+    # and an entry is 1 when pi_ab sends i to i+j mod n-1, as in incidence
+    images = np.array([pi_ab(a, b, n).images for a, b in pairs])
+    points = [i - 1 for i, _ in pairs]
+    values = [(i + j - 1) % (n - 1) + 1 for i, j in pairs]
+    rows = (images[:, points] == values).astype(np.int64)
     k = 1 - np.eye(n - 1, dtype=np.int64)
     expected = np.kron(k, np.eye(n - 2, dtype=np.int64))
     return rows.tolist(), expected.tolist(), bool(np.array_equal(rows, expected))

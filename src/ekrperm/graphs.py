@@ -9,7 +9,6 @@ the threshold-1 graph come from the affine maps of a finite field.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -24,6 +23,7 @@ from .permgroup import (
     derangements_by_last_image,
     first_agreement_violation,
     need_threshold,
+    one_line,
     parse_one_line,
     rank_images,
 )
@@ -33,7 +33,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@lru_cache(maxsize=None)
 def _adjacency_masks(n: int, t: int) -> list[int]:
     """Bit q of mask p is set when p != q agree in at most t points; p is a rank.
 
@@ -52,7 +51,10 @@ def _adjacency_masks(n: int, t: int) -> list[int]:
 
 
 def validate_clique(members, t: int = 0) -> tuple[bool, tuple | None]:
-    """Pairwise check of Permutations or image rows: (ok, witness pair or None)."""
+    """Pairwise check of Permutations or image rows: (ok, witness pair or None).
+
+    A row that is no permutation raises ValueError, from permgroup.image_rows.
+    """
     return _first_witness(members, t, clique=True)
 
 
@@ -85,11 +87,11 @@ class CliqueCertificate(NamedTuple):
 
 def _certify(members, n, t, construction) -> CliqueCertificate:
     """The image rows as a certificate; validated: permutations of 1..n, a clique."""
-    import numpy as np
-
     members.flags.writeable = False
-    rows_ok = (np.sort(members, axis=1) == np.arange(1, n + 1)).all()
-    ok = validate_clique(members, t)[0] and bool(rows_ok)
+    try:
+        ok = validate_clique(members, t)[0]
+    except ValueError:  # a row that is no permutation
+        ok = False
     return CliqueCertificate(
         n=n, t=t, construction=construction, members=members, validated=ok
     )
@@ -489,7 +491,7 @@ def _parallel_search(coset_masks, nonadj, full, workers) -> list[tuple[int, ...]
 def write_family(members, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for p in members:  # a Permutation or one row of its images
-            fh.write(",".join(map(str, getattr(p, "images", p))) + "\n")
+            fh.write(one_line(getattr(p, "images", p)) + "\n")
 
 
 def read_family(path: str, n: int) -> list[Permutation]:

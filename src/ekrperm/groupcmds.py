@@ -93,7 +93,7 @@ def run_clique(n: int, method: str):
         "t": certificate.t,
         "construction": certificate.construction,
         "size": certificate.size,
-        "members": [",".join(map(str, row)) for row in certificate.members.tolist()],
+        "members": [permgroup.one_line(row) for row in certificate.members.tolist()],
     }
     return result, checks
 

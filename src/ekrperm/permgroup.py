@@ -61,7 +61,12 @@ class Permutation(_OneLine):
         return self.images[point - 1]
 
     def __str__(self) -> str:
-        return ",".join(str(v) for v in self.images)
+        return one_line(self.images)
+
+
+def one_line(images) -> str:
+    """One-line notation of a sequence of images, as in "4,3,1,2"."""
+    return ",".join(map(str, images))
 
 
 def identity(n: int) -> Permutation:
@@ -95,19 +100,25 @@ def agreements(p: Permutation, q: Permutation) -> int:
 def image_rows(members):
     """An (m, n) image array as it is, or Permutations of one degree as theirs.
 
-    An array of any other shape raises ValueError.
+    An array of any other shape, or with a row that is not a permutation of
+    1..n, raises ValueError.
     """
     import numpy as np
 
-    if isinstance(members, np.ndarray):
-        if members.ndim != 2:
-            raise ValueError(f"need an (m, n) image array, got shape {members.shape}")
-        return members
-    members = list(members)
-    if len({p.degree for p in members}) > 1:
-        raise ValueError("degrees differ")
-    rows = np.array([p.images for p in members], dtype=np.intp)
-    return rows.reshape(len(members), members[0].degree if members else 0)
+    if not isinstance(members, np.ndarray):  # Permutations are permutations
+        members = list(members)
+        if len({p.degree for p in members}) > 1:
+            raise ValueError("degrees differ")
+        rows = np.array([p.images for p in members], dtype=np.intp)
+        return rows.reshape(len(members), members[0].degree if members else 0)
+    if members.ndim != 2:
+        raise ValueError(f"need an (m, n) image array, got shape {members.shape}")
+    n = members.shape[1]
+    wrong = (np.sort(members, axis=1) != np.arange(1, n + 1)).any(axis=1)
+    if wrong.any():
+        row = one_line(members[np.flatnonzero(wrong)[0]])
+        raise ValueError(f"member {row} is not a permutation of 1..{n}")
+    return members
 
 
 def agreement_counts(rows, cols):
@@ -479,7 +490,6 @@ def constraint_rows(n: int, constraints):
     return rows
 
 
-@lru_cache(maxsize=None)
 def one_line_strings(n: int) -> tuple[str, ...]:
-    """str(Permutation) of every permutation of 1..n, by rank, read off image_table."""
-    return tuple(",".join(map(str, row)) for row in (image_table(n) + 1).tolist())
+    """one_line of every permutation of 1..n, by rank, read off image_table."""
+    return tuple(map(one_line, (image_table(n) + 1).tolist()))

@@ -339,7 +339,9 @@ class TestCommands:
             graphs, "_complete_latin_square", lambda rows, n: rows + extra
         )
         members = graphs.odd_n_latin_clique(5).members
-        assert graphs.validate_clique(members) == (True, None)
+        message = "^member 3,3,1,1,1 is not a permutation of 1..5$"
+        with pytest.raises(ValueError, match=message):
+            graphs.validate_clique(members)
         code, report, err = run_json(capsys, "clique", "5", "--method", "odd-latin")
         assert code == cli.EXIT_CHECK_FAILED == 1
         assert err == ""

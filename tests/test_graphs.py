@@ -705,3 +705,29 @@ class TestImageArrayShape:
         message = rf"^need an \(m, n\) image array, got shape {re.escape(str(shape))}$"
         with pytest.raises(ValueError, match=message):
             check(rows)
+
+
+class TestImageRowsArePermutations:
+    @pytest.mark.parametrize(
+        "rows, bad",
+        [
+            ([[1, 1, 1], [2, 2, 2], [3, 3, 3]], "1,1,1"),
+            ([[1, 2, 3], [1, 2, 2]], "1,2,2"),
+            ([[0, 1, 2], [1, 2, 0]], "0,1,2"),
+            ([[2, 3, 1], [2, 3, 4]], "2,3,4"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "check",
+        [
+            validate_clique,
+            validate_family,
+            lambda rows: scheme.clique_coclique_check(rows, [identity(3)], 3),
+            lambda rows: scheme.clique_coclique_check([identity(3)], rows, 3),
+        ],
+        ids=["clique", "family", "coclique-clique", "coclique-set"],
+    )
+    def test_rows_that_are_not_permutations_raise(self, rows, bad, check):
+        message = f"^member {bad} is not a permutation of 1..3$"
+        with pytest.raises(ValueError, match=message):
+            check(np.array(rows))

@@ -23,6 +23,7 @@ from ekrperm.permgroup import (
     derangement_count,
     identity,
     inverse,
+    one_line,
     one_line_strings,
     parse_cycles,
     parse_one_line,
@@ -87,6 +88,11 @@ class TestPermutationBasics:
 
     def test_str_is_comma_separated(self):
         assert str(parse_one_line("4,3,1,2")) == "4,3,1,2"
+
+    def test_one_line_reads_tuples_lists_and_array_rows_alike(self):
+        rows = np.array([[4, 3, 1, 2]], dtype=np.intp)
+        for images in ((4, 3, 1, 2), [4, 3, 1, 2], rows[0]):
+            assert one_line(images) == "4,3,1,2"
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_string_table_is_str_of_every_rank(self, n):

@@ -933,6 +933,20 @@ class TestClassCounts:
             _brute_force_forms(_vector_of(ranks, 7), 7) for ranks in rank_lists
         ]
 
+    def test_one_degree_seven_family_stays_in_blocks(self):
+        # composing one block takes about n + 18 bytes a pair; 3.3 times
+        # BLOCK_PAIRS * n bytes measured, 13 MB for the 720^2 pairs at once
+        group_data(7)  # the tables are built outside the traced span
+        family = permgroup.constraint_families(7, 1)[0]  # S_{1->1}, 720 members
+        tracemalloc.start()
+        try:
+            counts = scheme._class_counts([family], 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == 720 * 720
+        assert peak < 4 * scheme.BLOCK_PAIRS * 7
+
 
 class TestFlatRelationGather:
     @pytest.mark.parametrize("n", range(1, 7))
@@ -969,7 +983,7 @@ class TestCompositionKernel:
                 assert gd.classes[classes[i][j]].cycle_type == quotient
 
     def test_multiplication_table_spans_many_blocks(self):
-        # 720 x 720 pairs go through the kernel in more than one block
+        # the 720 x 720 pairs go through the kernel in one pass
         gd = group_data(6)
         rng = random.Random(6)
         for _ in range(300):
