@@ -44,11 +44,9 @@ _EXPORTS = {
     ),
     "graphs": (
         "CliqueCertificate",
-        "Family",
         "affine_clique",
         "cycle_decomposition_clique",
         "equitable_quotient",
-        "family",
         "latin_clique",
         "max_independent_sets",
         "odd_n_latin_clique",
@@ -63,6 +61,7 @@ _EXPORTS = {
         "class_size",
         "compose",
         "conjugacy_classes",
+        "constraint_rows",
         "cycle_type_of_images",
         "derangement_count",
         "identity",

@@ -16,12 +16,11 @@ from .errors import DegreeRangeError, UnsupportedConstructionError
 from .permgroup import (
     MAX_DENSE_DEGREE,
     MAX_QUOTIENT_DEGREE,
-    Permutation,
     constraint_families,
-    constraint_rows,
     derangement_count,
     derangements_by_last_image,
     first_agreement_violation,
+    image_rows,
     need_threshold,
     one_line,
     parse_one_line,
@@ -51,24 +50,18 @@ def _adjacency_masks(n: int, t: int) -> list[int]:
 
 
 def validate_clique(members, t: int = 0) -> tuple[bool, tuple | None]:
-    """Pairwise check of Permutations or image rows: (ok, witness pair or None).
+    """Pairwise check of image rows: (ok, the first failing pair of rows or None).
 
     A row that is no permutation raises ValueError, from permgroup.image_rows.
     """
-    return _first_witness(members, t, clique=True)
+    bad = first_agreement_violation(members, t, clique=True)
+    return (True, None) if bad is None else (False, (members[bad[0]], members[bad[1]]))
 
 
 def validate_family(members, t: int = 0) -> tuple[bool, tuple | None]:
     """As validate_clique, for an independent set: pairs agree in more than t points."""
-    return _first_witness(members, t, clique=False)
-
-
-def _first_witness(members, t, clique):
-    members = members if hasattr(members, "ndim") else list(members)
-    bad = first_agreement_violation(members, t, clique)
-    if bad is None:
-        return True, None
-    return False, (members[bad[0]], members[bad[1]])
+    bad = first_agreement_violation(members, t, clique=False)
+    return (True, None) if bad is None else (False, (members[bad[0]], members[bad[1]]))
 
 
 class CliqueCertificate(NamedTuple):
@@ -289,30 +282,6 @@ def affine_clique(q: int) -> CliqueCertificate:
     return _certify(members, q, 1, "affine")
 
 
-class Family(NamedTuple):
-    """All permutations sending x to y for every constraint pair (x, y)."""
-
-    n: int
-    constraints: tuple[tuple[int, int], ...]
-    members: tuple[Permutation, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-def family(constraints, n: int) -> Family:
-    """The permutations satisfying the position constraints, in rank order.
-
-    They are the rows of permgroup.constraint_rows, as Permutations, and a
-    bad constraint raises its ValueError.
-    """
-    pairs = tuple(sorted((int(x), int(y)) for x, y in constraints))
-    rows = constraint_rows(n, pairs)
-    members = tuple(Permutation(tuple(row)) for row in rows.tolist())
-    return Family(n=n, constraints=pairs, members=members)
-
-
 class EquitableQuotient(NamedTuple):
     """Edge counts between a point-stabilizing family and its complement."""
 
@@ -489,13 +458,17 @@ def _parallel_search(coset_masks, nonadj, full, workers) -> list[tuple[int, ...]
 
 
 def write_family(members, path: str) -> None:
+    """One line per image row; rows image_rows rejects raise before path opens."""
+    rows = image_rows(members).astype(int).tolist()  # float or bool rows as ints
     with open(path, "w", encoding="utf-8") as fh:
-        for p in members:  # a Permutation or one row of its images
-            fh.write(one_line(getattr(p, "images", p)) + "\n")
+        fh.writelines(one_line(row) + "\n" for row in rows)
 
 
-def read_family(path: str, n: int) -> list[Permutation]:
-    members = []
+def read_family(path: str, n: int) -> np.ndarray:
+    """The (m, n) intp image rows of path's nonblank lines, each of degree n."""
+    import numpy as np
+
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -504,5 +477,5 @@ def read_family(path: str, n: int) -> list[Permutation]:
             p = parse_one_line(line)
             if p.degree != n:
                 raise ValueError(f"expected degree {n}, found {p}")
-            members.append(p)
-    return members
+            rows.append(p.images)
+    return np.array(rows, dtype=np.intp).reshape(len(rows), n)

@@ -286,7 +286,7 @@ def run_validate(n: int, family: str, t: int):
         "n": n,
         "t": t,
         "size": len(members),
-        "witness": [str(p) for p in witness] if witness else None,
+        "witness": [permgroup.one_line(row) for row in witness] if witness else None,
     }
     return result, checks
 

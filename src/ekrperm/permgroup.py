@@ -98,19 +98,14 @@ def agreements(p: Permutation, q: Permutation) -> int:
 
 
 def image_rows(members):
-    """An (m, n) image array as it is, or Permutations of one degree as theirs.
+    """members as an (m, n) array of 1-based images, one row per member.
 
     An array of any other shape, or with a row that is not a permutation of
     1..n, raises ValueError.
     """
     import numpy as np
 
-    if not isinstance(members, np.ndarray):  # Permutations are permutations
-        members = list(members)
-        if len({p.degree for p in members}) > 1:
-            raise ValueError("degrees differ")
-        rows = np.array([p.images for p in members], dtype=np.intp)
-        return rows.reshape(len(members), members[0].degree if members else 0)
+    members = np.asarray(members)
     if members.ndim != 2:
         raise ValueError(f"need an (m, n) image array, got shape {members.shape}")
     n = members.shape[1]

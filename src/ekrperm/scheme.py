@@ -332,8 +332,8 @@ def clique_coclique_check(
 ) -> CliqueCocliqueReport:
     """Validate both families and evaluate |C| * |S| <= n! with exact arithmetic.
 
-    Each family is Permutations or an (m, n) array of their 1-based images,
-    read as that array (permgroup.image_rows); a row that is no permutation
+    Each family is an (m, n) array of 1-based images, read by
+    permgroup.image_rows: another shape, or a row that is no permutation,
     raises ValueError.  Both families' pairs are validated before their
     degrees, and a degree other than n raises ValueError.  A tight pair's
     supports are the nonzero entries of shifted_character_sums on the

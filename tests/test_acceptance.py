@@ -33,13 +33,13 @@ from ekrperm.ekrverify import (
 from ekrperm.graphs import (
     affine_clique,
     cycle_decomposition_clique,
-    family,
     latin_clique,
     max_independent_sets,
     odd_n_latin_clique,
 )
 from ekrperm.permgroup import (
     classes_with_few_fixed_points,
+    constraint_rows,
     cycle_type_of_images,
     derangement_count,
     parse_cycles,
@@ -179,17 +179,17 @@ def test_05_cliques_and_exhaustive_search():
             assert result.tight
             points = range(1, n + 1)
             catalogue = {
-                frozenset(family([pair], n).members)
+                frozenset(map(tuple, constraint_rows(n, [pair]).tolist()))
                 for pair in itertools.product(points, points)
             }
             assert result.count == len(catalogue)
             found = {
-                frozenset(unrank_permutation(r, n) for r in row)
+                frozenset(unrank_permutation(r, n).images for r in row)
                 for row in result.ranks.tolist()
             }
             assert found == catalogue
             report = clique_coclique_check(
-                latin_clique(n).members, family([(n, n)], n).members, n
+                latin_clique(n).members, constraint_rows(n, [(n, n)]), n
             )
             assert report.tight and report.corollary_ok
 
@@ -211,7 +211,7 @@ def test_06_fundamental_identity():
         # tight clique/coclique pairs collapse the identity to exactly 1
         for n in (4, 5):
             x = oracles.characteristic_vector(latin_clique(n).members, n)
-            y = oracles.characteristic_vector(family([(1, 1)], n).members, n)
+            y = oracles.characteristic_vector(constraint_rows(n, [(1, 1)]), n)
             [(lhs, rhs)] = fundamental_identity_check([(x, y)], n)
             assert lhs == rhs == 1
 
@@ -293,7 +293,7 @@ def test_09_module_supports_and_basis():
             points = range(1, n + 1)
             shifted = []
             for pair in itertools.product(points, points):
-                members = {p.images for p in family([pair], n).members}
+                members = set(map(tuple, constraint_rows(n, [pair]).tolist()))
                 shifted.append(
                     [n * (images in members) - 1 for images in itertools.permutations(points)]
                 )
@@ -331,7 +331,7 @@ def test_10_depth_spans_and_threshold_one_bound():
         ]
         report = clique_coclique_check(
             affine_clique(5).members,
-            family([(1, 1), (2, 2)], 5).members,
+            constraint_rows(5, [(1, 1), (2, 2)]),
             5,
             t=1,
         )

@@ -11,7 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ekrperm import cli, groupcmds, permgroup, scheme
 from ekrperm.errors import (
@@ -20,7 +23,6 @@ from ekrperm.errors import (
     UnsupportedConstructionError,
 )
 from ekrperm.graphs import write_family
-from ekrperm.permgroup import identity, parse_one_line
 from test_scheme import negative_identity_forms
 
 
@@ -437,7 +439,7 @@ class TestExitCodes:
 
     def test_validate_failure(self, capsys, tmp_path):
         path = tmp_path / "family.txt"
-        write_family([identity(4), parse_one_line("2,1,4,3")], str(path))
+        write_family(np.array([[1, 2, 3, 4], [2, 1, 4, 3]]), str(path))
         code, report, _ = run_json(
             capsys, "validate", "4", "--family", str(path)
         )
@@ -468,7 +470,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("t", ["-1", "4"])
     def test_validate_threshold_out_of_range_is_a_usage_error(self, capsys, tmp_path, t):
         path = tmp_path / "family.txt"
-        write_family([identity(4), parse_one_line("2,1,3,4")], str(path))
+        write_family(np.array([[1, 2, 3, 4], [2, 1, 3, 4]]), str(path))
         code, out, err = run_cli(capsys, "validate", "4", "--family", str(path), "--t", t)
         assert code == cli.EXIT_USAGE == 2
         assert out == ""
@@ -573,12 +575,153 @@ class TestExitCodes:
 
     def test_validate_success(self, capsys, tmp_path):
         path = tmp_path / "family.txt"
-        write_family([identity(4), parse_one_line("2,1,3,4")], str(path))
+        write_family(np.array([[1, 2, 3, 4], [2, 1, 3, 4]]), str(path))
         code, report, _ = run_json(
             capsys, "validate", "4", "--family", str(path)
         )
         assert code == 0
         assert report["pass"] is True
+
+    @pytest.mark.parametrize(
+        "members, t, code, result",
+        [
+            (
+                permgroup.constraint_rows(4, [(4, 4)]),
+                0,
+                cli.EXIT_OK,
+                {"n": 4, "t": 0, "size": 6, "witness": None},
+            ),
+            (
+                np.array([[1, 2, 3, 4], [1, 3, 4, 2]]),
+                1,
+                cli.EXIT_CHECK_FAILED,
+                {"n": 4, "t": 1, "size": 2, "witness": ["1,2,3,4", "1,3,4,2"]},
+            ),
+        ],
+        ids=["S_4->4", "agree-once"],
+    )
+    def test_validate_report_is_pinned(self, capsys, tmp_path, members, t, code, result):
+        # the report as printed when read_family returned Permutations
+        path = tmp_path / "family.txt"
+        write_family(members, str(path))
+        argv = ["validate", "4", "--family", str(path), "--t", str(t)]
+        got, report, err = run_json(capsys, *argv)
+        assert (got, err) == (code, "")
+        assert report["result"] == result
+        assert report["checks"] == [
+            {"name": "family-is-independent", "pass": code == cli.EXIT_OK, "threshold": t}
+        ]
+
+
+# The subcommands that are cheap at small degrees, each with the top degree a
+# fuzzed argv may ask of it; the bottom is one below every command's range.
+_FUZZ_TOPS = {
+    "derangements": 30,
+    "chartab": 8,
+    "spectrum": 12,
+    "bounds": 5,
+    "clique": 13,
+    "search": 5,
+    "classify": 5,
+    "lemmas": 5,
+    "conjecture": 5,
+    "identity-check": 4,
+    "quotient": 7,
+    "validate": 6,
+    "verify-all": 4,
+}
+_GARBAGE = st.sampled_from(["", "x", "1.5", "-", "0x3"])
+
+
+def _mostly(valid, invalid):
+    """valid four times in five, else invalid."""
+    return st.integers(0, 4).flatmap(lambda k: invalid if k == 0 else valid)
+
+
+# Option values, valid and not; --workers never asks for a second process and
+# --trials stays small, so no argv is slow.
+_OPTION_VALUES = {
+    "--t": _mostly(st.integers(0, 3).map(str), st.one_of(st.just("-1"), _GARBAGE)),
+    "--workers": _mostly(st.just("1"), st.sampled_from(["0", "-1", "x"])),
+    "--trials": _mostly(st.sampled_from(["1", "2"]), st.sampled_from(["0", "-3", "x"])),
+    "--seed": _mostly(st.integers(-5, 5).map(str), _GARBAGE),
+    "--method": _mostly(
+        st.sampled_from(sorted(cli._CLIQUE_CONSTRUCTIONS)), st.just("bogus")
+    ),
+    "--family": _mostly(st.just("FAMILY"), st.sampled_from(["MISSING", "DIRECTORY"])),
+}
+
+
+def _one_line_of_degree(k):
+    return st.permutations(range(1, k + 1)).map(lambda p: ",".join(map(str, p)))
+
+
+@st.composite
+def _family_file(draw, degree):
+    """Family file bytes: members of degree, repeats, other degrees, garbage, blanks."""
+    pool = draw(st.lists(_one_line_of_degree(degree), min_size=1, max_size=4))
+    kinds = [
+        st.sampled_from(pool),
+        _one_line_of_degree(degree),
+        st.integers(1, 7).flatmap(_one_line_of_degree),
+        st.text(alphabet="0123456789, \t+-x()_", max_size=12),
+        st.just(""),
+    ]
+    # most lines are members of the degree, so some files validate
+    line = st.integers(0, 19).flatmap(lambda k: kinds[max(0, k - 15)])
+    text = "\n".join(draw(st.lists(line, max_size=8)))
+    tail = st.integers(0, 9).flatmap(lambda k: st.binary(max_size=8) if k == 0 else st.just(b""))
+    return text.encode() + draw(tail)
+
+
+@st.composite
+def _cases(draw):
+    """An argv of a cheap subcommand, and the bytes of its family file."""
+    # validate, the one reader of the file, is drawn five times as often
+    name = draw(st.sampled_from(sorted(_FUZZ_TOPS) + ["validate"] * 4))
+    cmd = cli.COMMANDS[name]
+    degrees = st.integers(cmd.lo - 1, _FUZZ_TOPS[name]).map(str)
+    degree = draw(_mostly(degrees, _GARBAGE))
+    argv = [name] + ([degree] if cmd.degree == "n" else [cmd.degree, degree])
+    for flag, spec in cmd.arguments:
+        if spec.get("required") or draw(st.booleans()):
+            if spec.get("action") == "store_true":
+                argv.append(flag)
+            else:
+                argv += [flag, draw(_OPTION_VALUES[flag])]
+    if draw(st.booleans()):
+        argv.append("--text")
+    if draw(st.integers(0, 9)) == 0:
+        argv += ["--out", "MISSING/report.json"]
+    in_range = degree.lstrip("-").isdigit() and 1 <= int(degree) <= 7
+    family = draw(_family_file(int(degree) if in_range else draw(st.integers(1, 6))))
+    return argv, family
+
+
+class TestCliFuzz:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(case=_cases())
+    def test_every_argv_exits_0_to_5_without_a_traceback(self, capsys, tmp_path, case):
+        argv, family = case
+        path = tmp_path / "family.txt"
+        path.write_bytes(family)
+        places = {
+            "FAMILY": str(path),
+            "MISSING": str(tmp_path / "missing"),
+            "DIRECTORY": str(tmp_path),
+        }
+        argv = [places.get(a, a).replace("MISSING", places["MISSING"]) for a in argv]
+        try:
+            code = cli.main(argv)  # any exception but SystemExit fails the test
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in range(6), (argv, err)
+        assert "Traceback" not in err, (argv, err)
 
 
 class TestCommandTable:
@@ -810,7 +953,7 @@ class TestFastExit:
     )
     def test_exit_codes_and_stderr(self, tmp_path, argv, code):
         # a clique of the derangement graph is no independent set
-        write_family([parse_one_line("1,2,3"), parse_one_line("2,3,1")], tmp_path / "f")
+        write_family(np.array([[1, 2, 3], [2, 3, 1]]), tmp_path / "f")
         argv = [a.replace("FAMILY", str(tmp_path / "f")) for a in argv]
         argv = [a.replace("MISSING", str(tmp_path / "missing")) for a in argv]
         returncode, out, err, _ = run_module(*argv)

@@ -31,11 +31,13 @@ from ekrperm.ekrverify import (
     rank_M_check,
 )
 from ekrperm.errors import DegreeRangeError
-from ekrperm.graphs import family, max_independent_sets
+from ekrperm.graphs import max_independent_sets
 from ekrperm.linalg import bareiss_rank
 from ekrperm.permgroup import (
+    Permutation,
     compose,
     constraint_families,
+    constraint_rows,
     identity,
     inverse,
     parse_cycles,
@@ -75,15 +77,20 @@ def _rows(h):
     return [[int(k in ones) for k in range(width)] for ones in h.ones.tolist()]
 
 
+def reference_ranks(rows):
+    """rank_permutation of each image row, the scalar reference ranking."""
+    return [rank_permutation(Permutation(tuple(p))) for p in np.asarray(rows).tolist()]
+
+
 def module_supports(families, n):
     """Exact squared norm of each eigenspace component, one dict per family.
 
-    Each vector is the 0/1 indicator of one family of Permutation members less
-    its density m/n! times ones; the norms are dim/n! times the entries of
+    Each vector is the 0/1 indicator of one family of image rows less its
+    density m/n! times ones; the norms are dim/n! times the entries of
     scheme.shifted_character_sums.
     """
     gd = group_data(n)
-    ranks = [[rank_permutation(p) for p in members] for members in families]
+    ranks = [reference_ranks(members) for members in families]
     return [
         {
             cls.cycle_type: Fraction(dimension(cls.cycle_type) * total, gd.order)
@@ -563,18 +570,17 @@ class TestCertifiedLemmaRanks:
 
 class TestModuleSupport:
     def test_point_family_lives_in_standard_module(self):
-        supports = module_support(family([(2, 3)], 5).members, 5)
+        supports = module_support(constraint_rows(5, [(2, 3)]), 5)
         assert support_set(supports) == ((4, 1),)
         assert supports[(4, 1)] == Fraction(96, 5)
 
     def test_whole_group_shifts_to_zero(self):
         # the whole group is its own density times ones
-        supports = module_support([unrank_permutation(r, 4) for r in range(24)], 4)
+        supports = module_support(group_data(4).images + 1, 4)
         assert support_set(supports) == ()
 
     def test_two_element_set_spreads_out(self):
-        members = [identity(4), parse_one_line("2,1,3,4")]
-        supports = module_support(members, 4)
+        supports = module_support(np.array([[1, 2, 3, 4], [2, 1, 3, 4]]), 4)
         assert supports[(4,)] == 0
         assert supports[(3, 1)] == 1
         assert supports[(2, 2)] == Fraction(1, 3)
@@ -582,8 +588,7 @@ class TestModuleSupport:
         assert supports[(1, 1, 1, 1)] == 0
 
     def test_density_shift_leaves_the_trivial_shape_unmet(self):
-        fam = family([(1, 1), (2, 2)], 5)
-        supports = module_support(fam.members, 5)
+        supports = module_support(constraint_rows(5, [(1, 1), (2, 2)]), 5)
         assert supports[(5,)] == 0
         assert support_set(supports) == ((4, 1), (3, 2), (3, 1, 1))
 
@@ -597,8 +602,8 @@ def _supports_by_class_forms(members, n):
     """
     gd = group_data(n)
     vec = [0] * gd.order
-    for p in members:
-        vec[rank_permutation(p)] = 1
+    for r in reference_ranks(members):
+        vec[r] = 1
     m = len(members)
     shift = Fraction(m, gd.order)
     adjusted = [
@@ -617,7 +622,7 @@ def _family_batches(draw):
     n = draw(st.integers(3, 5))
     ranks = st.sets(st.integers(0, math.factorial(n) - 1), max_size=8)
     batch = draw(st.lists(ranks, min_size=1, max_size=5))
-    families = [[unrank_permutation(r, n) for r in sorted(fam)] for fam in batch]
+    families = [group_data(n).images[sorted(fam)] + 1 for fam in batch]
     return n, families
 
 
@@ -638,8 +643,8 @@ class TestBatchedSupports:
             scheme.shifted_character_sums(ranks, 4)
 
     def test_many_kernel_blocks(self, monkeypatch):
-        families = [fam.members for fam in point_families(5).values()]
-        families += [family([(1, 2), (3, 3)], 5).members, [identity(5)]]
+        families = list(point_families(5).values())
+        families += [constraint_rows(5, [(1, 2), (3, 3)]), np.arange(1, 6)[None]]
         expected = [module_support(members, 5) for members in families]
         monkeypatch.setattr(scheme, "BLOCK_PAIRS", 7)
         assert module_supports(families, 5) == expected
@@ -669,7 +674,7 @@ class TestIntegerNorms:
     def test_equal_module_supports_on_constraint_families(self, n, k):
         gd = group_data(n)
         sets = constraint_sets(n, k)
-        members = [family(pairs, n).members for pairs in sets]
+        members = [constraint_rows(n, pairs) for pairs in sets]
         sums = scheme.shifted_character_sums(constraint_families(n, k), n)
         assert sums.dtype == np.int64 and sums.shape == (len(sets), len(gd.classes))
         assert not sums[:, gd.class_index[(n,)]].any()
@@ -680,7 +685,7 @@ class TestIntegerNorms:
     def test_point_families(self):
         n = 5
         sets = [((i, j),) for i in range(1, n + 1) for j in range(1, n + 1)]
-        members = [family(pairs, n).members for pairs in sets]
+        members = [constraint_rows(n, pairs) for pairs in sets]
         assert module_supports(members, n) == [
             _supports_by_class_forms(fam, n) for fam in members
         ]
@@ -877,15 +882,13 @@ class TestClassification:
         assert oracles.kernel(bordered) == []
         for row, record in zip(found.ranks.tolist(), report.records):
             members = [unrank_permutation(r, n) for r in row]
-            point_set = families[record.family_key].members
-            assert set(map(rank_permutation, members)) == set(
-                map(rank_permutation, point_set)
-            )
+            point_set = families[record.family_key]
+            assert set(map(rank_permutation, members)) == set(reference_ranks(point_set))
             translated = {
                 rank_permutation(compose(inverse(members[0]), p)) for p in members
             }
-            target = families[record.translated_to].members
-            assert translated == {rank_permutation(p) for p in target}
+            target = families[record.translated_to]
+            assert translated == set(reference_ranks(target))
             solution = oracles.solve(
                 bordered, [int(r in translated) for r in range(len(bordered))]
             )
@@ -979,11 +982,11 @@ class TestClassification:
 
     def test_translation_moves_families_to_families(self):
         # left-multiplying a point family gives another point family
-        fam = family([(4, 4)], 4)
+        rows = constraint_rows(4, [(4, 4)]).tolist()
         g = parse_one_line("2,3,4,1")
-        translated = frozenset(compose(g, p).images for p in fam.members)
-        target = family([(4, g(4))], 4)
-        assert translated == frozenset(p.images for p in target.members)
+        translated = frozenset(compose(g, Permutation(tuple(p))).images for p in rows)
+        target = constraint_rows(4, [(4, g(4))])
+        assert translated == frozenset(map(tuple, target.tolist()))
 
 
 def _shifted_row_ranks(order, off, on, families, bounds):

@@ -19,7 +19,6 @@ from ekrperm.graphs import (
     affine_clique,
     cycle_decomposition_clique,
     equitable_quotient,
-    family,
     latin_clique,
     latin_coset_cover,
     max_independent_sets,
@@ -33,6 +32,7 @@ from ekrperm.permgroup import (
     Permutation,
     agreements,
     compose,
+    constraint_rows,
     cycle_type,
     cycle_type_of_images,
     derangement_count,
@@ -91,13 +91,14 @@ class _ParentField:
 
 
 def as_permutations(rows):
-    """A clique's image rows as Permutations, for the entry points that take them."""
+    """Image rows as Permutations, for the reference functions that take them."""
     return [Permutation(tuple(row)) for row in rows.tolist()]
 
 
 def point_families(n):
-    """The n^2 families fixing a single position-value pair, keyed by the pair."""
-    return {(i, j): family([(i, j)], n) for i in range(1, n + 1) for j in range(1, n + 1)}
+    """The image rows of the n^2 families S_{i->j}, keyed by the pair (i, j)."""
+    points = range(1, n + 1)
+    return {(i, j): constraint_rows(n, [(i, j)]) for i in points for j in points}
 
 
 class TestBuildGraph:
@@ -147,28 +148,30 @@ class TestBuildGraph:
 
 class TestValidators:
     def test_validate_clique_witness(self):
-        ok, witness = validate_clique([identity(4), parse_one_line("2,1,3,4")], 0)
+        rows = np.array([[1, 2, 3, 4], [2, 1, 3, 4]])
+        ok, witness = validate_clique(rows, 0)
         assert not ok
-        assert set(witness) == {identity(4), parse_one_line("2,1,3,4")}
+        assert [row.tolist() for row in witness] == rows.tolist()
 
     def test_validate_family_witness(self):
-        derangement = parse_one_line("2,1,4,3")
-        ok, witness = validate_family([identity(4), derangement], 0)
+        rows = np.array([[1, 2, 3, 4], [2, 1, 4, 3]])
+        ok, witness = validate_family(rows, 0)
         assert not ok
-        assert set(witness) == {identity(4), derangement}
+        assert [row.tolist() for row in witness] == rows.tolist()
 
     def test_valid_inputs(self):
         assert validate_clique(latin_clique(4).members, 0) == (True, None)
-        assert validate_family(family([(1, 1)], 4).members, 0) == (True, None)
+        assert validate_family(constraint_rows(4, [(1, 1)]), 0) == (True, None)
 
 
 def _first_failing_pair(members, t, clique):
     """The first failing pair straight from the definition, one pair at a time."""
-    for i, p in enumerate(members):
-        for j in range(i + 1, len(members)):
-            q = members[j]
-            a = sum(x == y for x, y in zip(p.images, q.images))
-            if p.images == q.images or (a > t if clique else a <= t):
+    rows = members.tolist()
+    for i, p in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            q = rows[j]
+            a = sum(x == y for x, y in zip(p, q))
+            if p == q or (a > t if clique else a <= t):
                 return i, j, a
     return None
 
@@ -178,17 +181,16 @@ def _assert_entry_points_agree(members, t, clique):
     bad = _first_failing_pair(members, t, clique)
     assert permgroup.first_agreement_violation(members, t, clique) == bad
     validate = validate_clique if clique else validate_family
-    ok, witness = validate(iter(members), t)
+    ok, witness = validate(members, t)
     assert ok is (bad is None)
     if bad is None:
         assert witness is None
-        rows = scheme._validated_rows(members, t, clique)
-        assert [tuple(row) for row in rows.tolist()] == [p.images for p in members]
+        assert np.array_equal(scheme._validated_rows(members, t, clique), members)
         return
     i, j, a = bad
-    p, q = members[i], members[j]
-    assert witness == (p, q)
-    if p.images == q.images:
+    assert [row.tolist() for row in witness] == members[[i, j]].tolist()
+    p, q = permgroup.one_line(members[i]), permgroup.one_line(members[j])
+    if p == q:
         message = f"repeated member {p}"
     else:
         kind = "a clique" if clique else "independent"
@@ -199,31 +201,30 @@ def _assert_entry_points_agree(members, t, clique):
 
 
 @st.composite
-def _member_lists(draw):
+def _member_rows(draw):
     n = draw(st.integers(1, 7))
     pool = draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=6))
     images = draw(st.lists(st.sampled_from(pool), max_size=12))
-    return [Permutation(tuple(p)) for p in images], draw(st.integers(-1, n + 1))
+    rows = np.array(images, dtype=np.intp).reshape(len(images), n)
+    return rows, draw(st.integers(-1, n + 1))
 
 
 class TestAgreementValidator:
-    @given(_member_lists(), st.booleans(), st.sampled_from([1, 5, 1 << 16]))
+    @given(_member_rows(), st.booleans(), st.sampled_from([1, 5, 1 << 16]))
     def test_matches_the_nested_loop(self, case, clique, block_pairs):
         members, t = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(permgroup, "AGREEMENT_BLOCK_PAIRS", block_pairs)
             _assert_entry_points_agree(members, t, clique)
 
-    @given(_member_lists(), st.booleans(), st.sampled_from(["int8", "uint8", "int64"]))
-    def test_members_and_their_image_array_agree(self, case, clique, dtype):
+    @given(_member_rows(), st.booleans(), st.sampled_from(["int8", "uint8", "int64"]))
+    def test_every_integer_dtype_agrees(self, case, clique, dtype):
         members, t = case
-        degree = members[0].degree if members else 1
-        images = np.array([p.images for p in members], dtype=dtype)
-        images = images.reshape(len(members), degree)
+        images = members.astype(dtype)
         assert permgroup.first_agreement_violation(
             images, t, clique
         ) == permgroup.first_agreement_violation(members, t, clique)
-        # an array's witness is the two rows of the Permutations' witness
+        # the witness is the same two rows whatever the dtype
         validate = validate_clique if clique else validate_family
         ok, witness = validate(members, t)
         rows_ok, rows = validate(images, t)
@@ -231,55 +232,35 @@ class TestAgreementValidator:
         if witness is None:
             assert rows is None
         else:
-            assert [row.tolist() for row in rows] == [list(p.images) for p in witness]
+            assert [row.tolist() for row in rows] == [row.tolist() for row in witness]
 
     @pytest.mark.parametrize("block_pairs", [1, 40])
     def test_late_failures_in_small_blocks(self, monkeypatch, block_pairs):
         # a budget of 1 pair gives one row per block; 40 gives two rows once
         # at most 20 later members remain
         monkeypatch.setattr(permgroup, "AGREEMENT_BLOCK_PAIRS", block_pairs)
-        points = list(family([(5, 5)], 5).members)
-        late = [points[10], parse_one_line("2,3,4,5,1"), parse_one_line("1,5,3,4,2")]
+        points = constraint_rows(5, [(5, 5)])
+        late = [points[10], [2, 3, 4, 5, 1], [1, 5, 3, 4, 2]]
         for extra in late:
-            _assert_entry_points_agree(points + [extra], 0, False)
-            _assert_entry_points_agree(points + [extra], 3, True)
-        clique = as_permutations(latin_clique(7).members)
-        _assert_entry_points_agree(clique + [clique[3]], 0, True)
-        _assert_entry_points_agree(clique + [clique[3]], 6, True)
+            _assert_entry_points_agree(np.vstack([points, extra]), 0, False)
+            _assert_entry_points_agree(np.vstack([points, extra]), 3, True)
+        clique = latin_clique(7).members
+        _assert_entry_points_agree(np.vstack([clique, clique[3]]), 0, True)
+        _assert_entry_points_agree(np.vstack([clique, clique[3]]), 6, True)
 
     def test_degree_128(self):
         # images and agreement counts reach 128, past the top of int8
         rows = latin_clique(128).members
         assert rows.max() == 128
-        members = as_permutations(rows)
-        for family_ in (rows, members):
-            assert validate_clique(family_, 0) == (True, None)
-        assert validate_clique([members[5], members[5]], 0) == (
-            False,
-            (members[5], members[5]),
-        )
+        assert validate_clique(rows, 0) == (True, None)
         ok, witness = validate_clique(rows[[5, 5]], 0)
         assert not ok
-        assert [row.tolist() for row in witness] == [list(members[5].images)] * 2
+        assert [row.tolist() for row in witness] == [rows[5].tolist()] * 2
 
     def test_empty_and_single_families_pass(self):
-        for members in ([], [identity(3)]):
+        for members in (np.empty((0, 3), dtype=np.intp), np.array([[1, 2, 3]])):
             for clique in (True, False):
                 _assert_entry_points_agree(members, 0, clique)
-
-    def test_mixed_degrees_raise(self):
-        # checked before any pair is judged, so the early repeat does not mask it
-        members = [identity(3), identity(3), identity(4)]
-        for clique in (True, False):
-            with pytest.raises(ValueError, match="degrees differ"):
-                permgroup.first_agreement_violation(members, 0, clique)
-            pair = (members, []) if clique else ([], members)
-            with pytest.raises(ValueError, match="degrees differ"):
-                scheme.clique_coclique_check(*pair, 3)
-        with pytest.raises(ValueError, match="degrees differ"):
-            validate_clique(members, 0)
-        with pytest.raises(ValueError, match="degrees differ"):
-            validate_family(members, 0)
 
 
 class TestLatinCliques:
@@ -467,39 +448,40 @@ class TestAffineCliques:
 
 class TestFamilies:
     def test_single_constraint_size(self):
-        fam = family([(1, 1)], 4)
-        assert fam.size == 6
-        assert all(p(1) == 1 for p in fam.members)
+        rows = constraint_rows(4, [(1, 1)])
+        assert rows.shape == (6, 4)
+        assert (rows[:, 0] == 1).all()
 
     def test_two_constraint_size(self):
-        fam = family([(1, 2), (2, 1)], 5)
-        assert fam.size == 6
-        assert all(p(1) == 2 and p(2) == 1 for p in fam.members)
+        rows = constraint_rows(5, [(1, 2), (2, 1)])
+        assert rows.shape == (6, 5)
+        assert (rows[:, :2] == [2, 1]).all()
 
     def test_members_pairwise_intersect(self):
-        fam = family([(3, 3)], 4)
-        for p in fam.members:
-            for q in fam.members:
+        members = as_permutations(constraint_rows(4, [(3, 3)]))
+        for p in members:
+            for q in members:
                 assert agreements(p, q) >= 1
 
     def test_two_constraints_meet_in_two_points(self):
-        fam = family([(1, 1), (2, 2)], 5)
-        for p in fam.members:
-            for q in fam.members:
+        rows = constraint_rows(5, [(1, 1), (2, 2)])
+        members = as_permutations(rows)
+        for p in members:
+            for q in members:
                 assert agreements(p, q) >= 2
-        assert validate_family(fam.members, t=1) == (True, None)
+        assert validate_family(rows, t=1) == (True, None)
 
     def test_conflicting_constraints(self):
         with pytest.raises(ValueError):
-            family([(1, 1), (1, 2)], 4)
+            constraint_rows(4, [(1, 1), (1, 2)])
         with pytest.raises(ValueError):
-            family([(1, 1), (2, 1)], 4)
+            constraint_rows(4, [(1, 1), (2, 1)])
 
     def test_constraint_count_bounds(self):
         with pytest.raises(ValueError):
-            family([], 4)
+            constraint_rows(4, [])
         with pytest.raises(ValueError):
-            family([(1, 1), (2, 2), (3, 3), (4, 4)], 4)
+            constraint_rows(4, [(1, 1), (2, 2), (3, 3), (4, 4)])
 
     def test_bad_constraints_keep_their_messages(self):
         cases = [
@@ -509,7 +491,7 @@ class TestFamilies:
         ]
         for constraints, message in cases:
             with pytest.raises(ValueError, match=f"^{message}$"):
-                family(constraints, 4)
+                constraint_rows(4, constraints)
 
     @pytest.mark.parametrize("free", [2, 3])
     def test_any_degree_builds_only_the_free_points(self, monkeypatch, free):
@@ -525,21 +507,20 @@ class TestFamilies:
             return real(k)
 
         monkeypatch.setattr(permgroup, "image_table", spy)
-        fam = family(reversed(constraints), n)
+        rows = constraint_rows(n, reversed(constraints))
         assert degrees == [free]
-        assert fam.constraints == tuple(constraints)
         fixed = [y for _, y in constraints]
         free_values = sorted(set(range(1, n + 1)) - set(fixed))
-        assert [p.images for p in fam.members] == [
+        assert [tuple(row) for row in rows.tolist()] == [
             tuple(fixed) + order for order in itertools.permutations(free_values)
         ]
 
     def test_all_point_families(self):
         catalogue = point_families(4)
         assert len(catalogue) == 16
-        assert all(fam.size == 6 for fam in catalogue.values())
+        assert all(rows.shape == (6, 4) for rows in catalogue.values())
         identity_holders = [
-            key for key, fam in catalogue.items() if identity(4) in fam.members
+            key for key, rows in catalogue.items() if [1, 2, 3, 4] in rows.tolist()
         ]
         assert sorted(identity_holders) == [(1, 1), (2, 2), (3, 3), (4, 4)]
 
@@ -589,7 +570,7 @@ class TestCosetCover:
         for coset in cover:
             assert len(coset) == n
             seen.update(coset)
-            members = [unrank_permutation(r, n) for r in coset]
+            members = permgroup.image_table(n)[list(coset)] + 1
             assert validate_clique(members, 0) == (True, None)
         assert seen == set(range(math.factorial(n)))
 
@@ -609,10 +590,11 @@ class TestSearch:
             assert result.tight
             assert result.count == expected
             catalogue = {
-                frozenset(fam.members) for fam in point_families(n).values()
+                frozenset(map(tuple, rows.tolist()))
+                for rows in point_families(n).values()
             }
             for row in result.ranks.tolist():
-                members = frozenset(unrank_permutation(r, n) for r in row)
+                members = frozenset(unrank_permutation(r, n).images for r in row)
                 assert members in catalogue
 
     def test_workers_agree(self, fresh_search):
@@ -640,7 +622,8 @@ class TestSearch:
         assert max_independent_sets(3).count == 9
 
     def test_the_seed_must_be_rediscovered(self, monkeypatch, fresh_search):
-        seed = sorted(rank_permutation(p) for p in family([(4, 4)], 4).members)
+        seed_rows = constraint_rows(4, [(4, 4)])
+        seed = sorted(map(rank_permutation, as_permutations(seed_rows)))
         enumerate_all = graphs._enumerate_transversals
 
         def losing_the_seed(*args):
@@ -661,30 +644,63 @@ class TestSearch:
 
 class TestFamilyIo:
     def test_round_trip(self, tmp_path):
-        members = family([(2, 3)], 5).members
+        members = constraint_rows(5, [(2, 3)])
         path = tmp_path / "family.txt"
         write_family(members, str(path))
         back = read_family(str(path), 5)
-        assert tuple(back) == tuple(members)
+        assert back.dtype == np.intp and np.array_equal(back, members)
 
     def test_read_rejects_wrong_degree(self, tmp_path):
         path = tmp_path / "family.txt"
-        write_family([identity(4)], str(path))
+        write_family(np.array([[1, 2, 3, 4]]), str(path))
         with pytest.raises(ValueError):
             read_family(str(path), 5)
 
-    def test_image_rows_and_their_permutations_round_trip(self, tmp_path):
+    def test_rows_round_trip_as_one_line_text(self, tmp_path):
         rows = latin_clique(4).members
-        by_rows, by_perms = tmp_path / "rows.txt", tmp_path / "perms.txt"
-        write_family(rows, str(by_rows))
-        back = read_family(str(by_rows), 4)
-        assert [p.images for p in back] == [tuple(row) for row in rows.tolist()]
-        write_family(back, str(by_perms))
-        assert by_perms.read_text() == by_rows.read_text() == "".join(
+        path = tmp_path / "rows.txt"
+        write_family(rows, str(path))
+        assert path.read_text() == "".join(
             ",".join(map(str, row)) + "\n" for row in rows.tolist()
         )
-        again = read_family(str(by_perms), 4)
-        assert np.array_equal(permgroup.image_rows(again), rows)
+        assert np.array_equal(read_family(str(path), 4), rows)
+
+    def test_a_file_of_blank_lines_reads_no_rows(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("\n  \n")
+        back = read_family(str(path), 4)
+        assert back.shape == (0, 4) and back.dtype == np.intp
+        write_family(back, str(path))
+        assert path.read_text() == ""
+
+    @pytest.mark.parametrize(
+        "members, message",
+        [
+            ([[1, 1, 1], [2, 3, 1]], "^member 1,1,1 is not a permutation of 1..3$"),
+            ([parse_one_line("1,2,3"), 5], "inhomogeneous"),
+            (np.array([[1.0, 2.0], [2.0, 1.5]]), "^member 2.0,1.5 is not a permutation of 1..2$"),
+        ],
+        ids=["repeated-image", "ragged", "fractional"],
+    )
+    def test_bad_members_raise_before_the_file_opens(self, tmp_path, members, message):
+        path = tmp_path / "family.txt"
+        with pytest.raises(ValueError, match=message):
+            write_family(members, str(path))
+        assert not path.exists()
+        path.write_text("2,1\n")
+        with pytest.raises(ValueError, match=message):
+            write_family(members, str(path))
+        assert path.read_text() == "2,1\n"
+
+    def test_float_and_bool_rows_are_written_as_integers(self, tmp_path):
+        path = tmp_path / "family.txt"
+        write_family(np.array([[2.0, 1.0], [1.0, 2.0]]), str(path))
+        assert path.read_text() == "2,1\n1,2\n"
+        write_family(np.array([[True]]), str(path))
+        assert np.array_equal(read_family(str(path), 1), [[1]])
+
+
+IDENTITY_3 = np.array([[1, 2, 3]])
 
 
 class TestImageArrayShape:
@@ -695,8 +711,8 @@ class TestImageArrayShape:
             permgroup.image_rows,
             validate_clique,
             validate_family,
-            lambda rows: scheme.clique_coclique_check(rows, [identity(3)], 3),
-            lambda rows: scheme.clique_coclique_check([identity(3)], rows, 3),
+            lambda rows: scheme.clique_coclique_check(rows, IDENTITY_3, 3),
+            lambda rows: scheme.clique_coclique_check(IDENTITY_3, rows, 3),
         ],
         ids=["image_rows", "clique", "family", "coclique-clique", "coclique-set"],
     )
@@ -722,8 +738,8 @@ class TestImageRowsArePermutations:
         [
             validate_clique,
             validate_family,
-            lambda rows: scheme.clique_coclique_check(rows, [identity(3)], 3),
-            lambda rows: scheme.clique_coclique_check([identity(3)], rows, 3),
+            lambda rows: scheme.clique_coclique_check(rows, IDENTITY_3, 3),
+            lambda rows: scheme.clique_coclique_check(IDENTITY_3, rows, 3),
         ],
         ids=["clique", "family", "coclique-clique", "coclique-set"],
     )

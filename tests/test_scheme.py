@@ -23,9 +23,8 @@ from ekrperm.chartab import (
     skew_row_tableaux,
 )
 from ekrperm.errors import DegreeRangeError, FamilyValidationError
-from ekrperm.graphs import affine_clique, family, latin_clique
+from ekrperm.graphs import affine_clique, latin_clique
 from ekrperm.permgroup import (
-    Permutation,
     classes_with_few_fixed_points,
     compose,
     conjugacy_classes,
@@ -246,8 +245,7 @@ class TestProjections:
         assert project((4,), x, 4) == [Fraction(1, 6)] * 24
 
     def test_shifted_family_lives_in_standard_module(self):
-        fam = family([(1, 1)], 4)
-        x = oracles.characteristic_vector(fam.members, 4)
+        x = oracles.characteristic_vector(constraint_rows(4, [(1, 1)]), 4)
         x = [Fraction(v) - Fraction(1, 4) for v in x]
         for shape in partitions_of(4):
             vec = project(shape, x, 4)
@@ -508,7 +506,7 @@ class TestFundamentalIdentity:
 
     def test_tight_pair_value_is_one(self):
         x = oracles.characteristic_vector(latin_clique(4).members, 4)
-        y = oracles.characteristic_vector(family([(1, 1)], 4).members, 4)
+        y = oracles.characteristic_vector(constraint_rows(4, [(1, 1)]), 4)
         [(lhs, rhs)] = fundamental_identity_check([(x, y)], 4)
         assert lhs == rhs == 1
 
@@ -564,7 +562,7 @@ class TestIdentityInChunks:
 
 class TestCharacteristicVector:
     def test_counts_members(self):
-        members = family([(2, 2)], 4).members
+        members = constraint_rows(4, [(2, 2)])
         vec = oracles.characteristic_vector(members, 4)
         assert sum(vec) == 6
 
@@ -580,7 +578,7 @@ class TestCharacteristicVector:
 class TestCliqueCoclique:
     def test_tight_pair_at_degree_four(self):
         report = clique_coclique_check(
-            latin_clique(4).members, family([(1, 1)], 4).members, 4
+            latin_clique(4).members, constraint_rows(4, [(1, 1)]), 4
         )
         assert report.product == 24 == report.bound
         assert report.tight
@@ -592,7 +590,7 @@ class TestCliqueCoclique:
             assert not (x_nonzero and y_nonzero)
 
     def test_supports_match_module_forms(self):
-        clique, independent = latin_clique(4).members, family([(1, 1)], 4).members
+        clique, independent = latin_clique(4).members, constraint_rows(4, [(1, 1)])
         qx, qy = class_quadratic_forms(
             [oracles.characteristic_vector(f, 4) for f in (clique, independent)], 4
         )
@@ -607,10 +605,10 @@ class TestCliqueCoclique:
     def test_tight_supports_match_dense_vector_forms(self, n, t):
         # the rank-array route against 0/1 vectors built on the test side
         if t == 0:
-            clique, independent = latin_clique(n).members, family([(n, n)], n).members
+            clique, independent = latin_clique(n).members, constraint_rows(n, [(n, n)])
         else:
             clique = affine_clique(n).members
-            independent = family([(1, 1), (2, 2)], n).members
+            independent = constraint_rows(n, [(1, 1), (2, 2)])
         forms = class_quadratic_forms(
             [oracles.characteristic_vector(f, n) for f in (clique, independent)], n
         )
@@ -631,11 +629,12 @@ class TestCliqueCoclique:
         )
         with pytest.raises(AssertionError, match="nonnegative"):
             clique_coclique_check(
-                latin_clique(4).members, family([(1, 1)], 4).members, 4
+                latin_clique(4).members, constraint_rows(4, [(1, 1)]), 4
             )
 
     def test_loose_pair_reports_no_supports(self):
-        report = clique_coclique_check([identity(4)], [identity(4)], 4)
+        identity_row = np.array([[1, 2, 3, 4]])
+        report = clique_coclique_check(identity_row, identity_row, 4)
         assert report.product == 1
         assert not report.tight
         assert report.supports is None
@@ -643,7 +642,7 @@ class TestCliqueCoclique:
 
     def test_threshold_one_tight_pair(self):
         clique = affine_clique(5).members
-        independent = family([(1, 1), (2, 2)], 5).members
+        independent = constraint_rows(5, [(1, 1), (2, 2)])
         report = clique_coclique_check(clique, independent, 5, t=1)
         assert report.clique_size == 20
         assert report.independent_size == 6
@@ -653,65 +652,90 @@ class TestCliqueCoclique:
     def test_rejects_non_clique(self):
         with pytest.raises(FamilyValidationError):
             clique_coclique_check(
-                [identity(4), parse_one_line("2,1,3,4")], [identity(4)], 4
+                np.array([[1, 2, 3, 4], [2, 1, 3, 4]]), np.array([[1, 2, 3, 4]]), 4
             )
 
     def test_rejects_members_of_another_degree(self):
         with pytest.raises(ValueError, match="^member 1,2,3 has degree 3, not 5$"):
             clique_coclique_check(
-                latin_clique(3).members, family([(1, 1)], 4).members, 5, 0
+                latin_clique(3).members, constraint_rows(4, [(1, 1)]), 5, 0
             )
+        identity_row = np.array([[1, 2, 3, 4]])
         with pytest.raises(ValueError, match="^member 1,2,3,4 has degree 4, not 5$"):
-            clique_coclique_check([identity(4)], [identity(4)], 5)
+            clique_coclique_check(identity_row, identity_row, 5)
         with pytest.raises(ValueError, match="^member 1,2,3,4 has degree 4, not 5$"):
             clique_coclique_check(
-                latin_clique(5).members, family([(1, 1)], 4).members, 5, 0
+                latin_clique(5).members, constraint_rows(4, [(1, 1)]), 5, 0
             )
-        with pytest.raises(ValueError, match="^degrees differ$"):
-            clique_coclique_check([identity(4), identity(5)], [identity(5)], 5)
 
     @pytest.mark.parametrize(
         "n, t", [(3, 0), (4, 0), (6, 0), (7, 0), (4, 1), (5, 1)]
     )
-    def test_members_and_their_rows_give_equal_reports(self, n, t):
+    def test_int8_and_intp_rows_give_equal_reports(self, n, t):
         if t == 0:
-            clique, independent = latin_clique(n).members, family([(n, n)], n).members
+            clique, independent = latin_clique(n).members, constraint_rows(n, [(n, n)])
         else:
             clique = affine_clique(n).members
-            independent = family([(1, 1), (2, 2)], n).members
-        clique = [Permutation(tuple(row)) for row in clique.tolist()]
+            independent = constraint_rows(n, [(1, 1), (2, 2)])
         loose = independent[: len(independent) // 2]
-        for pair in ((clique, independent), (clique, loose), ([], independent)):
+        empty = clique[:0]
+        for pair in ((clique, independent), (clique, loose), (empty, independent)):
             expected = clique_coclique_check(*pair, n, t)
-            for dtype in (np.int8, np.intp):
-                rows = [np.array([p.images for p in f], dtype=dtype) for f in pair]
-                rows = [r.reshape(len(r), n) for r in rows]
-                assert clique_coclique_check(*rows, n, t) == expected
-                assert clique_coclique_check(pair[0], rows[1], n, t) == expected
+            narrow = [rows.astype(np.int8) for rows in pair]
+            assert clique_coclique_check(*narrow, n, t) == expected
+            assert clique_coclique_check(pair[0], narrow[1], n, t) == expected
 
     @pytest.mark.parametrize(
-        "clique, independent, n",
+        "clique, independent, error, message",
         [
-            (["1,2,3,4", "2,1,3,4"], ["1,2,3,4"], 4),
-            (["1,2,3,4", "1,2,3,4"], ["1,2,3,4"], 4),
-            (["1,2,3,4"], ["1,2,3,4", "2,1,4,3"], 4),
-            (["1,2,3"], ["1,2,3,4"], 4),
-            (["1,2,3"], ["1,2,3,4", "1,2,3,4"], 4),
+            (
+                ["1,2,3,4", "2,1,3,4"],
+                ["1,2,3,4"],
+                FamilyValidationError,
+                "not a clique at threshold 0: 1,2,3,4 and 2,1,3,4 agree on 2 points",
+            ),
+            (
+                ["1,2,3,4", "1,2,3,4"],
+                ["1,2,3,4"],
+                FamilyValidationError,
+                "repeated member 1,2,3,4",
+            ),
+            (
+                ["1,2,3,4"],
+                ["1,2,3,4", "2,1,4,3"],
+                FamilyValidationError,
+                "not independent at threshold 0: 1,2,3,4 and 2,1,4,3 agree on 0 points",
+            ),
+            (["1,2,3"], ["1,2,3,4"], ValueError, "member 1,2,3 has degree 3, not 4"),
+            (
+                ["1,2,3"],
+                ["1,2,3,4", "1,2,3,4"],
+                FamilyValidationError,
+                "repeated member 1,2,3,4",
+            ),
+        ],
+        ids=[
+            "not-a-clique",
+            "repeated-in-clique",
+            "not-independent",
+            "other-degree",
+            "pairs-before-degrees",
         ],
     )
-    def test_members_and_their_rows_fail_alike(self, clique, independent, n):
-        pair = [[parse_one_line(text) for text in f] for f in (clique, independent)]
-        with pytest.raises(ValueError) as by_members:
-            clique_coclique_check(*pair, n)
-        rows = [np.array([p.images for p in f]) for f in pair]
-        message = f"^{re.escape(str(by_members.value))}$"
-        with pytest.raises(type(by_members.value), match=message):
-            clique_coclique_check(*rows, n)
+    def test_rows_fail_with_their_message(self, clique, independent, error, message):
+        rows = [
+            np.array([parse_one_line(text).images for text in f])
+            for f in (clique, independent)
+        ]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            clique_coclique_check(*rows, 4)
 
     def test_pairs_of_both_families_are_checked_before_degrees(self):
         # the clique has the wrong degree, the coclique repeats a member
         with pytest.raises(FamilyValidationError, match="^repeated member 1,2,3,4$"):
-            clique_coclique_check([identity(3)], [identity(4), identity(4)], 4)
+            clique_coclique_check(
+                np.array([[1, 2, 3]]), np.array([[1, 2, 3, 4], [1, 2, 3, 4]]), 4
+            )
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -724,16 +748,15 @@ class TestCliqueCoclique:
     )
     def test_rows_that_are_no_permutations_raise(self, rows, message):
         rows = np.array(rows)
-        for pair in ((rows, [identity(3)]), ([identity(3)], rows)):
+        identity_row = np.array([[1, 2, 3]])
+        for pair in ((rows, identity_row), (identity_row, rows)):
             with pytest.raises(ValueError, match=message):
                 clique_coclique_check(*pair, 3)
 
     def test_rejects_intersecting_pair_as_independent(self):
-        derangement = parse_one_line("2,1,4,3")
+        rows = np.array([[1, 2, 3, 4], [2, 1, 4, 3]])
         with pytest.raises(FamilyValidationError):
-            clique_coclique_check(
-                [identity(4), derangement], [identity(4), derangement], 4
-            )
+            clique_coclique_check(rows, rows, 4)
 
 
 def explicit_idempotent(shape, n):
@@ -1099,7 +1122,6 @@ class TestConstraintFamilies:
             rows = constraint_rows(n, pairs)
             assert [tuple(row) for row in rows.tolist()] == expected
             assert (rows == image_table(n)[ranks] + 1).all()
-            assert [p.images for p in family(pairs, n).members] == expected
 
     @pytest.mark.parametrize("pairs", [((0, 1),), ((1, 5),), ((5, 1),), ()])
     def test_points_outside_the_degree_raise(self, pairs):
