@@ -24,6 +24,7 @@ from .permgroup import (
     class_size,
     classes_with_few_fixed_points,
     conjugacy_classes,
+    one_line,
     partitions_of,
 )
 
@@ -261,12 +262,9 @@ def table_to_csv(table: CharacterTable) -> str:
     import csv
     import io
 
-    def label(shape: Partition) -> str:
-        return ",".join(str(part) for part in shape)
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["partition/cycle_type"] + [label(ct) for ct in table.partitions])
+    writer.writerow(["partition/cycle_type"] + list(map(one_line, table.partitions)))
     for shape, row in zip(table.partitions, table.values):
-        writer.writerow([label(shape)] + [str(v) for v in row])
+        writer.writerow([one_line(shape)] + [str(v) for v in row])
     return buf.getvalue()

@@ -4,14 +4,14 @@ Every subcommand prints one JSON report (or a plain-text rendering with
 --text) and exits 0 only when all of its checks pass.  COMMANDS holds each
 subcommand's help, extra arguments, closed degree range and the module of its
 handler: this one for the commands that read only chartab and permgroup,
-groupcmds for the rest.  A degree outside the range is rejected before any
-work.  Exit codes: 1 a check failed or a supplied family was invalid, 2 usage
-error (including a --trials or --workers below 1 and an unwritable --out), 3
-degree outside the range in COMMANDS or outside a library function's own
-range, 4 construction unavailable at that degree, 5 an internal invariant
-failed (a bug, reported in one line without a traceback).  A reader that
-closes stdout early leaves the exit code as it was.  Reports are
-byte-identical across runs except for wall_time_s.
+groupcmds for the rest.  A degree outside the range, or a --t outside 0..n-1,
+is rejected before any work.  Exit codes: 1 a check failed or a supplied
+family was invalid, 2 usage error (including such a --t, a --trials or
+--workers below 1 and an unwritable --out), 3 degree outside the range in
+COMMANDS or outside a library function's own range, 4 construction unavailable
+at that degree, 5 an internal invariant failed (a bug, reported in one line
+without a traceback).  A reader that closes stdout early leaves the exit code
+as it was.  Reports are byte-identical across runs except for wall_time_s.
 """
 
 from __future__ import annotations
@@ -95,10 +95,6 @@ def exact(value):
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
-def plabel(shape) -> str:
-    return ",".join(str(part) for part in shape)
-
-
 def check(name: str, ok: bool, **detail):
     entry = {"name": name, "pass": bool(ok)}
     entry.update(detail)
@@ -146,7 +142,7 @@ def run_chartab(n: int):
     checks.append(check("standard-character-is-fix-minus-1", standard_ok))
     result = {
         "n": n,
-        "partitions": [plabel(shape) for shape in table.partitions],
+        "partitions": [permgroup.one_line(shape) for shape in table.partitions],
         "values": [[exact(v) for v in row] for row in table.values],
     }
     return result, checks
@@ -157,7 +153,7 @@ def run_spectrum(n: int, t: int):
     least, achieved = spectrum.least()
     entries = [
         {
-            "partition": plabel(shape),
+            "partition": permgroup.one_line(shape),
             "eigenvalue": exact(ev),
             "multiplicity": exact(m),
         }
@@ -188,7 +184,10 @@ def run_spectrum(n: int, t: int):
         "n": n,
         "t": t,
         "entries": entries,
-        "least": {"value": exact(least), "achieved": [plabel(s) for s in achieved]},
+        "least": {
+            "value": exact(least),
+            "achieved": [permgroup.one_line(s) for s in achieved],
+        },
         "valency": exact(spectrum.valency),
     }
     return result, checks
@@ -435,6 +434,8 @@ def main(argv=None) -> int:
     handler = getattr(home, f"run_{args.command.replace('-', '_')}")
     started = time.perf_counter()
     try:
+        if "t" in options:  # every --t is an agreement threshold in S(n)
+            permgroup.need_threshold(options["n"], options["t"])
         result, checks = handler(**options)
     except tuple(_ERROR_EXITS) as exc:
         code = next(v for kind, v in _ERROR_EXITS.items() if isinstance(exc, kind))

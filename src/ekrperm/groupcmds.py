@@ -22,7 +22,6 @@ from .cli import (
     ekrverify,
     exact,
     graphs,
-    plabel,
     run_chartab,
     run_derangements,
     run_least_eigenvalue,
@@ -32,24 +31,21 @@ from .cli import (
 from .errors import UnsupportedConstructionError
 
 
+# The clique --method, by threshold t, whose construction is sharply
+# (t+1)-transitive: its n!/(n-t-1)! members form a clique at threshold t, and
+# its size times that of the stabiliser of t+1 points, a coclique, is n!.
+_SHARPLY_TRANSITIVE = {0: "latin", 1: "affine"}
+
+
 def run_bounds(n: int, t: int):
-    permgroup.need_threshold(n, t)
-    if t == 0:
-        clique = graphs.latin_clique(n)
-        pairs = ((n, n),)
-    elif t == 1:
-        if n < 3:
-            raise UnsupportedConstructionError(
-                f"bounds at t = 1 need n >= 3, got n={n}: the t = 1 coclique"
-                " fixes the points 1 and 2 and needs a third, free point"
-            )
-        clique = graphs.affine_clique(n)
-        pairs = ((1, 1), (2, 2))
-    else:
+    if t not in _SHARPLY_TRANSITIVE or n < t + 2:
         raise UnsupportedConstructionError(
-            "bounds are wired up for thresholds 0 and 1 only"
+            "bounds need a sharply (t+1)-transitive clique, built for t in"
+            f" {sorted(_SHARPLY_TRANSITIVE)}, and n >= t + 2 for a point that the"
+            f" coclique leaves free; got t={t}, n={n}"
         )
-    coclique = permgroup.constraint_rows(n, pairs)
+    clique = getattr(graphs, _CLIQUE_CONSTRUCTIONS[_SHARPLY_TRANSITIVE[t]])(n)
+    coclique = permgroup.constraint_rows(n, [(k, k) for k in range(1, t + 2)])
     report = scheme.clique_coclique_check(clique.members, coclique, n, t)
     ratio = scheme.ratio_bound(n, t)
     checks = [
@@ -72,7 +68,7 @@ def run_bounds(n: int, t: int):
     if report.supports is not None:
         result["supports"] = [
             {
-                "partition": plabel(shape),
+                "partition": permgroup.one_line(shape),
                 "clique_nonzero": cx,
                 "independent_nonzero": cy,
             }
@@ -83,7 +79,7 @@ def run_bounds(n: int, t: int):
 
 def run_clique(n: int, method: str):
     certificate = getattr(graphs, _CLIQUE_CONSTRUCTIONS[method])(n)
-    expected = n * (n - 1) if method == "affine" else n
+    expected = factorial(n) // factorial(n - certificate.t - 1)
     checks = [
         check("pairwise-validated", certificate.validated),
         check("expected-size", certificate.size == expected, size=certificate.size),
@@ -99,7 +95,6 @@ def run_clique(n: int, method: str):
 
 
 def run_search(n: int, t: int, workers: int):
-    permgroup.need_threshold(n, t)
     found = graphs.max_independent_sets(n, t, workers=workers)
     images, one_line = permgroup.image_table(n), permgroup.one_line_strings(n)
     checks = [
@@ -214,7 +209,7 @@ def run_conjecture(n: int, t: int):
         "span_rank_shifted": exact(report.span_rank_shifted),
         "span_rank_with_ones": exact(report.span_rank_with_ones),
         "rank_method": report.rank_method,
-        "support_union": [plabel(s) for s in report.support_union],
+        "support_union": [permgroup.one_line(s) for s in report.support_union],
         "supports_within_depth": {str(d): v for d, v in sorted(within.items())},
         "agreement": dict(report.agreement),
     }
@@ -232,7 +227,6 @@ def _coin_flips(rng: random.Random):
 
 
 def run_identity_check(n: int, trials: int, seed: int, t: int):
-    permgroup.need_threshold(n, t)  # the identity does not depend on t
     flips = _coin_flips(random.Random(seed))
     order = factorial(n)
 
@@ -278,7 +272,6 @@ def run_quotient(n: int):
 
 
 def run_validate(n: int, family: str, t: int):
-    permgroup.need_threshold(n, t)
     members = graphs.read_family(family, n)
     ok, witness = graphs.validate_family(members, t)
     checks = [check("family-is-independent", ok, threshold=t)]

@@ -65,7 +65,10 @@ class Permutation(_OneLine):
 
 
 def one_line(images) -> str:
-    """One-line notation of a sequence of images, as in "4,3,1,2"."""
+    """One-line notation of a sequence of images, as in "4,3,1,2".
+
+    It also labels a partition or cycle type by its parts, as in "3,1".
+    """
     return ",".join(map(str, images))
 
 

@@ -1,5 +1,6 @@
 """Graphs on permutations: constructions, catalogues, exhaustive search."""
 
+import collections
 import itertools
 import math
 import re
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ekrperm import cli, graphs, permgroup, scheme
+from ekrperm import cli, graphs, groupcmds, permgroup, scheme
 from ekrperm.errors import (
     DegreeRangeError,
     FamilyValidationError,
@@ -414,23 +415,6 @@ class TestAffineCliques:
         assert affine_clique(8).size == 56
         assert affine_clique(9).size == 72
 
-    def test_sharply_two_transitive(self):
-        # every ordered pair goes to every ordered pair exactly once
-        q = 5
-        members = as_permutations(affine_clique(q).members)
-        for x1 in range(1, q + 1):
-            for x2 in range(1, q + 1):
-                if x1 == x2:
-                    continue
-                for y1 in range(1, q + 1):
-                    for y2 in range(1, q + 1):
-                        if y1 == y2:
-                            continue
-                        hits = [
-                            p for p in members if p(x1) == y1 and p(x2) == y2
-                        ]
-                        assert len(hits) == 1
-
     @pytest.mark.parametrize("q", graphs._AFFINE_SIZES)
     def test_one_route_equals_the_prime_and_polynomial_branches(self, q):
         add, mul = graphs._field(q)
@@ -444,6 +428,38 @@ class TestAffineCliques:
             affine_clique(6)
         with pytest.raises(UnsupportedConstructionError):
             affine_clique(10)
+
+
+# Each clique --method with degrees at which it builds; t = 0: latin,
+# odd-latin and cycles, t = 1: affine.
+_SHARP_CASES = [
+    *[("latin", n) for n in (2, 3, 5, 8, 9)],
+    *[("odd-latin", n) for n in (5, 7, 9)],
+    *[("cycles", n) for n in (3, 5, 7, 8, 9)],
+    *[("affine", q) for q in (2, 3, 4, 5, 7, 8, 9)],
+]
+
+
+class TestSharplyTransitive:
+    @pytest.mark.parametrize(
+        "method, n", _SHARP_CASES, ids=[f"{m} {n}" for m, n in _SHARP_CASES]
+    )
+    def test_every_ordered_tuple_is_hit_once(self, method, n):
+        # a clique at threshold t of n!/(n-t-1)! members: its images of each
+        # ordered (t+1)-tuple of distinct points are every such tuple once
+        cert = getattr(graphs, cli._CLIQUE_CONSTRUCTIONS[method])(n)
+        k = cert.t + 1
+        assert cert.validated
+        assert cert.size == math.perm(n, k)
+        for points in itertools.permutations(range(n), k):
+            images = collections.Counter(map(tuple, cert.members[:, points].tolist()))
+            assert len(images) == math.perm(n, k)
+            assert set(images.values()) == {1}
+
+    def test_the_bounds_table_names_a_clique_at_each_threshold(self):
+        for t, method in groupcmds._SHARPLY_TRANSITIVE.items():
+            assert method in {m for m, _ in _SHARP_CASES}
+            assert getattr(graphs, cli._CLIQUE_CONSTRUCTIONS[method])(t + 2).t == t
 
 
 class TestFamilies:
