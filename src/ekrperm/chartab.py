@@ -23,7 +23,6 @@ from .permgroup import (
     Partition,
     class_size,
     classes_with_few_fixed_points,
-    conjugacy_classes,
     one_line,
     partitions_of,
 )
@@ -117,7 +116,7 @@ def union_spectrum(n: int, t: int = 0) -> SchemeSpectrum:
     sizes, raises AssertionError.
     """
     valency = sum(cls.size for cls in classes_with_few_fixed_points(n, t))
-    parts = tuple(cls.cycle_type for cls in conjugacy_classes(n))
+    parts = partitions_of(n)
     # weights[m]: the coefficient of f^{shape/(m)}, for k = n - m fixed points
     weights = [
         sum((-1) ** (k - f) * comb(k, f) for f in range(min(t, k) + 1))

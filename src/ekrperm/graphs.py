@@ -16,12 +16,12 @@ from .errors import DegreeRangeError, UnsupportedConstructionError
 from .permgroup import (
     MAX_DENSE_DEGREE,
     MAX_QUOTIENT_DEGREE,
+    classes_with_few_fixed_points,
     constraint_families,
     derangement_count,
     derangements_by_last_image,
     first_agreement_violation,
     image_rows,
-    need_threshold,
     one_line,
     parse_one_line,
     rank_images,
@@ -36,13 +36,14 @@ def _adjacency_masks(n: int, t: int) -> list[int]:
     """Bit q of mask p is set when p != q agree in at most t points; p is a rank.
 
     p and q agree where p^-1 q has a fixed point, so the masks read the class
-    of every p^-1 q off the relation table: n <= MAX_DENSE_DEGREE.
+    of every p^-1 q off the relation table (n <= MAX_DENSE_DEGREE) and look
+    it up among classes_with_few_fixed_points(n, t), whose guard checks t.
     """
     import numpy as np
 
-    need_threshold(n, t)
+    joined = classes_with_few_fixed_points(n, t)
     gd = group_data(n)
-    few = np.array([cls.fixed_points <= t for cls in gd.classes])
+    few = np.array([cls in joined for cls in gd.classes])
     adjacent = few[gd.relations]
     # bit r of a little-endian packed row is column r
     packed = np.packbits(adjacent, axis=1, bitorder="little")

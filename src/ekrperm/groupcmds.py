@@ -96,7 +96,8 @@ def run_clique(n: int, method: str):
 
 def run_search(n: int, t: int, workers: int):
     found = graphs.max_independent_sets(n, t, workers=workers)
-    images, one_line = permgroup.image_table(n), permgroup.one_line_strings(n)
+    images = permgroup.image_table(n)
+    strings = list(map(permgroup.one_line, (images + 1).tolist()))
     checks = [
         check(
             "alpha-is-(n-1)!",
@@ -121,7 +122,7 @@ def run_search(n: int, t: int, workers: int):
         "alpha": exact(found.alpha),
         "omega": exact(found.omega),
         "tight": found.tight,
-        "sets": [[one_line[r] for r in row] for row in found.ranks.tolist()],
+        "sets": [[strings[r] for r in row] for row in found.ranks.tolist()],
     }
     return result, checks
 

@@ -156,12 +156,8 @@ def first_agreement_violation(members, t: int, clique: bool):
     return None
 
 
-def cycle_type(p: Permutation) -> CycleType:
-    """Multiset of cycle lengths, sorted descending."""
-    return cycle_type_of_images(p.images)
-
-
 def cycle_type_of_images(images: tuple[int, ...]) -> CycleType:
+    """Multiset of the cycle lengths of a permutation's images, sorted descending."""
     n = len(images)
     seen = [False] * (n + 1)
     lengths = []
@@ -329,7 +325,7 @@ def need_threshold(n: int, t: int) -> None:
 
 
 def classes_with_few_fixed_points(n: int, t: int) -> tuple[ClassInfo, ...]:
-    """Non-identity classes whose members fix at most t points.
+    """The classes the threshold-t graph joins: their members fix at most t points.
 
     The identity fixes all n points, more than any t that need_threshold admits.
     """
@@ -486,8 +482,3 @@ def constraint_rows(n: int, constraints):
     rows[:, free_positions] = free_values[table]
     rows[:, np.subtract(xs, 1)] = ys
     return rows
-
-
-def one_line_strings(n: int) -> tuple[str, ...]:
-    """one_line of every permutation of 1..n, by rank, read off image_table."""
-    return tuple(map(one_line, (image_table(n) + 1).tolist()))

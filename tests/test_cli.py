@@ -37,6 +37,14 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def report_digest(capsys, run):
+    """sha256 of the report of a clean run, less wall_time_s, indented as printed."""
+    code, report, err = run_json(capsys, *run.split())
+    assert (code, err) == (0, "")
+    del report["wall_time_s"]
+    return hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+
+
 # sha256 of json.dumps(members) in the report of `clique n --method method`,
 # recorded when each member was built as a Permutation and printed by its str
 CLIQUE_DIGESTS = {
@@ -69,6 +77,49 @@ BOUNDS_DIGESTS = {
     "bounds 5 --t 1": "39ecfcb3c1a7c161b1a911616b2815c4e089448dbd801e51a0211234ca76286b",
     "bounds 7 --t 1": "ac102653832487d1e960184e122a6722228397989c0ed5cce3b24495da95722e",
     "bounds 8 --t 1": "8dc348922a5cd673ca851085d97f5ff606c2c46483745f5e44732b33af711476",
+}
+
+
+# sha256 of each report less wall_time_s, indented as printed, for handlers
+# whose results no golden report holds: verify-all keeps only their checks,
+# and the search's golden is n = 6
+REPORT_DIGESTS = {
+    "search 2": "c17484b956b1abc53e95c148331a442719dd21b7d880c1185636caca03fdb984",
+    "search 3": "95334bf58b16c83144613e4b759579d974b953df65762f31e72344e59becea3c",
+    "search 4": "02c5485914782fecba32ecceae9a634cc30cef933b4df9edcb30241ab4ac5369",
+    "search 5": "4db1c87712b7ca080a0dcf65fd2d9b2156f911e733d8df165b9ccfbd73e1e0ef",
+    "derangements 1": "73f5ecfb88a959f6d012c448f849ba1a5df01da374ba01c3b9a05c6aea3ccfcd",
+    "derangements 2": "da3b47c3ec463aab7f3bf0fd7cf5574f433832028f6d24d3318bf46a5aeb64d2",
+    "derangements 3": "90104d0657c30fccb5f6a1c02779c3384bd1bdab351c478f990bb51c52d4ff4e",
+    "derangements 4": "ed00b6dc8ea07b5784bb4d84a72c867b2e4e49c0f0d749a94190579c47f2beaa",
+    "derangements 5": "7e1f7080a0f4fff317b165c92d09f853741ba7c33792d5e2c986d2c10f699729",
+    "derangements 6": "77337fa76382ddb5bef918dfe6285dc263cf62ed737c145c9914fbc0fcf4c6a2",
+    "derangements 7": "696dfd74a2a767c4f5e171188720fa1226c66fd809f784e93bede8b05be8cd94",
+    "derangements 8": "0494bdb3ecd1c9a6de7cd0fa65290278dc994d84cc7f2475ff2e5dbb95398fe3",
+    "derangements 9": "600c8ad81a651923eac1701b0ae0644fa6954300b0c1bf64906badcb084c6f61",
+    "derangements 10": "f934d89695f460cf70c020ba447cf15dcb8da8996e72dec0027a490ceeb791dc",
+    "derangements 11": "b925b58e178dd347541a8c8828a226b968747d74598e45e009768399f97492b1",
+    "derangements 12": "cc2b3619263cb00e3097defd5b44392df71152140c99d8c8a5a5ac0e54a03600",
+    "derangements 1000": "4bc789e6c96907c122f114969f0e06cf3433cd3427c57c7a24a54e5500e41360",
+    "classify 2": "eb4209892d0d97defd7ef60cec601a7a37fecd60b9bcfbed523423d011a0de8d",
+    "classify 3": "2ba5e76dffeaa98609fda92dc248e2d2032225cd732434ec550f7e324345009d",
+    "classify 4": "f21fa02369e1f520f39002212f7138f331a64c5d8a94b61f0276cd046116d13a",
+    "classify 5": "c368787802a1334d98d2ee51813eafa299222c04e26483a529987c93ecf5ad21",
+    "classify 6": "410078f6c7376a7140985f9799485f92d551c03aa55273fc521c903806c937a9",
+    "lemmas 3": "67fd894ff3b7a3f1dd0c33f1581e5b433b7f0bc00b49b71283318f2d1ad010de",
+    "lemmas 4": "c139a852aa5611d3ad090d65730c75d8e7144501f4d1c3b19be9dee06ccac747",
+    "lemmas 5": "d0bc218de38c99ed9cd247927ee487d62ee75830c8c0fdec822da0297e7ae86a",
+    "lemmas 6": "3255e1e5e2b597853243b19a9dec6cc5603211923310ea1ee289f5696de8d1b8",
+    "lemmas 7": "3b73fe42bdaeff311a7ef99d37c646d6a39af35fbce3e5a15ca9cfb1180d2802",
+    "lemmas 8": "41df9f4c04edfa0054b2109cfa95ae349f73cb59f517c1f55446f0b1739de648",
+    "quotient 2": "fb8ce047c575d0b4174d90f1be237287e13ebfbd95b81f4bc30ce14e9a837429",
+    "quotient 3": "81d4f60ba8c42277d2cdaf78422e0b0ae02938d616050847aea80cfaf9e50772",
+    "quotient 4": "011f648ac665311b3912149d3ec315f56f4664e4e085526e417c898b7c78f899",
+    "quotient 5": "ebd5c4f2678dea6e2e239139160c848509af77997aef32635bd6b173874b83d4",
+    "quotient 6": "e4a350375610d91ea339fdf3eedbb980d5bc8ee71b3fa889e1c697e2f1a255ce",
+    "quotient 7": "704aa78c886d475a8921a455d89589184ba8b6fad53cf936a922e8db07f69931",
+    "quotient 8": "404ba85008ee483377cc6c3c400c099ede066a21efdf9cc81e7d2a32625f1df2",
+    "quotient 9": "f3849ce7bd0404eb045c48f86bde0697a80e57796734bc7ae04f9f8e4576b374",
 }
 
 
@@ -145,19 +196,15 @@ class TestCommands:
     def test_spectrum_reports_above_the_goldens_are_pinned(self, capsys, argv, digest):
         # SHA-256 of the report less wall_time_s, indented as printed; the
         # golden reports stop at n = 16
-        code, report, _ = run_json(capsys, *argv)
-        assert code == 0
-        del report["wall_time_s"]
-        canonical = json.dumps(report, indent=2).encode()
-        assert hashlib.sha256(canonical).hexdigest() == digest
+        assert report_digest(capsys, " ".join(argv)) == digest
 
     @pytest.mark.parametrize("run", BOUNDS_DIGESTS)
     def test_bounds_reports_are_pinned(self, capsys, run):
-        code, report, err = run_json(capsys, *run.split())
-        assert (code, err) == (0, "")
-        del report["wall_time_s"]
-        canonical = json.dumps(report, indent=2).encode()
-        assert hashlib.sha256(canonical).hexdigest() == BOUNDS_DIGESTS[run]
+        assert report_digest(capsys, run) == BOUNDS_DIGESTS[run]
+
+    @pytest.mark.parametrize("run", REPORT_DIGESTS)
+    def test_handler_reports_are_pinned(self, capsys, run):
+        assert report_digest(capsys, run) == REPORT_DIGESTS[run]
 
     def test_bounds_tight_product(self, capsys):
         code, report, _ = run_json(capsys, "bounds", "4")

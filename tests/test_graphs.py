@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ekrperm import cli, graphs, groupcmds, permgroup, scheme
+from ekrperm.chartab import union_spectrum
 from ekrperm.errors import (
     DegreeRangeError,
     FamilyValidationError,
@@ -34,7 +35,6 @@ from ekrperm.permgroup import (
     agreements,
     compose,
     constraint_rows,
-    cycle_type,
     cycle_type_of_images,
     derangement_count,
     identity,
@@ -113,6 +113,11 @@ class TestBuildGraph:
     def test_threshold_one_degree(self):
         degrees = {mask.bit_count() for mask in graphs._adjacency_masks(5, 1)}
         assert degrees == {89}
+        # the masks and the spectrum read one class-level connection set
+        for n in range(1, 7):
+            for t in range(n):
+                degrees = {mask.bit_count() for mask in graphs._adjacency_masks(n, t)}
+                assert degrees == {union_spectrum(n, t).valency}, (n, t)
 
     def test_adjacency_predicate(self):
         mask = graphs._adjacency_masks(4, 0)[rank_permutation(identity(4))]
@@ -336,13 +341,13 @@ class TestCycleDecompositionCliques:
         for n in (5, 7):
             for p in as_permutations(cycle_decomposition_clique(n).members):
                 if p != identity(n):
-                    assert cycle_type(p) == (n,)
+                    assert cycle_type_of_images(p.images) == (n,)
 
     def test_even_degree_eight_from_the_table(self):
         cert = cycle_decomposition_clique(8)
         assert cert.size == 8
         assert all(
-            cycle_type(p) == (8,)
+            cycle_type_of_images(p.images) == (8,)
             for p in as_permutations(cert.members)
             if p != identity(8)
         )

@@ -30,7 +30,7 @@ from ekrperm.permgroup import (
     conjugacy_classes,
     constraint_families,
     constraint_rows,
-    cycle_type,
+    cycle_type_of_images,
     derangement_count,
     identity,
     image_table,
@@ -1002,7 +1002,7 @@ class TestCompositionKernel:
             for j, rb in enumerate(b):
                 q = unrank_permutation(rb, n)
                 assert ranks[i][j] == rank_permutation(compose(p, q))
-                quotient = cycle_type(compose(inverse(p), q))
+                quotient = cycle_type_of_images(compose(inverse(p), q).images)
                 assert gd.classes[classes[i][j]].cycle_type == quotient
 
     def test_multiplication_table_spans_many_blocks(self):
@@ -1020,8 +1020,8 @@ class TestCompositionKernel:
             expected = [
                 r
                 for r in range(120)
-                if 0 < 5 - cycle_type(unrank_permutation(r, 5)).count(1)
-                and cycle_type(unrank_permutation(r, 5)).count(1) <= t
+                if 0 < 5 - cycle_type_of_images(unrank_permutation(r, 5).images).count(1)
+                and cycle_type_of_images(unrank_permutation(r, 5).images).count(1) <= t
             ]
             assert _connection(gd, t) == expected
 
