@@ -36,8 +36,8 @@ def _adjacency_masks(n: int, t: int) -> list[int]:
     """Bit q of mask p is set when p != q agree in at most t points; p is a rank.
 
     p and q agree where p^-1 q has a fixed point, so the masks read the class
-    of every p^-1 q off the relation table (n <= MAX_DENSE_DEGREE) and look
-    it up among classes_with_few_fixed_points(n, t), whose guard checks t.
+    of every p^-1 q off the relation table (GroupData.relations) and look it
+    up among classes_with_few_fixed_points(n, t), whose guard checks t.
     """
     import numpy as np
 

@@ -63,19 +63,20 @@ CLIQUE_DIGESTS = {
 }
 
 # sha256 of each `bounds` report less wall_time_s, indented as printed; the
-# golden reports hold only bounds 6 and verify-all's bounds sections
+# golden reports hold only bounds 6 and verify-all's bounds sections.  From
+# n = 7 up to scheme.MAX_GROUP_DEGREE a tight pair reports its supports too
 BOUNDS_DIGESTS = {
     "bounds 2": "09e32698dd15ef23b0e7ba1677fafe8b2f6a3bbd24e960f01db4f625316fdd70",
     "bounds 3": "6429d53c8b18b6a46e6ee3a8cb9d678ef6c0536ea90538fc97f07345bab5ccc1",
     "bounds 4": "923583e2055eb0104cced0283089011161c724eb9e62e640ad820f902af645d3",
     "bounds 5": "6df8aa9edab3f7dfbeaf9a9a438fddba90756cec75f881fad0c3742bfb3c4815",
     "bounds 6": "e9aaf527b55fa610e83e15ece4d8d295751bab5322f2a7e225d43cf6ca6b5115",
-    "bounds 7": "5ca866182a957fbaece12fc358cc4f7077cf54ca88dcbb3f4f01ee79ad884e7e",
+    "bounds 7": "7abf66c5233eb28b3b949c2eee0b4cd34b1caab4a685dfe01304629b3b288b06",
     "bounds 8": "d404e80b788ec82c81c69a6e7a434842c43668a3a8732c522fad64f88f483213",
     "bounds 3 --t 1": "a7b6b957347751824a295bd98c0d436e71e3285ccaed88e3026358bc4ab03cff",
     "bounds 4 --t 1": "cdff752087d31343aa2de9514f788b1253eeb2d9e30081668d6f0f035bdd7342",
     "bounds 5 --t 1": "39ecfcb3c1a7c161b1a911616b2815c4e089448dbd801e51a0211234ca76286b",
-    "bounds 7 --t 1": "ac102653832487d1e960184e122a6722228397989c0ed5cce3b24495da95722e",
+    "bounds 7 --t 1": "4a8f81892eb885cbb4e765d51505b45219002bfc82399ff4ab4722b0b679675e",
     "bounds 8 --t 1": "8dc348922a5cd673ca851085d97f5ff606c2c46483745f5e44732b33af711476",
 }
 

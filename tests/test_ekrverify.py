@@ -738,18 +738,21 @@ class TestNoPermutationPerRow:
         run()
         assert built == []
 
-    @pytest.mark.parametrize("n, t", [(7, 0), (8, 0), (7, 1)])
+    @pytest.mark.parametrize("n, t", [(7, 0), (8, 0), (7, 1), (8, 1)])
     def test_bounds_builds_only_the_clique(self, monkeypatch, n, t):
-        # the clique and the coclique are both image rows, so nothing is built
+        # the clique and the coclique are both image rows, so no permutation
+        # is built; a tight pair's supports and their check stop at
+        # MAX_GROUP_DEGREE, above which no group table is built either
         from ekrperm import groupcmds, permgroup
 
         def forbidden(*args):
             raise AssertionError("bounds built group tables")
 
         # every library route to the group tables passes one of these names
-        monkeypatch.setattr(scheme.GroupData, "__init__", forbidden)
-        for module in (scheme, graphs, ekrverify):
-            monkeypatch.setattr(module, "group_data", forbidden)
+        if n > scheme.MAX_GROUP_DEGREE:
+            monkeypatch.setattr(scheme.GroupData, "__init__", forbidden)
+            for module in (scheme, graphs, ekrverify):
+                monkeypatch.setattr(module, "group_data", forbidden)
         built = []
         real = permgroup.Permutation.__new__
 
@@ -761,6 +764,10 @@ class TestNoPermutationPerRow:
         result, checks = groupcmds.run_bounds(n=n, t=t)
         assert all(c["pass"] for c in checks)
         assert result["clique_size"] == (n if t == 0 else n * (n - 1))
+        supported = n <= scheme.MAX_GROUP_DEGREE
+        assert ("supports" in result) == supported
+        names = [c["name"] for c in checks]
+        assert ("tight-pair-supports-disjoint" in names) == supported
         assert built == []
 
 
