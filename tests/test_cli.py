@@ -219,6 +219,28 @@ class TestCommands:
         assert code == 0
         assert report["result"]["product"] == "120"
 
+    @pytest.mark.parametrize("n, t", [(7, 0), (7, 1), (8, 0), (8, 1)])
+    def test_tight_supports_stop_at_the_group_tables(self, capsys, n, t):
+        # a tight pair reports one supports row per nontrivial partition and
+        # the corollary's check (passing, as the report passes) up to
+        # MAX_GROUP_DEGREE, and neither above it
+        code, report, err = run_json(capsys, "bounds", str(n), "--t", str(t))
+        assert (code, err, report["pass"]) == (0, "", True)
+        assert report["result"]["tight"] is True
+        names = [c["name"] for c in report["checks"]]
+        if n > scheme.MAX_GROUP_DEGREE:
+            assert "supports" not in report["result"]
+            assert "tight-pair-supports-disjoint" not in names
+            return
+        rows = report["result"]["supports"]
+        assert [r["partition"] for r in rows] == [
+            permgroup.one_line(shape)
+            for shape in permgroup.partitions_of(n)
+            if shape != (n,)
+        ]
+        assert not any(r["clique_nonzero"] and r["independent_nonzero"] for r in rows)
+        assert "tight-pair-supports-disjoint" in names
+
     def test_clique_methods(self, capsys):
         code, report, _ = run_json(capsys, "clique", "5", "--method", "odd-latin")
         assert code == 0
