@@ -23,8 +23,8 @@ CycleType = tuple[int, ...]
 AGREEMENT_BLOCK_PAIRS = 1 << 16
 
 # Degree caps of the other modules, kept here because every run loads this
-# module and the command table reads them.  Dense per-group tables
-# (multiplication by rank) stop being cheap past 6!.
+# module and the command table reads them.  6 caps GroupData.mult (relations
+# reach 7), and by cost search, classify, conjecture, identity-check, basis_check.
 MAX_DENSE_DEGREE = 6
 # The explicit n! x (n-1)^2 incidence matrices of ekrverify stop here.
 MAX_INCIDENCE_DEGREE = 8

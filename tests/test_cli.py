@@ -874,6 +874,23 @@ class TestCommandTable:
                 outcomes.append((info.value.code, capsys.readouterr()))
             assert outcomes[0] == outcomes[1], failing
 
+    def test_only_clique_and_validate_need_rows_of_their_own(self):
+        # the python -O sweep of .github/workflows/tier1.yml runs [name, top]
+        # for every command but those in its OWN_ROWS
+        required = {
+            name
+            for name, cmd in cli.COMMANDS.items()
+            if any(spec.get("required") for _, spec in cmd.arguments)
+        }
+        assert required == {"clique", "validate"}, (
+            f"commands with a required option: {sorted(required)}; give each"
+            " its rows in OWN_ROWS of the sweep in .github/workflows/tier1.yml"
+        )
+        for name, cmd in cli.COMMANDS.items():
+            if name not in required:
+                args = cli.build_parser([name]).parse_args(self.argv(name, cmd.hi))
+                assert args.command == name
+
     def test_main_builds_the_named_command_alone(self, capsys, monkeypatch):
         built = []
         real = cli.build_parser
