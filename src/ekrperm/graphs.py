@@ -230,34 +230,26 @@ _AFFINE_SIZES = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 
 
 def _field(q: int):
-    """(add, mul) of GF(q), each element 0..q-1 read as its base-p digits.
+    """(add, mul), the (q, q) tables of GF(q), element a read as base-p digits.
 
-    The digits are the coefficients of a polynomial over GF(p), and products
-    are reduced modulo the polynomial of _FIELD_POLYS.
+    The digits a_i are the coefficients of a polynomial over GF(p), reduced
+    modulo the monic polynomial of _FIELD_POLYS.  shifted[i][a] holds the
+    digits of x^i a, each one the last shifted by x with its x^k term folded
+    back through that polynomial, so the product a b sums b_i x^i a.
     """
+    import numpy as np
+
     p, poly = _FIELD_POLYS.get(q, (q, (0, 1)))
     k = len(poly) - 1
-
-    def digits(a: int) -> list[int]:
-        return [a // p**i % p for i in range(k)]
-
-    def value(coeffs) -> int:
-        return sum(c % p * p**i for i, c in enumerate(coeffs))
-
-    def add(a: int, b: int) -> int:
-        return value(x + y for x, y in zip(digits(a), digits(b)))
-
-    def mul(a: int, b: int) -> int:
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(digits(a)):
-            for j, y in enumerate(digits(b)):
-                prod[i + j] += x * y
-        for deg in range(2 * k - 2, k - 1, -1):  # less prod[deg] x^(deg-k) poly
-            lead = prod[deg]
-            for j, c in enumerate(poly):
-                prod[deg - k + j] -= lead * c
-        return value(prod[:k])
-
+    weights = p ** np.arange(k)
+    digits = np.arange(q)[:, None] // weights % p  # digits[a, i] = a_i
+    shifted = [digits]
+    for _ in range(k - 1):
+        last = shifted[-1]
+        times_x = np.pad(last[:, :-1], ((0, 0), (1, 0))) - last[:, -1:] * poly[:k]
+        shifted.append(times_x % p)
+    add = (digits[:, None] + digits) % p @ weights
+    mul = np.einsum("bi,iak->abk", digits, np.array(shifted)) % p @ weights
     return add, mul
 
 
@@ -265,7 +257,8 @@ def affine_clique(q: int) -> CliqueCertificate:
     """The q(q-1) maps x -> a*x + b over GF(q) as a clique at threshold 1.
 
     Two distinct affine maps agree in at most one point, so the family is a
-    clique in the agreement-at-most-1 graph on q points.
+    clique in the agreement-at-most-1 graph on q points.  Row (a, b), a > 0,
+    holds a*x + b for x = 0..q-1, read off the field's tables.
     """
     import numpy as np
 
@@ -274,10 +267,7 @@ def affine_clique(q: int) -> CliqueCertificate:
             f"affine cliques are built for q in {_AFFINE_SIZES}, got {q}"
         )
     add, mul = _field(q)
-    members = 1 + np.array(
-        [[add(mul(a, x), b) for x in range(q)] for a in range(1, q) for b in range(q)],
-        dtype=np.intp,
-    )
+    members = 1 + add[mul[1:, None, :], np.arange(q)[:, None]].reshape(-1, q)
     if len(set(map(tuple, members.tolist()))) != q * (q - 1):
         raise AssertionError("affine maps are not distinct")
     return _certify(members, q, 1, "affine")

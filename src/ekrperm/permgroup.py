@@ -409,25 +409,21 @@ def rank_images(planes):
     """Lexicographic ranks of the permutations whose 0-based images are planes.
 
     planes[k] holds the images of k+1, all planes of one shape, and so does
-    the result: the Lehmer code, each digit counted in place in one int8
-    plane and the digits combined in int64, so a degree len(planes) above
-    MAX_RANK_DEGREE raises DegreeRangeError.
+    the result: the Lehmer code, digit k the count of later images below
+    image k, combined in int64 by Horner's rule, so a degree len(planes)
+    above MAX_RANK_DEGREE raises DegreeRangeError.  The planes are read
+    from one contiguous copy, as a transposed image table is strided.
     """
     import numpy as np
 
+    planes = np.ascontiguousarray(planes)
     n = len(planes)
     if n > MAX_RANK_DEGREE:
         raise DegreeRangeError(f"ranks are counted up to degree {MAX_RANK_DEGREE}")
-    shape = np.shape(planes)[1:]
-    ranks = np.zeros(shape, dtype=np.int64)
-    digit, below = np.empty(shape, dtype=np.int8), np.empty(shape, dtype=bool)
+    ranks = np.zeros(planes.shape[1:], dtype=np.int64)
     for k in range(n - 1):
-        # digit k counts the later images below image k, weighted (n-1-k)! by Horner
-        np.less(planes[k + 1], planes[k], out=digit)
-        for j in range(k + 2, n):
-            digit += np.less(planes[j], planes[k], out=below)
         ranks *= n - k
-        ranks += digit
+        ranks += (planes[k + 1 :] < planes[k]).sum(0, dtype=np.int8)
     return ranks
 
 

@@ -24,6 +24,7 @@ from .permgroup import (
     MAX_DENSE_DEGREE,
     Partition,
     conjugacy_classes,
+    cycle_type_of_images,
     first_agreement_violation,
     image_rows,
     image_table,
@@ -44,11 +45,12 @@ class GroupData:
 
     images is the shared permgroup.image_table, inv[r] the rank of the
     inverse of the rank-r permutation and type_of[r] the index of its
-    conjugacy class in the shared partition order, read off the fixed points
-    of its powers.  Products of permutations come from one composition
-    kernel (permgroup.rank_images ranks the products and the inverses), which
-    mult reads.  The class of p^-1 q comes from the relation table alone, so
-    the degree stops at MAX_GROUP_DEGREE, where that table is 5040^2 bytes.
+    conjugacy class in the shared partition order, from the cycle walk
+    permgroup.cycle_type_of_images.  Products of permutations come from one
+    composition kernel (permgroup.rank_images ranks the products and the
+    inverses), which mult reads.  The class of p^-1 q comes from the relation
+    table alone, so the degree stops at MAX_GROUP_DEGREE, where that table is
+    5040^2 bytes.
     """
 
     def __init__(self, n: int):
@@ -64,38 +66,25 @@ class GroupData:
         self.inv = rank_images(np.argsort(self.images, axis=1).T)
         self.classes = conjugacy_classes(n)
         self.class_index = {cls.cycle_type: k for k, cls in enumerate(self.classes)}
-        # fix(p^L) for L = 1..n, read as base-(n+1) digits, names the cycle
-        # type of p: it sums the cycle lengths c that divide L
-        flat, offsets = self.images.ravel(), np.arange(0, self.images.size, n)
-        power, keys = np.ascontiguousarray(self.images.T), 0  # power[k] = p^L(k)
-        for _ in range(n):
-            keys = keys * (n + 1) + (power == np.arange(n)[:, None]).sum(0)
-            power = np.take(flat, power + offsets)
-        self.type_of = np.zeros(self.order, dtype=np.int8)
-        for index, (shape, _) in enumerate(self.classes):
-            key = sum(c * (n + 1) ** (n - L) for c in shape for L in range(c, n + 1, c))
-            self.type_of[keys == key] = index
+        walked = map(cycle_type_of_images, (self.images + 1).tolist())
+        self.type_of = np.array([self.class_index[c] for c in walked], dtype=np.int8)
         self._mult: list[list[int]] | None = None
 
     def compose_ranks(self, a, b):
         """Ranks of perm(a) composed with perm(b), for rank arrays that broadcast.
 
         The result has the broadcast shape of a and b, so a column against a
-        row, [[r] for r in a] with b, gives every pair.  Products are formed on
-        images, one plane per position, and ranked by rank_images, all in one
-        pass of about n + 18 bytes a pair: the caller blocks, as _class_counts
-        does.
+        row, [[r] for r in a] with b, gives every pair.  Products are formed
+        on images by one gather, images[a][images[b]] pair by pair, and ranked
+        by rank_images, in one pass of about 2n + 8 bytes a pair.
         """
         import numpy as np
 
         a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
-        flat, by_position, offsets = self.images.ravel(), self.images.T, a * self.n
-        # composed[k] = perm(a)(perm(b)(k)), 0-based; a and b broadcast in the sum
-        shape = (self.n, *np.broadcast_shapes(a.shape, b.shape))
-        composed = np.empty(shape, dtype=np.int8)
-        for k in range(self.n):
-            np.take(flat, by_position[k][b] + offsets, out=composed[k])
-        return rank_images(composed)
+        # plane k holds perm(a)(perm(b)(k)), 0-based, from one (..., n) gather
+        return rank_images(
+            np.moveaxis(self.images[a[..., None], self.images[b]], -1, 0)
+        )
 
     @cached_property
     def relations(self):
@@ -106,7 +95,7 @@ class GroupData:
         through b -> rank(b s).  Every rank c but the identity's has a first
         descent i, c(i) > c(i+1); swapping it gives c s_i, of lower rank, so
         the rows fill in rank order, one gather each.  Built on first use:
-        about 2 ms and 518,400 bytes at n = 6, about 0.1 s and 24 MiB at n = 7.
+        about 2 ms and 518,400 bytes at n = 6, about 30 ms and 24 MiB at n = 7.
         """
         import numpy as np
 

@@ -424,9 +424,25 @@ class TestAffineCliques:
     def test_one_route_equals_the_prime_and_polynomial_branches(self, q):
         add, mul = graphs._field(q)
         parent = _ParentField(q)
+        assert add.shape == mul.shape == (q, q)
         for a, b in itertools.product(range(q), repeat=2):
-            assert add(a, b) == parent.add(a, b)
-            assert mul(a, b) == parent.mul(a, b)
+            assert add[a, b] == parent.add(a, b)
+            assert mul[a, b] == parent.mul(a, b)
+
+    @pytest.mark.parametrize("q", graphs._AFFINE_SIZES)
+    def test_tables_obey_the_field_laws(self, q):
+        add, mul = graphs._field(q)
+        elements = np.arange(q)
+        a, b, c = np.ix_(elements, elements, elements)
+        for table in (add, mul):
+            assert ((0 <= table) & (table < q)).all()
+            assert np.array_equal(table, table.T)
+            assert np.array_equal(table[table[a, b], c], table[a, table[b, c]])
+        assert np.array_equal(mul[a, add[b, c]], add[mul[a, b], mul[a, c]])
+        assert add[0].tolist() == mul[1].tolist() == elements.tolist()
+        assert (mul[0] == 0).all()
+        # each nonzero a has exactly one b with a b = 1
+        assert ((mul[1:] == 1).sum(axis=1) == 1).all()
 
     def test_non_prime_power_rejected(self):
         with pytest.raises(UnsupportedConstructionError):

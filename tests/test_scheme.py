@@ -833,9 +833,10 @@ def _oracle_quotient_type(p, q):
 
 
 class TestGroupTables:
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, MAX_GROUP_DEGREE + 1))
     def test_arrays_agree_with_the_oracle_walk(self, n):
         gd = group_data(n)
+        assert gd.type_of.dtype == np.int8
         perms = list(itertools.permutations(range(1, n + 1)))  # rank order
         index = {images: r for r, images in enumerate(perms)}
         assert (gd.images + 1).tolist() == [list(images) for images in perms]
@@ -845,15 +846,6 @@ class TestGroupTables:
                 inverse_images[v - 1] = i
             assert gd.inv[r] == index[tuple(inverse_images)]
             assert gd.classes[gd.type_of[r]].cycle_type == oracles.cycle_type_of(images)
-
-    @pytest.mark.parametrize("n", range(1, MAX_GROUP_DEGREE + 1))
-    def test_class_indices_match_the_cycle_walk(self, n):
-        gd = group_data(n)
-        walked = [
-            gd.class_index[permgroup.cycle_type_of_images(row)]
-            for row in (gd.images + 1).tolist()
-        ]
-        assert gd.type_of.dtype == np.int8 and gd.type_of.tolist() == walked
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_images_rank_in_order(self, n):
@@ -1006,6 +998,27 @@ class TestCompositionKernel:
                 assert ranks[i][j] == rank_permutation(compose(p, q))
                 quotient = cycle_type_of_images(compose(inverse(p), q).images)
                 assert gd.classes[classes[i][j]].cycle_type == quotient
+
+    @pytest.mark.parametrize("n", [1, 4, 6, MAX_GROUP_DEGREE])
+    def test_kernel_composes_the_broadcast_shapes_of_its_callers(self, n):
+        gd = group_data(n)
+        ranks = np.random.default_rng(n).integers(gd.order, size=(3, 4, 5))
+        cases = [
+            (ranks[0, 0, 0], ranks[0, 0]),  # a 0-d rank against a row
+            (ranks[0, :, :1], ranks[0]),  # (k, 1) x (k, m), as in classify
+            (ranks[0, 0], np.arange(gd.order)[:, None]),  # (m,) x (n!, 1), coset cover
+            (ranks[:, :2, :1], ranks[:, None, 0]),  # (F, R, 1) x (F, 1, m)
+            (ranks[0, :, :1].tolist(), ranks[0].tolist()),  # nested lists
+        ]
+        for a, b in cases:
+            composed = gd.compose_ranks(a, b)
+            a, b = np.broadcast_arrays(a, b)
+            assert composed.shape == a.shape
+            expected = [
+                rank_permutation(compose(unrank_permutation(x, n), unrank_permutation(y, n)))
+                for x, y in zip(a.ravel().tolist(), b.ravel().tolist())
+            ]
+            assert composed.ravel().tolist() == expected
 
     def test_multiplication_table_spans_many_blocks(self):
         # the 720 x 720 pairs go through the kernel in one pass
