@@ -388,8 +388,10 @@ def max_independent_sets(n: int, t: int = 0, workers: int = 1) -> SearchResult:
     n!/n cliques, so no independent set beats (n-1)!; the family fixing the
     last point reaches it.  Every maximum set therefore picks exactly one
     vertex per coset, and those transversals are enumerated completely; that
-    family must be among them, and each one is validated.  A degree is
-    searched once per process; its read-only ranks are then shared.
+    family must be among them, and each one is validated.  One walk serves
+    every worker count: its root branches are mapped in process, or over a
+    pool of workers.  A degree is searched once per process; its read-only
+    ranks are then shared.
     """
     if t != 0:
         raise UnsupportedConstructionError("exhaustive search is implemented for t=0")
@@ -405,14 +407,22 @@ def max_independent_sets(n: int, t: int = 0, workers: int = 1) -> SearchResult:
     masks = _adjacency_masks(n, 0)
     full = (1 << gd.order) - 1
     nonadj = [full & ~m for m in masks]
+    first, *others = latin_coset_cover(n)
     # a coset's ranks are distinct, so its mask is the sum of their bits
-    coset_masks = [sum(1 << v for v in coset) for coset in latin_coset_cover(n)]
+    rest = [sum(1 << v for v in coset) for coset in others]
     seed = constraint_families(n, 1)[-1]  # S_{n->n}
     alpha = len(seed)  # floor (n-1)! met; coset cover shows it is also a cap
+    # the walk's root takes the first coset, all of it allowed, and branches on
+    # its members in ascending order; map takes one iterable per argument
+    branches = zip(*[(rest, nonadj, nonadj[v], (v,)) for v in first])
     if workers > 1:
-        found = _parallel_search(coset_masks, nonadj, full, workers)
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_enumerate_transversals, *branches))
     else:
-        found = _enumerate_transversals(coset_masks, nonadj, full, ())
+        chunks = map(_enumerate_transversals, *branches)
+    found = [chosen for chunk in chunks for chosen in chunk]
     # every transversal has one member per coset, alpha in all
     ranks = np.array(sorted(map(sorted, found)), dtype=np.intp).reshape(-1, alpha)
     if not (ranks == seed).all(axis=1).any():
@@ -426,26 +436,6 @@ def max_independent_sets(n: int, t: int = 0, workers: int = 1) -> SearchResult:
     ranks.flags.writeable = False
     _catalogues[n] = SearchResult(n=n, t=0, alpha=alpha, omega=n, ranks=ranks)
     return _catalogues[n]
-
-
-def _parallel_search(coset_masks, nonadj, full, workers) -> list[tuple[int, ...]]:
-    from concurrent.futures import ProcessPoolExecutor
-
-    first = coset_masks[0]
-    rest = coset_masks[1:]
-    tasks = []
-    candidates = first & full
-    while candidates:
-        low = candidates & -candidates
-        v = low.bit_length() - 1
-        candidates ^= low
-        tasks.append((rest, nonadj, full & nonadj[v], (v,)))
-    found: list[tuple[int, ...]] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # one branch per vertex of the first coset; map takes one iterable per argument
-        for chunk in pool.map(_enumerate_transversals, *zip(*tasks)):
-            found.extend(chunk)
-    return found
 
 
 def write_family(members, path: str) -> None:

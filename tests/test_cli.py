@@ -1193,6 +1193,14 @@ class TestImports:
         assert stubs <= new - ran
         assert not new & {"fractions", "decimal", "csv"}, argv
 
+    @pytest.mark.parametrize(
+        "argv", [["search", "6", "--workers", "1"], ["verify-all", "--max-n", "6"]]
+    )
+    def test_one_worker_imports_no_process_pool(self, argv):
+        # importing concurrent.futures.process alone takes tens of milliseconds
+        new, _ = self.executed(*argv)
+        assert not new & {"concurrent.futures.process", "multiprocessing"}, argv
+
     @pytest.mark.parametrize("argv", [["bounds", "4"], ["clique", "5", "--method", "latin"]])
     def test_cliques_and_bounds_run_graphs(self, argv):
         _, ran = self.executed(*argv)
@@ -1282,17 +1290,18 @@ class TestVerifyAll:
         assert searched == [3, 4, 5]
 
     def test_workers_leave_the_report_alone(self, capsys, monkeypatch, fresh_search):
-        # --workers reaches every search, which then splits its transversals
-        from ekrperm import graphs
+        # --workers reaches every search, which then maps its branches over a pool
+        import concurrent.futures
 
         split = []
-        parallel = graphs._parallel_search
+        pool = concurrent.futures.ProcessPoolExecutor
 
-        def counted(coset_masks, nonadj, full, workers):
-            split.append(workers)
-            return parallel(coset_masks, nonadj, full, workers)
+        def counted(max_workers):
+            split.append(max_workers)
+            return pool(max_workers=max_workers)
 
-        monkeypatch.setattr(graphs, "_parallel_search", counted)
+        # the search imports the pool at call time, so it opens the counted one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
         reports = []
         for workers in ("1", "2"):
             fresh_search.clear()

@@ -634,10 +634,28 @@ class TestSearch:
                 members = frozenset(unrank_permutation(r, n).images for r in row)
                 assert members in catalogue
 
-    def test_workers_agree(self, fresh_search):
-        serial = max_independent_sets(4, workers=1)
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_root_branches_are_the_walk(self, n):
+        # the search maps these branches, in process or over a pool of workers
+        full = (1 << math.factorial(n)) - 1
+        nonadj = [full & ~m for m in graphs._adjacency_masks(n, 0)]
+        cover = latin_coset_cover(n)
+        coset_masks = [sum(1 << v for v in coset) for coset in cover]
+        walk = graphs._enumerate_transversals(coset_masks, nonadj, full, ())
+        branches = [
+            chosen
+            for v in cover[0]
+            for chosen in graphs._enumerate_transversals(
+                coset_masks[1:], nonadj, nonadj[v], (v,)
+            )
+        ]
+        assert branches == walk
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_workers_agree(self, n, fresh_search):
+        serial = max_independent_sets(n, workers=1)
         fresh_search.clear()
-        parallel = max_independent_sets(4, workers=2)
+        parallel = max_independent_sets(n, workers=2)
         assert parallel is not serial
         assert serial.ranks.tolist() == parallel.ranks.tolist()
 
