@@ -17,12 +17,12 @@ from math import comb, factorial, prod
 from operator import add, mul
 from typing import NamedTuple
 
-from .errors import DegreeRangeError
 from .permgroup import (
     CycleType,
     Partition,
     class_size,
     classes_with_few_fixed_points,
+    need_degree,
     one_line,
     partitions_of,
 )
@@ -205,10 +205,7 @@ class CharacterTable(NamedTuple):
 @lru_cache(maxsize=None)
 def character_table(n: int) -> CharacterTable:
     """Full character table of S(n); rows and columns in reverse-lex order."""
-    if not 1 <= n <= MAX_TABLE_DEGREE:
-        raise DegreeRangeError(
-            f"character tables are supported for 1 <= n <= {MAX_TABLE_DEGREE}, got {n}"
-        )
+    need_degree("character_table", n, 1, MAX_TABLE_DEGREE)
     parts = partitions_of(n)
     # partitions_of gives valid shapes in decreasing order: no per-entry checks,
     # and one bead mask per row

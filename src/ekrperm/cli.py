@@ -424,14 +424,13 @@ def main(argv=None) -> int:
     parameters = {k: v for k, v in sorted(options.items()) if v is not None}
     cmd = COMMANDS[args.command]
     degree = options[cmd.degree.lstrip("-").replace("-", "_")]
-    if not cmd.lo <= degree <= cmd.hi:
-        print(f"error: {args.command} takes {cmd.span}, got {degree}", file=sys.stderr)
-        return EXIT_DEGREE
     csv = options.pop("csv", False)
-    home = importlib.import_module(f"{__package__}.{cmd.module}")
-    handler = getattr(home, f"run_{args.command.replace('-', '_')}")
-    started = time.perf_counter()
     try:
+        # before the handler's module loads, so a rejected degree loads nothing
+        permgroup.need_degree(args.command, degree, cmd.lo, cmd.hi, cmd.degree)
+        home = importlib.import_module(f"{__package__}.{cmd.module}")
+        handler = getattr(home, f"run_{args.command.replace('-', '_')}")
+        started = time.perf_counter()
         if "t" in options:  # every --t is an agreement threshold in S(n)
             permgroup.need_threshold(options["n"], options["t"])
         result, checks = handler(**options)

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import linalg
 from .chartab import dimension
-from .errors import DegreeRangeError
 from .permgroup import (
     MAX_DENSE_DEGREE,
     MAX_INCIDENCE_DEGREE,
@@ -28,6 +27,7 @@ from .permgroup import (
     Permutation,
     constraint_families,
     image_table,
+    need_degree,
     partition_depth,
     partitions_of,
     point_family,
@@ -71,10 +71,7 @@ def incidence(n: int) -> Incidence:
     """H of degree n, read off permgroup.image_table: all permutations at once."""
     import numpy as np
 
-    if not 1 <= n <= MAX_INCIDENCE_DEGREE:
-        raise DegreeRangeError(
-            f"incidence matrices are supported for 1 <= n <= {MAX_INCIDENCE_DEGREE}"
-        )
+    need_degree("incidence", n, 1, MAX_INCIDENCE_DEGREE)
     images = image_table(n)
     points = np.arange(n - 1)
     body = images[:, :-1]
@@ -149,6 +146,7 @@ def expected_gram(n: int) -> list[list[int]]:
 
 def gram_check(n: int) -> tuple[bool, list[list[int]]]:
     """Compare H^T H, the block of G_H off the border, against the closed form."""
+    need_degree("gram_check", n, 2)
     gram = bordered_grams(n)[0][:-1, :-1].tolist()
     return gram == expected_gram(n), gram
 
@@ -178,6 +176,7 @@ def pi_ab_submatrix(n: int):
     """
     import numpy as np
 
+    need_degree("pi_ab_submatrix", n, 3)
     pairs = [(i, j) for i in range(1, n) for j in range(1, n - 1)]
     # each pi_ab is a derangement, a row of N, and each column (i, i+j mod n-1)
     # of H is off the diagonal: so the rows and columns selected meet inside M,
@@ -227,6 +226,7 @@ def bordered_kernel_check(n: int) -> bool:
     G equal to the width proves the kernel is that line.  Otherwise the check
     fails: the vector misses a row, or the kernel is wider than a line.
     """
+    need_degree("bordered_kernel_check", n, 3)
     columns = _m_columns(n)
     gram = bordered_grams(n)[1][columns][:, columns]
     if (gram[:, :-1].sum(axis=1) != (n - 2) * gram[:, -1]).any():
@@ -301,8 +301,7 @@ def basis_check(n: int) -> BasisCheckReport:
     rank with ones is _bordered_rank, and, as in _shifted_span_ranks, the
     shifted rank is one less.
     """
-    if n > MAX_DENSE_DEGREE:
-        raise DegreeRangeError(f"basis check needs degree at most {MAX_DENSE_DEGREE}")
+    need_degree("basis_check", n, 1, MAX_DENSE_DEGREE)
     gd = group_data(n)
     standard = (n - 1, 1)
     m = factorial(n - 1)
@@ -434,8 +433,7 @@ def depth_conjecture_dims(n: int, t: int = 1) -> DepthReport:
     """
     if not 1 <= t <= 2:
         raise ValueError(f"need t in {{1, 2}}, got {t}")
-    if n > MAX_DENSE_DEGREE:
-        raise DegreeRangeError(f"degree at most {MAX_DENSE_DEGREE} supported")
+    need_degree("depth_conjecture_dims", n, 1, MAX_DENSE_DEGREE)
     if t + 1 >= n:
         raise ValueError("constraint sets must leave at least one free point")
     gd = group_data(n)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import factorial
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DegreeRangeError, UnsupportedConstructionError
+from .errors import UnsupportedConstructionError
 from .permgroup import (
     MAX_DENSE_DEGREE,
     MAX_QUOTIENT_DEGREE,
@@ -22,6 +22,7 @@ from .permgroup import (
     derangements_by_last_image,
     first_agreement_violation,
     image_rows,
+    need_degree,
     one_line,
     parse_one_line,
     rank_images,
@@ -95,8 +96,7 @@ def latin_clique(n: int) -> CliqueCertificate:
     """Rows of the cyclic Latin square: row k sends i to i+k mod n."""
     import numpy as np
 
-    if n < 2:
-        raise DegreeRangeError("need degree at least 2")
+    need_degree("latin_clique", n, 2)
     k = np.arange(n, dtype=np.intp)
     return _certify((k[:, None] + k) % n + 1, n, 0, "cyclic-latin")
 
@@ -199,8 +199,7 @@ def cycle_decomposition_clique(n: int) -> CliqueCertificate:
     """
     import numpy as np
 
-    if n < 2:
-        raise DegreeRangeError("need degree at least 2")
+    need_degree("cycle_decomposition_clique", n, 2)
     if n in (4, 6):
         raise UnsupportedConstructionError(
             f"the complete digraph on {n} vertices has no Hamilton decomposition"
@@ -292,10 +291,7 @@ def equitable_quotient(n: int) -> EquitableQuotient:
     every vertex's count into the first cell.  The partition is equitable
     when those counts are constant on each cell, read from the point 1.
     """
-    if not 2 <= n <= MAX_QUOTIENT_DEGREE:
-        raise DegreeRangeError(
-            f"the quotient is supported for 2 <= n <= {MAX_QUOTIENT_DEGREE}, got {n}"
-        )
+    need_degree("equitable_quotient", n, 2, MAX_QUOTIENT_DEGREE)
     counts = derangements_by_last_image(n)
     # rows and eigenvalues read the walk alone (s, not derangement_count)
     s, c, q = sum(counts), counts[n], counts[1]
@@ -395,10 +391,7 @@ def max_independent_sets(n: int, t: int = 0, workers: int = 1) -> SearchResult:
     """
     if t != 0:
         raise UnsupportedConstructionError("exhaustive search is implemented for t=0")
-    if not 2 <= n <= MAX_DENSE_DEGREE:
-        raise DegreeRangeError(
-            f"exhaustive search is supported for 2 <= n <= {MAX_DENSE_DEGREE}"
-        )
+    need_degree("max_independent_sets", n, 2, MAX_DENSE_DEGREE)
     if n in _catalogues:
         return _catalogues[n]
     import numpy as np

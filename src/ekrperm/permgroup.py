@@ -73,8 +73,7 @@ def one_line(images) -> str:
 
 
 def identity(n: int) -> Permutation:
-    if n < 1:
-        raise DegreeRangeError("degree must be at least 1")
+    need_degree("identity", n, 1)
     return Permutation(tuple(range(1, n + 1)))
 
 
@@ -245,8 +244,7 @@ def rank_permutation(p: Permutation) -> int:
 
 def unrank_permutation(rank: int, n: int) -> Permutation:
     """Inverse of rank_permutation for degree n."""
-    if n < 1:
-        raise DegreeRangeError("degree must be at least 1")
+    need_degree("unrank_permutation", n, 1)
     if not 0 <= rank < factorial(n):
         raise ValueError(f"rank {rank} outside 0..{factorial(n) - 1}")
     available = list(range(1, n + 1))
@@ -261,8 +259,7 @@ def unrank_permutation(rank: int, n: int) -> Permutation:
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n in reverse-lexicographic order: (n,) first, (1,)*n last."""
-    if n < 1:
-        raise ValueError("partitions are defined for n >= 1")
+    need_degree("partitions_of", n, 1)
     out = []
     parts = [n]
     while True:
@@ -318,6 +315,13 @@ def conjugacy_classes(n: int) -> tuple[ClassInfo, ...]:
     return tuple(ClassInfo(shape, class_size(shape)) for shape in partitions_of(n))
 
 
+def need_degree(what: str, n: int, lo: int, hi: int | None = None, name="n") -> None:
+    """Raise DegreeRangeError unless lo <= n <= hi, or lo <= n when hi is None."""
+    if n < lo or hi is not None and n > hi:
+        span = f"of at least {lo}" if hi is None else f"from {lo} to {hi}"
+        raise DegreeRangeError(f"{what} takes {name} {span}, got {n}")
+
+
 def need_threshold(n: int, t: int) -> None:
     """Raise ValueError unless 0 <= t < n: t is an agreement threshold in S(n)."""
     if not 0 <= t < n:
@@ -336,8 +340,7 @@ def classes_with_few_fixed_points(n: int, t: int) -> tuple[ClassInfo, ...]:
 @lru_cache(maxsize=None)
 def derangement_count(n: int) -> int:
     """Number of fixed-point-free permutations of 1..n."""
-    if n < 1:
-        raise DegreeRangeError("degree must be at least 1")
+    need_degree("derangement_count", n, 1)
     previous, current = 1, 0  # D(0), D(1)
     for k in range(2, n + 1):
         previous, current = current, (k - 1) * (current + previous)
@@ -418,8 +421,7 @@ def rank_images(planes):
 
     planes = np.ascontiguousarray(planes)
     n = len(planes)
-    if n > MAX_RANK_DEGREE:
-        raise DegreeRangeError(f"ranks are counted up to degree {MAX_RANK_DEGREE}")
+    need_degree("rank_images", n, 0, MAX_RANK_DEGREE)
     ranks = np.zeros(planes.shape[1:], dtype=np.int64)
     for k in range(n - 1):
         ranks *= n - k

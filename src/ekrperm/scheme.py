@@ -19,7 +19,7 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .chartab import character_table, union_spectrum
-from .errors import DegreeRangeError, FamilyValidationError
+from .errors import FamilyValidationError
 from .permgroup import (
     MAX_DENSE_DEGREE,
     Partition,
@@ -28,6 +28,7 @@ from .permgroup import (
     first_agreement_violation,
     image_rows,
     image_table,
+    need_degree,
     one_line,
     rank_images,
 )
@@ -56,10 +57,7 @@ class GroupData:
     def __init__(self, n: int):
         import numpy as np
 
-        if not 1 <= n <= MAX_GROUP_DEGREE:
-            raise DegreeRangeError(
-                f"group tables are supported for 1 <= n <= {MAX_GROUP_DEGREE}, got {n}"
-            )
+        need_degree("GroupData", n, 1, MAX_GROUP_DEGREE)
         self.n = n
         self.order = factorial(n)
         self.images = image_table(n)
@@ -131,10 +129,7 @@ class GroupData:
     def mult(self) -> list[list[int]]:
         """mult[a][b] = rank of (perm a composed with perm b)."""
         if self._mult is None:
-            if self.n > MAX_DENSE_DEGREE:
-                raise DegreeRangeError(
-                    f"dense multiplication tables stop at degree {MAX_DENSE_DEGREE}"
-                )
+            need_degree("GroupData.mult", self.n, 1, MAX_DENSE_DEGREE)
             shared = list(range(self.order))  # one int object per rank
             self._mult = [
                 list(map(shared.__getitem__, row.tolist()))
@@ -152,6 +147,7 @@ def ratio_bound(n: int, t: int = 0) -> Fraction:
     """Hoffman bound n!/(1 - valency/least) on independent sets, exactly."""
     from fractions import Fraction
 
+    need_degree("ratio_bound", n, 2)
     spectrum = union_spectrum(n, t)
     tau, _ = spectrum.least()
     if tau >= 0:

@@ -849,7 +849,9 @@ class TestCommandTable:
         code, out, err = run_cli(capsys, *self.argv(name, degree))
         assert code == cli.EXIT_DEGREE == 3
         assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+        cmd = cli.COMMANDS[name]
+        span = f"{cmd.degree} from {cmd.lo} to {cmd.hi}"
+        assert err == f"error: {name} takes {span}, got {degree}\n"
         assert calls == []
 
     @pytest.mark.parametrize("name", list(cli.COMMANDS))
@@ -1153,9 +1155,9 @@ class TestImports:
         assert not new & unused, argv
 
     @staticmethod
-    def executed(*argv):
-        """What cli.main(argv) imports in a fresh interpreter, and the package
-        modules whose bodies it runs.
+    def executed(*argv, code=0):
+        """What cli.main(argv), exiting code, imports in a fresh interpreter,
+        and the package modules whose bodies it runs.
 
         -X importtime does not list a module that LazyLoader executes, so the
         bodies are told by the module's type: a stub is not a plain
@@ -1167,7 +1169,7 @@ class TestImports:
             "before = set(sys.modules)\n"
             "from ekrperm import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert cli.main(sys.argv[1:]) == 0\n"
+            f"    assert cli.main(sys.argv[1:]) == {code}\n"
             "new = set(sys.modules) - before\n"
             "ran = [m for m in new if type(sys.modules[m]) is types.ModuleType]\n"
             "print(json.dumps([sorted(new), sorted(ran)]))\n"
@@ -1192,6 +1194,16 @@ class TestImports:
         stubs = {"ekrperm.groupcmds", "ekrperm.graphs", "ekrperm.scheme", "ekrperm.ekrverify"}
         assert stubs <= new - ran
         assert not new & {"fractions", "decimal", "csv"}, argv
+
+    @pytest.mark.parametrize(
+        "argv", [["spectrum", "31"], ["search", "7"], ["verify-all", "--max-n", "10"]]
+    )
+    def test_degree_outside_the_range_runs_no_handler_module(self, argv):
+        # the range is checked before the handler's module is looked up
+        _, ran = self.executed(*argv, code=cli.EXIT_DEGREE)
+        assert ran == {
+            "ekrperm", "ekrperm.cli", "ekrperm.chartab", "ekrperm.permgroup", "ekrperm.errors"
+        }, argv
 
     @pytest.mark.parametrize(
         "argv", [["search", "6", "--workers", "1"], ["verify-all", "--max-n", "6"]]

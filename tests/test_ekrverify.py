@@ -179,6 +179,25 @@ class TestIncidenceMatrix:
             incidence(MAX_INCIDENCE_DEGREE + 1)
 
 
+@pytest.mark.parametrize(
+    "check, lo, holds",
+    [
+        (gram_check, 2, lambda result: result[0]),
+        (pi_ab_submatrix, 3, lambda result: result[2]),
+        (bordered_kernel_check, 3, lambda result: result),
+    ],
+    ids=["gram_check", "pi_ab_submatrix", "bordered_kernel_check"],
+)
+def test_lemmas_below_their_degrees_are_out_of_range(check, lo, holds):
+    # below lo these died in factorial(-1), an IndexError or a false
+    # AssertionError; from lo each lemma holds
+    for n in range(lo):
+        message = f"^{check.__name__} takes n of at least {lo}, got {n}$"
+        with pytest.raises(DegreeRangeError, match=message):
+            check(n)
+    assert holds(check(lo)) is True
+
+
 class TestGramIdentity:
     def test_degree_three_literal(self):
         ok, gram = gram_check(3)

@@ -72,3 +72,92 @@ def test_every_exported_name_resolves_and_is_listed():
     namespace = {}
     exec("from ekrperm import *", namespace)
     assert set(ekrperm.__all__) <= set(namespace)
+
+
+def test_need_degree_is_the_only_degree_raise():
+    """Every DegreeRangeError of the package is raised by permgroup.need_degree."""
+    raises = []
+    for path in sorted((ROOT / "src" / "ekrperm").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # node -> its innermost function: ast.walk goes outer first
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, function.name) for node in ast.walk(function))
+        for node in ast.walk(tree):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            called = exc.func if isinstance(exc, ast.Call) else exc
+            name = getattr(called, "id", None) or getattr(called, "attr", None)
+            if name == "DegreeRangeError":
+                raises.append(f"{path.stem}.{owner.get(node, '<module>')}")
+    assert raises == ["permgroup.need_degree"]
+
+
+def _degree_guards():
+    """(what, call of the degree, lo, hi, what the call does at lo) per guard.
+
+    hi is None where the function has no top.  At lo the call returns, but
+    where lo admits the function yet the function refuses the input on other
+    grounds: cycle_decomposition_clique(2) tabulates no even degree but 8,
+    and depth_conjecture_dims needs t + 1 < n for every t it takes.
+    """
+    import numpy as np
+
+    from ekrperm import chartab, ekrverify, graphs, permgroup, scheme
+    from ekrperm.errors import UnsupportedConstructionError
+
+    return [
+        ("identity", permgroup.identity, 1, None, None),
+        ("unrank_permutation", lambda n: permgroup.unrank_permutation(0, n), 1, None, None),
+        ("derangement_count", permgroup.derangement_count, 1, None, None),
+        ("partitions_of", permgroup.partitions_of, 1, None, None),
+        # a stack of no planes ranks the one permutation of degree 0
+        ("rank_images", lambda n: permgroup.rank_images(np.zeros((n, 2), np.int8)),
+         0, permgroup.MAX_RANK_DEGREE, None),
+        ("character_table", chartab.character_table, 1, chartab.MAX_TABLE_DEGREE, None),
+        ("GroupData", scheme.GroupData, 1, scheme.MAX_GROUP_DEGREE, None),
+        ("GroupData.mult", lambda n: scheme.GroupData(n).mult,
+         1, permgroup.MAX_DENSE_DEGREE, None),
+        ("ratio_bound", scheme.ratio_bound, 2, None, None),
+        ("latin_clique", graphs.latin_clique, 2, None, None),
+        ("cycle_decomposition_clique", graphs.cycle_decomposition_clique,
+         2, None, UnsupportedConstructionError),
+        ("equitable_quotient", graphs.equitable_quotient,
+         2, permgroup.MAX_QUOTIENT_DEGREE, None),
+        ("max_independent_sets", graphs.max_independent_sets,
+         2, permgroup.MAX_DENSE_DEGREE, None),
+        ("incidence", ekrverify.incidence, 1, permgroup.MAX_INCIDENCE_DEGREE, None),
+        ("gram_check", ekrverify.gram_check, 2, None, None),
+        ("pi_ab_submatrix", ekrverify.pi_ab_submatrix, 3, None, None),
+        ("bordered_kernel_check", ekrverify.bordered_kernel_check, 3, None, None),
+        ("basis_check", ekrverify.basis_check, 1, permgroup.MAX_DENSE_DEGREE, None),
+        ("depth_conjecture_dims", ekrverify.depth_conjecture_dims,
+         1, permgroup.MAX_DENSE_DEGREE, ValueError),
+    ]
+
+
+# the walk over the 1,334,961 derangements of 10 takes most of a second
+COSTLY_TOPS = {("equitable_quotient", 10)}
+# no stack has -1 planes, and GroupData(0) raises before its mult is read
+NO_DEGREE_BELOW = {"rank_images", "GroupData.mult"}
+
+
+@pytest.mark.parametrize("row", _degree_guards(), ids=lambda row: row[0])
+def test_each_degree_guard_states_its_range(row):
+    from ekrperm.errors import DegreeRangeError
+
+    what, call, lo, hi, at_lo = row
+    span = f"of at least {lo}" if hi is None else f"from {lo} to {hi}"
+    outside = [] if what in NO_DEGREE_BELOW else [lo - 1]
+    outside += [] if hi is None else [hi + 1]
+    for n in outside:
+        with pytest.raises(DegreeRangeError) as info:
+            call(n)
+        assert str(info.value) == f"{what} takes n {span}, got {n}"
+    if at_lo is None:
+        call(lo)
+    else:
+        with pytest.raises(at_lo) as info:
+            call(lo)
+        assert not isinstance(info.value, DegreeRangeError)
+    if hi is not None and (what, hi) not in COSTLY_TOPS:
+        call(hi)

@@ -24,6 +24,7 @@ from ekrperm.permgroup import (
     identity,
     image_table,
     inverse,
+    need_degree,
     one_line,
     parse_cycles,
     parse_one_line,
@@ -356,6 +357,18 @@ class TestDerangementCounts:
 def test_stabilizer_coset_count():
     # S_1 is the single coset S_{1->1}; at n = 2, S_{1->1} = S_{2->2}
     assert [stabilizer_coset_count(n) for n in range(1, 6)] == [1, 2, 9, 16, 25]
+
+
+def test_need_degree_names_the_caller_and_the_range():
+    need_degree("f", 1, 1)
+    need_degree("f", 0, 0, 0)
+    need_degree("f", 12, 1, 12)
+    with pytest.raises(DegreeRangeError, match=r"^f takes n of at least 2, got 1$"):
+        need_degree("f", 1, 2)
+    with pytest.raises(DegreeRangeError, match=r"^f takes n from 1 to 12, got 13$"):
+        need_degree("f", 13, 1, 12)
+    with pytest.raises(DegreeRangeError, match=r"^g takes --max-n from 1 to 9, got 0$"):
+        need_degree("g", 0, 1, 9, "--max-n")
 
 
 def test_degree_guard():
