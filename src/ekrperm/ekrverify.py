@@ -2,14 +2,15 @@
 
 H is the n! x (n-1)^2 matrix whose (pi, (i,j)) entry is 1 when pi(i) = j,
 both coordinates running over 1..n-1, held as one array of the one-positions
-of each row; N is its derangement rows, W its diagonal columns and M is N
-off W.  Every lemma reads a block of G_H = [H | 1]^T [H | 1] or of
-G_N = [N | 1]^T [N | 1], each one bincount per degree (bordered_grams): H^T H
-has a closed form, M has full column rank, the kernel of [M | 1] is one line
-and, N being zero on W, ker N is spanned by W's unit vectors.  Together these
-pin down every maximum independent set of the derangement graph as a
-point-stabilizing family; classify_maximum_sets certifies once that G_H has
-full rank and then checks each set's predicted coordinates.
+of each row; N is its derangement rows, W its diagonal columns, the multiples
+of n, and M is N off W.  Every lemma reads only a block of G_H = [H | 1]^T
+[H | 1] or of G_N = [N | 1]^T [N | 1], cached per degree (bordered_grams):
+H^T H has a closed form, M has full column rank, the kernel of [M | 1] is one
+line and, N being zero on W, ker N is spanned by W's unit vectors.  Together
+these pin down every maximum independent set of the derangement graph as a
+point-stabilizing family.  H's rows are read only by the cross-checks at
+n <= 5 and by classify_maximum_sets, which certifies once that G_H has full
+rank and then checks each set's predicted coordinates.
 """
 
 from __future__ import annotations
@@ -51,22 +52,20 @@ def __getattr__(name: str):
 
 
 class Incidence(NamedTuple):
-    """H, its derangement rows N and W's columns, as index arrays.
+    """H and its derangement rows N, as index arrays.
 
     Column (i, j) of H, 1 <= i, j <= n-1, is (i-1)(n-1) + j-1.  Row r of ones
     (rows in permutation-rank order) holds, for each position i < n, the
     column (i, pi(i)), or the width (n-1)^2, no column, when pi(i) = n.  N is
-    the rows derangement_ranks and W the diagonal columns (i, i), which no
-    derangement row meets; M is N on the other (n-1)(n-2) columns.
+    the rows derangement_ranks.  W's columns (i, i), (i-1)n, the multiples of
+    n, meet no derangement row; M is N on the other (n-1)(n-2) columns.
     """
 
     n: int
     ones: np.ndarray
     derangement_ranks: np.ndarray
-    diagonal: np.ndarray
 
 
-@lru_cache(maxsize=None)
 def incidence(n: int) -> Incidence:
     """H of degree n, read off permgroup.image_table: all permutations at once."""
     import numpy as np
@@ -77,7 +76,7 @@ def incidence(n: int) -> Incidence:
     body = images[:, :-1]
     ones = np.where(body < n - 1, points * (n - 1) + body, (n - 1) ** 2)
     derangement_ranks = np.flatnonzero((images != np.arange(n)).all(axis=1))
-    return Incidence(n, ones, derangement_ranks, points * n)
+    return Incidence(n, ones, derangement_ranks)
 
 
 def _dense(ones, width: int):
@@ -127,12 +126,10 @@ def bordered_grams(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _m_columns(n: int) -> np.ndarray:
-    """H's columns outside W, which are M's, then the border (n-1)^2."""
+    """H's columns off W's multiples of n, which are M's, then the border (n-1)^2."""
     import numpy as np
 
-    keep = np.ones((n - 1) ** 2 + 1, dtype=bool)
-    keep[incidence(n).diagonal] = False
-    return np.flatnonzero(keep)
+    return np.flatnonzero(np.arange((n - 1) ** 2 + 1) % n)
 
 
 def expected_gram(n: int) -> list[list[int]]:
@@ -190,15 +187,18 @@ def pi_ab_submatrix(n: int):
     return rows.tolist(), expected.tolist(), bool(np.array_equal(rows, expected))
 
 
-def _full_column_rank_check(n: int, gram, ones, columns):
-    """(rank, rank == width) for X, the rows ones of H on its columns.
+def _full_column_rank_check(n: int, which: int, columns):
+    """(rank, rank == width) for X, H (which = 0) or N (1) on its columns.
 
-    gram's block on columns is X^T X: integral, of X's rational rank, at most
-    the width, which linalg.certified_rank gives exactly.  At degrees up to 5
-    the rank is recomputed from X directly as a cross-check.
+    bordered_grams(n)[which] on columns is X^T X: integral, of X's rational
+    rank, at most the width, which linalg.certified_rank gives exactly.  At
+    degrees up to 5 X's rows are read to recompute the rank as a cross-check.
     """
+    gram = bordered_grams(n)[which]
     r, _ = linalg.certified_rank(gram[columns][:, columns].tolist(), len(columns))
     if n <= 5:
+        inc = incidence(n)
+        ones = inc.ones[inc.derangement_ranks] if which else inc.ones
         dense = _dense(ones, (n - 1) ** 2)[:, columns].tolist()
         if linalg.bareiss_rank(dense) != r:
             raise AssertionError("Gram rank disagrees with direct elimination")
@@ -207,14 +207,12 @@ def _full_column_rank_check(n: int, gram, ones, columns):
 
 def rank_M_check(n: int) -> tuple[int, bool]:
     """rank(M) = (n-1)(n-2), read on G_N without W's rows and the border."""
-    n_ones = incidence(n).ones[incidence(n).derangement_ranks]
-    return _full_column_rank_check(n, bordered_grams(n)[1], n_ones, _m_columns(n)[:-1])
+    return _full_column_rank_check(n, 1, _m_columns(n)[:-1])
 
 
 def rank_H_check(n: int) -> tuple[int, bool]:
     """rank(H) = (n-1)^2, read on H^T H, the block of G_H off the border."""
-    columns = range((n - 1) ** 2)
-    return _full_column_rank_check(n, bordered_grams(n)[0], incidence(n).ones, columns)
+    return _full_column_rank_check(n, 0, range((n - 1) ** 2))
 
 
 def bordered_kernel_check(n: int) -> bool:
@@ -245,8 +243,7 @@ def kernel_membership_check(n: int, m_full_rank: bool | None = None) -> bool:
     and a kernel wider than W's unit vectors holds a vector off W, which H
     (rank_H_check) maps outside it.
     """
-    diagonal = incidence(n).diagonal
-    if bordered_grams(n)[1][diagonal, diagonal].any():
+    if bordered_grams(n)[1].diagonal()[:-1:n].any():
         return False
     return rank_M_check(n)[1] if m_full_rank is None else m_full_rank
 
@@ -379,7 +376,7 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
         fixed = point_family(gd.images[translated[k]]) if family_key else None
         case = None if fixed is None else 1 if fixed[0] == fixed[1] < n else 2
         if case == 1:
-            coordinates[h.diagonal[fixed[0] - 1], k] = 1
+            coordinates[(fixed[0] - 1) * n, k] = 1  # W's column (i, i)
         elif case == 2:
             coordinates[:, k] = [1] * width + [-(n - 2)]
         keys.append((family_key, fixed, case))

@@ -196,6 +196,29 @@ def derangements_ending_at(n: int) -> tuple[int, ...]:
     return (0,) + (each,) * (n - 1) + (0,) if n > 1 else (0, 0)
 
 
+def derangement_gram(n: int) -> list[list[int]]:
+    """[N | 1]^T [N | 1] by counting, N the derangement rows of H.
+
+    Column (i, j), i, j < n, is (i-1)(n-1) + j-1, and a derangement's row is 1
+    at (i, pi(i)) for every i < n with pi(i) < n.  Entry (c, d) counts the
+    derangements with both one-positions c and d, the border column those
+    with c, and the corner all D(n) of them.
+    """
+    width = (n - 1) ** 2
+    gram = [[0] * (width + 1) for _ in range(width + 1)]
+    for images in itertools.permutations(range(1, n + 1)):
+        if any(v == i for i, v in enumerate(images, 1)):
+            continue
+        ones = [(i - 1) * (n - 1) + v - 1 for i, v in enumerate(images[:-1], 1) if v < n]
+        for c in ones:
+            for d in ones:
+                gram[c][d] += 1
+            gram[c][width] += 1
+            gram[width][c] += 1
+        gram[width][width] += 1
+    return gram
+
+
 def gaussian_rank(matrix) -> int:
     """Rank by fraction-free (Bareiss) elimination.
 

@@ -607,6 +607,19 @@ class TestExitCodes:
             " got t=1, n=2\n"
         )
 
+    def test_direct_elimination_disagreeing_is_an_internal_error(
+        self, capsys, monkeypatch
+    ):
+        from ekrperm import linalg
+
+        monkeypatch.setattr(linalg, "bareiss_rank", lambda rows: 0)
+        code, out, err = run_cli(capsys, "lemmas", "4")
+        assert code == cli.EXIT_INTERNAL == 5
+        assert out == ""
+        assert err == (
+            "error: internal check failed: Gram rank disagrees with direct elimination\n"
+        )
+
     def test_damaged_incidence_fails_the_bordered_kernel_check(
         self, capsys, doctor_incidence
     ):

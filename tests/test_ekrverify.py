@@ -141,7 +141,8 @@ class TestIncidenceMatrix:
             for r, images in enumerate(itertools.permutations(range(1, n + 1)))
             if all(v != i for i, v in enumerate(images, 1))
         ]
-        assert h.diagonal.tolist() == [column[(i, i)] for i in range(1, n)]
+        # W's columns (i, i) are the multiples of n below the width
+        assert [column[(i, i)] for i in range(1, n)] == list(range(0, len(column), n))
 
     def test_identity_row(self):
         h = incidence(4)
@@ -267,6 +268,13 @@ class TestBorderedGrams:
         off = [k for k in range(width + 1) if k not in diagonal]
         assert g_n[np.ix_(off, off)].tolist() == _bordered_gram(m[:, :m_width])
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_G_N_equals_the_counting_oracle(self, n):
+        # entrywise, the transposed columns (j, i) and the border included
+        g_n = ekrverify.bordered_grams(n)[1]
+        assert g_n.tolist() == oracles.derangement_gram(n)
+        assert g_n[-1, -1] == oracles.derangements_by_inclusion_exclusion(n)
+
     def test_cached_and_read_only(self):
         g_h, g_n = ekrverify.bordered_grams(5)
         assert ekrverify.bordered_grams(5)[0] is g_h
@@ -318,7 +326,7 @@ class TestIncidenceArrays:
 class TestBlocks:
     def test_degree_four_shapes(self):
         h = incidence(4)
-        assert h.diagonal.tolist() == [0, 4, 8]
+        assert [_columns(4).index((i, i)) for i in range(1, 4)] == [0, 4, 8]
         # M's six columns, then the border
         assert ekrverify._m_columns(4).tolist() == [1, 2, 3, 5, 6, 7, 9]
         assert len(h.derangement_ranks) == 9
@@ -444,7 +452,7 @@ def _parent_kernel_membership(n, trials, seed):
     )
     if len(basis) != n - 1:
         raise AssertionError("unexpected kernel dimension for the derangement rows")
-    w = ekrverify._dense(h.ones, width)[:, h.diagonal]
+    w = ekrverify._dense(h.ones, width)[:, ::n]  # W's columns, the multiples of n
     w_gram = (w.T @ w).tolist()
     w_rank = oracles.gaussian_rank(w_gram)
     w_support = [np.flatnonzero(column).tolist() for column in w.T]
@@ -477,10 +485,14 @@ class TestKernelMembershipByLinearity:
         assert _parent_kernel_membership(n, 20, seed) is True
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_damaged_W_fails_on_both_routes(self, n, doctor_incidence):
-        doctor_incidence(lambda inc: inc._replace(diagonal=inc.diagonal[1:]))
-        assert kernel_membership_check(n) is False
-        assert _parent_kernel_membership(n, 20, 987) is False
+    def test_G_N_meeting_any_W_column_fails(self, n, monkeypatch):
+        # a row of N meeting W's column (i, i) counts on G_N's diagonal there;
+        # the check must see it at every i, the last one too
+        real = ekrverify.bordered_grams
+        for i in range(1, n):
+            doctored = _W_meeting_grams(real, (i - 1) * n)
+            monkeypatch.setattr(ekrverify, "bordered_grams", doctored)
+            assert kernel_membership_check(n) is False
 
     def test_half_the_rows_fail_here_and_raise_in_the_reference(self, doctor_incidence):
         # every other derangement row leaves a kernel wider than n-1: M loses
@@ -539,7 +551,38 @@ def _deficient_grams(real):
     return deficient
 
 
+def _W_meeting_grams(real, column):
+    """real bordered_grams with G_N's diagonal entry on W's column set to 1,
+    as if one row of N met that column."""
+
+    def meeting(n):
+        g_h, g_n = real(n)
+        g_n = g_n.copy()
+        g_n[column, column] = 1
+        return g_h, g_n
+
+    return meeting
+
+
 class TestCertifiedLemmaRanks:
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_lemmas_read_the_grams_alone(self, n, monkeypatch):
+        # once bordered_grams(n) is built, no lemma reads H's rows above 5
+        lemmas = (
+            gram_check,
+            rank_H_check,
+            rank_M_check,
+            bordered_kernel_check,
+            kernel_membership_check,
+        )
+        expected = [lemma(n) for lemma in lemmas]
+
+        def no_rows(n):
+            raise AssertionError(f"H's rows read at degree {n}")
+
+        monkeypatch.setattr(ekrverify, "incidence", no_rows)
+        assert [lemma(n) for lemma in lemmas] == expected
+
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_no_elimination_at_the_top_degrees(self, n, monkeypatch):
         heights = _recording_bareiss(monkeypatch)
@@ -548,6 +591,33 @@ class TestCertifiedLemmaRanks:
         assert bordered_kernel_check(n) is True
         assert kernel_membership_check(n) is True
         assert heights == []
+
+    def test_rank_disagreeing_with_direct_elimination_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "bareiss_rank", lambda rows: 0)
+        for lemma in (rank_H_check, rank_M_check):
+            with pytest.raises(
+                AssertionError, match="^Gram rank disagrees with direct elimination$"
+            ):
+                lemma(4)
+
+    @pytest.mark.parametrize(
+        "exact, message",
+        [
+            (0, "^exact rank 0 is below the modular rank 24$"),
+            (26, "^exact rank 26 exceeds the proven upper bound 25$"),
+        ],
+        ids=["below-modular", "above-cap"],
+    )
+    def test_certified_rank_invariants_raise(self, exact, message, monkeypatch):
+        # at n = 6 no direct elimination runs, so a profile one short of the
+        # cap (25) sends H^T H to the patched elimination
+        real = linalg.rank_profile_mod_p
+        monkeypatch.setattr(
+            linalg, "rank_profile_mod_p", lambda rows, p: real(rows, p)[1:]
+        )
+        monkeypatch.setattr(linalg, "bareiss_rank", lambda rows: exact)
+        with pytest.raises(AssertionError, match=message):
+            rank_H_check(6)
 
     def test_doctored_gram_reports_its_exact_rank(self, monkeypatch):
         n = 6
@@ -859,7 +929,7 @@ def _per_set_records(n, sets):
             continue
         if fixed[0] == fixed[1] < n:
             case, body, coefficient = 1, np.zeros(width, dtype=np.int64), 0
-            body[h.diagonal[fixed[0] - 1]] = 1
+            body[(fixed[0] - 1) * n] = 1
         else:
             case, body, coefficient = 2, np.ones(width, dtype=np.int64), -(n - 2)
         indicator = np.zeros(gd.order, dtype=np.int64)

@@ -651,6 +651,18 @@ class TestSearch:
         ]
         assert branches == walk
 
+    def test_a_coset_with_no_allowed_vertex_ends_the_branch(self):
+        # vertices 0..3 in cosets {0, 1} and {2, 3}; only 0 and 1 are allowed
+        everything = [0b1111] * 4
+        walk = graphs._enumerate_transversals([0b0011, 0b1100], everything, 0b0011, ())
+        assert walk == []
+
+    def test_a_pick_that_blocks_a_later_coset_is_pruned(self):
+        # picking 0 leaves coset {2, 3} no vertex; picking 1 leaves it 2
+        nonadj = [0b0011, 0b0111, 0b1111, 0b1111]
+        walk = graphs._enumerate_transversals([0b0011, 0b1100], nonadj, 0b1111, ())
+        assert walk == [(1, 2)]
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_workers_agree(self, n, fresh_search):
         serial = max_independent_sets(n, workers=1)

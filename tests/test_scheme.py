@@ -865,7 +865,6 @@ class TestGroupTables:
         def walk(*args):
             raise AssertionError("S(5) walked again")
 
-        ekrverify.incidence.cache_clear()
         monkeypatch.setattr(itertools, "permutations", walk)
         h = ekrverify.incidence(5)
         # row r has column (1, pi(1)) unless pi(1) = 5
