@@ -10,7 +10,10 @@ line and, N being zero on W, ker N is spanned by W's unit vectors.  Together
 these pin down every maximum independent set of the derangement graph as a
 point-stabilizing family.  H's rows are read only by the cross-checks at
 n <= 5 and by classify_maximum_sets, which certifies once that G_H has full
-rank and then checks each set's predicted coordinates.
+rank and then checks each set's predicted coordinates.  The point basis
+(k = 1) and the depth spans (k = t + 1) read their constraint families
+through one span route, _family_span: the supports, their union and both
+ranks, certified on the families' own indicator rows.
 """
 
 from __future__ import annotations
@@ -232,48 +235,43 @@ def bordered_kernel_check(n: int) -> bool:
     return linalg.certified_rank(gram.tolist(), len(gram) - 1)[0] == len(gram) - 1
 
 
-def kernel_membership_check(n: int, m_full_rank: bool | None = None) -> bool:
+def kernel_membership_check(n: int) -> bool:
     """H maps ker(N) into the span of W's columns, certified without sampling.
 
     When G_N is zero on W's diagonal entries, no row of N meets W, so ker N
     is span{e_c : c in W} plus the kernel of M; when M also has full column
-    rank (m_full_rank, from rank_M_check unless given), ker N = span{e_c : c
-    in W}, and H e_c is column c of H, in the span of W's columns.  The check
-    fails when either premise does, a row meeting W voiding the certificate;
-    and a kernel wider than W's unit vectors holds a vector off W, which H
-    (rank_H_check) maps outside it.
+    rank (rank_M_check), ker N = span{e_c : c in W}, and H e_c is column c of
+    H, in the span of W's columns.  The check fails when either premise does,
+    a row meeting W voiding the certificate; and a kernel wider than W's unit
+    vectors holds a vector off W, which H (rank_H_check) maps outside it.
     """
     if bordered_grams(n)[1].diagonal()[:-1:n].any():
         return False
-    return rank_M_check(n)[1] if m_full_rank is None else m_full_rank
+    return rank_M_check(n)[1]
 
 
-def _bordered_rank(n: int) -> int:
-    """rank [H | ones], certified on G_H against its full rank (n-1)^2 + 1."""
-    return linalg.certified_rank(bordered_grams(n)[0].tolist(), (n - 1) ** 2 + 1)[0]
+def _family_span(families, n: int):
+    """(supports, union, rank S, rank [S; ones], method) of an (f, m) rank array.
 
-
-def _shifted_span_ranks(families, order: int, size: int, cap: int):
-    """(rank S, rank [S; ones], method) for the families shifted by their density.
-
-    Row i of S is s_i = order * x_i - size * ones, where x_i is the 0/1
-    indicator of family i, and cap is a proven bound on rank S.  Every family
-    must have size members (AssertionError otherwise), so each s_i has
-    coordinate sum 0 while ones has sum order: ones lies outside span S, and
-    span (S + ones) = span (X + ones).  Hence rank [S; ones] = rank [X; ones]
-    and rank S = rank [X; ones] - 1, and one modular rank profile of the 0/1
-    rows [X; ones], read a slice at a time from linalg.IndicatorRows, that
-    meets cap + 1 certifies both.  Short of it, [X; ones] is eliminated
-    fraction-free instead.
+    Row i of S is s_i = n! x_i - m ones, for the 0/1 indicator x_i of family
+    i, which has no trivial component: its supports, by class, are the
+    nonzero entries of scheme.shifted_character_sums, whose Parseval check
+    raises AssertionError on a repeated member, and union is the shapes they
+    meet, descending.  S lies in the union's eigenspaces, so the sum of their
+    dim^2 caps rank S.  Each s_i has coordinate sum 0 while ones has sum n!:
+    ones lies outside span S, and span (S + ones) = span (X + ones).  Hence
+    rank [S; ones] = rank [X; ones] = rank S + 1, and one certified rank of
+    the 0/1 rows [X; ones], read a slice at a time from linalg.IndicatorRows,
+    against the cap plus one gives both.
     """
-    import numpy as np
-
-    for f, ranks in enumerate(families):
-        if len(ranks) != size:
-            raise AssertionError(f"family {f} has {len(ranks)} members, not {size}")
-    rows = linalg.IndicatorRows(np.reshape(families, (-1, size)), order)
+    gd = group_data(n)
+    supports = shifted_character_sums(families, n) != 0
+    met = supports.any(axis=0).nonzero()[0]
+    union = tuple(sorted((gd.classes[c].cycle_type for c in met), reverse=True))
+    cap = sum(dimension(shape) ** 2 for shape in union)
+    rows = linalg.IndicatorRows(families, gd.order)
     with_ones, method = linalg.certified_rank(rows, cap + 1)
-    return with_ones - 1, with_ones, method
+    return supports, union, with_ones - 1, with_ones, method
 
 
 class BasisCheckReport(NamedTuple):
@@ -292,11 +290,8 @@ def basis_check(n: int) -> BasisCheckReport:
     the all-ones vector is outside their span; the count matches dim^2.
     The families S_{i->j} with i, j < n are the k = 1 rows of
     permgroup.constraint_families, read as (n, n, m) with the last position
-    and the last value dropped.  Each has m = (n-1)! members, so ones/n is its
-    density: the supports are the nonzero entries of
-    scheme.shifted_character_sums.  Their indicators are H's columns, so the
-    rank with ones is _bordered_rank, and, as in _shifted_span_ranks, the
-    shifted rank is one less.
+    and the last value dropped, and _family_span reads their supports and
+    both ranks off the families themselves.
     """
     need_degree("basis_check", n, 1, MAX_DENSE_DEGREE)
     gd = group_data(n)
@@ -304,16 +299,13 @@ def basis_check(n: int) -> BasisCheckReport:
     m = factorial(n - 1)
     families = constraint_families(n, 1).reshape(n, n, m)[:-1, :-1].reshape(-1, m)
     is_standard = [cls.cycle_type == standard for cls in gd.classes]
-    supports = shifted_character_sums(families, n) != 0
-    supports_ok = bool((supports == is_standard).all())
-    rank_with_ones = _bordered_rank(n)
-    dimension_match = (n - 1) ** 2 == dimension(standard) ** 2
+    supports, _, rank_shifted, rank_with_ones, _ = _family_span(families, n)
     return BasisCheckReport(
         n=n,
-        supports_ok=supports_ok,
-        rank_shifted=rank_with_ones - 1,
+        supports_ok=bool((supports == is_standard).all()),
+        rank_shifted=rank_shifted,
         rank_with_ones=rank_with_ones,
-        dimension_match=dimension_match,
+        dimension_match=(n - 1) ** 2 == dimension(standard) ** 2,
     )
 
 
@@ -348,9 +340,9 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
     written exactly in the columns of [H | ones]: stabilizing a point i < n is
     case 1 (the column (i,i), coefficient 0); stabilizing the last point is
     case 2 (every column of H, border coefficient -(n-2)).  G_H, the Gram
-    matrix of [H | ones], having full rank (_bordered_rank), shows once per
-    call that these coordinates are the only ones, so one product checks every
-    set's predicted coordinates against every row of H.  A rank deficit raises
+    matrix of [H | ones], certified of full rank once per call, shows that
+    these coordinates are the only ones, so one product checks every set's
+    predicted coordinates against every row of H.  A rank deficit raises
     AssertionError; a failed prediction is a violation.
     """
     import numpy as np
@@ -362,7 +354,8 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
     gd = group_data(n)
     h = incidence(n)
     width = (n - 1) ** 2
-    if _bordered_rank(n) != width + 1:
+    full, _ = linalg.certified_rank(bordered_grams(n)[0].tolist(), width + 1)
+    if full != width + 1:
         raise AssertionError("[H | ones] must have full column rank")
     ranks = np.asarray(search_result.ranks, dtype=np.intp)
     distinct = np.diff(np.sort(ranks, axis=1)).all(axis=1).tolist()
@@ -424,19 +417,19 @@ def depth_conjecture_dims(n: int, t: int = 1) -> DepthReport:
     span with and without the all-ones vector adjoined.
 
     The families are the rows of permgroup.constraint_families(n, t+1), and
-    their supports are the nonzero entries of one scheme.shifted_character_sums
-    call.  _shifted_span_ranks certifies both ranks from the 0/1 indicator
-    rows against the dimension of the observed support union.
+    _family_span, basis_check's route too, reads their supports, the union
+    of those, and both ranks, certified from the 0/1 indicator rows against
+    the dimension of the union.
     """
     if not 1 <= t <= 2:
         raise ValueError(f"need t in {{1, 2}}, got {t}")
     need_degree("depth_conjecture_dims", n, 1, MAX_DENSE_DEGREE)
     if t + 1 >= n:
         raise ValueError("constraint sets must leave at least one free point")
-    gd = group_data(n)
     families = constraint_families(n, t + 1)
-    met = shifted_character_sums(families, n).any(axis=0)
-    union = {cls.cycle_type for cls, hit in zip(gd.classes, met) if hit}
+    _, union, span_rank_shifted, span_rank_with_ones, method = _family_span(
+        families, n
+    )
     module_dim_sums = {}
     for depth in (t, t + 1):
         module_dim_sums[depth] = sum(
@@ -448,12 +441,6 @@ def depth_conjecture_dims(n: int, t: int = 1) -> DepthReport:
         depth: all(partition_depth(shape) <= depth for shape in union)
         for depth in (t, t + 1)
     }
-    # The observed supports prove the span lies inside those eigenspaces, so
-    # their total dimension is a certified cap for the modular rank bound.
-    union_dim = sum(dimension(shape) ** 2 for shape in union)
-    span_rank_shifted, span_rank_with_ones, method = _shifted_span_ranks(
-        families, gd.order, factorial(n - t - 1), union_dim
-    )
     agreement = {}
     for depth in (t, t + 1):
         total = module_dim_sums[depth]
@@ -471,7 +458,7 @@ def depth_conjecture_dims(n: int, t: int = 1) -> DepthReport:
         span_rank_shifted=span_rank_shifted,
         span_rank_with_ones=span_rank_with_ones,
         rank_method=f"{method}/{method}",
-        support_union=tuple(sorted(union, reverse=True)),
+        support_union=union,
         supports_within_depth=supports_within,
         agreement=agreement,
     )

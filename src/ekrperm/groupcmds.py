@@ -168,7 +168,7 @@ def run_lemmas(n: int):
     checks.append(check("selected-rows-give-K-kron-I", sub_ok))
     bordered_ok = ekrverify.bordered_kernel_check(n)
     checks.append(check("bordered-kernel-spanned-by-expected-vector", bordered_ok))
-    in_w = ekrverify.kernel_membership_check(n, ok_m)  # M's rank, computed once
+    in_w = ekrverify.kernel_membership_check(n)
     checks.append(check("kernel-vectors-map-into-diagonal-column-space", in_w))
     skipped = []
     if n <= permgroup.MAX_DENSE_DEGREE:

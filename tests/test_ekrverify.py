@@ -2,6 +2,7 @@
 module supports, and the classification of maximum intersecting families."""
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -422,24 +423,25 @@ class TestKernels:
         assert kernel_membership_check(4)
         assert kernel_membership_check(5)
 
-    def test_a_given_rank_of_M_is_used_as_it_is(self, monkeypatch):
+    def test_the_rank_of_M_is_certified_by_the_check_itself(self, monkeypatch):
+        # no caller can vouch for M: the check reads rank_M_check's verdict
+        for full in (True, False):
+            monkeypatch.setattr(ekrverify, "rank_M_check", lambda n: (0, full))
+            assert kernel_membership_check(5) is full
+        monkeypatch.undo()
         heights = _recording_bareiss(monkeypatch)
-        assert kernel_membership_check(5, True) is True
-        assert kernel_membership_check(5, False) is False
-        assert heights == []
         assert kernel_membership_check(5) is True
         assert heights == [44]
 
-    def test_lemmas_eliminate_H_and_M_once_each(self, monkeypatch):
+    def test_lemmas_eliminate_H_once_and_M_per_reader(self, monkeypatch):
         # the dense cross-checks at n <= 5: H (120 x 16), then M (44 x 12),
-        # whose rank the kernel membership check reads instead of eliminating
-        # M again
+        # once for rank M and once inside the kernel membership check
         from ekrperm import groupcmds
 
         heights = _recording_bareiss(monkeypatch)
         _, checks = groupcmds.run_lemmas(5)
         assert all(c["pass"] for c in checks)
-        assert heights == [120, 44]
+        assert heights == [120, 44, 44]
 
 
 def _parent_kernel_membership(n, trials, seed):
@@ -884,30 +886,70 @@ class TestBasisCheck:
     @pytest.mark.parametrize(
         "n, ranks", [(1, (0, 1)), (2, (1, 2)), (3, (4, 5)), (6, (25, 26))]
     )
-    def test_ranks_are_one_certified_rank_of_G_H(self, monkeypatch, n, ranks):
-        # [H | ones] has the point-family indicators, H's columns, and ones as
-        # its columns: one certified rank of G_H, (n-1)^2 x (n-1)^2 plus the
-        # border, gives both ranks
+    def test_ranks_are_one_certified_rank_of_the_indicator_rows(
+        self, monkeypatch, n, ranks
+    ):
+        # the (n-1)^2 point-family indicators and ones, as n! wide 0/1 rows:
+        # one certified rank against the standard module's dim^2 plus one
+        # gives both ranks
         real, sides = linalg.certified_rank, []
 
         def recording(rows, cap):
-            sides.append((len(rows), cap))
+            sides.append((type(rows), len(rows), len(rows[0]), cap))
             return real(rows, cap)
 
         monkeypatch.setattr(linalg, "certified_rank", recording)
         report = basis_check(n)
         assert (report.rank_shifted, report.rank_with_ones) == ranks
-        assert sides == [((n - 1) ** 2 + 1, (n - 1) ** 2 + 1)]
+        side = (n - 1) ** 2 + 1
+        assert sides == [(linalg.IndicatorRows, side, math.factorial(n), side)]
 
     def test_degree_one_keeps_its_record(self):
         assert basis_check(1) == BasisCheckReport(1, True, 0, 1, False)
 
-    def test_basis_and_classification_read_one_rank(self, monkeypatch):
-        monkeypatch.setattr(ekrverify, "_bordered_rank", lambda n: (n - 1) ** 2)
+    def test_basis_reads_its_families_not_G_H(self, monkeypatch):
+        # a rank deficit in G_H stops the classification, but the basis check
+        # reads the point families themselves
+        doctored = _deficient_grams(ekrverify.bordered_grams)
+        monkeypatch.setattr(ekrverify, "bordered_grams", doctored)
         report = basis_check(4)
-        assert (report.rank_shifted, report.rank_with_ones) == (8, 9)
+        assert (report.rank_shifted, report.rank_with_ones) == (9, 10)
         with pytest.raises(AssertionError, match=r"\[H \| ones\]"):
             classify_maximum_sets(4)
+
+    def test_a_repeated_family_fails_both_ranks(self, monkeypatch, capsys):
+        # S_{1->1} replaced by a second S_{1->2}: the supports stay standard,
+        # but the 9 families span 8 dimensions, and ones a ninth
+        from ekrperm import cli
+
+        real = ekrverify.constraint_families
+
+        def repeated(n, k):
+            families = real(n, k).copy()
+            families[0] = families[1]
+            return families
+
+        monkeypatch.setattr(ekrverify, "constraint_families", repeated)
+        assert cli.main(["lemmas", "4"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        failed = {c["name"]: c.get("rank") for c in checks if not c["pass"]}
+        assert failed == {
+            "shifted-point-families-have-full-rank": 8,
+            "ones-outside-span": 9,
+        }
+        assert "point-family-supports-standard-only" in {c["name"] for c in checks}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_all_point_families_span_the_standard_module_and_ones(self, n):
+        # k = 1: all n^2 families S_{i->j}, the last position and value
+        # included, meet only (n-1, 1) and add no rank to the (n-1)^2 of
+        # those below n
+        supports, union, *ranks, _ = ekrverify._family_span(
+            constraint_families(n, 1), n
+        )
+        assert supports.shape[0] == n * n
+        assert union == ((n - 1, 1),)
+        assert tuple(ranks) == ((n - 1) ** 2, (n - 1) ** 2 + 1)
 
 
 def _per_set_records(n, sets):
@@ -1133,21 +1175,21 @@ class TestIndicatorRoute:
         )
         report = basis_check(n)
         assert (report.rank_shifted, report.rank_with_ones) == (shifted, with_ones)
-        route = ekrverify._shifted_span_ranks(
-            families, gd.order, math.factorial(n - 1), k
-        )
-        assert route == (shifted, with_ones, m1) and m1 == m2
+        route = ekrverify._family_span(np.array(families), n)
+        assert route[1] == ((n - 1, 1),)
+        assert route[2:] == (shifted, with_ones, m1) and m1 == m2
 
-    def test_family_of_the_wrong_size_raises(self):
-        gd = group_data(4)
-        families = [family_ranks(pairs, 4) for pairs in [((1, 1),), ((2, 2),)]]
-        families[1] = families[1][:-1]
-        with pytest.raises(AssertionError, match="members"):
-            ekrverify._shifted_span_ranks(families, gd.order, 6, 2)
+    def test_repeated_member_raises(self):
+        families = constraint_families(4, 1)[:2].copy()
+        families[1, -1] = families[1, 0]
+        with pytest.raises(
+            AssertionError, match="eigenspace norms do not add up to the vector norm"
+        ):
+            ekrverify._family_span(families, 4)
 
     @staticmethod
     def _dense_rows(n, t):
-        """The rows [X; ones] of _shifted_span_ranks, built whole as int8."""
+        """The rows [X; ones] of _family_span, built whole as int8."""
         families = constraint_families(n, t + 1)
         rows = np.zeros((len(families) + 1, math.factorial(n)), dtype=np.int8)
         rows[-1] = 1
@@ -1187,14 +1229,18 @@ class TestIndicatorRoute:
         of the rows is held beside the uint8 residues of the first prime."""
         import tracemalloc
 
+        # the cached tables the supports read are built first: the peak is
+        # the route's own
         families = constraint_families(6, 3)
+        group_data(6).relations
+        scheme.character_table(6)
         tracemalloc.start()
         try:
-            ranks = ekrverify._shifted_span_ranks(families, 720, 6, 587)
+            *_, shifted, with_ones, method = ekrverify._family_span(families, 6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert ranks == (587, 588, "modular-certificate")
+        assert (shifted, with_ones, method) == (587, 588, "modular-certificate")
         assert peak < 1.5 * 2401 * 720
 
 

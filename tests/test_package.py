@@ -1,4 +1,5 @@
-"""Package hygiene: no dead module-level imports, and the README example runs.
+"""Package hygiene: no dead module-level imports, no assert statement in the
+package, and the README example runs.
 
 The import walk covers the package modules (but __init__, whose imports are
 its exports) and the test modules.
@@ -90,6 +91,16 @@ def test_need_degree_is_the_only_degree_raise():
             if name == "DegreeRangeError":
                 raises.append(f"{path.stem}.{owner.get(node, '<module>')}")
     assert raises == ["permgroup.need_degree"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "ekrperm").glob("*.py")), ids=lambda path: path.stem
+)
+def test_no_check_is_an_assert_statement(path):
+    """python -O strips assert statements, so every internal check raises."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []
 
 
 def _degree_guards():
