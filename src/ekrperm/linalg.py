@@ -9,11 +9,14 @@ mod a prime) gives the rank profile of a large integer matrix, the mod-p
 rank of every leading block of rows at once; a modular rank that meets a
 proven cap is the exact rank.  Short of the cap, one fraction-free forward
 elimination (Bareiss's integer-preserving scheme) gives the rank exactly.
-The modular elimination reads its rows a block at a time into one working
-copy of residues, one byte per entry for the first prime, 251, and two for
-the second, 32749.  Each modular pivot updates only the columns where the
-pivot row is nonzero: 443,057 cells for the 0/1 rows of the n = 6, t = 2
-depth span, where every column from the pivot on would be 8,394,183.
+The modular elimination reads its rows a block at a time.  Mod 2, the
+first modulus tried for the 0/1 IndicatorRows, each row is packed into one
+Python int of bits and XORed against a basis of such ints, so no working
+copy of residues is held: for the 2,401 x 720 rows of the n = 6, t = 2
+depth span the basis is 588 ints of 720 bits.  Mod the primes 251 and
+32749, tried for every matrix, the rows go into one working copy of
+residues, one byte per entry at 251 and two at 32749, and each pivot
+updates only the columns where the pivot row is nonzero.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from __future__ import annotations
 from operator import index
 
 # the largest primes below 2**8 and 2**15: residues fit uint8, then uint16,
-# and products int32
+# and products int32; IndicatorRows try 2 before them
 _RANK_PRIMES = (251, 32749)
-_RESIDUE_BLOCK = 64  # rows read and reduced at a time into the working copy
+_RESIDUE_BLOCK = 64  # rows read and reduced at a time
 
 
 class IndicatorRows:
@@ -32,8 +35,9 @@ class IndicatorRows:
     Row i of X is 1 at positions[i] and 0 elsewhere in its width columns,
     for a (rows, k) integer array positions, and the last row is all ones.
     A slice is built as one int8 array and an int index gives one row, so
-    rank_profile_mod_p reads the matrix a block at a time with no dense copy
-    beside its working copy, and bareiss_rank can still iterate the rows.
+    rank_profile_mod_p reads the matrix a block at a time with no dense copy,
+    and bareiss_rank can still iterate the rows.  Its entries are 0/1 by
+    construction, so certified_rank tries the modulus 2 on it first.
     """
 
     def __init__(self, positions, width: int):
@@ -81,24 +85,47 @@ def bareiss_rank(rows) -> int:
     return rank
 
 
+def _residue_blocks(int_rows, p: int):
+    """(start, residues) for each slice of _RESIDUE_BLOCK rows from start.
+
+    Each slice is reduced in the narrowest signed dtype, int16 or wider,
+    that holds its entries and p, so int_rows is never widened whole.  A
+    slice NumPy cannot read as integers is read again as objects through
+    operator.index: ints past int64 stay exact, and a float, a NaN or a
+    Fraction raises TypeError.
+    """
+    import numpy as np
+
+    for start in range(0, len(int_rows), _RESIDUE_BLOCK):
+        chunk = slice(start, start + _RESIDUE_BLOCK)
+        rows = np.asarray(int_rows[chunk])
+        if rows.dtype.kind not in "biu" or rows.dtype == np.uint64:
+            # Python ints past int64, which NumPy reads as objects or floats
+            rows = np.frompyfunc(index, 1, 1)(np.asarray(int_rows[chunk], dtype=object))
+        wide = object if rows.dtype == object else np.promote_types(rows.dtype, np.int16)
+        yield start, np.remainder(rows, p, dtype=wide)
+
+
 def rank_profile_mod_p(int_rows, p: int) -> list[int]:
     """Indices of the rows that are independent of the rows before them, mod p.
 
-    The transpose is eliminated column by column; its pivot columns are the
-    row rank profile whichever row each pivot is taken from, so the pivots
-    among the first k rows number exactly the rank of those k rows over the
-    field of p elements, and the length of the list is the rank of the whole
-    matrix.  int_rows is any sized sequence of rows that slices: it is read
-    one slice of _RESIDUE_BLOCK rows at a time, each reduced in the
-    narrowest signed dtype, int16 or wider, that holds its entries and p (in
-    Python ints for entries past int64), so neither it nor an integer array
-    is widened whole.  The one working copy is a transpose of residues in
-    the narrowest unsigned dtype that holds p - 1, one byte per entry for
-    p < 2**8.  Each pivot updates only the other live rows, and in them only
-    the columns where the pivot row is nonzero; the products are formed in
-    int32, exact because (p - 1)**2 < 2**30.  p must be a prime below 2**15:
-    ValueError for a modulus out of range, or for a pivot without an
-    inverse mod p.
+    The pivots among the first k rows number exactly the rank of those k
+    rows over the field of p elements, and the length of the list is the
+    rank of the whole matrix.  int_rows is any sized sequence of rows that
+    slices, read one slice of _RESIDUE_BLOCK rows at a time (_residue_blocks;
+    a non-integer entry raises TypeError).  At p = 2 each row is packed
+    little-endian into one Python int and XORed against the independent
+    rows before it, kept by top bit, until it is zero or has a top bit none
+    of them has, when it joins them; no working copy of the matrix is held,
+    and no row is read once the profile is as long as the width.  At any
+    other p the transpose is eliminated column by column; its pivot columns
+    are the row rank profile whichever row each pivot is taken from.  Its
+    one working copy is a transpose of residues in the narrowest unsigned
+    dtype that holds p - 1, one byte per entry for p < 2**8.  Each pivot
+    updates only the other live rows, and in them only the columns where
+    the pivot row is nonzero; the products are formed in int32, exact
+    because (p - 1)**2 < 2**30.  p must be a prime below 2**15: ValueError
+    for a modulus out of range, or for a pivot without an inverse mod p.
     """
     import numpy as np
 
@@ -106,22 +133,31 @@ def rank_profile_mod_p(int_rows, p: int) -> list[int]:
         raise ValueError(f"need a modulus 2 <= p < 2**15, got {p}")
     if not len(int_rows):
         return []
-    a = np.empty((len(int_rows[0]), len(int_rows)), dtype=np.min_scalar_type(p - 1))
-    for start in range(0, len(int_rows), _RESIDUE_BLOCK):
-        chunk = slice(start, start + _RESIDUE_BLOCK)
-        rows = np.asarray(int_rows[chunk])
-        if rows.dtype.kind not in "biu" or rows.dtype == np.uint64:
-            # Python ints past int64, which NumPy reads as objects or floats
-            rows = np.asarray(int_rows[chunk], dtype=object)
-        wide = object if rows.dtype == object else np.promote_types(rows.dtype, np.int16)
-        a[:, chunk] = np.remainder(rows, p, dtype=wide).T
-    pivots: list[int] = []
+    width, pivots = len(int_rows[0]), []
+    if p == 2:
+        basis: dict[int, int] = {}  # independent rows reduced, by top bit
+        for start, residues in _residue_blocks(int_rows, 2):
+            packed = np.packbits(residues != 0, axis=1, bitorder="little")
+            for i, row in enumerate(packed):
+                bits = int.from_bytes(row, "little")
+                while bits and (reducer := basis.get(bits.bit_length())):
+                    bits ^= reducer
+                if bits:
+                    basis[bits.bit_length()] = bits
+                    pivots.append(start + i)
+                    if len(pivots) == width:
+                        return pivots
+        return pivots
+    a = np.empty((width, len(int_rows)), dtype=np.min_scalar_type(p - 1))
+    for start, residues in _residue_blocks(int_rows, p):
+        a[:, start : start + len(residues)] = residues.T
     for col in range(a.shape[1]):
         live = a[:, col].nonzero()[0]
         if not len(live):
             continue
         # Any live row may pivot; the last is taken.  On the n = 6, t = 2
-        # indicator rows that updates 443,057 cells; the first, 456,489.
+        # indicator rows mod 251 that updates 443,057 cells; the first,
+        # 456,489.
         # Live rows are zero left of col, so lead starts at the pivot entry.
         row = a[live[-1]]
         nz = row.nonzero()[0]
@@ -154,15 +190,18 @@ def certified_rank(int_rows, cap: int) -> tuple[int, str]:
 
     A nonzero r x r minor mod p proves rank >= r over the rationals, so a
     modular rank that meets the cap is the exact rank, and the method is
-    "modular-certificate".  The primes are tried in turn until one meets it,
-    251 first, whose residues take one byte each, then 32749; int_rows is
-    read again for each, a slice at a time (rank_profile_mod_p).  Short of
+    "modular-certificate".  The primes are tried in turn until one meets it:
+    for IndicatorRows 2 first, whose rows pack into one int of bits each,
+    and for every matrix 251, whose residues take one byte each, then 32749;
+    int_rows is read again for each, a slice at a time (rank_profile_mod_p).
+    An odd minor is nonzero, so mod 2 certifies as soundly as 251.  Short of
     the cap the rows are eliminated fraction-free, and the method is
     "fraction-free-elimination".  A rank above the cap, or an exact rank
     below a modular one, raises AssertionError.
     """
     best = 0
-    for p in _RANK_PRIMES:
+    moduli = (2, *_RANK_PRIMES) if isinstance(int_rows, IndicatorRows) else _RANK_PRIMES
+    for p in moduli:
         best = max(best, len(rank_profile_mod_p(int_rows, p)))
         if best > cap:
             raise AssertionError(f"modular rank {best} exceeds the proven upper bound {cap}")

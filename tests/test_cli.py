@@ -1366,8 +1366,8 @@ class TestVerifyAll:
 
 
 class TestRankCertificates:
-    """Every rank certificate the reports use is met by the first prime, so no
-    profile is computed twice."""
+    """Every rank certificate the reports use is met by the first modulus its
+    rows try, so no profile is computed twice."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -1386,10 +1386,12 @@ class TestRankCertificates:
         real = linalg.rank_profile_mod_p
 
         def recorded(rows, p):
-            primes.append(p)
+            primes.append((type(rows) is linalg.IndicatorRows, p))
             return real(rows, p)
 
         monkeypatch.setattr(linalg, "rank_profile_mod_p", recorded)
         code, report, _ = run_json(capsys, *argv)
         assert code == 0 and report["pass"] is True
-        assert primes and set(primes) == {linalg._RANK_PRIMES[0]}
+        # 0/1 indicator rows try the modulus 2 first, any other rows 251
+        first = {True: 2, False: linalg._RANK_PRIMES[0]}
+        assert primes and all(p == first[indicator] for indicator, p in primes)

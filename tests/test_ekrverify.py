@@ -1224,9 +1224,10 @@ class TestIndicatorRoute:
         assert bareiss_rank(rows) == bareiss_rank(dense.tolist())
         assert bareiss_rank(rows[:-1]) == bareiss_rank(dense[:-1].tolist())
 
-    def test_peak_memory_is_one_byte_wide_working_copy(self):
-        """The n = 6, t = 2 certificate, [X; ones] 2,401 x 720: no dense copy
-        of the rows is held beside the uint8 residues of the first prime."""
+    def test_peak_memory_is_below_one_byte_per_entry(self):
+        """The n = 6, t = 2 certificate, [X; ones] 2,401 x 720: it is met mod
+        2 on rows packed into ints, so neither a dense copy of the rows nor a
+        byte-wide copy of their residues is held."""
         import tracemalloc
 
         # the cached tables the supports read are built first: the peak is
@@ -1241,7 +1242,31 @@ class TestIndicatorRoute:
         finally:
             tracemalloc.stop()
         assert (shifted, with_ones, method) == (587, 588, "modular-certificate")
-        assert peak < 1.5 * 2401 * 720
+        assert peak < 2401 * 720
+
+    @pytest.mark.parametrize(
+        "n, t",
+        [(n, None) for n in range(1, 7)]
+        + [(n, t) for t in (1, 2) for n in range(t + 2, 7)],
+    )
+    def test_every_catalogue_is_certified_mod_2(self, monkeypatch, n, t):
+        # the point basis (t None) and the depth spans: the indicator rows a
+        # report reads meet their cap mod 2, and a cap below the rational
+        # rank still raises there
+        real, met = linalg.certified_rank, []
+
+        def recording(rows, cap):
+            met.append((rows, real(rows, cap)))
+            return met[-1][1]
+
+        monkeypatch.setattr(linalg, "certified_rank", recording)
+        basis_check(n) if t is None else depth_conjecture_dims(n, t)
+        ((rows, (rank, method)),) = met
+        assert type(rows) is linalg.IndicatorRows
+        assert method == "modular-certificate"
+        assert len(linalg.rank_profile_mod_p(rows, 2)) == rank
+        with pytest.raises(AssertionError, match="exceeds the proven upper bound"):
+            real(rows, rank - 1)
 
 
 class TestDepthSpans:

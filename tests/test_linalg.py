@@ -64,8 +64,17 @@ class TestRanks:
     @pytest.mark.parametrize("bad", [0.5, 2.0, float("nan"), Fraction(1, 2), Fraction(3)])
     def test_non_integer_entry_raises(self, bad):
         # rows are integer matrices; a rational caller scales its rows first
+        import numpy as np
+
         with pytest.raises(TypeError):
             bareiss_rank([[1, 2], [3, bad]])
+        # a list, and the float or object array NumPy makes of it
+        for rows in ([[1, 2], [3, bad]], np.array([[1, 2], [3, bad]])):
+            for p in (2, *linalg._RANK_PRIMES):
+                with pytest.raises(TypeError):
+                    rank_profile_mod_p(rows, p)
+            with pytest.raises(TypeError):
+                certified_rank(rows, 2)
 
     def test_every_integer_type(self):
         import numpy as np
@@ -143,6 +152,29 @@ class TestCertifiedRank:
         assert certified_rank([[first]], 1) == (1, "modular-certificate")
         assert calls == [first, second]
 
+    def test_indicator_rows_short_mod_2_are_certified_by_the_first_prime(
+        self, monkeypatch
+    ):
+        # rows 1100, 0110, 1010 and ones: the first three sum to 0 mod 2, so
+        # the rank is 3 mod 2 and 4, the correct cap, over the rationals
+        import numpy as np
+
+        rows = linalg.IndicatorRows(np.array([[0, 1], [1, 2], [0, 2]]), 4)
+        assert rank_profile_mod_p(rows, 2) == [0, 1, 3]
+        calls, real = [], linalg.rank_profile_mod_p
+
+        def spy(rows, p):
+            calls.append(p)
+            return real(rows, p)
+
+        def no_elimination(rows):
+            raise AssertionError("eliminated")
+
+        monkeypatch.setattr(linalg, "rank_profile_mod_p", spy)
+        monkeypatch.setattr(linalg, "bareiss_rank", no_elimination)
+        assert certified_rank(rows, 4) == (4, "modular-certificate")
+        assert calls == [2, linalg._RANK_PRIMES[0]]
+
 
 _SMALL_INTS = st.integers(-4, 4)
 
@@ -181,7 +213,7 @@ class TestRankProfileProperties:
             assert count <= oracles.gaussian_rank(matrix[:k])
             assert count == _modular_rank(matrix[:k], p) == _rank_mod(matrix[:k], p)
 
-    @given(_int_matrices(), st.sampled_from([3, 5, 251, 32719, 32749]))
+    @given(_int_matrices(), st.sampled_from([2, 3, 5, 251, 32719, 32749]))
     def test_same_pivots_for_every_input_form(self, matrix, p):
         import numpy as np
 
@@ -327,7 +359,7 @@ class TestResidueKernel:
         edge = [[2**63 + 2, -1], [2**63 + 1, -1]]
         assert rank_profile_mod_p(edge, p) == _parent_profile(edge, p)
 
-    @pytest.mark.parametrize("p, width", [(2, 1), (251, 1), (257, 2), (32749, 2)])
+    @pytest.mark.parametrize("p, width", [(2, None), (251, 1), (257, 2), (32749, 2)])
     def test_working_copy_is_the_narrowest_unsigned_dtype(self, monkeypatch, p, width):
         import numpy as np
 
@@ -339,7 +371,8 @@ class TestResidueKernel:
 
         monkeypatch.setattr(np, "empty", recording)
         assert rank_profile_mod_p([[1, 2, 3], [4, 5, 6]], p) == [0, 1]
-        assert made == [np.dtype(f"uint{8 * width}")]
+        # mod 2 the rows are packed into ints, with no working copy
+        assert made == ([] if width is None else [np.dtype(f"uint{8 * width}")])
 
     @pytest.mark.parametrize("rows", [130, 64, 63, 1])
     def test_rows_are_read_one_block_at_a_time(self, rows):
@@ -362,10 +395,12 @@ class TestResidueKernel:
                     return np.array(matrix[key])
                 return matrix[key]
 
-        for p in (251, 32749):
+        for p in (2, 251, 32749):
             served.clear()
-            assert rank_profile_mod_p(Blocks(), p) == _parent_profile(matrix, p)
-            assert sum(served) == rows
+            profile = rank_profile_mod_p(Blocks(), p)
+            assert profile == _parent_profile(matrix, p)
+            # mod 2 the reading stops once the profile is as long as the width
+            assert sum(served) == rows or (p == 2 and len(profile) == 5)
 
     def test_peak_memory_is_the_byte_wide_residues(self):
         """The n = 6, t = 2 indicator rows [X; ones], 2,401 x 720 int8, the
