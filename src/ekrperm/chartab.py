@@ -7,7 +7,8 @@ the hook length formula, and the skew counts f^{shape/(m)} by removing one
 corner at a time, memoized on the shape.  The spectra of the agreement graphs
 (union_spectrum) are inclusion-exclusion sums of those skew counts over fixed
 points, with no sum over classes; the division by dim must be exact
-(enforced).  Everything is an exact integer.
+(enforced).  Each orthogonality relation is one packed big-int sum per row,
+with no NumPy (_orthonormal).  Everything is an exact integer.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def union_spectrum(n: int, t: int = 0) -> SchemeSpectrum:
     eigenvalues, multiplicities = [], []
     for shape in parts:
         dim = dimension(shape)
-        total = sum(map(mul, weights, skew_row_tableaux(shape)))
+        total = sum(map(mul, weights, _skew_row_counts(shape)))
         eigenvalue, remainder = divmod(total, dim)
         if remainder:
             raise AssertionError(f"eigenvalue of {shape} is not an integer")
@@ -222,35 +223,41 @@ def character_table(n: int) -> CharacterTable:
     return table
 
 
-def _orthonormal(rows, weighted_rows, norm: int) -> bool:
-    """<rows[a], weighted_rows[b]> is norm when a == b and 0 otherwise.
+def _orthonormal(rows, weights, norms) -> bool:
+    """sum_C weights[C] rows[a][C] rows[b][C] is norms[a] when a == b, else 0.
 
-    Each weighted row is its row times positive weights, so whether a pairing
-    vanishes does not depend on its order, and each unordered pair is
-    visited once.
+    Column C packs into one int, weights[C] * sum_b rows[b][C] << (s*b), so
+    the base-2^s digits of sum_C rows[a][C] * packed[C] are the pairings of
+    row a with every row b.  Each pairing less its expected value is at most
+    bound = max|norm| + sum|weight| * max|entry|^2 in absolute value, which
+    is below 2^(s-2) for s = bound.bit_length() + 2; an int has one expansion
+    in signed base-2^s digits below 2^(s-1), so the sum is norms[a] << (s*a)
+    exactly when every pairing of row a is as expected.  The test is exact,
+    not probabilistic: one big-int sum per row.
     """
-    for a, row in enumerate(rows):
-        if sum(map(mul, row, weighted_rows[a])) != norm:
-            return False
-        for other in weighted_rows[a + 1 :]:
-            if sum(map(mul, row, other)):
-                return False
-    return True
+    entry = max(abs(x) for row in rows for x in row)
+    s = (max(map(abs, norms)) + sum(map(abs, weights)) * entry**2).bit_length() + 2
+    packed = [
+        weight * sum(x << (s * b) for b, x in enumerate(column))
+        for weight, column in zip(weights, zip(*rows))
+    ]
+    return all(
+        sum(map(mul, row, packed)) == norm << (s * a)
+        for a, (row, norm) in enumerate(zip(rows, norms))
+    )
 
 
 def check_row_orthogonality(table: CharacterTable) -> bool:
     """First orthogonality relation, exactly, for every pair of rows."""
-    sizes = [class_size(ct) for ct in table.partitions]
-    weighted = [list(map(mul, sizes, row)) for row in table.values]
-    return _orthonormal(table.values, weighted, factorial(table.n))
+    sizes = list(map(class_size, table.partitions))
+    return _orthonormal(table.values, sizes, [factorial(table.n)] * len(sizes))
 
 
 def check_column_orthogonality(table: CharacterTable) -> bool:
     """Second orthogonality relation, exactly, for every pair of columns."""
-    columns = list(zip(*table.values))
-    sizes = [class_size(ct) for ct in table.partitions]
-    weighted = [[size * x for x in column] for size, column in zip(sizes, columns)]
-    return _orthonormal(columns, weighted, factorial(table.n))
+    order = factorial(table.n)
+    norms = [order // class_size(ct) for ct in table.partitions]
+    return _orthonormal(list(zip(*table.values)), [1] * len(norms), norms)
 
 
 def table_to_csv(table: CharacterTable) -> str:

@@ -437,8 +437,11 @@ def constraint_families(n: int, k: int):
     and, within one, over the value tuples in lexicographic order: a stable
     argsort of the ranks keyed by image_table(n)[:, xs], read as base-n
     digits, lines up the (n-k)! members of each value tuple in rank order.
-    A row that holds more than one value tuple raises AssertionError.
+    A row that holds more than one value tuple raises AssertionError, and a
+    k outside 1..n raises ValueError.
     """
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     import numpy as np
 
     table = image_table(n)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ekrperm import chartab
 from ekrperm.chartab import (
     MAX_TABLE_DEGREE,
     CharacterTable,
@@ -144,6 +145,30 @@ class TestSkewRowTableaux:
             skew_row_tableaux((1, 2))
 
 
+def _double_loop(table):
+    """Both orthogonality relations, one pairing at a time, as (rows, columns).
+
+    Rows: sum_C |C| chi_a(C) chi_b(C) is n! when a == b, else 0.  Columns:
+    |C| sum_a chi_a(C) chi_a(D) is n! when C == D, else 0.
+    """
+    order = math.factorial(table.n)
+    sizes = [class_size(c) for c in table.partitions]
+    rows, columns = table.values, list(zip(*table.values))
+    rows_ok = all(
+        sum(w * x * y for w, x, y in zip(sizes, rows[a], rows[b]))
+        == (order if a == b else 0)
+        for a in range(len(rows))
+        for b in range(len(rows))
+    )
+    columns_ok = all(
+        sizes[c] * sum(x * y for x, y in zip(columns[c], columns[d]))
+        == (order if c == d else 0)
+        for c in range(len(columns))
+        for d in range(len(columns))
+    )
+    return rows_ok, columns_ok
+
+
 @lru_cache(maxsize=None)
 def _oracle_table(n):
     return oracles.brute_force_character_table(n)
@@ -256,19 +281,50 @@ class TestTableObject:
             assert got == row
 
     def test_orthogonality_small_degrees(self):
-        for n in range(1, 7):
+        for n in range(1, MAX_TABLE_DEGREE + 1):
             table = character_table(n)
             assert check_row_orthogonality(table)
             assert check_column_orthogonality(table)
 
-    @pytest.mark.parametrize("cell", [(0, 0), (1, 2), (4, 1), (6, 6)])
-    def test_orthogonality_fails_on_a_changed_entry(self, cell):
-        table = character_table(5)
+    @given(st.data())
+    def test_checks_match_the_double_loop_on_changed_tables(self, data):
+        n = data.draw(st.integers(1, 8))
+        table = character_table(n)
+        size = len(table.partitions)
         values = [list(row) for row in table.values]
-        values[cell[0]][cell[1]] += 1
-        doctored = CharacterTable(5, table.partitions, tuple(map(tuple, values)))
-        assert not check_row_orthogonality(doctored)
-        assert not check_column_orthogonality(doctored)
+        a, c = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+        values[a][c] += data.draw(
+            st.integers(-(10**30), 10**30).filter(bool), label="change"
+        )
+        if size > 1 and data.draw(st.booleans(), label="repeat a column"):
+            src, dst = data.draw(st.permutations(range(size)))[:2]
+            for row in values:
+                row[dst] = row[src]
+        doctored = CharacterTable(n, table.partitions, tuple(map(tuple, values)))
+        assert (
+            check_row_orthogonality(doctored),
+            check_column_orthogonality(doctored),
+        ) == _double_loop(doctored)
+
+    def test_packed_digits_do_not_carry(self):
+        # rows (2^k) and (1) pair to 2^k, not 0; packed at shift k, that digit
+        # would carry into the norms 2^(2k+1) and 2, and both rows would pass
+        for k in range(1, 80):
+            rows, norms = ((2**k,), (1,)), (2 ** (2 * k + 1), 2)
+            assert not chartab._orthonormal(rows, (1,), norms), k
+
+    def test_checks_past_the_degree_cap(self, monkeypatch):
+        # the uncached builder, so no table above the cap outlives the patch
+        monkeypatch.setattr(chartab, "MAX_TABLE_DEGREE", 16)
+        for n in range(13, 17):
+            table = character_table.__wrapped__(n)
+            assert check_row_orthogonality(table), n
+            assert check_column_orthogonality(table), n
+            values = [list(row) for row in table.values]
+            values[n % 7][n % 5] += 1
+            doctored = CharacterTable(n, table.partitions, tuple(map(tuple, values)))
+            assert not check_row_orthogonality(doctored), n
+            assert not check_column_orthogonality(doctored), n
 
     def test_row_orthogonality_fails_on_a_repeated_row(self):
         # every row keeps its norm; only the pair (2, 3) is not orthogonal

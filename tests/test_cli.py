@@ -1115,7 +1115,8 @@ class TestImports:
             "assert 'numpy' not in sys.modules, 'import ekrperm loaded numpy'\n"
             "from ekrperm import cli\n"
             "for argv in (['spectrum', '9'], ['spectrum', '8', '--t', '1'],\n"
-            "             ['chartab', '8'], ['derangements', '9'],\n"
+            "             ['spectrum', '30', '--t', '3'], ['chartab', '8'],\n"
+            "             ['chartab', '12'], ['derangements', '9'],\n"
             "             ['quotient', '6']):\n"
             "    assert cli.main(argv) == 0\n"
             "    assert 'numpy' not in sys.modules, f'{argv} loaded numpy'\n"

@@ -530,6 +530,17 @@ class TestFamilies:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 constraint_rows(4, constraints)
 
+    @pytest.mark.parametrize("k", [-1, 0, 5])
+    def test_constraint_families_need_k_from_1_to_n(self, k):
+        with pytest.raises(ValueError, match=rf"^need 1 <= k <= n, got k={k}, n=4$"):
+            permgroup.constraint_families(4, k)
+
+    def test_constraint_families_at_k_equal_n(self):
+        # one family per permutation of 1..4, its only member, in rank order
+        ranks = permgroup.constraint_families(4, 4)
+        assert ranks.shape == (24, 1)
+        assert ranks[:, 0].tolist() == list(range(24))
+
     @pytest.mark.parametrize("free", [2, 3])
     def test_any_degree_builds_only_the_free_points(self, monkeypatch, free):
         # at degree 12 the members are the orders of the free values alone

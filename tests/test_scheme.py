@@ -195,14 +195,16 @@ class TestUnionSpectrum:
                 ), (n, t)
 
     def test_indivisible_skew_count_is_an_internal_failure(self, monkeypatch):
+        # the counts are read before the patch: the memoized recursion looks
+        # its children up by the patched name
+        counts = {shape: skew_row_tableaux(shape) for shape in partitions_of(4)}
+
         def off_by_one(shape):
-            counts = list(skew_row_tableaux(shape))
             # shifts every total by the m = 0 weight (-1)^n, which dim (3, 1) = 3
             # does not divide
-            counts[0] += 1
-            return tuple(counts)
+            return (counts[shape][0] + 1,) + counts[shape][1:]
 
-        monkeypatch.setattr(chartab, "skew_row_tableaux", off_by_one)
+        monkeypatch.setattr(chartab, "_skew_row_counts", off_by_one)
         with pytest.raises(AssertionError, match="not an integer"):
             union_spectrum(4, 0)
 
