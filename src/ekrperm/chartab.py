@@ -14,6 +14,7 @@ with no NumPy (_orthonormal).  Everything is an exact integer.
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import repeat
 from math import comb, factorial, prod
 from operator import add, mul
 from typing import NamedTuple
@@ -230,17 +231,27 @@ def _orthonormal(rows, weights, norms) -> bool:
     the base-2^s digits of sum_C rows[a][C] * packed[C] are the pairings of
     row a with every row b.  Each pairing less its expected value is at most
     bound = max|norm| + sum|weight| * max|entry|^2 in absolute value, which
-    is below 2^(s-2) for s = bound.bit_length() + 2; an int has one expansion
-    in signed base-2^s digits below 2^(s-1), so the sum is norms[a] << (s*a)
-    exactly when every pairing of row a is as expected.  The test is exact,
-    not probabilistic: one big-int sum per row.
+    is below 2^(s-2) for s = bound.bit_length() + 2 rounded up to whole
+    bytes; an int has one expansion in signed base-2^s digits below 2^(s-1),
+    so the sum is norms[a] << (s*a) exactly when every pairing of row a is
+    as expected.  The test is exact, not probabilistic: one big-int sum per
+    row.  A column packs in time linear in its length: each entry, at most
+    bound in absolute value, plus half = 2^(s-1) is one fixed-width base-2^s
+    digit, the digits are read as one int.from_bytes, and half in every
+    digit is taken off again.
     """
     entry = max(abs(x) for row in rows for x in row)
-    s = (max(map(abs, norms)) + sum(map(abs, weights)) * entry**2).bit_length() + 2
-    packed = [
-        weight * sum(x << (s * b) for b, x in enumerate(column))
-        for weight, column in zip(weights, zip(*rows))
-    ]
+    bound = max(map(abs, norms)) + sum(map(abs, weights)) * entry**2
+    width = (bound.bit_length() + 9) // 8  # bytes per digit
+    s, half = 8 * width, 1 << (8 * width - 1)
+    halves = int.from_bytes(half.to_bytes(width, "little") * len(rows), "little")
+
+    def pack(column) -> int:  # sum_b column[b] << (s*b)
+        shifted = map(add, column, repeat(half))  # each in 0..2^s-1
+        digits = map(int.to_bytes, shifted, repeat(width), repeat("little"))
+        return int.from_bytes(b"".join(digits), "little") - halves
+
+    packed = [weight * pack(column) for weight, column in zip(weights, zip(*rows))]
     return all(
         sum(map(mul, row, packed)) == norm << (s * a)
         for a, (row, norm) in enumerate(zip(rows, norms))

@@ -198,7 +198,7 @@ def _full_column_rank_check(n: int, which: int, columns):
     degrees up to 5 X's rows are read to recompute the rank as a cross-check.
     """
     gram = bordered_grams(n)[which]
-    r, _ = linalg.certified_rank(gram[columns][:, columns].tolist(), len(columns))
+    r, _ = linalg.certified_rank(gram[columns][:, columns], len(columns))
     if n <= 5:
         inc = incidence(n)
         ones = inc.ones[inc.derangement_ranks] if which else inc.ones
@@ -208,6 +208,7 @@ def _full_column_rank_check(n: int, which: int, columns):
     return r, r == len(columns)
 
 
+@lru_cache(maxsize=None)  # read by lemmas and by kernel_membership_check
 def rank_M_check(n: int) -> tuple[int, bool]:
     """rank(M) = (n-1)(n-2), read on G_N without W's rows and the border."""
     return _full_column_rank_check(n, 1, _m_columns(n)[:-1])
@@ -232,7 +233,7 @@ def bordered_kernel_check(n: int) -> bool:
     gram = bordered_grams(n)[1][columns][:, columns]
     if (gram[:, :-1].sum(axis=1) != (n - 2) * gram[:, -1]).any():
         return False
-    return linalg.certified_rank(gram.tolist(), len(gram) - 1)[0] == len(gram) - 1
+    return linalg.certified_rank(gram, len(gram) - 1)[0] == len(gram) - 1
 
 
 def kernel_membership_check(n: int) -> bool:
@@ -354,7 +355,7 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
     gd = group_data(n)
     h = incidence(n)
     width = (n - 1) ** 2
-    full, _ = linalg.certified_rank(bordered_grams(n)[0].tolist(), width + 1)
+    full, _ = linalg.certified_rank(bordered_grams(n)[0], width + 1)
     if full != width + 1:
         raise AssertionError("[H | ones] must have full column rank")
     ranks = np.asarray(search_result.ranks, dtype=np.intp)

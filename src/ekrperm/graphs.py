@@ -345,24 +345,32 @@ class SearchResult(NamedTuple):
 def _enumerate_transversals(
     coset_masks: list[int], nonadj: list[int], allowed: int, chosen: tuple[int, ...]
 ) -> list[tuple[int, ...]]:
-    """All ways to pick one pairwise-nonadjacent vertex from every coset."""
-    if not coset_masks:
+    """All ways to pick one pairwise-nonadjacent vertex from every coset.
+
+    Every coset with one allowed vertex is taken at once, each pick checked
+    against those before it, until none is forced; the walk then branches on
+    the first open coset with the fewest allowed vertices.
+    """
+    while True:
+        rest, forced = [], []
+        for mask in coset_masks:
+            candidates = mask & allowed
+            if not candidates:
+                return []
+            (rest if candidates & (candidates - 1) else forced).append(candidates)
+        coset_masks = rest
+        if not forced:
+            break
+        for low in forced:
+            if not low & allowed:  # an earlier pick is adjacent to it
+                return []
+            allowed &= nonadj[low.bit_length() - 1]
+            chosen += (low.bit_length() - 1,)
+    if not rest:
         return [chosen]
-    best_idx = None
-    best_candidates = None
-    best_count = None
-    for idx, mask in enumerate(coset_masks):
-        candidates = mask & allowed
-        count = candidates.bit_count()
-        if count == 0:
-            return []
-        if best_count is None or count < best_count:
-            best_idx, best_candidates, best_count = idx, candidates, count
-            if count == 1:
-                break
-    rest = coset_masks[:best_idx] + coset_masks[best_idx + 1 :]
+    candidates = min(rest, key=int.bit_count)
+    rest.remove(candidates)  # the cosets are disjoint: no other mask equals it
     out = []
-    candidates = best_candidates
     while candidates:
         low = candidates & -candidates
         v = low.bit_length() - 1

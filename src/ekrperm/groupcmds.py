@@ -300,15 +300,18 @@ def run_clique_characters(n: int):
     if not all(clique.validated for clique in cliques):
         raise AssertionError("a clique construction produced a non-clique")
     table = chartab.character_table(n)
+    # each member's column of the table, its cycle type walked once
+    column = table.partitions.index
+    columns = [
+        [column(permgroup.cycle_type_of_images(row)) for row in c.members.tolist()]
+        for c in cliques
+    ]
     sums = [
         {
-            shape: sum(
-                table.value(shape, permgroup.cycle_type_of_images(row))
-                for row in clique.members.tolist()
-            )
-            for shape in table.partitions
+            shape: sum(values[k] for k in cols)
+            for shape, values in zip(table.partitions, table.values)
         }
-        for clique in cliques
+        for cols in columns
     ]
     standard = (n - 1, 1)
     covered = all(

@@ -352,15 +352,18 @@ def derangements_by_last_image(n: int) -> tuple[int, ...]:
     """Entry w counts the derangements of 1..n sending n to w, from a walk of them.
 
     Entries 0 and n are 0.  The walk gives the points 1, 2, ... in turn a free
-    image other than itself (bit v of free marks image v unused), so it meets
-    each derangement once: a brute-force witness against derangement_count.
+    image other than itself (bit v of free marks image v unused), and the last
+    two points the two images left, both ways round, so it meets each
+    derangement once: a brute-force witness against derangement_count.
     """
     counts = [0] * (n + 1)
 
     def place(i: int, free: int) -> None:
-        if i == n:  # n takes the one image left, unless that is n
-            if free != 1 << n:
-                counts[free.bit_length() - 1] += 1
+        if i == n - 1:  # images a < b are left, and b <= n
+            a = (free & -free).bit_length() - 1
+            b = free.bit_length() - 1
+            counts[b] += b != n  # n - 1 to a, n to b; a == n - 1 only when b == n
+            counts[a] += b != n - 1  # n - 1 to b, n to a < n
             return
         options = free & ~(1 << i)
         while options:
@@ -368,7 +371,8 @@ def derangements_by_last_image(n: int) -> tuple[int, ...]:
             options ^= low
             place(i + 1, free ^ low)
 
-    place(1, (1 << (n + 1)) - 2)
+    if n > 1:  # the one permutation of 1 point fixes it
+        place(1, (1 << (n + 1)) - 2)
     return tuple(counts)
 
 

@@ -1,6 +1,6 @@
 """Make the oracle helpers importable, set the Hypothesis defaults and give
 the fixtures that doctor the incidence rows behind the cached Gram matrices
-and clear the cached search catalogues."""
+and clear the cached search catalogues and ranks of M."""
 
 import sys
 from pathlib import Path
@@ -16,15 +16,34 @@ settings.register_profile("default", deadline=None)
 settings.load_profile("default")
 
 
+def _clear_rank_of_M():
+    from ekrperm import ekrverify
+
+    ekrverify.rank_M_check.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_rank_of_M():
+    """ekrverify.rank_M_check's per-degree cache, cleared before and after
+    every test, so no test reads a rank of M certified on another test's
+    rows, Gram matrices or patched rank profile."""
+    _clear_rank_of_M()
+    yield
+    _clear_rank_of_M()
+
+
 @pytest.fixture
 def fresh_grams():
     """ekrverify.bordered_grams with its per-degree cache cleared before and
-    after the test, so the Gram matrices are formed from the rows it sees."""
+    after the test, so the Gram matrices are formed from the rows it sees,
+    and with them the rank of M read on them."""
     from ekrperm import ekrverify
 
     ekrverify.bordered_grams.cache_clear()
+    _clear_rank_of_M()
     yield ekrverify.bordered_grams
     ekrverify.bordered_grams.cache_clear()
+    _clear_rank_of_M()
 
 
 @pytest.fixture

@@ -988,6 +988,25 @@ class TestVerifyAllHandlers:
             {"name": "zero-on-standard", "pass": True},
         ]
 
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_clique_characters_walk_each_member_once(self, n, monkeypatch):
+        # one cycle type per clique member, whatever the number of characters
+        from ekrperm import graphs
+
+        real = permgroup.cycle_type_of_images
+        walked = []
+
+        def recording(images):
+            walked.append(images)
+            return real(images)
+
+        monkeypatch.setattr(permgroup, "cycle_type_of_images", recording)
+        groupcmds.run_clique_characters(n)
+        members = graphs.cycle_decomposition_clique(n).members.tolist()
+        if n % 2:
+            members += graphs.odd_n_latin_clique(n).members.tolist()
+        assert walked == members
+
 
 class TestOutputModes:
     def test_text_rendering(self, capsys):

@@ -433,15 +433,15 @@ class TestKernels:
         assert kernel_membership_check(5) is True
         assert heights == [44]
 
-    def test_lemmas_eliminate_H_once_and_M_per_reader(self, monkeypatch):
+    def test_lemmas_eliminate_H_once_and_M_once(self, monkeypatch):
         # the dense cross-checks at n <= 5: H (120 x 16), then M (44 x 12),
-        # once for rank M and once inside the kernel membership check
+        # whose rank the kernel membership check reads from rank_M_check's cache
         from ekrperm import groupcmds
 
         heights = _recording_bareiss(monkeypatch)
         _, checks = groupcmds.run_lemmas(5)
         assert all(c["pass"] for c in checks)
-        assert heights == [120, 44, 44]
+        assert heights == [120, 44]
 
 
 def _parent_kernel_membership(n, trials, seed):

@@ -603,7 +603,8 @@ class TestEquitableQuotient:
                 counts[images[-1]] += 1
         assert permgroup.derangements_by_last_image(n) == tuple(counts)
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    # every degree that equitable_quotient walks
+    @pytest.mark.parametrize("n", range(1, permgroup.MAX_QUOTIENT_DEGREE + 1))
     def test_walk_equals_the_inclusion_exclusion_count(self, n):
         walk = permgroup.derangements_by_last_image(n)
         assert walk == oracles.derangements_ending_at(n)
@@ -661,6 +662,19 @@ class TestSearch:
             )
         ]
         assert branches == walk
+
+    def test_the_walk_meets_every_point_stabilizer_coset_at_degree_seven(self):
+        # one degree past the search's cap: the cover has 720 cosets, and the
+        # forced picks are taken in bulk before each branch
+        n = 7
+        full = (1 << math.factorial(n)) - 1
+        nonadj = [full & ~m for m in graphs._adjacency_masks(n, 0)]
+        coset_masks = [sum(1 << v for v in coset) for coset in latin_coset_cover(n)]
+        walk = graphs._enumerate_transversals(coset_masks, nonadj, full, ())
+        assert len(walk) == permgroup.stabilizer_coset_count(n) == 49
+        images = permgroup.image_table(n)
+        families = {permgroup.point_family(images[sorted(chosen)]) for chosen in walk}
+        assert families == set(itertools.product(range(1, n + 1), repeat=2))
 
     def test_a_coset_with_no_allowed_vertex_ends_the_branch(self):
         # vertices 0..3 in cosets {0, 1} and {2, 3}; only 0 and 1 are allowed
