@@ -50,30 +50,27 @@ _EXPORTS = {
         "latin_clique",
         "max_independent_sets",
         "odd_n_latin_clique",
+        "parse_one_line",
         "read_family",
         "validate_clique",
         "validate_family",
         "write_family",
     ),
     "permgroup": (
-        "Permutation",
         "agreements",
         "class_size",
-        "compose",
         "conjugacy_classes",
-        "constraint_rows",
         "cycle_type_of_images",
         "derangement_count",
-        "identity",
-        "inverse",
-        "parse_cycles",
-        "parse_one_line",
         "partition_depth",
         "partitions_of",
-        "rank_permutation",
-        "unrank_permutation",
     ),
-    "scheme": ("clique_coclique_check", "fundamental_identity_check", "ratio_bound"),
+    "scheme": (
+        "clique_coclique_check",
+        "constraint_rows",
+        "fundamental_identity_check",
+        "ratio_bound",
+    ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

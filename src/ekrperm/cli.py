@@ -4,14 +4,16 @@ Every subcommand prints one JSON report (or a plain-text rendering with
 --text) and exits 0 only when all of its checks pass.  COMMANDS holds each
 subcommand's help, extra arguments, closed degree range and the module of its
 handler: this one for the commands that read only chartab and permgroup,
-groupcmds for the rest.  A degree outside the range, or a --t outside 0..n-1,
-is rejected before any work.  Exit codes: 1 a check failed or a supplied
-family was invalid, 2 usage error (including such a --t, a --trials or
---workers below 1 and an unwritable --out), 3 degree outside the range in
-COMMANDS or outside a library function's own range, 4 construction unavailable
-at that degree, 5 an internal invariant failed (a bug, reported in one line
-without a traceback).  A reader that closes stdout early leaves the exit code
-as it was.  Reports are byte-identical across runs except for wall_time_s.
+groupcmds for the rest.  This module, chartab, permgroup and errors import no
+NumPy, so spectrum, chartab and derangements compile no array code.  A degree
+outside the range, or a --t outside 0..n-1, is rejected before any work.  Exit
+codes: 1 a check failed or a supplied family was invalid, 2 usage error
+(including such a --t, a --trials or --workers below 1 and an unwritable
+--out), 3 degree outside the range in COMMANDS or outside a library function's
+own range, 4 construction unavailable at that degree, 5 an internal invariant
+failed (a bug, reported in one line without a traceback).  A reader that
+closes stdout early leaves the exit code as it was.  Reports are
+byte-identical across runs except for wall_time_s.
 """
 
 from __future__ import annotations

@@ -28,15 +28,17 @@ from .permgroup import (
     MAX_DENSE_DEGREE,
     MAX_INCIDENCE_DEGREE,
     Partition,
-    Permutation,
-    constraint_families,
-    image_table,
     need_degree,
     partition_depth,
     partitions_of,
-    point_family,
 )
-from .scheme import group_data, shifted_character_sums
+from .scheme import (
+    constraint_families,
+    group_data,
+    image_table,
+    point_family,
+    shifted_character_sums,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,7 +72,7 @@ class Incidence(NamedTuple):
 
 
 def incidence(n: int) -> Incidence:
-    """H of degree n, read off permgroup.image_table: all permutations at once."""
+    """H of degree n, read off scheme.image_table: all permutations at once."""
     import numpy as np
 
     need_degree("incidence", n, 1, MAX_INCIDENCE_DEGREE)
@@ -151,22 +153,22 @@ def gram_check(n: int) -> tuple[bool, list[list[int]]]:
     return gram == expected_gram(n), gram
 
 
-def pi_ab(a: int, b: int, n: int) -> Permutation:
-    """The derangement sending a to n and every other i to i+b, skipping n.
+def pi_ab(a: int, b: int, n: int) -> tuple[int, ...]:
+    """Images of the derangement sending a to n and each other i to i+b, skipping n.
 
     For i != a the image is i+b when that stays below n, and wraps to
     i+b+1 mod n otherwise; the image of n is whatever value remains.
     """
     if not (1 <= a <= n - 1 and 1 <= b <= n - 2):
         raise ValueError(f"need 1 <= a <= n-1 and 1 <= b <= n-2, got ({a}, {b})")
+    points = list(range(1, n + 1))
     images = [
         n if i == a else i + b if i + b < n else (i + b + 1) % n for i in range(1, n)
     ]
-    images.append(next(v for v in range(1, n + 1) if v not in images))
-    p = Permutation(tuple(images))
-    if any(p.images[i] == i + 1 for i in range(n)):
-        raise AssertionError(f"pi_ab({a},{b}) has a fixed point")
-    return p
+    images.append(next(v for v in points if v not in images))
+    if sorted(images) != points or any(map(int.__eq__, images, points)):
+        raise AssertionError(f"pi_ab({a},{b}) is not a derangement")
+    return tuple(images)
 
 
 def pi_ab_submatrix(n: int):
@@ -181,7 +183,7 @@ def pi_ab_submatrix(n: int):
     # each pi_ab is a derangement, a row of N, and each column (i, i+j mod n-1)
     # of H is off the diagonal: so the rows and columns selected meet inside M,
     # and an entry is 1 when pi_ab sends i to i+j mod n-1, as in incidence
-    images = np.array([pi_ab(a, b, n).images for a, b in pairs])
+    images = np.array([pi_ab(a, b, n) for a, b in pairs])
     points = [i - 1 for i, _ in pairs]
     values = [(i + j - 1) % (n - 1) + 1 for i, j in pairs]
     rows = (images[:, points] == values).astype(np.int64)
@@ -290,7 +292,7 @@ def basis_check(n: int) -> BasisCheckReport:
     standard-module eigenspace; the shifted vectors are linearly independent;
     the all-ones vector is outside their span; the count matches dim^2.
     The families S_{i->j} with i, j < n are the k = 1 rows of
-    permgroup.constraint_families, read as (n, n, m) with the last position
+    scheme.constraint_families, read as (n, n, m) with the last position
     and the last value dropped, and _family_span reads their supports and
     both ranks off the families themselves.
     """
@@ -336,7 +338,7 @@ def classify_maximum_sets(n: int, search_result=None) -> ClassificationReport:
     """Match every maximum independent set, a row of search_result.ranks, to a coset.
 
     A row of distinct ranks must be a coset S_{i->j}, read by
-    permgroup.point_family, or it is a violation; so must the set translated
+    scheme.point_family, or it is a violation; so must the set translated
     by its first member's inverse to contain the identity, whose indicator is
     written exactly in the columns of [H | ones]: stabilizing a point i < n is
     case 1 (the column (i,i), coefficient 0); stabilizing the last point is
@@ -417,7 +419,7 @@ def depth_conjecture_dims(n: int, t: int = 1) -> DepthReport:
     readings (<= t and <= t+1) are reported, along with the exact rank of the
     span with and without the all-ones vector adjoined.
 
-    The families are the rows of permgroup.constraint_families(n, t+1), and
+    The families are the rows of scheme.constraint_families(n, t+1), and
     _family_span, basis_check's route too, reads their supports, the union
     of those, and both ranks, certified from the 0/1 indicator rows against
     the dimension of the union.

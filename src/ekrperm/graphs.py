@@ -9,6 +9,7 @@ the threshold-1 graph come from the affine maps of a finite field.
 
 from __future__ import annotations
 
+import re
 from math import factorial
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -17,17 +18,18 @@ from .permgroup import (
     MAX_DENSE_DEGREE,
     MAX_QUOTIENT_DEGREE,
     classes_with_few_fixed_points,
-    constraint_families,
     derangement_count,
     derangements_by_last_image,
-    first_agreement_violation,
-    image_rows,
     need_degree,
     one_line,
-    parse_one_line,
+)
+from .scheme import (
+    constraint_families,
+    first_agreement_violation,
+    group_data,
+    image_rows,
     rank_images,
 )
-from .scheme import group_data
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,7 +56,7 @@ def _adjacency_masks(n: int, t: int) -> list[int]:
 def validate_clique(members, t: int = 0) -> tuple[bool, tuple | None]:
     """Pairwise check of image rows: (ok, the first failing pair of rows or None).
 
-    A row that is no permutation raises ValueError, from permgroup.image_rows.
+    A row that is no permutation raises ValueError, from scheme.image_rows.
     """
     bad = first_agreement_violation(members, t, clique=True)
     return (True, None) if bad is None else (False, (members[bad[0]], members[bad[1]]))
@@ -446,6 +448,26 @@ def write_family(members, path: str) -> None:
         fh.writelines(one_line(row) + "\n" for row in rows)
 
 
+# ASCII digits between optional whitespace; int() also reads a sign, an
+# underscore and the digits of other scripts
+_NUMBER = re.compile(r"\s*([0-9]+)\s*")
+
+
+def parse_one_line(text: str) -> tuple[int, ...]:
+    """The images of one-line notation like "4,3,1,2", a permutation of 1..n.
+
+    Whitespace may surround each number but not split one: "1 2,3" is an error,
+    as is any token other than ASCII digits ("+3", "2_0").
+    """
+    tokens = [_NUMBER.fullmatch(tok) for tok in text.split(",")]
+    if not all(tokens):
+        raise ValueError(f"bad one-line permutation {text!r}")
+    images = tuple(int(tok[1]) for tok in tokens)
+    if sorted(images) != list(range(1, len(images) + 1)):
+        raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
+    return images
+
+
 def read_family(path: str, n: int) -> np.ndarray:
     """The (m, n) intp image rows of path's nonblank lines, each of degree n."""
     import numpy as np
@@ -456,8 +478,8 @@ def read_family(path: str, n: int) -> np.ndarray:
             line = line.strip()
             if not line:
                 continue
-            p = parse_one_line(line)
-            if p.degree != n:
-                raise ValueError(f"expected degree {n}, found {p}")
-            rows.append(p.images)
+            images = parse_one_line(line)
+            if len(images) != n:
+                raise ValueError(f"expected degree {n}, found {one_line(images)}")
+            rows.append(images)
     return np.array(rows, dtype=np.intp).reshape(len(rows), n)

@@ -45,7 +45,7 @@ def run_bounds(n: int, t: int):
             f" coclique leaves free; got t={t}, n={n}"
         )
     clique = getattr(graphs, _CLIQUE_CONSTRUCTIONS[_SHARPLY_TRANSITIVE[t]])(n)
-    coclique = permgroup.constraint_rows(n, [(k, k) for k in range(1, t + 2)])
+    coclique = scheme.constraint_rows(n, [(k, k) for k in range(1, t + 2)])
     report = scheme.clique_coclique_check(clique.members, coclique, n, t)
     ratio = scheme.ratio_bound(n, t)
     checks = [
@@ -96,7 +96,7 @@ def run_clique(n: int, method: str):
 
 def run_search(n: int, t: int, workers: int):
     found = graphs.max_independent_sets(n, t, workers=workers)
-    images = permgroup.image_table(n)
+    images = scheme.image_table(n)
     strings = list(map(permgroup.one_line, (images + 1).tolist()))
     checks = [
         check(
@@ -113,7 +113,7 @@ def run_search(n: int, t: int, workers: int):
         ),
         check(  # the search validates each set, so its members are distinct
             "all-sets-are-stabilizer-cosets",
-            all(permgroup.point_family(images[row]) is not None for row in found.ranks),
+            all(scheme.point_family(images[row]) is not None for row in found.ranks),
         ),
     ]
     result = {

@@ -1,4 +1,11 @@
-"""The conjugacy-class association scheme of a symmetric group.
+"""The image arrays of symmetric groups and their conjugacy-class scheme.
+
+The image-array layer: every permutation of 1..n as one row of the cached
+(n!, n) image table, in lexicographic rank order; the ranking of image rows,
+the one row check, the one agreement count and pairwise validator, the one
+coset test and the constraint families S_A, by rank and as image rows.
+Everything that holds permutations in NumPy arrays reads them from here,
+so permgroup stays pure Python for the NumPy-free commands.
 
 The scheme on S(n) has one class per cycle type; the common eigenspaces are
 the isotypic components of the group algebra, one per partition of n, with
@@ -13,6 +20,7 @@ check takes 0/1 vectors indexed by rank.  Nothing here touches floating point.
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property, lru_cache
 from math import factorial
 from operator import mul
@@ -25,31 +33,195 @@ from .permgroup import (
     Partition,
     conjugacy_classes,
     cycle_type_of_images,
-    first_agreement_violation,
-    image_rows,
-    image_table,
     need_degree,
     one_line,
-    rank_images,
 )
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 MAX_GROUP_DEGREE = 7
+# rank_images counts in int64, which holds every rank below 20! but not 21!.
+MAX_RANK_DEGREE = 20
 # Pairs of permutations classed per block by _class_counts.
 BLOCK_PAIRS = 1 << 15
+# Member pairs compared per block by first_agreement_violation.
+AGREEMENT_BLOCK_PAIRS = 1 << 16
+
+
+@lru_cache(maxsize=None)
+def image_table(n: int):
+    """0-based images of every permutation of 1..n, one read-only int8 row per rank."""
+    import numpy as np
+
+    table = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n))),
+        dtype=np.int8,
+        count=n * factorial(n),
+    ).reshape(-1, n)
+    table.flags.writeable = False
+    return table
+
+
+def rank_images(planes):
+    """Lexicographic ranks of the permutations whose 0-based images are planes.
+
+    planes[k] holds the images of k+1, all planes of one shape, and so does
+    the result: the Lehmer code, digit k the count of later images below
+    image k, combined in int64 by Horner's rule, so a degree len(planes)
+    above MAX_RANK_DEGREE raises DegreeRangeError.  The planes are read
+    from one contiguous copy, as a transposed image table is strided.
+    """
+    import numpy as np
+
+    planes = np.ascontiguousarray(planes)
+    n = len(planes)
+    need_degree("rank_images", n, 0, MAX_RANK_DEGREE)
+    ranks = np.zeros(planes.shape[1:], dtype=np.int64)
+    for k in range(n - 1):
+        ranks *= n - k
+        ranks += (planes[k + 1 :] < planes[k]).sum(0, dtype=np.int8)
+    return ranks
+
+
+def image_rows(members):
+    """members as an (m, n) array of 1-based images, one row per member.
+
+    An array of any other shape, or with a row that is not a permutation of
+    1..n, raises ValueError.
+    """
+    import numpy as np
+
+    members = np.asarray(members)
+    if members.ndim != 2:
+        raise ValueError(f"need an (m, n) image array, got shape {members.shape}")
+    n = members.shape[1]
+    wrong = (np.sort(members, axis=1) != np.arange(1, n + 1)).any(axis=1)
+    if wrong.any():
+        row = one_line(members[np.flatnonzero(wrong)[0]])
+        raise ValueError(f"member {row} is not a permutation of 1..{n}")
+    return members
+
+
+def agreement_counts(rows, cols):
+    """agree[i, j] = points where rows[i] and cols[j] agree, in the dtype of rows."""
+    import numpy as np
+
+    agree = np.zeros((len(rows), len(cols)), dtype=rows.dtype)
+    for k in range(rows.shape[1]):
+        agree += rows[:, k, None] == cols[:, k]
+    return agree
+
+
+def first_agreement_violation(members, t: int, clique: bool):
+    """(i, j, agreements) for the first failing pair i < j in (i, j) order, or None.
+
+    A pair fails when repeated or on the wrong side of t: a clique needs at most
+    t agreements, an independent set more.  members is read by image_rows, and
+    its images are compared by agreement_counts, in row blocks.
+    """
+    import numpy as np
+
+    images = image_rows(members)
+    m, n = images.shape
+    images = images.astype(np.min_scalar_type(n), copy=False)
+    lo = 0
+    while lo < m - 1:
+        later = images[lo + 1 :]
+        hi = min(m - 1, lo + max(1, AGREEMENT_BLOCK_PAIRS // len(later)))
+        agree = agreement_counts(images[lo:hi], later)
+        bad = (agree == n) | ((agree > t) if clique else (agree <= t))
+        # row r is member lo+r and column c member lo+1+c, a later one if c >= r
+        bad &= np.arange(len(later)) >= np.arange(hi - lo)[:, None]
+        if bad.any():
+            r, c = divmod(int(bad.argmax()), len(later))
+            return lo + r, lo + 1 + c, int(agree[r, c])
+        lo = hi
+    return None
+
+
+def point_family(images) -> tuple[int, int] | None:
+    """(i, j), 1-based, when the rows are exactly the coset S_{i->j}; else None.
+
+    images is the (m, n) array of the 0-based images of m pairwise-distinct
+    permutations, a row each as in image_table.  They are S_{i->j} when m is
+    (n-1)! and column i is constant at j: the first constant column is the
+    first such (i, j) in row-major order.
+    """
+    import numpy as np
+
+    images = np.asarray(images)
+    constant = np.flatnonzero((images == images[:1]).all(axis=0))
+    if len(images) != factorial(images.shape[1] - 1) or not len(constant):
+        return None
+    return int(constant[0]) + 1, int(images[0, constant[0]]) + 1
+
+
+def constraint_families(n: int, k: int):
+    """Ascending ranks of every family S_A with |A| = k, one row per A.
+
+    S_A holds the permutations of 1..n sending x to y for every pair of A.
+    The rows run over the position sets xs in itertools.combinations order
+    and, within one, over the value tuples in lexicographic order: a stable
+    argsort of the ranks keyed by image_table(n)[:, xs], read as base-n
+    digits, lines up the (n-k)! members of each value tuple in rank order.
+    A row that holds more than one value tuple raises AssertionError, and a
+    k outside 1..n raises ValueError.
+    """
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    import numpy as np
+
+    table = image_table(n)
+    blocks = []
+    for xs in itertools.combinations(range(n), k):
+        keys = np.ravel_multi_index(table[:, xs].T, (n,) * k)
+        order = np.argsort(keys, kind="stable").reshape(-1, factorial(n - k))
+        if (keys[order] != keys[order[:, :1]]).any():
+            raise AssertionError(f"a family on positions {xs} mixes value tuples")
+        blocks.append(order)
+    return np.concatenate(blocks)
+
+
+def constraint_rows(n: int, constraints):
+    """The 1-based image rows of S_A, in rank order, for a set A of (x, y) pairs.
+
+    Row r fills the free positions with the free values in the order of row r
+    of image_table(n - |A|); both ascend, so the rows keep rank order, and
+    only the (n - |A|)! members are built, at any degree.  Fewer than 1 or
+    more than n-1 pairs, a point outside 1..n, or two pairs that share a
+    point raise ValueError.
+    """
+    import numpy as np
+
+    pairs = tuple(sorted((int(x), int(y)) for x, y in constraints))
+    if not 1 <= len(pairs) < n:
+        raise ValueError(f"need between 1 and {n - 1} constraints, got {len(pairs)}")
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    for v in xs + ys:
+        if not 1 <= v <= n:
+            raise ValueError(f"constraint value {v} outside 1..{n}")
+    if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
+        raise ValueError(f"conflicting constraints: {pairs}")
+    free_positions = [x - 1 for x in range(1, n + 1) if x not in xs]
+    free_values = np.array([y for y in range(1, n + 1) if y not in ys])
+    table = image_table(n - len(pairs))
+    rows = np.empty((len(table), n), dtype=np.intp)
+    rows[:, free_positions] = free_values[table]
+    rows[:, np.subtract(xs, 1)] = ys
+    return rows
 
 
 class GroupData:
     """The class scheme of one symmetric group, as rank-indexed NumPy arrays.
 
-    images is the shared permgroup.image_table, inv[r] the rank of the
-    inverse of the rank-r permutation and type_of[r] the index of its
-    conjugacy class in the shared partition order, from the cycle walk
+    images is the shared image_table, inv[r] the rank of the inverse of the
+    rank-r permutation and type_of[r] the index of its conjugacy class in
+    the shared partition order, from the cycle walk
     permgroup.cycle_type_of_images.  Products of permutations come from one
-    composition kernel (permgroup.rank_images ranks the products and the
-    inverses), which mult reads.  The class of p^-1 q comes from the relation
+    composition kernel (rank_images ranks the products and the inverses),
+    which mult reads.  The class of p^-1 q comes from the relation
     table alone, so the degree stops at MAX_GROUP_DEGREE, where that table is
     5040^2 bytes.
     """
@@ -312,8 +484,8 @@ def clique_coclique_check(
 ) -> CliqueCocliqueReport:
     """Validate both families and evaluate |C| * |S| <= n! with exact arithmetic.
 
-    Each family is an (m, n) array of 1-based images, read by
-    permgroup.image_rows: another shape, or a row that is no permutation,
+    Each family is an (m, n) array of 1-based images, read by image_rows:
+    another shape, or a row that is no permutation,
     raises ValueError.  Both families' pairs are validated before their
     degrees, and a degree other than n raises ValueError.  A tight pair's
     supports, up to MAX_GROUP_DEGREE, are the nonzero entries of

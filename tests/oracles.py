@@ -11,6 +11,7 @@ these run at degrees 7 and below.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from math import comb, factorial, lcm
 
@@ -36,6 +37,47 @@ def partition_count(n: int) -> int:
 
 def partitions_reverse_lex(n: int) -> list[tuple[int, ...]]:
     return sorted(partitions_descending(n), reverse=True)
+
+
+def compose(p, q) -> tuple[int, ...]:
+    """Images of the permutation sending i to p(q(i)), both given by their images."""
+    return tuple(p[v - 1] for v in q)
+
+
+def inverse(p) -> tuple[int, ...]:
+    out = [0] * len(p)
+    for i, v in enumerate(p, start=1):
+        out[v - 1] = i
+    return tuple(out)
+
+
+def rank_permutation(images) -> int:
+    """Position of images among the permutations of 1..n in lexicographic order."""
+    n = len(images)
+    return sum(
+        sum(1 for later in images[i + 1 :] if later < images[i]) * factorial(n - 1 - i)
+        for i in range(n)
+    )
+
+
+def unrank_permutation(rank: int, n: int) -> tuple[int, ...]:
+    """The images of the permutation of rank rank, as rank_permutation counts."""
+    available = list(range(1, n + 1))
+    images = []
+    for i in range(n):
+        index, rank = divmod(rank, factorial(n - 1 - i))
+        images.append(available.pop(index))
+    return tuple(images)
+
+
+def parse_cycles(text: str, n: int) -> tuple[int, ...]:
+    """Images of the permutation of 1..n written in cycles, as "(1,4,2,3)(5,6)"."""
+    images = list(range(1, n + 1))
+    for body in re.findall(r"\(([^()]*)\)", text):
+        points = [int(v) for v in body.split(",")]
+        for i, point in enumerate(points):
+            images[point - 1] = points[(i + 1) % len(points)]
+    return tuple(images)
 
 
 def cycle_type_of(images: tuple[int, ...]) -> tuple[int, ...]:
@@ -302,14 +344,13 @@ def kernel(matrix):
 def characteristic_vector(members, n: int) -> list[int]:
     """0/1 vector over the lex-ordered permutations of 1..n for a set of them.
 
-    Each member is given by its one-line images, or carries them as .images.
-    A member that is no permutation of 1..n, or a repeated one, raises
-    ValueError.
+    Each member is given by its one-line images.  A member that is no
+    permutation of 1..n, or a repeated one, raises ValueError.
     """
     position = {p: r for r, p in enumerate(itertools.permutations(range(1, n + 1)))}
     vec = [0] * len(position)
     for member in members:
-        images = tuple(getattr(member, "images", member))
+        images = tuple(member)
         if images not in position:
             raise ValueError(f"{images} is not a permutation of 1..{n}")
         if vec[position[images]]:

@@ -553,6 +553,20 @@ class TestExitCodes:
         assert out == ""
         assert "bad one-line permutation '1 2 3 4'" in err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0,1,2", "error: not a permutation of 1..3: (0, 1, 2)\n"),
+            ("1,2", "error: expected degree 3, found 1,2\n"),
+        ],
+        ids=["not-a-permutation", "other-degree"],
+    )
+    def test_validate_bad_member_line_is_a_usage_error(self, capsys, tmp_path, line, message):
+        path = tmp_path / "family.txt"
+        path.write_text(f"1,2,3\n{line}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", "3", "--family", str(path))
+        assert (code, out, err) == (cli.EXIT_USAGE, "", message)
+
     @pytest.mark.parametrize("line", ["2,1,+3,4", "2,1,\u0663,4", "2,1,3,4_0"])
     def test_validate_non_ascii_digit_token_is_a_usage_error(self, capsys, tmp_path, line):
         path = tmp_path / "family.txt"
@@ -695,7 +709,7 @@ class TestExitCodes:
         "members, t, code, result",
         [
             (
-                permgroup.constraint_rows(4, [(4, 4)]),
+                scheme.constraint_rows(4, [(4, 4)]),
                 0,
                 cli.EXIT_OK,
                 {"n": 4, "t": 0, "size": 6, "witness": None},
@@ -1216,7 +1230,11 @@ class TestImports:
         return set(new), {m for m in ran if m.startswith("ekrperm")}
 
     @pytest.mark.parametrize(
-        "argv", [["spectrum", "6", "--t", "0"], ["chartab", "6"], ["derangements", "5"]]
+        "argv",
+        [
+            ["spectrum", "6", "--t", "0"], ["chartab", "6"], ["derangements", "5"],
+            ["spectrum", "9"], ["chartab", "12"], ["derangements", "8"],
+        ],
     )
     def test_cold_start_runs_no_graphs_or_scheme_body(self, argv):
         new, ran = self.executed(*argv)

@@ -34,22 +34,16 @@ from ekrperm.ekrverify import (
 from ekrperm.errors import DegreeRangeError
 from ekrperm.graphs import max_independent_sets
 from ekrperm.linalg import bareiss_rank
-from ekrperm.permgroup import (
-    Permutation,
-    compose,
+from ekrperm.scheme import (
+    class_quadratic_forms,
     constraint_families,
     constraint_rows,
-    identity,
-    inverse,
-    parse_cycles,
-    parse_one_line,
+    group_data,
     point_family,
     rank_images,
-    rank_permutation,
-    unrank_permutation,
 )
-from ekrperm.scheme import class_quadratic_forms, group_data
 import oracles
+from oracles import compose, inverse, parse_cycles, rank_permutation, unrank_permutation
 from test_graphs import point_families
 from test_linalg import kron
 from test_scheme import constraint_sets, family_ranks, module_quadratic_form
@@ -80,7 +74,7 @@ def _rows(h):
 
 def reference_ranks(rows):
     """rank_permutation of each image row, the scalar reference ranking."""
-    return [rank_permutation(Permutation(tuple(p))) for p in np.asarray(rows).tolist()]
+    return [rank_permutation(p) for p in np.asarray(rows).tolist()]
 
 
 def module_supports(families, n):
@@ -147,15 +141,14 @@ class TestIncidenceMatrix:
 
     def test_identity_row(self):
         h = incidence(4)
-        row = _rows(h)[rank_permutation(identity(4))]
+        row = _rows(h)[rank_permutation((1, 2, 3, 4))]
         ones = {_columns(4)[k] for k, v in enumerate(row) if v}
         assert ones == {(1, 1), (2, 2), (3, 3)}
 
     def test_four_cycle_row(self):
         # pi = (1,4,2,3) sends 1 to 4 and 4 to 2, so only two pairs remain
         h = incidence(4)
-        p = parse_one_line("4,3,1,2")
-        row = _rows(h)[rank_permutation(p)]
+        row = _rows(h)[rank_permutation((4, 3, 1, 2))]
         ones = {_columns(4)[k] for k, v in enumerate(row) if v}
         assert ones == {(2, 3), (3, 1)}
 
@@ -170,10 +163,8 @@ class TestIncidenceMatrix:
         h = incidence(5)
         perms = [unrank_permutation(r, 5) for r in range(120)]
         for p, row in zip(perms, _rows(h)):
-            expected = (5 - 1) if p(5) == 5 else 5 - 2
-            hits = sum(
-                1 for i in range(1, 5) if p(i) <= 4
-            )
+            expected = (5 - 1) if p[4] == 5 else 5 - 2
+            hits = sum(1 for v in p[:4] if v <= 4)
             assert sum(row) == hits <= expected
 
     def test_degree_cap(self):
@@ -365,7 +356,7 @@ class TestReorderedSubmatrix:
                 for b in range(1, n - 1)
             ]
             assert len(set(perms)) == (n - 1) * (n - 2)
-            assert all(p(i) != i for p in perms for i in range(1, n + 1))
+            assert all(v != i for p in perms for i, v in enumerate(p, 1))
 
     def test_degree_four_literal(self):
         rows, expected, equal = pi_ab_submatrix(4)
@@ -797,44 +788,12 @@ class TestIntegerNorms:
 
 
 class TestNoPermutationPerRow:
-    def test_verify_all_paths_build_no_permutation(self, monkeypatch):
-        from ekrperm import cli, groupcmds, permgroup
-
-        found = {n: max_independent_sets(n) for n in (4, 5)}
-        degrees = {"latin": 5, "odd-latin": 7, "cycles": 8, "affine": 5}
-
-        def run():
-            depth_conjecture_dims(5, 1)
-            basis_check(5)
-            kernel_membership_check(6)
-            for n in (4, 5):
-                classify_maximum_sets(n, found[n])
-                groupcmds.run_search(n=n, t=0, workers=1)
-            cli.run_derangements(n=8)
-            groupcmds.run_quotient(n=8)
-            for method, n in degrees.items():
-                groupcmds.run_clique(n=n, method=method)
-            groupcmds.run_clique_characters(n=7)
-            graphs.latin_coset_cover(5)
-
-        run()  # fills the per-degree caches (classes, tables)
-        built = []
-        real = permgroup.Permutation.__new__
-
-        def counting(cls, images):
-            built.append(images)
-            return real(cls, images)
-
-        monkeypatch.setattr(permgroup.Permutation, "__new__", counting)
-        run()
-        assert built == []
-
     @pytest.mark.parametrize("n, t", [(7, 0), (8, 0), (7, 1), (8, 1)])
     def test_bounds_builds_only_the_clique(self, monkeypatch, n, t):
-        # the clique and the coclique are both image rows, so no permutation
-        # is built; a tight pair's supports and their check stop at
-        # MAX_GROUP_DEGREE, above which no group table is built either
-        from ekrperm import groupcmds, permgroup
+        # the clique and the coclique are both image rows; a tight pair's
+        # supports and their check stop at MAX_GROUP_DEGREE, above which no
+        # group table is built
+        from ekrperm import groupcmds
 
         def forbidden(*args):
             raise AssertionError("bounds built group tables")
@@ -844,14 +803,6 @@ class TestNoPermutationPerRow:
             monkeypatch.setattr(scheme.GroupData, "__init__", forbidden)
             for module in (scheme, graphs, ekrverify):
                 monkeypatch.setattr(module, "group_data", forbidden)
-        built = []
-        real = permgroup.Permutation.__new__
-
-        def counting(cls, images):
-            built.append(images)
-            return real(cls, images)
-
-        monkeypatch.setattr(permgroup.Permutation, "__new__", counting)
         result, checks = groupcmds.run_bounds(n=n, t=t)
         assert all(c["pass"] for c in checks)
         assert result["clique_size"] == (n if t == 0 else n * (n - 1))
@@ -859,7 +810,6 @@ class TestNoPermutationPerRow:
         assert ("supports" in result) == supported
         names = [c["name"] for c in checks]
         assert ("tight-pair-supports-disjoint" in names) == supported
-        assert built == []
 
 
 class TestBasisCheck:
@@ -953,14 +903,14 @@ class TestBasisCheck:
 
 
 def _per_set_records(n, sets):
-    """The records of sets of Permutations, classified one set at a time, as
+    """The records of sets of image tuples, classified one set at a time, as
     classify_maximum_sets did before it took every set's ranks at once."""
     gd, h = group_data(n), incidence(n)
     width = (n - 1) ** 2
     h_matrix = ekrverify._dense(h.ones, width)
     records = []
     for members in sets:
-        images = np.array([p.images for p in members], dtype=np.int8) - 1
+        images = np.array(members, dtype=np.int8) - 1
         member_ranks = rank_images(images.T)
         distinct = len(set(member_ranks.tolist())) == len(member_ranks)
         family_key = point_family(images) if distinct else None
@@ -1121,9 +1071,9 @@ class TestClassification:
     def test_translation_moves_families_to_families(self):
         # left-multiplying a point family gives another point family
         rows = constraint_rows(4, [(4, 4)]).tolist()
-        g = parse_one_line("2,3,4,1")
-        translated = frozenset(compose(g, Permutation(tuple(p))).images for p in rows)
-        target = constraint_rows(4, [(4, g(4))])
+        g = (2, 3, 4, 1)
+        translated = frozenset(compose(g, p) for p in rows)
+        target = constraint_rows(4, [(4, g[3])])
         assert translated == frozenset(map(tuple, target.tolist()))
 
 

@@ -25,25 +25,17 @@ from ekrperm.graphs import (
     latin_coset_cover,
     max_independent_sets,
     odd_n_latin_clique,
+    parse_one_line,
     read_family,
     validate_clique,
     validate_family,
     write_family,
 )
-from ekrperm.permgroup import (
-    Permutation,
-    agreements,
-    compose,
-    constraint_rows,
-    cycle_type_of_images,
-    derangement_count,
-    identity,
-    parse_one_line,
-    rank_permutation,
-    unrank_permutation,
-)
+from ekrperm.permgroup import agreements, cycle_type_of_images, derangement_count
+from ekrperm.scheme import constraint_rows
 
 import oracles
+from oracles import compose, rank_permutation, unrank_permutation
 
 
 class _ParentField:
@@ -92,8 +84,12 @@ class _ParentField:
 
 
 def as_permutations(rows):
-    """Image rows as Permutations, for the reference functions that take them."""
-    return [Permutation(tuple(row)) for row in rows.tolist()]
+    """Image rows as tuples, for the reference functions and the set lookups."""
+    return [tuple(row) for row in rows.tolist()]
+
+
+def identity(n):
+    return tuple(range(1, n + 1))
 
 
 def point_families(n):
@@ -121,8 +117,8 @@ class TestBuildGraph:
 
     def test_adjacency_predicate(self):
         mask = graphs._adjacency_masks(4, 0)[rank_permutation(identity(4))]
-        assert mask >> rank_permutation(parse_one_line("2,1,4,3")) & 1
-        assert not mask >> rank_permutation(parse_one_line("2,1,3,4")) & 1
+        assert mask >> rank_permutation((2, 1, 4, 3)) & 1
+        assert not mask >> rank_permutation((2, 1, 3, 4)) & 1
 
     def test_masks_symmetric_and_irreflexive(self):
         masks = graphs._adjacency_masks(4, 0)
@@ -144,8 +140,8 @@ class TestBuildGraph:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_masks_equal_the_agreement_counts(self, n):
-        images = permgroup.image_table(n)
-        agree = permgroup.agreement_counts(images, images)
+        images = scheme.image_table(n)
+        agree = scheme.agreement_counts(images, images)
         for t in range(n):
             packed = np.packbits(agree <= t, axis=1, bitorder="little")
             expected = [int.from_bytes(row.tobytes(), "little") for row in packed]
@@ -185,7 +181,7 @@ def _first_failing_pair(members, t, clique):
 def _assert_entry_points_agree(members, t, clique):
     """All three validators report the pair the nested loop finds first."""
     bad = _first_failing_pair(members, t, clique)
-    assert permgroup.first_agreement_violation(members, t, clique) == bad
+    assert scheme.first_agreement_violation(members, t, clique) == bad
     validate = validate_clique if clique else validate_family
     ok, witness = validate(members, t)
     assert ok is (bad is None)
@@ -220,16 +216,16 @@ class TestAgreementValidator:
     def test_matches_the_nested_loop(self, case, clique, block_pairs):
         members, t = case
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(permgroup, "AGREEMENT_BLOCK_PAIRS", block_pairs)
+            mp.setattr(scheme, "AGREEMENT_BLOCK_PAIRS", block_pairs)
             _assert_entry_points_agree(members, t, clique)
 
     @given(_member_rows(), st.booleans(), st.sampled_from(["int8", "uint8", "int64"]))
     def test_every_integer_dtype_agrees(self, case, clique, dtype):
         members, t = case
         images = members.astype(dtype)
-        assert permgroup.first_agreement_violation(
+        assert scheme.first_agreement_violation(
             images, t, clique
-        ) == permgroup.first_agreement_violation(members, t, clique)
+        ) == scheme.first_agreement_violation(members, t, clique)
         # the witness is the same two rows whatever the dtype
         validate = validate_clique if clique else validate_family
         ok, witness = validate(members, t)
@@ -244,7 +240,7 @@ class TestAgreementValidator:
     def test_late_failures_in_small_blocks(self, monkeypatch, block_pairs):
         # a budget of 1 pair gives one row per block; 40 gives two rows once
         # at most 20 later members remain
-        monkeypatch.setattr(permgroup, "AGREEMENT_BLOCK_PAIRS", block_pairs)
+        monkeypatch.setattr(scheme, "AGREEMENT_BLOCK_PAIRS", block_pairs)
         points = constraint_rows(5, [(5, 5)])
         late = [points[10], [2, 3, 4, 5, 1], [1, 5, 3, 4, 2]]
         for extra in late:
@@ -341,13 +337,13 @@ class TestCycleDecompositionCliques:
         for n in (5, 7):
             for p in as_permutations(cycle_decomposition_clique(n).members):
                 if p != identity(n):
-                    assert cycle_type_of_images(p.images) == (n,)
+                    assert cycle_type_of_images(p) == (n,)
 
     def test_even_degree_eight_from_the_table(self):
         cert = cycle_decomposition_clique(8)
         assert cert.size == 8
         assert all(
-            cycle_type_of_images(p.images) == (8,)
+            cycle_type_of_images(p) == (8,)
             for p in as_permutations(cert.members)
             if p != identity(8)
         )
@@ -533,11 +529,11 @@ class TestFamilies:
     @pytest.mark.parametrize("k", [-1, 0, 5])
     def test_constraint_families_need_k_from_1_to_n(self, k):
         with pytest.raises(ValueError, match=rf"^need 1 <= k <= n, got k={k}, n=4$"):
-            permgroup.constraint_families(4, k)
+            scheme.constraint_families(4, k)
 
     def test_constraint_families_at_k_equal_n(self):
         # one family per permutation of 1..4, its only member, in rank order
-        ranks = permgroup.constraint_families(4, 4)
+        ranks = scheme.constraint_families(4, 4)
         assert ranks.shape == (24, 1)
         assert ranks[:, 0].tolist() == list(range(24))
 
@@ -548,13 +544,13 @@ class TestFamilies:
         shift = [(x, x % n + 1) for x in range(1, n + 1)]
         constraints = shift[: n - free]
         degrees = []
-        real = permgroup.image_table
+        real = scheme.image_table
 
         def spy(k):
             degrees.append(k)
             return real(k)
 
-        monkeypatch.setattr(permgroup, "image_table", spy)
+        monkeypatch.setattr(scheme, "image_table", spy)
         rows = constraint_rows(n, reversed(constraints))
         assert degrees == [free]
         fixed = [y for _, y in constraints]
@@ -619,7 +615,7 @@ class TestCosetCover:
         for coset in cover:
             assert len(coset) == n
             seen.update(coset)
-            members = permgroup.image_table(n)[list(coset)] + 1
+            members = scheme.image_table(n)[list(coset)] + 1
             assert validate_clique(members, 0) == (True, None)
         assert seen == set(range(math.factorial(n)))
 
@@ -643,7 +639,7 @@ class TestSearch:
                 for rows in point_families(n).values()
             }
             for row in result.ranks.tolist():
-                members = frozenset(unrank_permutation(r, n).images for r in row)
+                members = frozenset(unrank_permutation(r, n) for r in row)
                 assert members in catalogue
 
     @pytest.mark.parametrize("n", range(2, 7))
@@ -672,8 +668,8 @@ class TestSearch:
         coset_masks = [sum(1 << v for v in coset) for coset in latin_coset_cover(n)]
         walk = graphs._enumerate_transversals(coset_masks, nonadj, full, ())
         assert len(walk) == permgroup.stabilizer_coset_count(n) == 49
-        images = permgroup.image_table(n)
-        families = {permgroup.point_family(images[sorted(chosen)]) for chosen in walk}
+        images = scheme.image_table(n)
+        families = {scheme.point_family(images[sorted(chosen)]) for chosen in walk}
         assert families == set(itertools.product(range(1, n + 1), repeat=2))
 
     def test_a_coset_with_no_allowed_vertex_ends_the_branch(self):
@@ -734,6 +730,36 @@ class TestSearch:
             max_independent_sets(7)
 
 
+class TestParseOneLine:
+    def test_one_line_reads_an_image_tuple(self):
+        assert parse_one_line("4,3,1,2") == (4, 3, 1, 2)
+
+    def test_one_line_accepts_whitespace_around_numbers(self):
+        assert parse_one_line(" 4, 3 ,1,\t2 ") == (4, 3, 1, 2)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1 2 3", "2,1 3", "1,,2", "1,a", "", "1,2,", "2,1,+3", "1_0,2", "2,1,٣"],
+    )
+    def test_one_line_rejects_split_empty_or_non_numeric_tokens(self, text):
+        # "1 2 3" once read as the degree-one permutation (123,), and int() reads
+        # a sign, an underscore and the digits of other scripts
+        with pytest.raises(ValueError, match="bad one-line permutation"):
+            parse_one_line(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,1,3", "not a permutation of 1..3: (1, 1, 3)"),
+            ("0,1,2", "not a permutation of 1..3: (0, 1, 2)"),
+            ("2,3,4", "not a permutation of 1..3: (2, 3, 4)"),
+        ],
+    )
+    def test_one_line_rejects_images_that_are_not_a_permutation(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_one_line(text)
+
+
 class TestFamilyIo:
     def test_round_trip(self, tmp_path):
         members = constraint_rows(5, [(2, 3)])
@@ -769,7 +795,7 @@ class TestFamilyIo:
         "members, message",
         [
             ([[1, 1, 1], [2, 3, 1]], "^member 1,1,1 is not a permutation of 1..3$"),
-            ([parse_one_line("1,2,3"), 5], "inhomogeneous"),
+            ([(1, 2, 3), 5], "inhomogeneous"),
             (np.array([[1.0, 2.0], [2.0, 1.5]]), "^member 2.0,1.5 is not a permutation of 1..2$"),
         ],
         ids=["repeated-image", "ragged", "fractional"],
@@ -800,7 +826,7 @@ class TestImageArrayShape:
     @pytest.mark.parametrize(
         "check",
         [
-            permgroup.image_rows,
+            scheme.image_rows,
             validate_clique,
             validate_family,
             lambda rows: scheme.clique_coclique_check(rows, IDENTITY_3, 3),

@@ -411,7 +411,7 @@ class TestResidueKernel:
 
         import numpy as np
 
-        from ekrperm.permgroup import constraint_families
+        from ekrperm.scheme import constraint_families
 
         families = constraint_families(6, 3)
         rows = np.zeros((len(families) + 1, 720), dtype=np.int8)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ekrperm import chartab, graphs, permgroup, scheme
+from ekrperm import chartab, graphs, scheme
 from ekrperm.chartab import (
     MAX_TABLE_DEGREE,
     character_table,
@@ -26,34 +26,30 @@ from ekrperm.errors import DegreeRangeError, FamilyValidationError
 from ekrperm.graphs import affine_clique, latin_clique
 from ekrperm.permgroup import (
     classes_with_few_fixed_points,
-    compose,
     conjugacy_classes,
-    constraint_families,
-    constraint_rows,
     cycle_type_of_images,
     derangement_count,
-    identity,
-    image_table,
-    inverse,
-    parse_one_line,
     partitions_of,
-    point_family,
-    rank_images,
-    rank_permutation,
     stabilizer_coset_count,
-    unrank_permutation,
 )
 from ekrperm.scheme import (
     MAX_GROUP_DEGREE,
+    MAX_RANK_DEGREE,
     class_quadratic_forms,
     clique_coclique_check,
+    constraint_families,
+    constraint_rows,
     fundamental_identity_check,
     group_data,
+    image_table,
+    point_family,
+    rank_images,
     ratio_bound,
     union_spectrum,
 )
 
 import oracles
+from oracles import compose, inverse, rank_permutation, unrank_permutation
 
 # Derangement-graph spectra, one eigenvalue per partition in reverse-lex
 # order.  Degree 4 is certified externally below; degree 5 eigenvalues
@@ -292,9 +288,7 @@ class TestProjections:
 
 class TestQuadraticForms:
     def test_two_element_set(self):
-        x = oracles.characteristic_vector(
-            [identity(4), parse_one_line("2,1,3,4")], 4
-        )
+        x = oracles.characteristic_vector([(1, 2, 3, 4), (2, 1, 3, 4)], 4)
         (forms,) = class_quadratic_forms([x], 4)
         gd = group_data(4)
         by_type = dict(zip((c.cycle_type for c in gd.classes), forms))
@@ -570,11 +564,11 @@ class TestCharacteristicVector:
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            oracles.characteristic_vector([identity(4), identity(4)], 4)
+            oracles.characteristic_vector([(1, 2, 3, 4), (1, 2, 3, 4)], 4)
 
     def test_rejects_degree_mismatch(self):
         with pytest.raises(ValueError):
-            oracles.characteristic_vector([identity(3)], 4)
+            oracles.characteristic_vector([(1, 2, 3)], 4)
 
 
 class TestCliqueCoclique:
@@ -726,7 +720,7 @@ class TestCliqueCoclique:
     )
     def test_rows_fail_with_their_message(self, clique, independent, error, message):
         rows = [
-            np.array([parse_one_line(text).images for text in f])
+            np.array([[int(v) for v in text.split(",")] for text in f])
             for f in (clique, independent)
         ]
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -834,6 +828,45 @@ def _oracle_quotient_type(p, q):
     return oracles.cycle_type_of(tuple(inv[v - 1] for v in q))
 
 
+class TestRanking:
+    """rank_images agrees with the lexicographic rank of the oracle."""
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.lists(st.permutations(range(n)), min_size=1)
+        )
+    )
+    def test_image_planes_rank_like_the_scalar_rank(self, rows):
+        # one plane per position, one column per permutation
+        planes = np.array(rows, dtype=np.int8).T
+        expected = [rank_permutation([v + 1 for v in r]) for r in rows]
+        assert rank_images(planes).tolist() == expected
+
+    @given(
+        st.integers(1, MAX_RANK_DEGREE),
+        st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        st.sampled_from([np.int8, np.intp]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_image_planes_rank_like_the_pairwise_lehmer_code(self, n, shape, dtype, seed):
+        # one random permutation of 0..n-1 along the leading axis per cell of shape
+        keys = np.random.default_rng(seed).random((n, *shape))
+        planes = np.argsort(keys, axis=0).astype(dtype)
+        reference = np.zeros(tuple(shape), dtype=np.int64)
+        for k in range(n - 1):  # digit k compared against every later plane at once
+            reference += (planes[k + 1 :] < planes[k]).sum(0) * math.factorial(n - 1 - k)
+        ranks = rank_images(planes)
+        assert ranks.dtype == np.int64 and ranks.shape == tuple(shape)
+        assert np.array_equal(ranks, reference)
+
+    def test_image_planes_past_the_int64_ranks_raise(self):
+        planes = np.arange(MAX_RANK_DEGREE)[:, None]
+        assert rank_images(planes).tolist() == [0]
+        assert rank_images(planes[::-1]).tolist() == [math.factorial(MAX_RANK_DEGREE) - 1]
+        with pytest.raises(DegreeRangeError):
+            rank_images(np.arange(MAX_RANK_DEGREE + 1)[:, None])
+
+
 class TestGroupTables:
     @pytest.mark.parametrize("n", range(1, MAX_GROUP_DEGREE + 1))
     def test_arrays_agree_with_the_oracle_walk(self, n):
@@ -857,9 +890,9 @@ class TestGroupTables:
         assert ranks.tolist() == list(range(math.factorial(n)))
 
     def test_the_image_table_is_shared_and_read_only(self, monkeypatch):
-        from ekrperm import ekrverify, permgroup
+        from ekrperm import ekrverify
 
-        table = permgroup.image_table(5)
+        table = image_table(5)
         assert group_data(5).images is table
         with pytest.raises(ValueError):
             table[0, 0] = 1
@@ -955,7 +988,7 @@ class TestClassCounts:
         # flat index, int8 classes and int32 labels), 2.3 times BLOCK_PAIRS * n
         # bytes measured, against 8 MB for the 720^2 pairs at once
         group_data(7).relations  # the tables are built outside the traced span
-        family = permgroup.constraint_families(7, 1)[0]  # S_{1->1}, 720 members
+        family = constraint_families(7, 1)[0]  # S_{1->1}, 720 members
         tracemalloc.start()
         try:
             counts = scheme._class_counts([family], 7)
@@ -997,7 +1030,7 @@ class TestCompositionKernel:
             for j, rb in enumerate(b):
                 q = unrank_permutation(rb, n)
                 assert ranks[i][j] == rank_permutation(compose(p, q))
-                quotient = cycle_type_of_images(compose(inverse(p), q).images)
+                quotient = cycle_type_of_images(compose(inverse(p), q))
                 assert gd.classes[classes[i][j]].cycle_type == quotient
 
     @pytest.mark.parametrize("n", [1, 4, 6, MAX_GROUP_DEGREE])
@@ -1036,8 +1069,8 @@ class TestCompositionKernel:
             expected = [
                 r
                 for r in range(120)
-                if 0 < 5 - cycle_type_of_images(unrank_permutation(r, 5).images).count(1)
-                and cycle_type_of_images(unrank_permutation(r, 5).images).count(1) <= t
+                if 0 < 5 - cycle_type_of_images(unrank_permutation(r, 5)).count(1)
+                and cycle_type_of_images(unrank_permutation(r, 5)).count(1) <= t
             ]
             assert _connection(gd, t) == expected
 
@@ -1120,7 +1153,7 @@ class TestConstraintFamilies:
         # 1 goes to 1 in seven rows of the doctored table, to 2 in five
         table = image_table(4).copy()
         table[6, 0] = 0
-        monkeypatch.setattr(permgroup, "image_table", lambda n: table)
+        monkeypatch.setattr(scheme, "image_table", lambda n: table)
         with pytest.raises(AssertionError, match="mixes value tuples"):
             constraint_families(4, 1)
 
