@@ -358,6 +358,13 @@ class TestReorderedSubmatrix:
             assert len(set(perms)) == (n - 1) * (n - 2)
             assert all(v != i for p in perms for i, v in enumerate(p, 1))
 
+    def test_application_is_one_based(self):
+        # images[i - 1] is the image of i: pi_ab sends a to n
+        for n in (3, 4, 5, 6):
+            for a in range(1, n):
+                for b in range(1, n - 1):
+                    assert pi_ab(a, b, n)[a - 1] == n
+
     def test_degree_four_literal(self):
         rows, expected, equal = pi_ab_submatrix(4)
         assert equal
@@ -788,6 +795,38 @@ class TestIntegerNorms:
 
 
 class TestNoPermutationPerRow:
+    def test_verify_all_paths_build_no_permutation(self, monkeypatch):
+        # once the per-degree image tables and group tables are cached, the
+        # verify-all paths read them as arrays and walk no permutation of
+        # the group in Python again
+        from ekrperm import cli, groupcmds
+
+        found = {n: max_independent_sets(n) for n in (4, 5)}
+        degrees = {"latin": 5, "odd-latin": 7, "cycles": 8, "affine": 5}
+
+        def run():
+            depth_conjecture_dims(5, 1)
+            basis_check(5)
+            kernel_membership_check(6)
+            for n in (4, 5):
+                classify_maximum_sets(n, found[n])
+                groupcmds.run_search(n=n, t=0, workers=1)
+            cli.run_derangements(n=8)
+            groupcmds.run_quotient(n=8)
+            for method, n in degrees.items():
+                groupcmds.run_clique(n=n, method=method)
+            groupcmds.run_clique_characters(n=7)
+            graphs.latin_coset_cover(5)
+
+        run()  # fills the per-degree caches (classes, tables)
+
+        def walk(*args):
+            raise AssertionError("a permutation walk ran again")
+
+        monkeypatch.setattr(itertools, "permutations", walk)
+        monkeypatch.setattr(scheme, "cycle_type_of_images", walk)
+        run()
+
     @pytest.mark.parametrize("n, t", [(7, 0), (8, 0), (7, 1), (8, 1)])
     def test_bounds_builds_only_the_clique(self, monkeypatch, n, t):
         # the clique and the coclique are both image rows; a tight pair's

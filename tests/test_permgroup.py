@@ -41,6 +41,19 @@ class TestPermutationBasics:
         for images in ((4, 3, 1, 2), [4, 3, 1, 2], rows[0]):
             assert one_line(images) == "4,3,1,2"
 
+    def test_compose_applies_right_factor_first(self):
+        # the reference product sends i to p(q(i)): q = (1,2) first, then p = (1,2,3)
+        p, q = (2, 3, 1), (2, 1, 3)
+        assert oracles.compose(p, q) == (3, 2, 1)
+        assert oracles.compose(q, p) == (1, 3, 2)
+
+    def test_inverse(self):
+        identity = (1, 2, 3, 4)
+        for p in _permutations(4):
+            q = oracles.inverse(p)
+            assert oracles.compose(p, q) == oracles.compose(q, p) == identity
+            assert agreements(p, identity) == agreements(q, identity)
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_string_table_is_str_of_every_rank(self, n):
         expected = [",".join(map(str, p)) for p in _permutations(n)]
@@ -67,6 +80,14 @@ class TestCycleStructure:
     def test_cycle_type_matches_the_oracle(self):
         for p in _permutations(6):
             assert cycle_type_of_images(p) == oracles.cycle_type_of(p)
+
+    def test_parse_cycles(self):
+        # the cycle-notation reference the tests write hand tables in:
+        # one cycle 1 -> 4 -> 2 -> 3 -> 1
+        assert oracles.parse_cycles("(1,4,2,3)", 4) == (4, 3, 1, 2)
+        assert oracles.parse_cycles("(1,2)(3,4)", 4) == (2, 1, 4, 3)
+        assert oracles.parse_cycles("", 4) == (1, 2, 3, 4)
+        assert cycle_type_of_images(oracles.parse_cycles("(1,5)(2,6,4)", 7)) == (3, 2, 1, 1)
 
 
 class TestAgreements:
@@ -138,6 +159,11 @@ class TestConjugacyClasses:
         assert [c.cycle_type for c in infos] == list(partitions_of(4))
         assert [c.size for c in infos] == [6, 8, 3, 6, 1]
         assert all(isinstance(c, ClassInfo) for c in infos)
+
+    @pytest.mark.parametrize("shape", [(2, 0), (3, -1, 1), (0,)])
+    def test_class_size_rejects_parts_below_one(self, shape):
+        with pytest.raises(ValueError, match="bad cycle type"):
+            class_size(shape)
 
     def test_fixed_point_filter(self):
         zero = classes_with_few_fixed_points(4, 0)

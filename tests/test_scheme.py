@@ -831,6 +831,50 @@ def _oracle_quotient_type(p, q):
 class TestRanking:
     """rank_images agrees with the lexicographic rank of the oracle."""
 
+    def test_rank_zero_is_identity(self):
+        for n in range(MAX_RANK_DEGREE + 1):
+            assert rank_images(np.arange(n, dtype=np.int8)[:, None]).tolist() == [0]
+
+    def test_last_rank_is_reversal(self):
+        for n in range(1, MAX_RANK_DEGREE + 1):
+            planes = np.arange(n - 1, -1, -1, dtype=np.int8)[:, None]
+            assert rank_images(planes).tolist() == [math.factorial(n) - 1]
+
+    def test_matches_itertools_order(self):
+        # the 120 permutations of degree 5, laid out as a 4 x 30 grid of cells
+        perms = list(itertools.permutations(range(5)))
+        planes = np.array(perms, dtype=np.int8).T.reshape(5, 4, 30)
+        assert rank_images(planes).tolist() == np.arange(120).reshape(4, 30).tolist()
+        assert [rank_permutation([v + 1 for v in p]) for p in perms] == list(range(120))
+
+    def test_round_trip_degree_seven(self):
+        table = image_table(7)
+        for rank in (0, 1, 1000, math.factorial(7) - 1):
+            assert tuple(table[rank] + 1) == unrank_permutation(rank, 7)
+            assert rank_images(table[rank][:, None]).tolist() == [rank]
+
+    @given(st.data())
+    def test_round_trips_through_degree_nine(self, data):
+        # a row of the image table is the permutation of its rank
+        n = data.draw(st.integers(1, 9))
+        rank = data.draw(st.integers(0, math.factorial(n) - 1))
+        row = image_table(n)[rank]
+        assert tuple(row + 1) == unrank_permutation(rank, n)
+        assert rank_images(row[:, None]).tolist() == [rank]
+        images = data.draw(st.permutations(range(n)))
+        ranked = rank_images(np.array(images, dtype=np.int8)[:, None]).tolist()
+        assert ranked == [rank_permutation([v + 1 for v in images])]
+        assert image_table(n)[ranked[0]].tolist() == images
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_all_permutations_is_lex_ordered(self, n):
+        # read as tuples, not through rank_images: each row a permutation of
+        # 0..n-1 and each strictly above the row before it
+        rows = [tuple(row) for row in image_table(n).tolist()]
+        assert len(rows) == math.factorial(n)
+        assert all(sorted(row) == list(range(n)) for row in rows)
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+
     @given(
         st.integers(1, 12).flatmap(
             lambda n: st.lists(st.permutations(range(n)), min_size=1)
