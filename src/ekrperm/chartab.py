@@ -1,21 +1,21 @@
-"""Ordinary character tables of symmetric groups.
+"""Ordinary character tables of symmetric groups, in exact integers.
 
-Character values are computed by the Murnaghan-Nakayama border-strip
-recursion on bead masks (the beta-set of a shape as the bits of an int),
-memoized on (mask, remaining cycle lengths).  Dimensions come from
-the hook length formula, and the skew counts f^{shape/(m)} by removing one
-corner at a time, memoized on the shape.  The spectra of the agreement graphs
-(union_spectrum) are inclusion-exclusion sums of those skew counts over fixed
-points, with no sum over classes; the division by dim must be exact
-(enforced).  Each orthogonality relation is one packed big-int sum per row,
-with no NumPy (_orthonormal).  Everything is an exact integer.
+Character values come from the Murnaghan-Nakayama rule run forward on bead
+masks (a shape's beta-set as the bits of an int): one memoized dict per cycle
+suffix holds chi of every shape its strips reach, so columns share suffixes.
+Dimensions come from the hook length formula, and the skew counts
+f^{shape/(m)} from one packed table per degree, built one box at a time.
+The spectra of the agreement graphs (union_spectrum) are inclusion-exclusion
+sums of those counts over fixed points, with no sum over classes; the
+division by dim must be exact (enforced).  Each orthogonality relation is one
+packed big-int sum per row, with no NumPy (_orthonormal).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import repeat
-from math import comb, factorial, prod
+from math import comb, factorial, isqrt, prod
 from operator import add, mul
 from typing import NamedTuple
 
@@ -29,8 +29,7 @@ from .permgroup import (
     partitions_of,
 )
 
-# Table sizes grow like the partition count; the recursion is fine well past
-# this, but larger degrees are outside the tested envelope.
+# Larger tables are fine, but outside the tested envelope.
 MAX_TABLE_DEGREE = 12
 
 
@@ -55,23 +54,43 @@ def dimension(shape: Partition) -> int:
     return factorial(sum(shape)) // hooks
 
 
+def _add_strips(level: dict[int, int], k: int) -> dict[int, int]:
+    """{bead mask: sum of the values reaching it} after adding a k-cell strip.
+
+    A bead moves from b to an empty b + k, signed by how many beads it jumps.
+    """
+    out: dict[int, int] = {}
+    for beads, value in level.items():
+        movable = beads & ~(beads >> k)
+        while movable:
+            low = movable & -movable
+            movable ^= low
+            key = beads ^ low ^ (low << k)
+            odd = k > 1 and (beads & ((low << k) - (low << 1))).bit_count() & 1
+            out[key] = out.get(key, 0) + (-value if odd else value)
+    return out
+
+
 @lru_cache(maxsize=None)
+def _skew_table(n: int) -> tuple[int, dict[int, int]]:
+    """(w, {bead mask: packed}) over the shapes of n cells, with n beads.
+
+    Digit m of packed, w bits wide, is f^{shape/(m)}: boxes are added one at
+    a time from the empty shape, and the row (m) is seeded at digit m.  Each
+    count is at most dim(shape) <= sqrt(n!), so no digit carries.
+    """
+    w = (isqrt(factorial(n)) + 1).bit_length() + 1
+    level = {(1 << n) - 1: 1}
+    for s in range(1, n + 1):
+        level = _add_strips(level, 1)
+        level[_beads((s,), n)] += 1 << (w * s)
+    return w, level
+
+
 def _skew_row_counts(shape: Partition) -> tuple[int, ...]:
-    if len(shape) <= 1:  # every filling of one row is standard
-        return (1,) * (sum(shape) + 1)
-    counts = [0] * (shape[0] + 1)
-    last = len(shape) - 1
-    for i, part in enumerate(shape):
-        if i == last or shape[i + 1] < part:  # a corner ends row i
-            # a part of 1 with a corner is the last row, which then goes
-            if part > 1:
-                smaller = shape[:i] + (part - 1,) + shape[i + 1 :]
-            else:
-                smaller = shape[:i]
-            # removable while smaller still contains (m): the range of its counts
-            child = _skew_row_counts(smaller)
-            counts[: len(child)] = map(add, counts, child)
-    return tuple(counts)
+    w, table = _skew_table(sum(shape))
+    packed, digit = table[_beads(shape, sum(shape))], (1 << w) - 1
+    return tuple(packed >> (w * m) & digit for m in range(max(shape, default=0) + 1))
 
 
 def skew_row_tableaux(shape: Partition) -> tuple[int, ...]:
@@ -99,12 +118,8 @@ class SchemeSpectrum(NamedTuple):
 
     def least(self) -> tuple[int, tuple[Partition, ...]]:
         value = min(self.eigenvalues)
-        achieved = tuple(
-            shape
-            for shape, ev in zip(self.partitions, self.eigenvalues)
-            if ev == value
-        )
-        return value, achieved
+        pairs = zip(self.partitions, self.eigenvalues)
+        return value, tuple(shape for shape, ev in pairs if ev == value)
 
 
 def union_spectrum(n: int, t: int = 0) -> SchemeSpectrum:
@@ -127,13 +142,12 @@ def union_spectrum(n: int, t: int = 0) -> SchemeSpectrum:
     ]
     eigenvalues, multiplicities = [], []
     for shape in parts:
-        dim = dimension(shape)
-        total = sum(map(mul, weights, _skew_row_counts(shape)))
-        eigenvalue, remainder = divmod(total, dim)
+        counts = _skew_row_counts(shape)  # counts[0] is f^{shape/()} = dim
+        eigenvalue, remainder = divmod(sum(map(mul, weights, counts)), counts[0])
         if remainder:
             raise AssertionError(f"eigenvalue of {shape} is not an integer")
         eigenvalues.append(eigenvalue)
-        multiplicities.append(dim**2)
+        multiplicities.append(counts[0] ** 2)
     if sum(multiplicities) != factorial(n):
         raise AssertionError("eigenspace dimensions do not add up to n!")
     if eigenvalues[0] != valency:  # trivial eigenspace carries the valency
@@ -152,29 +166,20 @@ def _validate_shape(shape: Partition) -> None:
 
 def _beads(shape: Partition, n: int) -> int:
     """The beta-set of shape with n beads: bit shape[i] + n - 1 - i for i < n."""
-    return sum(1 << (part + n - 1 - i) for i, part in enumerate(shape)) | (
-        (1 << (n - len(shape))) - 1
-    )
+    empty = (1 << (n - len(shape))) - 1  # the beads of the parts of size 0
+    return empty | sum(1 << (part + n - 1 - i) for i, part in enumerate(shape))
 
 
 @lru_cache(maxsize=None)
-def _murnaghan_nakayama(beads: int, cycles: Partition) -> int:
-    """chi(cycles) of the shape whose beta-set is the bit mask beads.
+def _murnaghan_nakayama(n: int, cycles: Partition) -> dict[int, int]:
+    """{bead mask: chi(cycles)} over the shapes of sum(cycles) cells, n beads.
 
-    Removing a border strip of k = cycles[0] cells moves one bead from b down
-    to an empty b - k; its sign is the parity of the beads passed on the way.
+    Strips of lengths cycles[-1], ..., cycles[0] are added to the empty shape
+    in turn, so every suffix of cycles is one memoized dict.
     """
     if not cycles:
-        return int(beads & (beads + 1) == 0)  # the empty shape
-    k, rest = cycles[0], cycles[1:]
-    total = 0
-    movable = beads & ~(beads << k) & -(1 << k)
-    while movable:
-        low = movable & -movable
-        movable ^= low
-        value = _murnaghan_nakayama(beads ^ low ^ (low >> k), rest)
-        total += -value if (beads & (low - (low >> k))).bit_count() & 1 else value
-    return total
+        return {(1 << n) - 1: 1}
+    return _add_strips(_murnaghan_nakayama(n, cycles[1:]), cycles[0])
 
 
 def character_value(shape: Partition, cycles: CycleType) -> int:
@@ -183,8 +188,8 @@ def character_value(shape: Partition, cycles: CycleType) -> int:
     _validate_shape(cycles)
     if sum(shape) != sum(cycles):
         raise ValueError(f"size mismatch: {shape} vs {cycles}")
-    n = sum(shape)
-    return _murnaghan_nakayama(_beads(shape, n), tuple(sorted(cycles, reverse=True)))
+    column = _murnaghan_nakayama(sum(shape), tuple(sorted(cycles, reverse=True)))
+    return column.get(_beads(shape, sum(shape)), 0)
 
 
 class CharacterTable(NamedTuple):
@@ -209,19 +214,15 @@ def character_table(n: int) -> CharacterTable:
     """Full character table of S(n); rows and columns in reverse-lex order."""
     need_degree("character_table", n, 1, MAX_TABLE_DEGREE)
     parts = partitions_of(n)
-    # partitions_of gives valid shapes in decreasing order: no per-entry checks,
-    # and one bead mask per row
-    values = tuple(
-        tuple(map(partial(_murnaghan_nakayama, _beads(shape, n)), parts))
-        for shape in parts
-    )
-    table = CharacterTable(n, parts, values)
-    for shape in parts:
-        if table.dimension(shape) != dimension(shape):
+    masks = [_beads(shape, n) for shape in parts]  # valid shapes: no checks
+    columns = [map(_murnaghan_nakayama(n, mu).get, masks, repeat(0)) for mu in parts]
+    values = tuple(zip(*columns))
+    for shape, row in zip(parts, values):
+        if row[-1] != dimension(shape):  # the last column is the identity's
             raise AssertionError(
                 f"identity column disagrees with the hook formula at {shape}"
             )
-    return table
+    return CharacterTable(n, parts, values)
 
 
 def _orthonormal(rows, weights, norms) -> bool:
@@ -234,11 +235,10 @@ def _orthonormal(rows, weights, norms) -> bool:
     is below 2^(s-2) for s = bound.bit_length() + 2 rounded up to whole
     bytes; an int has one expansion in signed base-2^s digits below 2^(s-1),
     so the sum is norms[a] << (s*a) exactly when every pairing of row a is
-    as expected.  The test is exact, not probabilistic: one big-int sum per
-    row.  A column packs in time linear in its length: each entry, at most
-    bound in absolute value, plus half = 2^(s-1) is one fixed-width base-2^s
-    digit, the digits are read as one int.from_bytes, and half in every
-    digit is taken off again.
+    as expected: an exact test, one big-int sum per row.  A column packs in
+    linear time: each entry, at most bound in absolute value, plus half =
+    2^(s-1) is one fixed-width base-2^s digit, the digits are read as one
+    int.from_bytes, and half in every digit is taken off again.
     """
     entry = max(abs(x) for row in rows for x in row)
     bound = max(map(abs, norms)) + sum(map(abs, weights)) * entry**2

@@ -286,7 +286,7 @@ COMMANDS = {
         (("--csv", {"action": "store_true", "help": "emit CSV instead of JSON"}),),
         module="cli",
     ),
-    # About 0.6 s at n = 30 for every t; the run time does not grow with t.
+    # About 0.2 s at n = 30 for every t; the run time does not grow with t.
     "spectrum": Command(
         "eigenvalues of the agreement-at-most-t graph", 1, 30, (_T,), module="cli"
     ),

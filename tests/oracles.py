@@ -5,7 +5,9 @@ counting tabloids fixed by class representatives and orthogonalizing the
 permutation characters; spectra are certified from an explicitly built
 adjacency matrix with a fraction-free Gaussian elimination; solutions and
 kernels are read off a reduced row echelon form in Fractions.  Slow is fine:
-these run at degrees 7 and below.
+most run at degrees 7 and below.  Two run further, as references for the
+package's forward strip tables: character values by removing border strips
+(to degree 20) and skew counts by removing corners (to degree 30).
 """
 
 from __future__ import annotations
@@ -218,6 +220,65 @@ def skew_tableaux_over_row(m: int, n: int) -> dict[tuple[int, ...], int]:
                 grow(shape[:i] + (length + 1,) + shape[i + 1 :], cells + 1)
 
     grow((m,) if m else (), m)
+    return counts
+
+
+def strip_removal_table(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """shape -> its characters on the classes in partitions_reverse_lex order.
+
+    One value at a time by the Murnaghan-Nakayama recursion on beta-sets: the
+    shape is a bit mask with n beads, bit shape[i] + n - 1 - i for part i and
+    bits 0.. for the missing parts.  Removing a border strip of k = cycles[0]
+    cells moves a bead from b down to an empty b - k, with the parity of the
+    beads it passes as its sign; the empty shape is the mask 2^n - 1.  Each
+    (mask, remaining cycles) is memoised for this one table.
+    """
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def chi(beads: int, cycles: tuple[int, ...]) -> int:
+        if not cycles:
+            return int(beads == (1 << n) - 1)
+        if (beads, cycles) not in memo:
+            k, total = cycles[0], 0
+            movable = beads & ~(beads << k) & -(1 << k)  # bead at b, b - k empty
+            while movable:
+                low = movable & -movable
+                movable ^= low
+                value = chi(beads ^ low ^ (low >> k), cycles[1:])
+                passed = (beads & (low - (low >> k))).bit_count()
+                total += -value if passed & 1 else value
+            memo[beads, cycles] = total
+        return memo[beads, cycles]
+
+    def beta(shape: tuple[int, ...]) -> int:
+        mask = (1 << (n - len(shape))) - 1
+        for i, part in enumerate(shape):
+            mask |= 1 << (part + n - 1 - i)
+        return mask
+
+    classes = partitions_reverse_lex(n)
+    return {shape: tuple(chi(beta(shape), c) for c in classes) for shape in classes}
+
+
+def corner_removal_counts(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """shape -> (f^{shape/(m)} for m = 0..shape[0]), for every shape of <= n cells.
+
+    f^{shape/(m)} sums f^{smaller/(m)} over the shapes one corner smaller that
+    still contain the row (m); a single row counts 1 for every m.
+    """
+    counts: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for size in range(n + 1):
+        for shape in partitions_descending(size):
+            if len(shape) <= 1:
+                counts[shape] = (1,) * (size + 1)
+                continue
+            total = [0] * (shape[0] + 1)
+            for i, part in enumerate(shape):
+                if i == len(shape) - 1 or shape[i + 1] < part:  # a corner
+                    smaller = shape[:i] + (part - 1,) * (part > 1) + shape[i + 1 :]
+                    for m, count in enumerate(counts[smaller]):
+                        total[m] += count
+            counts[shape] = tuple(total)
     return counts
 
 

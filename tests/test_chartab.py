@@ -359,6 +359,76 @@ class TestTableObject:
             character_table(MAX_TABLE_DEGREE + 1)
 
 
+class TestAgainstTheRemovalRecursions:
+    """The forward strip tables against recursions that remove strips and corners.
+
+    oracles.strip_removal_table removes border strips one entry at a time and
+    oracles.corner_removal_counts removes corners; neither shares code with
+    the package, and both are cross-checked at small degrees.
+    """
+
+    def test_strip_removal_oracle_matches_frobenius_through_degree_seven(self):
+        for n in range(1, 8):
+            classes = oracles.partitions_reverse_lex(n)
+            for shape, row in oracles.strip_removal_table(n).items():
+                assert [oracles.frobenius_character(shape, c) for c in classes] == list(
+                    row
+                ), shape
+
+    def test_corner_removal_oracle_matches_walked_chains_through_degree_ten(self):
+        counts = oracles.corner_removal_counts(10)
+        for n in range(11):
+            walked = [oracles.skew_tableaux_over_row(m, n) for m in range(n + 1)]
+            for shape in oracles.partitions_descending(n):
+                expected = [c.get(shape, 0) for c in walked]
+                assert list(counts[shape]) == expected[: len(counts[shape])], shape
+                assert not any(expected[len(counts[shape]) :]), shape
+
+    def test_whole_tables_through_degree_fourteen(self, monkeypatch):
+        # the uncached builder, so no table above the cap outlives the patch
+        monkeypatch.setattr(chartab, "MAX_TABLE_DEGREE", 14)
+        for n in range(1, 15):
+            table = character_table.__wrapped__(n)
+            oracle = oracles.strip_removal_table(n)
+            assert table.partitions == tuple(oracle), n
+            assert table.values == tuple(oracle.values()), n
+
+    @pytest.mark.slow
+    def test_whole_table_at_degree_twenty(self, monkeypatch):
+        monkeypatch.setattr(chartab, "MAX_TABLE_DEGREE", 20)
+        try:
+            table = character_table.__wrapped__(20)
+        finally:  # the strip dicts of degree 20 hold tens of MiB
+            chartab._murnaghan_nakayama.cache_clear()
+        oracle = oracles.strip_removal_table(20)
+        assert table.partitions == tuple(oracle)
+        assert table.values == tuple(oracle.values())
+
+    def test_character_values_read_the_column_dicts(self):
+        for n in range(1, 9):
+            classes = oracles.partitions_reverse_lex(n)
+            for shape, row in oracles.strip_removal_table(n).items():
+                assert [character_value(shape, c) for c in classes] == list(row), shape
+
+    def test_skew_counts_of_every_shape_through_degree_thirty(self):
+        # also pins the digit width: from n = 3 on, the largest dimension
+        # overflows a digit of a third of the width, and the carry misreads
+        for shape, expected in oracles.corner_removal_counts(30).items():
+            assert skew_row_tableaux(shape) == expected, shape
+
+    def test_one_memoized_dict_per_cycle_suffix(self):
+        # ekrbench's tracer reads cache_info() when a traced run exits
+        chartab._murnaghan_nakayama.cache_clear()
+        character_table.__wrapped__(7)
+        info = chartab._murnaghan_nakayama.cache_info()
+        suffixes = {
+            mu[i:] for mu in oracles.partitions_descending(7) for i in range(len(mu) + 1)
+        }
+        assert (info.misses, info.currsize) == (len(suffixes), len(suffixes))
+        # each column misses, and each past the first stops at one cached suffix
+        assert info.hits == oracles.partition_count(7) - 1
+
+
 class TestCsv:
     def test_header_and_shape(self):
         text = table_to_csv(character_table(4))

@@ -191,13 +191,13 @@ class TestUnionSpectrum:
                 ), (n, t)
 
     def test_indivisible_skew_count_is_an_internal_failure(self, monkeypatch):
-        # the counts are read before the patch: the memoized recursion looks
-        # its children up by the patched name
+        # the counts are read before the patch, which union_spectrum then reads
+        # by name, dims included
         counts = {shape: skew_row_tableaux(shape) for shape in partitions_of(4)}
 
         def off_by_one(shape):
-            # shifts every total by the m = 0 weight (-1)^n, which dim (3, 1) = 3
-            # does not divide
+            # shifts every total by the m = 0 weight (-1)^n and every dim by 1:
+            # (2, 2) then reads 3 * 2 + 1 = 7 over dim 3
             return (counts[shape][0] + 1,) + counts[shape][1:]
 
         monkeypatch.setattr(chartab, "_skew_row_counts", off_by_one)
