@@ -264,16 +264,15 @@ def _family_span(families, n: int):
     dim^2 caps rank S.  Each s_i has coordinate sum 0 while ones has sum n!:
     ones lies outside span S, and span (S + ones) = span (X + ones).  Hence
     rank [S; ones] = rank [X; ones] = rank S + 1, and one certified rank of
-    the 0/1 rows [X; ones], read a slice at a time from linalg.IndicatorRows,
-    against the cap plus one gives both.
+    the 0/1 rows [X; ones], packed mod 2 straight from the families' ranks
+    by linalg.certified_family_rank, against the cap plus one gives both.
     """
     gd = group_data(n)
     supports = shifted_character_sums(families, n) != 0
     met = supports.any(axis=0).nonzero()[0]
     union = tuple(sorted((gd.classes[c].cycle_type for c in met), reverse=True))
     cap = sum(dimension(shape) ** 2 for shape in union)
-    rows = linalg.IndicatorRows(families, gd.order)
-    with_ones, method = linalg.certified_rank(rows, cap + 1)
+    with_ones, method = linalg.certified_family_rank(families, gd.order, cap + 1)
     return supports, union, with_ones - 1, with_ones, method
 
 

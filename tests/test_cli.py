@@ -1404,8 +1404,9 @@ class TestVerifyAll:
 
 
 class TestRankCertificates:
-    """Every rank certificate the reports use is met by the first modulus its
-    rows try, so no profile is computed twice."""
+    """Each matrix kind has one modulus: the Gram blocks are certified at 251
+    and the 0/1 family rows mod 2, and every rank a report reads meets its
+    cap there, so none is eliminated and no profile is computed twice."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -1424,12 +1425,58 @@ class TestRankCertificates:
         real = linalg.rank_profile_mod_p
 
         def recorded(rows, p):
-            primes.append((type(rows) is linalg.IndicatorRows, p))
+            primes.append(p)
             return real(rows, p)
 
         monkeypatch.setattr(linalg, "rank_profile_mod_p", recorded)
         code, report, _ = run_json(capsys, *argv)
         assert code == 0 and report["pass"] is True
-        # 0/1 indicator rows try the modulus 2 first, any other rows 251
-        first = {True: 2, False: linalg._RANK_PRIMES[0]}
-        assert primes and all(p == first[indicator] for indicator, p in primes)
+        # the Gram profiles run at 251 alone; the family routes of conjecture
+        # (and of the lemmas' point basis) are ranked mod 2 with no profile
+        if argv[0] == "conjecture":
+            assert primes == []
+        else:
+            assert primes and set(primes) == {linalg._RANK_PRIME}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *[("lemmas", str(n)) for n in range(3, 9)],
+            *[("classify", str(n)) for n in range(2, 7)],
+            *[("conjecture", str(n), "--t", str(t)) for t in (1, 2) for n in range(t + 2, 7)],
+        ],
+        ids=" ".join,
+    )
+    def test_every_certified_rank_is_met_by_its_one_modulus(
+        self, capsys, monkeypatch, argv
+    ):
+        # the measured fact behind one modulus per kind: a Gram rank that
+        # missed its cap at 251, or a family rank that missed it mod 2 and
+        # fell back to its dense rows, would be recorded under another name
+        from ekrperm import linalg
+
+        met, in_family = [], []
+        real_rank, real_family = linalg.certified_rank, linalg.certified_family_rank
+
+        def rank(rows, cap):
+            result = real_rank(rows, cap)
+            met.append(("dense fallback" if in_family else "certified_rank", result[1]))
+            return result
+
+        def family(positions, width, cap):
+            in_family.append(cap)
+            try:
+                result = real_family(positions, width, cap)
+            finally:
+                in_family.pop()
+            met.append(("certified_family_rank", result[1]))
+            return result
+
+        monkeypatch.setattr(linalg, "certified_rank", rank)
+        monkeypatch.setattr(linalg, "certified_family_rank", family)
+        code, report, _ = run_json(capsys, *argv)
+        assert code == 0 and report["pass"] is True
+        assert met and set(met) <= {
+            ("certified_rank", "modular-certificate"),
+            ("certified_family_rank", "modular-certificate"),
+        }

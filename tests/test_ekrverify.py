@@ -518,6 +518,16 @@ class TestKernelMembershipByLinearity:
         assert kernel_membership_check(4) is False
 
 
+def _undershooting_ranks(monkeypatch):
+    """Rank profiles and family ranks mod 2 each one short, so no cap is met
+    by a modulus and every certified rank is eliminated fraction-free."""
+    real_profile, real_mod_2 = linalg.rank_profile_mod_p, linalg._rank_mod_2
+    monkeypatch.setattr(
+        linalg, "rank_profile_mod_p", lambda rows, p: real_profile(rows, p)[1:]
+    )
+    monkeypatch.setattr(linalg, "_rank_mod_2", lambda packed: real_mod_2(packed) - 1)
+
+
 def _recording_bareiss(monkeypatch):
     real = linalg.bareiss_rank
     heights = []
@@ -865,12 +875,11 @@ class TestBasisCheck:
         assert report.rank_with_ones == 17
 
     def test_undershooting_profile_falls_back_to_elimination(self, monkeypatch):
-        real = linalg.rank_profile_mod_p
-        monkeypatch.setattr(
-            linalg, "rank_profile_mod_p", lambda rows, p: real(rows, p)[1:]
-        )
+        _undershooting_ranks(monkeypatch)
+        heights = _recording_bareiss(monkeypatch)
         report = basis_check(4)
         assert (report.rank_shifted, report.rank_with_ones) == (9, 10)
+        assert heights == [10]
 
     @pytest.mark.parametrize(
         "n, ranks", [(1, (0, 1)), (2, (1, 2)), (3, (4, 5)), (6, (25, 26))]
@@ -881,17 +890,17 @@ class TestBasisCheck:
         # the (n-1)^2 point-family indicators and ones, as n! wide 0/1 rows:
         # one certified rank against the standard module's dim^2 plus one
         # gives both ranks
-        real, sides = linalg.certified_rank, []
+        real, sides = linalg.certified_family_rank, []
 
-        def recording(rows, cap):
-            sides.append((type(rows), len(rows), len(rows[0]), cap))
-            return real(rows, cap)
+        def recording(positions, width, cap):
+            sides.append((len(positions) + 1, width, cap))
+            return real(positions, width, cap)
 
-        monkeypatch.setattr(linalg, "certified_rank", recording)
+        monkeypatch.setattr(linalg, "certified_family_rank", recording)
         report = basis_check(n)
         assert (report.rank_shifted, report.rank_with_ones) == ranks
         side = (n - 1) ** 2 + 1
-        assert sides == [(linalg.IndicatorRows, side, math.factorial(n), side)]
+        assert sides == [(side, math.factorial(n), side)]
 
     def test_degree_one_keeps_its_record(self):
         assert basis_check(1) == BasisCheckReport(1, True, 0, 1, False)
@@ -1177,41 +1186,55 @@ class TestIndicatorRoute:
             ekrverify._family_span(families, 4)
 
     @staticmethod
-    def _dense_rows(n, t):
-        """The rows [X; ones] of _family_span, built whole as int8."""
-        families = constraint_families(n, t + 1)
-        rows = np.zeros((len(families) + 1, math.factorial(n)), dtype=np.int8)
+    def _dense_rows(families, width):
+        """The rows [X; ones] of _family_span, built row by row as int8."""
+        rows = np.zeros((len(families) + 1, width), dtype=np.int8)
         rows[-1] = 1
         for f, ranks in enumerate(families):
             rows[f, ranks] = 1
-        return families, rows
+        return rows
 
     @pytest.mark.parametrize("n, t", [(3, 1), (4, 1), (4, 2), (5, 1), (5, 2)])
-    def test_every_slice_is_the_dense_rows(self, n, t):
-        families, dense = self._dense_rows(n, t)
-        rows = linalg.IndicatorRows(families, math.factorial(n))
-        size = len(dense)
-        assert len(rows) == size
-        ends = sorted({0, 1, 2, 63, 64, 65, size - 2, size - 1, size, size + 5})
-        for start in ends + [-size - 1, -size, -2, -1]:
-            for stop in ends + [None, -1]:
-                for step in (None, 1, 3, -1, -4):
-                    got = rows[start:stop:step]
-                    assert got.dtype == np.int8
-                    assert np.array_equal(got, dense[start:stop:step])
-        for i in (0, 1, size - 2, size - 1, -1, -size):
-            assert np.array_equal(rows[i], dense[i])
-        for i in (size, -size - 1):
-            with pytest.raises(IndexError):
-                rows[i]
-        assert np.array_equal(np.array(list(rows)), dense)
+    def test_every_slice_is_the_dense_rows(self, monkeypatch, n, t):
+        # a family rank short mod 2 builds [X; ones] once, and the profile at
+        # 251 reads it a block of rows at a time: each block is the dense rows'
+        families, width = constraint_families(n, t + 1), math.factorial(n)
+        dense = self._dense_rows(families, width)
+        real_mod_2, real_blocks = linalg._rank_mod_2, linalg._residue_blocks
+        monkeypatch.setattr(linalg, "_rank_mod_2", lambda packed: real_mod_2(packed) - 1)
+        read = []
+
+        def recording(int_rows, p):
+            assert int_rows.dtype == np.int8
+            for start, residues in real_blocks(int_rows, p):
+                read.append((start, residues))
+                yield start, residues
+
+        monkeypatch.setattr(linalg, "_residue_blocks", recording)
+        rank, method = linalg.certified_family_rank(families, width, bareiss_rank(dense))
+        assert method == "modular-certificate"
+        assert [start for start, _ in read] == list(range(0, len(dense), 64))
+        for start, residues in read:
+            assert np.array_equal(residues, dense[start : start + 64])
 
     @pytest.mark.parametrize("n, t", [(3, 1), (4, 1), (4, 2)])
-    def test_bareiss_over_the_rows_is_the_dense_rank(self, n, t):
-        families, dense = self._dense_rows(n, t)
-        rows = linalg.IndicatorRows(families, math.factorial(n))
-        assert bareiss_rank(rows) == bareiss_rank(dense.tolist())
-        assert bareiss_rank(rows[:-1]) == bareiss_rank(dense[:-1].tolist())
+    def test_bareiss_over_the_rows_is_the_dense_rank(self, monkeypatch, n, t):
+        # short of the cap at both moduli, the dense rows are eliminated
+        families, width = constraint_families(n, t + 1), math.factorial(n)
+        dense = self._dense_rows(families, width)
+        _undershooting_ranks(monkeypatch)
+        eliminated, real = [], linalg.bareiss_rank
+
+        def recording(rows):
+            eliminated.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(linalg, "bareiss_rank", recording)
+        rank, method = linalg.certified_family_rank(families, width, width)
+        assert method == "fraction-free-elimination"
+        ((rows,),) = [eliminated]
+        assert np.array_equal(rows, dense)
+        assert rank == bareiss_rank(dense.tolist()) == oracles.gaussian_rank(dense.tolist())
 
     def test_peak_memory_is_below_one_byte_per_entry(self):
         """The n = 6, t = 2 certificate, [X; ones] 2,401 x 720: it is met mod
@@ -1242,20 +1265,21 @@ class TestIndicatorRoute:
         # the point basis (t None) and the depth spans: the indicator rows a
         # report reads meet their cap mod 2, and a cap below the rational
         # rank still raises there
-        real, met = linalg.certified_rank, []
+        real, met = linalg.certified_family_rank, []
 
-        def recording(rows, cap):
-            met.append((rows, real(rows, cap)))
-            return met[-1][1]
+        def recording(positions, width, cap):
+            met.append((positions, width, real(positions, width, cap)))
+            return met[-1][-1]
 
-        monkeypatch.setattr(linalg, "certified_rank", recording)
+        monkeypatch.setattr(linalg, "certified_family_rank", recording)
         basis_check(n) if t is None else depth_conjecture_dims(n, t)
-        ((rows, (rank, method)),) = met
-        assert type(rows) is linalg.IndicatorRows
+        ((positions, width, (rank, method)),) = met
         assert method == "modular-certificate"
-        assert len(linalg.rank_profile_mod_p(rows, 2)) == rank
+        # the packed rank is the transposed kernel's rank of the dense rows
+        dense = self._dense_rows(positions, width)
+        assert len(linalg.rank_profile_mod_p(dense, 2)) == rank
         with pytest.raises(AssertionError, match="exceeds the proven upper bound"):
-            real(rows, rank - 1)
+            real(positions, width, rank - 1)
 
 
 class TestDepthSpans:
@@ -1325,11 +1349,8 @@ class TestDepthSpans:
         )
 
     def test_undershooting_profile_falls_back_to_elimination(self, monkeypatch):
-        real = linalg.rank_profile_mod_p
-        # every prime misses the first pivot, so neither bound is met
-        monkeypatch.setattr(
-            linalg, "rank_profile_mod_p", lambda rows, p: real(rows, p)[1:]
-        )
+        # mod 2 and 251 each miss one pivot, so neither bound is met
+        _undershooting_ranks(monkeypatch)
         eliminated, real_bareiss = [], linalg.bareiss_rank
 
         def recording(rows):
@@ -1341,8 +1362,8 @@ class TestDepthSpans:
         assert report.span_rank_shifted == 22
         assert report.span_rank_with_ones == 23
         assert report.rank_method == "fraction-free-elimination/fraction-free-elimination"
-        # the elimination reads the same row sequence as the modular profile
-        assert eliminated == [linalg.IndicatorRows]
+        # the elimination reads the dense rows the family route built once
+        assert eliminated == [np.ndarray]
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

@@ -3,13 +3,19 @@
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ekrperm import linalg
-from ekrperm.linalg import bareiss_rank, certified_rank, rank_profile_mod_p
+from ekrperm.linalg import (
+    bareiss_rank,
+    certified_family_rank,
+    certified_rank,
+    rank_profile_mod_p,
+)
 
 import oracles
 
@@ -70,7 +76,7 @@ class TestRanks:
             bareiss_rank([[1, 2], [3, bad]])
         # a list, and the float or object array NumPy makes of it
         for rows in ([[1, 2], [3, bad]], np.array([[1, 2], [3, bad]])):
-            for p in (2, *linalg._RANK_PRIMES):
+            for p in (2, linalg._RANK_PRIME):
                 with pytest.raises(TypeError):
                     rank_profile_mod_p(rows, p)
             with pytest.raises(TypeError):
@@ -126,16 +132,13 @@ class TestCertifiedRank:
         with pytest.raises(AssertionError):
             certified_rank(identity_matrix(3), 2)
 
-    def test_rank_primes_are_distinct_primes_below_2_15(self):
-        first, second = linalg._RANK_PRIMES
-        assert first != second
-        for p in (first, second):
-            assert 2 <= p < 2**15
-            assert all(p % d for d in range(2, int(p**0.5) + 1))
-        # the first prime's residues take one byte each
-        assert first < 2**8
+    def test_rank_prime_is_a_prime_below_2_8(self):
+        p = linalg._RANK_PRIME
+        assert all(p % d for d in range(2, int(p**0.5) + 1))
+        # its residues take one byte each
+        assert p < 2**8
 
-    def test_search_stops_at_the_first_certifying_prime(self, monkeypatch):
+    def test_one_profile_at_the_prime_then_elimination(self, monkeypatch):
         calls = []
         real = linalg.rank_profile_mod_p
 
@@ -145,26 +148,27 @@ class TestCertifiedRank:
 
         monkeypatch.setattr(linalg, "rank_profile_mod_p", spy)
         assert certified_rank(identity_matrix(3), 3) == (3, "modular-certificate")
-        assert len(calls) == 1
-        # [[p]] vanishes mod the first prime only, so the second one certifies
-        first, second = linalg._RANK_PRIMES
+        assert calls == [linalg._RANK_PRIME]
+        # [[p]] vanishes mod the prime, so it is eliminated after one profile
         calls.clear()
-        assert certified_rank([[first]], 1) == (1, "modular-certificate")
-        assert calls == [first, second]
+        assert certified_rank([[linalg._RANK_PRIME]], 1) == (1, "fraction-free-elimination")
+        assert calls == [linalg._RANK_PRIME]
 
     def test_indicator_rows_short_mod_2_are_certified_by_the_first_prime(
         self, monkeypatch
     ):
         # rows 1100, 0110, 1010 and ones: the first three sum to 0 mod 2, so
-        # the rank is 3 mod 2 and 4, the correct cap, over the rationals
+        # the rank is 3 mod 2 and 4, the correct cap, over the rationals; the
+        # dense rows are built once and certified at 251
         import numpy as np
 
-        rows = linalg.IndicatorRows(np.array([[0, 1], [1, 2], [0, 2]]), 4)
-        assert rank_profile_mod_p(rows, 2) == [0, 1, 3]
-        calls, real = [], linalg.rank_profile_mod_p
+        positions = np.array([[0, 1], [1, 2], [0, 2]])
+        dense = [[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 1, 1]]
+        assert rank_profile_mod_p(dense, 2) == [0, 1, 3]
+        read, real = [], linalg.rank_profile_mod_p
 
         def spy(rows, p):
-            calls.append(p)
+            read.append((rows.tolist(), rows.dtype, p))
             return real(rows, p)
 
         def no_elimination(rows):
@@ -172,8 +176,56 @@ class TestCertifiedRank:
 
         monkeypatch.setattr(linalg, "rank_profile_mod_p", spy)
         monkeypatch.setattr(linalg, "bareiss_rank", no_elimination)
-        assert certified_rank(rows, 4) == (4, "modular-certificate")
-        assert calls == [2, linalg._RANK_PRIMES[0]]
+        assert certified_family_rank(positions, 4, 4) == (4, "modular-certificate")
+        assert read == [(dense, np.int8, linalg._RANK_PRIME)]
+
+    def test_empty_family_list_is_the_ones_row(self):
+        import numpy as np
+
+        positions = np.empty((0, 2), dtype=np.int64)
+        assert certified_family_rank(positions, 5, 1) == (1, "modular-certificate")
+        with pytest.raises(AssertionError, match="exceeds the proven upper bound 0"):
+            certified_family_rank(positions, 5, 0)
+
+
+@st.composite
+def _position_sets(draw):
+    """(positions, width): a (rows, k) array of one-positions in width
+    columns, repeats allowed, so a row holds 1 to k ones."""
+    import numpy as np
+
+    width = draw(st.integers(1, 12))
+    k = draw(st.integers(1, width))
+    row = st.lists(st.integers(0, width - 1), min_size=k, max_size=k)
+    rows = draw(st.lists(row, max_size=10))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), k), width
+
+
+class TestFamilyRank:
+    @given(_position_sets())
+    def test_packed_rank_is_the_transposed_kernels_mod_2(self, case):
+        import numpy as np
+
+        positions, width = case
+        dense = np.zeros((len(positions) + 1, width), dtype=np.int8)
+        dense[-1] = 1
+        for i, row in enumerate(positions.tolist()):
+            dense[i, row] = 1
+        exact = bareiss_rank(dense.tolist())
+        assert exact == oracles.gaussian_rank(dense.tolist())
+        # the rank mod 2 of the rows packed from the positions, read by a spy
+        packed, real = [], linalg._rank_mod_2
+
+        def spy(rows):
+            packed.append(real(rows))
+            return packed[-1]
+
+        with patch.object(linalg, "_rank_mod_2", spy):
+            rank, method = certified_family_rank(positions, width, exact)
+        assert packed == [len(rank_profile_mod_p(dense, 2))]
+        assert packed[0] <= exact == rank
+        if packed[0] == exact:
+            assert method == "modular-certificate"
 
 
 _SMALL_INTS = st.integers(-4, 4)
@@ -359,7 +411,7 @@ class TestResidueKernel:
         edge = [[2**63 + 2, -1], [2**63 + 1, -1]]
         assert rank_profile_mod_p(edge, p) == _parent_profile(edge, p)
 
-    @pytest.mark.parametrize("p, width", [(2, None), (251, 1), (257, 2), (32749, 2)])
+    @pytest.mark.parametrize("p, width", [(2, 1), (251, 1), (257, 2), (32749, 2)])
     def test_working_copy_is_the_narrowest_unsigned_dtype(self, monkeypatch, p, width):
         import numpy as np
 
@@ -371,8 +423,7 @@ class TestResidueKernel:
 
         monkeypatch.setattr(np, "empty", recording)
         assert rank_profile_mod_p([[1, 2, 3], [4, 5, 6]], p) == [0, 1]
-        # mod 2 the rows are packed into ints, with no working copy
-        assert made == ([] if width is None else [np.dtype(f"uint{8 * width}")])
+        assert made == [np.dtype(f"uint{8 * width}")]
 
     @pytest.mark.parametrize("rows", [130, 64, 63, 1])
     def test_rows_are_read_one_block_at_a_time(self, rows):
@@ -399,14 +450,14 @@ class TestResidueKernel:
             served.clear()
             profile = rank_profile_mod_p(Blocks(), p)
             assert profile == _parent_profile(matrix, p)
-            # mod 2 the reading stops once the profile is as long as the width
-            assert sum(served) == rows or (p == 2 and len(profile) == 5)
+            assert sum(served) == rows
 
     def test_peak_memory_is_the_byte_wide_residues(self):
         """The n = 6, t = 2 indicator rows [X; ones], 2,401 x 720 int8, the
-        largest matrix the certificate meets: the traced peak stays within a
-        quarter above the uint8 residue transpose of the first prime, which
-        the int16 residues of one block of rows and the pivot updates share."""
+        largest dense matrix a family rank short mod 2 would build: the traced
+        peak stays within a quarter above the uint8 residue transpose at 251,
+        which the int16 residues of one block of rows and the pivot updates
+        share."""
         import tracemalloc
 
         import numpy as np
@@ -421,7 +472,7 @@ class TestResidueKernel:
         assert rows.shape == (2401, 720)
         tracemalloc.start()
         try:
-            profile = rank_profile_mod_p(rows, linalg._RANK_PRIMES[0])
+            profile = rank_profile_mod_p(rows, linalg._RANK_PRIME)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
