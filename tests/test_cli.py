@@ -1056,14 +1056,14 @@ class TestOutputModes:
     def test_reader_that_closes_early_leaves_the_exit_code_alone(self):
         # chartab 12 prints about 83 kB, more than a pipe holds, after the
         # reader has gone
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "ekrperm", "chartab", "12"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-        )
-        assert proc.stdout.read(1) == b"{"
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
+        ) as proc:
+            assert proc.stdout.read(1) == b"{"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
         assert proc.wait() == cli.EXIT_OK
         assert err == ""
 
@@ -1419,13 +1419,16 @@ class TestRankCertificates:
         ids=" ".join,
     )
     def test_every_profile_uses_the_first_prime(self, capsys, monkeypatch, argv):
+        import numpy as np
+
         from ekrperm import linalg
 
-        primes = []
+        primes, matrices = [], []
         real = linalg.rank_profile_mod_p
 
         def recorded(rows, p):
             primes.append(p)
+            matrices.append(rows)
             return real(rows, p)
 
         monkeypatch.setattr(linalg, "rank_profile_mod_p", recorded)
@@ -1437,6 +1440,13 @@ class TestRankCertificates:
             assert primes == []
         else:
             assert primes and set(primes) == {linalg._RANK_PRIME}
+        # the traffic the profile is sized for: square integer Gram blocks
+        # of side at most (n - 1)**2 + 1, 50 at lemmas 8 and 26 at classify 6
+        side = (int(argv[1]) - 1) ** 2 + 1
+        for rows in matrices:
+            assert isinstance(rows, np.ndarray) and rows.dtype.kind == "i"
+            assert rows.shape[0] == rows.shape[1] <= side
+            assert np.array_equal(rows, rows.T)
 
     @pytest.mark.parametrize(
         "argv",

@@ -1195,27 +1195,25 @@ class TestIndicatorRoute:
         return rows
 
     @pytest.mark.parametrize("n, t", [(3, 1), (4, 1), (4, 2), (5, 1), (5, 2)])
-    def test_every_slice_is_the_dense_rows(self, monkeypatch, n, t):
-        # a family rank short mod 2 builds [X; ones] once, and the profile at
-        # 251 reads it a block of rows at a time: each block is the dense rows'
+    def test_profile_reads_the_dense_rows(self, monkeypatch, n, t):
+        # a family rank short mod 2 builds [X; ones] once, as int8, and the
+        # profile at 251 reads those rows
         families, width = constraint_families(n, t + 1), math.factorial(n)
         dense = self._dense_rows(families, width)
-        real_mod_2, real_blocks = linalg._rank_mod_2, linalg._residue_blocks
+        real_mod_2, real_profile = linalg._rank_mod_2, linalg.rank_profile_mod_p
         monkeypatch.setattr(linalg, "_rank_mod_2", lambda packed: real_mod_2(packed) - 1)
         read = []
 
         def recording(int_rows, p):
-            assert int_rows.dtype == np.int8
-            for start, residues in real_blocks(int_rows, p):
-                read.append((start, residues))
-                yield start, residues
+            read.append((int_rows, p))
+            return real_profile(int_rows, p)
 
-        monkeypatch.setattr(linalg, "_residue_blocks", recording)
+        monkeypatch.setattr(linalg, "rank_profile_mod_p", recording)
         rank, method = linalg.certified_family_rank(families, width, bareiss_rank(dense))
         assert method == "modular-certificate"
-        assert [start for start, _ in read] == list(range(0, len(dense), 64))
-        for start, residues in read:
-            assert np.array_equal(residues, dense[start : start + 64])
+        ((rows, p),) = read
+        assert p == linalg._RANK_PRIME
+        assert rows.dtype == np.int8 and np.array_equal(rows, dense)
 
     @pytest.mark.parametrize("n, t", [(3, 1), (4, 1), (4, 2)])
     def test_bareiss_over_the_rows_is_the_dense_rank(self, monkeypatch, n, t):

@@ -135,7 +135,8 @@ class TestCertifiedRank:
     def test_rank_prime_is_a_prime_below_2_8(self):
         p = linalg._RANK_PRIME
         assert all(p % d for d in range(2, int(p**0.5) + 1))
-        # its residues take one byte each
+        # far inside the moduli below 2**15 that rank_profile_mod_p accepts:
+        # every product of two residues is below 2**16
         assert p < 2**8
 
     def test_one_profile_at_the_prime_then_elimination(self, monkeypatch):
@@ -293,9 +294,10 @@ class TestRankProfileProperties:
 
 
 def _parent_profile(rows, p):
-    """The dense int64 elimination that rank_profile_mod_p replaced, kept as a
-    reference: every live row updates every column from the pivot on.  Rows
-    are reduced mod p in Python first, so entries past int64 can be compared."""
+    """A dense int64 elimination written apart from rank_profile_mod_p, kept
+    as a reference: each pivot row is scaled to lead with 1, and every live
+    row updates every column from the pivot on.  Rows are reduced mod p in
+    Python first, so entries past int64 can be compared."""
     import numpy as np
 
     if not len(rows):
@@ -332,6 +334,7 @@ _DTYPE_RANGES = {
     "int32": (-(2**31), 2**31 - 1),
     "uint32": (0, 2**32 - 1),
     "int64": (-(2**63), 2**63 - 1),
+    "uint64": (0, 2**64 - 1),
     "object": (-(2**80), 2**80),
 }
 
@@ -359,8 +362,8 @@ class TestResidueKernel:
 
     @pytest.mark.parametrize("p", [-3, 0, 1, 2**15, 2**31 - 1, 2**31, 2**61 - 1])
     def test_modulus_out_of_range_raises(self, p):
-        # past 2**15 residue products leave the int32 range the kernel is
-        # exact in; at p = 2**61 - 1 even int64 products wrap: this rank-3
+        # moduli are primes below 2**15, whose residue products stay below
+        # 2**30; at p = 2**61 - 1 even int64 products wrap: this rank-3
         # matrix once read as rank 4
         matrix = [[-7, -9, -3, 1], [-4, -2, -2, 5], [3, 9, 4, -8], [3, 9, 4, -8]]
         assert bareiss_rank(matrix) == 3
@@ -411,73 +414,17 @@ class TestResidueKernel:
         edge = [[2**63 + 2, -1], [2**63 + 1, -1]]
         assert rank_profile_mod_p(edge, p) == _parent_profile(edge, p)
 
-    @pytest.mark.parametrize("p, width", [(2, 1), (251, 1), (257, 2), (32749, 2)])
-    def test_working_copy_is_the_narrowest_unsigned_dtype(self, monkeypatch, p, width):
+    @pytest.mark.parametrize("p", [3, 5, 251, 32749])
+    def test_uint64_entries_past_int64_are_not_wrapped(self, p):
+        # the largest multiple of p below 2**64 vanishes mod p; read as
+        # int64 it would wrap to itself less 2**64, which does not
         import numpy as np
 
-        made, real = [], np.empty
-
-        def recording(shape, dtype=float, *args, **kwargs):
-            made.append(np.dtype(dtype))
-            return real(shape, dtype, *args, **kwargs)
-
-        monkeypatch.setattr(np, "empty", recording)
-        assert rank_profile_mod_p([[1, 2, 3], [4, 5, 6]], p) == [0, 1]
-        assert made == [np.dtype(f"uint{8 * width}")]
-
-    @pytest.mark.parametrize("rows", [130, 64, 63, 1])
-    def test_rows_are_read_one_block_at_a_time(self, rows):
-        """A sequence that serves slices of at most _RESIDUE_BLOCK rows, and
-        whose whole length np.asarray may not read, gives the list's profile."""
-        import numpy as np
-
-        rng = random.Random(rows)
-        matrix = [[rng.randrange(-3, 4) for _ in range(5)] for _ in range(rows)]
-        served = []
-
-        class Blocks:
-            def __len__(self):
-                return len(matrix)
-
-            def __getitem__(self, key):
-                if isinstance(key, slice):
-                    served.append(len(matrix[key]))
-                    assert served[-1] <= linalg._RESIDUE_BLOCK
-                    return np.array(matrix[key])
-                return matrix[key]
-
-        for p in (2, 251, 32749):
-            served.clear()
-            profile = rank_profile_mod_p(Blocks(), p)
-            assert profile == _parent_profile(matrix, p)
-            assert sum(served) == rows
-
-    def test_peak_memory_is_the_byte_wide_residues(self):
-        """The n = 6, t = 2 indicator rows [X; ones], 2,401 x 720 int8, the
-        largest dense matrix a family rank short mod 2 would build: the traced
-        peak stays within a quarter above the uint8 residue transpose at 251,
-        which the int16 residues of one block of rows and the pivot updates
-        share."""
-        import tracemalloc
-
-        import numpy as np
-
-        from ekrperm.scheme import constraint_families
-
-        families = constraint_families(6, 3)
-        rows = np.zeros((len(families) + 1, 720), dtype=np.int8)
-        rows[-1] = 1
-        for f, ranks in enumerate(families):
-            rows[f, ranks] = 1
-        assert rows.shape == (2401, 720)
-        tracemalloc.start()
-        try:
-            profile = rank_profile_mod_p(rows, linalg._RANK_PRIME)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(profile) == 588
-        assert peak < 1.25 * rows.size * np.dtype(np.uint8).itemsize
+        top = (2**64 - 1) // p * p
+        assert top >= 2**63
+        matrix = np.array([[top, 1], [top, 0]], dtype=np.uint64)
+        assert rank_profile_mod_p(matrix, p) == [0]
+        assert rank_profile_mod_p(matrix[:, :1], p) == []
 
 
 class TestKernelAndSolve:
