@@ -426,6 +426,41 @@ class TestResidueKernel:
         assert rank_profile_mod_p(matrix, p) == [0]
         assert rank_profile_mod_p(matrix[:, :1], p) == []
 
+    @pytest.mark.parametrize(
+        "container",
+        ["list", "tuple", "list of arrays", "array", "object array", "sequence"],
+    )
+    def test_every_container_of_the_rows_gives_the_list_profile(self, container):
+        """The rows are read once with np.asarray, whatever holds them: a
+        tall matrix with a dependent row past the 64th gives the list's
+        profile, and the caller's rows are left as they were."""
+        import numpy as np
+
+        rng = random.Random(130)
+        matrix = [[rng.randrange(-3, 4) for _ in range(5)] for _ in range(130)]
+        matrix[100] = [a - b for a, b in zip(matrix[0], matrix[1])]
+
+        class Rows:
+            def __len__(self):
+                return len(matrix)
+
+            def __getitem__(self, i):
+                return matrix[i]
+
+        held = {
+            "list": lambda: [list(row) for row in matrix],
+            "tuple": lambda: tuple(tuple(row) for row in matrix),
+            "list of arrays": lambda: [np.array(row) for row in matrix],
+            "array": lambda: np.array(matrix),
+            "object array": lambda: np.array(matrix, dtype=object),
+            "sequence": Rows,
+        }[container]()
+        for p in (2, 251, 32749):
+            profile = rank_profile_mod_p(held, p)
+            assert profile == _parent_profile(matrix, p)
+            assert 100 not in profile
+        assert np.array_equal(np.asarray(held, dtype=object), np.array(matrix, dtype=object))
+
 
 class TestKernelAndSolve:
     """The oracles' Fraction kernel and solve, which the reference tests rest on."""
