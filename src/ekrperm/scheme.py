@@ -331,11 +331,16 @@ def _class_counts(rank_lists, n: int):
     """Ordered member pairs (p, q) of each family counted by the class of p^-1 q.
 
     One int64 row per family of distinct ranks, in class order, the diagonal
-    p = q in the identity class.  Families of one size m are read in blocks
-    of F families by R member rows by all m members, F * R * m near
-    BLOCK_PAIRS, and each block is counted by one bincount, class C of the
-    block's family f at label f * k + C for the k classes.  This is the one
-    loop over blocks of pairs: quotient_classes takes each block whole.
+    p = q in the identity class.  The pairs are read in one of two ways,
+    chosen by size alone.  A dense family, whose m * m pairs fill a block by
+    themselves (m * m >= BLOCK_PAIRS), is read as gathered relation rows,
+    relations[members[r : r + R]][:, members], R rows taking about
+    8 * BLOCK_PAIRS bytes of the table (the whole of a family at n = 6, 52
+    rows at n = 7), each block counted class by class.  The smaller families
+    of one size m are read in flat blocks of F families by R member rows by
+    all m members, F * R * m near BLOCK_PAIRS, quotient_classes taking each
+    block whole and one bincount counting it, class C of the block's family
+    f at label f * k + C for the k classes.
     """
     import numpy as np
 
@@ -348,6 +353,13 @@ def _class_counts(rank_lists, n: int):
     for m, batch in by_size.items():
         ranks = np.array([rank_lists[f] for f in batch], dtype=np.intp)
         ranks = ranks.reshape(len(batch), m)
+        if m * m >= BLOCK_PAIRS:
+            rows = max(1, 8 * BLOCK_PAIRS // gd.order)
+            for f, members in zip(batch, ranks):
+                for r in range(0, m, rows):
+                    block = gd.relations[members[r : r + rows]][:, members]
+                    out[f] += [np.count_nonzero(block == c) for c in range(k)]
+            continue
         rows = max(1, min(m, BLOCK_PAIRS // max(1, m)))
         step = max(1, BLOCK_PAIRS // (rows * max(1, m)))
         # int32 labels: each block's sum takes half the bytes of intp

@@ -1,5 +1,6 @@
 """Exact and certified ranks, cross-checked against the oracles."""
 
+import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
@@ -10,12 +11,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ekrperm import linalg
+from ekrperm.chartab import dimension
 from ekrperm.linalg import (
     bareiss_rank,
     certified_family_rank,
     certified_rank,
     rank_profile_mod_p,
 )
+from ekrperm.permgroup import partitions_of
+from ekrperm.scheme import constraint_families
 
 import oracles
 
@@ -46,6 +50,14 @@ def complete_graph_matrix(n: int) -> list[list[int]]:
     return [[int(i != j) for j in range(n)] for i in range(n)]
 
 
+@st.composite
+def _tall_and_wide_matrices(draw):
+    """Integer matrices of 1 to 8 rows and 1 to 8 columns, either side the longer."""
+    cols = draw(st.integers(1, 8))
+    row = st.lists(st.integers(-4, 4), min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=1, max_size=8))
+
+
 class TestRanks:
     def test_known_ranks(self):
         assert bareiss_rank(identity_matrix(4)) == 4
@@ -72,8 +84,10 @@ class TestRanks:
         # rows are integer matrices; a rational caller scales its rows first
         import numpy as np
 
-        with pytest.raises(TypeError):
-            bareiss_rank([[1, 2], [3, bad]])
+        # square, tall (eliminated as its transpose) and wide
+        for rows in ([[1, 2], [3, bad]], [[1], [bad], [2]], [[1, bad, 2]]):
+            with pytest.raises(TypeError):
+                bareiss_rank(rows)
         # a list, and the float or object array NumPy makes of it
         for rows in ([[1, 2], [3, bad]], np.array([[1, 2], [3, bad]])):
             for p in (2, linalg._RANK_PRIME):
@@ -87,6 +101,10 @@ class TestRanks:
 
         rows = [[True, np.int64(2)], [np.int8(3), 3**50]]
         assert bareiss_rank(rows) == 2
+
+    @given(_tall_and_wide_matrices())
+    def test_tall_and_wide_ranks_equal_the_transposes(self, rows):
+        assert bareiss_rank(rows) == bareiss_rank(transpose(rows)) == oracles.gaussian_rank(rows)
 
     def test_matches_external_elimination(self):
         rng = random.Random(7)
@@ -227,6 +245,55 @@ class TestFamilyRank:
         assert packed[0] <= exact == rank
         if packed[0] == exact:
             assert method == "modular-certificate"
+
+
+def _span_cap(n, k):
+    """The rank of [X; ones] for the constraint families S_A with |A| = k:
+    the indicators span the eigenspaces of the shapes whose first row is at
+    least n - k, ones among them."""
+    return sum(dimension(shape) ** 2 for shape in partitions_of(n) if shape[0] >= n - k)
+
+
+_ORDER_CASES = [(n, k) for n in range(1, 7) for k in range(1, min(n, 3) + 1)]
+
+
+class TestFamilyRowOrder:
+    @pytest.mark.parametrize("n, k", _ORDER_CASES)
+    def test_shuffled_families_give_the_same_rank(self, n, k):
+        import numpy as np
+
+        families, width = constraint_families(n, k), math.factorial(n)
+        certified = certified_family_rank(families, width, _span_cap(n, k))
+        assert certified == (_span_cap(n, k), "modular-certificate")
+        rng = np.random.default_rng(n * 10 + k)
+        for _ in range(3):
+            shuffled = families[rng.permutation(len(families))]
+            assert certified_family_rank(shuffled, width, _span_cap(n, k)) == certified
+
+    @pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (5, 2)])
+    def test_a_family_short_of_its_cap_builds_rows_in_the_callers_order(
+        self, monkeypatch, n, k
+    ):
+        import numpy as np
+
+        families, width = constraint_families(n, k), math.factorial(n)
+        shuffled = families[np.random.default_rng(n).permutation(len(families))]
+        dense = np.zeros((len(shuffled) + 1, width), dtype=np.int8)
+        dense[-1] = 1
+        for f, ranks in enumerate(shuffled):
+            dense[f, ranks] = 1
+        real_mod_2, real_profile, read = linalg._rank_mod_2, rank_profile_mod_p, []
+
+        def recording(rows, p):
+            read.append(rows)
+            return real_profile(rows, p)
+
+        monkeypatch.setattr(linalg, "_rank_mod_2", lambda packed: real_mod_2(packed) - 1)
+        monkeypatch.setattr(linalg, "rank_profile_mod_p", recording)
+        rank, method = certified_family_rank(shuffled, width, _span_cap(n, k))
+        assert (rank, method) == (_span_cap(n, k), "modular-certificate")
+        ((rows,),) = [read]
+        assert np.array_equal(rows, dense)
 
 
 _SMALL_INTS = st.integers(-4, 4)

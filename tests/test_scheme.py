@@ -1028,9 +1028,9 @@ class TestClassCounts:
         ]
 
     def test_one_degree_seven_family_stays_in_blocks(self):
-        # one block read off the table takes about 16 bytes a pair (its intp
-        # flat index, int8 classes and int32 labels), 2.3 times BLOCK_PAIRS * n
-        # bytes measured, against 8 MB for the 720^2 pairs at once
+        # 720^2 pairs make the family dense: blocks of 52 gathered table rows
+        # (about 8 * BLOCK_PAIRS bytes) and their 52 x 720 classes, 1.5 times
+        # BLOCK_PAIRS * n bytes measured, against 8 MB for all pairs at once
         group_data(7).relations  # the tables are built outside the traced span
         family = constraint_families(7, 1)[0]  # S_{1->1}, 720 members
         tracemalloc.start()
@@ -1041,6 +1041,58 @@ class TestClassCounts:
             tracemalloc.stop()
         assert counts.sum() == 720 * 720
         assert peak < 4 * scheme.BLOCK_PAIRS * 7
+
+
+class TestClassCountReads:
+    """The gathered relation rows and the flat blocks count the same pairs."""
+
+    @staticmethod
+    def _assert_both_reads_are_the_oracle(monkeypatch, rank_lists, n):
+        """_class_counts by each read, forced through BLOCK_PAIRS, against the oracle.
+
+        At BLOCK_PAIRS 1 every nonempty family is dense, read as gathered
+        relation rows, and quotient_classes classes none of its pairs; above
+        every m * m each family is read in flat blocks, quotient_classes
+        classing every pair.
+        """
+        expected = [_brute_force_forms(_vector_of(ranks, n), n) for ranks in rank_lists]
+        gd = group_data(n)
+        real, classed = gd.quotient_classes, []
+
+        def recording(a, b):
+            classes = real(a, b)
+            classed.append(classes.size)
+            return classes
+
+        monkeypatch.setattr(gd, "quotient_classes", recording)
+        sizes = [len(ranks) for ranks in rank_lists]
+        for read, block_pairs, pairs in (
+            ("gathered", 1, 0),
+            ("flat", 1 + max(sizes) ** 2, sum(m * m for m in sizes)),
+        ):
+            monkeypatch.setattr(scheme, "BLOCK_PAIRS", block_pairs)
+            classed.clear()
+            assert scheme._class_counts(rank_lists, n).tolist() == expected, read
+            assert sum(classed) == pairs, read
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_random_dense_supports(self, monkeypatch, n):
+        # two random halves of S_n, one batch, and a coin-flip support
+        order = math.factorial(n)
+        rng = random.Random(n)
+        rank_lists = [sorted(rng.sample(range(order), order // 2)) for _ in range(2)]
+        rank_lists.append([r for r in range(order) if rng.random() < 0.5])
+        self._assert_both_reads_are_the_oracle(monkeypatch, rank_lists, n)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_constraint_families_at_degree_six(self, monkeypatch, k):
+        families = constraint_families(6, k)
+        self._assert_both_reads_are_the_oracle(monkeypatch, families, 6)
+
+    def test_a_coset_and_a_random_support_at_degree_seven(self, monkeypatch):
+        coset = constraint_families(7, 1)[0]  # S_{1->1}, 720 members
+        support = random.Random(7).sample(range(5040), 300)
+        self._assert_both_reads_are_the_oracle(monkeypatch, [coset, support], 7)
 
 
 class TestFlatRelationGather:
