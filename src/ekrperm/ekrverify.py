@@ -210,7 +210,7 @@ def _full_column_rank_check(n: int, which: int, columns):
     return r, r == len(columns)
 
 
-@lru_cache(maxsize=None)  # read by lemmas and by kernel_membership_check
+@lru_cache(maxsize=None)  # read by lemmas and both kernel checks
 def rank_M_check(n: int) -> tuple[int, bool]:
     """rank(M) = (n-1)(n-2), read on G_N without W's rows and the border."""
     return _full_column_rank_check(n, 1, _m_columns(n)[:-1])
@@ -226,16 +226,18 @@ def bordered_kernel_check(n: int) -> bool:
 
     G = [M | ones]^T [M | ones] is G_N off W's rows and columns.  As
     v^T G v = |[M | ones] v|^2, the exact integer product G v = 0 puts v in
-    the kernel, capping the rank at the width (n-1)(n-2); a certified rank of
-    G equal to the width proves the kernel is that line.  Otherwise the check
-    fails: the vector misses a row, or the kernel is wider than a line.
+    the kernel: M 1 = (n-2) ones, so ones lies in M's column space, and
+    rank [M | ones] = rank M.  The kernel is then that line exactly when M
+    has full column rank, which rank_M_check certifies once per degree.
+    Otherwise the check fails: the vector misses a row, or the kernel is
+    wider than a line.
     """
     need_degree("bordered_kernel_check", n, 3)
     columns = _m_columns(n)
     gram = bordered_grams(n)[1][columns][:, columns]
     if (gram[:, :-1].sum(axis=1) != (n - 2) * gram[:, -1]).any():
         return False
-    return linalg.certified_rank(gram, len(gram) - 1)[0] == len(gram) - 1
+    return rank_M_check(n)[1]
 
 
 def kernel_membership_check(n: int) -> bool:

@@ -337,10 +337,10 @@ def _class_counts(rank_lists, n: int):
     relations[members[r : r + R]][:, members], R rows taking about
     8 * BLOCK_PAIRS bytes of the table (the whole of a family at n = 6, 52
     rows at n = 7), each block counted class by class.  The smaller families
-    of one size m are read in flat blocks of F families by R member rows by
-    all m members, F * R * m near BLOCK_PAIRS, quotient_classes taking each
-    block whole and one bincount counting it, class C of the block's family
-    f at label f * k + C for the k classes.
+    of one size m are read in flat blocks of F = BLOCK_PAIRS // (m * m)
+    whole families, quotient_classes taking each block's F * m * m pairs at
+    once and one bincount counting them, class C of the block's family f at
+    label f * k + C for the k classes.
     """
     import numpy as np
 
@@ -360,18 +360,14 @@ def _class_counts(rank_lists, n: int):
                     block = gd.relations[members[r : r + rows]][:, members]
                     out[f] += [np.count_nonzero(block == c) for c in range(k)]
             continue
-        rows = max(1, min(m, BLOCK_PAIRS // max(1, m)))
-        step = max(1, BLOCK_PAIRS // (rows * max(1, m)))
-        # int32 labels: each block's sum takes half the bytes of intp
-        offsets = np.arange(0, k * step, k, dtype=np.int32)[:, None, None]
+        step = BLOCK_PAIRS // max(1, m * m)
         for start in range(0, len(batch), step):
             block = ranks[start : start + step]
-            labels, members = offsets[: len(block)], block[:, None]
-            for r in range(0, m, rows):
-                classes = gd.quotient_classes(block[:, r : r + rows, None], members)
-                classes = (classes + labels).ravel()
-                counts = np.bincount(classes, minlength=k * len(block))
-                out[batch[start : start + step]] += counts.reshape(-1, k)
+            # int32 labels: each block's sum takes half the bytes of intp
+            labels = np.arange(0, k * len(block), k, dtype=np.int32)[:, None, None]
+            classes = gd.quotient_classes(block[:, :, None], block[:, None])
+            counts = np.bincount((classes + labels).ravel(), minlength=k * len(block))
+            out[batch[start : start + step]] = counts.reshape(-1, k)
     return out
 
 

@@ -1448,6 +1448,38 @@ class TestRankCertificates:
             assert rows.shape[0] == rows.shape[1] <= side
             assert np.array_equal(rows, rows.T)
 
+    @staticmethod
+    def _profiled_sides(capsys, monkeypatch, *argv):
+        """The side of every block rank_profile_mod_p reads in one clean run."""
+        from ekrperm import linalg
+
+        sides, real = [], linalg.rank_profile_mod_p
+
+        def recorded(rows, p):
+            sides.append(len(rows))
+            return real(rows, p)
+
+        monkeypatch.setattr(linalg, "rank_profile_mod_p", recorded)
+        code, report, _ = run_json(capsys, *argv)
+        assert code == 0 and report["pass"] is True
+        return sides
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_lemmas_profile_the_blocks_of_H_and_M_alone(
+        self, capsys, monkeypatch, n
+    ):
+        # the bordered kernel reads M's one certified rank, so [M | ones]'s
+        # Gram block of side (n-1)(n-2) + 1 is never profiled
+        sides = self._profiled_sides(capsys, monkeypatch, "lemmas", str(n))
+        assert sorted(sides) == [(n - 1) * (n - 2), (n - 1) ** 2]
+
+    def test_verify_all_profiles_each_block_once(self, capsys, monkeypatch):
+        # rank H and rank M at n = 3..7, and classify's G_H at n = 3..6
+        sides = self._profiled_sides(capsys, monkeypatch, "verify-all", "--max-n", "9")
+        expected = [(n - 1) ** 2 + 1 for n in range(3, 7)]
+        expected += [(n - 1) * s for n in range(3, 8) for s in (n - 1, n - 2)]
+        assert len(sides) == 14 and sorted(sides) == sorted(expected)
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -358,7 +358,9 @@ class TestClassFormsAgainstDoubleLoop:
         assert class_quadratic_forms([x], n) == [_brute_force_forms(x, n)]
 
     def test_many_small_blocks(self, monkeypatch):
-        # small blocks: a few rows each, the last one short
+        # the supports of 120, 119 and 72 members are dense, read as gathered
+        # relation rows three at a time (8 * 50 // 120), 119 leaving a short
+        # last block; the empty and one-member supports are read flat, whole
         monkeypatch.setattr(scheme, "BLOCK_PAIRS", 50)
         for name, x in _form_vectors(5).items():
             assert class_quadratic_forms([x], 5) == [_brute_force_forms(x, 5)], name
@@ -407,7 +409,9 @@ class TestBatchedClassForms:
 
     @pytest.mark.parametrize("block_pairs", [1, 30, 100])
     def test_tiny_row_blocks(self, monkeypatch, block_pairs):
-        # blocks of one row (BLOCK_PAIRS 1) or a few, the last one short
+        # every support (8 to 111 members) is dense, read as gathered relation
+        # rows in blocks of 8 * BLOCK_PAIRS // 120 rows (1, 2 or 6), the last
+        # one short
         monkeypatch.setattr(scheme, "BLOCK_PAIRS", block_pairs)
         rng = random.Random(block_pairs)
         vectors = [_random_set_vector(rng, 5) for _ in range(5)]
@@ -430,7 +434,8 @@ class TestBatchedClassForms:
         assert peak < 720 * 720 * 5
 
     def test_small_blocks_with_many_vectors(self, monkeypatch):
-        # the supports differ, so each block holds pairs outside some of them
+        # each support twice: both empty and both one-member supports share a
+        # flat block, the dense ones are read as gathered rows
         monkeypatch.setattr(scheme, "BLOCK_PAIRS", 50)
         vectors = list(_form_vectors(5).values())
         vectors = vectors[::-1] + vectors
@@ -1041,6 +1046,39 @@ class TestClassCounts:
             tracemalloc.stop()
         assert counts.sum() == 720 * 720
         assert peak < 4 * scheme.BLOCK_PAIRS * 7
+
+    def test_one_small_family_allocates_labels_for_itself(self):
+        # the flat read builds the int32 label offsets of the families in the
+        # block, not of the BLOCK_PAIRS // m^2 families a block could hold
+        gd = group_data(6)
+        gd.relations  # the tables are built outside the traced span
+        tracemalloc.start()
+        try:
+            counts = scheme._class_counts([[5]], 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one ordered pair, (5, 5), in the identity class
+        assert counts.tolist() == [[int(cls.size == 1) for cls in gd.classes]]
+        assert peak < 16_000
+
+    def test_flat_blocks_of_whole_families_end_short(self, monkeypatch):
+        # five 24-member point families at n = 5, two whole families a block
+        # under BLOCK_PAIRS = 2 * 24^2 + 1: blocks of 2, 2 and 1
+        families = constraint_families(5, 1)[:5]
+        gd = group_data(5)
+        real, blocks = gd.quotient_classes, []
+
+        def recording(a, b):
+            blocks.append(len(a))
+            return real(a, b)
+
+        monkeypatch.setattr(gd, "quotient_classes", recording)
+        monkeypatch.setattr(scheme, "BLOCK_PAIRS", 2 * 24 * 24 + 1)
+        assert scheme._class_counts(families, 5).tolist() == [
+            _brute_force_forms(_vector_of(ranks, 5), 5) for ranks in families
+        ]
+        assert blocks == [2, 2, 1]
 
 
 class TestClassCountReads:
