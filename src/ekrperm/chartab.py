@@ -199,15 +199,6 @@ class CharacterTable(NamedTuple):
     partitions: tuple[Partition, ...]
     values: tuple[tuple[int, ...], ...]
 
-    def row_index(self, shape: Partition) -> int:
-        return self.partitions.index(tuple(shape))
-
-    def value(self, shape: Partition, cycles: CycleType) -> int:
-        return self.values[self.row_index(shape)][self.partitions.index(tuple(cycles))]
-
-    def dimension(self, shape: Partition) -> int:
-        return self.value(shape, (1,) * self.n)
-
 
 @lru_cache(maxsize=None)
 def character_table(n: int) -> CharacterTable:

@@ -327,47 +327,43 @@ def ratio_bound(n: int, t: int = 0) -> Fraction:
     return Fraction(factorial(n)) / (1 - Fraction(spectrum.valency, tau))
 
 
-def _class_counts(rank_lists, n: int):
+def _class_counts(families, n: int):
     """Ordered member pairs (p, q) of each family counted by the class of p^-1 q.
 
-    One int64 row per family of distinct ranks, in class order, the diagonal
-    p = q in the identity class.  The pairs are read in one of two ways,
-    chosen by size alone.  A dense family, whose m * m pairs fill a block by
-    themselves (m * m >= BLOCK_PAIRS), is read as gathered relation rows,
+    families is one (f, m) rank array, m distinct ranks a row, read without a
+    copy; the result is one int64 row per family, in class order, the
+    diagonal p = q in the identity class.  The pairs are read in one of two
+    ways, chosen by m alone.  Dense families, whose m * m pairs fill a block
+    by themselves (m * m >= BLOCK_PAIRS), are read as gathered relation rows,
     relations[members[r : r + R]][:, members], R rows taking about
     8 * BLOCK_PAIRS bytes of the table (the whole of a family at n = 6, 52
-    rows at n = 7), each block counted class by class.  The smaller families
-    of one size m are read in flat blocks of F = BLOCK_PAIRS // (m * m)
-    whole families, quotient_classes taking each block's F * m * m pairs at
-    once and one bincount counting them, class C of the block's family f at
-    label f * k + C for the k classes.
+    rows at n = 7), each block counted class by class.  Smaller families are
+    read in flat blocks of F = BLOCK_PAIRS // (m * m) whole rows,
+    quotient_classes taking each block's F * m * m pairs at once and one
+    bincount counting them, class C of row f at label f * k + C.
     """
     import numpy as np
 
+    families = np.asarray(families, dtype=np.intp)
     gd = group_data(n)
     k = len(gd.classes)
-    out = np.zeros((len(rank_lists), k), dtype=np.int64)
-    by_size: dict[int, list[int]] = {}
-    for f, ranks in enumerate(rank_lists):
-        by_size.setdefault(len(ranks), []).append(f)
-    for m, batch in by_size.items():
-        ranks = np.array([rank_lists[f] for f in batch], dtype=np.intp)
-        ranks = ranks.reshape(len(batch), m)
-        if m * m >= BLOCK_PAIRS:
-            rows = max(1, 8 * BLOCK_PAIRS // gd.order)
-            for f, members in zip(batch, ranks):
-                for r in range(0, m, rows):
-                    block = gd.relations[members[r : r + rows]][:, members]
-                    out[f] += [np.count_nonzero(block == c) for c in range(k)]
-            continue
-        step = BLOCK_PAIRS // max(1, m * m)
-        for start in range(0, len(batch), step):
-            block = ranks[start : start + step]
-            # int32 labels: each block's sum takes half the bytes of intp
-            labels = np.arange(0, k * len(block), k, dtype=np.int32)[:, None, None]
-            classes = gd.quotient_classes(block[:, :, None], block[:, None])
-            counts = np.bincount((classes + labels).ravel(), minlength=k * len(block))
-            out[batch[start : start + step]] = counts.reshape(-1, k)
+    m = families.shape[1]
+    out = np.zeros((len(families), k), dtype=np.int64)
+    if m * m >= BLOCK_PAIRS:
+        rows = max(1, 8 * BLOCK_PAIRS // gd.order)
+        for counts, members in zip(out, families):
+            for r in range(0, m, rows):
+                block = gd.relations[members[r : r + rows]][:, members]
+                counts += [np.count_nonzero(block == c) for c in range(k)]
+        return out
+    step = BLOCK_PAIRS // max(1, m * m)
+    for start in range(0, len(families), step):
+        block = families[start : start + step]
+        # int32 labels: each block's sum takes half the bytes of intp
+        labels = np.arange(0, k * len(block), k, dtype=np.int32)[:, None, None]
+        classes = gd.quotient_classes(block[:, :, None], block[:, None])
+        counts = np.bincount((classes + labels).ravel(), minlength=k * len(block))
+        out[start : start + step] = counts.reshape(-1, k)
     return out
 
 
@@ -376,8 +372,9 @@ def class_quadratic_forms(vectors, n: int) -> list[list[int]]:
 
     For a 0/1 vector x with support S, x^T A_C x counts the ordered pairs
     (p, q) of S with p^-1 q in C, the diagonal p = q in the identity class:
-    _class_counts of the supports.  A vector whose length is not n!, or with
-    an entry that is not the int (or bool) 0 or 1, raises ValueError.
+    _class_counts of each support, one (1, m) array a call.  A vector whose
+    length is not n!, or with an entry that is not the int (or bool) 0 or 1,
+    raises ValueError.
     """
     import numpy as np
 
@@ -388,7 +385,7 @@ def class_quadratic_forms(vectors, n: int) -> list[list[int]]:
             raise ValueError(f"vector length {len(x)} != {gd.order}")
         if not set(map(type, x)) <= {int, bool} or not set(x) <= {0, 1}:
             raise ValueError("class quadratic forms need 0/1 vectors")
-    return _class_counts([np.flatnonzero(x) for x in vectors], n).tolist()
+    return [_class_counts([np.flatnonzero(x)], n)[0].tolist() for x in vectors]
 
 
 def _character_sums(qforms, sizes, n: int):
@@ -412,18 +409,22 @@ def _character_sums(qforms, sizes, n: int):
     return sums
 
 
-def shifted_character_sums(rank_lists, n: int):
+def shifted_character_sums(families, n: int):
     """chi . q of each family's density-shifted indicator, as int64 rows.
 
-    A family is a sequence of m distinct ranks.  Its indicator x less m/n!
-    times ones has no trivial component and every other component of x, so
-    row f holds, in class order, n!/dim times each component's squared norm:
-    chi . q for the _class_counts q of the family, and 0 for the trivial
-    shape.  The sums pass through _character_sums and its checks.
+    families is one (f, m) rank array, as _class_counts reads it.  A family's
+    indicator x less m/n! times ones has no trivial component and every
+    other component of x, so row f holds, in class order, n!/dim times each
+    component's squared norm: chi . q for the _class_counts q of the family,
+    and 0 for the trivial shape.  The sums pass through _character_sums and
+    its checks, with |x|^2 = m read off the shape, so (0, m) gives (0, k).
     """
+    import numpy as np
+
+    families = np.asarray(families, dtype=np.intp)
     gd = group_data(n)
-    counts = _class_counts(rank_lists, n)
-    out = _character_sums(counts, [len(ranks) for ranks in rank_lists], n)
+    counts = _class_counts(families, n)
+    out = _character_sums(counts, [families.shape[1]] * len(families), n)
     out[:, gd.class_index[(n,)]] = 0
     return out
 
@@ -514,8 +515,8 @@ def clique_coclique_check(
     corollary_ok = None
     if tight and n <= MAX_GROUP_DEGREE:
         gd = group_data(n)
-        ranks = [rank_images(rows.T - 1) for rows in (clique, independent)]
-        ex, ey = shifted_character_sums(ranks, n).tolist()
+        ranks = [rank_images(rows.T - 1)[None] for rows in (clique, independent)]
+        ex, ey = [shifted_character_sums(r, n)[0].tolist() for r in ranks]
         rows = [
             (cls.cycle_type, a > 0, b > 0)
             for cls, a, b in zip(gd.classes, ex, ey)

@@ -126,8 +126,7 @@ def test_02_character_tables():
             oracle = oracles.brute_force_character_table(n)
             table = character_table(n)
             for shape, row in oracle.items():
-                got = tuple(table.value(shape, c) for c in table.partitions)
-                assert got == row
+                assert table.values[table.partitions.index(shape)] == row
 
 
 def test_03_spectrum_and_eigenvectors():
@@ -230,10 +229,10 @@ def test_07_larger_cliques_and_character_coverage():
                 sums.append(
                     {
                         shape: sum(
-                            table.value(shape, cycle_type_of_images(row))
+                            chi[table.partitions.index(cycle_type_of_images(row))]
                             for row in cert.members.tolist()
                         )
-                        for shape in table.partitions
+                        for shape, chi in zip(table.partitions, table.values)
                     }
                 )
             for cert, by_shape in zip(certs, sums):

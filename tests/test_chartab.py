@@ -214,7 +214,9 @@ class TestCharacterValues:
         cycles = data.draw(st.sampled_from(classes))
         expected = oracles.frobenius_character(shape, cycles)
         assert character_value(shape, cycles) == expected
-        assert character_table(n).value(shape, cycles) == expected
+        table = character_table(n)
+        row = table.values[table.partitions.index(shape)]
+        assert row[table.partitions.index(cycles)] == expected
 
     def test_frobenius_oracle_matches_brute_force_through_degree_six(self):
         for n in range(1, 7):
@@ -277,8 +279,7 @@ class TestTableObject:
         assert isinstance(table, CharacterTable)
         assert table.partitions == partitions_of(4)
         for shape, row in TABLE_4.items():
-            got = tuple(table.value(shape, c) for c in table.partitions)
-            assert got == row
+            assert table.values[table.partitions.index(shape)] == row
 
     def test_orthogonality_small_degrees(self):
         for n in range(1, MAX_TABLE_DEGREE + 1):
@@ -337,11 +338,11 @@ class TestTableObject:
     def test_row_orthogonality_by_hand(self):
         # sum over classes of |C| * chi(C) * psi(C) is 0 or |G|
         table = character_table(5)
-        for a in table.partitions:
-            for b in table.partitions:
+        for a in table.values:
+            for b in table.values:
                 total = sum(
-                    class_size(c) * table.value(a, c) * table.value(b, c)
-                    for c in table.partitions
+                    class_size(c) * chi * psi
+                    for c, chi, psi in zip(table.partitions, a, b)
                 )
                 assert total == (math.factorial(5) if a == b else 0)
 
@@ -448,4 +449,4 @@ class TestCsv:
         for row, shape in zip(body, table.partitions):
             assert row[0] == ",".join(str(k) for k in shape)
             values = tuple(int(tok) for tok in row[1:])
-            assert values == tuple(table.value(shape, c) for c in table.partitions)
+            assert values == table.values[table.partitions.index(shape)]

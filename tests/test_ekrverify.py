@@ -82,7 +82,8 @@ def module_supports(families, n):
 
     Each vector is the 0/1 indicator of one family of image rows less its
     density m/n! times ones; the norms are dim/n! times the entries of
-    scheme.shifted_character_sums.
+    scheme.shifted_character_sums, which reads the families, all of one size,
+    as one (f, m) rank array.
     """
     gd = group_data(n)
     ranks = [reference_ranks(members) for members in families]
@@ -717,9 +718,10 @@ def _supports_by_class_forms(members, n):
 
 @st.composite
 def _family_batches(draw):
-    """A degree and a few families of distinct random permutations."""
+    """A degree and a few families of m distinct random permutations each."""
     n = draw(st.integers(3, 5))
-    ranks = st.sets(st.integers(0, math.factorial(n) - 1), max_size=8)
+    m = draw(st.integers(0, 6))
+    ranks = st.sets(st.integers(0, math.factorial(n) - 1), min_size=m, max_size=m)
     batch = draw(st.lists(ranks, min_size=1, max_size=5))
     families = [group_data(n).images[sorted(fam)] + 1 for fam in batch]
     return n, families
@@ -736,17 +738,20 @@ class TestBatchedSupports:
 
     def test_repeated_member_anywhere_in_batch(self):
         # a repeated rank adds to the squared norm but not to the member count
-        ranks = list(constraint_families(4, 1))
-        ranks[5] = list(ranks[5]) + [ranks[5][1]]
+        ranks = constraint_families(4, 1)
+        ranks[5, 2] = ranks[5, 1]
         with pytest.raises(AssertionError, match="add up"):
             scheme.shifted_character_sums(ranks, 4)
 
     def test_many_kernel_blocks(self, monkeypatch):
-        families = list(point_families(5).values())
-        families += [constraint_rows(5, [(1, 2), (3, 3)]), np.arange(1, 6)[None]]
-        expected = [module_support(members, 5) for members in families]
+        batches = [
+            list(point_families(5).values()),
+            [constraint_rows(5, [(1, 2), (3, 3)])],
+            [np.arange(1, 6)[None]],
+        ]
+        expected = [[module_support(fam, 5) for fam in batch] for batch in batches]
         monkeypatch.setattr(scheme, "BLOCK_PAIRS", 7)
-        assert module_supports(families, 5) == expected
+        assert [module_supports(batch, 5) for batch in batches] == expected
 
     def test_block_size_is_read_at_call_time(self, monkeypatch):
         # 25 point families of 24 members: 576 pairs each
@@ -791,7 +796,8 @@ class TestIntegerNorms:
 
     def test_empty_family_and_empty_batch(self):
         assert scheme.shifted_character_sums([[]], 4).tolist() == [[0] * 5]
-        assert scheme.shifted_character_sums([], 4).shape == (0, 5)
+        empty = np.empty((0, 3), dtype=np.intp)
+        assert scheme.shifted_character_sums(empty, 4).shape == (0, 5)
 
     def test_negative_norm_raises(self, monkeypatch):
         table = scheme.character_table(4)

@@ -70,7 +70,7 @@ def project(shape, x, n):
     support = [q for q, v in enumerate(nums) if v]
     classes = gd.quotient_classes(np.arange(gd.order)[:, None], support)
     table = character_table(n)
-    chi = np.array(table.values[table.row_index(shape)], dtype=object)
+    chi = np.array(table.values[table.partitions.index(shape)], dtype=object)
     totals = chi[classes] @ np.array([nums[q] for q in support], dtype=object)
     return [Fraction(dimension(shape) * int(v), gd.order * denom) for v in totals]
 
@@ -764,7 +764,7 @@ def explicit_idempotent(shape, n):
     """Dense idempotent matrix: E[i][j] = dim * chi(class of p_i^-1 p_j) / n!."""
     gd = group_data(n)
     table = character_table(n)
-    chi = table.values[table.row_index(shape)]
+    chi = table.values[table.partitions.index(shape)]
     dim = dimension(shape)
     ranks = range(gd.order)
     return [
@@ -1000,12 +1000,14 @@ def _vector_of(ranks, n):
     return x
 
 
-def _mixed_rank_lists(n, seed):
-    """Rank lists of mixed sizes, with families of sizes 0 and 1 among them."""
+def _rank_batches(n, seed, sizes):
+    """One (f, m) array of random distinct ranks for each (f, m) of sizes."""
     order = math.factorial(n)
     rng = random.Random(seed)
-    sizes = [0, 1, 5, 1, 0, 5, order, 9, 2, 5]
-    return [rng.sample(range(order), min(size, order)) for size in sizes]
+    return [
+        np.array([rng.sample(range(order), m) for _ in range(f)], dtype=np.intp)
+        for f, m in sizes
+    ]
 
 
 class TestClassCounts:
@@ -1015,22 +1017,44 @@ class TestClassCounts:
         self, monkeypatch, n, block_pairs
     ):
         monkeypatch.setattr(scheme, "BLOCK_PAIRS", block_pairs)
-        rank_lists = _mixed_rank_lists(n, n)
-        counts = scheme._class_counts(rank_lists, n)
-        assert counts.dtype == np.int64
-        assert counts.tolist() == [
-            _brute_force_forms(_vector_of(ranks, n), n) for ranks in rank_lists
-        ]
+        order = math.factorial(n)
+        sizes = [(2, 0), (2, 1), (3, 5), (1, order), (1, min(9, order)), (1, 2)]
+        for families in _rank_batches(n, n, sizes):
+            counts = scheme._class_counts(families, n)
+            assert counts.dtype == np.int64
+            assert counts.tolist() == [
+                _brute_force_forms(_vector_of(ranks, n), n) for ranks in families
+            ]
 
     def test_degree_seven_reads_the_table(self):
         gd = group_data(7)
-        rng = random.Random(7)
-        rank_lists = [rng.sample(range(5040), size) for size in (0, 1, 6, 3, 1, 6)]
-        counts = scheme._class_counts(rank_lists, 7)
-        assert "relations" in vars(gd)
-        assert counts.tolist() == [
-            _brute_force_forms(_vector_of(ranks, 7), 7) for ranks in rank_lists
-        ]
+        for families in _rank_batches(7, 7, [(1, 0), (2, 1), (2, 6), (1, 3)]):
+            counts = scheme._class_counts(families, 7)
+            assert "relations" in vars(gd)
+            assert counts.tolist() == [
+                _brute_force_forms(_vector_of(ranks, 7), 7) for ranks in families
+            ]
+
+    def test_constraint_families_are_read_in_place(self, monkeypatch):
+        # every block handed to quotient_classes is a view of the caller's array
+        families = constraint_families(6, 3)
+        gd = group_data(6)
+        real, arguments = gd.quotient_classes, []
+
+        def recording(a, b):
+            arguments.extend((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(gd, "quotient_classes", recording)
+        counts = scheme._class_counts(families, 6)
+        assert counts.shape == (len(families), len(gd.classes))
+        assert arguments
+        assert all(np.shares_memory(a, families) for a in arguments)
+
+    def test_empty_batch_of_families(self):
+        counts = scheme._class_counts(np.empty((0, 6), dtype=np.intp), 6)
+        assert counts.dtype == np.int64
+        assert counts.shape == (0, len(group_data(6).classes))
 
     def test_one_degree_seven_family_stays_in_blocks(self):
         # 720^2 pairs make the family dense: blocks of 52 gathered table rows
@@ -1085,15 +1109,16 @@ class TestClassCountReads:
     """The gathered relation rows and the flat blocks count the same pairs."""
 
     @staticmethod
-    def _assert_both_reads_are_the_oracle(monkeypatch, rank_lists, n):
+    def _assert_both_reads_are_the_oracle(monkeypatch, families, n):
         """_class_counts by each read, forced through BLOCK_PAIRS, against the oracle.
 
-        At BLOCK_PAIRS 1 every nonempty family is dense, read as gathered
-        relation rows, and quotient_classes classes none of its pairs; above
-        every m * m each family is read in flat blocks, quotient_classes
-        classing every pair.
+        families is one (f, m) rank array.  At BLOCK_PAIRS 1 every nonempty
+        family is dense, read as gathered relation rows, and quotient_classes
+        classes none of its pairs; above m * m the families are read in flat
+        blocks, quotient_classes classing every pair.
         """
-        expected = [_brute_force_forms(_vector_of(ranks, n), n) for ranks in rank_lists]
+        families = np.asarray(families)
+        expected = [_brute_force_forms(_vector_of(ranks, n), n) for ranks in families]
         gd = group_data(n)
         real, classed = gd.quotient_classes, []
 
@@ -1103,24 +1128,25 @@ class TestClassCountReads:
             return classes
 
         monkeypatch.setattr(gd, "quotient_classes", recording)
-        sizes = [len(ranks) for ranks in rank_lists]
+        f, m = families.shape
         for read, block_pairs, pairs in (
             ("gathered", 1, 0),
-            ("flat", 1 + max(sizes) ** 2, sum(m * m for m in sizes)),
+            ("flat", 1 + m * m, f * m * m),
         ):
             monkeypatch.setattr(scheme, "BLOCK_PAIRS", block_pairs)
             classed.clear()
-            assert scheme._class_counts(rank_lists, n).tolist() == expected, read
+            assert scheme._class_counts(families, n).tolist() == expected, read
             assert sum(classed) == pairs, read
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_random_dense_supports(self, monkeypatch, n):
-        # two random halves of S_n, one batch, and a coin-flip support
+        # two random halves of S_n, one batch, and a coin-flip support alone
         order = math.factorial(n)
         rng = random.Random(n)
-        rank_lists = [sorted(rng.sample(range(order), order // 2)) for _ in range(2)]
-        rank_lists.append([r for r in range(order) if rng.random() < 0.5])
-        self._assert_both_reads_are_the_oracle(monkeypatch, rank_lists, n)
+        halves = [sorted(rng.sample(range(order), order // 2)) for _ in range(2)]
+        support = [r for r in range(order) if rng.random() < 0.5]
+        for families in (halves, [support]):
+            self._assert_both_reads_are_the_oracle(monkeypatch, families, n)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_constraint_families_at_degree_six(self, monkeypatch, k):
@@ -1130,7 +1156,8 @@ class TestClassCountReads:
     def test_a_coset_and_a_random_support_at_degree_seven(self, monkeypatch):
         coset = constraint_families(7, 1)[0]  # S_{1->1}, 720 members
         support = random.Random(7).sample(range(5040), 300)
-        self._assert_both_reads_are_the_oracle(monkeypatch, [coset, support], 7)
+        for families in ([coset], [support]):
+            self._assert_both_reads_are_the_oracle(monkeypatch, families, 7)
 
 
 class TestFlatRelationGather:
