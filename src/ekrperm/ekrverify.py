@@ -79,8 +79,8 @@ def incidence(n: int) -> Incidence:
     images = image_table(n)
     points = np.arange(n - 1)
     body = images[:, :-1]
-    ones = np.where(body < n - 1, points * (n - 1) + body, (n - 1) ** 2)
-    derangement_ranks = np.flatnonzero((images != np.arange(n)).all(axis=1))
+    ones = np.where(body < n, points * (n - 1) + body - 1, (n - 1) ** 2)
+    derangement_ranks = np.flatnonzero((images != np.arange(1, n + 1)).all(axis=1))
     return Incidence(n, ones, derangement_ranks)
 
 

@@ -24,7 +24,6 @@ from .permgroup import (
     one_line,
 )
 from .scheme import (
-    constraint_families,
     first_agreement_violation,
     group_data,
     image_rows,
@@ -316,7 +315,7 @@ def latin_coset_cover(n: int) -> list[tuple[int, ...]]:
     clique = latin_clique(n)
     if not clique.validated:
         raise AssertionError("the cyclic Latin clique is not a clique")
-    clique_ranks = rank_images(clique.members.T - 1)
+    clique_ranks = rank_images(clique.members)
     # row v lists the ranks of r * v over the clique members r, ascending
     rows = np.sort(gd.compose_ranks(clique_ranks, np.arange(gd.order)[:, None]), axis=1)
     cosets = rows[rows[:, 0] == np.arange(gd.order)]
@@ -413,7 +412,7 @@ def max_independent_sets(n: int, t: int = 0, workers: int = 1) -> SearchResult:
     first, *others = latin_coset_cover(n)
     # a coset's ranks are distinct, so its mask is the sum of their bits
     rest = [sum(1 << v for v in coset) for coset in others]
-    seed = constraint_families(n, 1)[-1]  # S_{n->n}
+    seed = np.flatnonzero(gd.images[:, -1] == n)  # S_{n->n}, ascending
     alpha = len(seed)  # floor (n-1)! met; coset cover shows it is also a cap
     # the walk's root takes the first coset, all of it allowed, and branches on
     # its members in ascending order; map takes one iterable per argument
@@ -431,7 +430,7 @@ def max_independent_sets(n: int, t: int = 0, workers: int = 1) -> SearchResult:
     if not (ranks == seed).all(axis=1).any():
         raise AssertionError("the seed family was not rediscovered")
     for row in ranks:
-        bad = first_agreement_violation(gd.images[row] + 1, 0, clique=False)
+        bad = first_agreement_violation(gd.images[row], 0, clique=False)
         if bad is not None:
             raise AssertionError(
                 f"search produced a dependent set: ranks {row[bad[0]]}, {row[bad[1]]}"

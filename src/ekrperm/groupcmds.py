@@ -97,7 +97,7 @@ def run_clique(n: int, method: str):
 def run_search(n: int, t: int, workers: int):
     found = graphs.max_independent_sets(n, t, workers=workers)
     images = scheme.image_table(n)
-    strings = list(map(permgroup.one_line, (images + 1).tolist()))
+    strings = list(map(permgroup.one_line, images.tolist()))
     checks = [
         check(
             "alpha-is-(n-1)!",

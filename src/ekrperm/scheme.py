@@ -51,11 +51,11 @@ AGREEMENT_BLOCK_PAIRS = 1 << 16
 
 @lru_cache(maxsize=None)
 def image_table(n: int):
-    """0-based images of every permutation of 1..n, one read-only int8 row per rank."""
+    """One-line images of every permutation of 1..n, one read-only int8 row per rank."""
     import numpy as np
 
     table = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(n))),
+        itertools.chain.from_iterable(itertools.permutations(range(1, n + 1))),
         dtype=np.int8,
         count=n * factorial(n),
     ).reshape(-1, n)
@@ -63,18 +63,20 @@ def image_table(n: int):
     return table
 
 
-def rank_images(planes):
-    """Lexicographic ranks of the permutations whose 0-based images are planes.
+def rank_images(rows):
+    """Lexicographic ranks of the permutations whose images are rows.
 
-    planes[k] holds the images of k+1, all planes of one shape, and so does
-    the result: the Lehmer code, digit k the count of later images below
-    image k, combined in int64 by Horner's rule, so a degree len(planes)
-    above MAX_RANK_DEGREE raises DegreeRangeError.  The planes are read
-    from one contiguous copy, as a transposed image table is strided.
+    rows[..., k] holds the image of k+1, and the result has the shape of rows
+    less its last axis: the Lehmer code, digit k the count of later images
+    below image k, combined in int64 by Horner's rule, so a degree
+    rows.shape[-1] above MAX_RANK_DEGREE raises DegreeRangeError.  Images are
+    only compared with each other, so any offset gives the same ranks.  The
+    digits are read from one contiguous copy of the images with the last axis
+    first, planes[k] = rows[..., k].
     """
     import numpy as np
 
-    planes = np.ascontiguousarray(planes)
+    planes = np.ascontiguousarray(np.moveaxis(rows, -1, 0))
     n = len(planes)
     need_degree("rank_images", n, 0, MAX_RANK_DEGREE)
     ranks = np.zeros(planes.shape[1:], dtype=np.int64)
@@ -143,7 +145,7 @@ def first_agreement_violation(members, t: int, clique: bool):
 def point_family(images) -> tuple[int, int] | None:
     """(i, j), 1-based, when the rows are exactly the coset S_{i->j}; else None.
 
-    images is the (m, n) array of the 0-based images of m pairwise-distinct
+    images is the (m, n) array of the 1-based images of m pairwise-distinct
     permutations, a row each as in image_table.  They are S_{i->j} when m is
     (n-1)! and column i is constant at j: the first constant column is the
     first such (i, j) in row-major order.
@@ -154,7 +156,7 @@ def point_family(images) -> tuple[int, int] | None:
     constant = np.flatnonzero((images == images[:1]).all(axis=0))
     if len(images) != factorial(images.shape[1] - 1) or not len(constant):
         return None
-    return int(constant[0]) + 1, int(images[0, constant[0]]) + 1
+    return int(constant[0]) + 1, int(images[0, constant[0]])
 
 
 def constraint_families(n: int, k: int):
@@ -163,7 +165,7 @@ def constraint_families(n: int, k: int):
     S_A holds the permutations of 1..n sending x to y for every pair of A.
     The rows run over the position sets xs in itertools.combinations order
     and, within one, over the value tuples in lexicographic order: a stable
-    argsort of the ranks keyed by image_table(n)[:, xs], read as base-n
+    argsort of the ranks keyed by image_table(n)[:, xs], read as base-(n + 1)
     digits, lines up the (n-k)! members of each value tuple in rank order.
     A row that holds more than one value tuple raises AssertionError, and a
     k outside 1..n raises ValueError.
@@ -175,7 +177,7 @@ def constraint_families(n: int, k: int):
     table = image_table(n)
     blocks = []
     for xs in itertools.combinations(range(n), k):
-        keys = np.ravel_multi_index(table[:, xs].T, (n,) * k)
+        keys = np.ravel_multi_index(table[:, xs].T, (n + 1,) * k)
         order = np.argsort(keys, kind="stable").reshape(-1, factorial(n - k))
         if (keys[order] != keys[order[:, :1]]).any():
             raise AssertionError(f"a family on positions {xs} mixes value tuples")
@@ -208,7 +210,7 @@ def constraint_rows(n: int, constraints):
     free_values = np.array([y for y in range(1, n + 1) if y not in ys])
     table = image_table(n - len(pairs))
     rows = np.empty((len(table), n), dtype=np.intp)
-    rows[:, free_positions] = free_values[table]
+    rows[:, free_positions] = free_values[table - 1]
     rows[:, np.subtract(xs, 1)] = ys
     return rows
 
@@ -233,10 +235,10 @@ class GroupData:
         self.n = n
         self.order = factorial(n)
         self.images = image_table(n)
-        self.inv = rank_images(np.argsort(self.images, axis=1).T)
+        self.inv = rank_images(np.argsort(self.images, axis=1))
         self.classes = conjugacy_classes(n)
         self.class_index = {cls.cycle_type: k for k, cls in enumerate(self.classes)}
-        walked = map(cycle_type_of_images, (self.images + 1).tolist())
+        walked = map(cycle_type_of_images, self.images.tolist())
         self.type_of = np.array([self.class_index[c] for c in walked], dtype=np.int8)
         self._mult: list[list[int]] | None = None
 
@@ -245,16 +247,14 @@ class GroupData:
 
         The result has the broadcast shape of a and b, so a column against a
         row, [[r] for r in a] with b, gives every pair.  Products are formed
-        on images by one gather, images[a][images[b]] pair by pair, and ranked
-        by rank_images, in one pass of about 2n + 8 bytes a pair.
+        on images by one gather, images[a][images[b] - 1] pair by pair, and
+        ranked by rank_images, in one pass of about 2n + 8 bytes a pair.
         """
         import numpy as np
 
         a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
-        # plane k holds perm(a)(perm(b)(k)), 0-based, from one (..., n) gather
-        return rank_images(
-            np.moveaxis(self.images[a[..., None], self.images[b]], -1, 0)
-        )
+        # column k holds perm(a)(perm(b)(k + 1)), from one (..., n) gather
+        return rank_images(self.images[a[..., None], self.images[b] - 1])
 
     @cached_property
     def relations(self):
@@ -269,13 +269,12 @@ class GroupData:
         """
         import numpy as np
 
-        planes = self.images.T
         # swap[i][b] = rank of perm(b) s_i: images i and i+1 of b exchanged
         swap = np.empty((self.n - 1, self.order), dtype=np.intp)
         for i in range(self.n - 1):
             order = np.arange(self.n)
             order[[i, i + 1]] = i + 1, i
-            swap[i] = rank_images(planes[order])
+            swap[i] = rank_images(self.images[:, order])
         # each rank c > 0 in turn: its first i with c(i) > c(i+1), and c s_i
         later = np.arange(1, self.order)
         descent = (np.diff(self.images[1:], axis=1, append=self.n) < 0).argmax(1)
@@ -515,7 +514,7 @@ def clique_coclique_check(
     corollary_ok = None
     if tight and n <= MAX_GROUP_DEGREE:
         gd = group_data(n)
-        ranks = [rank_images(rows.T - 1)[None] for rows in (clique, independent)]
+        ranks = [rank_images(rows)[None] for rows in (clique, independent)]
         ex, ey = [shifted_character_sums(r, n)[0].tolist() for r in ranks]
         rows = [
             (cls.cycle_type, a > 0, b > 0)

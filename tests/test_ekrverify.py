@@ -676,7 +676,7 @@ class TestModuleSupport:
 
     def test_whole_group_shifts_to_zero(self):
         # the whole group is its own density times ones
-        supports = module_support(group_data(4).images + 1, 4)
+        supports = module_support(group_data(4).images, 4)
         assert support_set(supports) == ()
 
     def test_two_element_set_spreads_out(self):
@@ -723,7 +723,7 @@ def _family_batches(draw):
     m = draw(st.integers(0, 6))
     ranks = st.sets(st.integers(0, math.factorial(n) - 1), min_size=m, max_size=m)
     batch = draw(st.lists(ranks, min_size=1, max_size=5))
-    families = [group_data(n).images[sorted(fam)] + 1 for fam in batch]
+    families = [group_data(n).images[sorted(fam)] for fam in batch]
     return n, families
 
 
@@ -964,8 +964,8 @@ def _per_set_records(n, sets):
     h_matrix = ekrverify._dense(h.ones, width)
     records = []
     for members in sets:
-        images = np.array(members, dtype=np.int8) - 1
-        member_ranks = rank_images(images.T)
+        images = np.array(members, dtype=np.int8)
+        member_ranks = rank_images(images)
         distinct = len(set(member_ranks.tolist())) == len(member_ranks)
         family_key = point_family(images) if distinct else None
         translated = gd.compose_ranks(gd.inv[member_ranks[0]], member_ranks)

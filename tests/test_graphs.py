@@ -133,7 +133,7 @@ class TestBuildGraph:
     def test_packed_masks_equal_shift_sums(self, n, t):
         gd = scheme.group_data(n)
         # the connection set: the ranks that fix at most t points (never the identity)
-        connection = np.flatnonzero((gd.images == np.arange(n)).sum(1) <= t)
+        connection = np.flatnonzero((gd.images == np.arange(1, n + 1)).sum(1) <= t)
         rows = gd.compose_ranks([[r] for r in range(gd.order)], connection)
         shifted = [sum(1 << r for r in row) for row in rows.tolist()]
         assert graphs._adjacency_masks(n, t) == shifted
@@ -615,7 +615,7 @@ class TestCosetCover:
         for coset in cover:
             assert len(coset) == n
             seen.update(coset)
-            members = scheme.image_table(n)[list(coset)] + 1
+            members = scheme.image_table(n)[list(coset)]
             assert validate_clique(members, 0) == (True, None)
         assert seen == set(range(math.factorial(n)))
 

@@ -150,8 +150,8 @@ def _degree_guards():
     return [
         ("derangement_count", permgroup.derangement_count, 1, None, None),
         ("partitions_of", permgroup.partitions_of, 1, None, None),
-        # a stack of no planes ranks the one permutation of degree 0
-        ("rank_images", lambda n: scheme.rank_images(np.zeros((n, 2), np.int8)),
+        # rows of no images rank the one permutation of degree 0
+        ("rank_images", lambda n: scheme.rank_images(np.zeros((2, n), np.int8)),
          0, scheme.MAX_RANK_DEGREE, None),
         ("character_table", chartab.character_table, 1, chartab.MAX_TABLE_DEGREE, None),
         ("GroupData", scheme.GroupData, 1, scheme.MAX_GROUP_DEGREE, None),
@@ -177,7 +177,7 @@ def _degree_guards():
 
 # the walk over the 1,334,961 derangements of 10 takes most of a second
 COSTLY_TOPS = {("equitable_quotient", 10)}
-# no stack has -1 planes, and GroupData(0) raises before its mult is read
+# no row has -1 images, and GroupData(0) raises before its mult is read
 NO_DEGREE_BELOW = {"rank_images", "GroupData.mult"}
 
 
@@ -201,3 +201,28 @@ def test_each_degree_guard_states_its_range(row):
         assert not isinstance(info.value, DegreeRangeError)
     if hi is not None and (what, hi) not in COSTLY_TOPS:
         call(hi)
+
+
+def test_a_failing_hypothesis_test_fails_and_the_run_goes_on(tmp_path):
+    """Under the project's warning filters a Hypothesis failure is one failed test."""
+    import subprocess
+    import sys
+
+    path = tmp_path / "test_fails_on_purpose.py"
+    path.write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n",
+        encoding="utf-8",
+    )
+    config = ["-c", str(ROOT / "pyproject.toml"), "--rootdir", str(ROOT)]
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *config, str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed" in run.stdout

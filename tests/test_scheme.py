@@ -838,25 +838,25 @@ class TestRanking:
 
     def test_rank_zero_is_identity(self):
         for n in range(MAX_RANK_DEGREE + 1):
-            assert rank_images(np.arange(n, dtype=np.int8)[:, None]).tolist() == [0]
+            assert rank_images(np.arange(1, n + 1, dtype=np.int8)[None]).tolist() == [0]
 
     def test_last_rank_is_reversal(self):
         for n in range(1, MAX_RANK_DEGREE + 1):
-            planes = np.arange(n - 1, -1, -1, dtype=np.int8)[:, None]
-            assert rank_images(planes).tolist() == [math.factorial(n) - 1]
+            rows = np.arange(n, 0, -1, dtype=np.int8)[None]
+            assert rank_images(rows).tolist() == [math.factorial(n) - 1]
 
     def test_matches_itertools_order(self):
         # the 120 permutations of degree 5, laid out as a 4 x 30 grid of cells
-        perms = list(itertools.permutations(range(5)))
-        planes = np.array(perms, dtype=np.int8).T.reshape(5, 4, 30)
-        assert rank_images(planes).tolist() == np.arange(120).reshape(4, 30).tolist()
-        assert [rank_permutation([v + 1 for v in p]) for p in perms] == list(range(120))
+        perms = list(itertools.permutations(range(1, 6)))
+        rows = np.array(perms, dtype=np.int8).reshape(4, 30, 5)
+        assert rank_images(rows).tolist() == np.arange(120).reshape(4, 30).tolist()
+        assert [rank_permutation(p) for p in perms] == list(range(120))
 
     def test_round_trip_degree_seven(self):
         table = image_table(7)
         for rank in (0, 1, 1000, math.factorial(7) - 1):
-            assert tuple(table[rank] + 1) == unrank_permutation(rank, 7)
-            assert rank_images(table[rank][:, None]).tolist() == [rank]
+            assert tuple(table[rank]) == unrank_permutation(rank, 7)
+            assert rank_images(table[rank][None]).tolist() == [rank]
 
     @given(st.data())
     def test_round_trips_through_degree_nine(self, data):
@@ -864,32 +864,30 @@ class TestRanking:
         n = data.draw(st.integers(1, 9))
         rank = data.draw(st.integers(0, math.factorial(n) - 1))
         row = image_table(n)[rank]
-        assert tuple(row + 1) == unrank_permutation(rank, n)
-        assert rank_images(row[:, None]).tolist() == [rank]
-        images = data.draw(st.permutations(range(n)))
-        ranked = rank_images(np.array(images, dtype=np.int8)[:, None]).tolist()
-        assert ranked == [rank_permutation([v + 1 for v in images])]
+        assert tuple(row) == unrank_permutation(rank, n)
+        assert rank_images(row[None]).tolist() == [rank]
+        images = data.draw(st.permutations(range(1, n + 1)))
+        ranked = rank_images(np.array(images, dtype=np.int8)[None]).tolist()
+        assert ranked == [rank_permutation(images)]
         assert image_table(n)[ranked[0]].tolist() == images
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_all_permutations_is_lex_ordered(self, n):
         # read as tuples, not through rank_images: each row a permutation of
-        # 0..n-1 and each strictly above the row before it
+        # 1..n and each strictly above the row before it
         rows = [tuple(row) for row in image_table(n).tolist()]
         assert len(rows) == math.factorial(n)
-        assert all(sorted(row) == list(range(n)) for row in rows)
+        assert all(sorted(row) == list(range(1, n + 1)) for row in rows)
         assert all(a < b for a, b in zip(rows, rows[1:]))
 
     @given(
         st.integers(1, 12).flatmap(
-            lambda n: st.lists(st.permutations(range(n)), min_size=1)
+            lambda n: st.lists(st.permutations(range(1, n + 1)), min_size=1)
         )
     )
-    def test_image_planes_rank_like_the_scalar_rank(self, rows):
-        # one plane per position, one column per permutation
-        planes = np.array(rows, dtype=np.int8).T
-        expected = [rank_permutation([v + 1 for v in r]) for r in rows]
-        assert rank_images(planes).tolist() == expected
+    def test_image_rows_rank_like_the_scalar_rank(self, rows):
+        expected = [rank_permutation(r) for r in rows]
+        assert rank_images(np.array(rows, dtype=np.int8)).tolist() == expected
 
     @given(
         st.integers(1, MAX_RANK_DEGREE),
@@ -897,23 +895,24 @@ class TestRanking:
         st.sampled_from([np.int8, np.intp]),
         st.integers(0, 2**32 - 1),
     )
-    def test_image_planes_rank_like_the_pairwise_lehmer_code(self, n, shape, dtype, seed):
-        # one random permutation of 0..n-1 along the leading axis per cell of shape
-        keys = np.random.default_rng(seed).random((n, *shape))
-        planes = np.argsort(keys, axis=0).astype(dtype)
+    def test_image_rows_rank_like_the_pairwise_lehmer_code(self, n, shape, dtype, seed):
+        # one random permutation of 1..n along the last axis per cell of shape
+        keys = np.random.default_rng(seed).random((*shape, n))
+        rows = np.argsort(keys, axis=-1).astype(dtype) + 1
         reference = np.zeros(tuple(shape), dtype=np.int64)
-        for k in range(n - 1):  # digit k compared against every later plane at once
-            reference += (planes[k + 1 :] < planes[k]).sum(0) * math.factorial(n - 1 - k)
-        ranks = rank_images(planes)
+        for k in range(n - 1):  # digit k compared against every later image at once
+            later = rows[..., k + 1 :] < rows[..., k, None]
+            reference += later.sum(-1) * math.factorial(n - 1 - k)
+        ranks = rank_images(rows)
         assert ranks.dtype == np.int64 and ranks.shape == tuple(shape)
         assert np.array_equal(ranks, reference)
 
-    def test_image_planes_past_the_int64_ranks_raise(self):
-        planes = np.arange(MAX_RANK_DEGREE)[:, None]
-        assert rank_images(planes).tolist() == [0]
-        assert rank_images(planes[::-1]).tolist() == [math.factorial(MAX_RANK_DEGREE) - 1]
+    def test_image_rows_past_the_int64_ranks_raise(self):
+        rows = np.arange(1, MAX_RANK_DEGREE + 1)[None]
+        assert rank_images(rows).tolist() == [0]
+        assert rank_images(rows[:, ::-1]).tolist() == [math.factorial(MAX_RANK_DEGREE) - 1]
         with pytest.raises(DegreeRangeError):
-            rank_images(np.arange(MAX_RANK_DEGREE + 1)[:, None])
+            rank_images(np.arange(1, MAX_RANK_DEGREE + 2)[None])
 
 
 class TestGroupTables:
@@ -923,7 +922,7 @@ class TestGroupTables:
         assert gd.type_of.dtype == np.int8
         perms = list(itertools.permutations(range(1, n + 1)))  # rank order
         index = {images: r for r, images in enumerate(perms)}
-        assert (gd.images + 1).tolist() == [list(images) for images in perms]
+        assert gd.images.tolist() == [list(images) for images in perms]
         for r, images in enumerate(perms):
             inverse_images = [0] * n
             for i, v in enumerate(images, start=1):
@@ -935,7 +934,7 @@ class TestGroupTables:
     def test_images_rank_in_order(self, n):
         # GroupData.images is this table up to MAX_GROUP_DEGREE; n = 8 has no
         # GroupData but still ranks its own image table
-        ranks = rank_images(image_table(n).T)
+        ranks = rank_images(image_table(n))
         assert ranks.tolist() == list(range(math.factorial(n)))
 
     def test_the_image_table_is_shared_and_read_only(self, monkeypatch):
@@ -953,7 +952,7 @@ class TestGroupTables:
         h = ekrverify.incidence(5)
         # row r has column (1, pi(1)) unless pi(1) = 5
         assert h.ones[:, 0].tolist() == [
-            4 * 4 if v == 4 else v for v in table[:, 0].tolist()
+            4 * 4 if v == 5 else v - 1 for v in table[:, 0].tolist()
         ]
 
 
@@ -1284,7 +1283,7 @@ def filtered_ranks(pairs, n):
 
 def family_ranks(pairs, n):
     """The ranks of S_A, read off the image rows of constraint_rows."""
-    return rank_images((constraint_rows(n, pairs) - 1).T)
+    return rank_images(constraint_rows(n, pairs))
 
 
 # S_1 has the one family S_{1->1}, which basis_check reads at n = 1
@@ -1313,7 +1312,7 @@ class TestConstraintFamilies:
     def test_a_row_of_two_value_tuples_raises(self, monkeypatch):
         # 1 goes to 1 in seven rows of the doctored table, to 2 in five
         table = image_table(4).copy()
-        table[6, 0] = 0
+        table[6, 0] = 1
         monkeypatch.setattr(scheme, "image_table", lambda n: table)
         with pytest.raises(AssertionError, match="mixes value tuples"):
             constraint_families(4, 1)
@@ -1331,7 +1330,7 @@ class TestConstraintFamilies:
             expected = [table[r] for r in filtered_ranks(pairs, n)]
             rows = constraint_rows(n, pairs)
             assert [tuple(row) for row in rows.tolist()] == expected
-            assert (rows == image_table(n)[ranks] + 1).all()
+            assert (rows == image_table(n)[ranks]).all()
 
     @pytest.mark.parametrize("pairs", [((0, 1),), ((1, 5),), ((5, 1),), ()])
     def test_points_outside_the_degree_raise(self, pairs):
@@ -1363,8 +1362,8 @@ class TestPointFamily:
 
     def test_degree_two_reads_the_first_constant_column(self):
         # S_{1->1} = S_{2->2} = {12} and S_{1->2} = S_{2->1} = {21}
-        assert point_family([[0, 1]]) == (1, 1)
-        assert point_family([[1, 0]]) == (1, 2)
+        assert point_family([[1, 2]]) == (1, 1)
+        assert point_family([[2, 1]]) == (1, 2)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_a_set_short_or_swapped_is_no_family(self, n):
